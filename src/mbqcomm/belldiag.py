@@ -86,10 +86,6 @@ def fidelity_from_noise(p: float) -> float:
     return (3.0 * p + 1.0) / 4.0
 
 
-def noise_from_fidelity(fidelity: float) -> float:
-    return (4.0 * fidelity - 1.0) / 3.0
-
-
 def apply_pauli_channel(state: BellDiagonalState, side: str,
                         channel: PauliChannel) -> BellDiagonalState:
     """Exact action of a one-sided Pauli channel: XOR convolution."""

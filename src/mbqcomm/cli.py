@@ -12,8 +12,7 @@ import argparse
 import configparser
 import json
 import sys
-
-import numpy as np
+from collections import Counter
 
 from . import __version__
 from .belldiag import werner
@@ -31,6 +30,7 @@ from .protocols import (
     qec_correct,
     qec_decode,
     qec_encode,
+    stats_from_counts,
     wilson_interval,
 )
 from .resources import LabeledRegister
@@ -62,6 +62,20 @@ def probability(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+class OneLineParser(argparse.ArgumentParser):
+    """Reports bad input in one line on stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def add_noise_args(p: argparse.ArgumentParser):
     p.add_argument("--p-resource", type=probability, default=1.0,
                    help="per-particle resource noise parameter")
@@ -79,43 +93,20 @@ def noise_from_args(args) -> NoiseModel:
     return NoiseModel(args.p_resource, args.q_meas, args.q_channel)
 
 
-def add_common_args(p: argparse.ArgumentParser):
-    p.add_argument("--samples", type=int, default=10_000)
+def add_run_args(p: argparse.ArgumentParser, outputs: bool = True):
+    p.add_argument("--samples", type=positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--shards", type=int, default=None,
-                   help="defaults to MBQCOMM_SHARDS or 1")
-    p.add_argument("--csv-out", default=None)
-    p.add_argument("--json-out", default=None)
+    if outputs:
+        p.add_argument("--csv-out", default=None)
+        p.add_argument("--json-out", default=None)
 
 
 def emit(args, record: ResultRecord):
     print(record.to_json())
-    if getattr(args, "csv_out", None):
+    if args.csv_out:
         write_csv(args.csv_out, [record])
-    if getattr(args, "json_out", None):
+    if args.json_out:
         write_jsonl(args.json_out, [record])
-
-
-def _merge_stats(parts: list[ProtocolStats], protocol_yield_den: str) -> ProtocolStats:
-    counts: dict = {}
-    for part in parts:
-        for k, v in part.extra["counts"].items():
-            counts[k] = counts.get(k, 0) + v
-    kept = counts.get("kept", counts.get("survivors", 0))
-    good = counts.get("good", counts.get("correct", 0))
-    attempts = counts["attempts"]
-    consumed = counts.get("consumed", attempts)
-    succ_num = counts.get("all_correct", kept)
-    succ_den = attempts if "all_correct" in counts else attempts
-    return ProtocolStats(
-        fidelity=good / kept if kept else 0.0,
-        fidelity_ci=wilson_interval(good, kept),
-        p_success=succ_num / succ_den if succ_den else 0.0,
-        p_success_ci=wilson_interval(succ_num, succ_den),
-        protocol_yield=kept / consumed if consumed else 0.0,
-        samples=attempts,
-        extra={"counts": counts, "shards": len(parts)},
-    )
 
 
 def cmd_purify(args) -> int:
@@ -133,16 +124,15 @@ def cmd_purify(args) -> int:
                                   engine="analytic", variant=args.variant)
     else:
         shards = args.shards if args.shards is not None else default_shards()
-        per_shard = max(1, args.samples // shards)
-        parts = []
+        counts = Counter()
         for shard in range(shards):
-            rng = make_rng(args.seed, shard)
-            parts.append(
-                purify_recurrence(state, args.rounds, noise, mode=args.mode,
-                                  samples=per_shard, rng=rng,
-                                  engine=args.engine, variant=args.variant)
-            )
-        stats = _merge_stats(parts, "consumed") if len(parts) > 1 else parts[0]
+            size = args.samples // shards + (shard < args.samples % shards)
+            if size:
+                part = purify_recurrence(state, args.rounds, noise, mode=args.mode,
+                                         samples=size, rng=make_rng(args.seed, shard),
+                                         engine=args.engine, variant=args.variant)
+                counts.update(part.extra["counts"])
+        stats = stats_from_counts(dict(counts), 1 << args.rounds)
     record = ResultRecord.from_stats("purify", params, noise, stats,
                                      args.seed, cfg_hash)
     emit(args, record)
@@ -172,12 +162,7 @@ def _qec_enumerate(code, noise, rng) -> tuple[int, int]:
         errors = all_single_qubit_errors(code.n)
     good = 0
     for err in errors:
-        reg = LabeledRegister.from_state(
-            StabilizerState.from_generators(
-                [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
-            ),
-            ["ref", "in"],
-        )
+        reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
         e = qec_encode(code, reg, "in", noise, rng)
         reg.apply_pauli(err, e.labels)
         c = qec_correct(code, reg, e.labels, noise, rng, frame=e.frame)
@@ -198,12 +183,7 @@ def cmd_qec(args) -> int:
         return 0 if good == total else 1
     good = 0
     for _ in range(args.samples):
-        reg = LabeledRegister.from_state(
-            StabilizerState.from_generators(
-                [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
-            ),
-            ["ref", "in"],
-        )
+        reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
         e = qec_encode(code, reg, "in", noise, rng)
         reg.depolarize(e.labels, noise.q_channel, rng)
         c = qec_correct(code, reg, e.labels, noise, rng, frame=e.frame)
@@ -342,7 +322,7 @@ def cmd_sweep(args) -> int:
         lo, hi = args.lo or 0.72, args.hi or 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "repeater":
-        detector = repeater_regime_detector(args.segments, args.samples, rng)
+        detector = repeater_regime_detector(args.segments)
         lo, hi = args.lo or 0.72, args.hi or 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "code":
@@ -386,7 +366,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = OneLineParser(
         prog="mbqcomm",
         description="measurement-based quantum communication simulator",
     )
@@ -401,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["analytic", "mc", "stabilizer"],
                    default="mc")
     add_noise_args(p)
-    add_common_args(p)
+    add_run_args(p)
+    p.add_argument("--shards", type=positive_int, default=None,
+                   help="defaults to MBQCOMM_SHARDS or 1")
     p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("hashing", help="hashing purification (exact decode)")
@@ -409,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=16)
     p.add_argument("--checks", type=int, default=8)
     add_noise_args(p)
-    add_common_args(p)
+    add_run_args(p)
     p.set_defaults(func=cmd_hashing)
 
     p = sub.add_parser("qec", help="measurement-based error correction")
     p.add_argument("--code", default="ring5")
     p.add_argument("--enumerate-errors", action="store_true")
     add_noise_args(p)
-    add_common_args(p)
+    add_run_args(p)
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("chain", help="encoded transmission chain")
@@ -427,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["trajectory", "analytic", "dense"],
                    default="trajectory")
     add_noise_args(p)
-    add_common_args(p)
+    add_run_args(p, outputs=False)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("repeater", help="nested repeater chain")
@@ -435,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--mode", choices=["analytic", "mc"], default="mc")
     add_noise_args(p)
-    add_common_args(p)
+    add_run_args(p, outputs=False)
     p.set_defaults(func=cmd_repeater)
 
     p = sub.add_parser("threshold", help="closed-form threshold solvers")
@@ -454,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--segments", type=int, default=4)
     p.add_argument("--code", default="ring5")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -9,33 +9,29 @@ Pauli corrections can be deferred to the final station via the frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
 from . import dense
-from .belldiag import (
-    BellDiagonalState,
-    apply_depolarizing,
-    recurrence_step,
-    swap_pairs,
-    werner,
-)
+from .belldiag import BellDiagonalState, werner
 from .catalog import code_by_name, code_correct, code_decode_syndrome, code_encode
 from .codes import CodeSpec
-from .noise import NoiseModel, PauliChannel
+from .noise import NoiseModel
 from .pauli import PauliString
 from .protocols import (
-    ProtocolError,
-    _dejmps_index_tables,
-    _index_channel_sample,
-    _recurrence_noise_channels,
-    _sample_bd_indices,
+    Depolarize,
+    Purify,
+    Swap,
     bd_index_of_pair,
+    evaluate_stages,
     logical_error_rate,
+    noise_stages,
+    pairs_per_output,
     qec_correct,
     qec_decode,
     qec_encode,
+    sample_stages,
+    stats_from_counts,
     wilson_interval,
 )
 from .resources import LabeledRegister
@@ -73,46 +69,10 @@ class ChainConfig:
         return self.channel_overrides.get(segment, self.noise.q_channel)
 
 
-@dataclass
-class FrameEntry:
-    station: int
-    syndrome: tuple
-    outcomes: tuple
-    delta: str  # text form of the Pauli folded in at this station
-
-
-@dataclass
-class PauliFrame:
-    """Accumulated deferred correction plus its replayable log."""
-
-    frame: PauliString
-    log: list = field(default_factory=list)
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliFrame":
-        return cls(PauliString.identity(n))
-
-    def update(self, station: int, delta: PauliString, syndrome=(), outcomes=()):
-        self.frame = (self.frame.embed(delta.n, list(range(delta.n))) * delta).unsigned() \
-            if self.frame.n == delta.n else delta.unsigned()
-        self.log.append(FrameEntry(station, tuple(syndrome), tuple(outcomes), str(delta)))
-
-    def replay(self, n: int) -> PauliString:
-        acc = PauliString.identity(n)
-        for entry in self.log:
-            acc = acc * PauliString.from_string(entry.delta)
-        return acc.unsigned()
-
-
 def frame_apply(host: LabeledRegister, frame: PauliString, labels) -> None:
     """Physically apply a tracked frame to the delivered qubits."""
     if not frame.is_identity:
         host.apply_pauli(frame, labels)
-
-
-def frame_reinterpret(frame: PauliString, measured: PauliString, raw_outcome: int) -> int:
-    """Reinterpret a final Pauli measurement under an unapplied frame."""
-    return raw_outcome if frame.commutes(measured) else -raw_outcome
 
 
 @dataclass
@@ -166,39 +126,29 @@ def _encoded_chain_trajectory(cfg: ChainConfig, rng) -> ChainResult:
     good = 0
     uncorrectable_runs = 0
     syndrome_counts: dict = {}
-    log_lengths = []
     for _ in range(cfg.samples):
-        reg = LabeledRegister.from_state(
-            StabilizerState.from_generators(
-                [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
-            ),
-            ["ref", "in"],
-        )
+        reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
         e = qec_encode(code, reg, "in", cfg.noise, rng, resource=enc)
-        frame = PauliFrame(e.frame)
-        frame.log.append(FrameEntry(-1, (), (), str(e.frame)))
+        frame = e.frame
         labels = e.labels
         flagged = False
         for seg in range(cfg.segments):
             q = cfg.channel_for(seg)
             reg.depolarize(labels, q, rng)
             r = qec_correct(code, reg, labels, cfg.noise, rng,
-                            frame=frame.frame, resource=corr)
+                            frame=frame, resource=corr)
             labels = r.labels
             flagged = flagged or r.uncorrectable
             syndrome_counts[r.syndrome] = syndrome_counts.get(r.syndrome, 0) + 1
             if cfg.correction_timing == "station":
                 frame_apply(reg, r.frame, labels)
-                frame = PauliFrame.identity(code.n)
-                frame.log.append(FrameEntry(seg, r.syndrome, (), str(r.frame)))
+                frame = PauliString.identity(code.n)
             else:
-                frame = PauliFrame(r.frame, frame.log)
-                frame.log.append(FrameEntry(seg, r.syndrome, (), "+" + "I" * code.n))
+                frame = r.frame
         d = qec_decode(code, reg, labels, cfg.noise, rng,
-                       frame=frame.frame, resource=dec)
+                       frame=frame, resource=dec)
         frame_apply(reg, d.frame, d.labels)
         uncorrectable_runs += flagged
-        log_lengths.append(len(frame.log))
         if bd_index_of_pair(reg, "ref", d.labels[0]) == 0:
             good += 1
     fid = good / cfg.samples if cfg.samples else 0.0
@@ -344,22 +294,64 @@ def encoded_chain_dense(cfg: ChainConfig):
 # -- repeater chains ----------------------------------------------------------
 
 
+def repeater_stages(dress_in: Depolarize, rounds: int, levels: int) -> list:
+    """Stations of all levels: each level dresses every segment's pair with
+    the moved-in station noise and purifies it in one merged block of
+    `rounds` rounds (outputs virtual); swapping joins adjacent segments
+    between levels. The end stations' output noise is not included."""
+    level = [dress_in, Purify(rounds)]
+    stages = list(level)
+    for _ in range(levels):
+        stages += [Swap(), *level]
+    return stages
+
+
 def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ChainResult:
-    """Nested purify-and-swap chain built from merged station resources."""
+    """Nested purify-and-swap chain built from merged station resources.
+
+    The delivered pair finally sits on the end stations' output
+    particles. The Monte Carlo draws `cfg.samples` elementary pairs per
+    segment.
+    """
     levels = int(np.log2(cfg.segments))
     if 1 << levels != cfg.segments:
         raise ChainError("repeater segment count must be a power of two")
+    dress_in, dress_out = noise_stages(cfg.noise)
+    stages = repeater_stages(dress_in, cfg.purify_rounds, levels) + [dress_out]
+    pair = elementary_pair(cfg.noise.q_channel)
+    resources = _station_resources(cfg, levels)
     if mode == "analytic":
-        return _repeater_analytic(cfg, levels)
+        state, success = evaluate_stages(pair, stages)
+        return ChainResult(
+            fidelity=state.fidelity,
+            fidelity_ci=(state.fidelity, state.fidelity),
+            p_success=success,
+            p_success_ci=(success, success),
+            syndrome_stats={},
+            resources=resources,
+            samples=0,
+            extra={"coeffs": state.coeffs},
+        )
     if mode == "mc":
         if rng is None:
             raise ChainError("Monte-Carlo repeater needs an rng")
-        return _repeater_mc(cfg, levels, rng)
+        counts = sample_stages(pair, stages, cfg.samples, rng)
+        stats = stats_from_counts(counts, pairs_per_output(stages))
+        return ChainResult(
+            fidelity=stats.fidelity,
+            fidelity_ci=stats.fidelity_ci,
+            p_success=stats.p_success,
+            p_success_ci=stats.p_success_ci,
+            syndrome_stats={},
+            resources=resources,
+            samples=cfg.samples,
+            extra={"delivered": counts["kept"]},
+        )
     raise ChainError(f"unknown mode {mode!r}")
 
 
-def _elementary_pair(cfg: ChainConfig) -> BellDiagonalState:
-    q = cfg.noise.q_channel
+def elementary_pair(q: float) -> BellDiagonalState:
+    """Pair sent over one segment: E(q) on both halves of |phi+>."""
     return werner((3.0 * q * q + 1.0) / 4.0)
 
 
@@ -370,177 +362,3 @@ def _station_resources(cfg: ChainConfig, levels: int) -> dict:
         "station_resource_qubits": stations * (1 << (cfg.purify_rounds + 1)),
         "levels": levels,
     }
-
-
-def _repeater_analytic(cfg: ChainConfig, levels: int) -> ChainResult:
-    p_in, p_out = _recurrence_noise_channels(cfg.noise)
-    state = _elementary_pair(cfg)
-    success = 1.0
-    level_fidelity = []
-    empty_at = None
-    for level in range(levels + 1):
-        before = state.fidelity
-        # merged station purification: input-side noise only, outputs virtual
-        state = apply_depolarizing(apply_depolarizing(state, "A", p_in), "B", p_in)
-        for r in range(cfg.purify_rounds):
-            state, s = recurrence_step(state, state, "DEJMPS")
-            success *= s ** (1 << (cfg.purify_rounds - 1 - r))
-        if state.fidelity <= max(before, 0.5) and empty_at is None and level > 0:
-            empty_at = level
-        level_fidelity.append(state.fidelity)
-        if level < levels:
-            state = swap_pairs(state, state)
-    # delivered pair finally sits on end-station output particles
-    state = apply_depolarizing(apply_depolarizing(state, "A", p_out), "B", p_out)
-    return ChainResult(
-        fidelity=state.fidelity,
-        fidelity_ci=(state.fidelity, state.fidelity),
-        p_success=success,
-        p_success_ci=(success, success),
-        syndrome_stats={},
-        resources=_station_resources(cfg, levels),
-        samples=0,
-        extra={"level_fidelity": level_fidelity, "regime_empty_at_level": empty_at,
-               "coeffs": state.coeffs},
-    )
-
-
-def _purify_pool(pool: np.ndarray, rounds: int, rng) -> tuple[np.ndarray, list[float]]:
-    """Recurrence rounds on a pool of sampled Bell indices (ideal rounds)."""
-    keep_t, out_t = _dejmps_index_tables()
-    rates = []
-    for _ in range(rounds):
-        if pool.size < 2:
-            return pool[:0], rates
-        even = (pool.size // 2) * 2
-        src, tgt = pool[0:even:2], pool[1:even:2]
-        ok = keep_t[src, tgt]
-        rates.append(float(ok.mean()) if ok.size else 0.0)
-        pool = out_t[src, tgt][ok]
-    return pool, rates
-
-
-def _repeater_mc(cfg: ChainConfig, levels: int, rng) -> ChainResult:
-    """Index-level Monte Carlo of the nested purify-and-swap scheme.
-
-    Pools of sampled pair indices per segment are purified (post-selected
-    recurrence rounds), then adjacent segments are connected by swapping,
-    which XORs indices after the byproduct correction.
-    """
-    p_in, p_out = _recurrence_noise_channels(cfg.noise)
-    elementary = _elementary_pair(cfg)
-    n0 = cfg.samples
-    pools = []
-    for _seg in range(cfg.segments):
-        pool = _sample_bd_indices(elementary, n0, rng)
-        pools.append(pool)
-    rate_log = []
-    pairs_consumed = cfg.segments * n0
-    for level in range(levels + 1):
-        new_pools = []
-        for pool in pools:
-            pool = pool ^ _index_channel_sample(p_in * p_in, pool.shape, rng)
-            pool, rates = _purify_pool(pool, cfg.purify_rounds, rng)
-            rate_log.append(rates)
-            new_pools.append(pool)
-        pools = new_pools
-        if level < levels:
-            merged = []
-            for a, b in zip(pools[0::2], pools[1::2]):
-                m = min(a.size, b.size)
-                merged.append(a[:m] ^ b[:m])
-            pools = merged
-    final = pools[0]
-    final = final ^ _index_channel_sample(p_out * p_out, final.shape, rng)
-    delivered = int(final.size)
-    good = int((final == 0).sum())
-    fid = good / delivered if delivered else 0.0
-    return ChainResult(
-        fidelity=fid,
-        fidelity_ci=wilson_interval(good, delivered),
-        p_success=delivered * cfg.segments * (1 << (cfg.purify_rounds * (levels + 1))) / pairs_consumed
-        if pairs_consumed else 0.0,
-        p_success_ci=(0.0, 1.0),
-        syndrome_stats={},
-        resources=_station_resources(cfg, levels),
-        samples=n0,
-        extra={"delivered": delivered, "round_rates": rate_log},
-    )
-
-
-def repeater_stabilizer_step(cfg: ChainConfig, rng, samples: int) -> ChainResult:
-    """One full measurement-based repeater element on the stabilizer engine.
-
-    Alice and Bob each run an end-node purification resource; the middle
-    station holds the merged input-only resource that purifies both
-    segments and swaps. Keep requires matching parity bits across each
-    segment; the reconstructed swap byproduct corrects the outer pair.
-    """
-    from .catalog import epp_site_circuit, epp_site_resource, repeater_station
-    from .resources import teleport_in
-    from .tableau import BellOutcome
-
-    station = repeater_station(cfg.purify_rounds, "DEJMPS")
-    node_a = epp_site_resource(cfg.purify_rounds, "A")
-    node_b = epp_site_resource(cfg.purify_rounds, "B")
-    _gates, targets = epp_site_circuit(cfg.purify_rounds, "A")
-    n_pairs = 1 << cfg.purify_rounds
-    elementary = _elementary_pair(cfg)
-    kept = good = 0
-    for _ in range(samples):
-        reg = LabeledRegister()
-        left = _sample_bd_indices(elementary, n_pairs, rng)
-        right = _sample_bd_indices(elementary, n_pairs, rng)
-        for k in range(n_pairs):
-            reg.add(_bell_pair(int(left[k])), [f"alice{k}", f"l{k}"])
-            reg.add(_bell_pair(int(right[k])), [f"r{k}", f"bob{k}"])
-        res_a = teleport_in(
-            node_a, reg, {f"in{k}": f"alice{k}" for k in range(n_pairs)},
-            noise=cfg.noise, rng=rng, out_labels=["A_out"],
-        )
-        res_b = teleport_in(
-            node_b, reg, {f"in{k}": f"bob{k}" for k in range(n_pairs)},
-            noise=cfg.noise, rng=rng, out_labels=["B_out"],
-        )
-        wiring = {}
-        for k in range(n_pairs):
-            wiring[f"L/in{k}"] = f"l{k}"
-            wiring[f"R/in{k}"] = f"r{k}"
-        res_s = teleport_in(station, reg, wiring, noise=cfg.noise, rng=rng)
-        info = res_s.info
-        keep = all(
-            res_a.bits[f"meas[out{t}]"] == lb
-            for t, lb in zip(targets, info["left_bits"])
-        ) and all(
-            res_b.bits[f"meas[out{t}]"] == rb
-            for t, rb in zip(targets, info["right_bits"])
-        )
-        if not keep:
-            continue
-        kept += 1
-        reg.apply_pauli(res_a.frame, ["A_out"])
-        reg.apply_pauli(res_b.frame, ["B_out"])
-        reg.apply_pauli(BellOutcome(*info["swap"]).byproduct(), ["B_out"])
-        if bd_index_of_pair(reg, "A_out", "B_out") == 0:
-            good += 1
-    fid = good / kept if kept else 0.0
-    return ChainResult(
-        fidelity=fid,
-        fidelity_ci=wilson_interval(good, kept),
-        p_success=kept / samples,
-        p_success_ci=wilson_interval(kept, samples),
-        syndrome_stats={},
-        resources={"stations": 1, "station_resource_qubits": station.n},
-        samples=samples,
-        extra={"engine": "stabilizer"},
-    )
-
-
-def _bell_pair(bd_index: int) -> StabilizerState:
-    s = StabilizerState.from_generators(
-        [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
-    )
-    letter = ("I", "Z", "X", "Y")[bd_index]
-    if letter != "I":
-        s.apply_pauli(PauliString.single(2, 1, letter))
-    return s

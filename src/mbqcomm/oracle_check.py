@@ -18,7 +18,7 @@ from .catalog import (
     repeater_station,
 )
 from .noise import PauliChannel, move_noise_across_bell
-from .pauli import PauliString, random_clifford
+from .pauli import random_clifford
 from .resources import LabeledRegister, cj_state, merge, teleport_in
 from .tableau import BellOutcome, StabilizerState
 
@@ -151,10 +151,7 @@ def _check_merge_identity() -> CheckResult:
     enc = code_encode(code)
     dec = code_decode_syndrome(code)
     chain = merge(enc, dec, [(f"b{k}", f"b{k}") for k in range(code.n)])
-    phi = StabilizerState.from_generators(
-        [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
-    )
-    ok = chain.state.same_state(phi)
+    ok = chain.state.same_state(StabilizerState.bell_pair())
     return CheckResult(
         "merge-encode-decode", ok,
         "merged encode+decode equals the identity resource" if ok

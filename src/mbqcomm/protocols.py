@@ -5,12 +5,34 @@ Each protocol is runnable on the stabilizer engine (full
 measurement-based simulation with noisy resources) and mirrored by the
 exact Bell-diagonal analytics, with a fast index-sampling Monte Carlo in
 between; the engines are tested against each other.
+
+Recurrence purification and the nested repeater are written once, as a
+list of stages, and run by two evaluators: `evaluate_stages` (exact,
+on the Bell-diagonal maps) and `sample_stages` (Bell-index Monte
+Carlo). The stage kinds are:
+
+- `Depolarize(p)`: E(p) on both halves of each pair, one Bell-index
+  draw from E(p^2) in the sampler;
+- `Purify(depth, variant)`: one merged block of `depth` recurrence
+  rounds on a tree of 2^depth pairs, kept only if every check in the
+  tree passes; the outputs of a block are pooled for the next stage;
+- `Swap`: entanglement swapping of the pairs of adjacent segments.
+
+The sampler returns raw counts: `attempts`, `consumed` (elementary
+pairs drawn over all segments), `kept` and `good` (kept output pairs in
+|phi+>). Counts of shards add, and `stats_from_counts` turns them into
+fidelity = good/kept, yield = kept/consumed and p_success = kept *
+pairs_per_output / consumed. The exact p_success that `evaluate_stages`
+reports is the product, over the `Purify` stages, of the probability
+that one block passes all its checks, and yield = p_success /
+pairs_per_output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +41,7 @@ from .belldiag import (
     apply_depolarizing,
     load_golden_maps,
     recurrence_step,
+    swap_pairs,
 )
 from .catalog import code_correct, code_decode_syndrome, code_encode, epp_recurrence
 from .codes import CodeSpec
@@ -62,174 +85,211 @@ class ProtocolStats:
                 raise ProtocolError("estimates must lie in [0, 1]")
 
 
-# -- recurrence purification ------------------------------------------------
+# -- stage lists ------------------------------------------------------------
 
 
-def _recurrence_noise_channels(noise: NoiseModel) -> tuple[float, float]:
-    """(input-side, output-side) one-qubit fold of the resource noise.
+@dataclass(frozen=True)
+class Depolarize:
+    """E(p) on both halves of every pair.
+
+    The two one-sided maps compose to one Bell-index draw from E(p^2).
+    """
+
+    p: float
+
+    def index_weights(self) -> np.ndarray:
+        return PauliChannel.depolarizing(self.p * self.p).bd_weights()
+
+
+@dataclass(frozen=True)
+class Purify:
+    """One merged block of `depth` recurrence rounds on 2^depth pairs.
+
+    The output pair is kept only if every check in the tree passes.
+    """
+
+    depth: int
+    variant: str = "DEJMPS"
+
+
+@dataclass(frozen=True)
+class Swap:
+    """Entanglement swapping joins the pairs of adjacent segments."""
+
+
+def noise_stages(noise: NoiseModel) -> tuple[Depolarize, Depolarize]:
+    """(in-coupling, output-particle) dressing of a resource.
 
     Each in-coupling Bell measurement moves the resource-input noise and
     both measurement depolarizations onto the pair half: E(q^2 p). The
     output particles contribute E(p) per half and no measurement noise.
     """
-    folded = noise.folded()
-    return folded.p_resource, noise.p_resource
+    return Depolarize(noise.folded().p_resource), Depolarize(noise.p_resource)
+
+
+def pairs_per_output(stages) -> int:
+    """Elementary pairs, over all segments, behind one output pair."""
+    n = 1
+    for stage in stages:
+        if isinstance(stage, Purify):
+            n <<= stage.depth
+        elif isinstance(stage, Swap):
+            n <<= 1
+    return n
+
+
+def evaluate_stages(state: BellDiagonalState, stages) -> tuple[BellDiagonalState, float]:
+    """Exact output state and success probability of a stage list.
+
+    The success probability is the product of the block success
+    probabilities, the limit of `kept * pairs_per_output / consumed`.
+    """
+    p_success = 1.0
+    for stage in stages:
+        if isinstance(stage, Depolarize):
+            state = apply_depolarizing(apply_depolarizing(state, "A", stage.p), "B", stage.p)
+        elif isinstance(stage, Purify):
+            for r in range(stage.depth):
+                state, s = recurrence_step(state, state, stage.variant)
+                p_success *= s ** (1 << (stage.depth - 1 - r))
+        else:
+            state = swap_pairs(state, state)
+    return state, p_success
+
+
+@lru_cache(maxsize=None)
+def _index_tables(variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """(keep[i,j], out_index[i,j]) tables of one recurrence round.
+
+    DEJMPS is deterministic at the Bell-index level: each basis input
+    pair either always fails or maps to one output index.
+    """
+    tensor = load_golden_maps()[f"recurrence_{variant.lower()}"]
+    keep = np.zeros((4, 4), dtype=bool)
+    out = np.zeros((4, 4), dtype=np.int64)
+    for i in range(4):
+        for j in range(4):
+            col = tensor[:, i, j]
+            s = col.sum()
+            if s > 1e-12:
+                keep[i, j] = True
+                out[i, j] = int(np.argmax(col))
+                if abs(s - col.max()) > 1e-12:
+                    raise ProtocolError(
+                        f"index sampling needs an index-deterministic map; {variant} is not"
+                    )
+    return keep, out
+
+
+def _purify_blocks(pool: np.ndarray, stage: Purify) -> np.ndarray:
+    """Outputs of the blocks of 2^depth consecutive pairs that pass every check."""
+    keep_t, out_t = _index_tables(stage.variant)
+    idx = pool[:(pool.size >> stage.depth) << stage.depth].reshape(-1, 1 << stage.depth)
+    alive = np.ones(idx.shape[0], dtype=bool)
+    for _ in range(stage.depth):
+        half = idx.shape[1] // 2
+        src, tgt = idx[:, :half], idx[:, half:]
+        alive &= keep_t[src, tgt].all(axis=1)
+        idx = out_t[src, tgt]
+    return idx[alive, 0]
+
+
+def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
+                  pairs_per_attempt: int = 1) -> dict:
+    """Bell-index Monte Carlo of a stage list; returns raw counts.
+
+    Each segment (2^(number of swaps) of them) starts from a pool of
+    attempts * pairs_per_attempt sampled pairs. Survivors of a block are
+    pooled for the next stage; swapping pairs up the pools of adjacent
+    segments, truncated to the shorter one.
+    """
+    segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
+    size = attempts * pairs_per_attempt
+    pools = [rng.choice(4, size=size, p=state.as_array()) for _ in range(segments)]
+    for stage in stages:
+        if isinstance(stage, Depolarize):
+            w = stage.index_weights()
+            for pool in pools:
+                pool ^= rng.choice(4, size=pool.size, p=w)
+        elif isinstance(stage, Purify):
+            pools = [_purify_blocks(pool, stage) for pool in pools]
+        else:
+            joined = []
+            for a, b in zip(pools[0::2], pools[1::2]):
+                m = min(a.size, b.size)
+                joined.append(a[:m] ^ b[:m])
+            pools = joined
+    final = pools[0]
+    return {"attempts": attempts, "consumed": segments * size,
+            "kept": int(final.size), "good": int((final == 0).sum())}
+
+
+def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
+    """Reported numbers of one run or of summed shard counts.
+
+    fidelity = good/kept, yield = kept/consumed and p_success =
+    kept * per_output / consumed, with `per_output` elementary pairs
+    behind each output pair. The p_success interval takes the
+    consumed // per_output output slots as its trials.
+    """
+    kept, good, consumed = counts["kept"], counts["good"], counts["consumed"]
+    return ProtocolStats(
+        fidelity=good / kept if kept else 0.0,
+        fidelity_ci=wilson_interval(good, kept),
+        p_success=kept * per_output / consumed,
+        p_success_ci=wilson_interval(kept, consumed // per_output),
+        protocol_yield=kept / consumed,
+        samples=counts["attempts"],
+        extra={"counts": counts},
+    )
+
+
+# -- recurrence purification ------------------------------------------------
+
+
+def purify_stages(rounds: int, noise: NoiseModel, mode: str = "merged",
+                  variant: str = "DEJMPS") -> list:
+    """merged: noise enters once at the in-coupling and once at the
+    output (intermediate pairs are virtual); stepwise: every round is
+    its own resource and pays both."""
+    dress_in, dress_out = noise_stages(noise)
+    if mode == "merged":
+        return [dress_in, Purify(rounds, variant), dress_out]
+    if mode == "stepwise":
+        return [dress_in, Purify(1, variant), dress_out] * rounds
+    raise ProtocolError("mode must be 'merged' or 'stepwise'")
 
 
 def purify_recurrence_analytic(input_state: BellDiagonalState, rounds: int,
                                noise: NoiseModel, mode: str = "merged",
                                variant: str = "DEJMPS") -> ProtocolStats:
-    """Exact composition of the golden maps under the error model.
-
-    merged mode: noise enters once at the in-coupling and once at the
-    output (intermediate pairs are virtual); stepwise mode pays the
-    output noise in every round.
-    """
-    if mode not in ("merged", "stepwise"):
-        raise ProtocolError("mode must be 'merged' or 'stepwise'")
-    p_in, p_out = _recurrence_noise_channels(noise)
-    state = input_state
-    success = 1.0
-    yield_total = 1.0
-    if mode == "merged":
-        state = apply_depolarizing(apply_depolarizing(state, "A", p_in), "B", p_in)
-        for r in range(1, rounds + 1):
-            state, s = recurrence_step(state, state, variant)
-            success *= s ** (1 << (rounds - r))
-            yield_total *= s / 2.0
-        state = apply_depolarizing(apply_depolarizing(state, "A", p_out), "B", p_out)
-    else:
-        for _ in range(rounds):
-            dressed = apply_depolarizing(
-                apply_depolarizing(state, "A", p_in), "B", p_in
-            )
-            state, s = recurrence_step(dressed, dressed, variant)
-            state = apply_depolarizing(
-                apply_depolarizing(state, "A", p_out), "B", p_out
-            )
-            success *= s
-            yield_total *= s / 2.0
+    """Exact composition of the golden maps under the error model."""
+    stages = purify_stages(rounds, noise, mode, variant)
+    state, success = evaluate_stages(input_state, stages)
     return ProtocolStats(
         fidelity=state.fidelity,
         fidelity_ci=(state.fidelity, state.fidelity),
         p_success=success,
         p_success_ci=(success, success),
-        protocol_yield=yield_total,
+        protocol_yield=success / pairs_per_output(stages),
         samples=0,
-        extra={"coeffs": state.coeffs, "mode": mode, "variant": variant},
+        extra={"coeffs": state.coeffs},
     )
-
-
-def _sample_bd_indices(state: BellDiagonalState, size, rng) -> np.ndarray:
-    return rng.choice(4, size=size, p=state.as_array())
-
-
-def _index_channel_sample(p: float, size, rng) -> np.ndarray:
-    w = PauliChannel.depolarizing(p).bd_weights()
-    return rng.choice(4, size=size, p=w)
-
-
-_DEJMPS_KEEP: np.ndarray | None = None
-_DEJMPS_OUT: np.ndarray | None = None
-
-
-def _dejmps_index_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(keep[i,j], out_index[i,j]) tables of the DEJMPS round.
-
-    The DEJMPS tensor is deterministic at the Bell-index level: each
-    basis input pair either always fails or maps to one output index.
-    """
-    global _DEJMPS_KEEP, _DEJMPS_OUT
-    if _DEJMPS_KEEP is None:
-        tensor = load_golden_maps()["recurrence_dejmps"]
-        keep = np.zeros((4, 4), dtype=bool)
-        out = np.zeros((4, 4), dtype=np.int64)
-        for i in range(4):
-            for j in range(4):
-                col = tensor[:, i, j]
-                s = col.sum()
-                if s > 1e-12:
-                    keep[i, j] = True
-                    out[i, j] = int(np.argmax(col))
-                    if abs(s - col.max()) > 1e-12:
-                        raise ProtocolError("DEJMPS tensor is not index-deterministic")
-        _DEJMPS_KEEP, _DEJMPS_OUT = keep, out
-    return _DEJMPS_KEEP, _DEJMPS_OUT
 
 
 def purify_recurrence_mc(input_state: BellDiagonalState, rounds: int,
                          noise: NoiseModel, samples: int, rng,
-                         mode: str = "merged") -> ProtocolStats:
-    """Index-sampling Monte Carlo of the DEJMPS recurrence protocol.
+                         mode: str = "merged", variant: str = "DEJMPS") -> ProtocolStats:
+    """Index-sampling Monte Carlo of the recurrence protocol.
 
-    merged: each attempt consumes 2^rounds sampled pairs through one
-    resource; all checks must pass simultaneously. stepwise: a pool of
-    `samples` pairs is purified round by round, recombining survivors.
+    merged: each of the `samples` attempts consumes 2^rounds sampled
+    pairs through one resource. stepwise: a pool of `samples` pairs is
+    purified round by round, recombining survivors.
     """
-    if mode not in ("merged", "stepwise"):
-        raise ProtocolError("mode must be 'merged' or 'stepwise'")
-    keep_t, out_t = _dejmps_index_tables()
-    p_in, p_out = _recurrence_noise_channels(noise)
-    if mode == "merged":
-        n_leaf = 1 << rounds
-        idx = _sample_bd_indices(input_state, (samples, n_leaf), rng)
-        idx ^= _index_channel_sample(p_in * p_in, (samples, n_leaf), rng)
-        alive = np.ones(samples, dtype=bool)
-        for _ in range(rounds):
-            half = idx.shape[1] // 2
-            src, tgt = idx[:, :half], idx[:, half:]
-            alive &= keep_t[src, tgt].all(axis=1)
-            idx = out_t[src, tgt]
-        final = idx[:, 0] ^ _index_channel_sample(p_out * p_out, samples, rng)
-        kept = int(alive.sum())
-        good = int(((final == 0) & alive).sum())
-        return ProtocolStats(
-            fidelity=good / kept if kept else 0.0,
-            fidelity_ci=wilson_interval(good, kept),
-            p_success=kept / samples,
-            p_success_ci=wilson_interval(kept, samples),
-            protocol_yield=kept / (samples * n_leaf),
-            samples=samples,
-            extra={"mode": mode, "variant": "DEJMPS",
-                   "counts": {"kept": kept, "good": good,
-                              "attempts": samples, "consumed": samples * n_leaf}},
-        )
-    # stepwise: pool with recombination; fresh resources every round
-    pool = _sample_bd_indices(input_state, samples, rng)
-    consumed = samples
-    for _ in range(rounds):
-        if pool.size < 2:
-            break
-        pool = pool ^ _index_channel_sample(p_in * p_in, pool.shape, rng)
-        even = (pool.size // 2) * 2
-        src, tgt = pool[0:even:2], pool[1:even:2]
-        ok = keep_t[src, tgt]
-        pool = out_t[src, tgt][ok]
-        pool = pool ^ _index_channel_sample(p_out * p_out, pool.shape, rng)
-    kept = int(pool.size)
-    good = int((pool == 0).sum())
-    return ProtocolStats(
-        fidelity=good / kept if kept else 0.0,
-        fidelity_ci=wilson_interval(good, kept),
-        p_success=kept * (1 << rounds) / consumed,
-        p_success_ci=wilson_interval(kept * (1 << rounds), consumed)
-        if kept * (1 << rounds) <= consumed else (0.0, 1.0),
-        protocol_yield=kept / consumed,
-        samples=samples,
-        extra={"mode": mode, "variant": "DEJMPS",
-               "counts": {"kept": kept, "good": good,
-                          "attempts": samples, "consumed": consumed}},
-    )
-
-
-def _bell_pair_register(bd_index: int, labels) -> StabilizerState:
-    s = StabilizerState.from_generators(
-        [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
-    )
-    letter = ("I", "Z", "X", "Y")[bd_index]
-    if letter != "I":
-        s.apply_pauli(PauliString.single(2, 1, letter))
-    return s
+    stages = purify_stages(rounds, noise, mode, variant)
+    per_attempt = 1 << rounds if mode == "merged" else 1
+    counts = sample_stages(input_state, stages, samples, rng, per_attempt)
+    return stats_from_counts(counts, pairs_per_output(stages))
 
 
 def bd_index_of_pair(reg: LabeledRegister, la: str, lb: str) -> int:
@@ -255,9 +315,9 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
     kept = good = 0
     for _ in range(samples):
         reg = LabeledRegister()
-        indices = _sample_bd_indices(input_state, n_pairs, rng)
+        indices = rng.choice(4, size=n_pairs, p=input_state.as_array())
         for k in range(n_pairs):
-            reg.add(_bell_pair_register(int(indices[k]), None), [f"a{k}", f"b{k}"])
+            reg.add(StabilizerState.bell_pair(int(indices[k])), [f"a{k}", f"b{k}"])
         wiring = {}
         for k in range(n_pairs):
             wiring[f"L/in{k}"] = f"a{k}"
@@ -269,18 +329,9 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
         kept += 1
         if bd_index_of_pair(reg, "L/out0", "R/out0") == 0:
             good += 1
-    fid = good / kept if kept else 0.0
-    return ProtocolStats(
-        fidelity=fid,
-        fidelity_ci=wilson_interval(good, kept),
-        p_success=kept / samples,
-        p_success_ci=wilson_interval(kept, samples),
-        protocol_yield=kept / (samples * n_pairs),
-        samples=samples,
-        extra={"mode": "merged", "variant": "DEJMPS", "engine": "stabilizer",
-               "counts": {"kept": kept, "good": good,
-                          "attempts": samples, "consumed": samples * n_pairs}},
-    )
+    counts = {"attempts": samples, "consumed": samples * n_pairs,
+              "kept": kept, "good": good}
+    return stats_from_counts(counts, n_pairs)
 
 
 def purify_recurrence(input_state: BellDiagonalState, rounds: int,
@@ -294,9 +345,7 @@ def purify_recurrence(input_state: BellDiagonalState, rounds: int,
     if engine == "analytic":
         return purify_recurrence_analytic(input_state, rounds, noise, mode, variant)
     if engine == "mc":
-        if variant != "DEJMPS":
-            raise ProtocolError("index-sampling MC supports the DEJMPS variant")
-        return purify_recurrence_mc(input_state, rounds, noise, samples, rng, mode)
+        return purify_recurrence_mc(input_state, rounds, noise, samples, rng, mode, variant)
     if engine == "stabilizer":
         if variant != "DEJMPS" or mode != "merged":
             raise ProtocolError("stabilizer engine runs merged DEJMPS")
@@ -409,10 +458,8 @@ def _ml_decode(n_pairs: int, weights: np.ndarray, rounds: list[HashingRound],
 
 def hashing_effective_state(ensemble: HashingEnsemble, noise: NoiseModel) -> BellDiagonalState:
     """Pair state after folding resource-input noise onto the ensemble."""
-    p_in, _p_out = _recurrence_noise_channels(noise)
-    return apply_depolarizing(
-        apply_depolarizing(ensemble.pair_state, "A", p_in), "B", p_in
-    )
+    dress_in, _dress_out = noise_stages(noise)
+    return evaluate_stages(ensemble.pair_state, [dress_in])[0]
 
 
 def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
@@ -427,8 +474,7 @@ def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
         raise ProtocolError("exact ML decoding is limited to 24 pairs")
     dressed = hashing_effective_state(ensemble, noise)
     weights = dressed.as_array()
-    _p_in, p_out = _recurrence_noise_channels(noise)
-    out_w = PauliChannel.depolarizing(p_out * p_out).bd_weights()
+    out_w = noise_stages(noise)[1].index_weights()
     n = ensemble.n_pairs
     survivors_total = correct_total = 0
     all_correct = ambiguous_count = 0
@@ -553,20 +599,7 @@ def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
     )
 
 
-# -- swapping and closed-form logical error ---------------------------------
-
-
-def swap(host: LabeledRegister, middle_a: str, middle_b: str,
-         far_label: str, noise: NoiseModel, rng) -> PauliString:
-    """Entanglement swapping: Bell measurement on the two middle qubits.
-
-    Returns the byproduct correction for the far end of the second pair
-    (recorded, not applied).
-    """
-    if noise.q_meas < 1.0:
-        host.depolarize([middle_a, middle_b], noise.q_meas, rng)
-    outcome = host.bell_measure(middle_a, middle_b, rng)
-    return outcome.byproduct()
+# -- closed-form logical error ---------------------------------------------
 
 
 def logical_error_rate(code: CodeSpec, p_tilde: float) -> float:

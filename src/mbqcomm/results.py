@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import asdict, dataclass
 
@@ -99,13 +98,6 @@ class ResultRecord:
         d["yield"] = d.pop("protocol_yield")
         return json.dumps(d, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ResultRecord":
-        d = json.loads(text)
-        d.pop("schema", None)
-        d["protocol_yield"] = d.pop("yield")
-        return cls(**d)
-
 
 def write_csv(path: str, records: list[ResultRecord]):
     with open(path, "w", newline="") as fh:
@@ -115,44 +107,10 @@ def write_csv(path: str, records: list[ResultRecord]):
             writer.writerow(rec.to_csv_row())
 
 
-def read_csv(path: str) -> list[ResultRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_HEADER:
-            raise ValueError("unexpected CSV header (schema mismatch)")
-        for row in reader:
-            out.append(
-                ResultRecord(
-                    protocol=row[1],
-                    params=json.loads(row[2]),
-                    p_resource=float(row[3]),
-                    q_meas=float(row[4]),
-                    q_channel=float(row[5]),
-                    fidelity=float(row[6]),
-                    ci_lo=float(row[7]),
-                    ci_hi=float(row[8]),
-                    p_success=float(row[9]),
-                    protocol_yield=float(row[10]),
-                    samples=int(row[11]),
-                    seed=int(row[12]),
-                    config_hash=row[13],
-                    version=row[14],
-                )
-            )
-    return out
-
-
 def write_jsonl(path: str, records: list[ResultRecord]):
     with open(path, "w") as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
-
-
-def read_jsonl(path: str) -> list[ResultRecord]:
-    with open(path) as fh:
-        return [ResultRecord.from_json(line) for line in fh if line.strip()]
 
 
 def write_plot_csv(path: str, rows: list[tuple[float, float, float]],
@@ -162,12 +120,3 @@ def write_plot_csv(path: str, rows: list[tuple[float, float, float]],
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) for v in row])
-
-
-def records_csv_text(records: list[ResultRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.to_csv_row())
-    return buf.getvalue()

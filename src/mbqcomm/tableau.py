@@ -91,6 +91,18 @@ class StabilizerState:
         return cls(stabs, destabs)
 
     @classmethod
+    def bell_pair(cls, index: int = 0) -> "StabilizerState":
+        """sigma|phi+> on qubits (0, 1), sigma = I, Z, X, Y for index 0..3.
+
+        The Bell-diagonal index order of `belldiag`; a Z on qubit 1 flips
+        the sign of XX, an X that of ZZ.
+        """
+        xx = PauliString.from_string("XX")
+        zz = PauliString.from_string("ZZ")
+        stabs = [xx.negate() if index & 1 else xx, zz.negate() if index & 2 else zz]
+        return cls(stabs, [PauliString.from_string("ZI"), PauliString.from_string("IX")])
+
+    @classmethod
     def from_generators(cls, gens: list[PauliString]) -> "StabilizerState":
         """Build a state from commuting independent generators.
 

@@ -14,13 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .belldiag import entropy_yield, werner
+from .belldiag import shannon_entropy, werner
 from .codes import CodeSpec
+from .netsim import elementary_pair, repeater_stages
 from .noise import PauliChannel
-from .protocols import logical_error_rate, wilson_interval
+from .protocols import Depolarize, evaluate_stages, logical_error_rate, sample_stages
 
 UNIVERSAL_EPP_THRESHOLD = 3.0 ** (-0.25)
-HASHING_F_MIN = 0.8107  # minimal hashing fidelity, imported constant
 SHOR_TYPE_P_TILDE = 0.7449  # imported constant for Shor-type codes
 
 
@@ -107,21 +107,20 @@ def universal_epp_threshold(assumption: str = "q=p",
     raise ThresholdError(f"unknown assumption {assumption!r}")
 
 
-def hashing_threshold(f_min: float = HASHING_F_MIN) -> ThresholdReport:
+def hashing_threshold() -> ThresholdReport:
     """Solve (3 q^2 p^2 + 1)/4 >= F_min with q = p.
 
-    The minimal hashing fidelity is an imported constant, cross-checked
-    against the entropy yield hitting zero at that Werner fidelity.
+    F_min is the Werner fidelity where the hashing yield 1 - S(werner(F))
+    crosses zero, found by bisection on the unclamped yield.
     """
+    f_min = _bisect(lambda f: 1.0 - shannon_entropy(werner(f)), 0.5, 1.0, tol=1e-12)
     p_min = ((4.0 * f_min - 1.0) / 3.0) ** 0.25
-    leftover = entropy_yield(werner(f_min))
     return ThresholdReport(
         name="hashing",
         analytic=p_min,
         assumptions={"q": "p", "F_min": f_min},
-        formula="p_min = ((4 F_min - 1)/3)^(1/4)",
+        formula="p_min = ((4 F_min - 1)/3)^(1/4), 1 - S(werner(F_min)) = 0",
         binding="input fidelity reaches F_min",
-        notes=(f"entropy-yield cross-check at F_min: yield = {leftover:.2e}",),
     )
 
 
@@ -291,78 +290,39 @@ def sweep(detector: Callable[[float], tuple[bool, float, float]],
     )
 
 
-def epp_effective_fidelity_mc(p: float, samples: int, rng) -> tuple[float, float]:
-    """Monte-Carlo estimate of the purification-regime quantity.
-
-    Simulates the in-coupling stage of the recurrence protocol under
-    q = p: elementary pairs from the channel (E(p) on both halves) with
-    the resource-input noise moved onto them (noise-moving lemma). The
-    regime is nonempty iff this effective fidelity exceeds 1/2.
-    """
-    raw = werner((3.0 * p * p + 1.0) / 4.0)
-    idx = rng.choice(4, size=samples, p=raw.as_array())
-    dress = PauliChannel.depolarizing(p * p).bd_weights()
-    idx = idx ^ rng.choice(4, size=samples, p=dress)
-    good = int((idx == 0).sum())
-    f_hat = good / samples
-    err = math.sqrt(max(f_hat * (1 - f_hat), 1e-12) / samples)
-    return f_hat, err
-
-
 def epp_regime_detector(samples: int, rng) -> Callable[[float], tuple[bool, float, float]]:
+    """Monte-Carlo detector of a nonempty purification regime.
+
+    Samples the in-coupling stage of the recurrence protocol under
+    q = p: elementary pairs from the channel with the resource-input
+    noise moved onto them (noise-moving lemma). The regime is nonempty
+    iff this effective fidelity exceeds 1/2.
+    """
     def detector(p: float) -> tuple[bool, float, float]:
-        f_hat, err = epp_effective_fidelity_mc(p, samples, rng)
+        counts = sample_stages(elementary_pair(p), [Depolarize(p)], samples, rng)
+        f_hat = counts["good"] / counts["kept"]
+        err = math.sqrt(max(f_hat * (1 - f_hat), 1e-12) / samples)
         return f_hat > 0.5, f_hat, err
 
     return detector
 
 
-def repeater_delivered_fidelity_mc(p: float, segments: int, samples: int, rng,
-                                   rounds_per_level: int = 25) -> tuple[float, float]:
-    """Delivered end-to-end fidelity of the nested scheme, effective frame.
+def repeater_regime_detector(segments: int):
+    """Exact detector: delivered fidelity of the nested scheme above 1/2.
 
-    Per level: dress pools with the moved-in station noise, purify with
-    post-selected recurrence rounds (pools kept at size by resampling),
-    then connect adjacent segments by swapping (index XOR). Output-side
-    noise of the end stations is a fixed multiplicative factor (p >= q
-    holds with equality under q = p) and is excluded from the detector.
+    Under q = p, per level the station noise is moved onto the pairs
+    and 25 merged recurrence rounds purify them; swapping joins the
+    segments. The end stations' output noise is a fixed factor (p >= q
+    holds with equality under q = p) and is left out.
     """
-    from .protocols import _dejmps_index_tables
-
-    keep_t, out_t = _dejmps_index_tables()
     levels = int(math.log2(segments))
     if 1 << levels != segments:
         raise ThresholdError("segments must be a power of two")
-    raw = werner((3.0 * p * p + 1.0) / 4.0)
-    dress = PauliChannel.depolarizing(p * p).bd_weights()
-    pools = [rng.choice(4, size=samples, p=raw.as_array()) for _ in range(segments)]
-    for level in range(levels + 1):
-        nxt = []
-        for pool in pools:
-            pool = pool ^ rng.choice(4, size=pool.size, p=dress)
-            for _ in range(rounds_per_level):
-                even = (pool.size // 2) * 2
-                src, tgt = pool[0:even:2], pool[1:even:2]
-                ok = keep_t[src, tgt]
-                kept = out_t[src, tgt][ok]
-                if kept.size == 0:
-                    kept = np.zeros(1, dtype=np.int64) + 1  # fully dephased sentinel
-                # resample back to working size to keep statistics usable
-                pool = kept[rng.integers(0, kept.size, size=samples)]
-            nxt.append(pool)
-        pools = nxt
-        if level < levels:
-            pools = [a ^ b for a, b in zip(pools[0::2], pools[1::2])]
-    final = pools[0]
-    f_hat = float((final == 0).mean())
-    err = math.sqrt(max(f_hat * (1 - f_hat), 1e-12) / final.size)
-    return f_hat, err
 
-
-def repeater_regime_detector(segments: int, samples: int, rng):
     def detector(p: float) -> tuple[bool, float, float]:
-        f_hat, err = repeater_delivered_fidelity_mc(p, segments, samples, rng)
-        return f_hat > 0.5, f_hat, err
+        stages = repeater_stages(Depolarize(p), 25, levels)
+        fidelity = evaluate_stages(elementary_pair(p), stages)[0].fidelity
+        return fidelity > 0.5, fidelity, 0.0
 
     return detector
 
@@ -416,32 +376,3 @@ def code_improvement_mc(code: CodeSpec, p: float, samples: int, rng,
     p_l_hat = (4.0 * p_no_hat - 1.0) / 3.0
     err = 4.0 / 3.0 * math.sqrt(max(p_no_hat * (1 - p_no_hat), 1e-12) / samples)
     return p_l_hat > p_tilde, p_l_hat, err
-
-
-def merged_rounds_gain(rounds: int, p: float, fidelity: float) -> float:
-    """Fidelity gain of the merged m-round protocol on a Werner input.
-
-    Resource-input noise dresses the pairs once (E(p) per half), the m
-    recurrence rounds run noiselessly inside the merged resource, and
-    the output pair passes the two noisy output particles.
-    """
-    from .belldiag import apply_depolarizing, recurrence_step
-
-    state = werner(fidelity)
-    state = apply_depolarizing(apply_depolarizing(state, "A", p), "B", p)
-    for _ in range(rounds):
-        state, _s = recurrence_step(state, state, "DEJMPS")
-    state = apply_depolarizing(apply_depolarizing(state, "A", p), "B", p)
-    return state.fidelity - fidelity
-
-
-def merged_rounds_tolerable_noise(rounds: int, grid_tol: float = 2e-4) -> float:
-    """Finite-m protocol threshold: least p with a nonempty purification
-    regime, i.e. some input fidelity that still gains through the full
-    noisy merged protocol."""
-    grid = np.linspace(0.55, 0.995, 121)
-
-    def best_gain(p: float) -> float:
-        return max(merged_rounds_gain(rounds, p, float(f)) for f in grid)
-
-    return _bisect(best_gain, 0.70, 0.9999, tol=grid_tol)
