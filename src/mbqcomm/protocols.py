@@ -249,9 +249,12 @@ def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
 
 def purify_stages(rounds: int, noise: NoiseModel, mode: str = "merged",
                   variant: str = "DEJMPS") -> list:
-    """merged: noise enters once at the in-coupling and once at the
-    output (intermediate pairs are virtual); stepwise: every round is
-    its own resource and pays both."""
+    """Stage list of measurement-based recurrence purification.
+
+    merged: noise enters once at the in-coupling and once at the output
+    (intermediate pairs are virtual); stepwise: every round is its own
+    resource and pays both.
+    """
     dress_in, dress_out = noise_stages(noise)
     if mode == "merged":
         return [dress_in, Purify(rounds, variant), dress_out]
