@@ -17,28 +17,14 @@ from collections import Counter
 from . import __version__
 from .belldiag import werner
 from .catalog import code_by_name
-from .codes import all_single_qubit_errors
-from .netsim import ChainConfig, encoded_chain, repeater_chain
+from .netsim import ChainConfig, encoded_chain, enumerate_single_errors, repeater_chain
 from .noise import NoiseModel
-from .pauli import PauliString
-from .protocols import (
-    HashingEnsemble,
-    ProtocolStats,
-    bd_index_of_pair,
-    purify_hashing,
-    purify_recurrence,
-    qec_correct,
-    qec_decode,
-    qec_encode,
-    stats_from_counts,
-    wilson_interval,
-)
-from .resources import LabeledRegister
+from .protocols import HashingEnsemble, purify_hashing, purify_recurrence, stats_from_counts
 from .results import ResultRecord, config_hash, write_csv, write_jsonl, write_plot_csv
 from .rng import default_shards, make_rng
-from .tableau import StabilizerState
 from .thresholds import (
     ThresholdError,
+    code_improvement_mc,
     code_threshold,
     dephasing_repetition_threshold,
     epp_regime_detector,
@@ -93,6 +79,11 @@ def noise_from_args(args) -> NoiseModel:
     return NoiseModel(args.p_resource, args.q_meas, args.q_channel)
 
 
+def noise_list(noise: NoiseModel) -> list[float]:
+    """The noise model as it enters config hashes."""
+    return [noise.p_resource, noise.q_meas, noise.q_channel]
+
+
 def add_run_args(p: argparse.ArgumentParser, outputs: bool = True):
     p.add_argument("--samples", type=positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
@@ -116,14 +107,13 @@ def cmd_purify(args) -> int:
         "F": args.F, "rounds": args.rounds, "mode": args.mode,
         "engine": args.engine, "variant": args.variant,
     }
-    cfg_hash = config_hash({**params, "noise": [noise.p_resource, noise.q_meas,
-                                                noise.q_channel],
+    shards = args.shards if args.shards is not None else default_shards()
+    cfg_hash = config_hash({**params, "noise": noise_list(noise), "shards": shards,
                             "samples": args.samples, "seed": args.seed})
     if args.engine == "analytic":
         stats = purify_recurrence(state, args.rounds, noise, mode=args.mode,
                                   engine="analytic", variant=args.variant)
     else:
-        shards = args.shards if args.shards is not None else default_shards()
         counts = Counter()
         for shard in range(shards):
             size = args.samples // shards + (shard < args.samples % shards)
@@ -143,7 +133,8 @@ def cmd_hashing(args) -> int:
     noise = noise_from_args(args)
     ens = HashingEnsemble(args.pairs, werner(args.F))
     params = {"F": args.F, "pairs": args.pairs, "checks": args.checks}
-    cfg_hash = config_hash({**params, "seed": args.seed, "samples": args.samples})
+    cfg_hash = config_hash({**params, "noise": noise_list(noise), "seed": args.seed,
+                            "samples": args.samples})
     rng = make_rng(args.seed)
     stats = purify_hashing(ens, args.checks, noise, args.samples, rng)
     record = ResultRecord.from_stats("hashing", params, noise, stats,
@@ -152,52 +143,19 @@ def cmd_hashing(args) -> int:
     return 0
 
 
-def _qec_enumerate(code, noise, rng) -> tuple[int, int]:
-    """Inject each correctable basis error; count exact recoveries."""
-    if code.name.startswith("repetition"):
-        letter = "Z" if code.name.endswith("phase") else "X"
-        errors = [PauliString.single(code.n, q, letter) for q in range(code.n)]
-        errors = [e for e in errors if e.weight <= code.correctable_weight]
-    else:
-        errors = all_single_qubit_errors(code.n)
-    good = 0
-    for err in errors:
-        reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-        e = qec_encode(code, reg, "in", noise, rng)
-        reg.apply_pauli(err, e.labels)
-        c = qec_correct(code, reg, e.labels, noise, rng, frame=e.frame)
-        d = qec_decode(code, reg, c.labels, noise, rng, frame=c.frame)
-        reg.apply_pauli(d.frame, d.labels)
-        if bd_index_of_pair(reg, "ref", d.labels[0]) == 0:
-            good += 1
-    return good, len(errors)
-
-
 def cmd_qec(args) -> int:
     noise = noise_from_args(args)
-    code = code_by_name(args.code)
     rng = make_rng(args.seed)
     if args.enumerate_errors:
-        good, total = _qec_enumerate(code, NoiseModel(), rng)
+        good, total = enumerate_single_errors(code_by_name(args.code), rng)
         print(f"{good}/{total} corrected")
         return 0 if good == total else 1
-    good = 0
-    for _ in range(args.samples):
-        reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-        e = qec_encode(code, reg, "in", noise, rng)
-        reg.depolarize(e.labels, noise.q_channel, rng)
-        c = qec_correct(code, reg, e.labels, noise, rng, frame=e.frame)
-        d = qec_decode(code, reg, c.labels, noise, rng, frame=c.frame)
-        reg.apply_pauli(d.frame, d.labels)
-        good += bd_index_of_pair(reg, "ref", d.labels[0]) == 0
-    fid = good / args.samples
-    lo, hi = wilson_interval(good, args.samples)
+    cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=args.samples)
+    stats = encoded_chain(cfg, rng)
     params = {"code": args.code}
-    stats = ProtocolStats(fid, (lo, hi), 1.0, (1.0, 1.0), 1.0, args.samples,
-                          extra={"counts": {"good": good, "kept": args.samples,
-                                            "attempts": args.samples}})
-    record = ResultRecord.from_stats("qec", params, noise, stats, args.seed,
-                                     config_hash({**params, "seed": args.seed}))
+    cfg_hash = config_hash({**params, "noise": noise_list(noise),
+                            "samples": args.samples, "seed": args.seed})
+    record = ResultRecord.from_stats("qec", params, noise, stats, args.seed, cfg_hash)
     emit(args, record)
     return 0
 
@@ -246,17 +204,17 @@ def cmd_chain(args) -> int:
             samples=args.samples,
             correction_timing=args.timing,
         )
-    rng = make_rng(args.seed)
-    result = encoded_chain(cfg, rng, mode=args.mode)
+    stats = encoded_chain(cfg, make_rng(args.seed), mode=args.mode)
     payload = {
         "protocol": "chain",
         "mode": args.mode,
         "segments": cfg.segments,
         "code": cfg.code,
-        "fidelity": result.fidelity,
-        "ci": list(result.fidelity_ci),
-        "resources": result.resources,
-        "extra": {k: v for k, v in result.extra.items() if k != "branches"},
+        "fidelity": stats.fidelity,
+        "ci": list(stats.fidelity_ci),
+        "resources": stats.extra["resources"],
+        "extra": {k: v for k, v in stats.extra.items()
+                  if k not in ("counts", "resources", "syndromes")},
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -269,17 +227,16 @@ def cmd_repeater(args) -> int:
         purify_rounds=args.rounds,
         samples=args.samples,
     )
-    rng = make_rng(args.seed)
-    result = repeater_chain(cfg, rng, mode=args.mode)
+    stats = repeater_chain(cfg, make_rng(args.seed), mode=args.mode)
     payload = {
         "protocol": "repeater",
         "mode": args.mode,
         "segments": cfg.segments,
         "rounds": cfg.purify_rounds,
-        "fidelity": result.fidelity,
-        "ci": list(result.fidelity_ci),
-        "p_success": result.p_success,
-        "resources": result.resources,
+        "fidelity": stats.fidelity,
+        "ci": list(stats.fidelity_ci),
+        "p_success": stats.p_success,
+        "resources": stats.extra["resources"],
     }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -330,8 +287,6 @@ def cmd_sweep(args) -> int:
         analytic = code_threshold(code, "q=p").analytic
 
         def detector(p: float):
-            from .thresholds import code_improvement_mc
-
             return code_improvement_mc(code, p, args.samples, rng)
 
         lo, hi = args.lo or analytic - 0.03, args.hi or analytic + 0.03

@@ -8,7 +8,7 @@ a syndrome lookup table built by enumeration, never transcribed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -45,7 +45,20 @@ class CodeSpec:
             raise CodeError("logical X and Z must anticommute")
 
     def syndrome_of(self, error: PauliString) -> tuple[int, ...]:
-        return tuple(0 if error.commutes(g) else 1 for g in self.stabilizers)
+        return _anticommuting(error, self.stabilizers)
+
+    def logical_flips(self, error: PauliString) -> tuple[int, int]:
+        """Whether `error` flips the logical (X, Z) measurement outcomes."""
+        return _anticommuting(error, (self.logical_x, self.logical_z))
+
+    def estimate(self, raw: tuple[int, ...],
+                 frame: PauliString | None = None) -> tuple[tuple[int, ...], PauliString]:
+        """(syndrome, correction) of a raw read-out taken while `frame`
+        was still pending: the frame's own syndrome is XORed out before
+        the table lookup."""
+        if frame is not None:
+            raw = tuple(a ^ b for a, b in zip(raw, self.syndrome_of(frame)))
+        return raw, self.correction_for(raw)
 
     def correctable(self, syndrome: tuple[int, ...]) -> bool:
         entry = self.syndrome_table.get(syndrome)
@@ -59,13 +72,17 @@ class CodeSpec:
         return entry
 
 
+def _anticommuting(error: PauliString, ops) -> tuple[int, ...]:
+    """One bit per operator: 1 where it anticommutes with `error`."""
+    return tuple(0 if error.commutes(g) else 1 for g in ops)
+
+
 def _min_weight_table(n: int, stabilizers, candidates) -> dict:
     """Syndrome -> lowest-weight candidate error, ties broken lexically."""
     table: dict = {}
     ranked = sorted(candidates, key=lambda p: (p.weight, str(p)))
     for err in ranked:
-        syn = tuple(0 if err.commutes(g) else 1 for g in stabilizers)
-        table.setdefault(syn, err)
+        table.setdefault(_anticommuting(err, stabilizers), err)
     return table
 
 
@@ -193,7 +210,7 @@ def ring5_code() -> CodeSpec:
         if (a.x | a.z) & (b.x | b.z) == 0
     ]
     table = _min_weight_table(n, stabs, [PauliString.identity(n)] + singles + doubles)
-    syndromes = {tuple(0 if e.commutes(s) else 1 for s in stabs) for e in singles}
+    syndromes = {_anticommuting(e, stabs) for e in singles}
     if len(syndromes) != 15 or (0, 0, 0, 0) in syndromes:
         raise CodeError("ring5 single-qubit errors do not have distinct syndromes")
     encoder = encoder_from_code(stabs, logical_x, logical_z)

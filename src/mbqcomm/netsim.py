@@ -8,6 +8,7 @@ Pauli corrections can be deferred to the final station via the frame.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,15 +16,17 @@ import numpy as np
 from . import dense
 from .belldiag import BellDiagonalState, werner
 from .catalog import code_by_name, code_correct, code_decode_syndrome, code_encode
-from .codes import CodeSpec
+from .codes import CodeSpec, all_single_qubit_errors
 from .noise import NoiseModel
 from .pauli import PauliString
 from .protocols import (
     Depolarize,
+    ProtocolStats,
     Purify,
+    QecResult,
     Swap,
     bd_index_of_pair,
-    evaluate_stages,
+    exact_stats,
     logical_error_rate,
     noise_stages,
     pairs_per_output,
@@ -32,7 +35,6 @@ from .protocols import (
     qec_encode,
     sample_stages,
     stats_from_counts,
-    wilson_interval,
 )
 from .resources import LabeledRegister
 from .tableau import StabilizerState
@@ -62,8 +64,15 @@ class ChainConfig:
     def __post_init__(self):
         if self.segments < 1:
             raise ChainError("need at least one segment")
+        if self.samples < 1:
+            raise ChainError(f"samples must be at least 1, got {self.samples}")
         if self.correction_timing not in ("end", "station"):
             raise ChainError("correction_timing must be 'end' or 'station'")
+        for seg, q in self.channel_overrides.items():
+            if not 0 <= seg < self.segments:
+                raise ChainError(f"station {seg}: segments are 0..{self.segments - 1}")
+            if not isinstance(q, (int, float)) or not 0.0 <= q <= 1.0:
+                raise ChainError(f"station {seg}: q_channel must be in [0, 1], got {q}")
 
     def channel_for(self, segment: int) -> float:
         return self.channel_overrides.get(segment, self.noise.q_channel)
@@ -75,38 +84,60 @@ def frame_apply(host: LabeledRegister, frame: PauliString, labels) -> None:
         host.apply_pauli(frame, labels)
 
 
-@dataclass
-class ChainResult:
-    """Delivered-state statistics of one chain experiment."""
-
-    fidelity: float
-    fidelity_ci: tuple[float, float]
-    p_success: float
-    p_success_ci: tuple[float, float]
-    syndrome_stats: dict
-    resources: dict
-    samples: int
-    extra: dict = field(default_factory=dict)
-
-
 # -- encoded transmission ----------------------------------------------------
 
 
-def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> ChainResult:
-    """Encoded direct transmission with per-segment correction stations."""
+def code_resources(code: CodeSpec) -> tuple:
+    """(encode, correct, decode) resources of a code, built once per run."""
+    return code_encode(code), code_correct(code), code_decode_syndrome(code)
+
+
+def encoded_shot(code: CodeSpec, resources: tuple, noise: NoiseModel, rng,
+                 disturbances, at_station: bool = False) -> tuple[bool, list[QecResult]]:
+    """One encoded transmission of half of a reference Bell pair.
+
+    Encode; per segment, disturb the block and correct it at a station;
+    decode; apply the tracked frame; read the Bell index of the
+    reference pair. `disturbances` holds one callable (register, block
+    labels) per segment. With `at_station` every station applies its
+    frame at once instead of passing it on. Returns whether the pair
+    came out in |phi+> and the station results.
+    """
+    enc, corr, dec = resources
+    reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
+    e = qec_encode(code, reg, "in", noise, rng, resource=enc)
+    frame, labels = e.frame, e.labels
+    stations = []
+    for disturb in disturbances:
+        disturb(reg, labels)
+        r = qec_correct(code, reg, labels, noise, rng, frame=frame, resource=corr)
+        frame, labels = r.frame, r.labels
+        if at_station:
+            frame_apply(reg, frame, labels)
+            frame = PauliString.identity(code.n)
+        stations.append(r)
+    d = qec_decode(code, reg, labels, noise, rng, frame=frame, resource=dec)
+    frame_apply(reg, d.frame, d.labels)
+    return bd_index_of_pair(reg, "ref", d.labels[0]) == 0, stations
+
+
+def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> ProtocolStats:
+    """Encoded direct transmission with per-segment correction stations.
+
+    `extra` holds the resource counts; the trajectory mode adds the
+    station syndrome histogram and the runs with an uncorrectable
+    syndrome.
+    """
     if mode == "trajectory":
-        return _encoded_chain_trajectory(cfg, rng)
-    if mode == "analytic":
-        return _encoded_chain_analytic(cfg)
-    if mode == "dense":
-        branches, fid = encoded_chain_dense(cfg)
-        return ChainResult(
-            fidelity=fid, fidelity_ci=(fid, fid), p_success=1.0,
-            p_success_ci=(1.0, 1.0), syndrome_stats={},
-            resources=_resource_counts(cfg), samples=0,
-            extra={"branches": len(branches)},
-        )
-    raise ChainError(f"unknown mode {mode!r}")
+        stats = _encoded_chain_trajectory(cfg, rng)
+    elif mode == "analytic":
+        stats = _encoded_chain_analytic(cfg)
+    elif mode == "dense":
+        stats = _exact(encoded_chain_dense(cfg))
+    else:
+        raise ChainError(f"unknown mode {mode!r}")
+    stats.extra["resources"] = _resource_counts(cfg)
+    return stats
 
 
 def _resource_counts(cfg: ChainConfig) -> dict:
@@ -117,52 +148,45 @@ def _resource_counts(cfg: ChainConfig) -> dict:
     }
 
 
-def _encoded_chain_trajectory(cfg: ChainConfig, rng) -> ChainResult:
+def _encoded_chain_trajectory(cfg: ChainConfig, rng) -> ProtocolStats:
     """Stabilizer Monte Carlo with a reference pair as fidelity witness."""
     code = code_by_name(cfg.code)
-    enc = code_encode(code)
-    corr = code_correct(code)
-    dec = code_decode_syndrome(code)
-    good = 0
-    uncorrectable_runs = 0
-    syndrome_counts: dict = {}
+    resources = code_resources(code)
+    disturbances = [
+        lambda reg, block, q=cfg.channel_for(seg): reg.depolarize(block, q, rng)
+        for seg in range(cfg.segments)
+    ]
+    good = uncorrectable_runs = 0
+    syndromes = Counter()
     for _ in range(cfg.samples):
-        reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-        e = qec_encode(code, reg, "in", cfg.noise, rng, resource=enc)
-        frame = e.frame
-        labels = e.labels
-        flagged = False
-        for seg in range(cfg.segments):
-            q = cfg.channel_for(seg)
-            reg.depolarize(labels, q, rng)
-            r = qec_correct(code, reg, labels, cfg.noise, rng,
-                            frame=frame, resource=corr)
-            labels = r.labels
-            flagged = flagged or r.uncorrectable
-            syndrome_counts[r.syndrome] = syndrome_counts.get(r.syndrome, 0) + 1
-            if cfg.correction_timing == "station":
-                frame_apply(reg, r.frame, labels)
-                frame = PauliString.identity(code.n)
-            else:
-                frame = r.frame
-        d = qec_decode(code, reg, labels, cfg.noise, rng,
-                       frame=frame, resource=dec)
-        frame_apply(reg, d.frame, d.labels)
-        uncorrectable_runs += flagged
-        if bd_index_of_pair(reg, "ref", d.labels[0]) == 0:
-            good += 1
-    fid = good / cfg.samples if cfg.samples else 0.0
-    return ChainResult(
-        fidelity=fid,
-        fidelity_ci=wilson_interval(good, cfg.samples),
-        p_success=1.0,
-        p_success_ci=(1.0, 1.0),
-        syndrome_stats=syndrome_counts,
-        resources=_resource_counts(cfg),
-        samples=cfg.samples,
-        extra={"uncorrectable_runs": uncorrectable_runs,
-               "timing": cfg.correction_timing},
+        ok, stations = encoded_shot(code, resources, cfg.noise, rng, disturbances,
+                                    at_station=cfg.correction_timing == "station")
+        good += ok
+        uncorrectable_runs += any(r.uncorrectable for r in stations)
+        syndromes.update(r.syndrome for r in stations)
+    n = cfg.samples
+    stats = stats_from_counts({"attempts": n, "consumed": n, "kept": n, "good": good}, 1)
+    stats.extra.update(syndromes=dict(syndromes), uncorrectable_runs=uncorrectable_runs,
+                       timing=cfg.correction_timing)
+    return stats
+
+
+def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
+    """Inject each correctable single-qubit error into one noiseless
+    segment in place of channel noise; count exact recoveries."""
+    if code.name.startswith("repetition"):
+        letter = "Z" if code.name.endswith("phase") else "X"
+        errors = [PauliString.single(code.n, q, letter) for q in range(code.n)]
+        errors = [e for e in errors if e.weight <= code.correctable_weight]
+    else:
+        errors = all_single_qubit_errors(code.n)
+    resources = code_resources(code)
+    good = sum(
+        encoded_shot(code, resources, NoiseModel(), rng,
+                     [lambda reg, block, e=e: reg.apply_pauli(e, block)])[0]
+        for e in errors
     )
+    return good, len(errors)
 
 
 def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:
@@ -172,7 +196,7 @@ def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:
     return folded.p_resource * cfg.noise.p_resource * cfg.channel_for(segment)
 
 
-def _encoded_chain_analytic(cfg: ChainConfig) -> ChainResult:
+def _encoded_chain_analytic(cfg: ChainConfig) -> ProtocolStats:
     code = code_by_name(cfg.code)
     p_logical = 1.0
     improves = True
@@ -187,21 +211,14 @@ def _encoded_chain_analytic(cfg: ChainConfig) -> ChainResult:
     else:
         fid = (3.0 * p_logical + 1.0) / 4.0
         direct = (3.0 * cfg.noise.q_channel ** cfg.segments + 1.0) / 4.0
-    return ChainResult(
-        fidelity=fid,
-        fidelity_ci=(fid, fid),
-        p_success=1.0,
-        p_success_ci=(1.0, 1.0),
-        syndrome_stats={},
-        resources=_resource_counts(cfg),
-        samples=0,
-        extra={
-            "p_logical": p_logical,
-            "per_step_noise": effective_step_noise(cfg),
-            "improves_over_physical": improves,
-            "direct_fidelity": direct,
-        },
-    )
+    return _exact(fid, p_logical=p_logical, per_step_noise=effective_step_noise(cfg),
+                  improves_over_physical=improves, direct_fidelity=direct)
+
+
+def _exact(fidelity: float, **extra) -> ProtocolStats:
+    """Stats of an exact evaluation that always delivers."""
+    return ProtocolStats(fidelity, (fidelity, fidelity), 1.0, (1.0, 1.0), 1.0, 0,
+                         extra=extra)
 
 
 # -- dense-channel mode (exact branch ensembles) ------------------------------
@@ -235,14 +252,13 @@ def _syndrome_projector_branches(code: CodeSpec, dm: dense.DensityMatrix,
     return out
 
 
-def encoded_chain_dense(cfg: ChainConfig):
-    """Exact branch-ensemble evolution of the encoded chain.
+def encoded_chain_dense(cfg: ChainConfig) -> float:
+    """Delivered fidelity by exact branch-ensemble evolution.
 
     The host is a reference qubit plus the encoded block; each segment
     applies the folded per-step noise and a perfect syndrome projection
-    (valid by the tested resource channel identities). Returns the
-    branch list [(prob, syndrome path, final DM)] with corrections
-    applied per cfg.correction_timing, and the delivered fidelity.
+    (valid by the tested resource channel identities). Corrections are
+    applied per cfg.correction_timing.
     """
     code = code_by_name(cfg.code)
     n = code.n
@@ -262,33 +278,28 @@ def encoded_chain_dense(cfg: ChainConfig):
         for g in code.stabilizers
     ]
     start = dense.DensityMatrix.from_vec(ideal_vec)
-    branches = [(1.0, (), start, PauliString.identity(n))]
+    branches = [(1.0, start, PauliString.identity(n))]
     for seg in range(cfg.segments):
         p_tilde = effective_step_noise(cfg, seg)
         nxt = []
-        for prob, path, dm, frame in branches:
+        for prob, dm, frame in branches:
             for q in block:
                 dm = dm.depolarize(q, p_tilde)
             for bprob, raw_bits, bdm in _syndrome_projector_branches(code, dm, gen_mats):
-                adj = tuple(
-                    b ^ s for b, s in zip(raw_bits, code.syndrome_of(frame))
-                )
-                est = code.correction_for(adj)
+                est = code.estimate(raw_bits, frame)[1]
                 if cfg.correction_timing == "station":
                     bdm = bdm.apply_pauli(est.embed(n + 1, block))
                     new_frame = frame
                 else:
                     new_frame = (frame * est).unsigned()
-                nxt.append((prob * bprob, path + (adj,), bdm, new_frame))
+                nxt.append((prob * bprob, bdm, new_frame))
         branches = nxt
-    final = []
     fid = 0.0
-    for prob, path, dm, frame in branches:
+    for prob, dm, frame in branches:
         if cfg.correction_timing == "end" and not frame.is_identity:
             dm = dm.apply_pauli(frame.embed(n + 1, block))
-        final.append((prob, path, dm))
         fid += prob * dm.fidelity_with_vec(ideal_vec)
-    return final, fid
+    return fid
 
 
 # -- repeater chains ----------------------------------------------------------
@@ -306,12 +317,13 @@ def repeater_stages(dress_in: Depolarize, rounds: int, levels: int) -> list:
     return stages
 
 
-def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ChainResult:
+def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ProtocolStats:
     """Nested purify-and-swap chain built from merged station resources.
 
     The delivered pair finally sits on the end stations' output
     particles. The Monte Carlo draws `cfg.samples` elementary pairs per
-    segment.
+    segment. `extra` holds the station resource counts, and for the
+    Monte Carlo the delivered pair count.
     """
     levels = int(np.log2(cfg.segments))
     if 1 << levels != cfg.segments:
@@ -319,35 +331,18 @@ def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ChainResult:
     dress_in, dress_out = noise_stages(cfg.noise)
     stages = repeater_stages(dress_in, cfg.purify_rounds, levels) + [dress_out]
     pair = elementary_pair(cfg.noise.q_channel)
-    resources = _station_resources(cfg, levels)
     if mode == "analytic":
-        state, success = evaluate_stages(pair, stages)
-        return ChainResult(
-            fidelity=state.fidelity,
-            fidelity_ci=(state.fidelity, state.fidelity),
-            p_success=success,
-            p_success_ci=(success, success),
-            syndrome_stats={},
-            resources=resources,
-            samples=0,
-            extra={"coeffs": state.coeffs},
-        )
-    if mode == "mc":
+        stats = exact_stats(pair, stages)
+    elif mode == "mc":
         if rng is None:
             raise ChainError("Monte-Carlo repeater needs an rng")
         counts = sample_stages(pair, stages, cfg.samples, rng)
         stats = stats_from_counts(counts, pairs_per_output(stages))
-        return ChainResult(
-            fidelity=stats.fidelity,
-            fidelity_ci=stats.fidelity_ci,
-            p_success=stats.p_success,
-            p_success_ci=stats.p_success_ci,
-            syndrome_stats={},
-            resources=resources,
-            samples=cfg.samples,
-            extra={"delivered": counts["kept"]},
-        )
-    raise ChainError(f"unknown mode {mode!r}")
+        stats.extra["delivered"] = counts["kept"]
+    else:
+        raise ChainError(f"unknown mode {mode!r}")
+    stats.extra["resources"] = _station_resources(cfg, levels)
+    return stats
 
 
 def elementary_pair(q: float) -> BellDiagonalState:

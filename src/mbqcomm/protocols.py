@@ -224,6 +224,21 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
             "kept": int(final.size), "good": int((final == 0).sum())}
 
 
+def exact_stats(state: BellDiagonalState, stages) -> ProtocolStats:
+    """Reported numbers of `evaluate_stages`: intervals collapse to the
+    values and yield = p_success / pairs_per_output."""
+    state, success = evaluate_stages(state, stages)
+    return ProtocolStats(
+        fidelity=state.fidelity,
+        fidelity_ci=(state.fidelity, state.fidelity),
+        p_success=success,
+        p_success_ci=(success, success),
+        protocol_yield=success / pairs_per_output(stages),
+        samples=0,
+        extra={"coeffs": state.coeffs},
+    )
+
+
 def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
     """Reported numbers of one run or of summed shard counts.
 
@@ -267,17 +282,7 @@ def purify_recurrence_analytic(input_state: BellDiagonalState, rounds: int,
                                noise: NoiseModel, mode: str = "merged",
                                variant: str = "DEJMPS") -> ProtocolStats:
     """Exact composition of the golden maps under the error model."""
-    stages = purify_stages(rounds, noise, mode, variant)
-    state, success = evaluate_stages(input_state, stages)
-    return ProtocolStats(
-        fidelity=state.fidelity,
-        fidelity_ci=(state.fidelity, state.fidelity),
-        p_success=success,
-        p_success_ci=(success, success),
-        protocol_yield=success / pairs_per_output(stages),
-        samples=0,
-        extra={"coeffs": state.coeffs},
-    )
+    return exact_stats(input_state, purify_stages(rounds, noise, mode, variant))
 
 
 def purify_recurrence_mc(input_state: BellDiagonalState, rounds: int,
@@ -552,32 +557,35 @@ def _push_through(spec: ResourceSpec, riding: PauliString) -> PauliString:
     return spec.circuit.conjugate(embedded).restrict(list(spec.output_wires))
 
 
-def qec_correct(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
-                noise: NoiseModel, rng, frame: PauliString | None = None,
-                resource: ResourceSpec | None = None) -> QecResult:
-    """Teleport the block through the 2N syndrome/correction resource.
+def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
+             block: tuple[str, ...], out_labels: tuple[str, ...], noise: NoiseModel,
+             rng, frame: PauliString | None) -> QecResult:
+    """Teleport a block into a syndrome-reading resource.
 
     The syndrome is reconstructed from the in-coupling Bell outcomes,
-    de-rotated by the tracked frame, looked up in the code table, and
+    de-rotated by the tracked frame and looked up in the code table;
     the correction is folded into the new frame (never applied).
     """
-    spec = resource if resource is not None else code_correct(code)
     frame = frame if frame is not None else PauliString.identity(code.n)
-    dec_name = spec.inputs[0].split("/")[0]
-    wiring = {f"{dec_name}/b{k}": block[k] for k in range(code.n)}
-    new_block = tuple(_fresh(f"{code.name}.c{k}") for k in range(code.n))
-    r = teleport_in(spec, host, wiring, noise=noise, rng=rng, out_labels=new_block)
-    raw = r.info["syndrome"]
-    frame_syn = code.syndrome_of(frame)
-    syndrome = tuple(a ^ b for a, b in zip(raw, frame_syn))
-    estimate = code.correction_for(syndrome)
+    r = teleport_in(spec, host, dict(zip(spec.inputs, block)), noise=noise, rng=rng,
+                    out_labels=out_labels)
+    syndrome, estimate = code.estimate(r.info["syndrome"], frame)
     new_frame = r.frame * _push_through(spec, frame * estimate)
     return QecResult(
-        labels=new_block,
+        labels=out_labels,
         frame=new_frame.unsigned(),
         syndrome=syndrome,
         uncorrectable=not code.correctable(syndrome),
     )
+
+
+def qec_correct(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
+                noise: NoiseModel, rng, frame: PauliString | None = None,
+                resource: ResourceSpec | None = None) -> QecResult:
+    """Teleport the block through the 2N syndrome/correction resource."""
+    spec = resource if resource is not None else code_correct(code)
+    new_block = tuple(_fresh(f"{code.name}.c{k}") for k in range(code.n))
+    return _station(code, spec, host, block, new_block, noise, rng, frame)
 
 
 def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
@@ -585,21 +593,8 @@ def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
                resource: ResourceSpec | None = None) -> QecResult:
     """Bell-measure the whole block into the decode resource."""
     spec = resource if resource is not None else code_decode_syndrome(code)
-    frame = frame if frame is not None else PauliString.identity(code.n)
-    wiring = {f"b{k}": block[k] for k in range(code.n)}
     out = (_fresh(f"{code.name}.out"),)
-    r = teleport_in(spec, host, wiring, noise=noise, rng=rng, out_labels=out)
-    raw = r.info["syndrome"]
-    frame_syn = code.syndrome_of(frame)
-    syndrome = tuple(a ^ b for a, b in zip(raw, frame_syn))
-    estimate = code.correction_for(syndrome)
-    new_frame = r.frame * _push_through(spec, frame * estimate)
-    return QecResult(
-        labels=out,
-        frame=new_frame.unsigned(),
-        syndrome=syndrome,
-        uncorrectable=not code.correctable(syndrome),
-    )
+    return _station(code, spec, host, block, out, noise, rng, frame)
 
 
 # -- closed-form logical error ---------------------------------------------

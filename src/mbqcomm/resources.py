@@ -10,11 +10,11 @@ reconstructed from the Bell outcomes by conjugating through the circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .noise import NoiseModel, apply_sampled_noise
-from .pauli import CliffordMap, PauliString
+from .pauli import CliffordMap, PauliString, gate_map
 from .tableau import BellOutcome, InconsistentProjection, StabilizerState
 
 _ANCILLA_LETTERS = ("Z", "X")  # |0> and |+>
@@ -332,8 +332,6 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     for o, i in connections:
         wo = r1.output_wires[r1.outputs.index(o)]
         wi = r2.input_wires[r2.inputs.index(i)] + w1
-        from .pauli import gate_map
-
         route = gate_map(w, "SWAP", wo, wi) @ route
         connected_out_wires.append(wo)
         connected_in_wires.append(wi)

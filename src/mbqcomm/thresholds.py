@@ -15,9 +15,10 @@ from typing import Callable
 import numpy as np
 
 from .belldiag import shannon_entropy, werner
-from .codes import CodeSpec
+from .codes import CodeSpec, repetition_code
 from .netsim import elementary_pair, repeater_stages
 from .noise import PauliChannel
+from .pauli import PauliString
 from .protocols import Depolarize, evaluate_stages, logical_error_rate, sample_stages
 
 UNIVERSAL_EPP_THRESHOLD = 3.0 ** (-0.25)
@@ -210,8 +211,6 @@ def dephasing_repetition_threshold(sizes=(3, 5, 7, 9)) -> ThresholdReport:
     Sweep mode: verifies that below the boundary the logical error is
     strictly decreasing in the code size, and increasing above it.
     """
-    from .codes import repetition_code
-
     details = {}
     for eps, key in ((0.4, "below"), (0.6, "above")):
         errs = []
@@ -335,44 +334,32 @@ def code_improvement_mc(code: CodeSpec, p: float, samples: int, rng,
     Samples i.i.d. single-qubit Paulis at the folded per-step strength
     p~ (= p^3 under q = p), applies the exact syndrome lookup and counts
     logical errors: the residual after correction is harmless iff it
-    commutes with both logical operators.
+    flips neither logical operator.
     """
-    from .pauli import PauliString
-
     p_tilde = p ** 3 if regime == "q=p" else p ** 2
     weights = PauliChannel.depolarizing(p_tilde).weights  # sigma order I,X,Y,Z
     n = code.n
     letters = rng.choice(4, size=(samples, n), p=weights)
-    syn_bits = np.zeros((n, 4), dtype=np.int64)
-    logx_bits = np.zeros((n, 4), dtype=np.int64)
-    logz_bits = np.zeros((n, 4), dtype=np.int64)
-    for q in range(n):
-        for letter, name in enumerate("IXYZ"):
-            op = PauliString.single(n, q, name)
-            mask = 0
-            for k, g in enumerate(code.stabilizers):
-                if not op.commutes(g):
-                    mask |= 1 << k
-            syn_bits[q, letter] = mask
-            logx_bits[q, letter] = 0 if op.commutes(code.logical_x) else 1
-            logz_bits[q, letter] = 0 if op.commutes(code.logical_z) else 1
+    # [qubit, letter] -> packed syndrome / logical-flip bits of that Pauli
+    ops = [[PauliString.single(n, q, name) for name in "IXYZ"] for q in range(n)]
+    syn_bits = np.array([[_pack(code.syndrome_of(op)) for op in row] for row in ops])
+    flip_bits = np.array([[_pack(code.logical_flips(op)) for op in row] for row in ops])
     syndrome = np.zeros(samples, dtype=np.int64)
-    ex = np.zeros(samples, dtype=np.int64)
-    ez = np.zeros(samples, dtype=np.int64)
+    flips = np.zeros(samples, dtype=np.int64)
     for q in range(n):
         syndrome ^= syn_bits[q, letters[:, q]]
-        ex ^= logx_bits[q, letters[:, q]]
-        ez ^= logz_bits[q, letters[:, q]]
-    n_syn = 1 << len(code.stabilizers)
-    corr_x = np.zeros(n_syn, dtype=np.int64)
-    corr_z = np.zeros(n_syn, dtype=np.int64)
-    for s in range(n_syn):
-        bits = tuple((s >> k) & 1 for k in range(len(code.stabilizers)))
-        est = code.correction_for(bits)
-        corr_x[s] = 0 if est.commutes(code.logical_x) else 1
-        corr_z[s] = 0 if est.commutes(code.logical_z) else 1
-    clean = ((ex ^ corr_x[syndrome]) == 0) & ((ez ^ corr_z[syndrome]) == 0)
+        flips ^= flip_bits[q, letters[:, q]]
+    k = len(code.stabilizers)
+    syndromes = [tuple((s >> j) & 1 for j in range(k)) for s in range(1 << k)]
+    corr_flips = np.array([_pack(code.logical_flips(code.estimate(syn)[1]))
+                           for syn in syndromes])
+    clean = (flips ^ corr_flips[syndrome]) == 0
     p_no_hat = float(clean.mean())
     p_l_hat = (4.0 * p_no_hat - 1.0) / 3.0
     err = 4.0 / 3.0 * math.sqrt(max(p_no_hat * (1 - p_no_hat), 1e-12) / samples)
     return p_l_hat > p_tilde, p_l_hat, err
+
+
+def _pack(bits: tuple[int, ...]) -> int:
+    """Bit tuple as an integer, bit j = entry j."""
+    return sum(b << j for j, b in enumerate(bits))

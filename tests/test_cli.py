@@ -68,3 +68,64 @@ def test_one_shard_record_is_reproducible(capsys):
     _rc, first, _ = run(argv, capsys)
     _rc, second, _ = run(argv + ["--shards", "1"], capsys)
     assert first == second
+
+
+QEC_NOISE = ["--p-resource", "0.99", "--q-meas", "0.99", "--q-channel", "0.97"]
+
+
+@pytest.mark.parametrize("ini", [
+    "[chain]\nsamples = -5\n",
+    "[chain]\nsamples = 0\n",
+    "[chain]\nsegments = 2\n[station:1]\nq_meas = 0.9\n",
+    "[chain]\nsegments = 2\n[station:1]\nq_channel = 1.7\n",
+    "[chain]\nsegments = 2\n[station:2]\nq_channel = 0.9\n",
+])
+def test_bad_chain_config_exits_2_with_one_line(ini, tmp_path, capsys):
+    path = tmp_path / "chain.ini"
+    path.write_text(ini)
+    rc, out, err = run(["chain", "--config", str(path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("code,total", [
+    ("ring5", 15), ("repetition3", 3), ("repetition3-phase", 3), ("repetition5", 5),
+])
+def test_qec_enumerate_errors_corrects_every_single_error(code, total, capsys):
+    rc, out, _err = run(["qec", "--code", code, "--enumerate-errors"], capsys)
+    assert rc == 0
+    assert out == f"{total}/{total} corrected\n"
+
+
+# qec records of the release before qec ran as a one-segment chain
+@pytest.mark.parametrize("q_channel,fidelity,ci", [
+    ("0.97", 1.0, (0.7224598312333834, 1.0)),
+    ("0.7", 0.9, (0.5958436145024278, 0.9821242504842788)),
+])
+def test_qec_record_frozen(q_channel, fidelity, ci, capsys):
+    argv = ["qec", "--code", "ring5", "--p-resource", "0.99", "--q-meas", "0.99",
+            "--q-channel", q_channel, "--seed", "1", "--samples", "10"]
+    rc, out, _err = run(argv, capsys)
+    record = json.loads(out)
+    assert rc == 0
+    assert record["fidelity"] == fidelity
+    assert (record["ci_lo"], record["ci_hi"]) == ci
+    assert record["samples"] == 10
+
+
+@pytest.mark.parametrize("base,changed", [
+    (["qec", "--samples", "1"] + QEC_NOISE,
+     ["qec", "--samples", "1", "--q-channel", "0.9"]),
+    (["qec", "--samples", "1"], ["qec", "--samples", "2"]),
+    (["hashing", "--F", "0.9", "--samples", "1"],
+     ["hashing", "--F", "0.9", "--samples", "1", "--p-resource", "0.9"]),
+    (PURIFY_MC + ["--samples", "10"], PURIFY_MC + ["--samples", "10", "--shards", "2"]),
+])
+def test_config_hash_covers_the_input(base, changed, capsys):
+    hashes = []
+    for argv in (base, changed):
+        rc, out, _err = run(argv, capsys)
+        assert rc == 0
+        hashes.append(json.loads(out)["config_hash"])
+    assert hashes[0] != hashes[1]
