@@ -17,7 +17,13 @@ from collections import Counter
 from . import __version__
 from .belldiag import werner
 from .catalog import code_by_name
-from .netsim import ChainConfig, encoded_chain, enumerate_single_errors, repeater_chain
+from .netsim import (
+    ChainConfig,
+    encoded_chain,
+    encoded_trajectories,
+    enumerate_single_errors,
+    repeater_chain,
+)
 from .noise import NoiseModel
 from .protocols import HashingEnsemble, purify_hashing, purify_recurrence, stats_from_counts
 from .results import ResultRecord, config_hash, write_csv, write_jsonl, write_plot_csv
@@ -151,7 +157,9 @@ def cmd_qec(args) -> int:
         print(f"{good}/{total} corrected")
         return 0 if good == total else 1
     cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=args.samples)
-    stats = encoded_chain(cfg, rng)
+    # every shot builds its own 3 code resources: bench/selftest.py counts
+    # 3 catalog builds per qec shot
+    stats = encoded_trajectories(cfg, rng)
     params = {"code": args.code}
     cfg_hash = config_hash({**params, "noise": noise_list(noise),
                             "samples": args.samples, "seed": args.seed})
@@ -213,8 +221,7 @@ def cmd_chain(args) -> int:
         "fidelity": stats.fidelity,
         "ci": list(stats.fidelity_ci),
         "resources": stats.extra["resources"],
-        "extra": {k: v for k, v in stats.extra.items()
-                  if k not in ("counts", "resources", "syndromes")},
+        "extra": stats.extra["report"],
     }
     print(json.dumps(payload, sort_keys=True))
     return 0

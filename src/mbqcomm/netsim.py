@@ -30,6 +30,7 @@ from .protocols import (
     logical_error_rate,
     noise_stages,
     pairs_per_output,
+    point_stats,
     qec_correct,
     qec_decode,
     qec_encode,
@@ -88,20 +89,25 @@ def frame_apply(host: LabeledRegister, frame: PauliString, labels) -> None:
 
 
 def code_resources(code: CodeSpec) -> tuple:
-    """(encode, correct, decode) resources of a code, built once per run."""
+    """(encode, correct, decode) resources of a code, to share across shots."""
     return code_encode(code), code_correct(code), code_decode_syndrome(code)
 
 
-def encoded_shot(code: CodeSpec, resources: tuple, noise: NoiseModel, rng,
-                 disturbances, at_station: bool = False) -> tuple[bool, list[QecResult]]:
+FRESH = (None, None, None)
+
+
+def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances, resources: tuple,
+                 at_station: bool = False) -> tuple[bool, list[QecResult]]:
     """One encoded transmission of half of a reference Bell pair.
 
     Encode; per segment, disturb the block and correct it at a station;
     decode; apply the tracked frame; read the Bell index of the
     reference pair. `disturbances` holds one callable (register, block
-    labels) per segment. With `at_station` every station applies its
-    frame at once instead of passing it on. Returns whether the pair
-    came out in |phi+> and the station results.
+    labels) per segment; `resources` the (encode, correct, decode)
+    resources to couple into (FRESH: each station builds its own).
+    With `at_station` every station applies its frame at once instead
+    of passing it on. Returns whether the pair came out in |phi+> and
+    the station results.
     """
     enc, corr, dec = resources
     reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
@@ -124,16 +130,16 @@ def encoded_shot(code: CodeSpec, resources: tuple, noise: NoiseModel, rng,
 def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> ProtocolStats:
     """Encoded direct transmission with per-segment correction stations.
 
-    `extra` holds the resource counts; the trajectory mode adds the
-    station syndrome histogram and the runs with an uncorrectable
-    syndrome.
+    `extra` holds the resource counts and, under `report`, the values
+    the mode reports beside the fidelity. The trajectory mode shares
+    one set of code resources across its shots.
     """
     if mode == "trajectory":
-        stats = _encoded_chain_trajectory(cfg, rng)
+        stats = encoded_trajectories(cfg, rng, code_resources(code_by_name(cfg.code)))
     elif mode == "analytic":
         stats = _encoded_chain_analytic(cfg)
     elif mode == "dense":
-        stats = _exact(encoded_chain_dense(cfg))
+        stats = point_stats(encoded_chain_dense(cfg), report={})
     else:
         raise ChainError(f"unknown mode {mode!r}")
     stats.extra["resources"] = _resource_counts(cfg)
@@ -148,10 +154,13 @@ def _resource_counts(cfg: ChainConfig) -> dict:
     }
 
 
-def _encoded_chain_trajectory(cfg: ChainConfig, rng) -> ProtocolStats:
-    """Stabilizer Monte Carlo with a reference pair as fidelity witness."""
+def encoded_trajectories(cfg: ChainConfig, rng, resources: tuple = FRESH) -> ProtocolStats:
+    """Stabilizer Monte Carlo with a reference pair as fidelity witness.
+
+    `extra` holds the station syndrome histogram and, under `report`,
+    the runs with an uncorrectable syndrome and the correction timing.
+    """
     code = code_by_name(cfg.code)
-    resources = code_resources(code)
     disturbances = [
         lambda reg, block, q=cfg.channel_for(seg): reg.depolarize(block, q, rng)
         for seg in range(cfg.segments)
@@ -159,15 +168,16 @@ def _encoded_chain_trajectory(cfg: ChainConfig, rng) -> ProtocolStats:
     good = uncorrectable_runs = 0
     syndromes = Counter()
     for _ in range(cfg.samples):
-        ok, stations = encoded_shot(code, resources, cfg.noise, rng, disturbances,
+        ok, stations = encoded_shot(code, cfg.noise, rng, disturbances, resources,
                                     at_station=cfg.correction_timing == "station")
         good += ok
         uncorrectable_runs += any(r.uncorrectable for r in stations)
         syndromes.update(r.syndrome for r in stations)
     n = cfg.samples
     stats = stats_from_counts({"attempts": n, "consumed": n, "kept": n, "good": good}, 1)
-    stats.extra.update(syndromes=dict(syndromes), uncorrectable_runs=uncorrectable_runs,
-                       timing=cfg.correction_timing)
+    stats.extra.update(syndromes=dict(syndromes),
+                       report={"timing": cfg.correction_timing,
+                               "uncorrectable_runs": uncorrectable_runs})
     return stats
 
 
@@ -182,8 +192,8 @@ def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
         errors = all_single_qubit_errors(code.n)
     resources = code_resources(code)
     good = sum(
-        encoded_shot(code, resources, NoiseModel(), rng,
-                     [lambda reg, block, e=e: reg.apply_pauli(e, block)])[0]
+        encoded_shot(code, NoiseModel(), rng,
+                     [lambda reg, block, e=e: reg.apply_pauli(e, block)], resources)[0]
         for e in errors
     )
     return good, len(errors)
@@ -211,14 +221,10 @@ def _encoded_chain_analytic(cfg: ChainConfig) -> ProtocolStats:
     else:
         fid = (3.0 * p_logical + 1.0) / 4.0
         direct = (3.0 * cfg.noise.q_channel ** cfg.segments + 1.0) / 4.0
-    return _exact(fid, p_logical=p_logical, per_step_noise=effective_step_noise(cfg),
-                  improves_over_physical=improves, direct_fidelity=direct)
-
-
-def _exact(fidelity: float, **extra) -> ProtocolStats:
-    """Stats of an exact evaluation that always delivers."""
-    return ProtocolStats(fidelity, (fidelity, fidelity), 1.0, (1.0, 1.0), 1.0, 0,
-                         extra=extra)
+    return point_stats(fid, report={
+        "p_logical": p_logical, "per_step_noise": effective_step_noise(cfg),
+        "improves_over_physical": improves, "direct_fidelity": direct,
+    })
 
 
 # -- dense-channel mode (exact branch ensembles) ------------------------------

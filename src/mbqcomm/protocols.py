@@ -224,19 +224,19 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
             "kept": int(final.size), "good": int((final == 0).sum())}
 
 
+def point_stats(fidelity: float, p_success: float = 1.0, protocol_yield: float = 1.0,
+                **extra) -> ProtocolStats:
+    """Stats of an exact evaluation: the intervals collapse to the values."""
+    return ProtocolStats(fidelity, (fidelity, fidelity), p_success, (p_success, p_success),
+                         protocol_yield, 0, extra=extra)
+
+
 def exact_stats(state: BellDiagonalState, stages) -> ProtocolStats:
-    """Reported numbers of `evaluate_stages`: intervals collapse to the
-    values and yield = p_success / pairs_per_output."""
+    """Reported numbers of `evaluate_stages`, with yield = p_success /
+    pairs_per_output."""
     state, success = evaluate_stages(state, stages)
-    return ProtocolStats(
-        fidelity=state.fidelity,
-        fidelity_ci=(state.fidelity, state.fidelity),
-        p_success=success,
-        p_success_ci=(success, success),
-        protocol_yield=success / pairs_per_output(stages),
-        samples=0,
-        extra={"coeffs": state.coeffs},
-    )
+    return point_stats(state.fidelity, success, success / pairs_per_output(stages),
+                       coeffs=state.coeffs)
 
 
 def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:

@@ -116,7 +116,7 @@ def test_qec_record_frozen(q_channel, fidelity, ci, capsys):
 
 @pytest.mark.parametrize("base,changed", [
     (["qec", "--samples", "1"] + QEC_NOISE,
-     ["qec", "--samples", "1", "--q-channel", "0.9"]),
+     ["qec", "--samples", "1"] + QEC_NOISE + ["--q-channel", "0.9"]),
     (["qec", "--samples", "1"], ["qec", "--samples", "2"]),
     (["hashing", "--F", "0.9", "--samples", "1"],
      ["hashing", "--F", "0.9", "--samples", "1", "--p-resource", "0.9"]),

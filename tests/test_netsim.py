@@ -1,5 +1,5 @@
 """Tests of encoded transmission: the syndrome/frame rule shared by the
-stations and the dense chain, frozen exact chain values, and stabilizer
+stations and the dense chain, frozen chain values, and stabilizer
 trajectories against the exact branch-ensemble (dense) evaluation."""
 
 import math
@@ -15,11 +15,15 @@ from mbqcomm.rng import make_rng
 
 CHAIN_NOISE = NoiseModel(0.98, 0.99, 0.9)
 
-# dense fidelity at CHAIN_NOISE, ring5, before the chain shared one shot body
-DENSE_FROZEN = {
-    (1, "end"): 0.8990951221413057,
-    (2, "end"): 0.811765970116841,
-    (2, "station"): 0.8117659701168409,
+# fidelity at CHAIN_NOISE before the chain shared one shot body, and for
+# trajectories (10 shots at seed 1) the stations' non-trivial syndromes
+CHAIN_FROZEN = {
+    ("ring5", "dense", 1, "end"): (0.8990951221413057, None),
+    ("ring5", "dense", 2, "end"): (0.811765970116841, None),
+    ("ring5", "dense", 2, "station"): (0.8117659701168409, None),
+    ("ring5", "trajectory", 3, "end"): (0.8, 10),
+    ("ring5", "trajectory", 3, "station"): (0.8, 10),
+    ("repetition3", "trajectory", 3, "station"): (0.6, 6),
 }
 
 
@@ -36,11 +40,17 @@ def test_estimate_removes_the_pending_frame(name):
             assert code.estimate(raw) == (raw, code.correction_for(raw))
 
 
-@pytest.mark.parametrize("key", sorted(DENSE_FROZEN))
-def test_dense_chain_frozen(key):
-    segments, timing = key
-    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, correction_timing=timing)
-    assert abs(encoded_chain(cfg, mode="dense").fidelity - DENSE_FROZEN[key]) < 1e-12
+@pytest.mark.parametrize("key", sorted(CHAIN_FROZEN))
+def test_chain_frozen(key):
+    code, mode, segments, timing = key
+    fidelity, flagged = CHAIN_FROZEN[key]
+    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=code, samples=10,
+                      correction_timing=timing)
+    s = encoded_chain(cfg, make_rng(1), mode=mode)
+    assert abs(s.fidelity - fidelity) < 1e-12
+    if flagged is not None:
+        trivial = (0,) * len(code_by_name(code).stabilizers)
+        assert segments * cfg.samples - s.extra["syndromes"].get(trivial, 0) == flagged
 
 
 @pytest.mark.parametrize("timing", ["end", "station"])
