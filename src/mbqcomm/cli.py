@@ -280,9 +280,13 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rng = make_rng(args.seed)
+    if args.target == "repeater" and (args.samples, args.seed) != (None, None):
+        raise ValueError("--samples and --seed do not apply to --target repeater "
+                         "(its detector is exact)")
+    samples = 100_000 if args.samples is None else args.samples
+    rng = make_rng(1 if args.seed is None else args.seed)
     if args.target == "epp":
-        detector = epp_regime_detector(args.samples, rng)
+        detector = epp_regime_detector(samples, rng)
         lo, hi = args.lo or 0.72, args.hi or 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "repeater":
@@ -294,7 +298,7 @@ def cmd_sweep(args) -> int:
         analytic = code_threshold(code, "q=p").analytic
 
         def detector(p: float):
-            return code_improvement_mc(code, p, args.samples, rng)
+            return code_improvement_mc(code, p, samples, rng)
 
         lo, hi = args.lo or analytic - 0.03, args.hi or analytic + 0.03
     else:
@@ -398,8 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--segments", type=int, default=4)
     p.add_argument("--code", default="ring5")
-    p.add_argument("--samples", type=positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--samples", type=positive_int, default=None,
+                   help="epp and code targets; defaults to 100000")
+    p.add_argument("--seed", type=int, default=None,
+                   help="epp and code targets; defaults to 1")
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -178,10 +178,6 @@ class DensityMatrix:
     def from_vec(cls, v: np.ndarray) -> "DensityMatrix":
         return cls(np.outer(v, v.conj()), validate=False)
 
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        return cls(np.eye(1 << n, dtype=complex) / (1 << n), validate=False)
-
     def validate(self, tol: float = 1e-10):
         if abs(np.trace(self.mat).real - 1.0) > 1e-9 or abs(np.trace(self.mat).imag) > 1e-9:
             raise ValueError("density matrix trace is not 1")

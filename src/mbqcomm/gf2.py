@@ -37,22 +37,6 @@ def rank(mat: np.ndarray) -> int:
     return len(pivots)
 
 
-def nullspace(mat: np.ndarray) -> list[np.ndarray]:
-    """Basis of {v : mat @ v = 0} over GF(2)."""
-    a = np.atleast_2d(np.array(mat, dtype=np.uint8)) & 1
-    rows, cols = a.shape
-    red, pivots = row_reduce(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.uint8)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = red[r, f]
-        basis.append(v)
-    return basis
-
-
 def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """One solution x of mat @ x = rhs over GF(2), or None if inconsistent."""
     a = np.array(mat, dtype=np.uint8) & 1

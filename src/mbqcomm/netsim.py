@@ -67,6 +67,8 @@ class ChainConfig:
             raise ChainError("need at least one segment")
         if self.samples < 1:
             raise ChainError(f"samples must be at least 1, got {self.samples}")
+        if self.purify_rounds < 0:
+            raise ChainError(f"rounds must be at least 0, got {self.purify_rounds}")
         if self.correction_timing not in ("end", "station"):
             raise ChainError("correction_timing must be 'end' or 'station'")
         for seg, q in self.channel_overrides.items():
@@ -190,6 +192,8 @@ def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
         errors = [e for e in errors if e.weight <= code.correctable_weight]
     else:
         errors = all_single_qubit_errors(code.n)
+    if not errors:
+        raise ChainError(f"code {code.name} corrects no single-qubit error")
     resources = code_resources(code)
     good = sum(
         encoded_shot(code, NoiseModel(), rng,

@@ -46,10 +46,6 @@ class NoiseModel:
         _check_prob(self.q_meas, "q_meas")
         _check_prob(self.q_channel, "q_channel")
 
-    @property
-    def is_ideal(self) -> bool:
-        return self.p_resource == 1.0 and self.q_meas == 1.0 and self.q_channel == 1.0
-
     def folded(self) -> "NoiseModel":
         """Fold measurement noise into the resource parameter.
 

@@ -88,11 +88,6 @@ class PauliString:
                 phase += 1
         return cls(n, x, z, phase % 4)
 
-    @classmethod
-    def from_letters(cls, letters: Sequence[str], sign: int = 1) -> "PauliString":
-        p = cls.from_string("".join(letters))
-        return p if sign == 1 else p.negate()
-
     # -- basic queries -------------------------------------------------
 
     def x_bit(self, qubit: int) -> int:

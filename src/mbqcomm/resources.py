@@ -81,13 +81,6 @@ class ResourceSpec:
     def site_sizes(self) -> dict[str, int]:
         return {site: len(labels) for site, labels in self.sites}
 
-    def qubit_of(self, label: str) -> int:
-        if label in self.inputs:
-            return self.inputs.index(label)
-        if label in self.outputs:
-            return len(self.inputs) + self.outputs.index(label)
-        raise ResourceError(f"unknown label {label!r}")
-
     # -- outcome interpretation ---------------------------------------
 
     def byproduct(self, outcomes: Sequence[BellOutcome]) -> ByproductInfo:

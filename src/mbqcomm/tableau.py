@@ -69,12 +69,9 @@ def _cached_gate(n: int, name: str, qubits: tuple[int, ...]) -> CliffordMap:
 class StabilizerState:
     """n-qubit pure stabilizer state as a destabilizer tableau."""
 
-    def __init__(self, stabs: list[PauliString], destabs: list[PauliString],
-                 validate: bool = False):
+    def __init__(self, stabs: list[PauliString], destabs: list[PauliString]):
         self.stabs = list(stabs)
         self.destabs = list(destabs)
-        if validate:
-            self.validate()
 
     # -- constructors --------------------------------------------------
 
@@ -237,7 +234,6 @@ class StabilizerState:
 
     def bell_measure(self, a: int, b: int, rng=None,
                      force: BellOutcome | None = None,
-                     remove: bool = True,
                      prob_sink: list | None = None) -> tuple[BellOutcome, list[int]]:
         """Bell measurement on qubits (a, b).
 
@@ -255,41 +251,54 @@ class StabilizerState:
         sx = self.measure(xx, rng, force=fx, prob_sink=prob_sink)
         sz = self.measure(zz, rng, force=fz, prob_sink=prob_sink)
         outcome = BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
-        keep = [q for q in range(n) if q not in (a, b)]
-        if remove:
-            self.remove_qubits([a, b])
-        return outcome, keep
+        self.remove_qubits([a, b])
+        return outcome, [q for q in range(n) if q not in (a, b)]
 
     # -- qubit removal ---------------------------------------------------
 
     def remove_qubits(self, qubits: list[int]):
-        """Drop qubits that are in a product state with the rest."""
+        """Drop qubits that are in a product state with the rest.
+
+        Reduces the tableau in place with row operations that keep each
+        destabilizer paired with its stabilizer (Aaronson and Gottesman,
+        PRA 70, 052328): s_i <- s_i s_j goes with d_j <- d_j d_i. A product
+        state leaves exactly one pivot row per dropped qubit after
+        elimination on the dropped columns; elimination on the kept
+        columns clears the kept qubits from those rows, which are then
+        deleted.
+        """
         n = self.n
         drop = sorted(set(qubits))
         keep = [q for q in range(n) if q not in drop]
-        # find generator products with no support on the dropped qubits
-        cols = []
-        for g in self.stabs:
-            cols.append([g.x_bit(q) for q in drop] + [g.z_bit(q) for q in drop])
-        m = np.array(cols, dtype=np.uint8)
-        basis = gf2.nullspace(m.T)
-        if len(basis) != len(keep):
+        stabs, destabs = list(self.stabs), list(self.destabs)
+
+        def eliminate(qs, candidates) -> set[int]:
+            """Pivot each x/z column of `qs` on a candidate row and clear it
+            from every other row; returns the pivot rows."""
+            pivots = set()
+            for col in [(True, 1 << q) for q in qs] + [(False, 1 << q) for q in qs]:
+                row = next((i for i in candidates
+                            if i not in pivots and _has(stabs[i], col)), None)
+                if row is None:
+                    continue
+                pivots.add(row)
+                for i in range(n):
+                    if i != row and _has(stabs[i], col):
+                        stabs[i] = stabs[i] * stabs[row]
+                        destabs[row] = destabs[row] * destabs[i]
+            return pivots
+
+        dropped = eliminate(drop, range(n))
+        if len(dropped) != len(drop):
             raise TableauError("removed qubits are still entangled with the rest")
-        # restrict() drops the phase, so carry the sign over explicitly
-        new_gens = []
-        for combo in basis:
-            acc = PauliString.identity(n)
-            for k in np.flatnonzero(combo):
-                acc = acc * self.stabs[int(k)]
-            for q in drop:
-                if acc.x_bit(q) or acc.z_bit(q):
-                    raise TableauError("nullspace combination touches dropped qubit")
-            r = acc.restrict(keep)
-            sign_phase = (acc.phase - acc.y_count) % 4
-            new_gens.append(r.with_phase((r.y_count + sign_phase) % 4))
-        reduced = StabilizerState.from_generators(new_gens)
-        self.stabs = reduced.stabs
-        self.destabs = reduced.destabs
+        rest = [i for i in range(n) if i not in dropped]
+        eliminate(keep, rest)
+        # the surviving stabilizers do not touch the dropped qubits, so each
+        # keeps its phase; the dropped rows now act there alone and a
+        # surviving destabilizer commutes with them, so its part there lies
+        # in their group and cutting it off keeps every pairing
+        self.stabs = [stabs[k].restrict(keep).with_phase(stabs[k].phase) for k in rest]
+        self.destabs = [destabs[k].restrict(keep) for k in rest]
 
     def tensor(self, other: "StabilizerState") -> "StabilizerState":
         n1, n2 = self.n, other.n
@@ -346,6 +355,12 @@ def _project_all(gens: list[PauliString], v: np.ndarray) -> np.ndarray:
     for g in gens:
         v = (v + apply_pauli_vec(g, v)) / 2
     return v
+
+
+def _has(p: PauliString, col: tuple[bool, int]) -> bool:
+    """Whether p has the x (col[0] true) or z bit of mask col[1]."""
+    is_x, mask = col
+    return bool((p.x if is_x else p.z) & mask)
 
 
 def _symp_vec(p: PauliString) -> np.ndarray:

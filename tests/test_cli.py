@@ -129,3 +129,35 @@ def test_config_hash_covers_the_input(base, changed, capsys):
         assert rc == 0
         hashes.append(json.loads(out)["config_hash"])
     assert hashes[0] != hashes[1]
+
+
+def test_qec_enumerate_errors_rejects_a_code_that_corrects_nothing(capsys):
+    rc, out, err = run(["qec", "--code", "repetition2", "--enumerate-errors"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: code repetition2 corrects no single-qubit error\n"
+
+
+def test_negative_rounds_exit_2_naming_rounds(tmp_path, capsys):
+    path = tmp_path / "chain.ini"
+    path.write_text("[chain]\nrounds = -1\n")
+    for argv in (["repeater", "--rounds", "-1"], ["chain", "--config", str(path)]):
+        rc, out, err = run(argv, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: rounds must be at least 0, got -1\n"
+
+
+def test_repeater_without_purification_runs(capsys):
+    rc, out, _err = run(["repeater", "--rounds", "0", "--samples", "100"], capsys)
+    assert rc == 0
+    assert json.loads(out)["rounds"] == 0
+
+
+@pytest.mark.parametrize("option", [["--samples", "10"], ["--seed", "2"]])
+def test_sweep_repeater_rejects_sampling_options(option, capsys):
+    rc, out, err = run(["sweep", "--target", "repeater", "--steps", "2"] + option, capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "--target repeater" in err

@@ -1,11 +1,14 @@
-"""Static checks on the package source: no unused module-level import."""
+"""Static checks on the package source: no unused module-level import and
+no public function or method that nothing refers to."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mbqcomm"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mbqcomm"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -28,3 +31,45 @@ def test_detector_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def public_functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """Module-level functions and class methods whose names do not start
+    with an underscore, as (qualified name, definition)."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{m.name}", m) for m in node.body
+                      if isinstance(m, ast.FunctionDef)]
+    return [(name, node) for name, node in found if not node.name.startswith("_")]
+
+
+def name_uses(node: ast.AST) -> Counter:
+    """How often each name is read as a variable or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced(defining: list[ast.Module], referring: list[ast.Module]) -> list[str]:
+    """Public functions of `defining` whose name `referring` uses only
+    inside their own definition (a name-level check, so a method counts
+    as used when any attribute of that name is read)."""
+    uses = sum((name_uses(t) for t in referring), Counter())
+    return sorted(name for tree in defining for name, node in public_functions(tree)
+                  if uses[node.name] == name_uses(node)[node.name])
+
+
+def test_detector_finds_an_unreferenced_function():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\ndef g():\n    pass\n"
+                     "class C:\n    def m(self):\n        pass\n"
+                     "    def used(self):\n        pass\n    def _private(self):\n        pass\n")
+    caller = ast.parse("g()\nC().used()\n")
+    assert unreferenced([tree], [tree, caller]) == ["C.m", "f"]
+
+
+def test_every_public_function_is_referenced():
+    package = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    tests = [ast.parse(p.read_text()) for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert unreferenced(package, package + tests) == []

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbqcomm import dense
 from mbqcomm.pauli import PauliString, random_clifford, random_pauli
@@ -10,6 +12,7 @@ from mbqcomm.tableau import (
     GraphSpec,
     InconsistentProjection,
     StabilizerState,
+    TableauError,
     bell_measure,
     graph_state,
     is_connected,
@@ -322,3 +325,74 @@ def test_measure_pauli_functional_form_leaves_input_untouched():
     _o, after = measure_pauli(s, PauliString.from_string("Z"), rng)
     assert str(s.stabs[0]) == before
     assert str(after.stabs[0]) in ("+Z", "-Z")
+
+
+def _draw_state(data):
+    """Random stabilizer state on 2..6 qubits."""
+    n = data.draw(st.integers(2, 6), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return random_stabilizer_state(n, np.random.default_rng(seed))
+
+
+def _reduced(v, keep):
+    """Density matrix of pure state v on the qubits `keep`."""
+    return dense.DensityMatrix(np.outer(v, v.conj())).partial_trace(keep)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_measurements_and_removal_match_dense_oracle(data):
+    s = _draw_state(data)
+    for _ in range(data.draw(st.integers(1, 5), label="steps")):
+        n = s.n
+        if n == 0:
+            break
+        v = s.to_dense()
+        kinds = ["pauli", "single", "remove"] + (["bell"] if n >= 2 else [])
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "pauli":
+            letters = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)
+                                .filter(lambda ls: set(ls) != {"I"}), label="pauli")
+            p = PauliString.from_string("".join(letters))
+            ref = {o: post for _pr, o, post in dense.measure_pauli_vec(v, p)}
+            o = data.draw(st.sampled_from(sorted(ref)), label="outcome")
+            assert s.measure(p, force=o) == o
+            s.validate()
+            assert dense.states_equal_up_to_phase(s.to_dense(), ref[o], 1e-10)
+            continue
+        if kind == "single":
+            q = data.draw(st.integers(0, n - 1), label="qubit")
+            p = PauliString.single(n, q, data.draw(st.sampled_from("XYZ"), label="letter"))
+            ref = {o: post for _pr, o, post in dense.measure_pauli_vec(v, p)}
+            o = data.draw(st.sampled_from(sorted(ref)), label="outcome")
+            s.measure(p, force=o)
+            drop = [q]
+            expect = _reduced(ref[o], [k for k in range(n) if k != q])
+        elif kind == "bell":
+            a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True), label="pair")
+            i = data.draw(st.integers(0, 3), label="bell index")
+            prob, post = dense.project_bell_vec(v, a, b, i)
+            if prob < 1e-12:
+                with pytest.raises(InconsistentProjection):
+                    s.copy().bell_measure(a, b, force=BellOutcome.from_index(i))
+                continue
+            assert s.bell_measure(a, b, force=BellOutcome.from_index(i))[0].index == i
+            s.validate()
+            if s.n:
+                assert dense.states_equal_up_to_phase(s.to_dense(), post, 1e-10)
+            continue
+        else:
+            drop = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1),
+                                    label="drop"))
+            expect = _reduced(v, [k for k in range(n) if k not in drop])
+        if abs(np.trace(expect.mat @ expect.mat).real - 1) > 1e-9:
+            before = s.copy()
+            with pytest.raises(TableauError, match="still entangled"):
+                s.remove_qubits(drop)
+            assert s.same_state(before)
+            continue
+        s.remove_qubits(drop)
+        s.validate()
+        if s.n:
+            assert abs(expect.fidelity_with_vec(s.to_dense()) - 1) < 1e-10
