@@ -280,6 +280,8 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.steps < 2:
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
     if args.target == "repeater" and (args.samples, args.seed) != (None, None):
         raise ValueError("--samples and --seed do not apply to --target repeater "
                          "(its detector is exact)")
@@ -287,11 +289,11 @@ def cmd_sweep(args) -> int:
     rng = make_rng(1 if args.seed is None else args.seed)
     if args.target == "epp":
         detector = epp_regime_detector(samples, rng)
-        lo, hi = args.lo or 0.72, args.hi or 0.80
+        lo, hi = 0.72, 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "repeater":
         detector = repeater_regime_detector(args.segments)
-        lo, hi = args.lo or 0.72, args.hi or 0.80
+        lo, hi = 0.72, 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "code":
         code = code_by_name(args.code)
@@ -300,10 +302,12 @@ def cmd_sweep(args) -> int:
         def detector(p: float):
             return code_improvement_mc(code, p, samples, rng)
 
-        lo, hi = args.lo or analytic - 0.03, args.hi or analytic + 0.03
+        lo, hi = analytic - 0.03, analytic + 0.03
     else:
         print(f"unknown sweep target {args.target!r}", file=sys.stderr)
         return 2
+    lo = lo if args.lo is None else args.lo
+    hi = hi if args.hi is None else args.hi
     try:
         result = sweep(detector, lo, hi, steps=args.steps, name=args.target)
     except ThresholdError as exc:

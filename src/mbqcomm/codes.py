@@ -10,11 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from . import gf2
 from .pauli import CliffordMap, PauliString
-from .tableau import ring_graph
+from .tableau import complete_clifford, ring_graph
 
 
 class CodeError(ValueError):
@@ -86,48 +83,6 @@ def _min_weight_table(n: int, stabilizers, candidates) -> dict:
     return table
 
 
-def _complete_clifford(partial_x: dict[int, PauliString],
-                       partial_z: dict[int, PauliString], n: int) -> CliffordMap:
-    """Fill in unconstrained generator images by symplectic completion."""
-    known: dict[tuple[str, int], PauliString] = {}
-    for k, p in partial_x.items():
-        known[("x", k)] = p
-    for k, p in partial_z.items():
-        known[("z", k)] = p
-
-    def symp_row(p: PauliString) -> np.ndarray:
-        row = np.zeros(2 * n, dtype=np.uint8)
-        for j in range(n):
-            row[j] = p.z_bit(j)       # functional v -> <p, v>
-            row[n + j] = p.x_bit(j)
-        return row
-
-    order = [("x", k) for k in range(n)] + [("z", k) for k in range(n)]
-    for key in order:
-        if key in known:
-            continue
-        kind, k = key
-        partner = ("z", k) if kind == "x" else ("x", k)
-        rows, rhs = [], []
-        for other, img in known.items():
-            rows.append(symp_row(img))
-            rhs.append(1 if other == partner else 0)
-        sol = gf2.solve(np.array(rows), np.array(rhs, dtype=np.uint8))
-        if sol is None:
-            raise CodeError("symplectic completion failed")
-        x = z = 0
-        for j in range(n):
-            if sol[j]:
-                x |= 1 << j
-            if sol[n + j]:
-                z |= 1 << j
-        known[key] = PauliString(n, x, z, 0).unsigned()
-    return CliffordMap.from_images(
-        [known[("x", k)] for k in range(n)],
-        [known[("z", k)] for k in range(n)],
-    )
-
-
 def encoder_from_code(stabilizers, logical_x, logical_z) -> CliffordMap:
     """Clifford taking |x, 0...0> to the codeword |x_L>.
 
@@ -139,7 +94,7 @@ def encoder_from_code(stabilizers, logical_x, logical_z) -> CliffordMap:
     partial_z = {0: logical_z}
     for k, g in enumerate(stabilizers, start=1):
         partial_z[k] = g
-    return _complete_clifford(partial_x, partial_z, n)
+    return complete_clifford(partial_x, partial_z, n)
 
 
 def repetition_code(m: int, basis: str = "bit") -> CodeSpec:

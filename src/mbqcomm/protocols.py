@@ -550,13 +550,6 @@ def qec_encode(code: CodeSpec, host: LabeledRegister, in_label: str,
     return QecResult(labels=block, frame=r.frame)
 
 
-def _push_through(spec: ResourceSpec, riding: PauliString) -> PauliString:
-    """Conjugate an input-side Pauli to the resource's output side."""
-    w = spec.n_wires
-    embedded = riding.embed(w, list(spec.input_wires))
-    return spec.circuit.conjugate(embedded).restrict(list(spec.output_wires))
-
-
 def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
              block: tuple[str, ...], out_labels: tuple[str, ...], noise: NoiseModel,
              rng, frame: PauliString | None) -> QecResult:
@@ -570,7 +563,7 @@ def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
     r = teleport_in(spec, host, dict(zip(spec.inputs, block)), noise=noise, rng=rng,
                     out_labels=out_labels)
     syndrome, estimate = code.estimate(r.info["syndrome"], frame)
-    new_frame = r.frame * _push_through(spec, frame * estimate)
+    new_frame = r.frame * spec.push_through(frame * estimate)[1]
     return QecResult(
         labels=out_labels,
         frame=new_frame.unsigned(),

@@ -83,6 +83,14 @@ class ResourceSpec:
 
     # -- outcome interpretation ---------------------------------------
 
+    def push_through(self, riding: PauliString) -> tuple[PauliString, PauliString]:
+        """Conjugate a Pauli on the inputs (in input order) through the
+        circuit: returns its image on the wires and that image restricted
+        to the surviving outputs (in output order)."""
+        embedded = riding.embed(self.n_wires, list(self.input_wires))
+        pushed = self.circuit.conjugate(embedded)
+        return pushed, pushed.restrict(list(self.output_wires))
+
     def byproduct(self, outcomes: Sequence[BellOutcome]) -> ByproductInfo:
         """Interpret one in-coupling outcome tuple.
 
@@ -93,12 +101,10 @@ class ResourceSpec:
         """
         if len(outcomes) != len(self.inputs):
             raise ResourceError("need one Bell outcome per input")
-        w = self.n_wires
-        sigma = PauliString.identity(w)
-        for outcome, wire in zip(outcomes, self.input_wires):
-            sigma = sigma * outcome.byproduct().embed(w, [wire])
-        pushed = self.circuit.conjugate(sigma)
-        frame = pushed.restrict(list(self.output_wires))
+        sigma = PauliString.identity(len(self.inputs))
+        for k, outcome in enumerate(outcomes):
+            sigma = sigma * outcome.byproduct().embed(len(self.inputs), [k])
+        pushed, frame = self.push_through(sigma)
         bits = {
             vm.name: 0 if pushed.commutes(vm.operator) else 1
             for vm in self.virtual_meas
@@ -131,9 +137,9 @@ def _build_resource(name: str, circuit: CliffordMap,
     """Construct the resource state for a wire circuit.
 
     Every non-ancilla wire is entangled with one fresh input qubit, the
-    circuit images give the stabilizers on the wire side, pre-measured
-    operators are projected onto +1 and their fully determined qubits
-    dropped.
+    circuit images give the stabilizers and destabilizers on the wire
+    side, pre-measured operators are projected onto +1 and their fully
+    determined qubits dropped.
     """
     w = circuit.n
     anc = dict(ancilla_init)
@@ -144,15 +150,24 @@ def _build_resource(name: str, circuit: CliffordMap,
         raise ResourceError("every wire needs exactly one role (input or ancilla)")
     n_in = len(wires_in)
     n = n_in + w
-    gens = []
+    wire_qubits = list(range(n_in, n))
+    images = {"X": circuit.image_x, "Z": circuit.image_z}
+
+    def on_wires(letter: str, wire: int) -> PauliString:
+        return images[letter][wire].embed(n, wire_qubits)
+
+    # each input k and its wire start as the Bell pair XX, ZZ with
+    # destabilizers Z_k and X_wire, an ancilla as its letter L with
+    # destabilizer the other letter; the circuit maps the wire side
+    stabs, destabs = [], []
     for k, wire in enumerate(wires_in):
-        for letter, image in (("X", circuit.image_x[wire]), ("Z", circuit.image_z[wire])):
-            g = PauliString.single(n, k, letter) * image.embed(n, list(range(n_in, n)))
-            gens.append(g)
+        stabs += [PauliString.single(n, k, "X") * on_wires("X", wire),
+                  PauliString.single(n, k, "Z") * on_wires("Z", wire)]
+        destabs += [PauliString.single(n, k, "Z"), on_wires("X", wire)]
     for wire, letter in anc.items():
-        image = circuit.conjugate(PauliString.single(w, wire, letter))
-        gens.append(image.embed(n, list(range(n_in, n))))
-    state = StabilizerState.from_generators(gens)
+        stabs.append(on_wires(letter, wire))
+        destabs.append(on_wires("X" if letter == "Z" else "Z", wire))
+    state = StabilizerState(stabs, destabs)
 
     # project the pre-measured operators onto +1 and drop dead qubits
     drop: list[int] = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gf2
 from .dense import apply_pauli_vec, basis_state
-from .pauli import CliffordMap, PauliString, gate_map
+from .pauli import CliffordMap, PauliError, PauliString, gate_map
 
 _BELL_INDEX = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
 _BELL_LETTER = {0: "I", 1: "X", 2: "Y", 3: "Z"}
@@ -101,40 +101,13 @@ class StabilizerState:
 
     @classmethod
     def from_generators(cls, gens: list[PauliString]) -> "StabilizerState":
-        """Build a state from commuting independent generators.
+        """Build a state from n commuting independent generators on n qubits.
 
-        Destabilizers are completed by solving the symplectic pairing
-        conditions over GF(2).
+        The generators are the Z images of a Clifford completed by
+        `complete_clifford`; its X images are the destabilizers.
         """
-        n = len(gens)
-        if n == 0:
-            return cls([], [])
-        if any(g.n != n for g in gens):
-            raise TableauError("need exactly n generators on n qubits")
-        if any(not g.is_hermitian for g in gens):
-            raise TableauError("generators must be Hermitian")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not gens[i].commutes(gens[j]):
-                    raise TableauError("generators must commute")
-        vecs = np.array([_symp_vec(g) for g in gens], dtype=np.uint8)
-        if gf2.rank(vecs) != n:
-            raise TableauError("generators are not independent")
-        # row j of A gives the functional v -> <g_j, v> (symplectic product)
-        a = np.hstack([vecs[:, n:], vecs[:, :n]])
-        destabs: list[PauliString] = []
-        for k in range(n):
-            rhs = np.zeros(n, dtype=np.uint8)
-            rhs[k] = 1
-            sol = gf2.solve(a, rhs)
-            if sol is None:
-                raise TableauError("destabilizer completion failed")
-            d = _from_symp_vec(n, sol)
-            for j in range(k):
-                if not d.commutes(destabs[j]):
-                    d = d * gens[j]
-            destabs.append(d.unsigned())
-        return cls(list(gens), destabs)
+        c = complete_clifford({}, dict(enumerate(gens)), len(gens))
+        return cls(list(c.image_z), list(c.image_x))
 
     def copy(self) -> "StabilizerState":
         return StabilizerState(list(self.stabs), list(self.destabs))
@@ -155,9 +128,6 @@ class StabilizerState:
             for j in range(i + 1, n):
                 if not g.commutes(self.stabs[j]):
                     raise TableauError(f"generators {i},{j} do not commute")
-        vecs = np.array([_symp_vec(g) for g in self.stabs], dtype=np.uint8)
-        if n and gf2.rank(vecs) != n:
-            raise TableauError("generators are not independent")
         for k, d in enumerate(self.destabs):
             for j, g in enumerate(self.stabs):
                 want = (j == k)
@@ -259,40 +229,20 @@ class StabilizerState:
     def remove_qubits(self, qubits: list[int]):
         """Drop qubits that are in a product state with the rest.
 
-        Reduces the tableau in place with row operations that keep each
-        destabilizer paired with its stabilizer (Aaronson and Gottesman,
-        PRA 70, 052328): s_i <- s_i s_j goes with d_j <- d_j d_i. A product
-        state leaves exactly one pivot row per dropped qubit after
-        elimination on the dropped columns; elimination on the kept
-        columns clears the kept qubits from those rows, which are then
-        deleted.
+        Reduces the tableau in place with `_eliminate`. A product state
+        leaves exactly one pivot row per dropped qubit after elimination on
+        the dropped columns; elimination on the kept columns clears the
+        kept qubits from those rows, which are then deleted.
         """
         n = self.n
         drop = sorted(set(qubits))
         keep = [q for q in range(n) if q not in drop]
         stabs, destabs = list(self.stabs), list(self.destabs)
-
-        def eliminate(qs, candidates) -> set[int]:
-            """Pivot each x/z column of `qs` on a candidate row and clear it
-            from every other row; returns the pivot rows."""
-            pivots = set()
-            for col in [(True, 1 << q) for q in qs] + [(False, 1 << q) for q in qs]:
-                row = next((i for i in candidates
-                            if i not in pivots and _has(stabs[i], col)), None)
-                if row is None:
-                    continue
-                pivots.add(row)
-                for i in range(n):
-                    if i != row and _has(stabs[i], col):
-                        stabs[i] = stabs[i] * stabs[row]
-                        destabs[row] = destabs[row] * destabs[i]
-            return pivots
-
-        dropped = eliminate(drop, range(n))
+        dropped = _eliminate(stabs, destabs, _columns(drop), range(n))
         if len(dropped) != len(drop):
             raise TableauError("removed qubits are still entangled with the rest")
         rest = [i for i in range(n) if i not in dropped]
-        eliminate(keep, rest)
+        _eliminate(stabs, destabs, _columns(keep), rest)
         # the surviving stabilizers do not touch the dropped qubits, so each
         # keeps its phase; the dropped rows now act there alone and a
         # surviving destabilizer commutes with them, so its part there lies
@@ -315,21 +265,9 @@ class StabilizerState:
 
     def canonical_generators(self) -> tuple[PauliString, ...]:
         """Unique generator set via sign-tracked RREF (state equality key)."""
-        n = self.n
-        rows = list(self.stabs)
-        pivots_done = 0
-        for col in [("x", q) for q in range(n)] + [("z", q) for q in range(n)]:
-            kind, q = col
-            bit = (lambda g: g.x_bit(q)) if kind == "x" else (lambda g: g.z_bit(q))
-            pivot = next((i for i in range(pivots_done, len(rows)) if bit(rows[i])), None)
-            if pivot is None:
-                continue
-            rows[pivots_done], rows[pivot] = rows[pivot], rows[pivots_done]
-            for i in range(len(rows)):
-                if i != pivots_done and bit(rows[i]):
-                    rows[i] = rows[i] * rows[pivots_done]
-            pivots_done += 1
-        return tuple(rows)
+        stabs, destabs = list(self.stabs), list(self.destabs)
+        pivots = _eliminate(stabs, destabs, _columns(range(self.n)), range(self.n))
+        return tuple(stabs[i] for i in pivots)
 
     def same_state(self, other: "StabilizerState") -> bool:
         if self.n != other.n:
@@ -363,23 +301,71 @@ def _has(p: PauliString, col: tuple[bool, int]) -> bool:
     return bool((p.x if is_x else p.z) & mask)
 
 
-def _symp_vec(p: PauliString) -> np.ndarray:
-    n = p.n
-    out = np.zeros(2 * n, dtype=np.uint8)
-    for j in range(n):
-        out[j] = p.x_bit(j)
-        out[n + j] = p.z_bit(j)
-    return out
+def _columns(qubits) -> list[tuple[bool, int]]:
+    """The x columns of `qubits`, then their z columns, as `_has` keys."""
+    qubits = list(qubits)
+    return [(True, 1 << q) for q in qubits] + [(False, 1 << q) for q in qubits]
 
 
-def _from_symp_vec(n: int, vec: np.ndarray) -> PauliString:
-    x = z = 0
-    for j in range(n):
-        if vec[j]:
-            x |= 1 << j
-        if vec[n + j]:
-            z |= 1 << j
-    return PauliString(n, x, z, 0).unsigned()
+def _eliminate(stabs: list[PauliString], destabs: list[PauliString],
+               cols, candidates) -> list[int]:
+    """Gauss-Jordan elimination on the stabilizer rows, in place.
+
+    Pivots each column of `cols` in turn on the first candidate row that
+    has it and is no pivot yet, and clears it from every other row. Row
+    operations keep each destabilizer paired with its stabilizer
+    (Aaronson and Gottesman, PRA 70, 052328): s_i <- s_i s_j goes with
+    d_j <- d_j d_i. Returns the pivot rows in column order; over all
+    columns of independent rows these rows are the unique RREF.
+    """
+    pivots: list[int] = []
+    taken: set[int] = set()
+    for col in cols:
+        row = next((i for i in candidates if i not in taken and _has(stabs[i], col)), None)
+        if row is None:
+            continue
+        pivots.append(row)
+        taken.add(row)
+        for i in range(len(stabs)):
+            if i != row and _has(stabs[i], col):
+                stabs[i] = stabs[i] * stabs[row]
+                destabs[row] = destabs[row] * destabs[i]
+    return pivots
+
+
+def complete_clifford(image_x: dict[int, PauliString],
+                      image_z: dict[int, PauliString], n: int) -> CliffordMap:
+    """Clifford on n qubits with the given images of some X_k and Z_k.
+
+    The missing images are filled in, X_0..X_{n-1} then Z_0..Z_{n-1}, by
+    solving their symplectic pairing with every image known so far over
+    GF(2). Raises TableauError when no Clifford has the given images.
+    """
+    known: dict[tuple[str, int], PauliString] = {}
+    known.update((("x", k), p) for k, p in image_x.items())
+    known.update((("z", k), p) for k, p in image_z.items())
+    if any(p.n != n for p in known.values()):
+        raise TableauError(f"images must act on exactly {n} qubits")
+    for key in [("x", k) for k in range(n)] + [("z", k) for k in range(n)]:
+        if key in known:
+            continue
+        kind, k = key
+        partner = ("z" if kind == "x" else "x", k)
+        # row of image p: the functional v -> <p, v> (symplectic product)
+        rows = np.array([[p.z_bit(j) for j in range(n)] + [p.x_bit(j) for j in range(n)]
+                         for p in known.values()], dtype=np.uint8)
+        rhs = np.array([other == partner for other in known], dtype=np.uint8)
+        sol = gf2.solve(rows, rhs)
+        if sol is None:
+            raise TableauError("symplectic completion failed (images dependent?)")
+        x = sum(int(b) << j for j, b in enumerate(sol[:n]))
+        z = sum(int(b) << j for j, b in enumerate(sol[n:]))
+        known[key] = PauliString(n, x, z, 0).unsigned()
+    try:
+        return CliffordMap.from_images([known["x", k] for k in range(n)],
+                                       [known["z", k] for k in range(n)])
+    except PauliError as exc:
+        raise TableauError(str(exc)) from exc
 
 
 # -- graph states -------------------------------------------------------
@@ -525,16 +511,11 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
         if not improved:
             raise TableauError("cannot complete X-block rank (not a stabilizer state?)")
 
-    # row-reduce the generators so the X block becomes the identity
-    rows = list(work.stabs)
-    for q in range(n):
-        pivot = next(i for i in range(q, n) if rows[i].x_bit(q))
-        rows[q], rows[pivot] = rows[pivot], rows[q]
-        for i in range(n):
-            if i != q and rows[i].x_bit(q):
-                rows[i] = rows[i] * rows[q]
-    work.stabs = rows
-    work.destabs = StabilizerState.from_generators(rows).destabs
+    # row-reduce so the X block becomes the identity, destabilizers in step
+    pivots = _eliminate(work.stabs, work.destabs, [(True, 1 << q) for q in range(n)],
+                        range(n))
+    work.stabs = [work.stabs[i] for i in pivots]
+    work.destabs = [work.destabs[i] for i in pivots]
 
     for q in range(n):
         if work.stabs[q].z_bit(q):

@@ -161,3 +161,28 @@ def test_sweep_repeater_rejects_sampling_options(option, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "--target repeater" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3", "1"])
+def test_sweep_steps_below_two_exit_2_naming_steps(steps, capsys):
+    rc, out, err = run(["sweep", "--target", "repeater", "--steps", steps], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --steps must be at least 2, got {steps}\n"
+
+
+def test_sweep_lo_zero_is_kept(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    rc, _out, _err = run(["sweep", "--target", "repeater", "--lo", "0", "--hi", "0.8",
+                          "--steps", "2", "--plot-out", str(path)], capsys)
+    assert rc == 0
+    header, first = path.read_text().splitlines()[:2]
+    assert header.split(",")[0] == "x"
+    assert float(first.split(",")[0]) == 0.0
+
+
+def test_sweep_hi_zero_is_kept(capsys):
+    rc, out, _err = run(["sweep", "--target", "repeater", "--lo", "0", "--hi", "0",
+                         "--steps", "2"], capsys)
+    assert rc == 1
+    assert "on at 0.0" in json.loads(out)["error"]

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mbqcomm import dense
+from mbqcomm import dense, gf2
 from mbqcomm.catalog import (
     CatalogError,
     catalog,
@@ -229,3 +229,33 @@ def test_merge_encode_decode_is_identity_channel():
             assert dense.states_equal_up_to_phase(
                 host.to_dense(), base.to_dense(), 1e-12
             )
+
+
+CATALOG_CODES = ("ring5", "repetition3", "repetition3-phase")
+
+
+def catalog_resources(codes):
+    specs = [epp_recurrence(m) for m in (1, 2, 3)]
+    specs += [repeater_station(m) for m in (1, 2)]
+    specs += [epp_site_resource(m, role) for m in (1, 2) for role in "AB"]
+    for code in codes:
+        specs += [code_encode(code), code_decode_syndrome(code), code_correct(code),
+                  code_encode_decode_combined(code)]
+    return specs
+
+
+def test_resource_builds_solve_nothing(monkeypatch):
+    # a resource tableau is its circuit's image of Bell pairs and ancillas:
+    # the destabilizers are conjugated along, never solved for
+    codes = [code_by_name(name) for name in CATALOG_CODES]
+
+    def no_solve(*_args):
+        raise AssertionError("a resource build called gf2.solve")
+
+    monkeypatch.setattr(gf2, "solve", no_solve)
+    assert len(catalog_resources(codes)) == 21
+
+
+def test_every_catalog_resource_tableau_is_valid():
+    for spec in catalog_resources([code_by_name(name) for name in CATALOG_CODES]):
+        spec.state.validate()

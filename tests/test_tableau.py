@@ -396,3 +396,33 @@ def test_measurements_and_removal_match_dense_oracle(data):
         s.validate()
         if s.n:
             assert abs(expect.fidelity_with_vec(s.to_dense()) - 1) < 1e-10
+
+
+@pytest.mark.parametrize("gens", [
+    ["XI", "ZI"],          # anticommuting
+    ["ZI", "ZI"],          # dependent
+    ["ZZ", "IZ", "ZI"],    # dependent, and three generators on two qubits
+    ["ZI", "XX"],          # anticommuting on one qubit
+    ["iZI", "IZ"],         # not Hermitian
+    ["ZZI", "IZZ"],        # two generators on three qubits
+])
+def test_from_generators_rejects_bad_lists(gens):
+    with pytest.raises(TableauError):
+        StabilizerState.from_generators([PauliString.from_string(g) for g in gens])
+
+
+def test_from_generators_destabilizers_pair_with_the_generators():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        n = int(rng.integers(1, 6))
+        s = random_stabilizer_state(n, rng)
+        built = StabilizerState.from_generators(s.stabs)
+        assert built.stabs == s.stabs
+        built.validate()
+
+
+def test_validate_rejects_dependent_stabilizers():
+    phi = PauliString.from_string
+    s = StabilizerState([phi("ZI"), phi("ZI")], [phi("XI"), phi("IX")])
+    with pytest.raises(TableauError):
+        s.validate()
