@@ -90,9 +90,10 @@ def noise_list(noise: NoiseModel) -> list[float]:
     return [noise.p_resource, noise.q_meas, noise.q_channel]
 
 
-def add_run_args(p: argparse.ArgumentParser, outputs: bool = True):
-    p.add_argument("--samples", type=positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=1)
+def add_run_args(p: argparse.ArgumentParser, outputs: bool = True,
+                 samples: int | None = 10_000, seed: int | None = 1):
+    p.add_argument("--samples", type=positive_int, default=samples)
+    p.add_argument("--seed", type=int, default=seed)
     if outputs:
         p.add_argument("--csv-out", default=None)
         p.add_argument("--json-out", default=None)
@@ -113,24 +114,32 @@ def cmd_purify(args) -> int:
         "F": args.F, "rounds": args.rounds, "mode": args.mode,
         "engine": args.engine, "variant": args.variant,
     }
-    shards = args.shards if args.shards is not None else default_shards()
-    cfg_hash = config_hash({**params, "noise": noise_list(noise), "shards": shards,
-                            "samples": args.samples, "seed": args.seed})
+    samples, seed, shards = args.samples, args.seed, args.shards
     if args.engine == "analytic":
+        unread = [opt for opt, value in (("--samples", samples), ("--seed", seed),
+                                         ("--shards", shards)) if value is not None]
+        if unread:
+            verb = "does" if len(unread) == 1 else "do"
+            raise ValueError(f"{' and '.join(unread)} {verb} not apply to --engine "
+                             "analytic (it is exact)")
         stats = purify_recurrence(state, args.rounds, noise, mode=args.mode,
                                   engine="analytic", variant=args.variant)
     else:
+        samples = 10_000 if samples is None else samples
+        seed = 1 if seed is None else seed
+        shards = default_shards() if shards is None else shards
         counts = Counter()
         for shard in range(shards):
-            size = args.samples // shards + (shard < args.samples % shards)
+            size = samples // shards + (shard < samples % shards)
             if size:
                 part = purify_recurrence(state, args.rounds, noise, mode=args.mode,
-                                         samples=size, rng=make_rng(args.seed, shard),
+                                         samples=size, rng=make_rng(seed, shard),
                                          engine=args.engine, variant=args.variant)
                 counts.update(part.extra["counts"])
         stats = stats_from_counts(dict(counts), 1 << args.rounds)
-    record = ResultRecord.from_stats("purify", params, noise, stats,
-                                     args.seed, cfg_hash)
+    cfg_hash = config_hash({**params, "noise": noise_list(noise), "shards": shards,
+                            "samples": samples, "seed": seed})
+    record = ResultRecord.from_stats("purify", params, noise, stats, seed, cfg_hash)
     emit(args, record)
     return 0
 
@@ -351,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["analytic", "mc", "stabilizer"],
                    default="mc")
     add_noise_args(p)
-    add_run_args(p)
+    add_run_args(p, samples=None, seed=None)
     p.add_argument("--shards", type=positive_int, default=None,
                    help="defaults to MBQCOMM_SHARDS or 1")
     p.set_defaults(func=cmd_purify)

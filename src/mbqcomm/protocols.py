@@ -1,10 +1,14 @@
 """Protocol layer: entanglement purification (recurrence and hashing),
 measurement-based quantum error correction and entanglement swapping.
 
-Each protocol is runnable on the stabilizer engine (full
-measurement-based simulation with noisy resources) and mirrored by the
-exact Bell-diagonal analytics, with a fast index-sampling Monte Carlo in
-between; the engines are tested against each other.
+Each protocol is mirrored by the exact Bell-diagonal analytics, with a
+fast index-sampling Monte Carlo beside them; the engines are tested
+against each other. Recurrence purification also runs on the stabilizer
+engine, as a batched Pauli-frame simulation of the noisy joint resource:
+the resource's GF(2) map (`ResourceSpec.frame_map`) takes each attempt's
+error frame to its kept flag and output Bell index (`purify_frames`), and
+the tableau serves as the oracle that this map is tested against. The
+QEC stations still teleport through the tableau shot by shot.
 
 Recurrence purification and the nested repeater are written once, as a
 list of stages, and run by two evaluators: `evaluate_stages` (exact,
@@ -48,7 +52,6 @@ from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
 from .pauli import PauliString
 from .resources import LabeledRegister, ResourceSpec, teleport_in
-from .tableau import StabilizerState
 
 
 class ProtocolError(ValueError):
@@ -309,36 +312,76 @@ def bd_index_of_pair(reg: LabeledRegister, la: str, lb: str) -> int:
     return 2 * ((1 - sz) // 2) + ((1 - sx) // 2)
 
 
+def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
+    """width x samples i.i.d. letter codes drawn from `weights`, as uint8."""
+    codes = np.empty((width, samples), dtype=np.uint8)
+    for row in codes:
+        row[:] = rng.choice(4, size=samples, p=weights)
+    return codes
+
+
+def purify_frames(spec: ResourceSpec, in_codes: np.ndarray,
+                  out_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kept flag and output Bell index of attempts given by their frames.
+
+    in_codes[k] holds, per attempt, the Pauli letter riding into input
+    k and out_codes[j] the letter on output j, coded 2x + z as in
+    `ResourceSpec.frame_map`. The images of the letters XOR together.
+    The flipped virtual bits are packed into as many bytes as they need
+    (62 of them at 5 rounds), and `spec.interpretation` runs once per
+    distinct pattern. The kept pair (L/out0, R/out0) has Bell index
+    2 (x_L ^ x_R) + (z_L ^ z_R), the XOR of its halves' codes.
+    """
+    out_map, flip_map = spec.frame_map()
+    left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
+    pair_map = out_map[..., left] ^ out_map[..., right]
+    flip_bytes = np.packbits(flip_map, axis=-1, bitorder="little")
+    index = out_codes[left] ^ out_codes[right]
+    flips = np.zeros((flip_bytes.shape[-1], in_codes.shape[1]), dtype=np.uint8)
+    for k, codes in enumerate(in_codes):
+        index ^= pair_map[k][codes]
+        for b, row in enumerate(flips):
+            row ^= flip_bytes[k, :, b][codes]
+    # group equal patterns: one lexsort over the bytes, then run starts
+    order = np.lexsort(flips)
+    ordered = flips[:, order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = np.cumsum(starts) - 1
+    names = [vm.name for vm in spec.virtual_meas]
+    patterns = np.unpackbits(ordered[:, starts].T, axis=1, count=len(names), bitorder="little")
+    keep = np.array([spec.interpretation(dict(zip(names, bits)))[0]
+                     for bits in patterns.tolist()], dtype=bool)
+    return keep[which], index
+
+
 def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
                                  noise: NoiseModel, samples: int, rng,
                                  resource: ResourceSpec | None = None) -> ProtocolStats:
-    """Full measurement-based trajectory simulation (merged mode, DEJMPS).
+    """Batched Pauli-frame simulation of the joint resource (merged, DEJMPS).
 
-    Every attempt teleports 2^rounds sampled input pairs through one
-    noisy joint resource; the kept output pair's Bell index is read out
-    after applying the byproduct frame.
+    Everything is Clifford with Pauli noise, so an attempt is an error
+    frame in and a kept flag and Bell index out (Gidney, Quantum 5, 497
+    (2021)). All attempts are drawn at once: the input pairs' Bell
+    indices on the R halves, one E(q^2 p) letter per input slot (the
+    in-coupling dressing of `noise_stages`) and one E(p) letter per
+    output qubit; `purify_frames` pushes them through the resource's
+    GF(2) map. No tableau runs per attempt.
     """
     spec = resource if resource is not None else epp_recurrence(rounds, "DEJMPS")
     n_pairs = 1 << rounds
-    kept = good = 0
-    for _ in range(samples):
-        reg = LabeledRegister()
-        indices = rng.choice(4, size=n_pairs, p=input_state.as_array())
-        for k in range(n_pairs):
-            reg.add(StabilizerState.bell_pair(int(indices[k])), [f"a{k}", f"b{k}"])
-        wiring = {}
-        for k in range(n_pairs):
-            wiring[f"L/in{k}"] = f"a{k}"
-            wiring[f"R/in{k}"] = f"b{k}"
-        result = teleport_in(spec, reg, wiring, noise=noise, rng=rng,
-                             apply_frame=True)
-        if not result.keep:
-            continue
-        kept += 1
-        if bd_index_of_pair(reg, "L/out0", "R/out0") == 0:
-            good += 1
+    dress_in, dress_out = noise_stages(noise)
+    in_codes = _letters(rng, PauliChannel.depolarizing(dress_in.p).bd_weights(),
+                        len(spec.inputs), samples)
+    pairs = _letters(rng, input_state.as_array(), n_pairs, samples)
+    for k in range(n_pairs):
+        in_codes[spec.inputs.index(f"R/in{k}")] ^= pairs[k]
+    out_codes = _letters(rng, PauliChannel.depolarizing(dress_out.p).bd_weights(),
+                         len(spec.outputs), samples)
+    keep, index = purify_frames(spec, in_codes, out_codes)
     counts = {"attempts": samples, "consumed": samples * n_pairs,
-              "kept": kept, "good": good}
+              "kept": int(keep.sum()), "good": int((keep & (index == 0)).sum())}
     return stats_from_counts(counts, n_pairs)
 
 

@@ -6,12 +6,16 @@ feeds), optionally with some output wires pre-measured in a Pauli basis.
 Bell measurements couple host qubits into the inputs; the byproduct
 Pauli on the outputs and the virtual outcomes of pre-measured wires are
 reconstructed from the Bell outcomes by conjugating through the circuit.
+The same conjugation, done once per unit Pauli on the inputs, gives the
+resource's GF(2) map on error frames (`ResourceSpec.frame_map`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .noise import NoiseModel, apply_sampled_noise
 from .pauli import CliffordMap, PauliString, gate_map
@@ -90,6 +94,29 @@ class ResourceSpec:
         embedded = riding.embed(self.n_wires, list(self.input_wires))
         pushed = self.circuit.conjugate(embedded)
         return pushed, pushed.restrict(list(self.output_wires))
+
+    def frame_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """The resource's GF(2) linear map on Pauli frames, as letter tables.
+
+        A one-qubit letter is coded 2x + z (I, Z, X, Y = 0, 1, 2, 3: the
+        Bell index of a pair carrying it on one half), so codes multiply
+        by XOR. Each unit X_k and Z_k on the inputs is pushed through the
+        circuit once. Returns (out, flips): out[k, c] holds the codes on
+        the outputs (in output order) of letter c riding into input k,
+        flips[k, c] the virtual-measurement bits it flips (in
+        `virtual_meas` order), as `byproduct` reads them.
+        """
+        n_in = len(self.inputs)
+        out = np.zeros((n_in, 4, len(self.outputs)), dtype=np.uint8)
+        flips = np.zeros((n_in, 4, len(self.virtual_meas)), dtype=np.uint8)
+        for k in range(n_in):
+            for code, letter in ((2, "X"), (1, "Z")):
+                pushed, frame = self.push_through(PauliString.single(n_in, k, letter))
+                out[k, code] = [2 * frame.x_bit(j) + frame.z_bit(j) for j in range(frame.n)]
+                flips[k, code] = [not pushed.commutes(vm.operator) for vm in self.virtual_meas]
+        out[:, 3] = out[:, 1] ^ out[:, 2]
+        flips[:, 3] = flips[:, 1] ^ flips[:, 2]
+        return out, flips
 
     def byproduct(self, outcomes: Sequence[BellOutcome]) -> ByproductInfo:
         """Interpret one in-coupling outcome tuple.

@@ -186,3 +186,37 @@ def test_sweep_hi_zero_is_kept(capsys):
                          "--steps", "2"], capsys)
     assert rc == 1
     assert "on at 0.0" in json.loads(out)["error"]
+
+
+PURIFY_ANALYTIC = ["purify", "--engine", "analytic", "--F", "0.8", "--rounds", "2"]
+
+
+@pytest.mark.parametrize("extra,named", [
+    (["--samples", "7"], "--samples"),
+    (["--seed", "4"], "--seed"),
+    (["--shards", "2"], "--shards"),
+    (["--samples", "7", "--seed", "4"], "--samples and --seed"),
+])
+def test_analytic_purify_rejects_sampling_options(extra, named, capsys):
+    rc, out, err = run(PURIFY_ANALYTIC + extra, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {named} ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_analytic_purify_record_has_no_sampling(capsys):
+    rc, out, _err = run(PURIFY_ANALYTIC, capsys)
+    record = json.loads(out)
+    assert rc == 0
+    assert (record["samples"], record["seed"]) == (0, None)
+
+
+@pytest.mark.parametrize("samples,shards", [(10, 3), (3, 5)])
+def test_stabilizer_record_reports_requested_samples(samples, shards, capsys):
+    argv = ["purify", "--engine", "stabilizer", "--F", "0.8", "--rounds", "2",
+            "--p-resource", "0.97", "--q-meas", "0.97",
+            "--samples", str(samples), "--shards", str(shards)]
+    rc, out, _err = run(argv, capsys)
+    assert rc == 0
+    assert json.loads(out)["samples"] == samples

@@ -149,3 +149,22 @@ def test_bell_pair_constructor(index, letter):
     assert pair.stabs == ref.stabs
     assert pair.destabs == ref.destabs
     pair.validate()
+
+
+# (rounds, F, noise): the frame engine against the exact maps; rounds 5
+# carries 62 virtual bits, which overflow one int64 beside the outputs
+@pytest.mark.parametrize("rounds,F,noise", [
+    (1, 0.8, PURIFY_NOISE),
+    (2, 0.8, PURIFY_NOISE),
+    (3, 0.8, PURIFY_NOISE),
+    (5, 0.97, NoiseModel(0.998, 0.998, 1.0)),
+])
+def test_purify_stabilizer_matches_exact(rounds, F, noise):
+    samples = 200_000
+    exact = purify_recurrence(werner(F), rounds, noise, engine="analytic")
+    assert exact.p_success > 0.05
+    s = purify_recurrence(werner(F), rounds, noise, samples=samples, rng=make_rng(7),
+                          engine="stabilizer")
+    assert s.samples == samples
+    assert _z(s.fidelity, exact.fidelity, s.extra["counts"]["kept"]) < 4
+    assert _z(s.p_success, exact.p_success, samples) < 4
