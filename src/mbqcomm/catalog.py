@@ -78,23 +78,15 @@ def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     pair appears on (L/out0, R/out0). One parity check per target wire:
     keep requires equal virtual outcomes at the two sites.
     """
-    n = 1 << rounds
-    _gates, targets = epp_site_circuit(rounds, "A", variant)
     site_a = epp_site_resource(rounds, "A", variant)
     site_b = epp_site_resource(rounds, "B", variant)
-
-    def interpretation(bits: dict):
-        parities = tuple(
-            bits[f"L/meas[out{t}]"] ^ bits[f"R/meas[out{t}]"] for t in targets
-        )
-        return all(p == 0 for p in parities), {"parities": parities}
-
-    joint = product_spec(site_a, site_b, f"epp_recurrence{rounds}", interpretation)
+    joint = product_spec(site_a, site_b, f"epp_recurrence{rounds}")
     sites = (
         ("A", tuple(l for l in joint.inputs + joint.outputs if l.startswith("L/"))),
         ("B", tuple(l for l in joint.inputs + joint.outputs if l.startswith("R/"))),
     )
-    return replace(joint, sites=sites)
+    checks = tuple((f"L/{vm.name}", f"R/{vm.name}") for vm in site_a.virtual_meas)
+    return replace(joint, sites=sites, checks=checks)
 
 
 def code_encode(code: CodeSpec) -> ResourceSpec:
@@ -128,27 +120,14 @@ def code_decode_syndrome(code: CodeSpec) -> ResourceSpec:
         spec, [(f"anc{w}", "Z") for w in range(1, code.n)],
         name=f"{code.name}_decode_syndrome",
     )
-
-    def interpretation(bits: dict):
-        syndrome = tuple(bits[f"meas[anc{w}]"] for w in range(1, code.n))
-        return True, {"syndrome": syndrome}
-
-    return replace(spec, interpretation=interpretation)
+    return replace(spec, syndrome=tuple(f"meas[anc{w}]" for w in range(1, code.n)))
 
 
 def code_correct(code: CodeSpec) -> ResourceSpec:
-    """Syndrome readout + re-encoding: the 2N-qubit correction resource."""
-    dec = code_decode_syndrome(code)
-    enc = code_encode(code)
-    spec = merge(dec, enc, [("out", "in")], name=f"{code.name}_correct")
-
-    def interpretation(bits: dict):
-        syndrome = tuple(
-            bits[f"{dec.name}/meas[anc{w}]"] for w in range(1, code.n)
-        )
-        return True, {"syndrome": syndrome}
-
-    return replace(spec, interpretation=interpretation)
+    """Syndrome readout + re-encoding: the 2N-qubit correction resource.
+    The merge carries the decoder's syndrome."""
+    return merge(code_decode_syndrome(code), code_encode(code), [("out", "in")],
+                 name=f"{code.name}_correct")
 
 
 def code_encode_decode_combined(code: CodeSpec) -> ResourceSpec:
@@ -187,28 +166,17 @@ def repeater_station(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
 
     The two purified output particles are virtual (pre-measured as a
     Bell pair), so the resource has 2^(rounds+1) input qubits and no
-    outputs; the reconstructed swap outcome is exported as side info.
+    outputs; the reconstructed swap outcome is the pair of virtual bits
+    swap_xx, swap_zz.
     """
     left = epp_site_resource(rounds, "B", variant)   # Bob side of left segment
     right = epp_site_resource(rounds, "A", variant)  # Alice side of right segment
-    spec = product_spec(left, right, f"station{rounds}")
-    spec = premeasure_joint(
-        spec,
+    return premeasure_joint(
+        product_spec(left, right, f"station{rounds}"),
         [({"L/out0": "X", "R/out0": "X"}, "swap_xx"),
          ({"L/out0": "Z", "R/out0": "Z"}, "swap_zz")],
         name=f"repeater_station{rounds}",
     )
-    _gates, targets = epp_site_circuit(rounds, "A", variant)
-
-    def interpretation(bits: dict):
-        info = {
-            "swap": (bits["swap_xx"], bits["swap_zz"]),
-            "left_bits": tuple(bits[f"L/meas[out{t}]"] for t in targets),
-            "right_bits": tuple(bits[f"R/meas[out{t}]"] for t in targets),
-        }
-        return True, info
-
-    return replace(spec, interpretation=interpretation)
 
 
 _CODE_NAMES = {"ring5": ring5_code}

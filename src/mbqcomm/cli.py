@@ -258,21 +258,38 @@ def cmd_repeater(args) -> int:
     return 0
 
 
+def assumption(formula: str, text: str | None):
+    """The regime `--assume` selects: 'q=p' (the default) or 'q=1', or a
+    fixed q for universal-epp; None for formulas that take no regime."""
+    if formula in ("hashing", "dephasing-repetition"):
+        if text is not None:
+            raise ValueError(f"--assume does not apply to --formula {formula}")
+        return None
+    if text in (None, "q=p", "q=1"):
+        return text or "q=p"
+    if formula != "universal-epp":
+        raise ValueError(f"--assume for --formula {formula} takes 'q=p' or 'q=1', "
+                         f"got {text!r}")
+    try:
+        return probability(text)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise ValueError(f"--assume takes 'q=p', 'q=1' or a probability: {exc}") from None
+
+
 def cmd_threshold(args) -> int:
+    regime = assumption(args.formula, args.assume)
     try:
         if args.formula == "universal-epp":
-            if args.assume == "q=p":
+            if regime == "q=p":
                 report = universal_epp_threshold("q=p")
             else:
-                q = 1.0 if args.assume == "q=1" else probability(args.assume)
+                q = 1.0 if regime == "q=1" else regime
                 report = universal_epp_threshold("q_fixed", q_value=q)
         elif args.formula == "hashing":
             report = hashing_threshold()
         elif args.formula == "code":
-            regime = "q=p" if args.assume == "q=p" else "q=1"
             report = code_threshold(code_by_name(args.code), regime)
         elif args.formula == "shor-type":
-            regime = "q=p" if args.assume == "q=p" else "q=1"
             report = shor_type_threshold(regime)
         elif args.formula == "dephasing-repetition":
             report = dephasing_repetition_threshold()
@@ -403,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True,
                    choices=["universal-epp", "hashing", "code", "shor-type",
                             "dephasing-repetition"])
-    p.add_argument("--assume", default="q=p",
-                   help="'q=p', 'q=1' or a fixed q value")
+    p.add_argument("--assume", default=None,
+                   help="'q=p' (default) or 'q=1'; universal-epp also takes a fixed q "
+                        "value; hashing and dephasing-repetition take none")
     p.add_argument("--code", default="ring5")
     p.set_defaults(func=cmd_threshold)
 

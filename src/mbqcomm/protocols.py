@@ -6,9 +6,12 @@ fast index-sampling Monte Carlo beside them; the engines are tested
 against each other. Recurrence purification also runs on the stabilizer
 engine, as a batched Pauli-frame simulation of the noisy joint resource:
 the resource's GF(2) map (`ResourceSpec.frame_map`) takes each attempt's
-error frame to its kept flag and output Bell index (`purify_frames`), and
-the tableau serves as the oracle that this map is tested against. The
-QEC stations still teleport through the tableau shot by shot.
+error frame to its virtual-bit flips and output Bell index, and the
+resource's `checks`, parities of named virtual bits, turn the flips
+into the kept flag (`purify_frames`). The tableau serves as the oracle
+that this map is tested against. The QEC stations still teleport
+through the tableau shot by shot and read the code syndrome as the
+virtual bits that the resource's `syndrome` names.
 
 Recurrence purification and the nested repeater are written once, as a
 list of stages, and run by two evaluators: `evaluate_stages` (exact,
@@ -83,7 +86,7 @@ class ProtocolStats:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for v in (self.fidelity, self.p_success):
+        for v in (self.fidelity, self.p_success, self.protocol_yield):
             if not -1e-9 <= v <= 1 + 1e-9:
                 raise ProtocolError("estimates must lie in [0, 1]")
 
@@ -327,33 +330,27 @@ def purify_frames(spec: ResourceSpec, in_codes: np.ndarray,
     in_codes[k] holds, per attempt, the Pauli letter riding into input
     k and out_codes[j] the letter on output j, coded 2x + z as in
     `ResourceSpec.frame_map`. The images of the letters XOR together.
-    The flipped virtual bits are packed into as many bytes as they need
-    (62 of them at 5 rounds), and `spec.interpretation` runs once per
-    distinct pattern. The kept pair (L/out0, R/out0) has Bell index
+    A letter flips a check of `spec.checks` when it flips an odd number
+    of the check's virtual bits; these check flips are found once per
+    input letter, packed into as many bytes as they need (31 checks at
+    5 rounds) and XORed per attempt. An attempt is kept iff no check bit
+    is set. The kept pair (L/out0, R/out0) has Bell index
     2 (x_L ^ x_R) + (z_L ^ z_R), the XOR of its halves' codes.
     """
     out_map, flip_map = spec.frame_map()
     left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
     pair_map = out_map[..., left] ^ out_map[..., right]
-    flip_bytes = np.packbits(flip_map, axis=-1, bitorder="little")
+    names = [vm.name for vm in spec.virtual_meas]
+    incidence = np.array([[check.count(name) for name in names] for check in spec.checks],
+                         dtype=np.uint8).reshape(len(spec.checks), len(names))
+    check_bytes = np.packbits(flip_map @ incidence.T & 1, axis=-1, bitorder="little")
     index = out_codes[left] ^ out_codes[right]
-    flips = np.zeros((flip_bytes.shape[-1], in_codes.shape[1]), dtype=np.uint8)
+    failed = np.zeros((check_bytes.shape[-1], in_codes.shape[1]), dtype=np.uint8)
     for k, codes in enumerate(in_codes):
         index ^= pair_map[k][codes]
-        for b, row in enumerate(flips):
-            row ^= flip_bytes[k, :, b][codes]
-    # group equal patterns: one lexsort over the bytes, then run starts
-    order = np.lexsort(flips)
-    ordered = flips[:, order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    which = np.empty(len(order), dtype=np.intp)
-    which[order] = np.cumsum(starts) - 1
-    names = [vm.name for vm in spec.virtual_meas]
-    patterns = np.unpackbits(ordered[:, starts].T, axis=1, count=len(names), bitorder="little")
-    keep = np.array([spec.interpretation(dict(zip(names, bits)))[0]
-                     for bits in patterns.tolist()], dtype=bool)
-    return keep[which], index
+        for b, row in enumerate(failed):
+            row ^= check_bytes[k, :, b][codes]
+    return ~failed.any(axis=0), index
 
 
 def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
@@ -523,6 +520,8 @@ def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
     """
     if ensemble.n_pairs > 24:
         raise ProtocolError("exact ML decoding is limited to 24 pairs")
+    if checks < 0:
+        raise ProtocolError(f"checks must be at least 0, got {checks}")
     dressed = hashing_effective_state(ensemble, noise)
     weights = dressed.as_array()
     out_w = noise_stages(noise)[1].index_weights()
@@ -605,7 +604,7 @@ def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
     frame = frame if frame is not None else PauliString.identity(code.n)
     r = teleport_in(spec, host, dict(zip(spec.inputs, block)), noise=noise, rng=rng,
                     out_labels=out_labels)
-    syndrome, estimate = code.estimate(r.info["syndrome"], frame)
+    syndrome, estimate = code.estimate(r.syndrome, frame)
     new_frame = r.frame * spec.push_through(frame * estimate)[1]
     return QecResult(
         labels=out_labels,

@@ -8,12 +8,17 @@ Pauli on the outputs and the virtual outcomes of pre-measured wires are
 reconstructed from the Bell outcomes by conjugating through the circuit.
 The same conjugation, done once per unit Pauli on the inputs, gives the
 resource's GF(2) map on error frames (`ResourceSpec.frame_map`).
+What the virtual outcomes mean is data, GF(2) functions of the virtual
+bits that the frame engine applies to whole batches: `checks` (an attempt
+is kept iff the named outcomes of each check XOR to 0) and `syndrome`
+(named outcomes read in order). `product_spec` and `merge` carry both
+under the prefixes they give the virtual measurements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +48,7 @@ class ByproductInfo:
     keep: bool
     frame: PauliString  # on the outputs, in output order
     bits: dict
-    info: dict
+    syndrome: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -53,7 +58,8 @@ class ResourceSpec:
     The state qubits are ordered inputs first (matching `inputs`), then
     the surviving outputs (matching `outputs`). `circuit` acts on the
     wire space; `input_wires[k]` is the wire fed by input k and
-    `output_wires[k]` the wire of output k.
+    `output_wires[k]` the wire of output k. `checks` and `syndrome` name
+    virtual measurements (see the module docstring).
     """
 
     name: str
@@ -65,7 +71,8 @@ class ResourceSpec:
     output_wires: tuple[int, ...]
     ancilla_init: tuple[tuple[int, str], ...] = ()
     virtual_meas: tuple[VirtualMeasurement, ...] = ()
-    interpretation: Callable[[dict], tuple[bool, dict]] | None = None
+    checks: tuple[tuple[str, ...], ...] = ()
+    syndrome: tuple[str, ...] = ()
     sites: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self):
@@ -73,6 +80,10 @@ class ResourceSpec:
             raise ResourceError("inputs and outputs must be disjoint")
         if len(self.inputs) + len(self.outputs) != self.state.n:
             raise ResourceError("resource must contain exactly inputs + outputs")
+        named = {name for check in self.checks for name in check} | set(self.syndrome)
+        unknown = named - {vm.name for vm in self.virtual_meas}
+        if unknown:
+            raise ResourceError(f"no virtual measurement named {sorted(unknown)}")
 
     @property
     def n(self) -> int:
@@ -85,7 +96,7 @@ class ResourceSpec:
     def site_sizes(self) -> dict[str, int]:
         return {site: len(labels) for site, labels in self.sites}
 
-    # -- outcome interpretation ---------------------------------------
+    # -- outcomes and frames -------------------------------------------
 
     def push_through(self, riding: PauliString) -> tuple[PauliString, PauliString]:
         """Conjugate a Pauli on the inputs (in input order) through the
@@ -136,11 +147,9 @@ class ResourceSpec:
             vm.name: 0 if pushed.commutes(vm.operator) else 1
             for vm in self.virtual_meas
         }
-        if self.interpretation is not None:
-            keep, info = self.interpretation(bits)
-        else:
-            keep, info = True, {}
-        return ByproductInfo(keep, frame, bits, info)
+        keep = all(sum(bits[name] for name in check) % 2 == 0 for check in self.checks)
+        syndrome = tuple(bits[name] for name in self.syndrome)
+        return ByproductInfo(keep, frame, bits, syndrome)
 
     def byproduct_table(self) -> dict[tuple[int, ...], ByproductInfo]:
         """Full outcome table over all 4^{n_inputs} tuples (small n only)."""
@@ -157,7 +166,8 @@ def _build_resource(name: str, circuit: CliffordMap,
                     input_wires: Sequence[int],
                     ancilla_init: Sequence[tuple[int, str]],
                     premeasured: Sequence[VirtualMeasurement] = (),
-                    interpretation=None,
+                    checks: Sequence[Sequence[str]] = (),
+                    syndrome: Sequence[str] = (),
                     input_labels: Sequence[str] | None = None,
                     output_labels: dict[int, str] | None = None,
                     sites=()) -> ResourceSpec:
@@ -230,7 +240,8 @@ def _build_resource(name: str, circuit: CliffordMap,
         output_wires=tuple(surviving),
         ancilla_init=tuple(sorted(anc.items())),
         virtual_meas=tuple(premeasured),
-        interpretation=interpretation,
+        checks=tuple(map(tuple, checks)),
+        syndrome=tuple(syndrome),
         sites=tuple(sites),
     )
 
@@ -270,8 +281,7 @@ def premeasure_outputs(spec: ResourceSpec,
         wire = spec.output_wires[spec.outputs.index(label)]
         op = PauliString.single(spec.n_wires, wire, letter)
         vms.append(VirtualMeasurement(f"meas[{label}]", op))
-    return _rebuild(spec, vms, name or f"{spec.name}+premeasured",
-                    spec.interpretation)
+    return _rebuild(spec, vms, name or f"{spec.name}+premeasured")
 
 
 def premeasure_joint(spec: ResourceSpec,
@@ -290,20 +300,27 @@ def premeasure_joint(spec: ResourceSpec,
             wire = spec.output_wires[spec.outputs.index(label)]
             op = op * PauliString.single(spec.n_wires, wire, letter)
         vms.append(VirtualMeasurement(vm_name, op))
-    return _rebuild(spec, vms, name or spec.name, spec.interpretation)
+    return _rebuild(spec, vms, name or spec.name)
 
 
-def _rebuild(spec: ResourceSpec, vms, name, interpretation) -> ResourceSpec:
+def _rebuild(spec: ResourceSpec, vms, name) -> ResourceSpec:
     out_names = dict(zip(spec.output_wires, spec.outputs))
     return _build_resource(
         name, spec.circuit, spec.input_wires, spec.ancilla_init, vms,
-        interpretation=interpretation, input_labels=spec.inputs,
+        spec.checks, spec.syndrome, input_labels=spec.inputs,
         output_labels=out_names, sites=spec.sites,
     )
 
 
-def product_spec(left: ResourceSpec, right: ResourceSpec, name: str,
-                 interpretation=None) -> ResourceSpec:
+def _carried(*tagged: tuple[str, ResourceSpec]) -> tuple[list, list]:
+    """The checks and syndromes of (tag, resource) pairs, in order, each
+    name renamed `tag/name` like the virtual measurement it reads."""
+    checks = [tuple(f"{tag}/{n}" for n in check) for tag, spec in tagged for check in spec.checks]
+    syndrome = [f"{tag}/{n}" for tag, spec in tagged for n in spec.syndrome]
+    return checks, syndrome
+
+
+def product_spec(left: ResourceSpec, right: ResourceSpec, name: str) -> ResourceSpec:
     """Side-by-side combination of two resources (no connections)."""
     wl, wr = left.n_wires, right.n_wires
     circuit = _tensor_cliffords(left.circuit, right.circuit)
@@ -322,8 +339,9 @@ def product_spec(left: ResourceSpec, right: ResourceSpec, name: str,
     )
     sites = [(f"L/{s}", tuple(f"L/{l}" for l in ls)) for s, ls in left.sites]
     sites += [(f"R/{s}", tuple(f"R/{l}" for l in ls)) for s, ls in right.sites]
+    checks, syndrome = _carried(("L", left), ("R", right))
     return _build_resource(
-        name, circuit, input_wires, anc, vms, interpretation,
+        name, circuit, input_wires, anc, vms, checks, syndrome,
         input_labels=in_labels, output_labels=out_names, sites=sites,
     )
 
@@ -397,23 +415,6 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
             VirtualMeasurement(f"link[{wo}]", PauliString.single(w, wo, "Z"))
         )
 
-    interp1, interp2 = r1.interpretation, r2.interpretation
-
-    def interpretation(bits: dict) -> tuple[bool, dict]:
-        keep = True
-        info: dict = {}
-        for tag, interp in ((r1.name, interp1), (r2.name, interp2)):
-            if interp is None:
-                continue
-            local = {
-                k.split("/", 1)[1]: v for k, v in bits.items()
-                if k.startswith(f"{tag}/")
-            }
-            k_ok, i_local = interp(local)
-            keep = keep and k_ok
-            info.update({f"{tag}/{k}": v for k, v in i_local.items()})
-        return keep, info
-
     out_names = {
         w_: f"{r1.name}/{l}" for w_, l in zip(r1.output_wires, r1.outputs)
         if w_ not in connected_out_wires
@@ -421,11 +422,10 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     out_names.update(
         {w_ + w1: f"{r2.name}/{l}" for w_, l in zip(r2.output_wires, r2.outputs)}
     )
-    has_interp = interp1 is not None or interp2 is not None
+    checks, syndrome = _carried((r1.name, r1), (r2.name, r2))
     return _build_resource(
         name or f"merge({r1.name},{r2.name})", circuit, input_wires, anc, vms,
-        interpretation=interpretation if has_interp else None,
-        input_labels=in_labels, output_labels=out_names,
+        checks, syndrome, input_labels=in_labels, output_labels=out_names,
     )
 
 
@@ -519,7 +519,7 @@ class TeleportResult:
     frame: PauliString  # on resource outputs, in output order
     keep: bool
     bits: dict
-    info: dict
+    syndrome: tuple[int, ...]
     out_labels: tuple[str, ...]
     branch_probability: float = 1.0
 
@@ -564,7 +564,7 @@ def teleport_in(resource: ResourceSpec, host: LabeledRegister,
             # forced enumeration hit a zero-probability branch
             return TeleportResult(
                 outcomes=tuple(outcomes), frame=PauliString.identity(0),
-                keep=False, bits={}, info={}, out_labels=(),
+                keep=False, bits={}, syndrome=(), out_labels=(),
                 branch_probability=0.0,
             )
     result = resource.byproduct(outcomes)
@@ -578,7 +578,7 @@ def teleport_in(resource: ResourceSpec, host: LabeledRegister,
         frame=result.frame,
         keep=result.keep,
         bits=result.bits,
-        info=result.info,
+        syndrome=result.syndrome,
         out_labels=out_labels,
         branch_probability=prob,
     )

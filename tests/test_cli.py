@@ -26,6 +26,7 @@ def run(argv, capsys):
     PURIFY_MC + ["--samples", "100", "--shards", "-1"],
     ["qec", "--samples", "0"],
     ["hashing", "--F", "0.9", "--samples", "0"],
+    ["hashing", "--F", "0.9", "--checks", "-1", "--samples", "5"],
     ["chain", "--samples", "0"],
     ["repeater", "--samples", "0"],
     ["sweep", "--target", "epp", "--samples", "0"],
@@ -220,3 +221,34 @@ def test_stabilizer_record_reports_requested_samples(samples, shards, capsys):
     rc, out, _err = run(argv, capsys)
     assert rc == 0
     assert json.loads(out)["samples"] == samples
+
+
+@pytest.mark.parametrize("formula,assume", [
+    ("universal-epp", "1.5"),
+    ("universal-epp", "50%"),
+    ("universal-epp", "banana"),
+    ("code", "0.9"),
+    ("code", "banana"),
+    ("shor-type", "0.9"),
+    ("shor-type", "banana"),
+    ("hashing", "q=1"),
+    ("dephasing-repetition", "q=p"),
+])
+def test_threshold_bad_assume_exits_2_naming_assume(formula, assume, capsys):
+    rc, out, err = run(["threshold", "--formula", formula, "--assume", assume], capsys)
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--assume" in err
+
+
+@pytest.mark.parametrize("formula,assume,shown", [
+    ("universal-epp", [], {"q": "p"}),
+    ("universal-epp", ["--assume", "q=1"], {"q": 1.0}),
+    ("universal-epp", ["--assume", "0.9"], {"q": 0.9}),
+    ("code", ["--assume", "q=1"], {"regime": "q=1"}),
+    ("shor-type", [], {"regime": "q=p"}),
+])
+def test_threshold_assume_selects_the_regime(formula, assume, shown, capsys):
+    rc, out, _err = run(["threshold", "--formula", formula] + assume, capsys)
+    assert rc == 0
+    assert json.loads(out)["assumptions"] == shown

@@ -1,5 +1,6 @@
 """Tests for code specs and the named resource catalog."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -15,12 +16,13 @@ from mbqcomm.catalog import (
     code_encode,
     code_encode_decode_combined,
     epp_recurrence,
+    epp_site_circuit,
     epp_site_resource,
     repeater_station,
 )
 from mbqcomm.codes import CodeError, all_single_qubit_errors, repetition_code, ring5_code
 from mbqcomm.pauli import PauliString
-from mbqcomm.resources import LabeledRegister, teleport_in
+from mbqcomm.resources import LabeledRegister, ResourceError, teleport_in
 from mbqcomm.tableau import (
     BellOutcome,
     StabilizerState,
@@ -129,7 +131,24 @@ def test_correct_resource_size_and_syndrome_info():
         info = corr.byproduct(
             [BellOutcome.from_index(0)] * code.n
         )
-        assert info.info["syndrome"] == (0,) * len(code.stabilizers)
+        assert info.syndrome == (0,) * len(code.stabilizers)
+
+
+@pytest.mark.parametrize("name", ["ring5", "repetition3-phase"])
+def test_merge_carries_the_decoder_syndrome(name):
+    code = code_by_name(name)
+    corr, dec = code_correct(code), code_decode_syndrome(code)
+    for k, i in product(range(code.n), range(4)):
+        outcomes = [BellOutcome.from_index(i if j == k else 0) for j in range(code.n)]
+        assert corr.byproduct(outcomes).syndrome == dec.byproduct(outcomes).syndrome
+
+
+def test_checks_and_syndrome_must_name_virtual_measurements():
+    spec = epp_recurrence(1)
+    with pytest.raises(ResourceError, match="nope"):
+        replace(spec, checks=spec.checks + (("L/meas[out1]", "nope"),))
+    with pytest.raises(ResourceError, match=r"meas\[anc9\]"):
+        replace(code_decode_syndrome(ring5_code()), syndrome=("meas[anc1]", "meas[anc9]"))
 
 
 def test_combined_resource_rep3_is_ghz5():
@@ -184,8 +203,9 @@ def test_repeater_station_is_input_only():
     st2 = repeater_station(2)
     assert len(st2.inputs) == 8 and st2.n == 8
     info = st.byproduct([BellOutcome.from_index(0)] * 4)
-    assert info.info["swap"] == (0, 0)
-    assert "left_bits" in info.info and "right_bits" in info.info
+    assert (info.bits["swap_xx"], info.bits["swap_zz"]) == (0, 0)
+    _gates, targets = epp_site_circuit(1, "A")
+    assert all(f"{side}/meas[out{t}]" in info.bits for side in "LR" for t in targets)
 
 
 def test_catalog_dispatch():

@@ -1,5 +1,6 @@
-"""Static checks on the package source: no unused module-level import and
-no public function or method that nothing refers to."""
+"""Static checks on the package source: no unused module-level import, no
+public function or method that nothing refers to, and no dataclass field
+that holds a callable (resources and results stay plain data)."""
 
 import ast
 from collections import Counter
@@ -73,3 +74,28 @@ def test_every_public_function_is_referenced():
     package = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
     tests = [ast.parse(p.read_text()) for p in sorted((ROOT / "tests").glob("*.py"))]
     assert unreferenced(package, package + tests) == []
+
+
+def callable_fields(tree: ast.Module) -> list[str]:
+    """Fields of dataclasses whose annotation mentions `Callable`."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and "Callable" in name_uses(stmt.annotation):
+                found.append(f"{cls.name}.{ast.unparse(stmt.target)}")
+    return found
+
+
+def test_detector_finds_a_callable_field():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    f: Callable[[int], int]\n"
+                     "    g: typing.Callable | None = None\n    n: int = 0\n"
+                     "class B:\n    h: Callable\n")
+    assert callable_fields(tree) == ["A.f", "A.g"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclass_field_is_callable(path):
+    assert callable_fields(ast.parse(path.read_text())) == []
