@@ -26,6 +26,10 @@ CHAIN_FROZEN = {
     ("repetition3", "trajectory", 3, "station"): (0.6, 6),
 }
 
+# the paper's ring-5 bound at CHAIN_NOISE, as reported before one logical
+# channel served every code
+ANALYTIC_FROZEN = {1: 0.8962128276627241, 2: 0.8067880248478049, 3: 0.7297380852608575}
+
 
 @pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase"])
 def test_estimate_removes_the_pending_frame(name):
@@ -51,6 +55,12 @@ def test_chain_frozen(key):
     if flagged is not None:
         trivial = (0,) * len(code_by_name(code).stabilizers)
         assert segments * cfg.samples - s.extra["syndromes"].get(trivial, 0) == flagged
+
+
+@pytest.mark.parametrize("segments", sorted(ANALYTIC_FROZEN))
+def test_ring5_analytic_chain_frozen(segments):
+    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code="ring5")
+    assert abs(encoded_chain(cfg, mode="analytic").fidelity - ANALYTIC_FROZEN[segments]) < 1e-12
 
 
 @pytest.mark.parametrize("timing", ["end", "station"])
