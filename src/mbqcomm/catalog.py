@@ -198,35 +198,3 @@ def code_by_name(name: str) -> CodeSpec:
             raise CatalogError(f"unknown code {name!r}") from None
         return repetition_code(m, basis)
     raise CatalogError(f"unknown code {name!r}")
-
-
-def catalog(name: str, **params):
-    """Named resource/code lookup; the CLI's protocol vocabulary."""
-    builders = {
-        "epp_recurrence": lambda: epp_recurrence(
-            params.get("rounds", 1), params.get("variant", "DEJMPS")
-        ),
-        "repetition_code": lambda: repetition_code(
-            params.get("m", 3), params.get("basis", "bit")
-        ),
-        "ring5_code": ring5_code,
-        "code_encode": lambda: code_encode(_code_param(params)),
-        "code_decode_syndrome": lambda: code_decode_syndrome(_code_param(params)),
-        "code_correct": lambda: code_correct(_code_param(params)),
-        "code_encode_decode_combined": lambda: code_encode_decode_combined(
-            _code_param(params)
-        ),
-        "repeater_station": lambda: repeater_station(
-            params.get("rounds", 1), params.get("variant", "DEJMPS")
-        ),
-    }
-    if name not in builders:
-        raise CatalogError(f"unknown catalog entry {name!r}")
-    return builders[name]()
-
-
-def _code_param(params) -> CodeSpec:
-    code = params.get("code", "ring5")
-    if isinstance(code, CodeSpec):
-        return code
-    return code_by_name(code)

@@ -30,7 +30,7 @@ from .results import ResultRecord, config_hash, write_csv, write_jsonl, write_pl
 from .rng import default_shards, make_rng
 from .thresholds import (
     ThresholdError,
-    code_improvement_mc,
+    code_step_detector,
     code_threshold,
     dephasing_repetition_threshold,
     epp_regime_detector,
@@ -99,6 +99,15 @@ def add_run_args(p: argparse.ArgumentParser, outputs: bool = True,
         p.add_argument("--json-out", default=None)
 
 
+def reject_unread(options, context: str):
+    """Reject, in one line, every given option that `context` never
+    reads; `options` holds (flag, value) pairs, None meaning not given."""
+    unread = [opt for opt, value in options if value is not None]
+    if unread:
+        verb = "does" if len(unread) == 1 else "do"
+        raise ValueError(f"{' and '.join(unread)} {verb} not apply to {context}")
+
+
 def emit(args, record: ResultRecord):
     print(record.to_json())
     if args.csv_out:
@@ -116,12 +125,8 @@ def cmd_purify(args) -> int:
     }
     samples, seed, shards = args.samples, args.seed, args.shards
     if args.engine == "analytic":
-        unread = [opt for opt, value in (("--samples", samples), ("--seed", seed),
-                                         ("--shards", shards)) if value is not None]
-        if unread:
-            verb = "does" if len(unread) == 1 else "do"
-            raise ValueError(f"{' and '.join(unread)} {verb} not apply to --engine "
-                             "analytic (it is exact)")
+        reject_unread((("--samples", samples), ("--seed", seed), ("--shards", shards)),
+                      "--engine analytic (it is exact)")
         stats = purify_recurrence(state, args.rounds, noise, mode=args.mode,
                                   engine="analytic", variant=args.variant)
     else:
@@ -162,16 +167,20 @@ def cmd_qec(args) -> int:
     noise = noise_from_args(args)
     rng = make_rng(args.seed)
     if args.enumerate_errors:
+        reject_unread((("--samples", args.samples), ("--csv-out", args.csv_out),
+                       ("--json-out", args.json_out)),
+                      "--enumerate-errors (it injects each correctable error once)")
         good, total = enumerate_single_errors(code_by_name(args.code), rng)
         print(f"{good}/{total} corrected")
         return 0 if good == total else 1
-    cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=args.samples)
+    samples = 10_000 if args.samples is None else args.samples
+    cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=samples)
     # every shot builds its own 3 code resources: bench/selftest.py counts
     # 3 catalog builds per qec shot
     stats = encoded_trajectories(cfg, rng)
     params = {"code": args.code}
     cfg_hash = config_hash({**params, "noise": noise_list(noise),
-                            "samples": args.samples, "seed": args.seed})
+                            "samples": samples, "seed": args.seed})
     record = ResultRecord.from_stats("qec", params, noise, stats, args.seed, cfg_hash)
     emit(args, record)
     return 0
@@ -308,13 +317,12 @@ def cmd_threshold(args) -> int:
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    if args.target == "repeater" and (args.samples, args.seed) != (None, None):
-        raise ValueError("--samples and --seed do not apply to --target repeater "
-                         "(its detector is exact)")
-    samples = 100_000 if args.samples is None else args.samples
-    rng = make_rng(1 if args.seed is None else args.seed)
+    if args.target != "epp":
+        reject_unread((("--samples", args.samples), ("--seed", args.seed)),
+                      f"--target {args.target} (its detector is exact)")
     if args.target == "epp":
-        detector = epp_regime_detector(samples, rng)
+        samples = 100_000 if args.samples is None else args.samples
+        detector = epp_regime_detector(samples, make_rng(1 if args.seed is None else args.seed))
         lo, hi = 0.72, 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "repeater":
@@ -324,10 +332,7 @@ def cmd_sweep(args) -> int:
     elif args.target == "code":
         code = code_by_name(args.code)
         analytic = code_threshold(code, "q=p").analytic
-
-        def detector(p: float):
-            return code_improvement_mc(code, p, samples, rng)
-
+        detector = code_step_detector(code)
         lo, hi = analytic - 0.03, analytic + 0.03
     else:
         print(f"unknown sweep target {args.target!r}", file=sys.stderr)
@@ -394,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", default="ring5")
     p.add_argument("--enumerate-errors", action="store_true")
     add_noise_args(p)
-    add_run_args(p)
+    add_run_args(p, samples=None)
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("chain", help="encoded transmission chain")
@@ -434,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=4)
     p.add_argument("--code", default="ring5")
     p.add_argument("--samples", type=positive_int, default=None,
-                   help="epp and code targets; defaults to 100000")
+                   help="epp target only; defaults to 100000")
     p.add_argument("--seed", type=int, default=None,
-                   help="epp and code targets; defaults to 1")
+                   help="epp target only; defaults to 1")
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -2,7 +2,9 @@
 
 Each CodeSpec carries its stabilizer generators, logical operators, an
 encoding Clifford (wire 0 = logical qubit, other wires ancilla |0>) and
-a syndrome lookup table built by enumeration, never transcribed.
+a syndrome lookup table built by enumeration, never transcribed. Its
+logical channel, summed exactly over all Pauli errors, is the one
+source of every code's logical error rate and threshold.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
+from .noise import PauliChannel
 from .pauli import CliffordMap, PauliString
 from .tableau import complete_clifford, ring_graph
 
@@ -67,6 +72,49 @@ class CodeSpec:
         if entry is None:
             raise CodeError(f"syndrome {syndrome} missing from lookup table")
         return entry
+
+    def logical_channel(self, weights, max_weight: int | None = None) -> np.ndarray:
+        """Weights (I, X, Y, Z) of the residual logical Pauli after i.i.d.
+        single-qubit Pauli noise `weights` (I, X, Y, Z) on every block
+        qubit and one lookup correction.
+
+        Sums exactly over all 4^n errors. With `max_weight` only errors of
+        at most that weight count, so the weights sum to less than one.
+        """
+        n = self.n
+        err = np.arange(1 << 2 * n, dtype=np.int64)
+        x, z = err & ((1 << n) - 1), err >> n
+        by_bits = np.asarray(weights, dtype=float)[[0, 1, 3, 2]]  # x + 2z: I, X, Z, Y
+        prob = np.ones(err.size)
+        for q in range(n):
+            prob *= by_bits[(x >> q & 1) + 2 * (z >> q & 1)]
+        if max_weight is not None:
+            prob[np.bitwise_count(x | z) > max_weight] = 0.0
+        logicals = (self.logical_x, self.logical_z)
+        k = len(self.stabilizers)
+        fixes = [self.correction_for(tuple(s >> j & 1 for j in range(k)))
+                 for s in range(1 << k)]
+        fix_flips = _parities(np.array([f.x for f in fixes]),
+                              np.array([f.z for f in fixes]), logicals)
+        residual = _parities(x, z, logicals) ^ fix_flips[_parities(x, z, self.stabilizers)]
+        # flip bits (anticommutes with logical X, with logical Z) -> I, Z, X, Y
+        return np.bincount(np.array([0, 3, 1, 2])[residual], weights=prob, minlength=4)
+
+    def logical_noise(self, p: float, max_weight: int | None = None) -> float:
+        """Logical depolarizing parameter (4 F - 1)/3 of one correction step
+        under depolarizing noise p on every block qubit, F the identity
+        weight of `logical_channel`; a lower bound with `max_weight`."""
+        f = self.logical_channel(PauliChannel.depolarizing(p).weights, max_weight)[0]
+        return float(4.0 * f - 1.0) / 3.0
+
+
+def _parities(x: np.ndarray, z: np.ndarray, ops) -> np.ndarray:
+    """Packed anticommutation bits of the Paulis with bit-packed parts
+    (x, z): bit j is set where operator j anticommutes."""
+    out = np.zeros(np.shape(x), dtype=np.int64)
+    for j, g in enumerate(ops):
+        out |= (np.bitwise_count((x & g.z) ^ (z & g.x)) & 1).astype(np.int64) << j
+    return out
 
 
 def _anticommuting(error: PauliString, ops) -> tuple[int, ...]:

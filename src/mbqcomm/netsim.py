@@ -27,7 +27,6 @@ from .protocols import (
     Swap,
     bd_index_of_pair,
     exact_stats,
-    logical_error_rate,
     noise_stages,
     pairs_per_output,
     point_stats,
@@ -132,6 +131,9 @@ def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances, resources
 def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> ProtocolStats:
     """Encoded direct transmission with per-segment correction stations.
 
+    Modes: "trajectory" runs the noisy resources shot by shot, "dense"
+    evolves the exact branch ensemble of perfect corrections, and
+    "analytic" is the paper's folded-noise bound on that ensemble.
     `extra` holds the resource counts and, under `report`, the values
     the mode reports beside the fidelity. The trajectory mode shares
     one set of code resources across its shots.
@@ -184,14 +186,13 @@ def encoded_trajectories(cfg: ChainConfig, rng, resources: tuple = FRESH) -> Pro
 
 
 def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
-    """Inject each correctable single-qubit error into one noiseless
-    segment in place of channel noise; count exact recoveries."""
-    if code.name.startswith("repetition"):
-        letter = "Z" if code.name.endswith("phase") else "X"
-        errors = [PauliString.single(code.n, q, letter) for q in range(code.n)]
-        errors = [e for e in errors if e.weight <= code.correctable_weight]
-    else:
-        errors = all_single_qubit_errors(code.n)
+    """Inject each single-qubit error that the lookup correction undoes
+    (weight within `correctable_weight`, corrected residual flipping no
+    logical) into one noiseless segment in place of channel noise; count
+    exact recoveries."""
+    errors = [e for e in all_single_qubit_errors(code.n)
+              if e.weight <= code.correctable_weight
+              and code.logical_flips(e * code.correction_for(code.syndrome_of(e))) == (0, 0)]
     if not errors:
         raise ChainError(f"code {code.name} corrects no single-qubit error")
     resources = code_resources(code)
@@ -211,23 +212,24 @@ def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:
 
 
 def _encoded_chain_analytic(cfg: ChainConfig) -> ProtocolStats:
+    """The paper's closed form: each segment folds all its noise into one
+    depolarizing step p~ = p^2 q before a perfect correction, and counts
+    only errors of weight at most `correctable_weight` as corrected, so
+    its logical parameter p_L(p~) is a lower bound. The delivered pair is
+    depolarized by the product of the segments' p_L. The folding leaves
+    out the noise of encoding and decoding."""
     code = code_by_name(cfg.code)
     p_logical = 1.0
     improves = True
     for seg in range(cfg.segments):
         p_tilde = effective_step_noise(cfg, seg)
-        p_l = logical_error_rate(code, p_tilde)
+        p_l = code.logical_noise(p_tilde, code.correctable_weight)
         improves = improves and (p_l >= p_tilde)
         p_logical *= p_l
-    if code.name.startswith("repetition"):
-        fid = (1.0 + p_logical) / 2.0  # dephasing-parameter convention
-        direct = (1.0 + cfg.noise.q_channel ** cfg.segments) / 2.0
-    else:
-        fid = (3.0 * p_logical + 1.0) / 4.0
-        direct = (3.0 * cfg.noise.q_channel ** cfg.segments + 1.0) / 4.0
-    return point_stats(fid, report={
+    return point_stats((3.0 * p_logical + 1.0) / 4.0, report={
         "p_logical": p_logical, "per_step_noise": effective_step_noise(cfg),
-        "improves_over_physical": improves, "direct_fidelity": direct,
+        "improves_over_physical": improves,
+        "direct_fidelity": (3.0 * cfg.noise.q_channel ** cfg.segments + 1.0) / 4.0,
     })
 
 

@@ -630,31 +630,3 @@ def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
     spec = resource if resource is not None else code_decode_syndrome(code)
     out = (_fresh(f"{code.name}.out"),)
     return _station(code, spec, host, block, out, noise, rng, frame)
-
-
-# -- closed-form logical error ---------------------------------------------
-
-
-def logical_error_rate(code: CodeSpec, p_tilde: float) -> float:
-    """Closed-form logical noise parameter after one perfect correction.
-
-    Ring-code (depolarizing): p_no^(L) >= p_no^5 + 5 p_no^4 p_yes with
-    p_no = (3p+1)/4; repetition code (dephasing): majority vote binomial.
-    The bound is used as the estimate, matching the threshold analysis.
-    """
-    if not 0.0 <= p_tilde <= 1.0:
-        raise ProtocolError("noise parameter must lie in [0, 1]")
-    if code.name.startswith("repetition"):
-        m = code.n
-        eps = 1.0 - p_tilde  # dephasing convention {I: p, Z: 1-p}
-        logical_flip = sum(
-            math.comb(m, k) * eps ** k * (1 - eps) ** (m - k)
-            for k in range(m // 2 + 1, m + 1)
-        )
-        return 1.0 - logical_flip
-    if code.name == "ring5":
-        p_no = (3.0 * p_tilde + 1.0) / 4.0
-        p_yes = 1.0 - p_no
-        p_no_l = p_no ** 5 + 5.0 * p_no ** 4 * p_yes
-        return (4.0 * p_no_l - 1.0) / 3.0
-    raise ProtocolError(f"no logical error formula for code {code.name!r}")

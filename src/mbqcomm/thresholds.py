@@ -2,8 +2,11 @@
 
 The analytic values reproduce the noise thresholds of the protocols:
 recurrence purification (universal), hashing, code-based correction and
-dephasing repetition codes. Sweeps locate the same boundaries from
-Monte-Carlo simulation and report both.
+dephasing repetition codes. Every code number comes from the code's one
+exact logical channel (`CodeSpec.logical_channel`). Sweeps locate the
+same boundaries from a detector and report both: the purification
+detector samples by Monte Carlo, the repeater and code detectors are
+exact.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ import numpy as np
 from .belldiag import shannon_entropy, werner
 from .codes import CodeSpec, repetition_code
 from .netsim import elementary_pair, repeater_stages
-from .noise import PauliChannel
-from .pauli import PauliString
-from .protocols import Depolarize, evaluate_stages, logical_error_rate, sample_stages
+from .protocols import Depolarize, evaluate_stages, sample_stages
 
 UNIVERSAL_EPP_THRESHOLD = 3.0 ** (-0.25)
 SHOR_TYPE_P_TILDE = 0.7449  # imported constant for Shor-type codes
@@ -146,33 +147,49 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def code_crossing(code: CodeSpec, lo: float = 0.5, hi: float = 0.9999) -> float:
-    """Noise parameter where the logical error equals the physical one."""
-    return _bisect(lambda p: logical_error_rate(code, p) - p, lo, hi, tol=1e-7)
+def code_crossing(code: CodeSpec, max_weight: int | None = None) -> float:
+    """Per-step noise p~ at which one correction step's logical
+    depolarizing parameter equals the physical one; with `max_weight`
+    for the bound that counts only errors up to that weight."""
+    try:
+        return _bisect(lambda p: code.logical_noise(p, max_weight) - p, 0.5, 0.9999,
+                       tol=1e-7)
+    except ThresholdError:
+        raise ThresholdError(f"code {code.name} never beats the physical error: "
+                             "p_L(p~) = p~ has no crossing for p~ in [0.5, 0.9999]"
+                             ) from None
 
 
 def code_threshold(code: CodeSpec, regime: str = "q=p") -> ThresholdReport:
     """Resource-noise threshold of repeated measurement-based correction.
 
-    Solves p_L(p~) = p~ and converts the per-step noise p~ = p^2 q to a
-    resource threshold: p_crit = p~^(1/3) when q = p, p~^(1/2) when the
-    storage noise is negligible (q ~ 1).
+    Solves p_L(p~) = p~ for the paper's bound, which corrects only errors
+    of weight up to `correctable_weight`, and converts the per-step noise
+    p~ = p^2 q to a resource threshold: p_crit = p~^(1/3) when q = p,
+    p~^(1/2) when the storage noise is negligible (q ~ 1). The crossing
+    of the exact logical channel is reported beside it.
     """
-    p_tilde = code_crossing(code)
-    return _from_p_tilde(f"code-{code.name}", p_tilde, regime,
-                         details={"crossing_formula": "p_L(p) = p"})
+    bound = code_crossing(code, code.correctable_weight)
+    exact = code_crossing(code)
+    return _from_p_tilde(f"code-{code.name}", bound, regime, details={
+        "crossing_formula": "p_L(p) = p",
+        "exact_p_tilde": exact,
+        "exact_p_crit": _p_crit(exact, regime)[0],
+    })
+
+
+def _p_crit(p_tilde: float, regime: str) -> tuple[float, str]:
+    """Resource threshold of a per-step crossing p~, and its formula."""
+    if regime == "q=p":
+        return p_tilde ** (1.0 / 3.0), "p_crit = p~^(1/3) (per step p~ = p^2 q with q = p)"
+    if regime in ("q=1", "q~1"):
+        return math.sqrt(p_tilde), "p_crit = p~^(1/2) (per step p~ = p^2, storage ideal)"
+    raise ThresholdError(f"unknown regime {regime!r}")
 
 
 def _from_p_tilde(name: str, p_tilde: float, regime: str, details=None,
                   notes: tuple[str, ...] = ()) -> ThresholdReport:
-    if regime == "q=p":
-        p_crit = p_tilde ** (1.0 / 3.0)
-        formula = "p_crit = p~^(1/3) (per step p~ = p^2 q with q = p)"
-    elif regime in ("q=1", "q~1"):
-        p_crit = math.sqrt(p_tilde)
-        formula = "p_crit = p~^(1/2) (per step p~ = p^2, storage ideal)"
-    else:
-        raise ThresholdError(f"unknown regime {regime!r}")
+    p_crit, formula = _p_crit(p_tilde, regime)
     d = {"p_tilde": p_tilde}
     d.update(details or {})
     return ThresholdReport(
@@ -208,17 +225,15 @@ def shor_type_threshold(regime: str = "q=p") -> ThresholdReport:
 def dephasing_repetition_threshold(sizes=(3, 5, 7, 9)) -> ThresholdReport:
     """Asymptotic repetition-code threshold under pure dephasing: 1/2.
 
-    Sweep mode: verifies that below the boundary the logical error is
+    Sweep mode: verifies that below the boundary the logical flip
+    probability, under bit flips with probability eps on every qubit, is
     strictly decreasing in the code size, and increasing above it.
     """
-    details = {}
-    for eps, key in ((0.4, "below"), (0.6, "above")):
-        errs = []
-        for m in sizes:
-            code = repetition_code(m)
-            p_l = logical_error_rate(code, 1.0 - eps)
-            errs.append(1.0 - p_l)
-        details[key] = errs
+    details = {
+        key: [1.0 - repetition_code(m).logical_channel((1.0 - eps, eps, 0.0, 0.0))[0]
+              for m in sizes]
+        for eps, key in ((0.4, "below"), (0.6, "above"))
+    }
     ok_below = all(a > b for a, b in zip(details["below"], details["below"][1:]))
     ok_above = all(a < b for a, b in zip(details["above"], details["above"][1:]))
     if not (ok_below and ok_above):
@@ -326,40 +341,13 @@ def repeater_regime_detector(segments: int):
     return detector
 
 
-def code_improvement_mc(code: CodeSpec, p: float, samples: int, rng,
-                        regime: str = "q=p") -> tuple[bool, float, float]:
-    """MC detector for code sweeps: does one perfect correction step
-    reduce the error at the logical level?
+def code_step_detector(code: CodeSpec):
+    """Exact detector for code sweeps: under q = p (per-step noise
+    p~ = p^3), does one perfect correction step leave less logical noise
+    than the physical noise?"""
+    def detector(p: float) -> tuple[bool, float, float]:
+        p_tilde = p ** 3
+        p_l = code.logical_noise(p_tilde)
+        return p_l > p_tilde, p_l, 0.0
 
-    Samples i.i.d. single-qubit Paulis at the folded per-step strength
-    p~ (= p^3 under q = p), applies the exact syndrome lookup and counts
-    logical errors: the residual after correction is harmless iff it
-    flips neither logical operator.
-    """
-    p_tilde = p ** 3 if regime == "q=p" else p ** 2
-    weights = PauliChannel.depolarizing(p_tilde).weights  # sigma order I,X,Y,Z
-    n = code.n
-    letters = rng.choice(4, size=(samples, n), p=weights)
-    # [qubit, letter] -> packed syndrome / logical-flip bits of that Pauli
-    ops = [[PauliString.single(n, q, name) for name in "IXYZ"] for q in range(n)]
-    syn_bits = np.array([[_pack(code.syndrome_of(op)) for op in row] for row in ops])
-    flip_bits = np.array([[_pack(code.logical_flips(op)) for op in row] for row in ops])
-    syndrome = np.zeros(samples, dtype=np.int64)
-    flips = np.zeros(samples, dtype=np.int64)
-    for q in range(n):
-        syndrome ^= syn_bits[q, letters[:, q]]
-        flips ^= flip_bits[q, letters[:, q]]
-    k = len(code.stabilizers)
-    syndromes = [tuple((s >> j) & 1 for j in range(k)) for s in range(1 << k)]
-    corr_flips = np.array([_pack(code.logical_flips(code.estimate(syn)[1]))
-                           for syn in syndromes])
-    clean = (flips ^ corr_flips[syndrome]) == 0
-    p_no_hat = float(clean.mean())
-    p_l_hat = (4.0 * p_no_hat - 1.0) / 3.0
-    err = 4.0 / 3.0 * math.sqrt(max(p_no_hat * (1 - p_no_hat), 1e-12) / samples)
-    return p_l_hat > p_tilde, p_l_hat, err
-
-
-def _pack(bits: tuple[int, ...]) -> int:
-    """Bit tuple as an integer, bit j = entry j."""
-    return sum(b << j for j, b in enumerate(bits))
+    return detector

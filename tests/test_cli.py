@@ -139,6 +139,23 @@ def test_qec_enumerate_errors_rejects_a_code_that_corrects_nothing(capsys):
     assert err == "error: code repetition2 corrects no single-qubit error\n"
 
 
+@pytest.mark.parametrize("extra,named", [
+    (["--samples", "5"], "--samples"),
+    (["--csv-out", "x.csv"], "--csv-out"),
+    (["--json-out", "x.jsonl"], "--json-out"),
+    (["--samples", "5", "--json-out", "x.jsonl"], "--samples and --json-out"),
+])
+def test_qec_enumerate_errors_rejects_unread_options(extra, named, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(["qec", "--enumerate-errors"] + extra, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {named} ")
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_rounds_exit_2_naming_rounds(tmp_path, capsys):
     path = tmp_path / "chain.ini"
     path.write_text("[chain]\nrounds = -1\n")
@@ -162,6 +179,42 @@ def test_sweep_repeater_rejects_sampling_options(option, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "--target repeater" in err
+
+
+@pytest.mark.parametrize("option", [["--samples", "10"], ["--seed", "2"]])
+def test_sweep_code_rejects_sampling_options(option, capsys):
+    rc, out, err = run(["sweep", "--target", "code", "--steps", "2"] + option, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {option[0]} does not apply to --target code (its detector is exact)\n"
+
+
+@pytest.mark.parametrize("code", ["repetition2", "repetition3", "repetition5-phase"])
+def test_code_that_never_beats_the_physical_error_is_named(code, capsys):
+    message = f"code {code} never beats the physical error"
+    rc, out, _err = run(["threshold", "--formula", "code", "--code", code], capsys)
+    assert rc == 1
+    assert json.loads(out)["error"].startswith(message)
+    rc, out, err = run(["sweep", "--target", "code", "--code", code], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_threshold_code_reports_the_exact_crossing_beside_the_bound(capsys):
+    rc, out, _err = run(["threshold", "--formula", "code", "--code", "ring5"], capsys)
+    details = json.loads(out)["details"]
+    assert rc == 0
+    assert abs(details["exact_p_tilde"] - 0.81650) < 5e-6
+    assert abs(details["exact_p_crit"] - 0.93466) < 5e-6
+    assert details["exact_p_tilde"] < details["p_tilde"]
+
+
+def test_sweep_code_finds_the_exact_crossing(capsys):
+    rc, out, _err = run(["sweep", "--target", "code", "--code", "ring5"], capsys)
+    assert rc == 0
+    assert abs(json.loads(out)["boundary"] - 0.9346553) < 1e-6
 
 
 @pytest.mark.parametrize("steps", ["0", "-3", "1"])

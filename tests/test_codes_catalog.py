@@ -9,7 +9,6 @@ import pytest
 from mbqcomm import dense, gf2
 from mbqcomm.catalog import (
     CatalogError,
-    catalog,
     code_by_name,
     code_correct,
     code_decode_syndrome,
@@ -21,6 +20,7 @@ from mbqcomm.catalog import (
     repeater_station,
 )
 from mbqcomm.codes import CodeError, all_single_qubit_errors, repetition_code, ring5_code
+from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import PauliString
 from mbqcomm.resources import LabeledRegister, ResourceError, teleport_in
 from mbqcomm.tableau import (
@@ -208,18 +208,39 @@ def test_repeater_station_is_input_only():
     assert all(f"{side}/meas[out{t}]" in info.bits for side in "LR" for t in targets)
 
 
-def test_catalog_dispatch():
-    assert catalog("ring5_code").name == "ring5"
-    assert catalog("repetition_code", m=5).n == 5
-    assert catalog("epp_recurrence", rounds=1).n == 6
-    assert catalog("repeater_station", rounds=1).n == 4
-    assert catalog("code_encode", code="repetition3").n == 4
-    assert catalog("code_correct", code="ring5").n == 10
-    assert catalog("code_encode_decode_combined", code="repetition3").n == 5
-    with pytest.raises(CatalogError):
-        catalog("nope")
-    with pytest.raises(CatalogError):
-        code_by_name("repetitionX")
+def test_code_by_name_rejects_unknown_names():
+    for name in ("repetitionX", "nope", "repetition3-bit"):
+        with pytest.raises(CatalogError):
+            code_by_name(name)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.8251691576898097, 0.9, 0.99])
+def test_ring5_weight_one_channel_is_the_paper_bound(p):
+    p_no = (3 * p + 1) / 4
+    channel = ring5_code().logical_channel(PauliChannel.depolarizing(p).weights, 1)
+    assert abs(channel[0] - (p_no ** 5 + 5 * p_no ** 4 * (1 - p_no))) < 1e-14
+    assert abs(channel.sum() - channel[0]) < 1e-15  # every weight-1 error is corrected
+
+
+# the same Pauli on every qubit has trivial syndrome and is a logical
+# operator: Z^5 is ring5's logical X, X^5 the product of all its graph
+# generators (logical Z up to stabilizers)
+@pytest.mark.parametrize("name,letter,logical", [
+    ("ring5", "Z", "X"), ("ring5", "X", "Z"), ("ring5", "Y", "Y"),
+    ("repetition3", "X", "X"), ("repetition3", "Z", "Z"), ("repetition3", "Y", "Y"),
+    ("repetition3-phase", "Z", "X"), ("repetition3-phase", "X", "Z"),
+])
+def test_logical_channel_labels_residuals_by_the_logicals(name, letter, logical):
+    weights = [float(c == letter) for c in "IXYZ"]
+    channel = code_by_name(name).logical_channel(weights)
+    assert list(channel) == [float(c == logical) for c in "IXYZ"]
+
+
+@pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition5"])
+def test_exact_channel_sums_to_one_and_beats_its_bound(name):
+    code = code_by_name(name)
+    assert abs(code.logical_channel(PauliChannel.depolarizing(0.9).weights).sum() - 1) < 1e-12
+    assert code.logical_noise(0.9) >= code.logical_noise(0.9, code.correctable_weight)
 
 
 def test_merge_encode_decode_is_identity_channel():

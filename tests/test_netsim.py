@@ -6,10 +6,11 @@ import math
 
 import pytest
 
+from mbqcomm.belldiag import apply_pauli_channel, perfect_pair
 from mbqcomm.catalog import code_by_name
 from mbqcomm.codes import all_single_qubit_errors
-from mbqcomm.netsim import ChainConfig, encoded_chain
-from mbqcomm.noise import NoiseModel
+from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain, encoded_chain_dense
+from mbqcomm.noise import NoiseModel, PauliChannel
 from mbqcomm.pauli import PauliString
 from mbqcomm.rng import make_rng
 
@@ -61,6 +62,31 @@ def test_chain_frozen(key):
 def test_ring5_analytic_chain_frozen(segments):
     cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code="ring5")
     assert abs(encoded_chain(cfg, mode="analytic").fidelity - ANALYTIC_FROZEN[segments]) < 1e-12
+
+
+@pytest.mark.parametrize("segments", [1, 2, 3])
+@pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase", "repetition5"])
+def test_logical_channel_composes_to_the_dense_chain(name, segments):
+    # one exact logical channel per perfect correction step, composed on
+    # one half of a Bell pair, is the dense branch ensemble
+    code = code_by_name(name)
+    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=name)
+    pair = perfect_pair()
+    for seg in range(segments):
+        physical = PauliChannel.depolarizing(effective_step_noise(cfg, seg))
+        logical = PauliChannel(tuple(code.logical_channel(physical.weights)))
+        pair = apply_pauli_channel(pair, "B", logical)
+    assert abs(pair.fidelity - encoded_chain_dense(cfg)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase", "repetition5"])
+def test_analytic_chain_is_a_lower_bound_on_dense(name):
+    # the analytic mode counts only errors up to the correctable weight
+    for noise in (NoiseModel(q_channel=0.9), CHAIN_NOISE):
+        cfg = ChainConfig(segments=1, noise=noise, code=name)
+        analytic = encoded_chain(cfg, mode="analytic")
+        assert analytic.fidelity <= encoded_chain(cfg, mode="dense").fidelity
+        assert analytic.extra["report"]["direct_fidelity"] == (3 * noise.q_channel + 1) / 4
 
 
 @pytest.mark.parametrize("timing", ["end", "station"])

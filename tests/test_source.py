@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused module-level import, no
-public function or method that nothing refers to, and no dataclass field
-that holds a callable (resources and results stay plain data)."""
+public function or method that nothing refers to, no dataclass field
+that holds a callable (resources and results stay plain data), and no
+branch on an object's name."""
 
 import ast
 from collections import Counter
@@ -99,3 +100,42 @@ def test_detector_finds_a_callable_field():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_dataclass_field_is_callable(path):
     assert callable_fields(ast.parse(path.read_text())) == []
+
+
+def _is_name_attribute(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "name"
+
+
+def name_branches(tree: ast.Module) -> list[str]:
+    """Places that test an object's `.name` against text: compared with a
+    string literal, or matched by `startswith`/`endswith`. A code or
+    resource is told apart by its data, not its name; parsing a plain
+    `name` variable (as `code_by_name` does) is not a branch."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(map(_is_name_attribute, operands)) and any(
+                    isinstance(o, ast.Constant) and isinstance(o.value, str)
+                    for o in operands):
+                found.append(ast.unparse(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("startswith", "endswith")
+              and any(map(_is_name_attribute, [node.func.value, *node.args]))):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_detector_finds_a_name_branch():
+    tree = ast.parse("if code.name.startswith('rep'):\n    pass\n"
+                     "a = 'ring5' != spec.name\nb = x.name.endswith('phase')\n"
+                     "c = str.startswith(code.name, 'r')\n"
+                     "d = name.startswith('repetition')\ne = r1.name == r2.name\n"
+                     "f = code.n == 5\ng = f'{code.name}_encode'\n")
+    assert name_branches(tree) == ["code.name.startswith('rep')", "'ring5' != spec.name",
+                                   "x.name.endswith('phase')", "str.startswith(code.name, 'r')"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_branch_on_a_name(path):
+    assert name_branches(ast.parse(path.read_text())) == []
