@@ -9,15 +9,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .codes import CodeSpec, repetition_code, ring5_code
-from .pauli import CliffordMap, circuit_map, gate_map
-from .resources import (
-    ResourceSpec,
-    cj_state,
-    merge,
-    premeasure_joint,
-    premeasure_outputs,
-    product_spec,
-)
+from .pauli import circuit_map, gate_map
+from .resources import ResourceSpec, cj_state, merge, premeasure_joint, premeasure_outputs
 
 EPP_VARIANTS = ("DEJMPS", "BBPSSW")
 
@@ -78,9 +71,9 @@ def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     pair appears on (L/out0, R/out0). One parity check per target wire:
     keep requires equal virtual outcomes at the two sites.
     """
-    site_a = epp_site_resource(rounds, "A", variant)
-    site_b = epp_site_resource(rounds, "B", variant)
-    joint = product_spec(site_a, site_b, f"epp_recurrence{rounds}")
+    site_a = replace(epp_site_resource(rounds, "A", variant), name="L")
+    site_b = replace(epp_site_resource(rounds, "B", variant), name="R")
+    joint = merge(site_a, site_b, (), name=f"epp_recurrence{rounds}")
     sites = (
         ("A", tuple(l for l in joint.inputs + joint.outputs if l.startswith("L/"))),
         ("B", tuple(l for l in joint.inputs + joint.outputs if l.startswith("R/"))),
@@ -138,7 +131,7 @@ def code_encode_decode_combined(code: CodeSpec) -> ResourceSpec:
     """
     n = code.n
     copy_out = gate_map(n + 1, "CNOT", 0, n)
-    enc = _embed_clifford(code.encoder, n + 1, list(range(n)))
+    enc = code.encoder.embed(n + 1, range(n))
     circuit = enc @ copy_out
     anc = [(w, "Z") for w in range(1, n + 1)]
     out_names = {w: f"b{w}" for w in range(n)}
@@ -152,15 +145,6 @@ def code_encode_decode_combined(code: CodeSpec) -> ResourceSpec:
     )
 
 
-def _embed_clifford(c: CliffordMap, n: int, wires: list[int]) -> CliffordMap:
-    ident = CliffordMap.identity(n)
-    ix, iz = list(ident.image_x), list(ident.image_z)
-    for k, w in enumerate(wires):
-        ix[w] = c.image_x[k].embed(n, wires)
-        iz[w] = c.image_z[k].embed(n, wires)
-    return CliffordMap(n, tuple(ix), tuple(iz))
-
-
 def repeater_station(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     """Input-only station resource: purify left and right, then swap.
 
@@ -169,10 +153,11 @@ def repeater_station(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     outputs; the reconstructed swap outcome is the pair of virtual bits
     swap_xx, swap_zz.
     """
-    left = epp_site_resource(rounds, "B", variant)   # Bob side of left segment
-    right = epp_site_resource(rounds, "A", variant)  # Alice side of right segment
+    # Bob's side of the left segment, Alice's side of the right one
+    left = replace(epp_site_resource(rounds, "B", variant), name="L")
+    right = replace(epp_site_resource(rounds, "A", variant), name="R")
     return premeasure_joint(
-        product_spec(left, right, f"station{rounds}"),
+        merge(left, right, ()),
         [({"L/out0": "X", "R/out0": "X"}, "swap_xx"),
          ({"L/out0": "Z", "R/out0": "Z"}, "swap_zz")],
         name=f"repeater_station{rounds}",

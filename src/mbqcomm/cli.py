@@ -69,20 +69,27 @@ class OneLineParser(argparse.ArgumentParser):
 
 
 def add_noise_args(p: argparse.ArgumentParser):
-    p.add_argument("--p-resource", type=probability, default=1.0,
-                   help="per-particle resource noise parameter")
-    p.add_argument("--q-meas", type=probability, default=1.0,
-                   help="per-qubit Bell measurement noise parameter")
-    p.add_argument("--q-channel", type=probability, default=1.0,
-                   help="per-transmission/storage noise parameter")
+    p.add_argument("--p-resource", type=probability, default=None,
+                   help="per-particle resource noise parameter (default 1)")
+    p.add_argument("--q-meas", type=probability, default=None,
+                   help="per-qubit Bell measurement noise parameter (default 1)")
+    p.add_argument("--q-channel", type=probability, default=None,
+                   help="per-transmission/storage noise parameter (default 1)")
     p.add_argument("--ideal", action="store_true",
                    help="shorthand for all noise parameters = 1")
 
 
+def noise_options(args) -> tuple:
+    """The noise flags as (flag, value) pairs, None meaning not given."""
+    return (("--p-resource", args.p_resource), ("--q-meas", args.q_meas),
+            ("--q-channel", args.q_channel))
+
+
 def noise_from_args(args) -> NoiseModel:
+    """The noise model of the given flags; an unset parameter is 1."""
     if args.ideal:
-        return NoiseModel()
-    return NoiseModel(args.p_resource, args.q_meas, args.q_channel)
+        reject_unread(noise_options(args), "--ideal (it sets every noise parameter to 1)")
+    return NoiseModel(*(1.0 if value is None else value for _, value in noise_options(args)))
 
 
 def noise_list(noise: NoiseModel) -> list[float]:
@@ -168,8 +175,9 @@ def cmd_qec(args) -> int:
     rng = make_rng(args.seed)
     if args.enumerate_errors:
         reject_unread((("--samples", args.samples), ("--csv-out", args.csv_out),
-                       ("--json-out", args.json_out)),
-                      "--enumerate-errors (it injects each correctable error once)")
+                       ("--json-out", args.json_out), *noise_options(args)),
+                      "--enumerate-errors (it injects each correctable error once, "
+                      "without noise)")
         good, total = enumerate_single_errors(code_by_name(args.code), rng)
         print(f"{good}/{total} corrected")
         return 0 if good == total else 1
@@ -220,17 +228,28 @@ def parse_chain_config(path: str) -> tuple[ChainConfig, str]:
 
 
 def cmd_chain(args) -> int:
+    if args.mode != "trajectory":
+        unread = [("--samples", args.samples), ("--seed", args.seed)]
+        context = f"--mode {args.mode} (it is exact)"
+        if args.mode == "analytic":
+            unread.append(("--timing", args.timing))
+            context = "--mode analytic (a closed form: no sampling, no timing)"
+        reject_unread(unread, context)
     if args.config:
+        reject_unread((("--segments", args.segments), ("--code", args.code),
+                       ("--timing", args.timing), ("--samples", args.samples),
+                       *noise_options(args), ("--ideal", args.ideal or None)),
+                      "--config (the INI file sets the chain)")
         cfg, _kind = parse_chain_config(args.config)
     else:
         cfg = ChainConfig(
-            segments=args.segments,
+            segments=3 if args.segments is None else args.segments,
             noise=noise_from_args(args),
-            code=args.code,
-            samples=args.samples,
-            correction_timing=args.timing,
+            code="ring5" if args.code is None else args.code,
+            samples=10_000 if args.samples is None else args.samples,
+            correction_timing="end" if args.timing is None else args.timing,
         )
-    stats = encoded_chain(cfg, make_rng(args.seed), mode=args.mode)
+    stats = encoded_chain(cfg, make_rng(1 if args.seed is None else args.seed), mode=args.mode)
     payload = {
         "protocol": "chain",
         "mode": args.mode,
@@ -404,13 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="encoded transmission chain")
     p.add_argument("--config", default=None, help="INI chain config file")
-    p.add_argument("--segments", type=int, default=3)
-    p.add_argument("--code", default="ring5")
-    p.add_argument("--timing", choices=["end", "station"], default="end")
+    p.add_argument("--segments", type=int, default=None, help="defaults to 3")
+    p.add_argument("--code", default=None, help="defaults to ring5")
+    p.add_argument("--timing", choices=["end", "station"], default=None,
+                   help="defaults to end")
     p.add_argument("--mode", choices=["trajectory", "analytic", "dense"],
                    default="trajectory")
     add_noise_args(p)
-    add_run_args(p, outputs=False)
+    add_run_args(p, outputs=False, samples=None, seed=None)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("repeater", help="nested repeater chain")

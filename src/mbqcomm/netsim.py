@@ -94,9 +94,6 @@ def code_resources(code: CodeSpec) -> tuple:
     return code_encode(code), code_correct(code), code_decode_syndrome(code)
 
 
-FRESH = (None, None, None)
-
-
 def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances, resources: tuple,
                  at_station: bool = False) -> tuple[bool, list[QecResult]]:
     """One encoded transmission of half of a reference Bell pair.
@@ -105,25 +102,25 @@ def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances, resources
     decode; apply the tracked frame; read the Bell index of the
     reference pair. `disturbances` holds one callable (register, block
     labels) per segment; `resources` the (encode, correct, decode)
-    resources to couple into (FRESH: each station builds its own).
-    With `at_station` every station applies its frame at once instead
-    of passing it on. Returns whether the pair came out in |phi+> and
-    the station results.
+    resources to couple into, as `code_resources` builds them. With
+    `at_station` every station applies its frame at once instead of
+    passing it on. Returns whether the pair came out in |phi+> and the
+    station results.
     """
     enc, corr, dec = resources
     reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-    e = qec_encode(code, reg, "in", noise, rng, resource=enc)
+    e = qec_encode(code, reg, "in", noise, rng, enc)
     frame, labels = e.frame, e.labels
     stations = []
     for disturb in disturbances:
         disturb(reg, labels)
-        r = qec_correct(code, reg, labels, noise, rng, frame=frame, resource=corr)
+        r = qec_correct(code, reg, labels, noise, rng, corr, frame)
         frame, labels = r.frame, r.labels
         if at_station:
             frame_apply(reg, frame, labels)
             frame = PauliString.identity(code.n)
         stations.append(r)
-    d = qec_decode(code, reg, labels, noise, rng, frame=frame, resource=dec)
+    d = qec_decode(code, reg, labels, noise, rng, dec, frame)
     frame_apply(reg, d.frame, d.labels)
     return bd_index_of_pair(reg, "ref", d.labels[0]) == 0, stations
 
@@ -158,11 +155,13 @@ def _resource_counts(cfg: ChainConfig) -> dict:
     }
 
 
-def encoded_trajectories(cfg: ChainConfig, rng, resources: tuple = FRESH) -> ProtocolStats:
+def encoded_trajectories(cfg: ChainConfig, rng, resources: tuple | None = None) -> ProtocolStats:
     """Stabilizer Monte Carlo with a reference pair as fidelity witness.
 
-    `extra` holds the station syndrome histogram and, under `report`,
-    the runs with an uncorrectable syndrome and the correction timing.
+    `resources` are the (encode, correct, decode) resources shared by
+    every shot; without them each shot builds its own. `extra` holds the
+    station syndrome histogram and, under `report`, the runs with an
+    uncorrectable syndrome and the correction timing.
     """
     code = code_by_name(cfg.code)
     disturbances = [
@@ -172,7 +171,8 @@ def encoded_trajectories(cfg: ChainConfig, rng, resources: tuple = FRESH) -> Pro
     good = uncorrectable_runs = 0
     syndromes = Counter()
     for _ in range(cfg.samples):
-        ok, stations = encoded_shot(code, cfg.noise, rng, disturbances, resources,
+        ok, stations = encoded_shot(code, cfg.noise, rng, disturbances,
+                                    resources or code_resources(code),
                                     at_station=cfg.correction_timing == "station")
         good += ok
         uncorrectable_runs += any(r.uncorrectable for r in stations)

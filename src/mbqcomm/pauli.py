@@ -287,6 +287,15 @@ class CliffordMap:
     def __matmul__(self, first: "CliffordMap") -> "CliffordMap":
         return self.compose(first)
 
+    def embed(self, n: int, wires: Sequence[int]) -> "CliffordMap":
+        """This map on `wires` of an n-wire register, identity elsewhere."""
+        ident = CliffordMap.identity(n)
+        ix, iz = list(ident.image_x), list(ident.image_z)
+        for k, w in enumerate(wires):
+            ix[w] = self.image_x[k].embed(n, wires)
+            iz[w] = self.image_z[k].embed(n, wires)
+        return CliffordMap(n, tuple(ix), tuple(iz))
+
     # -- circuit-style construction -----------------------------------
 
     def then_gate(self, gate: str, *qubits: int) -> "CliffordMap":

@@ -50,7 +50,7 @@ from .belldiag import (
     recurrence_step,
     swap_pairs,
 )
-from .catalog import code_correct, code_decode_syndrome, code_encode, epp_recurrence
+from .catalog import epp_recurrence
 from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
 from .pauli import PauliString
@@ -583,11 +583,10 @@ def _fresh(prefix: str) -> str:
 
 
 def qec_encode(code: CodeSpec, host: LabeledRegister, in_label: str,
-               noise: NoiseModel, rng, resource: ResourceSpec | None = None) -> QecResult:
+               noise: NoiseModel, rng, resource: ResourceSpec) -> QecResult:
     """Couple one qubit into the encoding resource by a Bell measurement."""
-    spec = resource if resource is not None else code_encode(code)
     block = tuple(_fresh(f"{code.name}.b{k}") for k in range(code.n))
-    r = teleport_in(spec, host, {"in": in_label}, noise=noise, rng=rng,
+    r = teleport_in(resource, host, {"in": in_label}, noise=noise, rng=rng,
                     out_labels=block)
     return QecResult(labels=block, frame=r.frame)
 
@@ -615,18 +614,16 @@ def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
 
 
 def qec_correct(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
-                noise: NoiseModel, rng, frame: PauliString | None = None,
-                resource: ResourceSpec | None = None) -> QecResult:
+                noise: NoiseModel, rng, resource: ResourceSpec,
+                frame: PauliString | None = None) -> QecResult:
     """Teleport the block through the 2N syndrome/correction resource."""
-    spec = resource if resource is not None else code_correct(code)
     new_block = tuple(_fresh(f"{code.name}.c{k}") for k in range(code.n))
-    return _station(code, spec, host, block, new_block, noise, rng, frame)
+    return _station(code, resource, host, block, new_block, noise, rng, frame)
 
 
 def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
-               noise: NoiseModel, rng, frame: PauliString | None = None,
-               resource: ResourceSpec | None = None) -> QecResult:
+               noise: NoiseModel, rng, resource: ResourceSpec,
+               frame: PauliString | None = None) -> QecResult:
     """Bell-measure the whole block into the decode resource."""
-    spec = resource if resource is not None else code_decode_syndrome(code)
     out = (_fresh(f"{code.name}.out"),)
-    return _station(code, spec, host, block, out, noise, rng, frame)
+    return _station(code, resource, host, block, out, noise, rng, frame)

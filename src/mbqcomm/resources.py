@@ -11,8 +11,14 @@ resource's GF(2) map on error frames (`ResourceSpec.frame_map`).
 What the virtual outcomes mean is data, GF(2) functions of the virtual
 bits that the frame engine applies to whole batches: `checks` (an attempt
 is kept iff the named outcomes of each check XOR to 0) and `syndrome`
-(named outcomes read in order). `product_spec` and `merge` carry both
-under the prefixes they give the virtual measurements.
+(named outcomes read in order).
+
+Composite resources come from two operations. `merge` joins two
+resources by internal Bell measurements (none: the side-by-side
+product) and carries each side's labels, virtual measurements, checks,
+syndrome and sites under a `{name}/` prefix. `premeasure_joint`
+pre-measures Paulis on outputs; `premeasure_outputs` is its one-letter
+spelling.
 """
 
 from __future__ import annotations
@@ -270,18 +276,13 @@ def premeasure_outputs(spec: ResourceSpec,
                        name: str | None = None) -> ResourceSpec:
     """Pre-measure listed output qubits in a Pauli basis (+1 branch).
 
-    measurements: list of (output label, Pauli letter). The virtual
-    outcome of each dropped qubit stays reconstructable from the
-    in-coupling Bell outcomes.
+    measurements: list of (output label, Pauli letter); the virtual
+    outcome of output `label` is named `meas[label]`.
     """
-    vms = list(spec.virtual_meas)
-    for label, letter in measurements:
-        if label not in spec.outputs:
-            raise ResourceError(f"{label!r} is not an output of {spec.name}")
-        wire = spec.output_wires[spec.outputs.index(label)]
-        op = PauliString.single(spec.n_wires, wire, letter)
-        vms.append(VirtualMeasurement(f"meas[{label}]", op))
-    return _rebuild(spec, vms, name or f"{spec.name}+premeasured")
+    return premeasure_joint(
+        spec, [({label: letter}, f"meas[{label}]") for label, letter in measurements],
+        name or f"{spec.name}+premeasured",
+    )
 
 
 def premeasure_joint(spec: ResourceSpec,
@@ -290,6 +291,8 @@ def premeasure_joint(spec: ResourceSpec,
     """Pre-measure joint (commuting) Paulis over output qubits (+1 branch).
 
     measurements: list of ({output label: Pauli letter}, virtual name).
+    Each dropped qubit's virtual outcome stays reconstructable from the
+    in-coupling Bell outcomes.
     """
     vms = list(spec.virtual_meas)
     for labels_letters, vm_name in measurements:
@@ -300,59 +303,11 @@ def premeasure_joint(spec: ResourceSpec,
             wire = spec.output_wires[spec.outputs.index(label)]
             op = op * PauliString.single(spec.n_wires, wire, letter)
         vms.append(VirtualMeasurement(vm_name, op))
-    return _rebuild(spec, vms, name or spec.name)
-
-
-def _rebuild(spec: ResourceSpec, vms, name) -> ResourceSpec:
-    out_names = dict(zip(spec.output_wires, spec.outputs))
     return _build_resource(
-        name, spec.circuit, spec.input_wires, spec.ancilla_init, vms,
+        name or spec.name, spec.circuit, spec.input_wires, spec.ancilla_init, vms,
         spec.checks, spec.syndrome, input_labels=spec.inputs,
-        output_labels=out_names, sites=spec.sites,
+        output_labels=dict(zip(spec.output_wires, spec.outputs)), sites=spec.sites,
     )
-
-
-def _carried(*tagged: tuple[str, ResourceSpec]) -> tuple[list, list]:
-    """The checks and syndromes of (tag, resource) pairs, in order, each
-    name renamed `tag/name` like the virtual measurement it reads."""
-    checks = [tuple(f"{tag}/{n}" for n in check) for tag, spec in tagged for check in spec.checks]
-    syndrome = [f"{tag}/{n}" for tag, spec in tagged for n in spec.syndrome]
-    return checks, syndrome
-
-
-def product_spec(left: ResourceSpec, right: ResourceSpec, name: str) -> ResourceSpec:
-    """Side-by-side combination of two resources (no connections)."""
-    wl, wr = left.n_wires, right.n_wires
-    circuit = _tensor_cliffords(left.circuit, right.circuit)
-    lift = wl
-    input_wires = list(left.input_wires) + [w + lift for w in right.input_wires]
-    anc = list(left.ancilla_init) + [(w + lift, l) for w, l in right.ancilla_init]
-    vms = [VirtualMeasurement(f"L/{vm.name}", vm.operator.embed(wl + wr, list(range(wl))))
-           for vm in left.virtual_meas]
-    vms += [VirtualMeasurement(f"R/{vm.name}",
-                               vm.operator.embed(wl + wr, list(range(wl, wl + wr))))
-            for vm in right.virtual_meas]
-    in_labels = [f"L/{l}" for l in left.inputs] + [f"R/{l}" for l in right.inputs]
-    out_names = {w: f"L/{l}" for w, l in zip(left.output_wires, left.outputs)}
-    out_names.update(
-        {w + lift: f"R/{l}" for w, l in zip(right.output_wires, right.outputs)}
-    )
-    sites = [(f"L/{s}", tuple(f"L/{l}" for l in ls)) for s, ls in left.sites]
-    sites += [(f"R/{s}", tuple(f"R/{l}" for l in ls)) for s, ls in right.sites]
-    checks, syndrome = _carried(("L", left), ("R", right))
-    return _build_resource(
-        name, circuit, input_wires, anc, vms, checks, syndrome,
-        input_labels=in_labels, output_labels=out_names, sites=sites,
-    )
-
-
-def _tensor_cliffords(a: CliffordMap, b: CliffordMap) -> CliffordMap:
-    n = a.n + b.n
-    left = list(range(a.n))
-    right = list(range(a.n, n))
-    ix = [p.embed(n, left) for p in a.image_x] + [p.embed(n, right) for p in b.image_x]
-    iz = [p.embed(n, left) for p in a.image_z] + [p.embed(n, right) for p in b.image_z]
-    return CliffordMap(n, tuple(ix), tuple(iz))
 
 
 def merge(r1: ResourceSpec, r2: ResourceSpec,
@@ -362,7 +317,10 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
 
     The internal measurements are absorbed at preparation time (outcome
     fixed to 0), composing the two circuits into one; teleporting through
-    the merged resource equals teleporting through r1 and then r2.
+    the merged resource equals teleporting through r1 and then r2. With
+    no connections the result is the side-by-side product. Labels,
+    virtual measurements, checks, syndrome and sites of each side are
+    carried under the prefix `{r.name}/`.
     """
     for o, i in connections:
         if o not in r1.outputs:
@@ -377,55 +335,44 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
         r2 = replace(r2, name=f"{r2.name}#2")
     w1, w2 = r1.n_wires, r2.n_wires
     w = w1 + w2
-    c1 = _tensor_cliffords(r1.circuit, CliffordMap.identity(w2))
-    c2 = _tensor_cliffords(CliffordMap.identity(w1), r2.circuit)
-    route = CliffordMap.identity(w)
-    connected_out_wires = []
-    connected_in_wires = []
-    for o, i in connections:
-        wo = r1.output_wires[r1.outputs.index(o)]
-        wi = r2.input_wires[r2.inputs.index(i)] + w1
-        route = gate_map(w, "SWAP", wo, wi) @ route
-        connected_out_wires.append(wo)
-        connected_in_wires.append(wi)
-    circuit = c2 @ route @ c1
+    left, right = range(w1), range(w1, w)
+    circuit = r1.circuit.embed(w, left)
+    connected = [(r1.output_wires[r1.outputs.index(o)], r2.input_wires[r2.inputs.index(i)] + w1)
+                 for o, i in connections]
+    for wo, wi in connected:
+        circuit = gate_map(w, "SWAP", wo, wi) @ circuit
+    circuit = r2.circuit.embed(w, right) @ circuit
+    connected_out = {wo for wo, _ in connected}
+    connected_in = {wi for _, wi in connected}
 
-    input_wires = list(r1.input_wires)
-    input_wires += [
-        wi + w1 for wi in r2.input_wires
-        if (wi + w1) not in connected_in_wires
+    input_wires = list(r1.input_wires) + [
+        wi + w1 for wi in r2.input_wires if wi + w1 not in connected_in
     ]
-    in_labels = [f"{r1.name}/{l}" for l in r1.inputs]
-    in_labels += [
-        f"{r2.name}/{l}" for l in r2.inputs
-        if r2.input_wires[r2.inputs.index(l)] + w1 not in connected_in_wires
+    in_labels = [f"{r1.name}/{l}" for l in r1.inputs] + [
+        f"{r2.name}/{l}" for wi, l in zip(r2.input_wires, r2.inputs)
+        if wi + w1 not in connected_in
     ]
-    anc = list(r1.ancilla_init)
-    anc += [(wi + w1, l) for wi, l in r2.ancilla_init]
+    anc = list(r1.ancilla_init) + [(wi + w1, l) for wi, l in r2.ancilla_init]
+    vms = [VirtualMeasurement(f"{r.name}/{vm.name}", vm.operator.embed(w, wires))
+           for r, wires in ((r1, left), (r2, right)) for vm in r.virtual_meas]
     # a connected r2 input wire becomes a |0> feed whose content parks on
     # the matching r1 output wire; pre-measure that wire away
-    vms = [VirtualMeasurement(f"{r1.name}/{vm.name}", vm.operator.embed(w, list(range(w1))))
-           for vm in r1.virtual_meas]
-    vms += [VirtualMeasurement(f"{r2.name}/{vm.name}",
-                               vm.operator.embed(w, list(range(w1, w))))
-            for vm in r2.virtual_meas]
-    for wo, wi in zip(connected_out_wires, connected_in_wires):
+    for wo, wi in connected:
         anc.append((wi, "Z"))
-        vms.append(
-            VirtualMeasurement(f"link[{wo}]", PauliString.single(w, wo, "Z"))
-        )
-
+        vms.append(VirtualMeasurement(f"link[{wo}]", PauliString.single(w, wo, "Z")))
     out_names = {
-        w_: f"{r1.name}/{l}" for w_, l in zip(r1.output_wires, r1.outputs)
-        if w_ not in connected_out_wires
+        wo: f"{r1.name}/{l}" for wo, l in zip(r1.output_wires, r1.outputs)
+        if wo not in connected_out
     }
-    out_names.update(
-        {w_ + w1: f"{r2.name}/{l}" for w_, l in zip(r2.output_wires, r2.outputs)}
-    )
-    checks, syndrome = _carried((r1.name, r1), (r2.name, r2))
+    out_names.update({wo + w1: f"{r2.name}/{l}" for wo, l in zip(r2.output_wires, r2.outputs)})
+    kept = set(in_labels) | set(out_names.values())
+    sites = [(f"{r.name}/{s}", tuple(f"{r.name}/{l}" for l in labels if f"{r.name}/{l}" in kept))
+             for r in (r1, r2) for s, labels in r.sites]
+    checks = [tuple(f"{r.name}/{n}" for n in check) for r in (r1, r2) for check in r.checks]
+    syndrome = [f"{r.name}/{n}" for r in (r1, r2) for n in r.syndrome]
     return _build_resource(
         name or f"merge({r1.name},{r2.name})", circuit, input_wires, anc, vms,
-        checks, syndrome, input_labels=in_labels, output_labels=out_names,
+        checks, syndrome, input_labels=in_labels, output_labels=out_names, sites=sites,
     )
 
 

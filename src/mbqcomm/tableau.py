@@ -373,15 +373,10 @@ def complete_clifford(image_x: dict[int, PauliString],
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Graph with optional per-vertex local-Clifford tags.
-
-    Tags are strings of single-qubit gate names (e.g. "H", "HS") applied
-    left to right to that vertex of the plain graph state.
-    """
+    """Undirected simple graph on vertices 0..n-1."""
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
-    lc_tags: tuple = ()
 
     def __post_init__(self):
         norm = set()
@@ -392,7 +387,6 @@ class GraphSpec:
                 raise ValueError("edge endpoint out of range")
             norm.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "lc_tags", tuple(sorted(self.lc_tags)))
 
     def neighbors(self, v: int) -> list[int]:
         out = []
@@ -402,41 +396,6 @@ class GraphSpec:
             elif b == v:
                 out.append(a)
         return sorted(out)
-
-    def to_text(self) -> str:
-        edge_part = ", ".join(f"{a}-{b}" for a, b in sorted(self.edges))
-        text = f"{self.n}; {edge_part}"
-        if self.lc_tags:
-            tag_part = ",".join(f"{v}={t}" for v, t in self.lc_tags)
-            text += f"; lc: {tag_part}"
-        return text
-
-    @classmethod
-    def from_text(cls, text: str) -> "GraphSpec":
-        parts = [p.strip() for p in text.strip().split(";")]
-        if len(parts) < 2:
-            raise ValueError(f"malformed graph spec {text!r}")
-        n = int(parts[0])
-        edges = set()
-        if parts[1]:
-            for item in parts[1].split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                a, b = item.split("-")
-                edges.add((int(a), int(b)))
-        tags = []
-        if len(parts) > 2 and parts[2]:
-            body = parts[2]
-            if not body.startswith("lc:"):
-                raise ValueError("third section must start with 'lc:'")
-            for item in body[3:].split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                v, t = item.split("=")
-                tags.append((int(v), t.strip()))
-        return cls(n, frozenset(edges), tuple(tags))
 
 
 def ring_graph(n: int) -> GraphSpec:
@@ -448,7 +407,7 @@ def path_graph(n: int) -> GraphSpec:
 
 
 def graph_state(g: GraphSpec) -> StabilizerState:
-    """State stabilized by K_a = X_a prod_{b in N(a)} Z_b, then LC tags."""
+    """State stabilized by K_a = X_a prod_{b in N(a)} Z_b."""
     n = g.n
     stabs = []
     for a in range(n):
@@ -457,25 +416,7 @@ def graph_state(g: GraphSpec) -> StabilizerState:
             row = row * PauliString.single(n, b, "Z")
         stabs.append(row)
     destabs = [PauliString.single(n, a, "Z") for a in range(n)]
-    state = StabilizerState(stabs, destabs)
-    for v, tag in g.lc_tags:
-        for name in _split_tag(tag):
-            state.apply_gate(name, v)
-    return state
-
-
-def _split_tag(tag: str) -> list[str]:
-    names = []
-    i = 0
-    tag = tag.upper()
-    while i < len(tag):
-        if tag[i:i + 3] == "SDG":
-            names.append("SDG")
-            i += 3
-        else:
-            names.append(tag[i])
-            i += 1
-    return names
+    return StabilizerState(stabs, destabs)
 
 
 def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:

@@ -144,6 +144,9 @@ def test_qec_enumerate_errors_rejects_a_code_that_corrects_nothing(capsys):
     (["--csv-out", "x.csv"], "--csv-out"),
     (["--json-out", "x.jsonl"], "--json-out"),
     (["--samples", "5", "--json-out", "x.jsonl"], "--samples and --json-out"),
+    (["--p-resource", "0.5", "--q-channel", "0.3"], "--p-resource and --q-channel"),
+    (["--q-meas", "0.9"], "--q-meas"),
+    (["--q-channel", "1.0"], "--q-channel"),
 ])
 def test_qec_enumerate_errors_rejects_unread_options(extra, named, tmp_path,
                                                      monkeypatch, capsys):
@@ -154,6 +157,72 @@ def test_qec_enumerate_errors_rejects_unread_options(extra, named, tmp_path,
     assert err.startswith(f"error: {named} ")
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["qec", "--samples", "2"],
+    ["purify", "--F", "0.8", "--samples", "20"],
+    ["hashing", "--F", "0.9", "--samples", "2"],
+    ["chain", "--mode", "dense", "--segments", "1"],
+    ["repeater", "--mode", "analytic"],
+])
+@pytest.mark.parametrize("flag", ["--p-resource", "--q-meas", "--q-channel"])
+def test_ideal_with_a_noise_flag_exits_2_naming_it(argv, flag, capsys):
+    rc, out, err = run(argv + ["--ideal", flag, "0.9"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag} does not apply to --ideal")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unset_noise_flags_give_the_record_of_explicit_ones(capsys):
+    records = [run(["qec", "--samples", "2"] + extra, capsys)[1] for extra in (
+        [], ["--ideal"], ["--p-resource", "1", "--q-meas", "1.0", "--q-channel", "1"])]
+    assert records[0] == records[1] == records[2]
+
+
+@pytest.mark.parametrize("extra,named", [
+    (["--mode", "dense", "--samples", "5"], "--samples"),
+    (["--mode", "dense", "--seed", "5"], "--seed"),
+    (["--mode", "analytic", "--samples", "5"], "--samples"),
+    (["--mode", "analytic", "--seed", "5"], "--seed"),
+    (["--mode", "analytic", "--timing", "station"], "--timing"),
+    (["--mode", "analytic", "--timing", "end"], "--timing"),
+    (["--config", "{ini}", "--segments", "4", "--code", "repetition3"],
+     "--segments and --code"),
+    (["--config", "{ini}", "--timing", "end"], "--timing"),
+    (["--config", "{ini}", "--samples", "5"], "--samples"),
+    (["--config", "{ini}", "--p-resource", "0.9"], "--p-resource"),
+    (["--config", "{ini}", "--q-meas", "0.9"], "--q-meas"),
+    (["--config", "{ini}", "--q-channel", "0.9"], "--q-channel"),
+    (["--config", "{ini}", "--ideal"], "--ideal"),
+])
+def test_chain_rejects_options_it_does_not_read(extra, named, tmp_path, capsys):
+    path = tmp_path / "chain.ini"
+    path.write_text("[chain]\nsegments = 1\nsamples = 2\n")
+    argv = ["chain"] + [str(path) if a == "{ini}" else a for a in extra]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {named} ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_chain_defaults_are_the_explicit_values(capsys):
+    base = ["chain", "--mode", "dense", "--q-channel", "0.9"]
+    _rc, implicit, _ = run(base, capsys)
+    _rc, explicit, _ = run(base + ["--segments", "3", "--code", "ring5", "--timing", "end"],
+                           capsys)
+    assert implicit == explicit and json.loads(implicit)["segments"] == 3
+
+
+def test_chain_config_reads_seed_and_mode(tmp_path, capsys):
+    path = tmp_path / "chain.ini"
+    path.write_text("[chain]\nsegments = 1\nsamples = 3\nq_channel = 0.9\n")
+    rc, out, _err = run(["chain", "--config", str(path), "--seed", "4"], capsys)
+    assert rc == 0 and json.loads(out)["mode"] == "trajectory"
+    rc, out, _err = run(["chain", "--config", str(path), "--mode", "analytic"], capsys)
+    assert rc == 0 and json.loads(out)["mode"] == "analytic"
 
 
 def test_negative_rounds_exit_2_naming_rounds(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tests for code specs and the named resource catalog."""
 
+import hashlib
 from dataclasses import replace
 from itertools import product
 
@@ -300,3 +301,95 @@ def test_resource_builds_solve_nothing(monkeypatch):
 def test_every_catalog_resource_tableau_is_valid():
     for spec in catalog_resources([code_by_name(name) for name in CATALOG_CODES]):
         spec.state.validate()
+
+
+def _canonical_text(spec) -> str:
+    """Every observable field of a resource, one line each: the sha256 of
+    this text pins a resource down exactly."""
+    lines = [
+        f"name {spec.name}",
+        f"inputs {' '.join(spec.inputs)}",
+        f"outputs {' '.join(spec.outputs)}",
+        f"input_wires {list(spec.input_wires)}",
+        f"output_wires {list(spec.output_wires)}",
+        f"ancillas {list(spec.ancilla_init)}",
+        *(f"vm {vm.name} {vm.operator}" for vm in spec.virtual_meas),
+        f"checks {list(spec.checks)}",
+        f"syndrome {list(spec.syndrome)}",
+        f"sites {list(spec.sites)}",
+        *(f"stab {g}" for g in spec.state.stabs),
+        *(f"destab {d}" for d in spec.state.destabs),
+        *(f"image_x {p}" for p in spec.circuit.image_x),
+        *(f"image_z {p}" for p in spec.circuit.image_z),
+    ]
+    return "\n".join(lines)
+
+
+_CATALOG_BUILDS = {
+    **{f"epp_recurrence({m},{v})": (lambda m=m, v=v: epp_recurrence(m, v))
+       for m in (1, 2, 3) for v in ("DEJMPS", "BBPSSW")},
+    **{f"repeater_station({m})": (lambda m=m: repeater_station(m)) for m in (1, 2)},
+    **{f"{build.__name__}({name})": (lambda b=build, c=name: b(code_by_name(c)))
+       for name in ("ring5", "repetition3", "repetition3-phase", "repetition5")
+       for build in (code_encode, code_correct, code_decode_syndrome,
+                     code_encode_decode_combined)},
+}
+
+# sha256 of `_canonical_text` per build: a refactor of how resources are
+# merged, pre-measured or embedded must leave every catalog entry as it is
+CATALOG_DIGESTS = {
+    "code_correct(repetition3)":
+        "8e38b55f167aad1c5c01ad0e294dc91d1739ba23090fad54caad8567753f81be",
+    "code_correct(repetition3-phase)":
+        "2b3510cb0339d6d3cf689bf1f4682fa06c9ad80061d8176244fbab518420eb7e",
+    "code_correct(repetition5)":
+        "7f1c161b859ed65ac9f55db64551a462129d8e138314995ef0b6eaaa29ae1e3d",
+    "code_correct(ring5)":
+        "cda41b5d0d41ddd6cf7dd66120bbec0ccee82e8d1e9e75621df0545c3e7af6ed",
+    "code_decode_syndrome(repetition3)":
+        "ddd9254bc5e8eebcc993e764287122d3abbf1ce03a44588cadcb2efed3ddaf1a",
+    "code_decode_syndrome(repetition3-phase)":
+        "0c1a4a238d34f5fb4db975281b3bfe0195de148b12123ea38685675b7346a395",
+    "code_decode_syndrome(repetition5)":
+        "305ba4c07eb0409b1b5b477f5f01eef5cf159ed2d6203df0a58f7ecaf914b12e",
+    "code_decode_syndrome(ring5)":
+        "ed81f8394687dcd7793ec9de2e3fe06466def2ff707b42fd8320b0474ac51ed7",
+    "code_encode(repetition3)":
+        "cdf87bcd022ca863f07421f608bc81b76a9a5044aef2eadb9bb37756714399ad",
+    "code_encode(repetition3-phase)":
+        "31295d71cf70d918fe4f5b6b9de078c033d4b84f9d6218aad249c0dc7f31d5c6",
+    "code_encode(repetition5)":
+        "3b072d9d77a1f97a798e2d840db7c8c4026061440a5e42cd9c997f689a3a2fdd",
+    "code_encode(ring5)":
+        "d7bc1ad724570b66f588103ffcdb9e9b9b71d9b7b1c57379d7cbb8625bd1aa56",
+    "code_encode_decode_combined(repetition3)":
+        "1a2dbb055732affbd3127b0ae179c2269448f8fe41aab327fff68126fb87f85a",
+    "code_encode_decode_combined(repetition3-phase)":
+        "db05ed1b7648cca2d88b09269e62faff6a3eaf3ed91040f1559bbaa197c05148",
+    "code_encode_decode_combined(repetition5)":
+        "73c6e92895d1939c0dda3e80d22ffe755953db73af37a856311242a6f6023e1b",
+    "code_encode_decode_combined(ring5)":
+        "f6caa97132a48135020bccb053e509c225336bd528b2b2618db4c8810b2fe634",
+    "epp_recurrence(1,BBPSSW)":
+        "4d142c747c6cb4b6913401d08ec60c3644a7c7e5af1071694c12d54d06f410ec",
+    "epp_recurrence(1,DEJMPS)":
+        "facdffaff13c7591e420f0442e8706b1517ac3484bfd6c638acc74ae81c26bf6",
+    "epp_recurrence(2,BBPSSW)":
+        "7cb477c0038c17c490cd00d07386c0e168cea5db06613c1d70d2f1c287fa6522",
+    "epp_recurrence(2,DEJMPS)":
+        "ee837042730e9884547cbf129a9a99794cc1b1b34855d11f62b6ee2b9c33a910",
+    "epp_recurrence(3,BBPSSW)":
+        "89ff138e3e94d912c942c16aa6248e9ddccc8624af92d0ce6bdbf6df17b42bc7",
+    "epp_recurrence(3,DEJMPS)":
+        "68481870ac48e6ef93df7cdd34691fd6155ba6f52ffc2a22769b8501c620d3ee",
+    "repeater_station(1)":
+        "0b32e0f7fa274a67f9ad2ee84925f828aac49bedafe4abced3eec16e92476c96",
+    "repeater_station(2)":
+        "14a2c4707b1085f03f2299f23cf324093d4a4d15ced73817f80a744817680fd4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CATALOG_BUILDS))
+def test_catalog_resource_digest_is_frozen(key):
+    text = _canonical_text(_CATALOG_BUILDS[key]())
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[key]

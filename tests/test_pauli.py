@@ -135,6 +135,21 @@ def test_composition_matches_sequential_conjugation():
         assert (c2 @ c1).conjugate(p) == c2.conjugate(c1.conjugate(p))
 
 
+def test_embed_acts_on_its_wires_only():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        k = int(rng.integers(1, 4))
+        n = k + int(rng.integers(0, 3))
+        wires = [int(w) for w in rng.permutation(n)[:k]]
+        rest = [w for w in range(n) if w not in wires]
+        c = random_clifford(k, rng)
+        on, off = random_pauli(k, rng), random_pauli(n - k, rng)
+        big = c.embed(n, wires)
+        assert big.is_valid()
+        p = on.embed(n, wires) * off.embed(n, rest)
+        assert big.conjugate(p) == c.conjugate(on).embed(n, wires) * off.embed(n, rest)
+
+
 def test_inverse():
     rng = np.random.default_rng(19)
     for _ in range(50):

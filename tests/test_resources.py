@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mbqcomm import dense
+from mbqcomm.catalog import code_encode, epp_recurrence
+from mbqcomm.codes import repetition_code
 from mbqcomm.pauli import CliffordMap, PauliString, circuit_map, random_clifford
 from mbqcomm.resources import (
     LabeledRegister,
@@ -251,6 +253,33 @@ def test_merge_associativity_as_channels():
         fl = left.byproduct([BellOutcome.from_index(i)]).frame
         fr = right.byproduct([BellOutcome.from_index(i)]).frame
         assert fl.x == fr.x and fl.z == fr.z
+
+
+def test_merge_without_connections_is_the_product():
+    rng = RNG(6)
+    c1, c2 = random_clifford(2, rng), random_clifford(1, rng)
+    product_ = merge(cj_state(c1, "r1"), cj_state(c2, "r2"), ())
+    assert product_.inputs == ("r1/in0", "r1/in1", "r2/in0")
+    assert product_.outputs == ("r1/out0", "r1/out1", "r2/out0")
+    base = random_host_state(3, rng)
+    want = base.copy()
+    want.apply_clifford(c2.embed(3, [2]) @ c1.embed(3, [0, 1]))
+    for forced in all_outcomes(3):
+        host = LabeledRegister.from_state(base.copy(), ["a", "b", "c"])
+        teleport_in(product_, host, {"r1/in0": "a", "r1/in1": "b", "r2/in0": "c"},
+                    forced=forced, apply_frame=True)
+        assert dense.states_equal_up_to_phase(host.to_dense(), want.to_dense(), 1e-12)
+
+
+def test_merge_carries_sites_without_the_connected_labels():
+    epp = epp_recurrence(1)
+    enc = code_encode(repetition_code(3))
+    joined = merge(epp, enc, [("L/out0", "in")])
+    assert joined.site_sizes() == {"epp_recurrence1/A": 2, "epp_recurrence1/B": 3}
+    labels = set(joined.inputs + joined.outputs)
+    assert all(set(site) <= labels for _name, site in joined.sites)
+    side_by_side = merge(epp, enc, ())
+    assert side_by_side.site_sizes() == {"epp_recurrence1/A": 3, "epp_recurrence1/B": 3}
 
 
 def test_merge_rejects_bad_connections():

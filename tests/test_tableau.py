@@ -102,13 +102,6 @@ def test_graph_state_invariant_under_edge_permutation():
         assert base.same_state(other)
 
 
-def test_graph_spec_text_roundtrip():
-    g = GraphSpec(5, frozenset({(0, 1), (2, 3)}), ((0, "H"), (4, "HS")))
-    assert GraphSpec.from_text(g.to_text()) == g
-    g2 = GraphSpec.from_text("3; 0-1, 1-2")
-    assert g2.edges == frozenset({(0, 1), (1, 2)})
-
-
 def test_graph_spec_rejects_self_loop():
     with pytest.raises(ValueError):
         GraphSpec(2, frozenset({(1, 1)}))
