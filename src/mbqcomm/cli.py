@@ -194,53 +194,73 @@ def cmd_qec(args) -> int:
     return 0
 
 
-def parse_chain_config(path: str) -> tuple[ChainConfig, str]:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+CHAIN_KEYS = ("segments", "code", "samples", "timing", "p_resource", "q_meas", "q_channel")
+STATION_KEYS = ("q_channel",)
+
+
+def _station_index(section: str) -> int:
+    """The segment index of a `[station:<int>]` section name."""
+    kind, _, index = section.partition(":")
+    if kind != "station":
+        raise ValueError(f"config: unknown section [{section}] "
+                         "(sections are [chain] and [station:<int>])")
+    try:
+        return int(index)
+    except ValueError:
+        raise ValueError(f"config: section [{section}] needs an integer station index") from None
+
+
+def parse_chain_config(path: str) -> ChainConfig:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"config {path!r}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
     if "chain" not in parser:
         raise ValueError("config needs a [chain] section")
+    overrides = {}
+    for name in parser.sections():
+        index = None if name == "chain" else _station_index(name)
+        known = CHAIN_KEYS if index is None else STATION_KEYS
+        unknown = [key for key in parser[name] if key not in known]
+        if unknown:
+            raise ValueError(f"config [{name}]: unknown key {unknown[0]!r} "
+                             f"(known: {', '.join(known)})")
+        for key in ("p_resource", "q_meas", "q_channel"):
+            if "%" in parser[name].get(key, ""):
+                raise ValueError(f"config [{name}]: {key!r} takes a probability, "
+                                 "not a percent value")
+        if index is not None:
+            overrides[index] = parser[name].getfloat("q_channel")
     sec = parser["chain"]
-    for key in ("p_resource", "q_meas", "q_channel"):
-        if "%" in sec.get(key, ""):
-            raise ValueError(f"{key}: probabilities only, no percent values")
     noise = NoiseModel(
         sec.getfloat("p_resource", 1.0),
         sec.getfloat("q_meas", 1.0),
         sec.getfloat("q_channel", 1.0),
     )
-    overrides = {}
-    for name in parser.sections():
-        if name.startswith("station:"):
-            idx = int(name.split(":", 1)[1])
-            overrides[idx] = parser[name].getfloat("q_channel")
-    cfg = ChainConfig(
+    return ChainConfig(
         segments=sec.getint("segments", 2),
         noise=noise,
         code=sec.get("code", "ring5"),
-        purify_rounds=sec.getint("rounds", 1),
         samples=sec.getint("samples", 1000),
         correction_timing=sec.get("timing", "end"),
         channel_overrides=overrides,
     )
-    return cfg, sec.get("type", "encoded")
 
 
 def cmd_chain(args) -> int:
     if args.mode != "trajectory":
-        unread = [("--samples", args.samples), ("--seed", args.seed)]
-        context = f"--mode {args.mode} (it is exact)"
-        if args.mode == "analytic":
-            unread.append(("--timing", args.timing))
-            context = "--mode analytic (a closed form: no sampling, no timing)"
-        reject_unread(unread, context)
+        reject_unread((("--samples", args.samples), ("--seed", args.seed),
+                       ("--timing", args.timing)),
+                      f"--mode {args.mode} (it is exact: no sampling, no correction timing)")
     if args.config:
         reject_unread((("--segments", args.segments), ("--code", args.code),
                        ("--timing", args.timing), ("--samples", args.samples),
                        *noise_options(args), ("--ideal", args.ideal or None)),
                       "--config (the INI file sets the chain)")
-        cfg, _kind = parse_chain_config(args.config)
+        cfg = parse_chain_config(args.config)
     else:
         cfg = ChainConfig(
             segments=3 if args.segments is None else args.segments,
@@ -265,13 +285,16 @@ def cmd_chain(args) -> int:
 
 
 def cmd_repeater(args) -> int:
+    if args.mode == "analytic":
+        reject_unread((("--samples", args.samples), ("--seed", args.seed)),
+                      "--mode analytic (it is exact)")
     cfg = ChainConfig(
         segments=args.segments,
         noise=noise_from_args(args),
         purify_rounds=args.rounds,
-        samples=args.samples,
+        samples=10_000 if args.samples is None else args.samples,
     )
-    stats = repeater_chain(cfg, make_rng(args.seed), mode=args.mode)
+    stats = repeater_chain(cfg, make_rng(1 if args.seed is None else args.seed), mode=args.mode)
     payload = {
         "protocol": "repeater",
         "mode": args.mode,
@@ -428,7 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", choices=["end", "station"], default=None,
                    help="defaults to end")
     p.add_argument("--mode", choices=["trajectory", "analytic", "dense"],
-                   default="trajectory")
+                   default="trajectory",
+                   help="trajectory samples the noisy resources shot by shot; dense is "
+                        "the exact composed channel of perfect corrections; analytic is "
+                        "the paper's closed-form bound on it")
     add_noise_args(p)
     add_run_args(p, outputs=False, samples=None, seed=None)
     p.set_defaults(func=cmd_chain)
@@ -438,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--mode", choices=["analytic", "mc"], default="mc")
     add_noise_args(p)
-    add_run_args(p, outputs=False)
+    add_run_args(p, outputs=False, samples=None, seed=None)
     p.set_defaults(func=cmd_repeater)
 
     p = sub.add_parser("threshold", help="closed-form threshold solvers")

@@ -4,6 +4,11 @@ correction stations, and nested measurement-based repeater chains.
 Classical side information flows strictly forward (each station appends
 its syndrome/outcome record and never reads downstream messages); all
 Pauli corrections can be deferred to the final station via the frame.
+
+The encoded chain runs shot by shot on the stabilizer engine
+(trajectory), or exactly: each perfect correction station is one logical
+Pauli channel on the encoded qubit (`CodeSpec.logical_channel`), and the
+chain composes those channels on one half of a Bell pair (dense).
 """
 
 from __future__ import annotations
@@ -13,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dense
-from .belldiag import BellDiagonalState, werner
+from .belldiag import BellDiagonalState, apply_pauli_channel, perfect_pair, werner
 from .catalog import code_by_name, code_correct, code_decode_syndrome, code_encode
 from .codes import CodeSpec, all_single_qubit_errors
-from .noise import NoiseModel
+from .noise import NoiseModel, PauliChannel
 from .pauli import PauliString
 from .protocols import (
     Depolarize,
@@ -129,8 +133,8 @@ def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> Proto
     """Encoded direct transmission with per-segment correction stations.
 
     Modes: "trajectory" runs the noisy resources shot by shot, "dense"
-    evolves the exact branch ensemble of perfect corrections, and
-    "analytic" is the paper's folded-noise bound on that ensemble.
+    composes the exact logical channel of perfect corrections, and
+    "analytic" is the paper's folded-noise bound on that channel.
     `extra` holds the resource counts and, under `report`, the values
     the mode reports beside the fidelity. The trajectory mode shares
     one set of code resources across its shots.
@@ -140,7 +144,7 @@ def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> Proto
     elif mode == "analytic":
         stats = _encoded_chain_analytic(cfg)
     elif mode == "dense":
-        stats = point_stats(encoded_chain_dense(cfg), report={})
+        stats = point_stats(_encoded_chain_dense(cfg), report={})
     else:
         raise ChainError(f"unknown mode {mode!r}")
     stats.extra["resources"] = _resource_counts(cfg)
@@ -211,6 +215,22 @@ def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:
     return folded.p_resource * cfg.noise.p_resource * cfg.channel_for(segment)
 
 
+def _encoded_chain_dense(cfg: ChainConfig) -> float:
+    """Exact delivered fidelity of perfect corrections: each segment's
+    folded depolarizing step, passed through the code's logical channel,
+    acts on one half of a perfect pair. A station's estimate removes the
+    pending frame, so applying corrections at once or at the end gives
+    the same channel. The folding leaves out the noise of encoding and
+    decoding."""
+    code = code_by_name(cfg.code)
+    pair = perfect_pair()
+    for seg in range(cfg.segments):
+        physical = PauliChannel.depolarizing(effective_step_noise(cfg, seg))
+        logical = PauliChannel(tuple(code.logical_channel(physical.weights)))
+        pair = apply_pauli_channel(pair, "B", logical)
+    return pair.fidelity
+
+
 def _encoded_chain_analytic(cfg: ChainConfig) -> ProtocolStats:
     """The paper's closed form: each segment folds all its noise into one
     depolarizing step p~ = p^2 q before a perfect correction, and counts
@@ -231,87 +251,6 @@ def _encoded_chain_analytic(cfg: ChainConfig) -> ProtocolStats:
         "improves_over_physical": improves,
         "direct_fidelity": (3.0 * cfg.noise.q_channel ** cfg.segments + 1.0) / 4.0,
     })
-
-
-# -- dense-channel mode (exact branch ensembles) ------------------------------
-
-
-def _syndrome_projector_branches(code: CodeSpec, dm: dense.DensityMatrix,
-                                 gen_mats: list[np.ndarray]):
-    """Exact syndrome measurement branches on the block qubits.
-
-    Splits one generator at a time so partial projections are shared
-    across the syndrome tree.
-    """
-    out = []
-
-    def split(mat: np.ndarray, bits: tuple[int, ...]):
-        if len(bits) == len(gen_mats):
-            prob = float(np.trace(mat).real)
-            if prob > 1e-14:
-                out.append(
-                    (prob, bits, dense.DensityMatrix(mat / prob, validate=False))
-                )
-            return
-        gm = gen_mats[len(bits)]
-        grho = gm @ mat
-        rhog = mat @ gm
-        grhog = grho @ gm
-        split((mat + grho + rhog + grhog) / 4.0, bits + (0,))
-        split((mat - grho - rhog + grhog) / 4.0, bits + (1,))
-
-    split(dm.mat, ())
-    return out
-
-
-def encoded_chain_dense(cfg: ChainConfig) -> float:
-    """Delivered fidelity by exact branch-ensemble evolution.
-
-    The host is a reference qubit plus the encoded block; each segment
-    applies the folded per-step noise and a perfect syndrome projection
-    (valid by the tested resource channel identities). Corrections are
-    applied per cfg.correction_timing.
-    """
-    code = code_by_name(cfg.code)
-    n = code.n
-    gens = [g.embed(n + 1, list(range(1, n + 1))) for g in code.stabilizers]
-    gens.append(
-        PauliString.single(n + 1, 0, "X")
-        * code.logical_x.embed(n + 1, list(range(1, n + 1)))
-    )
-    gens.append(
-        PauliString.single(n + 1, 0, "Z")
-        * code.logical_z.embed(n + 1, list(range(1, n + 1)))
-    )
-    ideal_vec = StabilizerState.from_generators(gens).to_dense()
-    block = list(range(1, n + 1))
-    gen_mats = [
-        dense.embed_unitary(n + 1, dense.pauli_matrix(g), block)
-        for g in code.stabilizers
-    ]
-    start = dense.DensityMatrix.from_vec(ideal_vec)
-    branches = [(1.0, start, PauliString.identity(n))]
-    for seg in range(cfg.segments):
-        p_tilde = effective_step_noise(cfg, seg)
-        nxt = []
-        for prob, dm, frame in branches:
-            for q in block:
-                dm = dm.depolarize(q, p_tilde)
-            for bprob, raw_bits, bdm in _syndrome_projector_branches(code, dm, gen_mats):
-                est = code.estimate(raw_bits, frame)[1]
-                if cfg.correction_timing == "station":
-                    bdm = bdm.apply_pauli(est.embed(n + 1, block))
-                    new_frame = frame
-                else:
-                    new_frame = (frame * est).unsigned()
-                nxt.append((prob * bprob, bdm, new_frame))
-        branches = nxt
-    fid = 0.0
-    for prob, dm, frame in branches:
-        if cfg.correction_timing == "end" and not frame.is_identity:
-            dm = dm.apply_pauli(frame.embed(n + 1, block))
-        fid += prob * dm.fidelity_with_vec(ideal_vec)
-    return fid
 
 
 # -- repeater chains ----------------------------------------------------------

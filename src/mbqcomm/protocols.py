@@ -76,8 +76,8 @@ def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float,
 class ProtocolStats:
     """Result summary of one protocol run."""
 
-    fidelity: float
-    fidelity_ci: tuple[float, float]
+    fidelity: float | None
+    fidelity_ci: tuple[float, float] | tuple[None, None]
     p_success: float
     p_success_ci: tuple[float, float]
     protocol_yield: float
@@ -87,7 +87,7 @@ class ProtocolStats:
 
     def __post_init__(self):
         for v in (self.fidelity, self.p_success, self.protocol_yield):
-            if not -1e-9 <= v <= 1 + 1e-9:
+            if v is not None and not -1e-9 <= v <= 1 + 1e-9:
                 raise ProtocolError("estimates must lie in [0, 1]")
 
 
@@ -251,12 +251,13 @@ def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
     fidelity = good/kept, yield = kept/consumed and p_success =
     kept * per_output / consumed, with `per_output` elementary pairs
     behind each output pair. The p_success interval takes the
-    consumed // per_output output slots as its trials.
+    consumed // per_output output slots as its trials. With no kept
+    pair the fidelity and its interval are None.
     """
     kept, good, consumed = counts["kept"], counts["good"], counts["consumed"]
     return ProtocolStats(
-        fidelity=good / kept if kept else 0.0,
-        fidelity_ci=wilson_interval(good, kept),
+        fidelity=good / kept if kept else None,
+        fidelity_ci=wilson_interval(good, kept) if kept else (None, None),
         p_success=kept * per_output / consumed,
         p_success_ci=wilson_interval(kept, consumed // per_output),
         protocol_yield=kept / consumed,

@@ -37,6 +37,11 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_config_text(config).encode()).hexdigest()[:16]
 
 
+def _cell(value: float | None) -> str:
+    """A number's CSV cell; a value that does not exist is left empty."""
+    return "" if value is None else repr(value)
+
+
 @dataclass(frozen=True)
 class ResultRecord:
     protocol: str
@@ -44,9 +49,9 @@ class ResultRecord:
     p_resource: float
     q_meas: float
     q_channel: float
-    fidelity: float
-    ci_lo: float
-    ci_hi: float
+    fidelity: float | None
+    ci_lo: float | None
+    ci_hi: float | None
     p_success: float
     protocol_yield: float
     samples: int
@@ -81,9 +86,9 @@ class ResultRecord:
             repr(self.p_resource),
             repr(self.q_meas),
             repr(self.q_channel),
-            repr(self.fidelity),
-            repr(self.ci_lo),
-            repr(self.ci_hi),
+            _cell(self.fidelity),
+            _cell(self.ci_lo),
+            _cell(self.ci_hi),
             repr(self.p_success),
             repr(self.protocol_yield),
             self.samples,

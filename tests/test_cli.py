@@ -1,5 +1,6 @@
 """Tests for command-line input handling and the reported sample count."""
 
+import csv
 import json
 
 import pytest
@@ -196,6 +197,10 @@ def test_unset_noise_flags_give_the_record_of_explicit_ones(capsys):
     (["--config", "{ini}", "--q-meas", "0.9"], "--q-meas"),
     (["--config", "{ini}", "--q-channel", "0.9"], "--q-channel"),
     (["--config", "{ini}", "--ideal"], "--ideal"),
+    (["--mode", "dense", "--timing", "end"], "--timing"),
+    (["--mode", "dense", "--timing", "station"], "--timing"),
+    (["--mode", "dense", "--samples", "5", "--seed", "5", "--timing", "end"],
+     "--samples and --seed and --timing"),
 ])
 def test_chain_rejects_options_it_does_not_read(extra, named, tmp_path, capsys):
     path = tmp_path / "chain.ini"
@@ -209,7 +214,7 @@ def test_chain_rejects_options_it_does_not_read(extra, named, tmp_path, capsys):
 
 
 def test_chain_defaults_are_the_explicit_values(capsys):
-    base = ["chain", "--mode", "dense", "--q-channel", "0.9"]
+    base = ["chain", "--mode", "trajectory", "--samples", "20", "--q-channel", "0.9"]
     _rc, implicit, _ = run(base, capsys)
     _rc, explicit, _ = run(base + ["--segments", "3", "--code", "ring5", "--timing", "end"],
                            capsys)
@@ -225,14 +230,93 @@ def test_chain_config_reads_seed_and_mode(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["mode"] == "analytic"
 
 
-def test_negative_rounds_exit_2_naming_rounds(tmp_path, capsys):
+def test_negative_rounds_exit_2_naming_rounds(capsys):
+    rc, out, err = run(["repeater", "--rounds", "-1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: rounds must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("ini,named", [
+    ("[chain]\nrounds = -1\n", "'rounds'"),
+    ("[chain]\ntype = repeater\n", "'type'"),
+    ("[chain]\nq_chanel = 0.5\n", "'q_chanel'"),
+    ("[chain]\nsegments = 2\n[station:1]\nq_meas = 0.9\n", "'q_meas'"),
+    ("[chain]\nsegments = 2\n[stations:1]\nq_channel = 0.9\n", "[stations:1]"),
+    ("[chain]\nsegments = 2\n[noise]\nq_channel = 0.9\n", "[noise]"),
+    ("[chain]\nsegments = 2\n[station:x]\nq_channel = 0.9\n", "[station:x]"),
+    ("[chain]\nsegments = 1\n[chain]\nsegments = 2\n", "'chain'"),
+    ("[chain]\nq_channel = 50%\n", "'q_channel'"),
+    ("[chain]\nsegments = 2\n[station:1]\nq_channel = 90%\n", "'q_channel'"),
+])
+def test_chain_config_bad_key_or_section_exits_2_naming_it(ini, named, tmp_path, capsys):
     path = tmp_path / "chain.ini"
-    path.write_text("[chain]\nrounds = -1\n")
-    for argv in (["repeater", "--rounds", "-1"], ["chain", "--config", str(path)]):
-        rc, out, err = run(argv, capsys)
-        assert rc == 2
-        assert out == ""
-        assert err == "error: rounds must be at least 0, got -1\n"
+    path.write_text(ini)
+    rc, out, err = run(["chain", "--config", str(path)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: config") and named in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("extra,named", [
+    (["--samples", "5"], "--samples"),
+    (["--seed", "2"], "--seed"),
+    (["--samples", "5", "--seed", "2"], "--samples and --seed"),
+])
+def test_analytic_repeater_rejects_sampling_options(extra, named, capsys):
+    rc, out, err = run(["repeater", "--mode", "analytic"] + extra, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {named} {'do' if ' and ' in named else 'does'} not apply to " \
+                  "--mode analytic (it is exact)\n"
+
+
+def test_repeater_mc_defaults_are_the_explicit_values(capsys):
+    base = ["repeater", "--mode", "mc", "--q-channel", "0.95"]
+    _rc, implicit, _ = run(base, capsys)
+    _rc, explicit, _ = run(base + ["--samples", "10000", "--seed", "1"], capsys)
+    assert implicit == explicit
+
+
+def test_no_kept_pair_reports_null_fidelity(tmp_path, capsys):
+    csv_path = tmp_path / "r.csv"
+    rc, out, _err = run(["purify", "--F", "0.3", "--rounds", "3", "--engine", "mc",
+                         "--samples", "10", "--csv-out", str(csv_path)], capsys)
+    record = json.loads(out)
+    assert rc == 0
+    assert record["p_success"] == 0.0
+    assert (record["fidelity"], record["ci_lo"], record["ci_hi"]) == (None, None, None)
+    with open(csv_path, newline="") as fh:
+        (cells,) = csv.DictReader(fh)
+    assert (cells["fidelity"], cells["ci_lo"], cells["ci_hi"]) == ("", "", "")
+    assert (cells["p_success"], cells["samples"]) == ("0.0", "10")
+
+
+ORACLE_SCOPES = ["golden", "stab-vs-dense", "noise-moving", "channel-identity",
+                 "merge-identity", "determinism"]
+
+
+def test_oracle_check_passes_every_check(capsys):
+    rc, out, _err = run(["oracle-check"], capsys)
+    lines = out.splitlines()
+    assert rc == 0
+    assert len(lines) == len(ORACLE_SCOPES)
+    assert all(line.startswith("[PASS] ") for line in lines)
+
+
+@pytest.mark.parametrize("scope", ORACLE_SCOPES)
+def test_oracle_check_scope_runs_one_check(scope, capsys):
+    rc, out, _err = run(["oracle-check", "--scope", scope], capsys)
+    assert rc == 0
+    assert len(out.splitlines()) == 1 and out.startswith("[PASS] ")
+
+
+def test_oracle_check_unknown_scope_exits_2(capsys):
+    rc, out, err = run(["oracle-check", "--scope", "nope"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: unknown oracle-check scope 'nope'\n"
 
 
 def test_repeater_without_purification_runs(capsys):

@@ -1,18 +1,21 @@
 """Tests of encoded transmission: the syndrome/frame rule shared by the
-stations and the dense chain, frozen chain values, and stabilizer
-trajectories against the exact branch-ensemble (dense) evaluation."""
+stations and the exact chain, frozen chain values, the composed logical
+channel (dense) against a density-matrix branch ensemble, and stabilizer
+trajectories against the dense chain."""
 
 import math
 
+import numpy as np
 import pytest
 
-from mbqcomm.belldiag import apply_pauli_channel, perfect_pair
+from mbqcomm import dense
 from mbqcomm.catalog import code_by_name
-from mbqcomm.codes import all_single_qubit_errors
-from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain, encoded_chain_dense
-from mbqcomm.noise import NoiseModel, PauliChannel
+from mbqcomm.codes import CodeSpec, all_single_qubit_errors
+from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain
+from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.rng import make_rng
+from mbqcomm.tableau import StabilizerState
 
 CHAIN_NOISE = NoiseModel(0.98, 0.99, 0.9)
 
@@ -64,19 +67,102 @@ def test_ring5_analytic_chain_frozen(segments):
     assert abs(encoded_chain(cfg, mode="analytic").fidelity - ANALYTIC_FROZEN[segments]) < 1e-12
 
 
+def _syndrome_projector_branches(code: CodeSpec, dm: dense.DensityMatrix,
+                                 gen_mats: list[np.ndarray]):
+    """Exact syndrome measurement branches on the block qubits.
+
+    Splits one generator at a time so partial projections are shared
+    across the syndrome tree.
+    """
+    out = []
+
+    def split(mat: np.ndarray, bits: tuple[int, ...]):
+        if len(bits) == len(gen_mats):
+            prob = float(np.trace(mat).real)
+            if prob > 1e-14:
+                out.append(
+                    (prob, bits, dense.DensityMatrix(mat / prob, validate=False))
+                )
+            return
+        gm = gen_mats[len(bits)]
+        grho = gm @ mat
+        rhog = mat @ gm
+        grhog = grho @ gm
+        split((mat + grho + rhog + grhog) / 4.0, bits + (0,))
+        split((mat - grho - rhog + grhog) / 4.0, bits + (1,))
+
+    split(dm.mat, ())
+    return out
+
+
+def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
+    """Delivered fidelity by exact branch-ensemble evolution.
+
+    The host is a reference qubit plus the encoded block; each segment
+    applies the folded per-step noise and a perfect syndrome projection
+    (valid by the tested resource channel identities). Corrections are
+    applied per cfg.correction_timing.
+    """
+    code = code_by_name(cfg.code)
+    n = code.n
+    gens = [g.embed(n + 1, list(range(1, n + 1))) for g in code.stabilizers]
+    gens.append(
+        PauliString.single(n + 1, 0, "X")
+        * code.logical_x.embed(n + 1, list(range(1, n + 1)))
+    )
+    gens.append(
+        PauliString.single(n + 1, 0, "Z")
+        * code.logical_z.embed(n + 1, list(range(1, n + 1)))
+    )
+    ideal_vec = StabilizerState.from_generators(gens).to_dense()
+    block = list(range(1, n + 1))
+    gen_mats = [
+        dense.embed_unitary(n + 1, dense.pauli_matrix(g), block)
+        for g in code.stabilizers
+    ]
+    start = dense.DensityMatrix.from_vec(ideal_vec)
+    branches = [(1.0, start, PauliString.identity(n))]
+    for seg in range(cfg.segments):
+        p_tilde = effective_step_noise(cfg, seg)
+        nxt = []
+        for prob, dm, frame in branches:
+            for q in block:
+                dm = dm.depolarize(q, p_tilde)
+            for bprob, raw_bits, bdm in _syndrome_projector_branches(code, dm, gen_mats):
+                est = code.estimate(raw_bits, frame)[1]
+                if cfg.correction_timing == "station":
+                    bdm = bdm.apply_pauli(est.embed(n + 1, block))
+                    new_frame = frame
+                else:
+                    new_frame = (frame * est).unsigned()
+                nxt.append((prob * bprob, bdm, new_frame))
+        branches = nxt
+    fid = 0.0
+    for prob, dm, frame in branches:
+        if cfg.correction_timing == "end" and not frame.is_identity:
+            dm = dm.apply_pauli(frame.embed(n + 1, block))
+        fid += prob * dm.fidelity_with_vec(ideal_vec)
+    return fid
+
+
 @pytest.mark.parametrize("segments", [1, 2, 3])
 @pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase", "repetition5"])
 def test_logical_channel_composes_to_the_dense_chain(name, segments):
-    # one exact logical channel per perfect correction step, composed on
-    # one half of a Bell pair, is the dense branch ensemble
-    code = code_by_name(name)
-    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=name)
-    pair = perfect_pair()
-    for seg in range(segments):
-        physical = PauliChannel.depolarizing(effective_step_noise(cfg, seg))
-        logical = PauliChannel(tuple(code.logical_channel(physical.weights)))
-        pair = apply_pauli_channel(pair, "B", logical)
-    assert abs(pair.fidelity - encoded_chain_dense(cfg)) < 1e-12
+    # the dense chain composes one exact logical channel per perfect
+    # correction step; the density-matrix branch ensemble, at either
+    # correction timing, is its reference
+    exact = encoded_chain(ChainConfig(segments=segments, noise=CHAIN_NOISE, code=name),
+                          mode="dense").fidelity
+    for timing in ("end", "station"):
+        cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=name,
+                          correction_timing=timing)
+        assert abs(exact - _branch_ensemble_fidelity(cfg)) < 1e-12
+
+
+def test_dense_chain_reaches_codes_beyond_the_branch_ensemble():
+    # frozen from the branch-ensemble oracle, too slow to run for this code
+    cfg = ChainConfig(segments=2, noise=NoiseModel(q_channel=0.9), code="repetition7")
+    assert abs(encoded_chain(cfg, mode="dense").fidelity - 0.6141904216222696) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase", "repetition5"])
