@@ -210,6 +210,18 @@ def _station_index(section: str) -> int:
         raise ValueError(f"config: section [{section}] needs an integer station index") from None
 
 
+def _config_number(sec, key: str, kind, default):
+    """`sec[key]` read as `kind` (int or float), `default` when absent."""
+    text = sec.get(key)
+    if text is None:
+        return default
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config [{sec.name}]: {key} must be {what}, got {text!r}") from None
+
+
 def parse_chain_config(path: str) -> ChainConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -233,18 +245,15 @@ def parse_chain_config(path: str) -> ChainConfig:
                 raise ValueError(f"config [{name}]: {key!r} takes a probability, "
                                  "not a percent value")
         if index is not None:
-            overrides[index] = parser[name].getfloat("q_channel")
+            overrides[index] = _config_number(parser[name], "q_channel", float, None)
     sec = parser["chain"]
-    noise = NoiseModel(
-        sec.getfloat("p_resource", 1.0),
-        sec.getfloat("q_meas", 1.0),
-        sec.getfloat("q_channel", 1.0),
-    )
+    noise = NoiseModel(*(_config_number(sec, key, float, 1.0)
+                         for key in ("p_resource", "q_meas", "q_channel")))
     return ChainConfig(
-        segments=sec.getint("segments", 2),
+        segments=_config_number(sec, "segments", int, 2),
         noise=noise,
         code=sec.get("code", "ring5"),
-        samples=sec.getint("samples", 1000),
+        samples=_config_number(sec, "samples", int, 1000),
         correction_timing=sec.get("timing", "end"),
         channel_overrides=overrides,
     )

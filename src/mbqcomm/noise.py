@@ -12,6 +12,7 @@ import numpy as np
 
 from .dense import DensityMatrix, pauli_transfer_matrix
 from .pauli import PauliString
+from .rng import draw_indices
 from .tableau import BellOutcome, StabilizerState
 
 _LETTERS = ("I", "X", "Y", "Z")
@@ -89,7 +90,7 @@ class PauliChannel:
         return dict(zip(_LETTERS, self.weights))
 
     def sample_letter(self, rng) -> str:
-        return _LETTERS[int(rng.choice(4, p=self.weights))]
+        return _LETTERS[draw_indices(rng, self.weights)]
 
     def sample(self, n: int, qubit: int, rng) -> PauliString:
         return PauliString.single(n, qubit, self.sample_letter(rng))

@@ -25,6 +25,12 @@ Carlo). The stage kinds are:
   tree passes; the outputs of a block are pooled for the next stage;
 - `Swap`: entanglement swapping of the pairs of adjacent segments.
 
+The sampler keeps each segment's pool as uint8 Bell indices. Every pool
+and every `Depolarize` draw comes from `rng.draw_indices`, the one
+categorical draw of the package, and a recurrence round reduces a
+(source, target) pair through 16-entry keep and output tables looked up
+by the 4-bit code (src << 2) | tgt.
+
 The sampler returns raw counts: `attempts`, `consumed` (elementary
 pairs drawn over all segments), `kept` and `good` (kept output pairs in
 |phi+>). Counts of shards add, and `stats_from_counts` turns them into
@@ -55,6 +61,7 @@ from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
 from .pauli import PauliString
 from .resources import LabeledRegister, ResourceSpec, teleport_in
+from .rng import draw_indices
 
 
 class ProtocolError(ValueError):
@@ -165,21 +172,22 @@ def evaluate_stages(state: BellDiagonalState, stages) -> tuple[BellDiagonalState
 
 @lru_cache(maxsize=None)
 def _index_tables(variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """(keep[i,j], out_index[i,j]) tables of one recurrence round.
+    """16-entry (keep, out_index) tables of one recurrence round.
 
-    DEJMPS is deterministic at the Bell-index level: each basis input
-    pair either always fails or maps to one output index.
+    Entry (i << 2) | j holds the round on source index i and target
+    index j. DEJMPS is deterministic at the Bell-index level: each basis
+    input pair either always fails or maps to one output index.
     """
     tensor = load_golden_maps()[f"recurrence_{variant.lower()}"]
-    keep = np.zeros((4, 4), dtype=bool)
-    out = np.zeros((4, 4), dtype=np.int64)
+    keep = np.zeros(16, dtype=bool)
+    out = np.zeros(16, dtype=np.uint8)
     for i in range(4):
         for j in range(4):
             col = tensor[:, i, j]
             s = col.sum()
             if s > 1e-12:
-                keep[i, j] = True
-                out[i, j] = int(np.argmax(col))
+                keep[i << 2 | j] = True
+                out[i << 2 | j] = np.argmax(col)
                 if abs(s - col.max()) > 1e-12:
                     raise ProtocolError(
                         f"index sampling needs an index-deterministic map; {variant} is not"
@@ -188,15 +196,23 @@ def _index_tables(variant: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _purify_blocks(pool: np.ndarray, stage: Purify) -> np.ndarray:
-    """Outputs of the blocks of 2^depth consecutive pairs that pass every check."""
+    """Outputs of the blocks of 2^depth consecutive pairs that pass every check.
+
+    Each round pairs the first half of every block (sources) with the
+    second (targets) and reduces them through the 16-entry tables of
+    `_index_tables`, looked up by the 4-bit code (src << 2) | tgt.
+    """
     keep_t, out_t = _index_tables(stage.variant)
     idx = pool[:(pool.size >> stage.depth) << stage.depth].reshape(-1, 1 << stage.depth)
     alive = np.ones(idx.shape[0], dtype=bool)
     for _ in range(stage.depth):
         half = idx.shape[1] // 2
-        src, tgt = idx[:, :half], idx[:, half:]
-        alive &= keep_t[src, tgt].all(axis=1)
-        idx = out_t[src, tgt]
+        code = idx[:, :half] << 2
+        code |= idx[:, half:]
+        for kept in keep_t[code].T:  # column by column: faster than all(axis=1)
+            alive &= kept
+        del kept  # the last column holds the whole lookup; free it before the next
+        idx = out_t[code]
     return idx[alive, 0]
 
 
@@ -205,18 +221,19 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
     """Bell-index Monte Carlo of a stage list; returns raw counts.
 
     Each segment (2^(number of swaps) of them) starts from a pool of
-    attempts * pairs_per_attempt sampled pairs. Survivors of a block are
-    pooled for the next stage; swapping pairs up the pools of adjacent
-    segments, truncated to the shorter one.
+    attempts * pairs_per_attempt Bell indices, held as uint8 and drawn by
+    `draw_indices`; a `Depolarize` stage XORs one more draw into every
+    pool. Survivors of a block are pooled for the next stage; swapping
+    pairs up the pools of adjacent segments, truncated to the shorter one.
     """
     segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
     size = attempts * pairs_per_attempt
-    pools = [rng.choice(4, size=size, p=state.as_array()) for _ in range(segments)]
+    pools = [draw_indices(rng, state.as_array(), size) for _ in range(segments)]
     for stage in stages:
         if isinstance(stage, Depolarize):
             w = stage.index_weights()
             for pool in pools:
-                pool ^= rng.choice(4, size=pool.size, p=w)
+                pool ^= draw_indices(rng, w, pool.size)
         elif isinstance(stage, Purify):
             pools = [_purify_blocks(pool, stage) for pool in pools]
         else:
@@ -318,10 +335,7 @@ def bd_index_of_pair(reg: LabeledRegister, la: str, lb: str) -> int:
 
 def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
     """width x samples i.i.d. letter codes drawn from `weights`, as uint8."""
-    codes = np.empty((width, samples), dtype=np.uint8)
-    for row in codes:
-        row[:] = rng.choice(4, size=samples, p=weights)
-    return codes
+    return draw_indices(rng, weights, width * samples).reshape(width, samples)
 
 
 def purify_frames(spec: ResourceSpec, in_codes: np.ndarray,
@@ -531,7 +545,7 @@ def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
     all_correct = ambiguous_count = 0
     for _ in range(samples):
         rounds = sample_hashing_rounds(n, checks, rng)
-        err = rng.choice(4, size=n, p=weights)
+        err = draw_indices(rng, weights, n)
         x_bits = err >> 1
         z_bits = err & 1
         parities = np.array([_round_parity(r, x_bits, z_bits) for r in rounds])
@@ -540,7 +554,7 @@ def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
         sacrificed = {r.target for r in rounds}
         keep = [j for j in range(n) if j not in sacrificed]
         residual = (err[keep] ^ est[keep])
-        residual = residual ^ rng.choice(4, size=len(keep), p=out_w)
+        residual = residual ^ draw_indices(rng, out_w, len(keep))
         ok = residual == 0
         survivors_total += len(keep)
         correct_total += int(ok.sum())

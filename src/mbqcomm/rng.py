@@ -5,13 +5,26 @@ Stream derivation (stable across versions): the Philox key is the pair
 (master_seed, shard_id * 2^32 + trajectory_id), both reduced modulo
 2^64. Distinct (shard, trajectory) pairs give independent streams; a
 single-shard run is bitwise reproducible from (seed, config, version).
+
+Every categorical draw in the package (Bell indices, Pauli letters) goes
+through `draw_indices`, which reproduces `Generator.choice(k, size, p)`
+draw for draw into a uint8 array: the same normalised cumsum, one
+`random()` double per draw, and the index as the number of cut points
+at or below it (what `searchsorted(side="right")` computes). The doubles
+are drawn in fixed chunks; the bit generator yields the same doubles
+whether asked once or in pieces.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import lru_cache
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 18
+_ATOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's tolerance on sum(p)
 
 
 def seed_derive(master_seed: int, shard_id: int = 0, trajectory_id: int = 0) -> tuple[int, int]:
@@ -28,6 +41,43 @@ def make_rng(master_seed: int, shard_id: int = 0, trajectory_id: int = 0) -> np.
     """Generator for one stream; same inputs always give the same stream."""
     key = seed_derive(master_seed, shard_id, trajectory_id)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+@lru_cache(maxsize=256)
+def _cut_points(weights: tuple) -> tuple[float, ...]:
+    """Inner cut points cdf[:-1] of the normalised cumsum, as choice forms it."""
+    cdf, total = [], 0.0
+    for w in weights:
+        w = float(w)
+        if not w >= 0.0:
+            raise ValueError("probabilities must be non-negative")
+        total += w
+        cdf.append(total)
+    if not abs(total - 1.0) <= _ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    return tuple(c / total for c in cdf[:-1])
+
+
+def draw_indices(rng: np.random.Generator, weights, size: int | None = None):
+    """Indices into `weights`, i.i.d., as `rng.choice(len(weights), size, p=weights)`.
+
+    With `size` None one index is drawn and returned as an int; else a
+    uint8 array of `size` indices (up to 256 categories).
+    """
+    cuts = _cut_points(tuple(weights))
+    if size is None:
+        return bisect_right(cuts, rng.random())
+    out = np.zeros(size, dtype=np.uint8)
+    buf = np.empty(min(size, _CHUNK))
+    hit = np.empty(buf.size, dtype=bool)
+    for start in range(0, size, _CHUNK):
+        n = min(_CHUNK, size - start)
+        u, h, o = buf[:n], hit[:n], out[start:start + n]
+        rng.random(out=u)
+        for c in cuts:
+            np.greater_equal(u, c, out=h)
+            o += h
+    return out
 
 
 def default_shards() -> int:

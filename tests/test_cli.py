@@ -259,6 +259,20 @@ def test_chain_config_bad_key_or_section_exits_2_naming_it(ini, named, tmp_path,
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("ini,message", [
+    ("[chain]\nsegments = x\n", "config [chain]: segments must be an integer, got 'x'"),
+    ("[chain]\nsamples = 1.5\n", "config [chain]: samples must be an integer, got '1.5'"),
+    ("[chain]\np_resource = high\n", "config [chain]: p_resource must be a number, got 'high'"),
+    ("[chain]\nsegments = 2\n[station:0]\nq_channel = abc\n",
+     "config [station:0]: q_channel must be a number, got 'abc'"),
+])
+def test_chain_config_value_of_wrong_type_exits_2_naming_it(ini, message, tmp_path, capsys):
+    path = tmp_path / "chain.ini"
+    path.write_text(ini)
+    rc, out, err = run(["chain", "--config", str(path)], capsys)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("extra,named", [
     (["--samples", "5"], "--samples"),
     (["--seed", "2"], "--seed"),

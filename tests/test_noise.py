@@ -1,5 +1,8 @@
 """Tests for the depolarizing error model, both sampled and exact."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -120,20 +123,44 @@ def test_noisy_bell_measure_fully_depolarized():
     assert all(c > 400 for c in counts.values())
 
 
+class _ScriptedUniforms:
+    """Stands in for a Generator whose `random()` returns scripted doubles."""
+
+    def __init__(self, uniforms):
+        self.left = list(uniforms)
+
+    def random(self):
+        return self.left.pop(0)
+
+
+def _insertion_patterns(p: float, k: int):
+    """(probability, uniforms) of each of the 4^k letter patterns of E(p)
+    on k qubits. Each uniform is the midpoint of its letter's interval of
+    the inverse-cdf draw, so a sampler fed these doubles inserts exactly
+    that pattern."""
+    w = PauliChannel.depolarizing(p).weights
+    edges = np.concatenate([[0.0], np.cumsum(w)])
+    mids = (edges[:-1] + edges[1:]) / 2
+    for letters in itertools.product(range(4), repeat=k):
+        yield math.prod(w[i] for i in letters), [mids[i] for i in letters]
+
+
 def test_noisy_bell_measure_partial_matches_exact_probability():
+    # the sampled insertions weighted over all 4^2 patterns give the exact
+    # outcome probability; each pattern's outcome is deterministic on |phi+>
     q = 0.9
     rho = dense.DensityMatrix.from_vec(_phi_plus_state().to_dense())
     noised = rho.depolarize(0, q).depolarize(1, q)
     exact_p0 = noised.bell_measure(0, 1)[0][0]
-    rng = np.random.default_rng(3)
-    n = 40_000
-    hits = 0
-    for _ in range(n):
-        s = _phi_plus_state()
-        outcome, _ = noisy_bell_measure(s, 0, 1, q, rng)
-        hits += outcome.index == 0
-    sigma = np.sqrt(exact_p0 * (1 - exact_p0) / n)
-    assert abs(hits / n - exact_p0) < 3.5 * sigma
+    total = p0 = 0.0
+    for weight, uniforms in _insertion_patterns(q, 2):
+        rng = _ScriptedUniforms(uniforms)
+        outcome, _ = noisy_bell_measure(_phi_plus_state(), 0, 1, q, rng)
+        assert rng.left == []
+        total += weight
+        p0 += weight * (outcome.index == 0)
+    assert abs(total - 1.0) < 1e-12
+    assert abs(p0 - exact_p0) < 1e-12
 
 
 def _ghz3():
@@ -169,15 +196,14 @@ def test_noisy_resource_fidelity_matches_insertion_average():
                 ins = PauliString.from_string("IXYZ"[a] + "IXYZ"[b] + "IXYZ"[c])
                 v = dense.apply_pauli_vec(ins, ideal)
                 exact += w[a] * w[b] * w[c] * abs(np.vdot(ideal, v)) ** 2
-    rng = np.random.default_rng(5)
-    n = 30_000
-    acc = 0.0
-    for _ in range(n):
+    # the tableau trajectories, weighted over the same 4^3 patterns
+    average = 0.0
+    for weight, uniforms in _insertion_patterns(p, 3):
+        rng = _ScriptedUniforms(uniforms)
         t = noisy_state_trajectory(base, p, rng)
-        amp = abs(np.vdot(ideal, t.to_dense())) ** 2
-        acc += amp
-    sigma = np.sqrt(exact * (1 - exact) / n)
-    assert abs(acc / n - exact) < 4 * sigma
+        assert rng.left == []
+        average += weight * abs(np.vdot(ideal, t.to_dense())) ** 2
+    assert abs(average - exact) < 1e-12
 
 
 def test_move_noise_trivially_holds_for_identity():

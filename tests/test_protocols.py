@@ -5,10 +5,11 @@ and shard merging."""
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mbqcomm.belldiag import werner
-from mbqcomm.netsim import ChainConfig, repeater_chain
+from mbqcomm.netsim import ChainConfig, elementary_pair, repeater_chain, repeater_stages
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.protocols import (
@@ -16,12 +17,14 @@ from mbqcomm.protocols import (
     ProtocolError,
     Purify,
     Swap,
+    noise_stages,
     pairs_per_output,
     purify_recurrence,
+    purify_stages,
     sample_stages,
     stats_from_counts,
 )
-from mbqcomm.rng import make_rng
+from mbqcomm.rng import _CHUNK, draw_indices, make_rng
 from mbqcomm.tableau import StabilizerState
 
 PURIFY_NOISE = NoiseModel(0.97, 0.97, 1.0)
@@ -122,6 +125,60 @@ def test_summed_shard_counts_keep_p_success():
     assert _z(whole.p_success, exact, n >> rounds) < 4
     assert abs(merged.p_success - whole.p_success) < 4 * math.sqrt(
         2 * exact * (1 - exact) / (n >> rounds))
+
+
+# Raw sampler counts at seed 1, taken when the pools were still drawn by
+# `Generator.choice`: a faster sampler must consume the same random stream.
+# merged: the purify-mc bench command (3 rounds, 1M attempts);
+# repeater: the repeater-mc bench command (8 segments, 2 rounds, 2^20 pairs)
+STREAM_COUNTS = {
+    "merged": (1_000_000, 8_000_000, 72_783, 65_576),
+    "stepwise": (1_000_000, 1_000_000, 101_165, 68_080),
+    "repeater": (1 << 20, 8 << 20, 1_284, 1_264),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_COUNTS))
+def test_sampler_counts_pin_the_stream(case):
+    if case == "repeater":
+        dress_in, dress_out = noise_stages(REPEATER_NOISE)
+        stages = repeater_stages(dress_in, 2, 3) + [dress_out]
+        counts = sample_stages(elementary_pair(0.95), stages, 1 << 20, make_rng(1))
+    else:
+        rounds = 3 if case == "merged" else 2
+        per_attempt = 1 << rounds if case == "merged" else 1
+        counts = sample_stages(werner(0.8), purify_stages(rounds, PURIFY_NOISE, case),
+                               1_000_000, make_rng(1), per_attempt)
+    assert tuple(counts[k] for k in ("attempts", "consumed", "kept", "good")) == \
+        STREAM_COUNTS[case]
+
+
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+def test_draw_indices_equals_generator_choice(size):
+    weights = np.array([0.7, 0.1, 0.15, 0.05])
+    ours, ref = make_rng(3), make_rng(3)
+    drawn = draw_indices(ours, weights, size)
+    assert drawn.dtype == np.uint8
+    assert np.array_equal(drawn, ref.choice(4, size=size, p=weights))
+    assert ours.random() == ref.random()  # both streams consumed alike
+
+
+@pytest.mark.parametrize("weights", [(0.7, 0.1, 0.15, 0.05), (1.0, 0.0, 0.0, 0.0),
+                                     (0.0, 0.0, 0.0, 1.0), (0.5, 0.0, 0.5, 0.0)])
+def test_draw_indices_scalar_equals_generator_choice(weights):
+    ours, ref = make_rng(5), make_rng(5)
+    drawn = [draw_indices(ours, weights) for _ in range(2000)]
+    assert all(type(d) is int for d in drawn)
+    assert drawn == [int(ref.choice(4, p=weights)) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5, 0.1, 0.0), (1.2, -0.2, 0.0, 0.0),
+                                     (float("nan"), 0.0, 0.0, 1.0)])
+def test_draw_indices_rejects_what_choice_rejects(weights):
+    for draw in (lambda rng: draw_indices(rng, weights, 10),
+                 lambda rng: rng.choice(4, size=10, p=weights)):
+        with pytest.raises(ValueError):
+            draw(make_rng(1))
 
 
 def test_pairs_per_output_and_consumed():

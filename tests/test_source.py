@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused module-level import, no
 public function or method that nothing refers to, no dataclass field
-that holds a callable (resources and results stay plain data), and no
-branch on an object's name."""
+that holds a callable (resources and results stay plain data), no
+branch on an object's name, and no weighted `choice` draw outside
+`rng.draw_indices`."""
 
 import ast
 from collections import Counter
@@ -139,3 +140,22 @@ def test_detector_finds_a_name_branch():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_branch_on_a_name(path):
     assert name_branches(ast.parse(path.read_text())) == []
+
+
+def weighted_choices(tree: ast.Module) -> list[str]:
+    """Calls of a `.choice` method with a `p=` keyword: every categorical
+    draw goes through `rng.draw_indices`, which reproduces them into uint8."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "choice" and any(k.arg == "p" for k in node.keywords)]
+
+
+def test_detector_finds_a_weighted_choice():
+    tree = ast.parse("a = rng.choice(4, size=n, p=w)\nb = self.rng.choice(4, p=w)\n"
+                     "c = rng.choice(n, size=2, replace=False)\nd = draw_indices(rng, w, n)\n")
+    assert weighted_choices(tree) == ["rng.choice(4, size=n, p=w)", "self.rng.choice(4, p=w)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_weighted_choice(path):
+    assert weighted_choices(ast.parse(path.read_text())) == []
