@@ -13,7 +13,7 @@ import numpy as np
 from .dense import DensityMatrix, pauli_transfer_matrix
 from .pauli import PauliString
 from .rng import draw_indices
-from .tableau import BellOutcome, StabilizerState
+from .tableau import StabilizerState
 
 _LETTERS = ("I", "X", "Y", "Z")
 
@@ -25,6 +25,13 @@ class NoiseParameterError(ValueError):
 def _check_prob(value: float, name: str):
     if not 0.0 <= value <= 1.0:
         raise NoiseParameterError(f"{name} must be in [0, 1], got {value}")
+
+
+def _depolarizing_weights(p: float) -> tuple[float, float, float, float]:
+    """I, X, Y, Z weights of E(p): keep with probability p, else uniform."""
+    _check_prob(p, "p")
+    r = (1.0 - p) / 4.0
+    return (p + r, r, r, r)
 
 
 @dataclass(frozen=True)
@@ -74,9 +81,7 @@ class PauliChannel:
     @classmethod
     def depolarizing(cls, p: float) -> "PauliChannel":
         """White noise: keep with probability p, else uniformly randomize."""
-        _check_prob(p, "p")
-        r = (1.0 - p) / 4.0
-        return cls((p + r, r, r, r))
+        return cls(_depolarizing_weights(p))
 
     @classmethod
     def dephasing(cls, q: float) -> "PauliChannel":
@@ -88,12 +93,6 @@ class PauliChannel:
     @property
     def as_dict(self) -> dict[str, float]:
         return dict(zip(_LETTERS, self.weights))
-
-    def sample_letter(self, rng) -> str:
-        return _LETTERS[draw_indices(rng, self.weights)]
-
-    def sample(self, n: int, qubit: int, rng) -> PauliString:
-        return PauliString.single(n, qubit, self.sample_letter(rng))
 
     def transfer_matrix(self) -> np.ndarray:
         return pauli_transfer_matrix(self.as_dict)
@@ -127,8 +126,12 @@ def _letter_product_table():
 
 
 def depolarize_sample(n: int, qubit: int, p: float, rng) -> PauliString:
-    """Sample one Pauli insertion of the depolarizing channel E(p)."""
-    return PauliChannel.depolarizing(p).sample(n, qubit, rng)
+    """Sample one Pauli insertion of the depolarizing channel E(p).
+
+    One draw from the weights of `PauliChannel.depolarizing(p)`, taken
+    without building the channel.
+    """
+    return PauliString.single(n, qubit, _LETTERS[draw_indices(rng, _depolarizing_weights(p))])
 
 
 def apply_sampled_noise(state: StabilizerState, qubits: list[int], p: float, rng):
@@ -139,29 +142,6 @@ def apply_sampled_noise(state: StabilizerState, qubits: list[int], p: float, rng
         ins = depolarize_sample(state.n, q, p, rng)
         if not ins.is_identity:
             state.apply_pauli(ins)
-
-
-def noisy_bell_measure(state: StabilizerState, a: int, b: int, q: float,
-                       rng) -> tuple[BellOutcome, list[int]]:
-    """Depolarize both measured qubits with parameter q, then Bell-measure."""
-    _check_prob(q, "q")
-    apply_sampled_noise(state, [a, b], q, rng)
-    return state.bell_measure(a, b, rng)
-
-
-def noisy_state_trajectory(state: StabilizerState, p: float, rng) -> StabilizerState:
-    """One sampled noisy copy of a state: E(p) insertion on every particle."""
-    _check_prob(p, "p")
-    out = state.copy()
-    apply_sampled_noise(out, list(range(out.n)), p, rng)
-    return out
-
-
-def compose_noise(p1: float, p2: float) -> float:
-    """E(p1) o E(p2) = E(p1 * p2)."""
-    _check_prob(p1, "p1")
-    _check_prob(p2, "p2")
-    return p1 * p2
 
 
 @dataclass

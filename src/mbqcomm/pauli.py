@@ -8,6 +8,16 @@ of i modulo 4:
 
 With this convention Y = i*X*Z, so the canonical "+Y" has phase 1.
 Clifford maps are stored by the images of the generators X_k, Z_k.
+
+Validation happens once, where a PauliString is built from outside
+input: the public constructor, `single`, `from_string` and `embed`
+reject a negative qubit count, x/z bits outside the register and
+unknown letters, and reduce the phase modulo 4. Every operand of the
+algebra therefore satisfies the invariant: x and z lie inside n bits
+and 0 <= phase < 4. Products, sign changes, restrictions and Clifford
+images of such operands satisfy it too, so they are built by
+`_unchecked`, which skips the checks; the result is equal to, and
+hashes like, the same operator built through the public constructor.
 """
 
 from __future__ import annotations
@@ -22,6 +32,14 @@ _PHASE_STR = {0: "+", 1: "i", 2: "-", 3: "-i"}
 
 class PauliError(ValueError):
     """Raised for malformed Pauli strings or mismatched qubit counts."""
+
+
+def _check_register(n: int, x: int, z: int):
+    """Reject a negative qubit count and x/z bits outside n qubits."""
+    if n < 0:
+        raise PauliError("qubit count must be nonnegative")
+    if (x | z) >> n:
+        raise PauliError("x/z bits outside qubit range")
 
 
 @dataclass(frozen=True)
@@ -44,11 +62,7 @@ class PauliString:
     phase: int = 0
 
     def __post_init__(self):
-        if self.n < 0:
-            raise PauliError("qubit count must be nonnegative")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
-            raise PauliError("x/z bits outside qubit range")
+        _check_register(self.n, self.x, self.z)
         object.__setattr__(self, "phase", self.phase % 4)
 
     # -- constructors -------------------------------------------------
@@ -137,12 +151,8 @@ class PauliString:
             raise PauliError("length mismatch in Pauli product")
         # commuting Z^z1 past X^x2 contributes (-1)^{|z1 & x2|}
         extra = 2 * ((self.z & other.x).bit_count() & 1)
-        return PauliString(
-            self.n,
-            self.x ^ other.x,
-            self.z ^ other.z,
-            (self.phase + other.phase + extra) % 4,
-        )
+        return _unchecked(self.n, self.x ^ other.x, self.z ^ other.z,
+                          (self.phase + other.phase + extra) % 4)
 
     __mul__ = multiply
 
@@ -153,39 +163,53 @@ class PauliString:
         return t % 2 == 0
 
     def negate(self) -> "PauliString":
-        return PauliString(self.n, self.x, self.z, (self.phase + 2) % 4)
+        return _unchecked(self.n, self.x, self.z, (self.phase + 2) % 4)
 
     def with_phase(self, phase: int) -> "PauliString":
-        return PauliString(self.n, self.x, self.z, phase % 4)
+        return _unchecked(self.n, self.x, self.z, phase % 4)
 
     def unsigned(self) -> "PauliString":
         """Same letters with canonical (+) sign."""
-        return PauliString(self.n, self.x, self.z, self.y_count % 4)
+        return _unchecked(self.n, self.x, self.z, self.y_count % 4)
 
     def restrict(self, qubits: Sequence[int]) -> "PauliString":
         """Sub-Pauli on the listed qubits (in the given order), phase dropped."""
+        sx, sz = self.x, self.z
         x = z = 0
         for i, q in enumerate(qubits):
-            x |= self.x_bit(q) << i
-            z |= self.z_bit(q) << i
-        p = PauliString(len(qubits), x, z, 0)
-        return p.unsigned()
+            x |= (sx >> q & 1) << i
+            z |= (sz >> q & 1) << i
+        return _unchecked(len(qubits), x, z, (x & z).bit_count() % 4)
 
     def embed(self, n: int, positions: Sequence[int]) -> "PauliString":
         """Place this Pauli on `positions` of an n-qubit register."""
         if len(positions) != self.n:
             raise PauliError("positions length mismatch")
+        sx, sz = self.x, self.z
         x = z = 0
         for i, q in enumerate(positions):
-            x |= self.x_bit(i) << q
-            z |= self.z_bit(i) << q
-        return PauliString(n, x, z, self.phase)
+            x |= (sx >> i & 1) << q
+            z |= (sz >> i & 1) << q
+        _check_register(n, x, z)
+        return _unchecked(n, x, z, self.phase)
 
     def __str__(self) -> str:
         letters = "".join(self.letter(j) for j in range(self.n))
         return _PHASE_STR[(self.phase - self.y_count) % 4] + letters
 
     __repr__ = __str__
+
+
+def _unchecked(n: int, x: int, z: int, phase: int) -> PauliString:
+    """PauliString from operands that already satisfy the invariant
+    (x, z inside n bits, 0 <= phase < 4); nothing is checked."""
+    p = object.__new__(PauliString)
+    d = p.__dict__
+    d["n"] = n
+    d["x"] = x
+    d["z"] = z
+    d["phase"] = phase
+    return p
 
 
 def multiply(p: PauliString, q: PauliString) -> PauliString:
@@ -226,6 +250,8 @@ class CliffordMap:
     def __post_init__(self):
         if len(self.image_x) != self.n or len(self.image_z) != self.n:
             raise PauliError("image table size mismatch")
+        if any(p.n != self.n for p in self.image_x + self.image_z):
+            raise PauliError("images must act on the map's qubits")
 
     @classmethod
     def identity(cls, n: int) -> "CliffordMap":
@@ -265,14 +291,19 @@ class CliffordMap:
         """Return C p C^dagger."""
         if p.n != self.n:
             raise PauliError("length mismatch in conjugation")
-        acc = PauliString(self.n, phase=p.phase)
-        for k in range(self.n):
-            if p.x_bit(k):
-                acc = acc * self.image_x[k]
-        for k in range(self.n):
-            if p.z_bit(k):
-                acc = acc * self.image_z[k]
-        return acc
+        # the product of the images of p's X bits, then of its Z bits, in
+        # qubit order, accumulated as in `PauliString.multiply`
+        x = z = 0
+        phase = p.phase
+        for images, bits in ((self.image_x, p.x), (self.image_z, p.z)):
+            while bits:
+                low = bits & -bits
+                img = images[low.bit_length() - 1]
+                phase += img.phase + 2 * ((z & img.x).bit_count() & 1)
+                x ^= img.x
+                z ^= img.z
+                bits ^= low
+        return _unchecked(self.n, x, z, phase % 4)
 
     def compose(self, first: "CliffordMap") -> "CliffordMap":
         """Map equal to applying `first`, then self (self o first)."""

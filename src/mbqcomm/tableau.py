@@ -170,17 +170,23 @@ class StabilizerState:
         if not p.is_hermitian:
             raise TableauError("measured operator must be Hermitian")
         n = self.n
-        anti_stabs = [k for k, g in enumerate(self.stabs) if not g.commutes(p)]
+        if p.n != n:
+            raise PauliError("length mismatch in measurement")
+        px, pz = p.x, p.z
+        # rows that anticommute with p: odd symplectic product with (px, pz)
+        anti_stabs = [k for k, g in enumerate(self.stabs)
+                      if (g.x & pz ^ g.z & px).bit_count() & 1]
         if prob_sink is not None:
             prob_sink.append(0.5 if anti_stabs else 1.0)
+        anti_destabs = [k for k, d in enumerate(self.destabs)
+                        if (d.x & pz ^ d.z & px).bit_count() & 1]
         if anti_stabs:
             piv = anti_stabs[0]
             pivot_row = self.stabs[piv]
             for k in anti_stabs[1:]:
                 self.stabs[k] = self.stabs[k] * pivot_row
-            for k in range(n):
-                if not self.destabs[k].commutes(p):
-                    self.destabs[k] = self.destabs[k] * pivot_row
+            for k in anti_destabs:
+                self.destabs[k] = self.destabs[k] * pivot_row
             if force is not None:
                 outcome = 1 if force >= 0 else -1
             else:
@@ -192,9 +198,8 @@ class StabilizerState:
             return outcome
         # deterministic: reconstruct +-P as a product of generators
         acc = PauliString.identity(n)
-        for k in range(n):
-            if not self.destabs[k].commutes(p):
-                acc = acc * self.stabs[k]
+        for k in anti_destabs:
+            acc = acc * self.stabs[k]
         if acc.x != p.x or acc.z != p.z:
             raise TableauError("deterministic reconstruction failed")
         outcome = 1 if acc.phase == p.phase else -1
@@ -295,14 +300,8 @@ def _project_all(gens: list[PauliString], v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _has(p: PauliString, col: tuple[bool, int]) -> bool:
-    """Whether p has the x (col[0] true) or z bit of mask col[1]."""
-    is_x, mask = col
-    return bool((p.x if is_x else p.z) & mask)
-
-
 def _columns(qubits) -> list[tuple[bool, int]]:
-    """The x columns of `qubits`, then their z columns, as `_has` keys."""
+    """The x columns of `qubits`, then their z columns, as (is_x, mask)."""
     qubits = list(qubits)
     return [(True, 1 << q) for q in qubits] + [(False, 1 << q) for q in qubits]
 
@@ -311,24 +310,33 @@ def _eliminate(stabs: list[PauliString], destabs: list[PauliString],
                cols, candidates) -> list[int]:
     """Gauss-Jordan elimination on the stabilizer rows, in place.
 
-    Pivots each column of `cols` in turn on the first candidate row that
-    has it and is no pivot yet, and clears it from every other row. Row
-    operations keep each destabilizer paired with its stabilizer
+    Pivots each column of `cols` in turn on the lowest-numbered candidate
+    row that has it and is no pivot yet, and clears it from every other
+    row. Row operations keep each destabilizer paired with its stabilizer
     (Aaronson and Gottesman, PRA 70, 052328): s_i <- s_i s_j goes with
     d_j <- d_j d_i. Returns the pivot rows in column order; over all
     columns of independent rows these rows are the unique RREF.
     """
     pivots: list[int] = []
-    taken: set[int] = set()
-    for col in cols:
-        row = next((i for i in candidates if i not in taken and _has(stabs[i], col)), None)
-        if row is None:
+    free = set(candidates)
+    for is_x, mask in cols:
+        # a row operation on row i changes row i alone, so the rows that
+        # have the column are found once per column
+        if is_x:
+            has = [i for i, g in enumerate(stabs) if g.x & mask]
+        else:
+            has = [i for i, g in enumerate(stabs) if g.z & mask]
+        for row in has:
+            if row in free:
+                break
+        else:
             continue
         pivots.append(row)
-        taken.add(row)
-        for i in range(len(stabs)):
-            if i != row and _has(stabs[i], col):
-                stabs[i] = stabs[i] * stabs[row]
+        free.discard(row)
+        pivot = stabs[row]
+        for i in has:
+            if i != row:
+                stabs[i] = stabs[i] * pivot
                 destabs[row] = destabs[row] * destabs[i]
     return pivots
 

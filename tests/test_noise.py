@@ -12,14 +12,35 @@ from mbqcomm.noise import (
     NoiseModel,
     NoiseParameterError,
     PauliChannel,
-    compose_noise,
+    apply_sampled_noise,
     depolarize_sample,
     move_noise_across_bell,
-    noisy_bell_measure,
-    noisy_state_trajectory,
 )
 from mbqcomm.pauli import PauliString, random_clifford
-from mbqcomm.tableau import StabilizerState
+from mbqcomm.tableau import BellOutcome, StabilizerState
+
+
+# -- oracle helpers: the sampled noise model on one state, checked below
+# against exact channels
+
+
+def noisy_bell_measure(state: StabilizerState, a: int, b: int, q: float,
+                       rng) -> tuple[BellOutcome, list[int]]:
+    """Depolarize both measured qubits with parameter q, then Bell-measure."""
+    apply_sampled_noise(state, [a, b], q, rng)
+    return state.bell_measure(a, b, rng)
+
+
+def noisy_state_trajectory(state: StabilizerState, p: float, rng) -> StabilizerState:
+    """One sampled noisy copy of a state: E(p) insertion on every particle."""
+    out = state.copy()
+    apply_sampled_noise(out, list(range(out.n)), p, rng)
+    return out
+
+
+def compose_noise(p1: float, p2: float) -> float:
+    """E(p1) o E(p2) = E(p1 * p2)."""
+    return p1 * p2
 
 
 def test_noise_model_validation():
@@ -89,7 +110,7 @@ def test_compose_noise_matches_channel_composition():
     # E(p1) o E(p2) = E(p1 p2) as 4x4 transfer matrices, exactly
     for p1, p2 in [(0.7, 0.6), (1.0, 0.3), (0.0, 0.9), (0.5, 0.5)]:
         lhs = PauliChannel.depolarizing(p1).compose(PauliChannel.depolarizing(p2))
-        rhs = PauliChannel.depolarizing(p1 * p2)
+        rhs = PauliChannel.depolarizing(compose_noise(p1, p2))
         assert np.allclose(lhs.transfer_matrix(), rhs.transfer_matrix(), atol=1e-15)
         assert np.allclose(lhs.weights, rhs.weights, atol=1e-15)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbqcomm import dense
 from mbqcomm.pauli import (
@@ -15,6 +17,7 @@ from mbqcomm.pauli import (
     random_clifford,
     random_pauli,
 )
+from mbqcomm.tableau import StabilizerState
 
 
 def test_single_qubit_products():
@@ -174,3 +177,114 @@ def test_circuit_map_order():
     c = circuit_map(1, [("H", 0), ("S", 0)])
     assert str(c.conjugate(PauliString.from_string("X"))) == "+Z"
     assert str(c.conjugate(PauliString.from_string("Z"))) == "+Y"
+
+
+def test_public_construction_rejects_invalid_operands():
+    with pytest.raises(PauliError):
+        PauliString(-1)
+    for x, z in ((0b100, 0), (0, 0b1000), (-1, 0), (0, -2)):
+        with pytest.raises(PauliError):
+            PauliString(2, x, z)
+    for qubit in (-1, 3):
+        with pytest.raises(PauliError):
+            PauliString.single(3, qubit, "X")
+    p = PauliString.from_string("XZ")
+    for positions in ([0], [0, 1, 2]):
+        with pytest.raises(PauliError):
+            p.embed(3, positions)
+    with pytest.raises(PauliError):
+        p.embed(2, [0, 2])
+    with pytest.raises(PauliError):
+        CliffordMap(1, (PauliString.from_string("XX"),), (PauliString.from_string("Z"),))
+
+
+# -- the unchecked algebra against dense matrices ----------------------
+
+
+def _pauli(data, n: int, label: str) -> PauliString:
+    """Any phased Pauli on n qubits, Hermitian or not."""
+    bits = st.integers(0, (1 << n) - 1)
+    return PauliString(n, data.draw(bits, label=f"{label}.x"),
+                       data.draw(bits, label=f"{label}.z"),
+                       data.draw(st.integers(0, 3), label=f"{label}.phase"))
+
+
+def _clifford(data, n: int, label: str) -> CliffordMap:
+    seed = data.draw(st.integers(0, 2**32 - 1), label=f"{label}.seed")
+    return random_clifford(n, np.random.default_rng(seed))
+
+
+def _unitary(c: CliffordMap) -> np.ndarray:
+    """A dense unitary U with U P U^dagger = c(P), read off the images alone.
+
+    U|0...0> is the joint +1 eigenvector of the Z images, and U|b> is the
+    product of the X images of the set bits of b applied to it.
+    """
+    n = c.n
+    v0 = StabilizerState(list(c.image_z), list(c.image_x)).to_dense()
+    cols = []
+    for b in range(1 << n):
+        v = v0
+        for k in range(n):
+            if (b >> (n - 1 - k)) & 1:  # qubit 0 is the leading tensor factor
+                v = dense.pauli_matrix(c.image_x[k]) @ v
+        cols.append(v)
+    u = np.column_stack(cols)
+    assert np.allclose(u.conj().T @ u, np.eye(1 << n), atol=1e-12)
+    return u
+
+
+def _assert_public(p: PauliString):
+    """p is equal to, and hashes like, the public construction of its fields."""
+    assert 0 <= p.phase < 4 and not (p.x | p.z) >> p.n
+    q = PauliString(p.n, p.x, p.z, p.phase)
+    assert p == q and hash(p) == hash(q)
+
+
+def _assert_public_map(c: CliffordMap):
+    for p in c.image_x + c.image_z:
+        _assert_public(p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_unchecked_algebra_matches_dense_matrices(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    p, q = _pauli(data, n, "p"), _pauli(data, n, "q")
+    mp = dense.pauli_matrix(p)
+
+    pq = p.multiply(q)
+    _assert_public(pq)
+    assert np.allclose(dense.pauli_matrix(pq), mp @ dense.pauli_matrix(q), atol=1e-12)
+    for r in (p.negate(), p.unsigned(), p.with_phase(p.phase + 5)):
+        _assert_public(r)
+    assert np.allclose(dense.pauli_matrix(p.negate()), -mp, atol=1e-12)
+
+    c1, c2 = _clifford(data, n, "c1"), _clifford(data, n, "c2")
+    u1, u2 = _unitary(c1), _unitary(c2)
+    image = c1.conjugate(p)
+    _assert_public(image)
+    assert np.allclose(dense.pauli_matrix(image), u1 @ mp @ u1.conj().T, atol=1e-12)
+    both = c2.compose(c1)
+    _assert_public_map(both)
+    u21 = u2 @ u1
+    assert np.allclose(dense.pauli_matrix(both.conjugate(p)), u21 @ mp @ u21.conj().T,
+                       atol=1e-12)
+    inv = c1.inverse()
+    _assert_public_map(inv)
+    assert np.allclose(dense.pauli_matrix(inv.conjugate(p)), u1.conj().T @ mp @ u1,
+                       atol=1e-12)
+
+    qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                unique=True), label="qubits")
+    sub = p.restrict(qubits)
+    _assert_public(sub)
+    letters = dense.kron_all(*(dense.PAULI_MATS[p.letter(j)] for j in qubits))
+    assert np.allclose(dense.pauli_matrix(sub), letters, atol=1e-12)
+
+    big = data.draw(st.integers(n, 6), label="register")
+    positions = data.draw(st.permutations(range(big)), label="positions")[:n]
+    placed = p.embed(big, positions)
+    _assert_public(placed)
+    assert np.allclose(dense.pauli_matrix(placed),
+                       dense.embed_unitary(big, mp, positions), atol=1e-12)

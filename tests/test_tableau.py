@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbqcomm import dense
-from mbqcomm.pauli import PauliString, random_clifford, random_pauli
+from mbqcomm.pauli import PauliError, PauliString, random_clifford, random_pauli
 from mbqcomm.tableau import (
     BellOutcome,
     GraphSpec,
@@ -142,6 +142,13 @@ def test_forced_impossible_projection_raises():
     s = StabilizerState.zero_state(1)
     with pytest.raises(InconsistentProjection):
         s.measure(PauliString.from_string("Z"), force=-1)
+
+
+def test_measuring_a_pauli_of_another_length_raises():
+    s = StabilizerState.zero_state(2)
+    for text in ("Z", "XXX"):
+        with pytest.raises(PauliError):
+            s.measure(PauliString.from_string(text))
 
 
 def test_tableau_invariants_after_random_measurements():
