@@ -26,7 +26,6 @@ from .noise import PauliChannel
 BD_SIGMA_ORDER = (0, 3, 1, 2)  # sigma index (I,X,Y,Z numbering) per bd index
 BD_LETTERS = ("I", "Z", "X", "Y")
 
-GOLDEN_VERSION = 1
 _MAP_NAMES = ("swap", "recurrence_bbpssw", "recurrence_dejmps")
 
 _golden_cache: dict[str, np.ndarray] | None = None
@@ -64,11 +63,6 @@ class BellDiagonalState:
         )
         return dense.DensityMatrix(mat)
 
-    def twirl_werner(self) -> "BellDiagonalState":
-        c = self.as_array()
-        r = (1.0 - c[0]) / 3.0
-        return BellDiagonalState((c[0], r, r, r))
-
 
 def perfect_pair() -> BellDiagonalState:
     return BellDiagonalState((1.0, 0.0, 0.0, 0.0))
@@ -79,11 +73,6 @@ def werner(fidelity: float) -> BellDiagonalState:
         raise BellDiagonalError("fidelity must be in [0, 1]")
     r = (1.0 - fidelity) / 3.0
     return BellDiagonalState((fidelity, r, r, r))
-
-
-def fidelity_from_noise(p: float) -> float:
-    """Fidelity of E_a(p)|phi+>: the map p -> F = (3p + 1)/4."""
-    return (3.0 * p + 1.0) / 4.0
 
 
 def apply_pauli_channel(state: BellDiagonalState, side: str,
@@ -107,11 +96,6 @@ def apply_depolarizing(state: BellDiagonalState, side: str, p: float) -> BellDia
 def shannon_entropy(state: BellDiagonalState) -> float:
     """Shannon entropy (bits) of the coefficient vector."""
     return -sum(c * math.log2(c) for c in state.coeffs if c > 0.0)
-
-
-def entropy_yield(state: BellDiagonalState) -> float:
-    """Asymptotic hashing yield 1 - S(c), clamped at 0."""
-    return max(0.0, 1.0 - shannon_entropy(state))
 
 
 # -- golden coefficient maps ---------------------------------------------
@@ -202,26 +186,6 @@ def generate_golden_maps() -> dict[str, np.ndarray]:
     # BBPSSW = output twirl o plain circuit o (input twirl (x) input twirl)
     bbpssw = np.einsum("kl,lab,ai,bj->kij", t, plain, t, t)
     return {"swap": swap, "recurrence_bbpssw": bbpssw, "recurrence_dejmps": dejmps}
-
-
-def golden_maps_to_text(maps: dict[str, np.ndarray]) -> str:
-    lines = [f"# mbqcomm golden coefficient maps, version {GOLDEN_VERSION}",
-             "# entries: out_index in_index1 in_index2 value (exact fraction)"]
-    for name in _MAP_NAMES:
-        tensor = maps[name]
-        lines.append(f"map {name}")
-        for k in range(4):
-            for i in range(4):
-                for j in range(4):
-                    val = tensor[k, i, j]
-                    frac = Fraction(val).limit_denominator(1_000_000)
-                    if abs(float(frac) - val) > 1e-12:
-                        raise BellDiagonalError(
-                            f"golden entry {name}[{k},{i},{j}] is not a small rational"
-                        )
-                    if frac != 0:
-                        lines.append(f"{k} {i} {j} {frac.numerator}/{frac.denominator}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_golden_text(text: str) -> dict[str, np.ndarray]:

@@ -136,7 +136,8 @@ def depolarize_sample(n: int, qubit: int, p: float, rng) -> PauliString:
 
 def apply_sampled_noise(state: StabilizerState, qubits: list[int], p: float, rng):
     """Insert i.i.d. depolarizing-sampled Paulis on the listed qubits."""
-    if p >= 1.0:
+    _check_prob(p, "p")
+    if p == 1.0:
         return
     for q in qubits:
         ins = depolarize_sample(state.n, q, p, rng)

@@ -27,9 +27,10 @@ Carlo). The stage kinds are:
 
 The sampler keeps each segment's pool as uint8 Bell indices. Every pool
 and every `Depolarize` draw comes from `rng.draw_indices`, the one
-categorical draw of the package, and a recurrence round reduces a
-(source, target) pair through 16-entry keep and output tables looked up
-by the 4-bit code (src << 2) | tgt.
+categorical draw of the package. A recurrence round reduces a (source,
+target) pair through 16-entry keep and output tables looked up by the
+4-bit code (src << 2) | tgt; the sampler looks up up to 3 such rounds
+at once, in a table over the packed leaves of a block.
 
 The sampler returns raw counts: `attempts`, `consumed` (elementary
 pairs drawn over all segments), `kept` and `good` (kept output pairs in
@@ -195,25 +196,97 @@ def _index_tables(variant: str) -> tuple[np.ndarray, np.ndarray]:
     return keep, out
 
 
+_CHUNK = 1 << 18  # pairs per pass of the sampler; its temporaries stay this size
+_FAILED = 4  # tree-table entry of a block in which a check fails
+# Per tree depth d <= 3: the little-endian word that holds a block's 2^d
+# uint8 leaves, and the (shift, mask) steps that gather its 2-bit leaves
+# into the low bits in bit-reversed order (0, 4, 2, 6, 1, 5, 3, 7 at d = 3).
+_PACKING = {
+    0: ("<i1", ()),
+    1: ("<i2", ((6, 0xF),)),
+    2: ("<i4", ((14, 0x0F0F), (4, 0xFF))),
+    3: ("<i8", ((30, 0x0F0F0F0F), (12, 0xFFFF))),
+}
+
+
+@lru_cache(maxsize=None)
+def _tree_table(variant: str, depth: int) -> np.ndarray:
+    """Output Bell index of a block of `depth` <= 3 rounds, or 4 if a check fails.
+
+    Indexed by the block's leaves packed as `_pack_leaves` packs them.
+    In bit-reversed order the last round's source subtree holds the low
+    half of the code and its target subtree the high half, so each depth
+    is one round of `_index_tables` over two lookups of the depth below.
+    """
+    if depth == 0:
+        return np.arange(4, dtype=np.uint8)
+    keep_t, out_t = _index_tables(variant)
+    round_t = np.full((5, 5), _FAILED, dtype=np.uint8)  # [source, target]
+    round_t[:4, :4] = np.where(keep_t, out_t, _FAILED).reshape(4, 4)
+    sub = _tree_table(variant, depth - 1)
+    return round_t[sub[None, :], sub[:, None]].ravel()
+
+
+def _pack_leaves(leaves: np.ndarray) -> np.ndarray:
+    """Tree-table codes of the last axis of a C-contiguous uint8 array of leaves."""
+    word_type, steps = _PACKING[leaves.shape[-1].bit_length() - 1]
+    word = leaves.view(word_type)[..., 0]
+    for shift, mask in steps:
+        word = word | word >> shift
+        word &= mask
+    return word
+
+
+def _purify_rows(idx: np.ndarray, variant: str) -> np.ndarray:
+    """Outputs of the rows of `idx`, one block each, that pass every check.
+
+    Up to 3 rounds are one `_tree_table` lookup. A deeper block takes 3
+    rounds at a time: leaf k of intermediate output j sits in column
+    k * width/8 + j. A failed entry (4) is carried as it is: it garbles
+    only its own row's next code, which the masks keep inside the table,
+    and that row is dropped at the end.
+    """
+    failed = np.zeros(idx.shape[0], dtype=np.uint8)
+    while True:
+        depth = min(3, idx.shape[1].bit_length() - 1)
+        rest = idx.shape[1] >> depth
+        leaves = np.ascontiguousarray(idx.reshape(-1, 1 << depth, rest).transpose(0, 2, 1))
+        out = _tree_table(variant, depth)[_pack_leaves(leaves)]
+        if rest == 1:
+            out = out[:, 0] | failed
+            return out[out < _FAILED]
+        failed |= np.bitwise_or.reduce(out, axis=1) & _FAILED
+        idx = out
+
+
 def _purify_blocks(pool: np.ndarray, stage: Purify) -> np.ndarray:
     """Outputs of the blocks of 2^depth consecutive pairs that pass every check.
 
     Each round pairs the first half of every block (sources) with the
     second (targets) and reduces them through the 16-entry tables of
-    `_index_tables`, looked up by the 4-bit code (src << 2) | tgt.
+    `_index_tables`; `_tree_table` holds up to 3 such rounds at once, so
+    a block costs one lookup per 3 rounds. The blocks go through in
+    chunks of about 2^18 pairs and the survivors are concatenated, so
+    the temporaries do not grow with the pool.
     """
-    keep_t, out_t = _index_tables(stage.variant)
-    idx = pool[:(pool.size >> stage.depth) << stage.depth].reshape(-1, 1 << stage.depth)
-    alive = np.ones(idx.shape[0], dtype=bool)
-    for _ in range(stage.depth):
-        half = idx.shape[1] // 2
-        code = idx[:, :half] << 2
-        code |= idx[:, half:]
-        for kept in keep_t[code].T:  # column by column: faster than all(axis=1)
-            alive &= kept
-        del kept  # the last column holds the whole lookup; free it before the next
-        idx = out_t[code]
-    return idx[alive, 0]
+    width = 1 << stage.depth
+    blocks = pool[:pool.size - pool.size % width].reshape(-1, width)
+    rows = max(1, _CHUNK >> stage.depth)
+    kept = [_purify_rows(blocks[r:r + rows], stage.variant)
+            for r in range(0, blocks.shape[0], rows)]
+    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.uint8)
+
+
+def _xor_draws(pool: np.ndarray, weights, rng) -> None:
+    """pool ^= draw_indices(rng, weights, pool.size), one chunk at a time.
+
+    The doubles are drawn in the same order as by one call, so the
+    stream and the result are those of the one-shot XOR, without a
+    second pool-sized array.
+    """
+    for start in range(0, pool.size, _CHUNK):
+        chunk = pool[start:start + _CHUNK]
+        chunk ^= draw_indices(rng, weights, chunk.size)
 
 
 def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
@@ -223,8 +296,15 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
     Each segment (2^(number of swaps) of them) starts from a pool of
     attempts * pairs_per_attempt Bell indices, held as uint8 and drawn by
     `draw_indices`; a `Depolarize` stage XORs one more draw into every
-    pool. Survivors of a block are pooled for the next stage; swapping
-    pairs up the pools of adjacent segments, truncated to the shorter one.
+    pool, chunk by chunk. A `Purify` stage reduces every block through
+    one tree-table lookup per 3 rounds (`_purify_blocks`), chunk by chunk.
+    Survivors of a block are pooled for the next stage; swapping pairs up
+    the pools of adjacent segments, truncated to the shorter one.
+
+    The random stream is a function of the stage list and the pool sizes
+    only: every pool, then every `Depolarize` draw in stage order, one
+    double per pair, whatever the chunking. The counts at a seed are
+    pinned by the tests.
     """
     segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
     size = attempts * pairs_per_attempt
@@ -233,7 +313,7 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
         if isinstance(stage, Depolarize):
             w = stage.index_weights()
             for pool in pools:
-                pool ^= draw_indices(rng, w, pool.size)
+                _xor_draws(pool, w, rng)
         elif isinstance(stage, Purify):
             pools = [_purify_blocks(pool, stage) for pool in pools]
         else:

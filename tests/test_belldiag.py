@@ -1,5 +1,7 @@
 """Tests for Bell-diagonal analytics and the golden coefficient maps."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,7 @@ from mbqcomm.belldiag import (
     BellDiagonalError,
     BellDiagonalState,
     apply_depolarizing,
-    entropy_yield,
-    fidelity_from_noise,
     generate_golden_maps,
-    golden_maps_to_text,
     load_golden_maps,
     parse_golden_text,
     perfect_pair,
@@ -22,6 +21,46 @@ from mbqcomm.belldiag import (
     werner,
 )
 from mbqcomm.noise import PauliChannel
+
+# -- oracle helpers: closed forms and the golden-file writer, checked below
+
+
+def fidelity_from_noise(p: float) -> float:
+    """Fidelity of E_a(p)|phi+>: the map p -> F = (3p + 1)/4."""
+    return (3.0 * p + 1.0) / 4.0
+
+
+def entropy_yield(state: BellDiagonalState) -> float:
+    """Asymptotic hashing yield 1 - S(c), clamped at 0."""
+    return max(0.0, 1.0 - shannon_entropy(state))
+
+
+def twirl_werner(state: BellDiagonalState) -> BellDiagonalState:
+    """The Werner state of the same fidelity."""
+    c = state.as_array()
+    r = (1.0 - c[0]) / 3.0
+    return BellDiagonalState((c[0], r, r, r))
+
+
+def golden_maps_to_text(maps: dict[str, np.ndarray]) -> str:
+    """The golden-file text of coefficient maps, as `parse_golden_text` reads it."""
+    lines = ["# mbqcomm golden coefficient maps, version 1",
+             "# entries: out_index in_index1 in_index2 value (exact fraction)"]
+    for name, tensor in maps.items():
+        lines.append(f"map {name}")
+        for k in range(4):
+            for i in range(4):
+                for j in range(4):
+                    val = tensor[k, i, j]
+                    frac = Fraction(val).limit_denominator(1_000_000)
+                    if abs(float(frac) - val) > 1e-12:
+                        raise BellDiagonalError(
+                            f"golden entry {name}[{k},{i},{j}] is not a small rational"
+                        )
+                    if frac != 0:
+                        lines.append(f"{k} {i} {j} {frac.numerator}/{frac.denominator}")
+    return "\n".join(lines) + "\n"
+
 
 
 def test_werner_basics():
@@ -163,8 +202,8 @@ def _dense_recurrence_reference(rho1, rho2, variant):
     mat = np.kron(rho1.to_dense().mat, rho2.to_dense().mat)
     dm = dense.DensityMatrix(mat)
     if variant == "BBPSSW":
-        t1 = rho1.twirl_werner()
-        t2 = rho2.twirl_werner()
+        t1 = twirl_werner(rho1)
+        t2 = twirl_werner(rho2)
         dm = dense.DensityMatrix(np.kron(t1.to_dense().mat, t2.to_dense().mat))
     else:
         minus = (dense.I2 - 1j * dense.X) / np.sqrt(2)

@@ -71,6 +71,21 @@ def test_depolarize_sample_edge_cases():
         assert 800 < c < 1200
 
 
+def test_apply_sampled_noise_rejects_p_above_one():
+    state = StabilizerState.bell_pair()
+    with pytest.raises(NoiseParameterError):
+        apply_sampled_noise(state, [0, 1], 1.5, np.random.default_rng(0))
+    with pytest.raises(NoiseParameterError):
+        depolarize_sample(2, 0, 1.5, np.random.default_rng(0))
+
+
+def test_apply_sampled_noise_at_p_one_inserts_nothing_and_draws_nothing():
+    state, rng = StabilizerState.bell_pair(), np.random.default_rng(4)
+    apply_sampled_noise(state, [0, 1], 1.0, rng)
+    assert state.same_state(StabilizerState.bell_pair())
+    assert rng.random() == np.random.default_rng(4).random()
+
+
 def test_depolarize_weights():
     ch = PauliChannel.depolarizing(0.8)
     assert np.allclose(ch.weights, (0.85, 0.05, 0.05, 0.05))

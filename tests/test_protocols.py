@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mbqcomm import protocols
 from mbqcomm.belldiag import werner
 from mbqcomm.netsim import ChainConfig, elementary_pair, repeater_chain, repeater_stages
 from mbqcomm.noise import NoiseModel
@@ -17,6 +18,10 @@ from mbqcomm.protocols import (
     ProtocolError,
     Purify,
     Swap,
+    _pack_leaves,
+    _purify_blocks,
+    _tree_table,
+    _xor_draws,
     noise_stages,
     pairs_per_output,
     purify_recurrence,
@@ -24,6 +29,7 @@ from mbqcomm.protocols import (
     sample_stages,
     stats_from_counts,
 )
+from mbqcomm.protocols import _CHUNK as PAIR_CHUNK
 from mbqcomm.rng import _CHUNK, draw_indices, make_rng
 from mbqcomm.tableau import StabilizerState
 
@@ -151,6 +157,80 @@ def test_sampler_counts_pin_the_stream(case):
                                1_000_000, make_rng(1), per_attempt)
     assert tuple(counts[k] for k in ("attempts", "consumed", "kept", "good")) == \
         STREAM_COUNTS[case]
+
+
+# -- oracle: the recurrence rounds of a block, applied one at a time
+
+# DEJMPS's round is symmetric in (source, target); this made-up round is
+# not, so it tells the source half of a block from the target half.
+MADE_UP_ROUND = (np.random.default_rng(11).random(16) < 0.8,
+                 np.random.default_rng(12).integers(0, 4, 16).astype(np.uint8))
+
+
+@pytest.fixture(params=["DEJMPS", "made-up"])
+def variant(request, monkeypatch):
+    if request.param == "made-up":
+        real = protocols._index_tables
+        monkeypatch.setattr(protocols, "_index_tables",
+                            lambda v: MADE_UP_ROUND if v == "made-up" else real(v))
+        request.addfinalizer(protocols._tree_table.cache_clear)
+    return request.param
+
+
+def per_round_outputs(blocks: np.ndarray, variant: str) -> np.ndarray:
+    """Output index of each row of leaves, or 4 where a check in its tree fails."""
+    keep_t, out_t = protocols._index_tables(variant)
+    idx, alive = blocks, np.ones(blocks.shape[0], dtype=bool)
+    while idx.shape[1] > 1:
+        half = idx.shape[1] // 2
+        code = idx[:, :half] << 2 | idx[:, half:]
+        alive &= keep_t[code].all(axis=1)
+        idx = out_t[code]
+    return np.where(alive, idx[:, 0], 4).astype(np.uint8)
+
+
+def per_round_blocks(pool: np.ndarray, depth: int, variant: str) -> np.ndarray:
+    """Outputs of the blocks of 2^depth consecutive pairs that pass every check."""
+    blocks = pool[:pool.size >> depth << depth].reshape(-1, 1 << depth)
+    out = per_round_outputs(blocks, variant)
+    return out[out < 4]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_tree_table_equals_per_round_oracle_on_every_leaf_code(depth, variant):
+    n = 1 << depth
+    codes = np.arange(4 ** n)
+    leaves = np.stack([codes >> 2 * k & 3 for k in range(n)], axis=1).astype(np.uint8)
+    packed = _pack_leaves(leaves)
+    assert np.array_equal(np.sort(packed), codes)  # every table entry is reached
+    assert np.array_equal(_tree_table(variant, depth)[packed],
+                          per_round_outputs(leaves, variant))
+
+
+@pytest.mark.parametrize("fidelity", [0.7, 0.97])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5, 6])
+def test_purify_blocks_equals_per_round_oracle(depth, fidelity, variant):
+    block = 1 << depth
+    sizes = [0, block - 1, 5 * block + block // 2, PAIR_CHUNK - block, PAIR_CHUNK,
+             PAIR_CHUNK + block, 2 * PAIR_CHUNK + 3 * block + 1]
+    weights = werner(fidelity).as_array()
+    for size in sizes:
+        pool = draw_indices(make_rng(depth, size), weights, size)
+        got = _purify_blocks(pool, Purify(depth, variant))
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, per_round_blocks(pool, depth, variant)), size
+
+
+@pytest.mark.parametrize("size", [0, 1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1,
+                                  2 * PAIR_CHUNK + 5])
+def test_chunked_xor_equals_one_shot_xor(size):
+    weights = Depolarize(0.9).index_weights()
+    pool = draw_indices(make_rng(2), werner(0.8).as_array(), size)
+    ours, ref = make_rng(9), make_rng(9)
+    expected = pool ^ draw_indices(ref, weights, size)
+    _xor_draws(pool, weights, ours)
+    assert np.array_equal(pool, expected)
+    assert ours.random() == ref.random()  # both streams consumed alike
 
 
 @pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
