@@ -100,7 +100,7 @@ def code_decode_syndrome(code: CodeSpec) -> ResourceSpec:
     The ancilla outputs of the inverse encoder are pre-measured in Z;
     their virtual outcomes are exactly the code syndrome.
     """
-    dec = code.encoder.inverse()
+    dec = code.decoder
     out_names = {0: "out"}
     out_names.update({w: f"anc{w}" for w in range(1, code.n)})
     spec = cj_state(
@@ -131,7 +131,7 @@ def code_encode_decode_combined(code: CodeSpec) -> ResourceSpec:
     """
     n = code.n
     copy_out = gate_map(n + 1, "CNOT", 0, n)
-    enc = code.encoder.embed(n + 1, range(n))
+    enc = code.encoder.shifted(n + 1, 0)
     circuit = enc @ copy_out
     anc = [(w, "Z") for w in range(1, n + 1)]
     out_names = {w: f"b{w}" for w in range(n)}

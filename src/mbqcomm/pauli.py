@@ -10,14 +10,15 @@ With this convention Y = i*X*Z, so the canonical "+Y" has phase 1.
 Clifford maps are stored by the images of the generators X_k, Z_k.
 
 Validation happens once, where a PauliString is built from outside
-input: the public constructor, `single`, `from_string` and `embed`
-reject a negative qubit count, x/z bits outside the register and
-unknown letters, and reduce the phase modulo 4. Every operand of the
+input: the public constructor, `single`, `from_string`, `embed` and
+`shifted` reject a negative qubit count, x/z bits outside the register
+and unknown letters, and reduce the phase modulo 4. Every operand of the
 algebra therefore satisfies the invariant: x and z lie inside n bits
-and 0 <= phase < 4. Products, sign changes, restrictions and Clifford
-images of such operands satisfy it too, so they are built by
-`_unchecked`, which skips the checks; the result is equal to, and
-hashes like, the same operator built through the public constructor.
+and 0 <= phase < 4. Products, sign changes, restrictions (`restrict`,
+`without`) and Clifford images of such operands satisfy it too, so they
+are built by `_unchecked`, which skips the checks; the result is equal
+to, and hashes like, the same operator built through the public
+constructor.
 """
 
 from __future__ import annotations
@@ -181,6 +182,17 @@ class PauliString:
             z |= (sz >> q & 1) << i
         return _unchecked(len(qubits), x, z, (x & z).bit_count() % 4)
 
+    def without(self, drop: Sequence[int]) -> "PauliString":
+        """Sub-Pauli on the qubits not in `drop`, in order, phase dropped:
+        `restrict` of the kept qubits. `drop` must be sorted, distinct and
+        inside the register; each qubit is cut out by one shift and mask."""
+        x, z = self.x, self.z
+        for q in reversed(drop):
+            low = (1 << q) - 1
+            x = x & low | x >> q + 1 << q
+            z = z & low | z >> q + 1 << q
+        return _unchecked(self.n - len(drop), x, z, (x & z).bit_count() % 4)
+
     def embed(self, n: int, positions: Sequence[int]) -> "PauliString":
         """Place this Pauli on `positions` of an n-qubit register."""
         if len(positions) != self.n:
@@ -192,6 +204,13 @@ class PauliString:
             z |= (sz >> i & 1) << q
         _check_register(n, x, z)
         return _unchecked(n, x, z, self.phase)
+
+    def shifted(self, n: int, start: int) -> "PauliString":
+        """Place this Pauli on qubits start, start + 1, ... of an n-qubit
+        register: `embed` on a contiguous block, by one shift."""
+        if start < 0 or start + self.n > n:
+            raise PauliError(f"block of {self.n} qubits at {start} outside n={n}")
+        return _unchecked(n, self.x << start, self.z << start, self.phase)
 
     def __str__(self) -> str:
         letters = "".join(self.letter(j) for j in range(self.n))
@@ -320,11 +339,20 @@ class CliffordMap:
 
     def embed(self, n: int, wires: Sequence[int]) -> "CliffordMap":
         """This map on `wires` of an n-wire register, identity elsewhere."""
+        return self._placed(n, wires, lambda p: p.embed(n, wires))
+
+    def shifted(self, n: int, start: int) -> "CliffordMap":
+        """This map on wires start, start + 1, ... of an n-wire register,
+        identity elsewhere: `embed` on a contiguous block."""
+        return self._placed(n, range(start, start + self.n), lambda p: p.shifted(n, start))
+
+    def _placed(self, n: int, wires: Sequence[int], place) -> "CliffordMap":
+        """The identity on n wires with image k, placed by `place`, on wires[k]."""
         ident = CliffordMap.identity(n)
         ix, iz = list(ident.image_x), list(ident.image_z)
         for k, w in enumerate(wires):
-            ix[w] = self.image_x[k].embed(n, wires)
-            iz[w] = self.image_z[k].embed(n, wires)
+            ix[w] = place(self.image_x[k])
+            iz[w] = place(self.image_z[k])
         return CliffordMap(n, tuple(ix), tuple(iz))
 
     # -- circuit-style construction -----------------------------------

@@ -193,19 +193,21 @@ def _build_resource(name: str, circuit: CliffordMap,
         raise ResourceError("every wire needs exactly one role (input or ancilla)")
     n_in = len(wires_in)
     n = n_in + w
-    wire_qubits = list(range(n_in, n))
     images = {"X": circuit.image_x, "Z": circuit.image_z}
 
     def on_wires(letter: str, wire: int) -> PauliString:
-        return images[letter][wire].embed(n, wire_qubits)
+        return images[letter][wire].shifted(n, n_in)
 
     # each input k and its wire start as the Bell pair XX, ZZ with
     # destabilizers Z_k and X_wire, an ancilla as its letter L with
-    # destabilizer the other letter; the circuit maps the wire side
+    # destabilizer the other letter; the circuit maps the wire side.
+    # X_k or Z_k and the wire image act on disjoint qubits, so a pair's
+    # row has the image's phase
     stabs, destabs = [], []
     for k, wire in enumerate(wires_in):
-        stabs += [PauliString.single(n, k, "X") * on_wires("X", wire),
-                  PauliString.single(n, k, "Z") * on_wires("Z", wire)]
+        ix, iz, bit = circuit.image_x[wire], circuit.image_z[wire], 1 << k
+        stabs += [PauliString(n, ix.x << n_in | bit, ix.z << n_in, ix.phase),
+                  PauliString(n, iz.x << n_in, iz.z << n_in | bit, iz.phase)]
         destabs += [PauliString.single(n, k, "Z"), on_wires("X", wire)]
     for wire, letter in anc.items():
         stabs.append(on_wires(letter, wire))
@@ -215,7 +217,7 @@ def _build_resource(name: str, circuit: CliffordMap,
     # project the pre-measured operators onto +1 and drop dead qubits
     drop: list[int] = []
     for vm in premeasured:
-        embedded = vm.operator.embed(n, list(range(n_in, n)))
+        embedded = vm.operator.shifted(n, n_in)
         try:
             state.measure(embedded, force=+1)
         except InconsistentProjection as exc:
@@ -335,13 +337,12 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
         r2 = replace(r2, name=f"{r2.name}#2")
     w1, w2 = r1.n_wires, r2.n_wires
     w = w1 + w2
-    left, right = range(w1), range(w1, w)
-    circuit = r1.circuit.embed(w, left)
+    circuit = r1.circuit.shifted(w, 0)
     connected = [(r1.output_wires[r1.outputs.index(o)], r2.input_wires[r2.inputs.index(i)] + w1)
                  for o, i in connections]
     for wo, wi in connected:
         circuit = gate_map(w, "SWAP", wo, wi) @ circuit
-    circuit = r2.circuit.embed(w, right) @ circuit
+    circuit = r2.circuit.shifted(w, w1) @ circuit
     connected_out = {wo for wo, _ in connected}
     connected_in = {wi for _, wi in connected}
 
@@ -353,8 +354,8 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
         if wi + w1 not in connected_in
     ]
     anc = list(r1.ancilla_init) + [(wi + w1, l) for wi, l in r2.ancilla_init]
-    vms = [VirtualMeasurement(f"{r.name}/{vm.name}", vm.operator.embed(w, wires))
-           for r, wires in ((r1, left), (r2, right)) for vm in r.virtual_meas]
+    vms = [VirtualMeasurement(f"{r.name}/{vm.name}", vm.operator.shifted(w, start))
+           for r, start in ((r1, 0), (r2, w1)) for vm in r.virtual_meas]
     # a connected r2 input wire becomes a |0> feed whose content parks on
     # the matching r1 output wire; pre-measure that wire away
     for wo, wi in connected:

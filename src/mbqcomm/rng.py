@@ -67,15 +67,19 @@ def draw_indices(rng: np.random.Generator, weights, size: int | None = None):
     cuts = _cut_points(tuple(weights))
     if size is None:
         return bisect_right(cuts, rng.random())
-    out = np.zeros(size, dtype=np.uint8)
+    # the first cut point writes the output through a bool view (with
+    # none, 1.0 > every double gives index 0); later ones add their mask
+    first, later = (cuts[0], cuts[1:]) if cuts else (1.0, ())
+    out = np.empty(size, dtype=np.uint8)
     buf = np.empty(min(size, _CHUNK))
-    hit = np.empty(buf.size, dtype=bool)
+    hit = np.empty(buf.size, dtype=np.uint8)
     for start in range(0, size, _CHUNK):
         n = min(_CHUNK, size - start)
         u, h, o = buf[:n], hit[:n], out[start:start + n]
         rng.random(out=u)
-        for c in cuts:
-            np.greater_equal(u, c, out=h)
+        np.greater_equal(u, first, out=o.view(bool))
+        for c in later:
+            np.greater_equal(u, c, out=h.view(bool))
             o += h
     return out
 

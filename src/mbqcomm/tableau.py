@@ -1,9 +1,17 @@
 """Stabilizer-state engine with destabilizer bookkeeping.
 
 The tableau stores n stabilizer generators plus n destabilizers (used to
-resolve deterministic measurement outcomes), all as phased PauliStrings.
-Measurements of arbitrary Pauli operators, Bell measurements with qubit
-removal, graph-state construction and a dense-vector bridge live here.
+resolve deterministic measurement outcomes), all as phased PauliStrings
+(Aaronson and Gottesman, PRA 70, 052328, 2004). Measurements of
+arbitrary Pauli operators, Bell measurements with qubit removal,
+graph-state construction and a dense-vector bridge live here.
+
+Qubits leave a tableau in two ways. A Bell measurement pins its two
+measured operators as stabilizer rows and drops the pair in one pass
+over the rows (`StabilizerState.bell_measure`). `remove_qubits` drops
+any product-state qubits by two Gauss-Jordan eliminations; resource
+builds use it, and the rows it leaves are pinned by the catalog digests
+in the tests. Both cut the dropped bits out with `PauliString.without`.
 """
 
 from __future__ import annotations
@@ -165,6 +173,16 @@ class StabilizerState:
         `prob_sink` collects the Born probability of the taken branch
         (0.5 for random outcomes, 1.0 for deterministic ones).
         """
+        return self._measure(p, rng, force, prob_sink)[0]
+
+    def _measure(self, p: PauliString, rng, force: int | None, prob_sink: list | None,
+                 pin: bool = False, avoid: int = -1) -> tuple[int, int]:
+        """`measure`, returning (outcome, row). After a random outcome the
+        signed p is stabilizer row `row`. After a deterministic one, with
+        `pin`, it replaces row `row` (never `avoid`), one whose
+        destabilizer anticommutes with p, and the other such destabilizers
+        are multiplied by that row's, so every pairing holds; without
+        `pin` the tableau is untouched and `row` is -1."""
         if p.is_identity:
             raise TableauError("cannot measure the identity")
         if not p.is_hermitian:
@@ -195,7 +213,7 @@ class StabilizerState:
                 outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
             self.destabs[piv] = pivot_row
             self.stabs[piv] = p if outcome == 1 else p.negate()
-            return outcome
+            return outcome, piv
         # deterministic: reconstruct +-P as a product of generators
         acc = PauliString.identity(n)
         for k in anti_destabs:
@@ -205,7 +223,17 @@ class StabilizerState:
         outcome = 1 if acc.phase == p.phase else -1
         if force is not None and outcome != (1 if force >= 0 else -1):
             raise InconsistentProjection("projection has probability zero")
-        return outcome
+        if not pin:
+            return outcome, -1
+        # +-p is the product of the rows in anti_destabs, so it can stand
+        # in for any one of them
+        row = next(k for k in anti_destabs if k != avoid)
+        partner = self.destabs[row]
+        for k in anti_destabs:
+            if k != row:
+                self.destabs[k] = self.destabs[k] * partner
+        self.stabs[row] = p if outcome == 1 else p.negate()
+        return outcome, row
 
     def bell_measure(self, a: int, b: int, rng=None,
                      force: BellOutcome | None = None,
@@ -215,19 +243,46 @@ class StabilizerState:
         Measures X_a X_b then Z_a Z_b, removes both qubits, and returns
         the outcome plus the old indices of the surviving qubits (the new
         index of old qubit q is the position of q in that list).
+
+        The removal is one pass over the rows. Each measured operator,
+        signed by its outcome, is pinned as a stabilizer row (`_measure`
+        with `pin`; ZZ never replaces the XX row). Every other row commutes
+        with both, so its part on (a, b) is II, XX, YY or ZZ: it is
+        multiplied by the XX row if it has x_a and by the ZZ row if it has
+        z_a, which leaves II there, and bits a and b are cut out. The two
+        pinned rows and their destabilizers are deleted. Stabilizers keep
+        their phase; destabilizers come out unsigned. What is random or
+        deterministic, and a deterministic value, depend on the state
+        alone, so this takes the same rng draws as measuring and then
+        calling `remove_qubits`.
         """
+        n = self.n
+        _check_qubits((a, b), n)
         if a == b:
             raise TableauError("Bell measurement needs two distinct qubits")
-        n = self.n
-        xx = PauliString.single(n, a, "X") * PauliString.single(n, b, "X")
-        zz = PauliString.single(n, a, "Z") * PauliString.single(n, b, "Z")
+        pair = 1 << a | 1 << b
+        xx, zz = PauliString(n, pair, 0), PauliString(n, 0, pair)
         fx = None if force is None else (1 - 2 * force.b_x)
         fz = None if force is None else (1 - 2 * force.b_z)
-        sx = self.measure(xx, rng, force=fx, prob_sink=prob_sink)
-        sz = self.measure(zz, rng, force=fz, prob_sink=prob_sink)
+        sx, kx = self._measure(xx, rng, fx, prob_sink, pin=True)
+        sz, kz = self._measure(zz, rng, fz, prob_sink, pin=True, avoid=kx)
+        row_x, row_z = self.stabs[kx], self.stabs[kz]
+        bit = 1 << a
+        drop = sorted((a, b))
+
+        def cleared(row: PauliString) -> PauliString:
+            if row.x & bit:
+                row = row * row_x
+            if row.z & bit:
+                row = row * row_z
+            return row
+
+        rest = [k for k in range(n) if k != kx and k != kz]
+        stabs = [cleared(self.stabs[k]) for k in rest]
+        self.stabs = [g.without(drop).with_phase(g.phase) for g in stabs]
+        self.destabs = [cleared(self.destabs[k]).without(drop) for k in rest]
         outcome = BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
-        self.remove_qubits([a, b])
-        return outcome, [q for q in range(n) if q not in (a, b)]
+        return outcome, [q for q in range(n) if q != a and q != b]
 
     # -- qubit removal ---------------------------------------------------
 
@@ -237,10 +292,14 @@ class StabilizerState:
         Reduces the tableau in place with `_eliminate`. A product state
         leaves exactly one pivot row per dropped qubit after elimination on
         the dropped columns; elimination on the kept columns clears the
-        kept qubits from those rows, which are then deleted.
+        kept qubits from those rows, which are then deleted. Bell
+        measurements drop their pair in one pass instead (`bell_measure`);
+        resource builds keep this elimination because the rows it leaves
+        are pinned by the catalog digests in the tests.
         """
         n = self.n
         drop = sorted(set(qubits))
+        _check_qubits(drop, n)
         keep = [q for q in range(n) if q not in drop]
         stabs, destabs = list(self.stabs), list(self.destabs)
         dropped = _eliminate(stabs, destabs, _columns(drop), range(n))
@@ -252,18 +311,16 @@ class StabilizerState:
         # keeps its phase; the dropped rows now act there alone and a
         # surviving destabilizer commutes with them, so its part there lies
         # in their group and cutting it off keeps every pairing
-        self.stabs = [stabs[k].restrict(keep).with_phase(stabs[k].phase) for k in rest]
-        self.destabs = [destabs[k].restrict(keep) for k in rest]
+        self.stabs = [stabs[k].without(drop).with_phase(stabs[k].phase) for k in rest]
+        self.destabs = [destabs[k].without(drop) for k in rest]
 
     def tensor(self, other: "StabilizerState") -> "StabilizerState":
-        n1, n2 = self.n, other.n
-        n = n1 + n2
-        left = list(range(n1))
-        right = list(range(n1, n))
-        stabs = [g.embed(n, left) for g in self.stabs]
-        stabs += [g.embed(n, right) for g in other.stabs]
-        destabs = [d.embed(n, left) for d in self.destabs]
-        destabs += [d.embed(n, right) for d in other.destabs]
+        n1 = self.n
+        n = n1 + other.n
+        stabs = [g.shifted(n, 0) for g in self.stabs]
+        stabs += [g.shifted(n, n1) for g in other.stabs]
+        destabs = [d.shifted(n, 0) for d in self.destabs]
+        destabs += [d.shifted(n, n1) for d in other.destabs]
         return StabilizerState(stabs, destabs)
 
     # -- comparisons and export -------------------------------------------
@@ -292,6 +349,14 @@ class StabilizerState:
         v = v / norm
         lead = np.flatnonzero(np.abs(v) > 1e-9)[0]
         return v * (abs(v[lead]) / v[lead])
+
+
+def _check_qubits(qubits, n: int):
+    """Reject a qubit index outside 0..n-1 (bits are cut out by shifts,
+    which would silently shift the wrong ones)."""
+    for q in qubits:
+        if not 0 <= q < n:
+            raise TableauError(f"qubit {q} out of range for n={n}")
 
 
 def _project_all(gens: list[PauliString], v: np.ndarray) -> np.ndarray:
@@ -549,22 +614,3 @@ def is_connected(g: GraphSpec) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.n
-
-
-# -- module-level functional forms ---------------------------------------
-
-
-def measure_pauli(state: StabilizerState, p: PauliString, rng=None,
-                  force: int | None = None) -> tuple[int, StabilizerState]:
-    """Functional Pauli measurement: returns (outcome, new state)."""
-    out = state.copy()
-    o = out.measure(p, rng, force)
-    return o, out
-
-
-def bell_measure(state: StabilizerState, a: int, b: int, rng=None,
-                 force: BellOutcome | None = None) -> tuple[BellOutcome, StabilizerState]:
-    """Functional Bell measurement; (a, b) are removed from the result."""
-    out = state.copy()
-    outcome, _ = out.bell_measure(a, b, rng, force)
-    return outcome, out

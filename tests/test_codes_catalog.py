@@ -286,6 +286,13 @@ def catalog_resources(codes):
     return specs
 
 
+@pytest.mark.parametrize("name", CATALOG_CODES)
+def test_decoder_is_the_encoder_inverse(name):
+    code = code_by_name(name)
+    assert code.decoder == code.encoder.inverse()
+    assert code.decoder is code.decoder
+
+
 def test_resource_builds_solve_nothing(monkeypatch):
     # a resource tableau is its circuit's image of Bell pairs and ancillas:
     # the destabilizers are conjugated along, never solved for

@@ -288,3 +288,30 @@ def test_unchecked_algebra_matches_dense_matrices(data):
     _assert_public(placed)
     assert np.allclose(dense.pauli_matrix(placed),
                        dense.embed_unitary(big, mp, positions), atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_shifted_and_without_equal_embed_and_restrict(data):
+    n = data.draw(st.integers(0, 8), label="n")
+    p = _pauli(data, n, "p")
+    big = data.draw(st.integers(n, 10), label="register")
+    start = data.draw(st.integers(0, big - n), label="start")
+    placed = p.shifted(big, start)
+    _assert_public(placed)
+    assert placed == p.embed(big, range(start, start + n))
+    drop = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="drop")
+                  if n else [])
+    cut = p.without(drop)
+    _assert_public(cut)
+    assert cut == p.restrict([q for q in range(n) if q not in drop])
+
+
+def test_shifted_rejects_a_block_outside_the_register():
+    p = PauliString.from_string("XZ")
+    for n, start in ((3, 2), (3, -1), (1, 0)):
+        with pytest.raises(PauliError):
+            p.shifted(n, start)
+    c = random_clifford(2, np.random.default_rng(4))
+    assert c.shifted(5, 2) == c.embed(5, [2, 3])
+

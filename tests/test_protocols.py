@@ -243,6 +243,17 @@ def test_draw_indices_equals_generator_choice(size):
     assert ours.random() == ref.random()  # both streams consumed alike
 
 
+@pytest.mark.parametrize("weights", [(1.0,), (0.0, 1.0), (1.0, 0.0, 0.0, 0.0),
+                                     (0.0, 0.0, 0.0, 1.0), (0.5, 0.0, 0.5, 0.0)])
+def test_draw_indices_edge_weights_equal_generator_choice(weights):
+    # one category has no cut point: all zeros, the doubles still drawn
+    size = _CHUNK + 3
+    ours, ref = make_rng(4), make_rng(4)
+    drawn = draw_indices(ours, weights, size)
+    assert np.array_equal(drawn, ref.choice(len(weights), size=size, p=weights))
+    assert ours.random() == ref.random()
+
+
 @pytest.mark.parametrize("weights", [(0.7, 0.1, 0.15, 0.05), (1.0, 0.0, 0.0, 0.0),
                                      (0.0, 0.0, 0.0, 1.0), (0.5, 0.0, 0.5, 0.0)])
 def test_draw_indices_scalar_equals_generator_choice(weights):

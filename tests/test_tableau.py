@@ -13,22 +13,64 @@ from mbqcomm.tableau import (
     InconsistentProjection,
     StabilizerState,
     TableauError,
-    bell_measure,
     graph_state,
     is_connected,
     lc_equivalent,
     local_complement,
-    measure_pauli,
     path_graph,
     ring_graph,
     to_graph,
 )
 
 
-def random_stabilizer_state(n, rng):
+def random_stabilizer_state(n, rng, depth=None):
     s = StabilizerState.zero_state(n)
-    s.apply_clifford(random_clifford(n, rng))
+    s.apply_clifford(random_clifford(n, rng, depth))
     return s
+
+
+def measure_pauli(state, p, rng=None, force=None):
+    """Functional Pauli measurement: returns (outcome, new state)."""
+    out = state.copy()
+    return out.measure(p, rng, force), out
+
+
+def bell_measure(state, a, b, rng=None, force=None):
+    """Functional Bell measurement; (a, b) are removed from the result."""
+    out = state.copy()
+    outcome, _ = out.bell_measure(a, b, rng, force)
+    return outcome, out
+
+
+def eliminating_bell_measure(state, a, b, rng=None, force=None):
+    """Oracle of `StabilizerState.bell_measure`: measure X_a X_b and Z_a Z_b,
+    then drop the pair by the two Gauss-Jordan passes of `remove_qubits`."""
+    n = state.n
+    xx = PauliString.single(n, a, "X") * PauliString.single(n, b, "X")
+    zz = PauliString.single(n, a, "Z") * PauliString.single(n, b, "Z")
+    sx = state.measure(xx, rng, None if force is None else 1 - 2 * force.b_x)
+    sz = state.measure(zz, rng, None if force is None else 1 - 2 * force.b_z)
+    state.remove_qubits([a, b])
+    return BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
+
+
+def assert_bell_measure_matches_oracle(s, a, b, force, seed):
+    """Same outcome (or the same refusal), the same state left, a valid
+    tableau, and the same rng draws as the elimination oracle."""
+    got, want = s.copy(), s.copy()
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = eliminating_bell_measure(want, a, b, rng_want, force)
+    except InconsistentProjection:
+        with pytest.raises(InconsistentProjection):
+            got.bell_measure(a, b, rng_got, force)
+        return
+    outcome, kept = got.bell_measure(a, b, rng_got, force)
+    assert outcome == expected
+    assert kept == [q for q in range(s.n) if q not in (a, b)]
+    got.validate()
+    assert got.same_state(want)
+    assert rng_got.random() == rng_want.random()
 
 
 def test_zero_state_measure_z_deterministic():
@@ -237,6 +279,63 @@ def test_bell_outcome_distribution_matches_dense_generic():
             branch.validate()
 
 
+def row_operation(s, i, j):
+    """s_i <- s_i s_j with d_j <- d_j d_i: the same state, pairing kept."""
+    s.stabs[i] = s.stabs[i] * s.stabs[j]
+    s.destabs[j] = s.destabs[j] * s.destabs[i]
+
+
+def scrambled(s, rng, steps=12):
+    """The same state under other generators, by random row operations."""
+    s = s.copy()
+    for _ in range(steps):
+        row_operation(s, *rng.choice(s.n, size=2, replace=False))
+    s.validate()
+    return s
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bell_measure_equals_the_elimination_oracle(n):
+    # shallow circuits and Bell pairs leave deterministic XX or ZZ
+    # outcomes; scrambled generators vary which rows hold them
+    rng = np.random.default_rng(70 + n)
+    forces = [None] + [BellOutcome.from_index(i) for i in range(4)]
+    states = [random_stabilizer_state(n, rng, depth) for depth in (2, n, None)]
+    pairs = StabilizerState.bell_pair(int(rng.integers(4))).tensor(
+        random_stabilizer_state(n - 2, rng))
+    pairs.apply_clifford(random_clifford(n, rng, 2))
+    for s in states + [pairs]:
+        s = scrambled(s, rng)
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    for force in forces:
+                        assert_bell_measure_matches_oracle(s, a, b, force,
+                                                           int(rng.integers(1 << 32)))
+
+
+def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
+    # |phi+> on (0, 1) held as XX, -YY with destabilizers XZ, XI: XX is
+    # deterministic and pinned on row 0, whose destabilizer anticommutes
+    # with ZZ = XX (-YY), so ZZ must replace row 1, not the XX row
+    phi = PauliString.from_string
+    pair = StabilizerState([phi("XX"), phi("-YY")], [phi("XZ"), phi("XI")])
+    pair.validate()
+    rng = np.random.default_rng(9)
+    s = pair.tensor(random_stabilizer_state(3, rng))
+    zz = PauliString.single(5, 0, "Z") * PauliString.single(5, 1, "Z")
+    assert not s.destabs[0].commutes(zz) and not s.destabs[1].commutes(zz)
+    # spread XX and YY parts over the other rows
+    for i, j in ((2, 0), (3, 1), (4, 0), (4, 1)):
+        row_operation(s, i, j)
+    s.validate()
+    for force in [None] + [BellOutcome.from_index(i) for i in range(4)]:
+        for a, b in ((0, 1), (1, 0)):
+            assert_bell_measure_matches_oracle(s, a, b, force, 11)
+    outcome, _ = s.bell_measure(0, 1)
+    assert outcome.index == 0
+
+
 def test_to_dense_trivial_cases():
     assert np.allclose(StabilizerState.zero_state(1).to_dense(), [1, 0])
     bell = StabilizerState.from_generators(
@@ -267,6 +366,16 @@ def test_tensor_and_remove_qubits():
     )
     with pytest.raises(Exception):
         c.copy().remove_qubits([0])
+
+
+@pytest.mark.parametrize("q", [5, -1, 3])
+def test_removals_reject_out_of_range_indices(q):
+    s = StabilizerState.zero_state(3)
+    with pytest.raises(TableauError, match=f"qubit {q} out of range"):
+        s.remove_qubits([0, q])
+    with pytest.raises(TableauError, match=f"qubit {q} out of range"):
+        s.bell_measure(0, q)
+    assert s.same_state(StabilizerState.zero_state(3))
 
 
 def test_to_graph_on_known_states():
