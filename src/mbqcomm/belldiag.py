@@ -24,7 +24,6 @@ from . import dense
 from .noise import PauliChannel
 
 BD_SIGMA_ORDER = (0, 3, 1, 2)  # sigma index (I,X,Y,Z numbering) per bd index
-BD_LETTERS = ("I", "Z", "X", "Y")
 
 _MAP_NAMES = ("swap", "recurrence_bbpssw", "recurrence_dejmps")
 
@@ -55,13 +54,6 @@ class BellDiagonalState:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs)
-
-    def to_dense(self) -> dense.DensityMatrix:
-        mat = sum(
-            c * np.outer(dense.bell_vector(s), dense.bell_vector(s).conj())
-            for c, s in zip(self.coeffs, BD_SIGMA_ORDER)
-        )
-        return dense.DensityMatrix(mat)
 
 
 def perfect_pair() -> BellDiagonalState:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .codes import CodeSpec, repetition_code, ring5_code
-from .pauli import circuit_map, gate_map
+from .pauli import circuit_map
 from .resources import ResourceSpec, cj_state, merge, premeasure_joint, premeasure_outputs
 
 EPP_VARIANTS = ("DEJMPS", "BBPSSW")
@@ -123,29 +123,7 @@ def code_correct(code: CodeSpec) -> ResourceSpec:
                  name=f"{code.name}_correct")
 
 
-def code_encode_decode_combined(code: CodeSpec) -> ResourceSpec:
-    """Combined encode/syndrome/decode state of N+2 qubits.
-
-    Wire layout: 0..N-1 hold the encoded block, wire N the read-out
-    qubit, entangled with the logical qubit before encoding.
-    """
-    n = code.n
-    copy_out = gate_map(n + 1, "CNOT", 0, n)
-    enc = code.encoder.shifted(n + 1, 0)
-    circuit = enc @ copy_out
-    anc = [(w, "Z") for w in range(1, n + 1)]
-    out_names = {w: f"b{w}" for w in range(n)}
-    out_names[n] = "out"
-    return cj_state(
-        circuit,
-        name=f"{code.name}_combined",
-        ancilla_init=anc,
-        input_labels=["in"],
-        output_labels=out_names,
-    )
-
-
-def repeater_station(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
+def repeater_station(rounds: int) -> ResourceSpec:
     """Input-only station resource: purify left and right, then swap.
 
     The two purified output particles are virtual (pre-measured as a
@@ -154,8 +132,8 @@ def repeater_station(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     swap_xx, swap_zz.
     """
     # Bob's side of the left segment, Alice's side of the right one
-    left = replace(epp_site_resource(rounds, "B", variant), name="L")
-    right = replace(epp_site_resource(rounds, "A", variant), name="R")
+    left = replace(epp_site_resource(rounds, "B"), name="L")
+    right = replace(epp_site_resource(rounds, "A"), name="R")
     return premeasure_joint(
         merge(left, right, ()),
         [({"L/out0": "X", "R/out0": "X"}, "swap_xx"),

@@ -116,11 +116,13 @@ def reject_unread(options, context: str):
 
 
 def emit(args, record: ResultRecord):
-    print(record.to_json())
+    """Write the requested files, then print the record: a path that
+    cannot be written ends the run before anything is printed."""
     if args.csv_out:
         write_csv(args.csv_out, [record])
     if args.json_out:
         write_jsonl(args.json_out, [record])
+    print(record.to_json())
 
 
 def cmd_purify(args) -> int:
@@ -351,11 +353,8 @@ def cmd_threshold(args) -> int:
             report = code_threshold(code_by_name(args.code), regime)
         elif args.formula == "shor-type":
             report = shor_type_threshold(regime)
-        elif args.formula == "dephasing-repetition":
-            report = dephasing_repetition_threshold()
         else:
-            print(f"unknown formula {args.formula!r}", file=sys.stderr)
-            return 2
+            report = dephasing_repetition_threshold()
     except ThresholdError as exc:
         print(json.dumps({"error": str(exc)}))
         return 1
@@ -380,14 +379,11 @@ def cmd_sweep(args) -> int:
         detector = repeater_regime_detector(args.segments)
         lo, hi = 0.72, 0.80
         analytic = universal_epp_threshold("q=p").analytic
-    elif args.target == "code":
+    else:
         code = code_by_name(args.code)
         analytic = code_threshold(code, "q=p").analytic
         detector = code_step_detector(code)
         lo, hi = analytic - 0.03, analytic + 0.03
-    else:
-        print(f"unknown sweep target {args.target!r}", file=sys.stderr)
-        return 2
     lo = lo if args.lo is None else args.lo
     hi = hi if args.hi is None else args.hi
     try:
@@ -402,9 +398,9 @@ def cmd_sweep(args) -> int:
         "analytic": analytic,
         "within": abs(result.boundary - analytic),
     }
-    print(json.dumps(payload, sort_keys=True))
     if args.plot_out:
         write_plot_csv(args.plot_out, result.plot_rows())
+    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -512,8 +508,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the request, e.g. "Unable to allocate 1.25 EiB for an array ..."
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

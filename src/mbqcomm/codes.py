@@ -17,7 +17,7 @@ import numpy as np
 
 from .noise import PauliChannel
 from .pauli import CliffordMap, PauliString
-from .tableau import complete_clifford, ring_graph
+from .tableau import complete_clifford
 
 
 class CodeError(ValueError):
@@ -201,13 +201,9 @@ def ring5_code() -> CodeSpec:
     is Z^(x5) and logical Z a single graph generator.
     """
     n = 5
-    k_ops = []
-    g = ring_graph(n)
-    for a in range(n):
-        row = PauliString.single(n, a, "X")
-        for b in g.neighbors(a):
-            row = row * PauliString.single(n, b, "Z")
-        k_ops.append(row)
+    # graph generators K_a = X_a Z_{a-1} Z_{a+1} of the 5-cycle
+    k_ops = [PauliString(n, 1 << a, 1 << (a - 1) % n | 1 << (a + 1) % n)
+             for a in range(n)]
     stabs = [k_ops[i] * k_ops[i + 1] for i in range(4)]
     logical_x = PauliString(n, 0, (1 << n) - 1, 0)  # Z...Z flips 0_L <-> 1_L
     logical_z = k_ops[0]

@@ -1,9 +1,13 @@
-"""Dense-matrix micro-engine: the brute-force oracle for small systems.
+"""Dense-matrix micro-engine: exact linear algebra on small systems.
 
 State vectors index basis states with qubit 0 as the most significant
 bit, matching ``kron(q0, q1, ...)`` ordering. Everything here is exact
-linear algebra on <= DENSE_LIMIT qubits and exists to cross-check the
-stabilizer engine, the noise channels and the Bell-diagonal maps.
+linear algebra on <= DENSE_LIMIT qubits. The package uses it in three
+places: `StabilizerState.to_dense` projects onto a tableau's generators,
+`belldiag.generate_golden_maps` derives the recurrence and swap
+coefficient maps from 4-qubit state vectors, and `oracle-check` compares
+the stabilizer engine and the noise-moving identity against it
+(`DensityMatrix` serves that identity).
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S = np.array([[1, 0], [0, 1j]], dtype=complex)
 PAULI_MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-# Controlled-phase gate diag(1,1,1,-1): the graph-state edge unitary.
-U_PG = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -52,11 +53,6 @@ def basis_state(n: int, index: int = 0) -> np.ndarray:
     v = np.zeros(1 << n, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def plus_state(n: int) -> np.ndarray:
-    _check_limit(n)
-    return np.full(1 << n, 1 / np.sqrt(1 << n), dtype=complex)
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -163,7 +159,7 @@ def states_equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -
 class DensityMatrix:
     """Exact density matrix on up to DENSE_LIMIT qubits."""
 
-    def __init__(self, mat: np.ndarray, validate: bool = True):
+    def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)
         n = int(round(np.log2(mat.shape[0])))
         _check_limit(n)
@@ -171,32 +167,10 @@ class DensityMatrix:
             raise ValueError("density matrix must be square with power-of-2 dim")
         self.n = n
         self.mat = mat
-        if validate:
-            self.validate()
 
     @classmethod
     def from_vec(cls, v: np.ndarray) -> "DensityMatrix":
-        return cls(np.outer(v, v.conj()), validate=False)
-
-    def validate(self, tol: float = 1e-10):
-        if abs(np.trace(self.mat).real - 1.0) > 1e-9 or abs(np.trace(self.mat).imag) > 1e-9:
-            raise ValueError("density matrix trace is not 1")
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > tol:
-            raise ValueError("density matrix is not Hermitian")
-        eig = np.linalg.eigvalsh(self.mat)
-        if eig.min() < -1e-8:
-            raise ValueError("density matrix is not positive semidefinite")
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.mat.copy(), validate=False)
-
-    def apply_unitary(self, u: np.ndarray, targets: list[int]) -> "DensityMatrix":
-        full = embed_unitary(self.n, u, targets)
-        return DensityMatrix(full @ self.mat @ full.conj().T, validate=False)
-
-    def apply_pauli(self, p: PauliString) -> "DensityMatrix":
-        m = pauli_matrix(p)
-        return DensityMatrix(m @ self.mat @ m.conj().T, validate=False)
+        return cls(np.outer(v, v.conj()))
 
     def apply_pauli_channel(self, weights: dict[str, float], qubit: int) -> "DensityMatrix":
         out = np.zeros_like(self.mat)
@@ -206,25 +180,7 @@ class DensityMatrix:
             p = PauliString.single(self.n, qubit, letter)
             m = pauli_matrix(p)
             out += w * (m @ self.mat @ m.conj().T)
-        return DensityMatrix(out, validate=False)
-
-    def depolarize(self, qubit: int, p: float) -> "DensityMatrix":
-        """White-noise channel: keep with probability p, else randomize."""
-        w = {"I": p + (1 - p) / 4, "X": (1 - p) / 4, "Y": (1 - p) / 4, "Z": (1 - p) / 4}
-        return self.apply_pauli_channel(w, qubit)
-
-    def measure_pauli(self, p: PauliString) -> list[tuple[float, int, "DensityMatrix"]]:
-        """Projective +-1 measurement branches with Born probabilities."""
-        m = pauli_matrix(p)
-        eye = np.eye(m.shape[0])
-        out = []
-        for outcome in (+1, -1):
-            proj = (eye + outcome * m) / 2
-            sub = proj @ self.mat @ proj
-            prob = float(np.trace(sub).real)
-            if prob > 1e-14:
-                out.append((prob, outcome, DensityMatrix(sub / prob, validate=False)))
-        return out
+        return DensityMatrix(out)
 
     def bell_measure(self, a: int, b: int) -> list[tuple[float, int, "DensityMatrix"]]:
         """All four Bell-outcome branches on (a, b), qubits removed."""
@@ -240,61 +196,7 @@ class DensityMatrix:
             r = r.reshape(dim, dim)
             prob = float(np.trace(r).real)
             if prob > 1e-14:
-                out.append((prob, i, DensityMatrix(r / prob, validate=False)))
+                out.append((prob, i, DensityMatrix(r / prob)))
             else:
                 out.append((0.0, i, None))
         return out
-
-    def partial_trace(self, keep: list[int]) -> "DensityMatrix":
-        n = self.n
-        drop = [q for q in range(n) if q not in keep]
-        t = self.mat.reshape((2,) * (2 * n))
-        for q in sorted(drop, reverse=True):
-            t = np.trace(t, axis1=q, axis2=t.ndim // 2 + q)
-        k = len(keep)
-        # axes are now (kept ket..., kept bra...) in original order
-        return DensityMatrix(t.reshape(1 << k, 1 << k), validate=False)
-
-    def fidelity_with_vec(self, v: np.ndarray) -> float:
-        return float(np.real(v.conj() @ self.mat @ v))
-
-    def bell_coeffs(self) -> np.ndarray:
-        """Diagonal Bell-basis coefficients of a 2-qubit state.
-
-        Ordering is the Bell-diagonal index convention (I, Z, X, Y).
-        """
-        if self.n != 2:
-            raise ValueError("bell_coeffs requires a 2-qubit state")
-        order = [0, 3, 1, 2]  # sigma indices for bd order I,Z,X,Y
-        return np.array(
-            [self.fidelity_with_vec(bell_vector(s)) for s in order]
-        )
-
-
-def embed_unitary(n: int, u: np.ndarray, targets: list[int]) -> np.ndarray:
-    """Expand a unitary on `targets` to the full 2^n-dim space."""
-    _check_limit(n)
-    k = len(targets)
-    dim = 1 << n
-    cols = []
-    for c in range(dim):
-        v = np.zeros(dim, dtype=complex)
-        v[c] = 1.0
-        cols.append(apply_unitary_vec(v, u, targets))
-    return np.column_stack(cols)
-
-
-def pauli_transfer_matrix(channel_weights: dict[str, float]) -> np.ndarray:
-    """4x4 Pauli transfer matrix of a single-qubit Pauli channel."""
-    letters = "IXYZ"
-    ptm = np.zeros((4, 4))
-    for i, a in enumerate(letters):
-        for j, b in enumerate(letters):
-            acc = 0.0
-            for letter, w in channel_weights.items():
-                k = PAULI_MATS[letter]
-                acc += w * np.trace(
-                    PAULI_MATS[a] @ k @ PAULI_MATS[b] @ k.conj().T
-                ).real
-            ptm[i, j] = acc / 2.0
-    return ptm

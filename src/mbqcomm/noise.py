@@ -1,6 +1,6 @@
 """The error model: per-particle depolarizing noise, noisy Bell
-measurements, noisy resource states and dephasing, in two forms that are
-kept interchangeable by tests: trajectory sampling (Pauli insertion on
+measurements and noisy resource states, in two forms that are kept
+interchangeable by tests: trajectory sampling (Pauli insertion on
 stabilizer states) and exact channel action (dense oracle).
 """
 
@@ -10,12 +10,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DensityMatrix, pauli_transfer_matrix
+from .dense import DensityMatrix
 from .pauli import PauliString
 from .rng import draw_indices
 from .tableau import StabilizerState
 
 _LETTERS = ("I", "X", "Y", "Z")
+_MOVE_TOL = 1e-12  # exact up to rounding: the identity is algebraic
 
 
 class NoiseParameterError(ValueError):
@@ -83,46 +84,14 @@ class PauliChannel:
         """White noise: keep with probability p, else uniformly randomize."""
         return cls(_depolarizing_weights(p))
 
-    @classmethod
-    def dephasing(cls, q: float) -> "PauliChannel":
-        """Phase noise M(q) reparameterized as {I: p, Z: 1-p}, p=(1+q)/2."""
-        _check_prob(q, "q")
-        p = q + (1.0 - q) / 2.0
-        return cls((p, 0.0, 0.0, 1.0 - p))
-
     @property
     def as_dict(self) -> dict[str, float]:
         return dict(zip(_LETTERS, self.weights))
-
-    def transfer_matrix(self) -> np.ndarray:
-        return pauli_transfer_matrix(self.as_dict)
-
-    def compose(self, other: "PauliChannel") -> "PauliChannel":
-        """Sequential composition (Pauli channels commute)."""
-        w = np.zeros(4)
-        table = _letter_product_table()
-        for i, wi in enumerate(self.weights):
-            for j, wj in enumerate(other.weights):
-                w[table[i][j]] += wi * wj
-        return PauliChannel(tuple(w))
 
     def bd_weights(self) -> np.ndarray:
         """Weights re-indexed in Bell-diagonal order (I, Z, X, Y)."""
         wi, wx, wy, wz = self.weights
         return np.array([wi, wz, wx, wy])
-
-
-def _letter_product_table():
-    # index of sigma_i * sigma_j (sign ignored), sigma order I,X,Y,Z
-    base = [PauliString.single(1, 0, c) for c in _LETTERS]
-    table = []
-    for a in base:
-        row = []
-        for b in base:
-            ab = a * b
-            row.append(_LETTERS.index(ab.unsigned().letter(0)))
-        table.append(row)
-    return table
 
 
 def depolarize_sample(n: int, qubit: int, p: float, rng) -> PauliString:
@@ -155,7 +124,7 @@ class MoveNoiseReport:
 
 
 def move_noise_across_bell(channel: PauliChannel, rho: DensityMatrix,
-                           a: int, b: int, tol: float = 1e-12) -> MoveNoiseReport:
+                           a: int, b: int) -> MoveNoiseReport:
     """Verify the noise-moving identity on a concrete state.
 
     Compares the outcome-labeled ensembles (probability and conditional
@@ -172,6 +141,6 @@ def move_noise_across_bell(channel: PauliChannel, rho: DensityMatrix,
             max_dev = max(max_dev, float(np.max(np.abs(pa * da.mat - pb * db.mat))))
         elif (da is None) != (db is None):
             max_dev = max(max_dev, max(pa, pb))
-        if max_dev > tol:
+        if max_dev > _MOVE_TOL:
             return MoveNoiseReport(False, max_dev, {"outcome": ia})
     return MoveNoiseReport(True, max_dev)

@@ -10,9 +10,10 @@ With this convention Y = i*X*Z, so the canonical "+Y" has phase 1.
 Clifford maps are stored by the images of the generators X_k, Z_k.
 
 Validation happens once, where a PauliString is built from outside
-input: the public constructor, `single`, `from_string`, `embed` and
-`shifted` reject a negative qubit count, x/z bits outside the register
-and unknown letters, and reduce the phase modulo 4. Every operand of the
+input: the public constructor, `single`, `from_string`, `embed` (which
+places a Pauli on any listed qubits) and `shifted` reject a negative
+qubit count, x/z bits outside the register and unknown letters, and
+reduce the phase modulo 4. Every operand of the
 algebra therefore satisfies the invariant: x and z lie inside n bits
 and 0 <= phase < 4. Products, sign changes, restrictions (`restrict`,
 `without`) and Clifford images of such operands satisfy it too, so they
@@ -231,14 +232,6 @@ def _unchecked(n: int, x: int, z: int, phase: int) -> PauliString:
     return p
 
 
-def multiply(p: PauliString, q: PauliString) -> PauliString:
-    return p.multiply(q)
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    return p.commutes(q)
-
-
 _SINGLE_GATE_IMAGES = {
     # gate: (image of X, image of Z) as strings on one qubit
     "I": ("+X", "+Z"),
@@ -281,11 +274,11 @@ class CliffordMap:
         )
 
     @classmethod
-    def from_images(cls, image_x: Iterable[PauliString], image_z: Iterable[PauliString],
-                    validate: bool = True) -> "CliffordMap":
+    def from_images(cls, image_x: Iterable[PauliString],
+                    image_z: Iterable[PauliString]) -> "CliffordMap":
         ix, iz = tuple(image_x), tuple(image_z)
         c = cls(len(ix), ix, iz)
-        if validate and not c.is_valid():
+        if not c.is_valid():
             raise PauliError("images do not define a Clifford (symplectic check failed)")
         return c
 
@@ -337,22 +330,13 @@ class CliffordMap:
     def __matmul__(self, first: "CliffordMap") -> "CliffordMap":
         return self.compose(first)
 
-    def embed(self, n: int, wires: Sequence[int]) -> "CliffordMap":
-        """This map on `wires` of an n-wire register, identity elsewhere."""
-        return self._placed(n, wires, lambda p: p.embed(n, wires))
-
     def shifted(self, n: int, start: int) -> "CliffordMap":
         """This map on wires start, start + 1, ... of an n-wire register,
-        identity elsewhere: `embed` on a contiguous block."""
-        return self._placed(n, range(start, start + self.n), lambda p: p.shifted(n, start))
-
-    def _placed(self, n: int, wires: Sequence[int], place) -> "CliffordMap":
-        """The identity on n wires with image k, placed by `place`, on wires[k]."""
+        identity elsewhere."""
         ident = CliffordMap.identity(n)
         ix, iz = list(ident.image_x), list(ident.image_z)
-        for k, w in enumerate(wires):
-            ix[w] = place(self.image_x[k])
-            iz[w] = place(self.image_z[k])
+        ix[start:start + self.n] = [p.shifted(n, start) for p in self.image_x]
+        iz[start:start + self.n] = [p.shifted(n, start) for p in self.image_z]
         return CliffordMap(n, tuple(ix), tuple(iz))
 
     # -- circuit-style construction -----------------------------------

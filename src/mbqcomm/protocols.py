@@ -69,8 +69,9 @@ class ProtocolError(ValueError):
     """Raised for invalid protocol configurations."""
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = 1.96  # two-sided 95% normal quantile
     if total == 0:
         return 0.0, 1.0
     phat = successes / total

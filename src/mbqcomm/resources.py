@@ -99,9 +99,6 @@ class ResourceSpec:
     def n_wires(self) -> int:
         return self.circuit.n
 
-    def site_sizes(self) -> dict[str, int]:
-        return {site: len(labels) for site, labels in self.sites}
-
     # -- outcomes and frames -------------------------------------------
 
     def push_through(self, riding: PauliString) -> tuple[PauliString, PauliString]:
@@ -156,16 +153,6 @@ class ResourceSpec:
         keep = all(sum(bits[name] for name in check) % 2 == 0 for check in self.checks)
         syndrome = tuple(bits[name] for name in self.syndrome)
         return ByproductInfo(keep, frame, bits, syndrome)
-
-    def byproduct_table(self) -> dict[tuple[int, ...], ByproductInfo]:
-        """Full outcome table over all 4^{n_inputs} tuples (small n only)."""
-        from itertools import product
-
-        table = {}
-        for combo in product(range(4), repeat=len(self.inputs)):
-            outs = [BellOutcome.from_index(i) for i in combo]
-            table[combo] = self.byproduct(outs)
-        return table
 
 
 def _build_resource(name: str, circuit: CliffordMap,
@@ -257,8 +244,7 @@ def _build_resource(name: str, circuit: CliffordMap,
 def cj_state(circuit: CliffordMap, name: str = "cj",
              ancilla_init: Sequence[tuple[int, str]] = (),
              input_labels: Sequence[str] | None = None,
-             output_labels: dict[int, str] | None = None,
-             sites=()) -> ResourceSpec:
+             output_labels: dict[int, str] | None = None) -> ResourceSpec:
     """Choi-Jamiolkowski resource of a Clifford circuit.
 
     The circuit acts on halves of maximally entangled pairs; wires
@@ -269,7 +255,7 @@ def cj_state(circuit: CliffordMap, name: str = "cj",
     input_wires = [wire for wire in range(circuit.n) if wire not in anc_wires]
     return _build_resource(
         name, circuit, input_wires, ancilla_init,
-        input_labels=input_labels, output_labels=output_labels, sites=sites,
+        input_labels=input_labels, output_labels=output_labels,
     )
 
 
@@ -439,24 +425,8 @@ class LabeledRegister:
         self.labels = [l for l in self.labels if l not in (la, lb)]
         return outcome
 
-    def remove(self, labels: Sequence[str]):
-        idx = [self.index(l) for l in labels]
-        self.state.remove_qubits(idx)
-        self.labels = [l for l in self.labels if l not in set(labels)]
-
-    def relabel(self, old: str, new: str):
-        if new in self.labels:
-            raise ResourceError(f"label {new!r} already in use")
-        self.labels[self.index(old)] = new
-
     def to_dense(self):
         return self.state.to_dense()
-
-    def copy(self) -> "LabeledRegister":
-        reg = LabeledRegister()
-        reg.state = self.state.copy()
-        reg.labels = list(self.labels)
-        return reg
 
 
 @dataclass

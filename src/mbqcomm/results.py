@@ -118,10 +118,9 @@ def write_jsonl(path: str, records: list[ResultRecord]):
             fh.write(rec.to_json() + "\n")
 
 
-def write_plot_csv(path: str, rows: list[tuple[float, float, float]],
-                   header=("x", "y", "err")):
+def write_plot_csv(path: str, rows: list[tuple[float, float, float]]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(("x", "y", "err"))
         for row in rows:
             writer.writerow([repr(v) for v in row])

@@ -2,9 +2,9 @@
 bit generator.
 
 Stream derivation (stable across versions): the Philox key is the pair
-(master_seed, shard_id * 2^32 + trajectory_id), both reduced modulo
-2^64. Distinct (shard, trajectory) pairs give independent streams; a
-single-shard run is bitwise reproducible from (seed, config, version).
+(master_seed, shard_id * 2^32), both reduced modulo 2^64. Distinct
+shards give independent streams; a single-shard run is bitwise
+reproducible from (seed, config, version).
 
 Every categorical draw in the package (Bell indices, Pauli letters) goes
 through `draw_indices`, which reproduces `Generator.choice(k, size, p)`
@@ -27,19 +27,11 @@ _CHUNK = 1 << 18
 _ATOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's tolerance on sum(p)
 
 
-def seed_derive(master_seed: int, shard_id: int = 0, trajectory_id: int = 0) -> tuple[int, int]:
-    """Derive the 2x64-bit Philox key for one logical stream."""
-    if shard_id < 0 or trajectory_id < 0:
-        raise ValueError("stream ids must be nonnegative")
-    return (
-        master_seed & _MASK64,
-        ((shard_id << 32) ^ trajectory_id) & _MASK64,
-    )
-
-
-def make_rng(master_seed: int, shard_id: int = 0, trajectory_id: int = 0) -> np.random.Generator:
+def make_rng(master_seed: int, shard_id: int = 0) -> np.random.Generator:
     """Generator for one stream; same inputs always give the same stream."""
-    key = seed_derive(master_seed, shard_id, trajectory_id)
+    if shard_id < 0:
+        raise ValueError("shard id must be nonnegative")
+    key = (master_seed & _MASK64, (shard_id << 32) & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

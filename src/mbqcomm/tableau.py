@@ -3,8 +3,8 @@
 The tableau stores n stabilizer generators plus n destabilizers (used to
 resolve deterministic measurement outcomes), all as phased PauliStrings
 (Aaronson and Gottesman, PRA 70, 052328, 2004). Measurements of
-arbitrary Pauli operators, Bell measurements with qubit removal,
-graph-state construction and a dense-vector bridge live here.
+arbitrary Pauli operators, Bell measurements with qubit removal and a
+dense-vector bridge live here.
 
 Qubits leave a tableau in two ways. A Bell measurement pins its two
 measured operators as stabilizer rows and drops the pair in one pass
@@ -16,14 +16,13 @@ in the tests. Both cut the dropped bits out with `PauliString.without`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
 from .dense import apply_pauli_vec, basis_state
-from .pauli import CliffordMap, PauliError, PauliString, gate_map
+from .pauli import CliffordMap, PauliError, PauliString
 
 _BELL_INDEX = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
 _BELL_LETTER = {0: "I", 1: "X", 2: "Y", 3: "Z"}
@@ -69,11 +68,6 @@ class BellOutcome:
         raise ValueError(f"invalid Bell index {i}")
 
 
-@lru_cache(maxsize=4096)
-def _cached_gate(n: int, name: str, qubits: tuple[int, ...]) -> CliffordMap:
-    return gate_map(n, name, *qubits)
-
-
 class StabilizerState:
     """n-qubit pure stabilizer state as a destabilizer tableau."""
 
@@ -87,12 +81,6 @@ class StabilizerState:
     def zero_state(cls, n: int) -> "StabilizerState":
         stabs = [PauliString.single(n, k, "Z") for k in range(n)]
         destabs = [PauliString.single(n, k, "X") for k in range(n)]
-        return cls(stabs, destabs)
-
-    @classmethod
-    def plus_state(cls, n: int) -> "StabilizerState":
-        stabs = [PauliString.single(n, k, "X") for k in range(n)]
-        destabs = [PauliString.single(n, k, "Z") for k in range(n)]
         return cls(stabs, destabs)
 
     @classmethod
@@ -124,36 +112,11 @@ class StabilizerState:
     def n(self) -> int:
         return self.stabs[0].n if self.stabs else 0
 
-    # -- invariants ----------------------------------------------------
-
-    def validate(self):
-        n = self.n
-        if len(self.stabs) != n or len(self.destabs) != n:
-            raise TableauError("tableau must hold n stabilizers and n destabilizers")
-        for i, g in enumerate(self.stabs):
-            if not g.is_hermitian:
-                raise TableauError(f"generator {i} is not Hermitian")
-            for j in range(i + 1, n):
-                if not g.commutes(self.stabs[j]):
-                    raise TableauError(f"generators {i},{j} do not commute")
-        for k, d in enumerate(self.destabs):
-            for j, g in enumerate(self.stabs):
-                want = (j == k)
-                if d.commutes(g) == want:
-                    raise TableauError(f"destabilizer {k} pairing broken at {j}")
-            for j in range(k + 1, n):
-                if not d.commutes(self.destabs[j]):
-                    raise TableauError(f"destabilizers {k},{j} do not commute")
-
     # -- unitaries and Paulis -------------------------------------------
 
     def apply_pauli(self, p: PauliString):
         """Apply a Pauli operator (flips generator signs only)."""
         self.stabs = [g if g.commutes(p) else g.negate() for g in self.stabs]
-
-    def apply_gate(self, name: str, *qubits: int):
-        c = _cached_gate(self.n, name.upper(), tuple(qubits))
-        self.apply_clifford(c)
 
     def apply_clifford(self, c: CliffordMap):
         self.stabs = [c.conjugate(g) for g in self.stabs]
@@ -440,177 +403,3 @@ def complete_clifford(image_x: dict[int, PauliString],
     except PauliError as exc:
         raise TableauError(str(exc)) from exc
 
-
-# -- graph states -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Undirected simple graph on vertices 0..n-1."""
-
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        norm = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError("self-loops are not allowed")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError("edge endpoint out of range")
-            norm.add((min(a, b), max(a, b)))
-        object.__setattr__(self, "edges", frozenset(norm))
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
-
-def ring_graph(n: int) -> GraphSpec:
-    return GraphSpec(n, frozenset((k, (k + 1) % n) for k in range(n)))
-
-
-def path_graph(n: int) -> GraphSpec:
-    return GraphSpec(n, frozenset((k, k + 1) for k in range(n - 1)))
-
-
-def graph_state(g: GraphSpec) -> StabilizerState:
-    """State stabilized by K_a = X_a prod_{b in N(a)} Z_b."""
-    n = g.n
-    stabs = []
-    for a in range(n):
-        row = PauliString.single(n, a, "X")
-        for b in g.neighbors(a):
-            row = row * PauliString.single(n, b, "Z")
-        stabs.append(row)
-    destabs = [PauliString.single(n, a, "Z") for a in range(n)]
-    return StabilizerState(stabs, destabs)
-
-
-def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
-    """Reduce a stabilizer state to graph-canonical form.
-
-    Returns (graph, ops) where ops is a list of single-qubit gates that,
-    applied to the input state, produce exactly graph_state(graph).
-    """
-    work = state.copy()
-    n = work.n
-    ops: list[tuple[str, int]] = []
-
-    def xmat():
-        return np.array(
-            [[g.x_bit(q) for q in range(n)] for g in work.stabs], dtype=np.uint8
-        )
-
-    r = gf2.rank(xmat())
-    while r < n:
-        improved = False
-        for q in range(n):
-            trial = work.copy()
-            trial.apply_gate("H", q)
-            m = np.array(
-                [[g.x_bit(c) for c in range(n)] for g in trial.stabs], dtype=np.uint8
-            )
-            if gf2.rank(m) > r:
-                work.apply_gate("H", q)
-                ops.append(("H", q))
-                r = gf2.rank(xmat())
-                improved = True
-                break
-        if not improved:
-            raise TableauError("cannot complete X-block rank (not a stabilizer state?)")
-
-    # row-reduce so the X block becomes the identity, destabilizers in step
-    pivots = _eliminate(work.stabs, work.destabs, [(True, 1 << q) for q in range(n)],
-                        range(n))
-    work.stabs = [work.stabs[i] for i in pivots]
-    work.destabs = [work.destabs[i] for i in pivots]
-
-    for q in range(n):
-        if work.stabs[q].z_bit(q):
-            work.apply_gate("SDG", q)
-            ops.append(("SDG", q))
-    for q in range(n):
-        if work.stabs[q].sign == -1:
-            work.apply_pauli(PauliString.single(n, q, "Z"))
-            ops.append(("Z", q))
-
-    edges = set()
-    for a in range(n):
-        g = work.stabs[a]
-        for b in range(n):
-            if b != a and g.z_bit(b):
-                edges.add((min(a, b), max(a, b)))
-    spec = GraphSpec(n, frozenset(edges))
-    if not graph_state(spec).same_state(work):
-        raise TableauError("graph reduction did not reach graph form")
-    return spec, ops
-
-
-def local_complement(g: GraphSpec, v: int) -> GraphSpec:
-    """Toggle all edges among the neighbors of v."""
-    nb = g.neighbors(v)
-    edges = set(g.edges)
-    for i in range(len(nb)):
-        for j in range(i + 1, len(nb)):
-            e = (min(nb[i], nb[j]), max(nb[i], nb[j]))
-            if e in edges:
-                edges.remove(e)
-            else:
-                edges.add(e)
-    return GraphSpec(g.n, frozenset(edges))
-
-
-def lc_orbit(g: GraphSpec, cap: int = 20000) -> set[frozenset]:
-    """All edge sets reachable by local complementations (BFS)."""
-    seen = {g.edges}
-    frontier = [g]
-    while frontier and len(seen) < cap:
-        nxt = []
-        for cur in frontier:
-            for v in range(cur.n):
-                cand = local_complement(cur, v)
-                if cand.edges not in seen:
-                    seen.add(cand.edges)
-                    nxt.append(cand)
-        frontier = nxt
-    return seen
-
-
-def lc_equivalent(g1: GraphSpec, g2: GraphSpec, allow_relabel: bool = True) -> bool:
-    """Local-Clifford equivalence of two graphs, optionally up to relabeling."""
-    if g1.n != g2.n:
-        return False
-    orbit = lc_orbit(g1)
-    if g2.edges in orbit:
-        return True
-    if not allow_relabel:
-        return False
-    from itertools import permutations
-
-    for perm in permutations(range(g2.n)):
-        mapped = frozenset(
-            (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g2.edges
-        )
-        if mapped in orbit:
-            return True
-    return False
-
-
-def is_connected(g: GraphSpec) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n

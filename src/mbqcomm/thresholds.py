@@ -222,16 +222,17 @@ def shor_type_threshold(regime: str = "q=p") -> ThresholdReport:
     return report
 
 
-def dephasing_repetition_threshold(sizes=(3, 5, 7, 9)) -> ThresholdReport:
+def dephasing_repetition_threshold() -> ThresholdReport:
     """Asymptotic repetition-code threshold under pure dephasing: 1/2.
 
     Sweep mode: verifies that below the boundary the logical flip
     probability, under bit flips with probability eps on every qubit, is
-    strictly decreasing in the code size, and increasing above it.
+    strictly decreasing in the code size (3, 5, 7, 9), and increasing
+    above it.
     """
     details = {
         key: [1.0 - repetition_code(m).logical_channel((1.0 - eps, eps, 0.0, 0.0))[0]
-              for m in sizes]
+              for m in (3, 5, 7, 9)]
         for eps, key in ((0.4, "below"), (0.6, "above"))
     }
     ok_below = all(a > b for a, b in zip(details["below"], details["below"][1:]))
@@ -266,7 +267,7 @@ class SweepResult:
 
 
 def sweep(detector: Callable[[float], tuple[bool, float, float]],
-          lo: float, hi: float, *, steps: int = 7, refine: int = 14,
+          lo: float, hi: float, *, steps: int = 7,
           name: str = "detector") -> SweepResult:
     """Locate a monotone detector's boundary by grid scan + bisection.
 
@@ -288,7 +289,7 @@ def sweep(detector: Callable[[float], tuple[bool, float, float]],
     if len(flips) != 1:
         raise ThresholdError(f"{name}: non-monotone detector response {flags}")
     b_lo, b_hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
-    for _ in range(refine):
+    for _ in range(14):  # bisections: the bracket shrinks 2^14-fold
         mid = 0.5 * (b_lo + b_hi)
         flag, stat, err = detector(mid)
         points.append((mid, stat, err, flag))

@@ -21,6 +21,8 @@ from mbqcomm.belldiag import (
     werner,
 )
 from mbqcomm.noise import PauliChannel
+from mbqcomm.pauli import PauliString
+from oracles import density, embed_unitary, fidelity_with_vec, partial_trace
 
 # -- oracle helpers: closed forms and the golden-file writer, checked below
 
@@ -62,6 +64,49 @@ def golden_maps_to_text(maps: dict[str, np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- dense oracle: Bell-diagonal states as density matrices
+
+
+def bd_to_dense(state: BellDiagonalState) -> dense.DensityMatrix:
+    """The density matrix sum_k c_k |phi_k><phi_k| in the Bell basis."""
+    mat = sum(
+        c * np.outer(dense.bell_vector(s), dense.bell_vector(s).conj())
+        for c, s in zip(state.coeffs, BD_SIGMA_ORDER)
+    )
+    return density(mat)
+
+
+def bell_coeffs(rho: dense.DensityMatrix) -> np.ndarray:
+    """Diagonal Bell-basis coefficients of a 2-qubit state.
+
+    Ordering is the Bell-diagonal index convention (I, Z, X, Y).
+    """
+    if rho.n != 2:
+        raise ValueError("bell_coeffs requires a 2-qubit state")
+    order = [0, 3, 1, 2]  # sigma indices for bd order I,Z,X,Y
+    return np.array([fidelity_with_vec(rho, dense.bell_vector(s)) for s in order])
+
+
+def apply_unitary(rho: dense.DensityMatrix, u: np.ndarray,
+                  targets: list[int]) -> dense.DensityMatrix:
+    full = embed_unitary(rho.n, u, targets)
+    return dense.DensityMatrix(full @ rho.mat @ full.conj().T)
+
+
+def measure_pauli(rho: dense.DensityMatrix,
+                  p: PauliString) -> list[tuple[float, int, dense.DensityMatrix]]:
+    """Projective +-1 measurement branches with Born probabilities."""
+    m = dense.pauli_matrix(p)
+    eye = np.eye(m.shape[0])
+    out = []
+    for outcome in (+1, -1):
+        proj = (eye + outcome * m) / 2
+        sub = proj @ rho.mat @ proj
+        prob = float(np.trace(sub).real)
+        if prob > 1e-14:
+            out.append((prob, outcome, dense.DensityMatrix(sub / prob)))
+    return out
+
 
 def test_werner_basics():
     assert werner(1.0).coeffs == (1.0, 0.0, 0.0, 0.0)
@@ -102,8 +147,8 @@ def test_apply_channel_matches_dense_oracle():
         side = "A" if rng.integers(2) else "B"
         out = __import__("mbqcomm.belldiag", fromlist=["apply_pauli_channel"]) \
             .apply_pauli_channel(state, side, ch)
-        rho = state.to_dense().apply_pauli_channel(ch.as_dict, 0 if side == "A" else 1)
-        assert np.allclose(out.as_array(), rho.bell_coeffs(), atol=1e-12)
+        rho = bd_to_dense(state).apply_pauli_channel(ch.as_dict, 0 if side == "A" else 1)
+        assert np.allclose(out.as_array(), bell_coeffs(rho), atol=1e-12)
 
 
 def test_entropy_yield_extremes():
@@ -197,30 +242,28 @@ def test_golden_text_roundtrip_and_corruption():
 
 def _dense_recurrence_reference(rho1, rho2, variant):
     """Mixed-state dense reference for one 2->1 round (test-local oracle)."""
-    from mbqcomm.pauli import PauliString
-
-    mat = np.kron(rho1.to_dense().mat, rho2.to_dense().mat)
-    dm = dense.DensityMatrix(mat)
+    mat = np.kron(bd_to_dense(rho1).mat, bd_to_dense(rho2).mat)
+    dm = density(mat)
     if variant == "BBPSSW":
         t1 = twirl_werner(rho1)
         t2 = twirl_werner(rho2)
-        dm = dense.DensityMatrix(np.kron(t1.to_dense().mat, t2.to_dense().mat))
+        dm = density(np.kron(bd_to_dense(t1).mat, bd_to_dense(t2).mat))
     else:
         minus = (dense.I2 - 1j * dense.X) / np.sqrt(2)
         plus = (dense.I2 + 1j * dense.X) / np.sqrt(2)
         for q, u in ((0, minus), (1, plus), (2, minus), (3, plus)):
-            dm = dm.apply_unitary(u, [q])
-    dm = dm.apply_unitary(dense.CNOT, [0, 2]).apply_unitary(dense.CNOT, [1, 3])
+            dm = apply_unitary(dm, u, [q])
+    dm = apply_unitary(apply_unitary(dm, dense.CNOT, [0, 2]), dense.CNOT, [1, 3])
     za = PauliString.single(4, 2, "Z")
     zb = PauliString.single(4, 3, "Z")
     total = np.zeros(4)
     p_succ = 0.0
-    for pa, oa, da in dm.measure_pauli(za):
-        for pb, ob, db in da.measure_pauli(zb):
+    for pa, oa, da in measure_pauli(dm, za):
+        for pb, ob, db in measure_pauli(da, zb):
             if oa != ob:
                 continue
-            reduced = db.partial_trace([0, 1])
-            coeffs = reduced.bell_coeffs()
+            reduced = partial_trace(db, [0, 1])
+            coeffs = bell_coeffs(reduced)
             if variant == "BBPSSW":
                 r = (1.0 - coeffs[0]) / 3.0
                 coeffs = np.array([coeffs[0], r, r, r])
@@ -247,14 +290,14 @@ def test_swap_matches_dense_reference_on_random_states():
         c1 = BellDiagonalState(tuple(rng.dirichlet(np.ones(4))))
         c2 = BellDiagonalState(tuple(rng.dirichlet(np.ones(4))))
         got = swap_pairs(c1, c2)
-        dm = dense.DensityMatrix(np.kron(c1.to_dense().mat, c2.to_dense().mat))
+        dm = density(np.kron(bd_to_dense(c1).mat, bd_to_dense(c2).mat))
         total = np.zeros(4)
         for prob, m, branch in dm.bell_measure(1, 2):
             if branch is None:
                 continue
             sigma = dense.PAULI_MATS["IXYZ"[m]]
-            corrected = branch.apply_unitary(sigma, [1])
-            total += prob * corrected.bell_coeffs()
+            corrected = apply_unitary(branch, sigma, [1])
+            total += prob * bell_coeffs(corrected)
         assert np.allclose(got.as_array(), total, atol=1e-12)
 
 
@@ -275,5 +318,5 @@ def test_bd_dense_roundtrip():
     rng = np.random.default_rng(13)
     for _ in range(10):
         c = BellDiagonalState(tuple(rng.dirichlet(np.ones(4))))
-        assert np.allclose(c.to_dense().bell_coeffs(), c.as_array(), atol=1e-12)
+        assert np.allclose(bell_coeffs(bd_to_dense(c)), c.as_array(), atol=1e-12)
     assert BD_SIGMA_ORDER == (0, 3, 1, 2)

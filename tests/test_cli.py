@@ -31,6 +31,12 @@ def run(argv, capsys):
     ["chain", "--samples", "0"],
     ["repeater", "--samples", "0"],
     ["sweep", "--target", "epp", "--samples", "0"],
+    PURIFY_MC + ["--samples", "10", "--csv-out", "/nonexistent/x.csv"],
+    PURIFY_MC + ["--samples", "10", "--json-out", "/nonexistent/x.jsonl"],
+    ["sweep", "--target", "code", "--plot-out", "/nonexistent/x.csv"],
+    # 10 kept pairs of 57 rounds need 10 * 2^57 pairs: 1.25 EiB, more than
+    # any 64-bit address space, so the allocation fails without touching memory
+    PURIFY_MC + ["--rounds", "57", "--samples", "10"],
 ])
 def test_bad_counts_exit_2_with_one_line(argv, capsys):
     rc, out, err = run(argv, capsys)

@@ -14,26 +14,61 @@ from mbqcomm.catalog import (
     code_correct,
     code_decode_syndrome,
     code_encode,
-    code_encode_decode_combined,
     epp_recurrence,
     epp_site_circuit,
     epp_site_resource,
     repeater_station,
 )
-from mbqcomm.codes import CodeError, all_single_qubit_errors, repetition_code, ring5_code
+from mbqcomm.codes import (
+    CodeError,
+    CodeSpec,
+    all_single_qubit_errors,
+    repetition_code,
+    ring5_code,
+)
 from mbqcomm.noise import PauliChannel
-from mbqcomm.pauli import PauliString
-from mbqcomm.resources import LabeledRegister, ResourceError, teleport_in
-from mbqcomm.tableau import (
-    BellOutcome,
-    StabilizerState,
+from mbqcomm.pauli import PauliString, gate_map
+from mbqcomm.resources import (
+    LabeledRegister,
+    ResourceError,
+    ResourceSpec,
+    cj_state,
+    teleport_in,
+)
+from mbqcomm.tableau import BellOutcome, StabilizerState
+from oracles import (
     graph_state,
     is_connected,
     lc_equivalent,
     path_graph,
+    plus_state,
     ring_graph,
+    site_sizes,
     to_graph,
+    validate_tableau,
 )
+
+
+def code_encode_decode_combined(code: CodeSpec) -> ResourceSpec:
+    """Combined encode/syndrome/decode state of N+2 qubits.
+
+    Wire layout: 0..N-1 hold the encoded block, wire N the read-out
+    qubit, entangled with the logical qubit before encoding.
+    """
+    n = code.n
+    copy_out = gate_map(n + 1, "CNOT", 0, n)
+    enc = code.encoder.shifted(n + 1, 0)
+    circuit = enc @ copy_out
+    anc = [(w, "Z") for w in range(1, n + 1)]
+    out_names = {w: f"b{w}" for w in range(n)}
+    out_names[n] = "out"
+    return cj_state(
+        circuit,
+        name=f"{code.name}_combined",
+        ancilla_init=anc,
+        input_labels=["in"],
+        output_labels=out_names,
+    )
 
 
 def test_repetition_code_structure():
@@ -96,7 +131,7 @@ def test_ring5_codeword_is_ring_graph_state():
 
 def test_encoded_plus_satisfies_ring_stabilizers():
     code = ring5_code()
-    enc = StabilizerState.plus_state(1).tensor(StabilizerState.zero_state(4))
+    enc = plus_state(1).tensor(StabilizerState.zero_state(4))
     enc.apply_clifford(code.encoder)
     for g in code.stabilizers:
         assert enc.measure(g) == 1
@@ -165,7 +200,7 @@ def test_epp_recurrence_sizes():
     for rounds in (1, 2):
         spec = epp_recurrence(rounds)
         per_site = (1 << rounds) + 1
-        assert spec.site_sizes() == {"A": per_site, "B": per_site}
+        assert site_sizes(spec) == {"A": per_site, "B": per_site}
 
 
 def test_epp_site_resources_are_graph_classes():
@@ -307,7 +342,7 @@ def test_resource_builds_solve_nothing(monkeypatch):
 
 def test_every_catalog_resource_tableau_is_valid():
     for spec in catalog_resources([code_by_name(name) for name in CATALOG_CODES]):
-        spec.state.validate()
+        validate_tableau(spec.state)
 
 
 def _canonical_text(spec) -> str:

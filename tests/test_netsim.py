@@ -16,6 +16,7 @@ from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.rng import make_rng
 from mbqcomm.tableau import StabilizerState
+from oracles import depolarize, embed_unitary, fidelity_with_vec
 
 CHAIN_NOISE = NoiseModel(0.98, 0.99, 0.9)
 
@@ -67,6 +68,11 @@ def test_ring5_analytic_chain_frozen(segments):
     assert abs(encoded_chain(cfg, mode="analytic").fidelity - ANALYTIC_FROZEN[segments]) < 1e-12
 
 
+def apply_pauli(rho: dense.DensityMatrix, p: PauliString) -> dense.DensityMatrix:
+    m = dense.pauli_matrix(p)
+    return dense.DensityMatrix(m @ rho.mat @ m.conj().T)
+
+
 def _syndrome_projector_branches(code: CodeSpec, dm: dense.DensityMatrix,
                                  gen_mats: list[np.ndarray]):
     """Exact syndrome measurement branches on the block qubits.
@@ -81,7 +87,7 @@ def _syndrome_projector_branches(code: CodeSpec, dm: dense.DensityMatrix,
             prob = float(np.trace(mat).real)
             if prob > 1e-14:
                 out.append(
-                    (prob, bits, dense.DensityMatrix(mat / prob, validate=False))
+                    (prob, bits, dense.DensityMatrix(mat / prob))
                 )
             return
         gm = gen_mats[len(bits)]
@@ -117,7 +123,7 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
     ideal_vec = StabilizerState.from_generators(gens).to_dense()
     block = list(range(1, n + 1))
     gen_mats = [
-        dense.embed_unitary(n + 1, dense.pauli_matrix(g), block)
+        embed_unitary(n + 1, dense.pauli_matrix(g), block)
         for g in code.stabilizers
     ]
     start = dense.DensityMatrix.from_vec(ideal_vec)
@@ -127,11 +133,11 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
         nxt = []
         for prob, dm, frame in branches:
             for q in block:
-                dm = dm.depolarize(q, p_tilde)
+                dm = depolarize(dm, q, p_tilde)
             for bprob, raw_bits, bdm in _syndrome_projector_branches(code, dm, gen_mats):
                 est = code.estimate(raw_bits, frame)[1]
                 if cfg.correction_timing == "station":
-                    bdm = bdm.apply_pauli(est.embed(n + 1, block))
+                    bdm = apply_pauli(bdm, est.embed(n + 1, block))
                     new_frame = frame
                 else:
                     new_frame = (frame * est).unsigned()
@@ -140,8 +146,8 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
     fid = 0.0
     for prob, dm, frame in branches:
         if cfg.correction_timing == "end" and not frame.is_identity:
-            dm = dm.apply_pauli(frame.embed(n + 1, block))
-        fid += prob * dm.fidelity_with_vec(ideal_vec)
+            dm = apply_pauli(dm, frame.embed(n + 1, block))
+        fid += prob * fidelity_with_vec(dm, ideal_vec)
     return fid
 
 

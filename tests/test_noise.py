@@ -18,6 +18,7 @@ from mbqcomm.noise import (
 )
 from mbqcomm.pauli import PauliString, random_clifford
 from mbqcomm.tableau import BellOutcome, StabilizerState
+from oracles import density, depolarize
 
 
 # -- oracle helpers: the sampled noise model on one state, checked below
@@ -91,12 +92,6 @@ def test_depolarize_weights():
     assert np.allclose(ch.weights, (0.85, 0.05, 0.05, 0.05))
 
 
-def test_dephasing_reparameterization():
-    ch = PauliChannel.dephasing(0.6)
-    # p = q + (1-q)/2
-    assert np.allclose(ch.weights, (0.8, 0.0, 0.0, 0.2))
-
-
 def test_sampling_reproduces_exact_channel():
     # average sampled Pauli insertions on a random 2-qubit state vs E(p)
     rng = np.random.default_rng(42)
@@ -122,12 +117,13 @@ def test_compose_noise_values():
 
 
 def test_compose_noise_matches_channel_composition():
-    # E(p1) o E(p2) = E(p1 p2) as 4x4 transfer matrices, exactly
+    # E(p1) o E(p2) = E(p1 p2) on one half of |phi+>: equal Choi states
+    # are equal channels
+    choi = dense.DensityMatrix.from_vec(StabilizerState.bell_pair().to_dense())
     for p1, p2 in [(0.7, 0.6), (1.0, 0.3), (0.0, 0.9), (0.5, 0.5)]:
-        lhs = PauliChannel.depolarizing(p1).compose(PauliChannel.depolarizing(p2))
-        rhs = PauliChannel.depolarizing(compose_noise(p1, p2))
-        assert np.allclose(lhs.transfer_matrix(), rhs.transfer_matrix(), atol=1e-15)
-        assert np.allclose(lhs.weights, rhs.weights, atol=1e-15)
+        lhs = depolarize(depolarize(choi, 0, p2), 0, p1)
+        rhs = depolarize(choi, 0, compose_noise(p1, p2))
+        assert np.allclose(lhs.mat, rhs.mat, atol=1e-15)
 
 
 def _phi_plus_state():
@@ -147,7 +143,7 @@ def test_noisy_bell_measure_ideal():
 def test_noisy_bell_measure_fully_depolarized():
     # q=0: exact channel makes the pair maximally mixed -> uniform outcomes
     rho = dense.DensityMatrix.from_vec(_phi_plus_state().to_dense())
-    noised = rho.depolarize(0, 0.0).depolarize(1, 0.0)
+    noised = depolarize(depolarize(rho, 0, 0.0), 1, 0.0)
     for prob, _i, _ in noised.bell_measure(0, 1):
         assert abs(prob - 0.25) < 1e-12
     rng = np.random.default_rng(2)
@@ -186,7 +182,7 @@ def test_noisy_bell_measure_partial_matches_exact_probability():
     # outcome probability; each pattern's outcome is deterministic on |phi+>
     q = 0.9
     rho = dense.DensityMatrix.from_vec(_phi_plus_state().to_dense())
-    noised = rho.depolarize(0, q).depolarize(1, q)
+    noised = depolarize(depolarize(rho, 0, q), 1, q)
     exact_p0 = noised.bell_measure(0, 1)[0][0]
     total = p0 = 0.0
     for weight, uniforms in _insertion_patterns(q, 2):
@@ -270,7 +266,7 @@ def test_move_noise_on_random_mixed_states_and_channels():
             v = s.to_dense()
             mats.append(np.outer(v, v.conj()))
         weights = rng.dirichlet(np.ones(3))
-        rho = dense.DensityMatrix(sum(w * m for w, m in zip(weights, mats)))
+        rho = density(sum(w * m for w, m in zip(weights, mats)))
         ch_w = rng.dirichlet(np.ones(4))
         report = move_noise_across_bell(PauliChannel(tuple(ch_w)), rho, 1, 2)
         assert report.holds

@@ -11,13 +11,24 @@ from mbqcomm.pauli import (
     PauliError,
     PauliString,
     circuit_map,
-    commutes,
     gate_map,
-    multiply,
     random_clifford,
     random_pauli,
 )
 from mbqcomm.tableau import StabilizerState
+from oracles import U_PG, embed_unitary
+
+
+def embed_map(c: CliffordMap, n: int, wires) -> CliffordMap:
+    """`c` on `wires` of an n-wire register, identity elsewhere: the
+    oracle of `CliffordMap.shifted`, which places a map on a contiguous
+    block by shifts."""
+    ident = CliffordMap.identity(n)
+    ix, iz = list(ident.image_x), list(ident.image_z)
+    for k, w in enumerate(wires):
+        ix[w] = c.image_x[k].embed(n, wires)
+        iz[w] = c.image_z[k].embed(n, wires)
+    return CliffordMap(n, tuple(ix), tuple(iz))
 
 
 def test_single_qubit_products():
@@ -46,17 +57,17 @@ def test_square_is_sign_only():
 def test_commutes_basics():
     X = PauliString.from_string("X")
     Z = PauliString.from_string("Z")
-    assert commutes(X, X)
-    assert not commutes(X, Z)
+    assert X.commutes(X)
+    assert not X.commutes(Z)
     # two anticommuting factors make the whole strings commute
-    assert commutes(PauliString.from_string("XZ"), PauliString.from_string("ZX"))
+    assert PauliString.from_string("XZ").commutes(PauliString.from_string("ZX"))
 
 
 def test_length_mismatch_raises():
     with pytest.raises(PauliError):
-        multiply(PauliString.from_string("X"), PauliString.from_string("XX"))
+        PauliString.from_string("X").multiply(PauliString.from_string("XX"))
     with pytest.raises(PauliError):
-        commutes(PauliString.from_string("X"), PauliString.from_string("XX"))
+        PauliString.from_string("X").commutes(PauliString.from_string("XX"))
 
 
 def test_multiplication_matches_dense_matrices():
@@ -107,11 +118,11 @@ def test_conjugate_matches_dense_oracle():
     for name, *qs in gates:
         c = gate_map(2, name, *qs)
         if name == "CNOT":
-            u = dense.embed_unitary(2, dense.CNOT, qs)
+            u = embed_unitary(2, dense.CNOT, qs)
         elif name == "CZ":
-            u = dense.embed_unitary(2, dense.U_PG, qs)
+            u = embed_unitary(2, U_PG, qs)
         else:
-            u = dense.embed_unitary(2, mats[name], qs)
+            u = embed_unitary(2, mats[name], qs)
         for _ in range(40):
             p = random_pauli(2, rng)
             lhs = dense.pauli_matrix(c.conjugate(p))
@@ -125,7 +136,7 @@ def test_conjugate_preserves_commutation():
         n = int(rng.integers(1, 5))
         c = random_clifford(n, rng)
         p, q = random_pauli(n, rng), random_pauli(n, rng)
-        assert commutes(p, q) == commutes(c.conjugate(p), c.conjugate(q))
+        assert p.commutes(q) == c.conjugate(p).commutes(c.conjugate(q))
 
 
 def test_composition_matches_sequential_conjugation():
@@ -147,7 +158,7 @@ def test_embed_acts_on_its_wires_only():
         rest = [w for w in range(n) if w not in wires]
         c = random_clifford(k, rng)
         on, off = random_pauli(k, rng), random_pauli(n - k, rng)
-        big = c.embed(n, wires)
+        big = embed_map(c, n, wires)
         assert big.is_valid()
         p = on.embed(n, wires) * off.embed(n, rest)
         assert big.conjugate(p) == c.conjugate(on).embed(n, wires) * off.embed(n, rest)
@@ -287,7 +298,7 @@ def test_unchecked_algebra_matches_dense_matrices(data):
     placed = p.embed(big, positions)
     _assert_public(placed)
     assert np.allclose(dense.pauli_matrix(placed),
-                       dense.embed_unitary(big, mp, positions), atol=1e-12)
+                       embed_unitary(big, mp, positions), atol=1e-12)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -300,6 +311,9 @@ def test_shifted_and_without_equal_embed_and_restrict(data):
     placed = p.shifted(big, start)
     _assert_public(placed)
     assert placed == p.embed(big, range(start, start + n))
+    if n:
+        c = _clifford(data, n, "c")
+        assert c.shifted(big, start) == embed_map(c, big, range(start, start + n))
     drop = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="drop")
                   if n else [])
     cut = p.without(drop)
@@ -309,9 +323,11 @@ def test_shifted_and_without_equal_embed_and_restrict(data):
 
 def test_shifted_rejects_a_block_outside_the_register():
     p = PauliString.from_string("XZ")
+    c = random_clifford(2, np.random.default_rng(4))
     for n, start in ((3, 2), (3, -1), (1, 0)):
         with pytest.raises(PauliError):
             p.shifted(n, start)
-    c = random_clifford(2, np.random.default_rng(4))
-    assert c.shifted(5, 2) == c.embed(5, [2, 3])
+        with pytest.raises(PauliError):
+            c.shifted(n, start)
+    assert c.shifted(5, 2) == embed_map(c, 5, [2, 3])
 

@@ -32,6 +32,7 @@ from mbqcomm.protocols import (
 from mbqcomm.protocols import _CHUNK as PAIR_CHUNK
 from mbqcomm.rng import _CHUNK, draw_indices, make_rng
 from mbqcomm.tableau import StabilizerState
+from oracles import validate_tableau
 
 PURIFY_NOISE = NoiseModel(0.97, 0.97, 1.0)
 REPEATER_NOISE = NoiseModel(0.99, 0.99, 0.95)
@@ -296,7 +297,7 @@ def test_bell_pair_constructor(index, letter):
     pair = StabilizerState.bell_pair(index)
     assert pair.stabs == ref.stabs
     assert pair.destabs == ref.destabs
-    pair.validate()
+    validate_tableau(pair)
 
 
 # (rounds, F, noise): the frame engine against the exact maps; rounds 5
