@@ -1,37 +1,32 @@
 """Exact two-party analytics on Bell-diagonal states.
 
 Coefficients are indexed in the order (I, Z, X, Y), i.e. by the Pauli
-that turns |phi+> into the basis state, so that index arithmetic under
-entanglement swapping is XOR on (bit-flip, phase-flip) bits and c[0] is
-the fidelity.
+that turns |phi+> into the basis state, coded 2x + z by its bit-flip
+and phase-flip bits, so that index arithmetic under entanglement
+swapping is XOR on those bits and c[0] is the fidelity.
 
-The 2->1 recurrence and swap coefficient maps are not hand-written:
-they are generated from the dense 4-qubit oracle, frozen into a golden
-file shipped with the package, and re-derived on demand by the
-oracle-check command.
+One recurrence round is defined once, as the local circuit of
+`epp_site_circuit`: the catalog builds the stabilizer engine's
+resources from it, and `recurrence_table` conjugates the Pauli errors of
+two pairs through it to get the round's keep flags and output indices,
+which the analytic maps and the index sampler both read. Nothing here is
+frozen from a simulation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from importlib import resources as importlib_resources
+from functools import lru_cache
 
 import numpy as np
 
-from . import dense
 from .noise import PauliChannel
-
-BD_SIGMA_ORDER = (0, 3, 1, 2)  # sigma index (I,X,Y,Z numbering) per bd index
-
-_MAP_NAMES = ("swap", "recurrence_bbpssw", "recurrence_dejmps")
-
-_golden_cache: dict[str, np.ndarray] | None = None
+from .pauli import PauliString, circuit_map
 
 
 class BellDiagonalError(ValueError):
-    """Raised for invalid Bell-diagonal coefficient vectors."""
+    """Raised for invalid Bell-diagonal states or recurrence parameters."""
 
 
 @dataclass(frozen=True)
@@ -90,134 +85,94 @@ def shannon_entropy(state: BellDiagonalState) -> float:
     return -sum(c * math.log2(c) for c in state.coeffs if c > 0.0)
 
 
-# -- golden coefficient maps ---------------------------------------------
 
 
-def _bell_pair_vec(bd_index: int) -> np.ndarray:
-    return dense.bell_vector(BD_SIGMA_ORDER[bd_index])
+# -- the recurrence round and the coefficient maps ---------------------------
+
+RECURRENCE_VARIANTS = ("DEJMPS", "BBPSSW")
 
 
-def _dejmps_rotations(v: np.ndarray) -> np.ndarray:
-    minus = (dense.I2 - 1j * dense.X) / np.sqrt(2)
-    plus = (dense.I2 + 1j * dense.X) / np.sqrt(2)
-    for q, u in ((0, minus), (1, plus), (2, minus), (3, plus)):
-        v = dense.apply_unitary_vec(v, u, [q])
-    return v
+def epp_site_circuit(rounds: int, role: str, variant: str = "DEJMPS"):
+    """Local circuit of one party for `rounds` merged recurrence rounds.
 
-
-def _recurrence_branches(i: int, j: int, rotate: bool) -> np.ndarray:
-    """Unnormalized output bd coefficients of one 2->1 step on basis inputs.
-
-    Qubits are (A1, B1, A2, B2); pair 2 is the measured target. Kept
-    branches are the two with equal Z outcomes at A2 and B2.
+    Wires are pair slots (2^rounds of them); each round rotates the
+    active wires (DEJMPS only), then folds the upper half of every block
+    into its lower half with CNOTs. Returns (gates, target wires).
     """
-    v = np.kron(_bell_pair_vec(i), _bell_pair_vec(j))
-    if rotate:
-        v = _dejmps_rotations(v)
-    v = dense.apply_unitary_vec(v, dense.CNOT, [0, 2])
-    v = dense.apply_unitary_vec(v, dense.CNOT, [1, 3])
-    out = np.zeros(4)
-    from .pauli import PauliString
+    if rounds < 1:
+        raise BellDiagonalError("need at least one purification round")
+    if role not in ("A", "B"):
+        raise BellDiagonalError("role must be 'A' or 'B'")
+    if variant.upper() not in RECURRENCE_VARIANTS:
+        raise BellDiagonalError(f"unknown recurrence variant {variant!r}")
+    n = 1 << rounds
+    rot = "SQX" if role == "A" else "SQXDG"
+    gates = []
+    targets = []
+    active = list(range(n))
+    for r in range(1, rounds + 1):
+        if variant.upper() == "DEJMPS":
+            gates.extend((rot, w) for w in active)
+        step = 1 << r
+        half = 1 << (r - 1)
+        new_active = []
+        for j in range(0, n, step):
+            src, tgt = j, j + half
+            gates.append(("CNOT", src, tgt))
+            targets.append(tgt)
+            new_active.append(src)
+        active = new_active
+    return gates, targets
 
-    za = PauliString.single(4, 2, "Z")
-    zb = PauliString.single(4, 3, "Z")
-    for pa, oa, va in dense.measure_pauli_vec(v, za):
-        for pb, ob, vb in dense.measure_pauli_vec(va, zb):
-            if oa != ob:
-                continue
-            t = vb.reshape(2, 2, 2, 2)
-            reduced = t[:, :, (1 - oa) // 2, (1 - ob) // 2].reshape(-1)
-            norm = np.linalg.norm(reduced)
-            if norm < 1e-12:
-                continue
-            reduced = reduced / norm
-            for k in range(4):
-                amp = np.vdot(_bell_pair_vec(k), reduced)
-                out[k] += pa * pb * float(np.abs(amp) ** 2)
-    return out
 
+@lru_cache(maxsize=None)
+def recurrence_table(variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """16-entry (keep, out_index) tables of one recurrence round.
 
-def _swap_branches(i: int, j: int) -> np.ndarray:
-    """Output bd coefficients of entanglement swapping on basis inputs.
-
-    Pairs are (q0, q1) and (q2, q3); the Bell measurement joins (q1, q2)
-    and the byproduct correction sigma_m is applied to q3.
+    Entry (i << 2) | j holds the round on source index i and target
+    index j. A pair with Bell index 2x + z is |phi+> with the error
+    X^x Z^z on B's half; A's circuit is the complex conjugate of B's, so
+    the errors of both pairs travel through B's circuit alone. The round
+    keeps the pair when no X reaches the measured target wire, and the
+    letter left on the source wire is the output index.
     """
-    v = np.kron(_bell_pair_vec(i), _bell_pair_vec(j))
-    out = np.zeros(4)
-    for m in range(4):
-        prob, reduced = dense.project_bell_vec(v, 1, 2, m)
-        if prob < 1e-14:
-            continue
-        sigma = dense.PAULI_MATS["IXYZ"[m]]
-        corrected = dense.apply_unitary_vec(reduced, sigma, [1])
-        for k in range(4):
-            amp = np.vdot(_bell_pair_vec(k), corrected)
-            out[k] += prob * float(np.abs(amp) ** 2)
-    return out
+    circuit = circuit_map(2, epp_site_circuit(1, "B", variant)[0])
+    keep = np.zeros(16, dtype=bool)
+    out = np.zeros(16, dtype=np.uint8)
+    for code in range(16):
+        i, j = code >> 2, code & 3
+        # signs play no part: only the letters of the image are read
+        error = circuit.conjugate(PauliString(2, i >> 1 | (j >> 1) << 1, i & 1 | (j & 1) << 1))
+        keep[code] = not error.x_bit(1)
+        out[code] = 2 * error.x_bit(0) + error.z_bit(0)
+    keep.setflags(write=False)  # cached: every caller shares these arrays
+    out.setflags(write=False)
+    return keep, out
 
 
-def _werner_twirl_matrix() -> np.ndarray:
-    t = np.full((4, 4), 0.0)
-    t[0, 0] = 1.0
-    t[1:, 1:] = 1.0 / 3.0
-    return t
+@lru_cache(maxsize=None)
+def _recurrence_tensor(variant: str) -> np.ndarray:
+    """Coefficient map [out, source, target] of one round, unnormalized.
+
+    DEJMPS is its table as a one-hot tensor; BBPSSW twirls both inputs
+    and the output to Werner form around the plain CNOT round.
+    """
+    keep, out = recurrence_table(variant)
+    tensor = np.zeros((4, 16))
+    tensor[out[keep], np.flatnonzero(keep)] = 1.0
+    tensor = tensor.reshape(4, 4, 4)
+    if variant == "BBPSSW":
+        twirl = np.zeros((4, 4))
+        twirl[0, 0] = 1.0
+        twirl[1:, 1:] = 1.0 / 3.0
+        # output twirl o plain round o (input twirl (x) input twirl)
+        tensor = np.einsum("kl,lab,ai,bj->kij", twirl, tensor, twirl, twirl)
+    tensor.setflags(write=False)
+    return tensor
 
 
-def generate_golden_maps() -> dict[str, np.ndarray]:
-    """Re-derive all coefficient tensors from the dense oracle."""
-    swap = np.zeros((4, 4, 4))
-    plain = np.zeros((4, 4, 4))
-    dejmps = np.zeros((4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            swap[:, i, j] = _swap_branches(i, j)
-            plain[:, i, j] = _recurrence_branches(i, j, rotate=False)
-            dejmps[:, i, j] = _recurrence_branches(i, j, rotate=True)
-    t = _werner_twirl_matrix()
-    # BBPSSW = output twirl o plain circuit o (input twirl (x) input twirl)
-    bbpssw = np.einsum("kl,lab,ai,bj->kij", t, plain, t, t)
-    return {"swap": swap, "recurrence_bbpssw": bbpssw, "recurrence_dejmps": dejmps}
-
-
-def parse_golden_text(text: str) -> dict[str, np.ndarray]:
-    maps: dict[str, np.ndarray] = {}
-    current: np.ndarray | None = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("map "):
-            name = line.split(None, 1)[1]
-            current = np.zeros((4, 4, 4))
-            maps[name] = current
-            continue
-        if current is None:
-            raise BellDiagonalError("golden file entry before any map header")
-        k, i, j, frac = line.split()
-        num, den = frac.split("/")
-        current[int(k), int(i), int(j)] = float(Fraction(int(num), int(den)))
-    missing = [n for n in _MAP_NAMES if n not in maps]
-    if missing:
-        raise BellDiagonalError(f"golden file is missing maps: {missing}")
-    return maps
-
-
-def load_golden_maps(refresh: bool = False) -> dict[str, np.ndarray]:
-    global _golden_cache
-    if _golden_cache is None or refresh:
-        text = (
-            importlib_resources.files("mbqcomm")
-            .joinpath("data/golden_maps.txt")
-            .read_text()
-        )
-        _golden_cache = parse_golden_text(text)
-    return _golden_cache
-
-
-# -- the public coefficient maps ------------------------------------------
-
-RECURRENCE_VARIANTS = ("BBPSSW", "DEJMPS")
+# Entanglement swapping with the byproduct corrected: the Bell indices XOR.
+_SWAP_TENSOR = (np.arange(4)[:, None, None] == np.arange(4)[:, None] ^ np.arange(4)).astype(float)
 
 
 def recurrence_step(rho1: BellDiagonalState, rho2: BellDiagonalState,
@@ -225,11 +180,10 @@ def recurrence_step(rho1: BellDiagonalState, rho2: BellDiagonalState,
     """One probabilistic 2->1 purification round.
 
     Returns (post-selected output state, success probability). The
-    coefficient map is the golden tensor frozen from the dense oracle.
+    coefficient map is derived from the round's circuit
+    (`recurrence_table`).
     """
-    if variant.upper() not in RECURRENCE_VARIANTS:
-        raise BellDiagonalError(f"unknown recurrence variant {variant!r}")
-    tensor = load_golden_maps()[f"recurrence_{variant.lower()}"]
+    tensor = _recurrence_tensor(variant.upper())
     out = np.einsum("kij,i,j->k", tensor, rho1.as_array(), rho2.as_array())
     p_success = float(out.sum())
     if p_success < 1e-15:
@@ -239,6 +193,5 @@ def recurrence_step(rho1: BellDiagonalState, rho2: BellDiagonalState,
 
 def swap_pairs(rho1: BellDiagonalState, rho2: BellDiagonalState) -> BellDiagonalState:
     """Entanglement swapping with byproduct correction (deterministic)."""
-    tensor = load_golden_maps()["swap"]
-    out = np.einsum("kij,i,j->k", tensor, rho1.as_array(), rho2.as_array())
+    out = np.einsum("kij,i,j->k", _SWAP_TENSOR, rho1.as_array(), rho2.as_array())
     return BellDiagonalState(tuple(out))

@@ -1,55 +1,23 @@
-"""Named resource constructions: purification, codes, repeater stations.
+"""Named resource constructions: purification and codes.
 
 Every entry is produced by the generic Choi-Jamiolkowski builder plus
-pre-measurement and merging; nothing is transcribed from figures.
+pre-measurement and merging; nothing is transcribed from figures. The
+purification resources run the circuit of `belldiag.epp_site_circuit`,
+the same round from which the Bell-diagonal maps are derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from .belldiag import epp_site_circuit
 from .codes import CodeSpec, repetition_code, ring5_code
 from .pauli import circuit_map
-from .resources import ResourceSpec, cj_state, merge, premeasure_joint, premeasure_outputs
-
-EPP_VARIANTS = ("DEJMPS", "BBPSSW")
+from .resources import ResourceSpec, cj_state, merge, premeasure_outputs
 
 
 class CatalogError(ValueError):
     """Raised for unknown catalog entries or bad parameters."""
-
-
-def epp_site_circuit(rounds: int, role: str, variant: str = "DEJMPS"):
-    """Local circuit of one party for `rounds` merged recurrence rounds.
-
-    Wires are pair slots (2^rounds of them); each round rotates the
-    active wires (DEJMPS only), then folds the upper half of every block
-    into its lower half with CNOTs. Returns (gates, target wires).
-    """
-    if rounds < 1:
-        raise CatalogError("need at least one purification round")
-    if role not in ("A", "B"):
-        raise CatalogError("role must be 'A' or 'B'")
-    if variant.upper() not in EPP_VARIANTS:
-        raise CatalogError(f"unknown purification variant {variant!r}")
-    n = 1 << rounds
-    rot = "SQX" if role == "A" else "SQXDG"
-    gates = []
-    targets = []
-    active = list(range(n))
-    for r in range(1, rounds + 1):
-        if variant.upper() == "DEJMPS":
-            gates.extend((rot, w) for w in active)
-        step = 1 << r
-        half = 1 << (r - 1)
-        new_active = []
-        for j in range(0, n, step):
-            src, tgt = j, j + half
-            gates.append(("CNOT", src, tgt))
-            targets.append(tgt)
-            new_active.append(src)
-        active = new_active
-    return gates, targets
 
 
 def epp_site_resource(rounds: int, role: str, variant: str = "DEJMPS") -> ResourceSpec:
@@ -121,25 +89,6 @@ def code_correct(code: CodeSpec) -> ResourceSpec:
     The merge carries the decoder's syndrome."""
     return merge(code_decode_syndrome(code), code_encode(code), [("out", "in")],
                  name=f"{code.name}_correct")
-
-
-def repeater_station(rounds: int) -> ResourceSpec:
-    """Input-only station resource: purify left and right, then swap.
-
-    The two purified output particles are virtual (pre-measured as a
-    Bell pair), so the resource has 2^(rounds+1) input qubits and no
-    outputs; the reconstructed swap outcome is the pair of virtual bits
-    swap_xx, swap_zz.
-    """
-    # Bob's side of the left segment, Alice's side of the right one
-    left = replace(epp_site_resource(rounds, "B"), name="L")
-    right = replace(epp_site_resource(rounds, "A"), name="R")
-    return premeasure_joint(
-        merge(left, right, ()),
-        [({"L/out0": "X", "R/out0": "X"}, "swap_xx"),
-         ({"L/out0": "Z", "R/out0": "Z"}, "swap_zz")],
-        name=f"repeater_station{rounds}",
-    )
 
 
 _CODE_NAMES = {"ring5": ring5_code}

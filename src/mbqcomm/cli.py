@@ -1,5 +1,5 @@
 """Command-line interface: purify | hashing | qec | chain | repeater |
-threshold | sweep | oracle-check.
+threshold | sweep.
 
 All noise inputs are probabilities in [0, 1]; percent values are
 rejected. Single-shard runs are bitwise reproducible from the seed;
@@ -367,12 +367,8 @@ def cmd_threshold(args) -> int:
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    if args.target != "epp":
-        reject_unread((("--samples", args.samples), ("--seed", args.seed)),
-                      f"--target {args.target} (its detector is exact)")
     if args.target == "epp":
-        samples = 100_000 if args.samples is None else args.samples
-        detector = epp_regime_detector(samples, make_rng(1 if args.seed is None else args.seed))
+        detector = epp_regime_detector()
         lo, hi = 0.72, 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "repeater":
@@ -402,15 +398,6 @@ def cmd_sweep(args) -> int:
         write_plot_csv(args.plot_out, result.plot_rows())
     print(json.dumps(payload, sort_keys=True))
     return 0
-
-
-def cmd_oracle_check(args) -> int:
-    from .oracle_check import oracle_check
-
-    report = oracle_check(args.scope)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,16 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--segments", type=int, default=4)
     p.add_argument("--code", default="ring5")
-    p.add_argument("--samples", type=positive_int, default=None,
-                   help="epp target only; defaults to 100000")
-    p.add_argument("--seed", type=int, default=None,
-                   help="epp target only; defaults to 1")
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("oracle-check", help="regenerate and verify oracles")
-    p.add_argument("--scope", default="all")
-    p.set_defaults(func=cmd_oracle_check)
 
     return parser
 

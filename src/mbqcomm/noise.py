@@ -1,22 +1,21 @@
 """The error model: per-particle depolarizing noise, noisy Bell
 measurements and noisy resource states, in two forms that are kept
 interchangeable by tests: trajectory sampling (Pauli insertion on
-stabilizer states) and exact channel action (dense oracle).
+stabilizer states) and exact Pauli channels (`PauliChannel`, which the
+Bell-diagonal maps apply).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DensityMatrix
 from .pauli import PauliString
 from .rng import draw_indices
 from .tableau import StabilizerState
 
 _LETTERS = ("I", "X", "Y", "Z")
-_MOVE_TOL = 1e-12  # exact up to rounding: the identity is algebraic
 
 
 class NoiseParameterError(ValueError):
@@ -84,10 +83,6 @@ class PauliChannel:
         """White noise: keep with probability p, else uniformly randomize."""
         return cls(_depolarizing_weights(p))
 
-    @property
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(_LETTERS, self.weights))
-
     def bd_weights(self) -> np.ndarray:
         """Weights re-indexed in Bell-diagonal order (I, Z, X, Y)."""
         wi, wx, wy, wz = self.weights
@@ -112,35 +107,3 @@ def apply_sampled_noise(state: StabilizerState, qubits: list[int], p: float, rng
         ins = depolarize_sample(state.n, q, p, rng)
         if not ins.is_identity:
             state.apply_pauli(ins)
-
-
-@dataclass
-class MoveNoiseReport:
-    """Result of checking P_ab E_a(ch) rho = P_ab E_b(ch) rho exactly."""
-
-    holds: bool
-    max_deviation: float
-    counterexample: dict = field(default_factory=dict)
-
-
-def move_noise_across_bell(channel: PauliChannel, rho: DensityMatrix,
-                           a: int, b: int) -> MoveNoiseReport:
-    """Verify the noise-moving identity on a concrete state.
-
-    Compares the outcome-labeled ensembles (probability and conditional
-    state for each of the four Bell outcomes) of noising qubit a versus
-    qubit b before the Bell measurement on (a, b).
-    """
-    max_dev = 0.0
-    side_a = rho.apply_pauli_channel(channel.as_dict, a).bell_measure(a, b)
-    side_b = rho.apply_pauli_channel(channel.as_dict, b).bell_measure(a, b)
-    for (pa, ia, da), (pb, ib, db) in zip(side_a, side_b):
-        assert ia == ib
-        max_dev = max(max_dev, abs(pa - pb))
-        if da is not None and db is not None:
-            max_dev = max(max_dev, float(np.max(np.abs(pa * da.mat - pb * db.mat))))
-        elif (da is None) != (db is None):
-            max_dev = max(max_dev, max(pa, pb))
-        if max_dev > _MOVE_TOL:
-            return MoveNoiseReport(False, max_dev, {"outcome": ia})
-    return MoveNoiseReport(True, max_dev)

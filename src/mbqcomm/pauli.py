@@ -131,16 +131,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return (self.phase - self.y_count) % 2 == 0
 
-    @property
-    def sign(self) -> int:
-        """+1 or -1 for Hermitian operators; raises otherwise."""
-        r = (self.phase - self.y_count) % 4
-        if r == 0:
-            return 1
-        if r == 2:
-            return -1
-        raise PauliError("sign undefined for non-Hermitian phase")
-
     def support(self) -> list[int]:
         bits = self.x | self.z
         return [j for j in range(self.n) if (bits >> j) & 1]
@@ -418,34 +408,3 @@ def circuit_map(n: int, gates: Iterable[tuple]) -> CliffordMap:
         c = c.then_gate(name, *qs)
     return c
 
-
-def random_clifford(n: int, rng, depth: int | None = None) -> CliffordMap:
-    """Random Clifford from a random H/S/CNOT circuit (test utility)."""
-    depth = depth if depth is not None else max(12, 6 * n)
-    gates = []
-    for _ in range(depth):
-        kind = rng.integers(0, 3)
-        if kind == 0:
-            gates.append(("H", int(rng.integers(0, n))))
-        elif kind == 1:
-            gates.append(("S", int(rng.integers(0, n))))
-        elif n >= 2:
-            a = int(rng.integers(0, n))
-            b = int(rng.integers(0, n - 1))
-            b = b if b < a else b + 1
-            gates.append(("CNOT", a, b))
-        else:
-            gates.append(("H", 0))
-    return circuit_map(n, gates)
-
-
-def random_pauli(n: int, rng, allow_identity: bool = True) -> PauliString:
-    """Uniformly random Hermitian Pauli (test utility)."""
-    while True:
-        x = int(rng.integers(0, 1 << n))
-        z = int(rng.integers(0, 1 << n))
-        if allow_identity or x or z:
-            break
-    sign = int(rng.integers(0, 2))
-    p = PauliString(n, x, z, 0).unsigned()
-    return p.negate() if sign else p

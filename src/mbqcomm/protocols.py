@@ -53,8 +53,8 @@ import numpy as np
 from .belldiag import (
     BellDiagonalState,
     apply_depolarizing,
-    load_golden_maps,
     recurrence_step,
+    recurrence_table,
     swap_pairs,
 )
 from .catalog import epp_recurrence
@@ -172,29 +172,20 @@ def evaluate_stages(state: BellDiagonalState, stages) -> tuple[BellDiagonalState
     return state, p_success
 
 
-@lru_cache(maxsize=None)
 def _index_tables(variant: str) -> tuple[np.ndarray, np.ndarray]:
     """16-entry (keep, out_index) tables of one recurrence round.
 
     Entry (i << 2) | j holds the round on source index i and target
-    index j. DEJMPS is deterministic at the Bell-index level: each basis
-    input pair either always fails or maps to one output index.
+    index j (`belldiag.recurrence_table`). DEJMPS is deterministic at
+    the Bell-index level: each basis input pair either always fails or
+    maps to one output index. BBPSSW twirls its inputs and output to
+    Werner form, which maps an index to a distribution over indices.
     """
-    tensor = load_golden_maps()[f"recurrence_{variant.lower()}"]
-    keep = np.zeros(16, dtype=bool)
-    out = np.zeros(16, dtype=np.uint8)
-    for i in range(4):
-        for j in range(4):
-            col = tensor[:, i, j]
-            s = col.sum()
-            if s > 1e-12:
-                keep[i << 2 | j] = True
-                out[i << 2 | j] = np.argmax(col)
-                if abs(s - col.max()) > 1e-12:
-                    raise ProtocolError(
-                        f"index sampling needs an index-deterministic map; {variant} is not"
-                    )
-    return keep, out
+    if variant.upper() == "BBPSSW":
+        raise ProtocolError(
+            f"index sampling needs an index-deterministic map; {variant} is not"
+        )
+    return recurrence_table(variant.upper())
 
 
 _CHUNK = 1 << 18  # pairs per pass of the sampler; its temporaries stay this size
@@ -386,7 +377,8 @@ def purify_stages(rounds: int, noise: NoiseModel, mode: str = "merged",
 def purify_recurrence_analytic(input_state: BellDiagonalState, rounds: int,
                                noise: NoiseModel, mode: str = "merged",
                                variant: str = "DEJMPS") -> ProtocolStats:
-    """Exact composition of the golden maps under the error model."""
+    """Exact composition of the recurrence and noise maps under the error
+    model: `evaluate_stages` on the stages of `purify_stages`."""
     return exact_stats(input_state, purify_stages(rounds, noise, mode, variant))
 
 

@@ -425,9 +425,6 @@ class LabeledRegister:
         self.labels = [l for l in self.labels if l not in (la, lb)]
         return outcome
 
-    def to_dense(self):
-        return self.state.to_dense()
-
 
 @dataclass
 class TeleportResult:

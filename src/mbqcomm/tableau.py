@@ -3,8 +3,8 @@
 The tableau stores n stabilizer generators plus n destabilizers (used to
 resolve deterministic measurement outcomes), all as phased PauliStrings
 (Aaronson and Gottesman, PRA 70, 052328, 2004). Measurements of
-arbitrary Pauli operators, Bell measurements with qubit removal and a
-dense-vector bridge live here.
+arbitrary Pauli operators and Bell measurements with qubit removal
+live here.
 
 Qubits leave a tableau in two ways. A Bell measurement pins its two
 measured operators as stabilizer rows and drops the pair in one pass
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .dense import apply_pauli_vec, basis_state
 from .pauli import CliffordMap, PauliError, PauliString
 
 _BELL_INDEX = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
@@ -60,13 +59,6 @@ class BellOutcome:
         """Single-qubit byproduct operator sigma_i."""
         return PauliString.single(1, 0, self.letter)
 
-    @classmethod
-    def from_index(cls, i: int) -> "BellOutcome":
-        for bits, idx in _BELL_INDEX.items():
-            if idx == i:
-                return cls(*bits)
-        raise ValueError(f"invalid Bell index {i}")
-
 
 class StabilizerState:
     """n-qubit pure stabilizer state as a destabilizer tableau."""
@@ -76,12 +68,6 @@ class StabilizerState:
         self.destabs = list(destabs)
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero_state(cls, n: int) -> "StabilizerState":
-        stabs = [PauliString.single(n, k, "Z") for k in range(n)]
-        destabs = [PauliString.single(n, k, "X") for k in range(n)]
-        return cls(stabs, destabs)
 
     @classmethod
     def bell_pair(cls, index: int = 0) -> "StabilizerState":
@@ -123,9 +109,6 @@ class StabilizerState:
         self.destabs = [c.conjugate(d) for d in self.destabs]
 
     # -- measurement -----------------------------------------------------
-
-    def outcome_is_random(self, p: PauliString) -> bool:
-        return any(not g.commutes(p) for g in self.stabs)
 
     def measure(self, p: PauliString, rng=None, force: int | None = None,
                 prob_sink: list | None = None) -> int:
@@ -286,33 +269,6 @@ class StabilizerState:
         destabs += [d.shifted(n, n1) for d in other.destabs]
         return StabilizerState(stabs, destabs)
 
-    # -- comparisons and export -------------------------------------------
-
-    def canonical_generators(self) -> tuple[PauliString, ...]:
-        """Unique generator set via sign-tracked RREF (state equality key)."""
-        stabs, destabs = list(self.stabs), list(self.destabs)
-        pivots = _eliminate(stabs, destabs, _columns(range(self.n)), range(self.n))
-        return tuple(stabs[i] for i in pivots)
-
-    def same_state(self, other: "StabilizerState") -> bool:
-        if self.n != other.n:
-            return False
-        return self.canonical_generators() == other.canonical_generators()
-
-    def to_dense(self) -> np.ndarray:
-        """Dense state vector (the joint +1 eigenvector of all generators)."""
-        n = self.n
-        v = _project_all(self.stabs, basis_state(n, 0))
-        norm = np.linalg.norm(v)
-        if norm < 1e-6:
-            probe_rng = np.random.default_rng(0xC0FFEE)
-            probe = probe_rng.normal(size=1 << n) + 1j * probe_rng.normal(size=1 << n)
-            v = _project_all(self.stabs, probe)
-            norm = np.linalg.norm(v)
-        v = v / norm
-        lead = np.flatnonzero(np.abs(v) > 1e-9)[0]
-        return v * (abs(v[lead]) / v[lead])
-
 
 def _check_qubits(qubits, n: int):
     """Reject a qubit index outside 0..n-1 (bits are cut out by shifts,
@@ -320,12 +276,6 @@ def _check_qubits(qubits, n: int):
     for q in qubits:
         if not 0 <= q < n:
             raise TableauError(f"qubit {q} out of range for n={n}")
-
-
-def _project_all(gens: list[PauliString], v: np.ndarray) -> np.ndarray:
-    for g in gens:
-        v = (v + apply_pauli_vec(g, v)) / 2
-    return v
 
 
 def _columns(qubits) -> list[tuple[bool, int]]:

@@ -4,8 +4,7 @@ The analytic values reproduce the noise thresholds of the protocols:
 recurrence purification (universal), hashing, code-based correction and
 dephasing repetition codes. Every code number comes from the code's one
 exact logical channel (`CodeSpec.logical_channel`). Sweeps locate the
-same boundaries from a detector and report both: the purification
-detector samples by Monte Carlo, the repeater and code detectors are
+same boundaries from a detector and report both; every detector is
 exact.
 """
 
@@ -20,7 +19,7 @@ import numpy as np
 from .belldiag import shannon_entropy, werner
 from .codes import CodeSpec, repetition_code
 from .netsim import elementary_pair, repeater_stages
-from .protocols import Depolarize, evaluate_stages, sample_stages
+from .protocols import Depolarize, evaluate_stages
 
 UNIVERSAL_EPP_THRESHOLD = 3.0 ** (-0.25)
 SHOR_TYPE_P_TILDE = 0.7449  # imported constant for Shor-type codes
@@ -305,19 +304,17 @@ def sweep(detector: Callable[[float], tuple[bool, float, float]],
     )
 
 
-def epp_regime_detector(samples: int, rng) -> Callable[[float], tuple[bool, float, float]]:
-    """Monte-Carlo detector of a nonempty purification regime.
+def epp_regime_detector() -> Callable[[float], tuple[bool, float, float]]:
+    """Exact detector of a nonempty purification regime.
 
-    Samples the in-coupling stage of the recurrence protocol under
+    Evaluates the in-coupling stage of the recurrence protocol under
     q = p: elementary pairs from the channel with the resource-input
     noise moved onto them (noise-moving lemma). The regime is nonempty
     iff this effective fidelity exceeds 1/2.
     """
     def detector(p: float) -> tuple[bool, float, float]:
-        counts = sample_stages(elementary_pair(p), [Depolarize(p)], samples, rng)
-        f_hat = counts["good"] / counts["kept"]
-        err = math.sqrt(max(f_hat * (1 - f_hat), 1e-12) / samples)
-        return f_hat > 0.5, f_hat, err
+        fidelity = evaluate_stages(elementary_pair(p), [Depolarize(p)])[0].fidelity
+        return fidelity > 0.5, fidelity, 0.0
 
     return detector
 
@@ -330,6 +327,8 @@ def repeater_regime_detector(segments: int):
     segments. The end stations' output noise is a fixed factor (p >= q
     holds with equality under q = p) and is left out.
     """
+    if segments < 1:
+        raise ThresholdError("need at least one segment")
     levels = int(math.log2(segments))
     if 1 << levels != segments:
         raise ThresholdError("segments must be a power of two")

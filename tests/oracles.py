@@ -1,21 +1,224 @@
 """Reference implementations that several test files compare the package
-against: graph states and their local-Clifford tools, tableau and
-density-matrix invariant checks, and dense operators on chosen qubits.
-None of this runs under the CLI.
+against: dense state vectors and density matrices, stabilizer-state
+helpers the commands never call, graph states and their local-Clifford
+tools, tableau invariant checks, the noise-moving identity, the
+repeater-station resource, and the dense 4-qubit derivation of the
+Bell-diagonal coefficient maps. None of this runs under the CLI.
+
+Dense state vectors index basis states with qubit 0 as the most
+significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
+DENSE_LIMIT qubits.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from mbqcomm import gf2
-from mbqcomm.dense import DensityMatrix, _check_limit, apply_unitary_vec
-from mbqcomm.pauli import PauliString, gate_map
-from mbqcomm.tableau import StabilizerState, TableauError, _eliminate
+from mbqcomm.catalog import epp_site_resource
+from mbqcomm.noise import PauliChannel
+from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map, gate_map
+from mbqcomm.resources import ResourceSpec, merge, premeasure_joint
+from mbqcomm.tableau import (
+    _BELL_INDEX,
+    BellOutcome,
+    StabilizerState,
+    TableauError,
+    _columns,
+    _eliminate,
+)
 
 # Controlled-phase gate diag(1,1,1,-1): the graph-state edge unitary.
 U_PG = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+
+# -- dense linear algebra ------------------------------------------------------
+
+DENSE_LIMIT = 12
+
+I2 = np.eye(2, dtype=complex)
+X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+Z = np.array([[1, 0], [0, -1]], dtype=complex)
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+S = np.array([[1, 0], [0, 1j]], dtype=complex)
+PAULI_MATS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+class DenseLimitError(ValueError):
+    """Raised when an operation exceeds the dense-oracle qubit limit."""
+
+
+def _check_limit(n: int):
+    if n > DENSE_LIMIT:
+        raise DenseLimitError(f"{n} qubits exceeds dense limit {DENSE_LIMIT}")
+
+
+def kron_all(*mats: np.ndarray) -> np.ndarray:
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def basis_state(n: int, index: int = 0) -> np.ndarray:
+    _check_limit(n)
+    v = np.zeros(1 << n, dtype=complex)
+    v[index] = 1.0
+    return v
+
+
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    """Dense matrix of a phased PauliString (small n only, cached).
+
+    The returned array is shared across calls; treat it as read-only.
+    """
+    return _pauli_matrix_cached(p)
+
+
+@lru_cache(maxsize=8192)
+def _pauli_matrix_cached(p: PauliString) -> np.ndarray:
+    _check_limit(p.n)
+    mats = [PAULI_MATS[p.letter(j)] for j in range(p.n)] or [np.eye(1, dtype=complex)]
+    sign = _PHASES[(p.phase - p.y_count) % 4]
+    out = sign * kron_all(*mats)
+    out.setflags(write=False)
+    return out
+
+
+def _index_masks(p: PauliString) -> tuple[int, int]:
+    n = p.n
+    xm = zm = 0
+    for j in range(n):
+        if p.x_bit(j):
+            xm |= 1 << (n - 1 - j)
+        if p.z_bit(j):
+            zm |= 1 << (n - 1 - j)
+    return xm, zm
+
+
+def apply_pauli_vec(p: PauliString, v: np.ndarray) -> np.ndarray:
+    """Apply a PauliString to a state vector without building its matrix."""
+    n = p.n
+    if v.shape != (1 << n,):
+        raise ValueError("vector length does not match Pauli qubit count")
+    xm, zm = _index_masks(p)
+    idx = np.arange(1 << n)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1)
+    out = np.empty_like(v, dtype=complex)
+    out[idx ^ xm] = signs * v
+    return _PHASES[p.phase % 4] * out
+
+
+def apply_unitary_vec(v: np.ndarray, u: np.ndarray, targets: list[int]) -> np.ndarray:
+    """Apply a 2^k x 2^k unitary on the listed qubits of a state vector."""
+    n = int(round(np.log2(v.size)))
+    k = len(targets)
+    t = v.reshape((2,) * n)
+    ut = u.reshape((2,) * (2 * k))
+    t = np.tensordot(ut, t, axes=(list(range(k, 2 * k)), targets))
+    # tensordot puts the target axes first; move them back in place
+    t = np.moveaxis(t, list(range(k)), targets)
+    return t.reshape(-1)
+
+
+def measure_pauli_vec(v: np.ndarray, p: PauliString) -> list[tuple[float, int, np.ndarray]]:
+    """Born decomposition of a +-1 Pauli measurement on a pure state.
+
+    Returns [(probability, outcome, normalized post state), ...] for the
+    outcomes with nonzero probability.
+    """
+    pv = apply_pauli_vec(p, v)
+    out = []
+    for outcome in (+1, -1):
+        branch = (v + outcome * pv) / 2
+        prob = float(np.vdot(branch, branch).real)
+        if prob > 1e-14:
+            out.append((prob, outcome, branch / np.sqrt(prob)))
+    return out
+
+
+def bell_vector(i: int) -> np.ndarray:
+    """|phi_i> = (I (x) sigma_i^*) |phi^+> with sigma ordering I,X,Y,Z."""
+    phi0 = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    sigma = [I2, X, Y, Z][i]
+    return kron_all(I2, sigma.conj()) @ phi0
+
+
+def project_bell_vec(v: np.ndarray, a: int, b: int, i: int) -> tuple[float, np.ndarray]:
+    """Project qubits (a, b) onto Bell state i and remove them.
+
+    Returns (branch probability, normalized reduced vector on the
+    remaining qubits in their original order). Probability may be 0.
+    """
+    n = int(round(np.log2(v.size)))
+    t = v.reshape((2,) * n)
+    t = np.moveaxis(t, [a, b], [0, 1]).reshape(4, -1)
+    reduced = bell_vector(i).conj() @ t
+    prob = float(np.vdot(reduced, reduced).real)
+    if prob > 1e-14:
+        reduced = reduced / np.sqrt(prob)
+    return prob, reduced
+
+
+def states_equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> bool:
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < tol or nv < tol:
+        return nu < tol and nv < tol
+    overlap = abs(np.vdot(u, v)) / (nu * nv)
+    return abs(overlap - 1.0) < tol
+
+
+class DensityMatrix:
+    """Exact density matrix on up to DENSE_LIMIT qubits."""
+
+    def __init__(self, mat: np.ndarray):
+        mat = np.asarray(mat, dtype=complex)
+        n = int(round(np.log2(mat.shape[0])))
+        _check_limit(n)
+        if mat.shape != (1 << n, 1 << n):
+            raise ValueError("density matrix must be square with power-of-2 dim")
+        self.n = n
+        self.mat = mat
+
+    @classmethod
+    def from_vec(cls, v: np.ndarray) -> "DensityMatrix":
+        return cls(np.outer(v, v.conj()))
+
+    def apply_pauli_channel(self, weights, qubit: int) -> "DensityMatrix":
+        """The Pauli channel with I, X, Y, Z weights `weights` on `qubit`."""
+        out = np.zeros_like(self.mat)
+        for letter, w in zip("IXYZ", weights):
+            if w == 0.0:
+                continue
+            p = PauliString.single(self.n, qubit, letter)
+            m = pauli_matrix(p)
+            out += w * (m @ self.mat @ m.conj().T)
+        return DensityMatrix(out)
+
+    def bell_measure(self, a: int, b: int) -> list[tuple[float, int, "DensityMatrix"]]:
+        """All four Bell-outcome branches on (a, b), qubits removed."""
+        n = self.n
+        t = self.mat.reshape((2,) * (2 * n))
+        out = []
+        for i in range(4):
+            bell = bell_vector(i).conj().reshape(2, 2)
+            # contract ket side (axes a, b) and bra side (axes n+a, n+b)
+            r = np.tensordot(bell, t, axes=([0, 1], [a, b]))
+            r = np.tensordot(bell.conj(), r, axes=([0, 1], [n + a - 2, n + b - 2]))
+            dim = 1 << (n - 2)
+            r = r.reshape(dim, dim)
+            prob = float(np.trace(r).real)
+            if prob > 1e-14:
+                out.append((prob, i, DensityMatrix(r / prob)))
+            else:
+                out.append((0.0, i, None))
+        return out
 
 
 # -- stabilizer states ---------------------------------------------------
@@ -53,6 +256,95 @@ def validate_tableau(state: StabilizerState):
 def apply_gate(state: StabilizerState, name: str, *qubits: int):
     """Apply a named gate of `pauli.gate_map` to the tableau in place."""
     state.apply_clifford(gate_map(state.n, name.upper(), *qubits))
+
+
+def zero_state(n: int) -> StabilizerState:
+    """|0>^n as a tableau."""
+    stabs = [PauliString.single(n, k, "Z") for k in range(n)]
+    destabs = [PauliString.single(n, k, "X") for k in range(n)]
+    return StabilizerState(stabs, destabs)
+
+
+def bell_outcome(i: int) -> BellOutcome:
+    """The Bell outcome of index i (sigma_i = I, X, Y, Z)."""
+    for bits, idx in _BELL_INDEX.items():
+        if idx == i:
+            return BellOutcome(*bits)
+    raise ValueError(f"invalid Bell index {i}")
+
+
+def pauli_sign(p: PauliString) -> int:
+    """+1 or -1 for a Hermitian Pauli; raises otherwise."""
+    r = (p.phase - p.y_count) % 4
+    if r == 0:
+        return 1
+    if r == 2:
+        return -1
+    raise PauliError("sign undefined for non-Hermitian phase")
+
+
+def canonical_generators(state: StabilizerState) -> tuple[PauliString, ...]:
+    """Unique generator set via sign-tracked RREF (state equality key)."""
+    stabs, destabs = list(state.stabs), list(state.destabs)
+    pivots = _eliminate(stabs, destabs, _columns(range(state.n)), range(state.n))
+    return tuple(stabs[i] for i in pivots)
+
+
+def same_state(a: StabilizerState, b: StabilizerState) -> bool:
+    return a.n == b.n and canonical_generators(a) == canonical_generators(b)
+
+
+def to_dense(state: StabilizerState) -> np.ndarray:
+    """Dense state vector (the joint +1 eigenvector of all generators)."""
+    n = state.n
+    v = _project_all(state.stabs, basis_state(n, 0))
+    norm = np.linalg.norm(v)
+    if norm < 1e-6:
+        probe_rng = np.random.default_rng(0xC0FFEE)
+        probe = probe_rng.normal(size=1 << n) + 1j * probe_rng.normal(size=1 << n)
+        v = _project_all(state.stabs, probe)
+        norm = np.linalg.norm(v)
+    v = v / norm
+    lead = np.flatnonzero(np.abs(v) > 1e-9)[0]
+    return v * (abs(v[lead]) / v[lead])
+
+
+def _project_all(gens: list[PauliString], v: np.ndarray) -> np.ndarray:
+    for g in gens:
+        v = (v + apply_pauli_vec(g, v)) / 2
+    return v
+
+
+def random_clifford(n: int, rng, depth: int | None = None) -> CliffordMap:
+    """Random Clifford from a random H/S/CNOT circuit."""
+    depth = depth if depth is not None else max(12, 6 * n)
+    gates = []
+    for _ in range(depth):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            gates.append(("H", int(rng.integers(0, n))))
+        elif kind == 1:
+            gates.append(("S", int(rng.integers(0, n))))
+        elif n >= 2:
+            a = int(rng.integers(0, n))
+            b = int(rng.integers(0, n - 1))
+            b = b if b < a else b + 1
+            gates.append(("CNOT", a, b))
+        else:
+            gates.append(("H", 0))
+    return circuit_map(n, gates)
+
+
+def random_pauli(n: int, rng, allow_identity: bool = True) -> PauliString:
+    """Uniformly random Hermitian Pauli."""
+    while True:
+        x = int(rng.integers(0, 1 << n))
+        z = int(rng.integers(0, 1 << n))
+        if allow_identity or x or z:
+            break
+    sign = int(rng.integers(0, 2))
+    p = PauliString(n, x, z, 0).unsigned()
+    return p.negate() if sign else p
 
 
 # -- graph states ----------------------------------------------------------
@@ -150,7 +442,7 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
             apply_gate(work, "SDG", q)
             ops.append(("SDG", q))
     for q in range(n):
-        if work.stabs[q].sign == -1:
+        if pauli_sign(work.stabs[q]) == -1:
             work.apply_pauli(PauliString.single(n, q, "Z"))
             ops.append(("Z", q))
 
@@ -161,7 +453,7 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
             if b != a and g.z_bit(b):
                 edges.add((min(a, b), max(a, b)))
     spec = GraphSpec(n, frozenset(edges))
-    if not graph_state(spec).same_state(work):
+    if not same_state(graph_state(spec), work):
         raise TableauError("graph reduction did not reach graph form")
     return spec, ops
 
@@ -236,6 +528,25 @@ def site_sizes(spec) -> dict[str, int]:
     return {site: len(labels) for site, labels in spec.sites}
 
 
+def repeater_station(rounds: int) -> ResourceSpec:
+    """Input-only station resource: purify left and right, then swap.
+
+    The two purified output particles are virtual (pre-measured as a
+    Bell pair), so the resource has 2^(rounds+1) input qubits and no
+    outputs; the reconstructed swap outcome is the pair of virtual bits
+    swap_xx, swap_zz.
+    """
+    # Bob's side of the left segment, Alice's side of the right one
+    left = replace(epp_site_resource(rounds, "B"), name="L")
+    right = replace(epp_site_resource(rounds, "A"), name="R")
+    return premeasure_joint(
+        merge(left, right, ()),
+        [({"L/out0": "X", "R/out0": "X"}, "swap_xx"),
+         ({"L/out0": "Z", "R/out0": "Z"}, "swap_zz")],
+        name=f"repeater_station{rounds}",
+    )
+
+
 # -- dense operators and density matrices -------------------------------------
 
 
@@ -267,8 +578,8 @@ def density(mat: np.ndarray) -> DensityMatrix:
 
 def depolarize(rho: DensityMatrix, qubit: int, p: float) -> DensityMatrix:
     """White-noise channel: keep with probability p, else randomize."""
-    w = {"I": p + (1 - p) / 4, "X": (1 - p) / 4, "Y": (1 - p) / 4, "Z": (1 - p) / 4}
-    return rho.apply_pauli_channel(w, qubit)
+    r = (1 - p) / 4
+    return rho.apply_pauli_channel((p + r, r, r, r), qubit)
 
 
 def partial_trace(rho: DensityMatrix, keep: list[int]) -> DensityMatrix:
@@ -284,3 +595,129 @@ def partial_trace(rho: DensityMatrix, keep: list[int]) -> DensityMatrix:
 
 def fidelity_with_vec(rho: DensityMatrix, v: np.ndarray) -> float:
     return float(np.real(v.conj() @ rho.mat @ v))
+
+
+# -- noise moving across a Bell measurement ------------------------------------
+
+
+@dataclass
+class MoveNoiseReport:
+    """Result of checking P_ab E_a(ch) rho = P_ab E_b(ch) rho exactly."""
+
+    holds: bool
+    max_deviation: float
+    counterexample: dict = field(default_factory=dict)
+
+
+def move_noise_across_bell(channel: PauliChannel, rho: DensityMatrix,
+                           a: int, b: int) -> MoveNoiseReport:
+    """Verify the noise-moving identity on a concrete state.
+
+    Compares the outcome-labeled ensembles (probability and conditional
+    state for each of the four Bell outcomes) of noising qubit a versus
+    qubit b before the Bell measurement on (a, b).
+    """
+    max_dev = 0.0
+    side_a = rho.apply_pauli_channel(channel.weights, a).bell_measure(a, b)
+    side_b = rho.apply_pauli_channel(channel.weights, b).bell_measure(a, b)
+    for (pa, ia, da), (pb, ib, db) in zip(side_a, side_b):
+        assert ia == ib
+        max_dev = max(max_dev, abs(pa - pb))
+        if da is not None and db is not None:
+            max_dev = max(max_dev, float(np.max(np.abs(pa * da.mat - pb * db.mat))))
+        elif (da is None) != (db is None):
+            max_dev = max(max_dev, max(pa, pb))
+        if max_dev > 1e-12:  # exact up to rounding: the identity is algebraic
+            return MoveNoiseReport(False, max_dev, {"outcome": ia})
+    return MoveNoiseReport(True, max_dev)
+
+
+# -- Bell-diagonal coefficient maps from 4-qubit state vectors -----------------
+
+BD_SIGMA_ORDER = (0, 3, 1, 2)  # sigma index (I,X,Y,Z numbering) per bd index
+
+
+def _bell_pair_vec(bd_index: int) -> np.ndarray:
+    return bell_vector(BD_SIGMA_ORDER[bd_index])
+
+
+def _dejmps_rotations(v: np.ndarray) -> np.ndarray:
+    minus = (I2 - 1j * X) / np.sqrt(2)
+    plus = (I2 + 1j * X) / np.sqrt(2)
+    for q, u in ((0, minus), (1, plus), (2, minus), (3, plus)):
+        v = apply_unitary_vec(v, u, [q])
+    return v
+
+
+def _recurrence_branches(i: int, j: int, rotate: bool) -> np.ndarray:
+    """Unnormalized output bd coefficients of one 2->1 step on basis inputs.
+
+    Qubits are (A1, B1, A2, B2); pair 2 is the measured target. Kept
+    branches are the two with equal Z outcomes at A2 and B2.
+    """
+    v = np.kron(_bell_pair_vec(i), _bell_pair_vec(j))
+    if rotate:
+        v = _dejmps_rotations(v)
+    v = apply_unitary_vec(v, CNOT, [0, 2])
+    v = apply_unitary_vec(v, CNOT, [1, 3])
+    out = np.zeros(4)
+    za = PauliString.single(4, 2, "Z")
+    zb = PauliString.single(4, 3, "Z")
+    for pa, oa, va in measure_pauli_vec(v, za):
+        for pb, ob, vb in measure_pauli_vec(va, zb):
+            if oa != ob:
+                continue
+            t = vb.reshape(2, 2, 2, 2)
+            reduced = t[:, :, (1 - oa) // 2, (1 - ob) // 2].reshape(-1)
+            norm = np.linalg.norm(reduced)
+            if norm < 1e-12:
+                continue
+            reduced = reduced / norm
+            for k in range(4):
+                amp = np.vdot(_bell_pair_vec(k), reduced)
+                out[k] += pa * pb * float(np.abs(amp) ** 2)
+    return out
+
+
+def _swap_branches(i: int, j: int) -> np.ndarray:
+    """Output bd coefficients of entanglement swapping on basis inputs.
+
+    Pairs are (q0, q1) and (q2, q3); the Bell measurement joins (q1, q2)
+    and the byproduct correction sigma_m is applied to q3.
+    """
+    v = np.kron(_bell_pair_vec(i), _bell_pair_vec(j))
+    out = np.zeros(4)
+    for m in range(4):
+        prob, reduced = project_bell_vec(v, 1, 2, m)
+        if prob < 1e-14:
+            continue
+        sigma = PAULI_MATS["IXYZ"[m]]
+        corrected = apply_unitary_vec(reduced, sigma, [1])
+        for k in range(4):
+            amp = np.vdot(_bell_pair_vec(k), corrected)
+            out[k] += prob * float(np.abs(amp) ** 2)
+    return out
+
+
+def _werner_twirl_matrix() -> np.ndarray:
+    t = np.full((4, 4), 0.0)
+    t[0, 0] = 1.0
+    t[1:, 1:] = 1.0 / 3.0
+    return t
+
+
+def dense_coefficient_maps() -> dict[str, np.ndarray]:
+    """The swap and recurrence coefficient tensors [out, i, j], simulated
+    on 4-qubit state vectors."""
+    swap = np.zeros((4, 4, 4))
+    plain = np.zeros((4, 4, 4))
+    dejmps = np.zeros((4, 4, 4))
+    for i in range(4):
+        for j in range(4):
+            swap[:, i, j] = _swap_branches(i, j)
+            plain[:, i, j] = _recurrence_branches(i, j, rotate=False)
+            dejmps[:, i, j] = _recurrence_branches(i, j, rotate=True)
+    t = _werner_twirl_matrix()
+    # BBPSSW = output twirl o plain circuit o (input twirl (x) input twirl)
+    bbpssw = np.einsum("kl,lab,ai,bj->kij", t, plain, t, t)
+    return {"swap": swap, "recurrence_bbpssw": bbpssw, "recurrence_dejmps": dejmps}

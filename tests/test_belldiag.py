@@ -1,30 +1,29 @@
-"""Tests for Bell-diagonal analytics and the golden coefficient maps."""
-
-from fractions import Fraction
+"""Tests for Bell-diagonal analytics and the coefficient maps derived
+from the recurrence circuit."""
 
 import numpy as np
 import pytest
 
-from mbqcomm import dense
+from mbqcomm import belldiag
 from mbqcomm.belldiag import (
-    BD_SIGMA_ORDER,
     BellDiagonalError,
     BellDiagonalState,
     apply_depolarizing,
-    generate_golden_maps,
-    load_golden_maps,
-    parse_golden_text,
     perfect_pair,
     recurrence_step,
+    recurrence_table,
     shannon_entropy,
     swap_pairs,
     werner,
 )
+from mbqcomm.catalog import epp_recurrence
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import PauliString
-from oracles import density, embed_unitary, fidelity_with_vec, partial_trace
+from mbqcomm.protocols import purify_frames
+import oracles
+from oracles import BD_SIGMA_ORDER, density, embed_unitary, fidelity_with_vec, partial_trace
 
-# -- oracle helpers: closed forms and the golden-file writer, checked below
+# -- oracle helpers: closed forms, checked below
 
 
 def fidelity_from_noise(p: float) -> float:
@@ -44,39 +43,19 @@ def twirl_werner(state: BellDiagonalState) -> BellDiagonalState:
     return BellDiagonalState((c[0], r, r, r))
 
 
-def golden_maps_to_text(maps: dict[str, np.ndarray]) -> str:
-    """The golden-file text of coefficient maps, as `parse_golden_text` reads it."""
-    lines = ["# mbqcomm golden coefficient maps, version 1",
-             "# entries: out_index in_index1 in_index2 value (exact fraction)"]
-    for name, tensor in maps.items():
-        lines.append(f"map {name}")
-        for k in range(4):
-            for i in range(4):
-                for j in range(4):
-                    val = tensor[k, i, j]
-                    frac = Fraction(val).limit_denominator(1_000_000)
-                    if abs(float(frac) - val) > 1e-12:
-                        raise BellDiagonalError(
-                            f"golden entry {name}[{k},{i},{j}] is not a small rational"
-                        )
-                    if frac != 0:
-                        lines.append(f"{k} {i} {j} {frac.numerator}/{frac.denominator}")
-    return "\n".join(lines) + "\n"
-
-
 # -- dense oracle: Bell-diagonal states as density matrices
 
 
-def bd_to_dense(state: BellDiagonalState) -> dense.DensityMatrix:
+def bd_to_dense(state: BellDiagonalState) -> oracles.DensityMatrix:
     """The density matrix sum_k c_k |phi_k><phi_k| in the Bell basis."""
     mat = sum(
-        c * np.outer(dense.bell_vector(s), dense.bell_vector(s).conj())
+        c * np.outer(oracles.bell_vector(s), oracles.bell_vector(s).conj())
         for c, s in zip(state.coeffs, BD_SIGMA_ORDER)
     )
     return density(mat)
 
 
-def bell_coeffs(rho: dense.DensityMatrix) -> np.ndarray:
+def bell_coeffs(rho: oracles.DensityMatrix) -> np.ndarray:
     """Diagonal Bell-basis coefficients of a 2-qubit state.
 
     Ordering is the Bell-diagonal index convention (I, Z, X, Y).
@@ -84,19 +63,19 @@ def bell_coeffs(rho: dense.DensityMatrix) -> np.ndarray:
     if rho.n != 2:
         raise ValueError("bell_coeffs requires a 2-qubit state")
     order = [0, 3, 1, 2]  # sigma indices for bd order I,Z,X,Y
-    return np.array([fidelity_with_vec(rho, dense.bell_vector(s)) for s in order])
+    return np.array([fidelity_with_vec(rho, oracles.bell_vector(s)) for s in order])
 
 
-def apply_unitary(rho: dense.DensityMatrix, u: np.ndarray,
-                  targets: list[int]) -> dense.DensityMatrix:
+def apply_unitary(rho: oracles.DensityMatrix, u: np.ndarray,
+                  targets: list[int]) -> oracles.DensityMatrix:
     full = embed_unitary(rho.n, u, targets)
-    return dense.DensityMatrix(full @ rho.mat @ full.conj().T)
+    return oracles.DensityMatrix(full @ rho.mat @ full.conj().T)
 
 
-def measure_pauli(rho: dense.DensityMatrix,
-                  p: PauliString) -> list[tuple[float, int, dense.DensityMatrix]]:
+def measure_pauli(rho: oracles.DensityMatrix,
+                  p: PauliString) -> list[tuple[float, int, oracles.DensityMatrix]]:
     """Projective +-1 measurement branches with Born probabilities."""
-    m = dense.pauli_matrix(p)
+    m = oracles.pauli_matrix(p)
     eye = np.eye(m.shape[0])
     out = []
     for outcome in (+1, -1):
@@ -104,7 +83,7 @@ def measure_pauli(rho: dense.DensityMatrix,
         sub = proj @ rho.mat @ proj
         prob = float(np.trace(sub).real)
         if prob > 1e-14:
-            out.append((prob, outcome, dense.DensityMatrix(sub / prob)))
+            out.append((prob, outcome, oracles.DensityMatrix(sub / prob)))
     return out
 
 
@@ -147,7 +126,7 @@ def test_apply_channel_matches_dense_oracle():
         side = "A" if rng.integers(2) else "B"
         out = __import__("mbqcomm.belldiag", fromlist=["apply_pauli_channel"]) \
             .apply_pauli_channel(state, side, ch)
-        rho = bd_to_dense(state).apply_pauli_channel(ch.as_dict, 0 if side == "A" else 1)
+        rho = bd_to_dense(state).apply_pauli_channel(ch.weights, 0 if side == "A" else 1)
         assert np.allclose(out.as_array(), bell_coeffs(rho), atol=1e-12)
 
 
@@ -220,24 +199,25 @@ def test_swap_fidelity_never_exceeds_min_for_werner():
         assert out.fidelity <= min(f1, f2) + 1e-12
 
 
-def test_golden_maps_match_fresh_oracle():
-    packaged = load_golden_maps(refresh=True)
-    fresh = generate_golden_maps()
-    for name, tensor in fresh.items():
-        assert np.max(np.abs(packaged[name] - tensor)) < 1e-12, name
-
-
-def test_golden_text_roundtrip_and_corruption():
-    maps = load_golden_maps()
-    text = golden_maps_to_text(maps)
-    again = parse_golden_text(text)
-    for name in maps:
-        assert np.max(np.abs(maps[name] - again[name])) < 1e-12
-    with pytest.raises(BellDiagonalError):
-        parse_golden_text("0 0 0 1/2\n")
-    broken = text.replace("map swap", "map swp", 1)
-    with pytest.raises(BellDiagonalError):
-        parse_golden_text(broken)
+def test_recurrence_tables_are_the_catalog_round():
+    # the tables conjugate the errors through one site's circuit; the
+    # stabilizer engine's joint resource must keep and output the same.
+    # The derived tensors are exact (0/1 and the twirl's thirds); the
+    # 4-qubit state-vector oracle rounds to within 1.2e-15 of them.
+    dense_maps = oracles.dense_coefficient_maps()
+    for variant in ("DEJMPS", "BBPSSW"):
+        keep, out = recurrence_table(variant)
+        spec = epp_recurrence(1, variant)
+        in_codes = np.zeros((len(spec.inputs), 16), dtype=np.uint8)
+        in_codes[spec.inputs.index("R/in0")] = np.arange(16) >> 2
+        in_codes[spec.inputs.index("R/in1")] = np.arange(16) & 3
+        frame_keep, frame_out = purify_frames(
+            spec, in_codes, np.zeros((len(spec.outputs), 16), dtype=np.uint8))
+        assert np.array_equal(frame_keep, keep), variant
+        assert np.array_equal(frame_out[keep], out[keep]), variant
+        tensor = belldiag._recurrence_tensor(variant)
+        assert np.max(np.abs(tensor - dense_maps[f"recurrence_{variant.lower()}"])) < 1e-14
+    assert np.max(np.abs(belldiag._SWAP_TENSOR - dense_maps["swap"])) < 1e-14
 
 
 def _dense_recurrence_reference(rho1, rho2, variant):
@@ -249,11 +229,11 @@ def _dense_recurrence_reference(rho1, rho2, variant):
         t2 = twirl_werner(rho2)
         dm = density(np.kron(bd_to_dense(t1).mat, bd_to_dense(t2).mat))
     else:
-        minus = (dense.I2 - 1j * dense.X) / np.sqrt(2)
-        plus = (dense.I2 + 1j * dense.X) / np.sqrt(2)
+        minus = (oracles.I2 - 1j * oracles.X) / np.sqrt(2)
+        plus = (oracles.I2 + 1j * oracles.X) / np.sqrt(2)
         for q, u in ((0, minus), (1, plus), (2, minus), (3, plus)):
             dm = apply_unitary(dm, u, [q])
-    dm = apply_unitary(apply_unitary(dm, dense.CNOT, [0, 2]), dense.CNOT, [1, 3])
+    dm = apply_unitary(apply_unitary(dm, oracles.CNOT, [0, 2]), oracles.CNOT, [1, 3])
     za = PauliString.single(4, 2, "Z")
     zb = PauliString.single(4, 3, "Z")
     total = np.zeros(4)
@@ -295,7 +275,7 @@ def test_swap_matches_dense_reference_on_random_states():
         for prob, m, branch in dm.bell_measure(1, 2):
             if branch is None:
                 continue
-            sigma = dense.PAULI_MATS["IXYZ"[m]]
+            sigma = oracles.PAULI_MATS["IXYZ"[m]]
             corrected = apply_unitary(branch, sigma, [1])
             total += prob * bell_coeffs(corrected)
         assert np.allclose(got.as_array(), total, atol=1e-12)

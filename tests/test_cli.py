@@ -30,7 +30,7 @@ def run(argv, capsys):
     ["hashing", "--F", "0.9", "--checks", "-1", "--samples", "5"],
     ["chain", "--samples", "0"],
     ["repeater", "--samples", "0"],
-    ["sweep", "--target", "epp", "--samples", "0"],
+    ["sweep", "--target", "repeater", "--segments", "0"],
     PURIFY_MC + ["--samples", "10", "--csv-out", "/nonexistent/x.csv"],
     PURIFY_MC + ["--samples", "10", "--json-out", "/nonexistent/x.jsonl"],
     ["sweep", "--target", "code", "--plot-out", "/nonexistent/x.csv"],
@@ -313,45 +313,19 @@ def test_no_kept_pair_reports_null_fidelity(tmp_path, capsys):
     assert (cells["p_success"], cells["samples"]) == ("0.0", "10")
 
 
-ORACLE_SCOPES = ["golden", "stab-vs-dense", "noise-moving", "channel-identity",
-                 "merge-identity", "determinism"]
-
-
-def test_oracle_check_passes_every_check(capsys):
-    rc, out, _err = run(["oracle-check"], capsys)
-    lines = out.splitlines()
-    assert rc == 0
-    assert len(lines) == len(ORACLE_SCOPES)
-    assert all(line.startswith("[PASS] ") for line in lines)
-
-
-@pytest.mark.parametrize("scope", ORACLE_SCOPES)
-def test_oracle_check_scope_runs_one_check(scope, capsys):
-    rc, out, _err = run(["oracle-check", "--scope", scope], capsys)
-    assert rc == 0
-    assert len(out.splitlines()) == 1 and out.startswith("[PASS] ")
-
-
-def test_oracle_check_unknown_scope_exits_2(capsys):
-    rc, out, err = run(["oracle-check", "--scope", "nope"], capsys)
-    assert rc == 2
-    assert out == ""
-    assert err == "error: unknown oracle-check scope 'nope'\n"
-
-
 def test_repeater_without_purification_runs(capsys):
     rc, out, _err = run(["repeater", "--rounds", "0", "--samples", "100"], capsys)
     assert rc == 0
     assert json.loads(out)["rounds"] == 0
 
 
+# every sweep detector is exact: sweep has no sampling options at all
 @pytest.mark.parametrize("option", [["--samples", "10"], ["--seed", "2"]])
 def test_sweep_repeater_rejects_sampling_options(option, capsys):
     rc, out, err = run(["sweep", "--target", "repeater", "--steps", "2"] + option, capsys)
     assert rc == 2
     assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert "--target repeater" in err
+    assert err == f"mbqcomm: error: unrecognized arguments: {' '.join(option)}\n"
 
 
 @pytest.mark.parametrize("option", [["--samples", "10"], ["--seed", "2"]])
@@ -359,7 +333,22 @@ def test_sweep_code_rejects_sampling_options(option, capsys):
     rc, out, err = run(["sweep", "--target", "code", "--steps", "2"] + option, capsys)
     assert rc == 2
     assert out == ""
-    assert err == f"error: {option[0]} does not apply to --target code (its detector is exact)\n"
+    assert err == f"mbqcomm: error: unrecognized arguments: {' '.join(option)}\n"
+
+
+@pytest.mark.parametrize("segments", ["0", "-4"])
+def test_sweep_repeater_needs_a_segment(segments, capsys):
+    rc, out, err = run(["sweep", "--target", "repeater", "--segments", segments], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: need at least one segment\n"
+
+
+def test_sweep_epp_finds_the_exact_boundary(capsys):
+    rc, out, _err = run(["sweep", "--target", "epp"], capsys)
+    assert rc == 0
+    # the detector's fidelity (3 p^4 + 1)/4 crosses 1/2 at 3^(-1/4)
+    assert abs(json.loads(out)["boundary"] - 3 ** -0.25) < 1e-6
 
 
 @pytest.mark.parametrize("code", ["repetition2", "repetition3", "repetition5-phase"])

@@ -7,7 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mbqcomm import dense, gf2
+from mbqcomm import gf2
+from mbqcomm.belldiag import epp_site_circuit
 from mbqcomm.catalog import (
     CatalogError,
     code_by_name,
@@ -15,9 +16,7 @@ from mbqcomm.catalog import (
     code_decode_syndrome,
     code_encode,
     epp_recurrence,
-    epp_site_circuit,
     epp_site_resource,
-    repeater_station,
 )
 from mbqcomm.codes import (
     CodeError,
@@ -35,17 +34,24 @@ from mbqcomm.resources import (
     cj_state,
     teleport_in,
 )
-from mbqcomm.tableau import BellOutcome, StabilizerState
+from mbqcomm.tableau import StabilizerState
+import oracles
 from oracles import (
+    bell_outcome,
     graph_state,
     is_connected,
     lc_equivalent,
     path_graph,
     plus_state,
+    random_clifford,
+    repeater_station,
     ring_graph,
+    same_state,
     site_sizes,
+    to_dense,
     to_graph,
     validate_tableau,
+    zero_state,
 )
 
 
@@ -118,20 +124,20 @@ def test_ring5_code_structure():
 
 def test_ring5_codeword_is_ring_graph_state():
     code = ring5_code()
-    enc = StabilizerState.zero_state(5)
+    enc = zero_state(5)
     enc.apply_clifford(code.encoder)
-    assert enc.same_state(graph_state(ring_graph(5)))
+    assert same_state(enc, graph_state(ring_graph(5)))
     # |1_L> = Z^x5 |0_L>
     one = enc.copy()
     one.apply_pauli(PauliString(5, 0, 31, 0))
-    v0, v1 = enc.to_dense(), one.to_dense()
-    zzzzz = dense.pauli_matrix(PauliString(5, 0, 31, 0))
-    assert dense.states_equal_up_to_phase(zzzzz @ v0, v1, 1e-12)
+    v0, v1 = to_dense(enc), to_dense(one)
+    zzzzz = oracles.pauli_matrix(PauliString(5, 0, 31, 0))
+    assert oracles.states_equal_up_to_phase(zzzzz @ v0, v1, 1e-12)
 
 
 def test_encoded_plus_satisfies_ring_stabilizers():
     code = ring5_code()
-    enc = plus_state(1).tensor(StabilizerState.zero_state(4))
+    enc = plus_state(1).tensor(zero_state(4))
     enc.apply_clifford(code.encoder)
     for g in code.stabilizers:
         assert enc.measure(g) == 1
@@ -140,10 +146,10 @@ def test_encoded_plus_satisfies_ring_stabilizers():
 def test_encode_resource_rep3_is_ghz4():
     spec = code_encode(repetition_code(3))
     assert spec.n == 4
-    v = spec.state.to_dense()
+    v = to_dense(spec.state)
     want = np.zeros(16, dtype=complex)
     want[0] = want[15] = 1 / np.sqrt(2)
-    assert dense.states_equal_up_to_phase(v, want, 1e-12)
+    assert oracles.states_equal_up_to_phase(v, want, 1e-12)
 
 
 def test_decode_resource_shares_encode_state():
@@ -165,7 +171,7 @@ def test_correct_resource_size_and_syndrome_info():
         corr = code_correct(code)
         assert corr.n == 2 * code.n
         info = corr.byproduct(
-            [BellOutcome.from_index(0)] * code.n
+            [bell_outcome(0)] * code.n
         )
         assert info.syndrome == (0,) * len(code.stabilizers)
 
@@ -175,7 +181,7 @@ def test_merge_carries_the_decoder_syndrome(name):
     code = code_by_name(name)
     corr, dec = code_correct(code), code_decode_syndrome(code)
     for k, i in product(range(code.n), range(4)):
-        outcomes = [BellOutcome.from_index(i if j == k else 0) for j in range(code.n)]
+        outcomes = [bell_outcome(i if j == k else 0) for j in range(code.n)]
         assert corr.byproduct(outcomes).syndrome == dec.byproduct(outcomes).syndrome
 
 
@@ -190,10 +196,10 @@ def test_checks_and_syndrome_must_name_virtual_measurements():
 def test_combined_resource_rep3_is_ghz5():
     spec = code_encode_decode_combined(repetition_code(3))
     assert spec.n == 5
-    v = spec.state.to_dense()
+    v = to_dense(spec.state)
     want = np.zeros(32, dtype=complex)
     want[0] = want[31] = 1 / np.sqrt(2)
-    assert dense.states_equal_up_to_phase(v, want, 1e-12)
+    assert oracles.states_equal_up_to_phase(v, want, 1e-12)
 
 
 def test_epp_recurrence_sizes():
@@ -238,7 +244,7 @@ def test_repeater_station_is_input_only():
     assert len(st.inputs) == 4
     st2 = repeater_station(2)
     assert len(st2.inputs) == 8 and st2.n == 8
-    info = st.byproduct([BellOutcome.from_index(0)] * 4)
+    info = st.byproduct([bell_outcome(0)] * 4)
     assert (info.bits["swap_xx"], info.bits["swap_zz"]) == (0, 0)
     _gates, targets = epp_site_circuit(1, "A")
     assert all(f"{side}/meas[out{t}]" in info.bits for side in "LR" for t in targets)
@@ -291,20 +297,18 @@ def test_merge_encode_decode_is_identity_channel():
         phi = StabilizerState.from_generators(
             [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
         )
-        assert chain.state.same_state(phi)
+        assert same_state(chain.state, phi)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            base = StabilizerState.zero_state(1)
-            from mbqcomm.pauli import random_clifford
-
+            base = zero_state(1)
             base.apply_clifford(random_clifford(1, rng))
             host = LabeledRegister.from_state(base.copy(), ["psi"])
             r = teleport_in(
                 chain, host, {f"{enc.name}/in": "psi"}, rng=rng, apply_frame=True
             )
             assert r.keep
-            assert dense.states_equal_up_to_phase(
-                host.to_dense(), base.to_dense(), 1e-12
+            assert oracles.states_equal_up_to_phase(
+                to_dense(host.state), to_dense(base), 1e-12
             )
 
 

@@ -11,23 +11,18 @@ import pytest
 
 from mbqcomm import protocols, resources
 from mbqcomm.belldiag import werner
-from mbqcomm.catalog import (
-    code_by_name,
-    code_correct,
-    code_encode,
-    epp_recurrence,
-    repeater_station,
-)
+from mbqcomm.catalog import code_by_name, code_correct, code_encode, epp_recurrence
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.protocols import bd_index_of_pair, purify_frames, purify_recurrence
 from mbqcomm.resources import LabeledRegister, teleport_in
 from mbqcomm.rng import make_rng
-from mbqcomm.tableau import BellOutcome, StabilizerState
+from mbqcomm.tableau import StabilizerState
+from oracles import bell_outcome, repeater_station
 
 CODES = {"I": 0, "Z": 1, "X": 2, "Y": 3}
 # the in-coupling outcome whose byproduct is the letter of each code
-OUTCOME = {CODES[o.letter]: o for o in map(BellOutcome.from_index, range(4))}
+OUTCOME = {CODES[o.letter]: o for o in map(bell_outcome, range(4))}
 SEEDS = (1, 2)
 
 

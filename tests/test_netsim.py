@@ -8,7 +8,6 @@ import math
 import numpy as np
 import pytest
 
-from mbqcomm import dense
 from mbqcomm.catalog import code_by_name
 from mbqcomm.codes import CodeSpec, all_single_qubit_errors
 from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain
@@ -16,7 +15,8 @@ from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.rng import make_rng
 from mbqcomm.tableau import StabilizerState
-from oracles import depolarize, embed_unitary, fidelity_with_vec
+import oracles
+from oracles import depolarize, embed_unitary, fidelity_with_vec, to_dense
 
 CHAIN_NOISE = NoiseModel(0.98, 0.99, 0.9)
 
@@ -68,12 +68,12 @@ def test_ring5_analytic_chain_frozen(segments):
     assert abs(encoded_chain(cfg, mode="analytic").fidelity - ANALYTIC_FROZEN[segments]) < 1e-12
 
 
-def apply_pauli(rho: dense.DensityMatrix, p: PauliString) -> dense.DensityMatrix:
-    m = dense.pauli_matrix(p)
-    return dense.DensityMatrix(m @ rho.mat @ m.conj().T)
+def apply_pauli(rho: oracles.DensityMatrix, p: PauliString) -> oracles.DensityMatrix:
+    m = oracles.pauli_matrix(p)
+    return oracles.DensityMatrix(m @ rho.mat @ m.conj().T)
 
 
-def _syndrome_projector_branches(code: CodeSpec, dm: dense.DensityMatrix,
+def _syndrome_projector_branches(code: CodeSpec, dm: oracles.DensityMatrix,
                                  gen_mats: list[np.ndarray]):
     """Exact syndrome measurement branches on the block qubits.
 
@@ -87,7 +87,7 @@ def _syndrome_projector_branches(code: CodeSpec, dm: dense.DensityMatrix,
             prob = float(np.trace(mat).real)
             if prob > 1e-14:
                 out.append(
-                    (prob, bits, dense.DensityMatrix(mat / prob))
+                    (prob, bits, oracles.DensityMatrix(mat / prob))
                 )
             return
         gm = gen_mats[len(bits)]
@@ -120,13 +120,13 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
         PauliString.single(n + 1, 0, "Z")
         * code.logical_z.embed(n + 1, list(range(1, n + 1)))
     )
-    ideal_vec = StabilizerState.from_generators(gens).to_dense()
+    ideal_vec = to_dense(StabilizerState.from_generators(gens))
     block = list(range(1, n + 1))
     gen_mats = [
-        embed_unitary(n + 1, dense.pauli_matrix(g), block)
+        embed_unitary(n + 1, oracles.pauli_matrix(g), block)
         for g in code.stabilizers
     ]
-    start = dense.DensityMatrix.from_vec(ideal_vec)
+    start = oracles.DensityMatrix.from_vec(ideal_vec)
     branches = [(1.0, start, PauliString.identity(n))]
     for seg in range(cfg.segments):
         p_tilde = effective_step_noise(cfg, seg)

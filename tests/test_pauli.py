@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcomm import dense
-from mbqcomm.pauli import (
-    CliffordMap,
-    PauliError,
-    PauliString,
-    circuit_map,
-    gate_map,
-    random_clifford,
-    random_pauli,
-)
+from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map, gate_map
 from mbqcomm.tableau import StabilizerState
-from oracles import U_PG, embed_unitary
+import oracles
+from oracles import U_PG, embed_unitary, random_clifford, random_pauli, to_dense
 
 
 def embed_map(c: CliffordMap, n: int, wires) -> CliffordMap:
@@ -75,8 +67,8 @@ def test_multiplication_matches_dense_matrices():
     for _ in range(60):
         p = random_pauli(3, rng)
         q = random_pauli(3, rng)
-        lhs = dense.pauli_matrix(p * q)
-        rhs = dense.pauli_matrix(p) @ dense.pauli_matrix(q)
+        lhs = oracles.pauli_matrix(p * q)
+        rhs = oracles.pauli_matrix(p) @ oracles.pauli_matrix(q)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -111,22 +103,22 @@ def test_conjugate_matches_dense_oracle():
     rng = np.random.default_rng(5)
     gates = [("H", 0), ("S", 1), ("CNOT", 0, 1), ("CZ", 1, 0), ("SQX", 0)]
     mats = {
-        "H": dense.H,
-        "S": dense.S,
-        "SQX": (dense.I2 - 1j * dense.X) / np.sqrt(2),
+        "H": oracles.H,
+        "S": oracles.S,
+        "SQX": (oracles.I2 - 1j * oracles.X) / np.sqrt(2),
     }
     for name, *qs in gates:
         c = gate_map(2, name, *qs)
         if name == "CNOT":
-            u = embed_unitary(2, dense.CNOT, qs)
+            u = embed_unitary(2, oracles.CNOT, qs)
         elif name == "CZ":
             u = embed_unitary(2, U_PG, qs)
         else:
             u = embed_unitary(2, mats[name], qs)
         for _ in range(40):
             p = random_pauli(2, rng)
-            lhs = dense.pauli_matrix(c.conjugate(p))
-            rhs = u @ dense.pauli_matrix(p) @ u.conj().T
+            lhs = oracles.pauli_matrix(c.conjugate(p))
+            rhs = u @ oracles.pauli_matrix(p) @ u.conj().T
             assert np.allclose(lhs, rhs, atol=1e-12), name
 
 
@@ -232,13 +224,13 @@ def _unitary(c: CliffordMap) -> np.ndarray:
     product of the X images of the set bits of b applied to it.
     """
     n = c.n
-    v0 = StabilizerState(list(c.image_z), list(c.image_x)).to_dense()
+    v0 = to_dense(StabilizerState(list(c.image_z), list(c.image_x)))
     cols = []
     for b in range(1 << n):
         v = v0
         for k in range(n):
             if (b >> (n - 1 - k)) & 1:  # qubit 0 is the leading tensor factor
-                v = dense.pauli_matrix(c.image_x[k]) @ v
+                v = oracles.pauli_matrix(c.image_x[k]) @ v
         cols.append(v)
     u = np.column_stack(cols)
     assert np.allclose(u.conj().T @ u, np.eye(1 << n), atol=1e-12)
@@ -262,42 +254,42 @@ def _assert_public_map(c: CliffordMap):
 def test_unchecked_algebra_matches_dense_matrices(data):
     n = data.draw(st.integers(1, 6), label="n")
     p, q = _pauli(data, n, "p"), _pauli(data, n, "q")
-    mp = dense.pauli_matrix(p)
+    mp = oracles.pauli_matrix(p)
 
     pq = p.multiply(q)
     _assert_public(pq)
-    assert np.allclose(dense.pauli_matrix(pq), mp @ dense.pauli_matrix(q), atol=1e-12)
+    assert np.allclose(oracles.pauli_matrix(pq), mp @ oracles.pauli_matrix(q), atol=1e-12)
     for r in (p.negate(), p.unsigned(), p.with_phase(p.phase + 5)):
         _assert_public(r)
-    assert np.allclose(dense.pauli_matrix(p.negate()), -mp, atol=1e-12)
+    assert np.allclose(oracles.pauli_matrix(p.negate()), -mp, atol=1e-12)
 
     c1, c2 = _clifford(data, n, "c1"), _clifford(data, n, "c2")
     u1, u2 = _unitary(c1), _unitary(c2)
     image = c1.conjugate(p)
     _assert_public(image)
-    assert np.allclose(dense.pauli_matrix(image), u1 @ mp @ u1.conj().T, atol=1e-12)
+    assert np.allclose(oracles.pauli_matrix(image), u1 @ mp @ u1.conj().T, atol=1e-12)
     both = c2.compose(c1)
     _assert_public_map(both)
     u21 = u2 @ u1
-    assert np.allclose(dense.pauli_matrix(both.conjugate(p)), u21 @ mp @ u21.conj().T,
+    assert np.allclose(oracles.pauli_matrix(both.conjugate(p)), u21 @ mp @ u21.conj().T,
                        atol=1e-12)
     inv = c1.inverse()
     _assert_public_map(inv)
-    assert np.allclose(dense.pauli_matrix(inv.conjugate(p)), u1.conj().T @ mp @ u1,
+    assert np.allclose(oracles.pauli_matrix(inv.conjugate(p)), u1.conj().T @ mp @ u1,
                        atol=1e-12)
 
     qubits = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
                                 unique=True), label="qubits")
     sub = p.restrict(qubits)
     _assert_public(sub)
-    letters = dense.kron_all(*(dense.PAULI_MATS[p.letter(j)] for j in qubits))
-    assert np.allclose(dense.pauli_matrix(sub), letters, atol=1e-12)
+    letters = oracles.kron_all(*(oracles.PAULI_MATS[p.letter(j)] for j in qubits))
+    assert np.allclose(oracles.pauli_matrix(sub), letters, atol=1e-12)
 
     big = data.draw(st.integers(n, 6), label="register")
     positions = data.draw(st.permutations(range(big)), label="positions")[:n]
     placed = p.embed(big, positions)
     _assert_public(placed)
-    assert np.allclose(dense.pauli_matrix(placed),
+    assert np.allclose(oracles.pauli_matrix(placed),
                        embed_unitary(big, mp, positions), atol=1e-12)
 
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcomm import dense
-from mbqcomm.pauli import PauliError, PauliString, random_clifford, random_pauli
+from mbqcomm.catalog import code_by_name, code_decode_syndrome, code_encode, epp_recurrence
+from mbqcomm.pauli import PauliError, PauliString
 from mbqcomm.tableau import BellOutcome, InconsistentProjection, StabilizerState, TableauError
+import oracles
 from oracles import (
     U_PG,
     GraphSpec,
     apply_gate,
+    bell_outcome,
     density,
     fidelity_with_vec,
     graph_state,
@@ -20,17 +22,35 @@ from oracles import (
     local_complement,
     partial_trace,
     path_graph,
+    pauli_sign,
     plus_state,
+    random_clifford,
+    random_pauli,
+    repeater_station,
     ring_graph,
+    same_state,
+    to_dense,
     to_graph,
     validate_tableau,
+    zero_state,
 )
 
 
 def random_stabilizer_state(n, rng, depth=None):
-    s = StabilizerState.zero_state(n)
+    s = zero_state(n)
     s.apply_clifford(random_clifford(n, rng, depth))
     return s
+
+
+def dense_checked_states(count, max_n, rng):
+    """`count` random states on 1..max_n qubits, then catalog resource
+    states of at most 6 qubits, which the commands build and measure."""
+    for _ in range(count):
+        yield random_stabilizer_state(int(rng.integers(1, max_n + 1)), rng)
+    for spec in (epp_recurrence(1), code_encode(code_by_name("repetition3")),
+                 code_encode(code_by_name("ring5")),
+                 code_decode_syndrome(code_by_name("repetition3")), repeater_station(1)):
+        yield spec.state.copy()
 
 
 def measure_pauli(state, p, rng=None, force=None):
@@ -73,12 +93,12 @@ def assert_bell_measure_matches_oracle(s, a, b, force, seed):
     assert outcome == expected
     assert kept == [q for q in range(s.n) if q not in (a, b)]
     validate_tableau(got)
-    assert got.same_state(want)
+    assert same_state(got, want)
     assert rng_got.random() == rng_want.random()
 
 
 def test_zero_state_measure_z_deterministic():
-    s = StabilizerState.zero_state(1)
+    s = zero_state(1)
     assert s.measure(PauliString.from_string("Z")) == 1
 
 
@@ -97,14 +117,14 @@ def test_xx_then_zz_on_00_builds_bell_state():
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(50):
-        s = StabilizerState.zero_state(2)
+        s = zero_state(2)
         o1 = s.measure(PauliString.from_string("XX"), rng)
         o2 = s.measure(PauliString.from_string("ZZ"), rng)
         assert o2 == 1
         seen.add(o1)
-        v = s.to_dense()
+        v = to_dense(s)
         expect = np.array([1, 0, 0, o1], dtype=complex) / np.sqrt(2)
-        assert dense.states_equal_up_to_phase(v, expect, 1e-12)
+        assert oracles.states_equal_up_to_phase(v, expect, 1e-12)
     assert seen == {1, -1}
 
 
@@ -115,10 +135,10 @@ def test_single_vertex_graph_is_plus():
 
 def test_two_vertex_graph_equals_h_on_bell():
     # derived oracle: (H (x) I)|phi+>
-    v = graph_state(GraphSpec(2, frozenset({(0, 1)}))).to_dense()
+    v = to_dense(graph_state(GraphSpec(2, frozenset({(0, 1)}))))
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    expect = dense.apply_unitary_vec(phi, dense.H, [0])
-    assert dense.states_equal_up_to_phase(v, expect, 1e-12)
+    expect = oracles.apply_unitary_vec(phi, oracles.H, [0])
+    assert oracles.states_equal_up_to_phase(v, expect, 1e-12)
 
 
 def test_ring5_stabilizers():
@@ -131,9 +151,9 @@ def test_ring5_dense_matches_upg_product():
     # Eq-style product construction: U_PG on every ring edge of |+>^5
     v = np.full(32, 1 / np.sqrt(32), dtype=complex)
     for a in range(5):
-        v = dense.apply_unitary_vec(v, U_PG, [a, (a + 1) % 5])
-    w = graph_state(ring_graph(5)).to_dense()
-    assert dense.states_equal_up_to_phase(v, w, 1e-12)
+        v = oracles.apply_unitary_vec(v, U_PG, [a, (a + 1) % 5])
+    w = to_dense(graph_state(ring_graph(5)))
+    assert oracles.states_equal_up_to_phase(v, w, 1e-12)
     mags = np.abs(w[np.abs(w) > 1e-12])
     assert np.allclose(mags, mags[0], atol=1e-12)
 
@@ -145,7 +165,7 @@ def test_graph_state_invariant_under_edge_permutation():
     for _ in range(5):
         rng.shuffle(edges)
         other = graph_state(GraphSpec(4, frozenset(edges)))
-        assert base.same_state(other)
+        assert same_state(base, other)
 
 
 def test_graph_spec_rejects_self_loop():
@@ -154,44 +174,42 @@ def test_graph_spec_rejects_self_loop():
 
 
 def _dense_measure_reference(v, p):
-    return {o: (pr, st) for pr, o, st in dense.measure_pauli_vec(v, p)}
+    return {o: (pr, st) for pr, o, st in oracles.measure_pauli_vec(v, p)}
 
 
 def test_measure_pauli_matches_dense_oracle():
     rng = np.random.default_rng(11)
-    for _ in range(60):
-        n = int(rng.integers(1, 7))
-        s = random_stabilizer_state(n, rng)
-        v = s.to_dense()
-        p = random_pauli(n, rng, allow_identity=False)
-        if p.sign == -1:
+    for s in dense_checked_states(60, 6, rng):
+        v = to_dense(s)
+        p = random_pauli(s.n, rng, allow_identity=False)
+        if pauli_sign(p) == -1:
             p = p.negate()
         ref = _dense_measure_reference(v, p)
-        if s.outcome_is_random(p):
+        if any(not g.commutes(p) for g in s.stabs):
             assert set(ref) == {1, -1}
             for o in (1, -1):
                 assert abs(ref[o][0] - 0.5) < 1e-12
                 branch = s.copy()
                 got = branch.measure(p, force=o)
                 assert got == o
-                assert dense.states_equal_up_to_phase(branch.to_dense(), ref[o][1], 1e-12)
+                assert oracles.states_equal_up_to_phase(to_dense(branch), ref[o][1], 1e-12)
                 validate_tableau(branch)
         else:
             assert len(ref) == 1
             o = next(iter(ref))
             branch = s.copy()
             assert branch.measure(p) == o
-            assert branch.same_state(s)
+            assert same_state(branch, s)
 
 
 def test_forced_impossible_projection_raises():
-    s = StabilizerState.zero_state(1)
+    s = zero_state(1)
     with pytest.raises(InconsistentProjection):
         s.measure(PauliString.from_string("Z"), force=-1)
 
 
 def test_measuring_a_pauli_of_another_length_raises():
-    s = StabilizerState.zero_state(2)
+    s = zero_state(2)
     for text in ("Z", "XXX"):
         with pytest.raises(PauliError):
             s.measure(PauliString.from_string(text))
@@ -206,7 +224,7 @@ def test_tableau_invariants_after_random_measurements():
             p = random_pauli(n, rng, allow_identity=False)
             if not p.is_hermitian:
                 continue
-            s.measure(p if p.sign == 1 else p.negate(), rng)
+            s.measure(p if pauli_sign(p) == 1 else p.negate(), rng)
             validate_tableau(s)
 
 
@@ -226,21 +244,21 @@ def test_bell_measure_swapping_matches_dense_oracle():
     phi = PauliString.from_string
     gens = [phi("XXII"), phi("ZZII"), phi("IIXX"), phi("IIZZ")]
     base = StabilizerState.from_generators(gens)
-    v = base.to_dense()
+    v = to_dense(base)
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(80):
         s = base.copy()
         outcome, _ = s.bell_measure(1, 2, rng)
         seen.add(outcome.index)
-        prob, reduced = dense.project_bell_vec(v, 1, 2, outcome.index)
+        prob, reduced = oracles.project_bell_vec(v, 1, 2, outcome.index)
         assert abs(prob - 0.25) < 1e-12
-        assert dense.states_equal_up_to_phase(s.to_dense(), reduced, 1e-12)
-        sigma = dense.pauli_matrix(outcome.byproduct())
-        expect = dense.apply_unitary_vec(
+        assert oracles.states_equal_up_to_phase(to_dense(s), reduced, 1e-12)
+        sigma = oracles.pauli_matrix(outcome.byproduct())
+        expect = oracles.apply_unitary_vec(
             np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), sigma, [1]
         )
-        assert dense.states_equal_up_to_phase(s.to_dense(), expect, 1e-12)
+        assert oracles.states_equal_up_to_phase(to_dense(s), expect, 1e-12)
     assert seen == {0, 1, 2, 3}
 
 
@@ -248,9 +266,9 @@ def test_bell_measure_pair_with_fresh_zero_uniform():
     # derived by dense oracle: all four outcomes equiprobable
     phi = PauliString.from_string
     base = StabilizerState.from_generators([phi("XXI"), phi("ZZI"), phi("IIZ")])
-    v = base.to_dense()
+    v = to_dense(base)
     for i in range(4):
-        prob, _ = dense.project_bell_vec(v, 1, 2, i)
+        prob, _ = oracles.project_bell_vec(v, 1, 2, i)
         assert abs(prob - 0.25) < 1e-12
     rng = np.random.default_rng(9)
     counts = {i: 0 for i in range(4)}
@@ -266,20 +284,20 @@ def test_bell_outcome_distribution_matches_dense_generic():
     for _ in range(25):
         n = int(rng.integers(2, 6))
         s = random_stabilizer_state(n, rng)
-        v = s.to_dense()
+        v = to_dense(s)
         a, b = rng.choice(n, size=2, replace=False)
         a, b = int(a), int(b)
         for i in range(4):
-            prob, reduced = dense.project_bell_vec(v, a, b, i)
+            prob, reduced = oracles.project_bell_vec(v, a, b, i)
             branch = s.copy()
             if prob < 1e-14:
                 with pytest.raises(InconsistentProjection):
-                    branch.bell_measure(a, b, force=BellOutcome.from_index(i))
+                    branch.bell_measure(a, b, force=bell_outcome(i))
                 continue
-            outcome, _ = branch.bell_measure(a, b, force=BellOutcome.from_index(i))
+            outcome, _ = branch.bell_measure(a, b, force=bell_outcome(i))
             assert outcome.index == i
             if branch.n:
-                assert dense.states_equal_up_to_phase(branch.to_dense(), reduced, 1e-12)
+                assert oracles.states_equal_up_to_phase(to_dense(branch), reduced, 1e-12)
             validate_tableau(branch)
 
 
@@ -303,7 +321,7 @@ def test_bell_measure_equals_the_elimination_oracle(n):
     # shallow circuits and Bell pairs leave deterministic XX or ZZ
     # outcomes; scrambled generators vary which rows hold them
     rng = np.random.default_rng(70 + n)
-    forces = [None] + [BellOutcome.from_index(i) for i in range(4)]
+    forces = [None] + [bell_outcome(i) for i in range(4)]
     states = [random_stabilizer_state(n, rng, depth) for depth in (2, n, None)]
     pairs = StabilizerState.bell_pair(int(rng.integers(4))).tensor(
         random_stabilizer_state(n - 2, rng))
@@ -333,7 +351,7 @@ def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
     for i, j in ((2, 0), (3, 1), (4, 0), (4, 1)):
         row_operation(s, i, j)
     validate_tableau(s)
-    for force in [None] + [BellOutcome.from_index(i) for i in range(4)]:
+    for force in [None] + [bell_outcome(i) for i in range(4)]:
         for a, b in ((0, 1), (1, 0)):
             assert_bell_measure_matches_oracle(s, a, b, force, 11)
     outcome, _ = s.bell_measure(0, 1)
@@ -341,25 +359,23 @@ def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
 
 
 def test_to_dense_trivial_cases():
-    assert np.allclose(StabilizerState.zero_state(1).to_dense(), [1, 0])
+    assert np.allclose(to_dense(zero_state(1)), [1, 0])
     bell = StabilizerState.from_generators(
         [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
     )
-    assert np.allclose(bell.to_dense(), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    assert np.allclose(to_dense(bell), np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
 def test_to_dense_random_states_are_stabilized():
     rng = np.random.default_rng(41)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        s = random_stabilizer_state(n, rng)
-        v = s.to_dense()
+    for s in dense_checked_states(20, 5, rng):
+        v = to_dense(s)
         for g in s.stabs:
-            assert np.allclose(dense.apply_pauli_vec(g, v), v, atol=1e-10)
+            assert np.allclose(oracles.apply_pauli_vec(g, v), v, atol=1e-10)
 
 
 def test_tensor_and_remove_qubits():
-    a = StabilizerState.zero_state(1)
+    a = zero_state(1)
     b = plus_state(1)
     ab = a.tensor(b)
     assert ab.n == 2
@@ -374,12 +390,12 @@ def test_tensor_and_remove_qubits():
 
 @pytest.mark.parametrize("q", [5, -1, 3])
 def test_removals_reject_out_of_range_indices(q):
-    s = StabilizerState.zero_state(3)
+    s = zero_state(3)
     with pytest.raises(TableauError, match=f"qubit {q} out of range"):
         s.remove_qubits([0, q])
     with pytest.raises(TableauError, match=f"qubit {q} out of range"):
         s.bell_measure(0, q)
-    assert s.same_state(StabilizerState.zero_state(3))
+    assert same_state(s, zero_state(3))
 
 
 def test_to_graph_on_known_states():
@@ -395,7 +411,7 @@ def test_to_graph_on_known_states():
             check.apply_pauli(PauliString.single(3, q, "Z"))
         else:
             apply_gate(check, name, q)
-    assert check.same_state(graph_state(spec))
+    assert same_state(check, graph_state(spec))
 
 
 def test_to_graph_random_roundtrip():
@@ -410,7 +426,7 @@ def test_to_graph_random_roundtrip():
                 check.apply_pauli(PauliString.single(n, q, "Z"))
             else:
                 apply_gate(check, name, q)
-        assert check.same_state(graph_state(spec))
+        assert same_state(check, graph_state(spec))
 
 
 def test_local_complementation_preserves_state_class():
@@ -460,23 +476,23 @@ def test_measurements_and_removal_match_dense_oracle(data):
         n = s.n
         if n == 0:
             break
-        v = s.to_dense()
+        v = to_dense(s)
         kinds = ["pauli", "single", "remove"] + (["bell"] if n >= 2 else [])
         kind = data.draw(st.sampled_from(kinds), label="kind")
         if kind == "pauli":
             letters = data.draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)
                                 .filter(lambda ls: set(ls) != {"I"}), label="pauli")
             p = PauliString.from_string("".join(letters))
-            ref = {o: post for _pr, o, post in dense.measure_pauli_vec(v, p)}
+            ref = {o: post for _pr, o, post in oracles.measure_pauli_vec(v, p)}
             o = data.draw(st.sampled_from(sorted(ref)), label="outcome")
             assert s.measure(p, force=o) == o
             validate_tableau(s)
-            assert dense.states_equal_up_to_phase(s.to_dense(), ref[o], 1e-10)
+            assert oracles.states_equal_up_to_phase(to_dense(s), ref[o], 1e-10)
             continue
         if kind == "single":
             q = data.draw(st.integers(0, n - 1), label="qubit")
             p = PauliString.single(n, q, data.draw(st.sampled_from("XYZ"), label="letter"))
-            ref = {o: post for _pr, o, post in dense.measure_pauli_vec(v, p)}
+            ref = {o: post for _pr, o, post in oracles.measure_pauli_vec(v, p)}
             o = data.draw(st.sampled_from(sorted(ref)), label="outcome")
             s.measure(p, force=o)
             drop = [q]
@@ -485,15 +501,15 @@ def test_measurements_and_removal_match_dense_oracle(data):
             a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                       unique=True), label="pair")
             i = data.draw(st.integers(0, 3), label="bell index")
-            prob, post = dense.project_bell_vec(v, a, b, i)
+            prob, post = oracles.project_bell_vec(v, a, b, i)
             if prob < 1e-12:
                 with pytest.raises(InconsistentProjection):
-                    s.copy().bell_measure(a, b, force=BellOutcome.from_index(i))
+                    s.copy().bell_measure(a, b, force=bell_outcome(i))
                 continue
-            assert s.bell_measure(a, b, force=BellOutcome.from_index(i))[0].index == i
+            assert s.bell_measure(a, b, force=bell_outcome(i))[0].index == i
             validate_tableau(s)
             if s.n:
-                assert dense.states_equal_up_to_phase(s.to_dense(), post, 1e-10)
+                assert oracles.states_equal_up_to_phase(to_dense(s), post, 1e-10)
             continue
         else:
             drop = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1),
@@ -503,12 +519,12 @@ def test_measurements_and_removal_match_dense_oracle(data):
             before = s.copy()
             with pytest.raises(TableauError, match="still entangled"):
                 s.remove_qubits(drop)
-            assert s.same_state(before)
+            assert same_state(s, before)
             continue
         s.remove_qubits(drop)
         validate_tableau(s)
         if s.n:
-            assert abs(fidelity_with_vec(expect, s.to_dense()) - 1) < 1e-10
+            assert abs(fidelity_with_vec(expect, to_dense(s)) - 1) < 1e-10
 
 
 @pytest.mark.parametrize("gens", [

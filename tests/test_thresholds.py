@@ -4,7 +4,6 @@ import pytest
 
 from mbqcomm.belldiag import shannon_entropy, werner
 from mbqcomm.codes import ring5_code
-from mbqcomm.rng import make_rng
 from mbqcomm.thresholds import (
     UNIVERSAL_EPP_THRESHOLD,
     code_threshold,
@@ -30,7 +29,7 @@ def test_repeater_detector_boundary_matches_universal_threshold():
 
 
 def test_epp_detector_straddles_the_threshold():
-    detector = epp_regime_detector(20_000, make_rng(1))
+    detector = epp_regime_detector()
     assert not detector(0.74)[0]
     assert detector(0.78)[0]
 
