@@ -3,12 +3,16 @@
 Every entry is produced by the generic Choi-Jamiolkowski builder plus
 pre-measurement and merging; nothing is transcribed from figures. The
 purification resources run the circuit of `belldiag.epp_site_circuit`,
-the same round from which the Bell-diagonal maps are derived.
+the same round from which the Bell-diagonal maps are derived. Each entry
+is built once per argument set and shared, so callers never mutate
+`spec.state` (`teleport_in` couples in a copy).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
+from functools import lru_cache, wraps
 
 from .belldiag import epp_site_circuit
 from .codes import CodeSpec, repetition_code, ring5_code
@@ -20,6 +24,28 @@ class CatalogError(ValueError):
     """Raised for unknown catalog entries or bad parameters."""
 
 
+_BUILT: dict = {}  # (builder, argument keys) -> (arguments, resource)
+
+
+def _built_once(build):
+    """Memoise a builder per argument set, defaults filled in. A `CodeSpec`
+    holds a dict and cannot be hashed, so a code is keyed by identity; the
+    entry holds the code, so its id is never reused."""
+    signature = inspect.signature(build)
+
+    @wraps(build)
+    def once(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (build.__name__, *(id(a) if isinstance(a, CodeSpec) else a for a in bound.args))
+        if key not in _BUILT:
+            _BUILT[key] = (bound.args, build(*bound.args))
+        return _BUILT[key][1]
+
+    return once
+
+
+@_built_once
 def epp_site_resource(rounds: int, role: str, variant: str = "DEJMPS") -> ResourceSpec:
     """One party's purification resource: 2^m inputs, one output."""
     n = 1 << rounds
@@ -32,6 +58,7 @@ def epp_site_resource(rounds: int, role: str, variant: str = "DEJMPS") -> Resour
     return spec
 
 
+@_built_once
 def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     """Joint two-site recurrence resource (2^m + 1 qubits per site).
 
@@ -50,6 +77,7 @@ def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     return replace(joint, sites=sites, checks=checks)
 
 
+@_built_once
 def code_encode(code: CodeSpec) -> ResourceSpec:
     """Encoding resource: GHZ-type state with 1 input and N block outputs."""
     anc = [(w, "Z") for w in range(1, code.n)]
@@ -62,17 +90,17 @@ def code_encode(code: CodeSpec) -> ResourceSpec:
     )
 
 
+@_built_once
 def code_decode_syndrome(code: CodeSpec) -> ResourceSpec:
     """Decode-with-syndrome resource: N block inputs, one data output.
 
     The ancilla outputs of the inverse encoder are pre-measured in Z;
     their virtual outcomes are exactly the code syndrome.
     """
-    dec = code.decoder
     out_names = {0: "out"}
     out_names.update({w: f"anc{w}" for w in range(1, code.n)})
     spec = cj_state(
-        dec,
+        code.encoder.inverse(),
         name=f"{code.name}_decode",
         input_labels=[f"b{w}" for w in range(code.n)],
         output_labels=out_names,
@@ -84,6 +112,7 @@ def code_decode_syndrome(code: CodeSpec) -> ResourceSpec:
     return replace(spec, syndrome=tuple(f"meas[anc{w}]" for w in range(1, code.n)))
 
 
+@_built_once
 def code_correct(code: CodeSpec) -> ResourceSpec:
     """Syndrome readout + re-encoding: the 2N-qubit correction resource.
     The merge carries the decoder's syndrome."""
@@ -94,8 +123,10 @@ def code_correct(code: CodeSpec) -> ResourceSpec:
 _CODE_NAMES = {"ring5": ring5_code}
 
 
+@lru_cache(maxsize=None)
 def code_by_name(name: str) -> CodeSpec:
-    """Parse 'ring5', 'repetition3' or 'repetition5-phase' style names."""
+    """Parse 'ring5', 'repetition3' or 'repetition5-phase' style names.
+    One instance per name, so its resources are built once per process."""
     if name in _CODE_NAMES:
         return _CODE_NAMES[name]()
     if name.startswith("repetition"):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import os
 import sys
 from collections import Counter
 
@@ -185,8 +186,6 @@ def cmd_qec(args) -> int:
         return 0 if good == total else 1
     samples = 10_000 if args.samples is None else args.samples
     cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=samples)
-    # every shot builds its own 3 code resources: bench/selftest.py counts
-    # 3 catalog builds per qec shot
     stats = encoded_trajectories(cfg, rng)
     params = {"code": args.code}
     cfg_hash = config_hash({**params, "noise": noise_list(noise),
@@ -367,16 +366,19 @@ def cmd_threshold(args) -> int:
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    unread = {"epp": ("segments", "code"), "repeater": ("code",), "code": ("segments",)}
+    reject_unread([(f"--{key}", getattr(args, key)) for key in unread[args.target]],
+                  f"--target {args.target}")
     if args.target == "epp":
         detector = epp_regime_detector()
         lo, hi = 0.72, 0.80
         analytic = universal_epp_threshold("q=p").analytic
     elif args.target == "repeater":
-        detector = repeater_regime_detector(args.segments)
+        detector = repeater_regime_detector(4 if args.segments is None else args.segments)
         lo, hi = 0.72, 0.80
         analytic = universal_epp_threshold("q=p").analytic
     else:
-        code = code_by_name(args.code)
+        code = code_by_name("ring5" if args.code is None else args.code)
         analytic = code_threshold(code, "q=p").analytic
         detector = code_step_detector(code)
         lo, hi = analytic - 0.03, analytic + 0.03
@@ -474,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=probability, default=None)
     p.add_argument("--hi", type=probability, default=None)
     p.add_argument("--steps", type=int, default=7)
-    p.add_argument("--segments", type=int, default=4)
-    p.add_argument("--code", default="ring5")
+    p.add_argument("--segments", type=int, default=None, help="repeater only; defaults to 4")
+    p.add_argument("--code", default=None, help="code only; defaults to ring5")
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -486,7 +488,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        # the reader left: later flushes go to devnull, as the `signal` docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ source of every code's logical error rate and threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -46,11 +45,6 @@ class CodeSpec:
                 raise CodeError("logicals must commute with the stabilizer group")
         if self.logical_x.commutes(self.logical_z):
             raise CodeError("logical X and Z must anticommute")
-
-    @cached_property
-    def decoder(self) -> CliffordMap:
-        """The inverse of the encoder, computed once per code."""
-        return self.encoder.inverse()
 
     def syndrome_of(self, error: PauliString) -> tuple[int, ...]:
         return _anticommuting(error, self.stabilizers)

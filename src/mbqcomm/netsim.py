@@ -94,24 +94,22 @@ def frame_apply(host: LabeledRegister, frame: PauliString, labels) -> None:
 
 
 def code_resources(code: CodeSpec) -> tuple:
-    """(encode, correct, decode) resources of a code, to share across shots."""
+    """(encode, correct, decode) resources of a code, shared across shots."""
     return code_encode(code), code_correct(code), code_decode_syndrome(code)
 
 
-def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances, resources: tuple,
+def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances,
                  at_station: bool = False) -> tuple[bool, list[QecResult]]:
     """One encoded transmission of half of a reference Bell pair.
 
     Encode; per segment, disturb the block and correct it at a station;
     decode; apply the tracked frame; read the Bell index of the
     reference pair. `disturbances` holds one callable (register, block
-    labels) per segment; `resources` the (encode, correct, decode)
-    resources to couple into, as `code_resources` builds them. With
-    `at_station` every station applies its frame at once instead of
-    passing it on. Returns whether the pair came out in |phi+> and the
-    station results.
+    labels) per segment. With `at_station` every station applies its
+    frame at once instead of passing it on. Returns whether the pair
+    came out in |phi+> and the station results.
     """
-    enc, corr, dec = resources
+    enc, corr, dec = code_resources(code)
     reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
     e = qec_encode(code, reg, "in", noise, rng, enc)
     frame, labels = e.frame, e.labels
@@ -136,11 +134,10 @@ def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> Proto
     composes the exact logical channel of perfect corrections, and
     "analytic" is the paper's folded-noise bound on that channel.
     `extra` holds the resource counts and, under `report`, the values
-    the mode reports beside the fidelity. The trajectory mode shares
-    one set of code resources across its shots.
+    the mode reports beside the fidelity.
     """
     if mode == "trajectory":
-        stats = encoded_trajectories(cfg, rng, code_resources(code_by_name(cfg.code)))
+        stats = encoded_trajectories(cfg, rng)
     elif mode == "analytic":
         stats = _encoded_chain_analytic(cfg)
     elif mode == "dense":
@@ -159,13 +156,11 @@ def _resource_counts(cfg: ChainConfig) -> dict:
     }
 
 
-def encoded_trajectories(cfg: ChainConfig, rng, resources: tuple | None = None) -> ProtocolStats:
+def encoded_trajectories(cfg: ChainConfig, rng) -> ProtocolStats:
     """Stabilizer Monte Carlo with a reference pair as fidelity witness.
 
-    `resources` are the (encode, correct, decode) resources shared by
-    every shot; without them each shot builds its own. `extra` holds the
-    station syndrome histogram and, under `report`, the runs with an
-    uncorrectable syndrome and the correction timing.
+    `extra` holds the station syndrome histogram and, under `report`, the
+    runs with an uncorrectable syndrome and the correction timing.
     """
     code = code_by_name(cfg.code)
     disturbances = [
@@ -176,7 +171,6 @@ def encoded_trajectories(cfg: ChainConfig, rng, resources: tuple | None = None) 
     syndromes = Counter()
     for _ in range(cfg.samples):
         ok, stations = encoded_shot(code, cfg.noise, rng, disturbances,
-                                    resources or code_resources(code),
                                     at_station=cfg.correction_timing == "station")
         good += ok
         uncorrectable_runs += any(r.uncorrectable for r in stations)
@@ -199,10 +193,9 @@ def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
               and code.logical_flips(e * code.correction_for(code.syndrome_of(e))) == (0, 0)]
     if not errors:
         raise ChainError(f"code {code.name} corrects no single-qubit error")
-    resources = code_resources(code)
     good = sum(
         encoded_shot(code, NoiseModel(), rng,
-                     [lambda reg, block, e=e: reg.apply_pauli(e, block)], resources)[0]
+                     [lambda reg, block, e=e: reg.apply_pauli(e, block)])[0]
         for e in errors
     )
     return good, len(errors)

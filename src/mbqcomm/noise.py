@@ -7,15 +7,14 @@ Bell-diagonal maps apply).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import PauliString
-from .rng import draw_indices
+from .rng import _cut_points
 from .tableau import StabilizerState
-
-_LETTERS = ("I", "X", "Y", "Z")
 
 
 class NoiseParameterError(ValueError):
@@ -89,21 +88,18 @@ class PauliChannel:
         return np.array([wi, wz, wx, wy])
 
 
-def depolarize_sample(n: int, qubit: int, p: float, rng) -> PauliString:
-    """Sample one Pauli insertion of the depolarizing channel E(p).
-
-    One draw from the weights of `PauliChannel.depolarizing(p)`, taken
-    without building the channel.
-    """
-    return PauliString.single(n, qubit, _LETTERS[draw_indices(rng, _depolarizing_weights(p))])
-
-
 def apply_sampled_noise(state: StabilizerState, qubits: list[int], p: float, rng):
-    """Insert i.i.d. depolarizing-sampled Paulis on the listed qubits."""
+    """Insert i.i.d. depolarizing-sampled Paulis on the listed qubits: the
+    letters of one `random(len(qubits))` call, cut as `draw_indices` cuts
+    them, applied as one Pauli (sign flips compose)."""
     _check_prob(p, "p")
     if p == 1.0:
         return
-    for q in qubits:
-        ins = depolarize_sample(state.n, q, p, rng)
-        if not ins.is_identity:
-            state.apply_pauli(ins)
+    cuts = _cut_points(_depolarizing_weights(p))
+    x = z = 0
+    for q, u in zip(qubits, rng.random(len(qubits)).tolist()):
+        letter = bisect_right(cuts, u)  # I, X, Y, Z = 0, 1, 2, 3
+        x ^= (letter in (1, 2)) << q
+        z ^= (letter >= 2) << q
+    if x | z:
+        state.apply_pauli(PauliString(state.n, x, z))

@@ -27,7 +27,7 @@ Carlo). The stage kinds are:
 
 The sampler keeps each segment's pool as uint8 Bell indices. Every pool
 and every `Depolarize` draw comes from `rng.draw_indices`, the one
-categorical draw of the package. A recurrence round reduces a (source,
+uint8 draw of the package. A recurrence round reduces a (source,
 target) pair through 16-entry keep and output tables looked up by the
 4-bit code (src << 2) | tgt; the sampler looks up up to 3 such rounds
 at once, in a table over the packed leaves of a block.
@@ -442,8 +442,7 @@ def purify_frames(spec: ResourceSpec, in_codes: np.ndarray,
 
 
 def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
-                                 noise: NoiseModel, samples: int, rng,
-                                 resource: ResourceSpec | None = None) -> ProtocolStats:
+                                 noise: NoiseModel, samples: int, rng) -> ProtocolStats:
     """Batched Pauli-frame simulation of the joint resource (merged, DEJMPS).
 
     Everything is Clifford with Pauli noise, so an attempt is an error
@@ -454,7 +453,7 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
     output qubit; `purify_frames` pushes them through the resource's
     GF(2) map. No tableau runs per attempt.
     """
-    spec = resource if resource is not None else epp_recurrence(rounds, "DEJMPS")
+    spec = epp_recurrence(rounds, "DEJMPS")
     n_pairs = 1 << rounds
     dress_in, dress_out = noise_stages(noise)
     in_codes = _letters(rng, PauliChannel.depolarizing(dress_in.p).bd_weights(),

@@ -6,13 +6,14 @@ Stream derivation (stable across versions): the Philox key is the pair
 shards give independent streams; a single-shard run is bitwise
 reproducible from (seed, config, version).
 
-Every categorical draw in the package (Bell indices, Pauli letters) goes
-through `draw_indices`, which reproduces `Generator.choice(k, size, p)`
-draw for draw into a uint8 array: the same normalised cumsum, one
-`random()` double per draw, and the index as the number of cut points
-at or below it (what `searchsorted(side="right")` computes). The doubles
-are drawn in fixed chunks; the bit generator yields the same doubles
-whether asked once or in pieces.
+Every categorical draw in the package (Bell indices, Pauli letters)
+reproduces `Generator.choice(k, size, p)` draw for draw: the same
+normalised cumsum (`_cut_points`), one `random()` double per draw, and
+the index as the number of cut points at or below it (what
+`searchsorted(side="right")` computes). `draw_indices` makes such draws
+into a uint8 array from fixed chunks of doubles; the bit generator yields
+the same doubles whether asked once or in pieces, so a noise layer may
+also cut the doubles of one `random(n)` call itself.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Reference implementations that several test files compare the package
 against: dense state vectors and density matrices, stabilizer-state
 helpers the commands never call, graph states and their local-Clifford
-tools, tableau invariant checks, the noise-moving identity, the
-repeater-station resource, and the dense 4-qubit derivation of the
-Bell-diagonal coefficient maps. None of this runs under the CLI.
+tools, tableau invariant checks, noise sampled one qubit at a time,
+the noise-moving identity, the repeater-station resource, and the dense
+4-qubit derivation of the Bell-diagonal coefficient maps. None of this
+runs under the CLI.
 
 Dense state vectors index basis states with qubit 0 as the most
 significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
@@ -21,6 +22,7 @@ from mbqcomm.catalog import epp_site_resource
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map, gate_map
 from mbqcomm.resources import ResourceSpec, merge, premeasure_joint
+from mbqcomm.rng import draw_indices
 from mbqcomm.tableau import (
     _BELL_INDEX,
     BellOutcome,
@@ -595,6 +597,27 @@ def partial_trace(rho: DensityMatrix, keep: list[int]) -> DensityMatrix:
 
 def fidelity_with_vec(rho: DensityMatrix, v: np.ndarray) -> float:
     return float(np.real(v.conj() @ rho.mat @ v))
+
+
+# -- sampled noise, one draw per qubit ------------------------------------------
+
+
+def depolarize_sample(n: int, qubit: int, p: float, rng) -> PauliString:
+    """One Pauli insertion of E(p) on `qubit`: one `draw_indices` draw
+    from the weights of `PauliChannel.depolarizing(p)`."""
+    letter = "IXYZ"[draw_indices(rng, PauliChannel.depolarizing(p).weights)]
+    return PauliString.single(n, qubit, letter)
+
+
+def apply_sampled_noise_per_qubit(state: StabilizerState, qubits: list[int], p: float, rng):
+    """`noise.apply_sampled_noise` one qubit at a time: one draw and one
+    insertion per listed qubit."""
+    if p == 1.0:
+        return
+    for q in qubits:
+        ins = depolarize_sample(state.n, q, p, rng)
+        if not ins.is_identity:
+            state.apply_pauli(ins)
 
 
 # -- noise moving across a Bell measurement ------------------------------------

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,10 @@ def run(argv, capsys):
     # 10 kept pairs of 57 rounds need 10 * 2^57 pairs: 1.25 EiB, more than
     # any 64-bit address space, so the allocation fails without touching memory
     PURIFY_MC + ["--rounds", "57", "--samples", "10"],
+    # options the sweep target does not read
+    ["sweep", "--target", "epp", "--segments", "0", "--code", "nonsense"],
+    ["sweep", "--target", "code", "--segments", "-3"],
+    ["sweep", "--target", "repeater", "--code", "ring5"],
 ])
 def test_bad_counts_exit_2_with_one_line(argv, capsys):
     rc, out, err = run(argv, capsys)
@@ -467,3 +475,39 @@ def test_threshold_assume_selects_the_regime(formula, assume, shown, capsys):
     rc, out, _err = run(["threshold", "--formula", formula] + assume, capsys)
     assert rc == 0
     assert json.loads(out)["assumptions"] == shown
+
+
+# sweep records before --segments and --code defaulted per target
+@pytest.mark.parametrize("target,record", [
+    ("code", {"analytic": 0.9379528247535346, "boundary": 0.9346554004371284,
+              "bracket": [0.9346550952613472, 0.9346557056129097], "target": "code",
+              "within": 0.003297424316406228}),
+    ("repeater", {"analytic": 0.7598356856515925, "boundary": 0.7598783365885415,
+                  "bracket": [0.7598779296874999, 0.7598787434895833],
+                  "target": "repeater", "within": 4.26509369489958e-05}),
+])
+def test_sweep_default_records_frozen(target, record, capsys):
+    rc, out, _err = run(["sweep", "--target", target], capsys)
+    assert rc == 0
+    assert json.loads(out) == record
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["repeater", "--mode", "analytic"],
+                                  ["sweep", "--target", "epp"]])
+def test_closed_stdout_exits_0_silently(argv, buffered):
+    # the reader end of the child's stdout is closed before the child starts,
+    # as `mbqcomm ... | head -c 1` leaves it once head has exited
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "mbqcomm.cli", *argv], env=env,
+                               stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 0
+    assert child.stderr == b""

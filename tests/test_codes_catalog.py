@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mbqcomm import gf2
+from mbqcomm import catalog, gf2, netsim
 from mbqcomm.belldiag import epp_site_circuit
 from mbqcomm.catalog import (
     CatalogError,
@@ -327,15 +327,17 @@ def catalog_resources(codes):
 
 @pytest.mark.parametrize("name", CATALOG_CODES)
 def test_decoder_is_the_encoder_inverse(name):
+    # the decode resource runs the inverse encoder, built once per code
     code = code_by_name(name)
-    assert code.decoder == code.encoder.inverse()
-    assert code.decoder is code.decoder
+    assert code_decode_syndrome(code).circuit == code.encoder.inverse()
+    assert code_decode_syndrome(code) is code_decode_syndrome(code)
 
 
 def test_resource_builds_solve_nothing(monkeypatch):
     # a resource tableau is its circuit's image of Bell pairs and ancillas:
     # the destabilizers are conjugated along, never solved for
     codes = [code_by_name(name) for name in CATALOG_CODES]
+    monkeypatch.setattr(catalog, "_BUILT", {})  # build every entry afresh
 
     def no_solve(*_args):
         raise AssertionError("a resource build called gf2.solve")
@@ -439,3 +441,45 @@ CATALOG_DIGESTS = {
 def test_catalog_resource_digest_is_frozen(key):
     text = _canonical_text(_CATALOG_BUILDS[key]())
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGESTS[key]
+
+
+# -- entries are built once and shared
+
+
+def test_a_repeated_build_returns_the_same_object():
+    code = code_by_name("ring5")
+    assert code_by_name("ring5") is code
+    for build in (code_encode, code_decode_syndrome, code_correct):
+        assert build(code) is build(code)
+    assert epp_recurrence(2) is epp_recurrence(2, "DEJMPS") is epp_recurrence(2, variant="DEJMPS")
+    assert epp_site_resource(1, "A") is epp_site_resource(1, "A", "DEJMPS")
+
+
+def test_distinct_arguments_give_distinct_resources():
+    codes = [code_by_name(name) for name in ("ring5", "repetition3", "repetition3-phase")]
+    specs = [build(code) for code in codes
+             for build in (code_encode, code_decode_syndrome, code_correct)]
+    specs += [epp_recurrence(m, v) for m in (1, 2) for v in ("DEJMPS", "BBPSSW")]
+    specs += [epp_site_resource(m, role, v) for m in (1, 2) for role in "AB"
+              for v in ("DEJMPS", "BBPSSW")]
+    assert len({id(spec) for spec in specs}) == len(specs)
+    texts = [_canonical_text(spec) for spec in specs]
+    assert len(set(texts)) == len(texts)
+
+
+def test_runs_leave_the_shared_resources_as_built(capsys):
+    # every run of one process couples into the same three resources; a
+    # noisy qec shot and a chain correcting at each station must leave
+    # them exactly as built
+    from mbqcomm.cli import main
+
+    code = code_by_name("ring5")
+    shared = netsim.code_resources(code)
+    before = [_canonical_text(spec) for spec in shared]
+    noise = ["--p-resource", "0.9", "--q-meas", "0.9", "--q-channel", "0.8"]
+    assert main(["qec", *noise, "--samples", "3"]) == 0
+    assert main(["chain", "--segments", "2", "--timing", "station", *noise,
+                 "--samples", "3"]) == 0
+    capsys.readouterr()
+    assert all(a is b for a, b in zip(netsim.code_resources(code), shared))
+    assert [_canonical_text(spec) for spec in shared] == before

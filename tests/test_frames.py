@@ -136,8 +136,6 @@ def test_frames_match_the_tableau_on_every_injected_pattern(rounds, weights):
 
 
 def test_stabilizer_purify_runs_no_tableau_per_attempt(monkeypatch):
-    spec = epp_recurrence(2)
-
     def forbidden(*_args, **_kwargs):
         raise AssertionError("the frame engine ran the tableau")
 
@@ -146,7 +144,7 @@ def test_stabilizer_purify_runs_no_tableau_per_attempt(monkeypatch):
     monkeypatch.setattr(LabeledRegister, "__init__", forbidden)
     monkeypatch.setattr(StabilizerState, "bell_measure", forbidden)
     stats = protocols.purify_recurrence_stabilizer(
-        werner(0.8), 2, NoiseModel(0.97, 0.97), 1000, make_rng(3), spec)
+        werner(0.8), 2, NoiseModel(0.97, 0.97), 1000, make_rng(3))
     assert stats.samples == 1000
     stats = purify_recurrence(werner(0.8), 1, NoiseModel(0.97, 0.97), samples=100,
                               rng=make_rng(3), engine="stabilizer")

@@ -11,9 +11,9 @@ from mbqcomm.noise import (
     NoiseParameterError,
     PauliChannel,
     apply_sampled_noise,
-    depolarize_sample,
 )
 from mbqcomm.pauli import PauliString
+from mbqcomm.rng import make_rng
 from mbqcomm.tableau import BellOutcome, StabilizerState
 import oracles
 from oracles import (
@@ -67,14 +67,19 @@ def test_noise_model_folding():
     assert f.q_channel == 0.7
 
 
-def test_depolarize_sample_edge_cases():
+def test_apply_sampled_noise_edge_cases():
+    # p = 1 inserts nothing; p = 0 inserts each letter with probability
+    # 1/4, read off as the Bell index of |phi+> with the letter on one half
     rng = np.random.default_rng(0)
-    assert all(
-        depolarize_sample(1, 0, 1.0, rng).is_identity for _ in range(50)
-    )
-    counts = {"I": 0, "X": 0, "Y": 0, "Z": 0}
+    state = _phi_plus_state()
+    for _ in range(50):
+        apply_sampled_noise(state, [0], 1.0, rng)
+    assert same_state(state, _phi_plus_state())
+    counts = {i: 0 for i in range(4)}
     for _ in range(4000):
-        counts[depolarize_sample(1, 0, 0.0, rng).unsigned().letter(0)] += 1
+        s = _phi_plus_state()
+        apply_sampled_noise(s, [0], 0.0, rng)
+        counts[s.bell_measure(0, 1)[0].index] += 1
     for c in counts.values():
         assert 800 < c < 1200
 
@@ -83,8 +88,24 @@ def test_apply_sampled_noise_rejects_p_above_one():
     state = StabilizerState.bell_pair()
     with pytest.raises(NoiseParameterError):
         apply_sampled_noise(state, [0, 1], 1.5, np.random.default_rng(0))
-    with pytest.raises(NoiseParameterError):
-        depolarize_sample(2, 0, 1.5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("qubits", [[], [0, 1, 2, 3, 4], [3, 0, 4, 1]],
+                         ids=["none", "all", "unsorted"])
+def test_one_draw_per_layer_matches_one_draw_per_qubit(p, qubits):
+    # the batched layer draws the same doubles and leaves the same tableau,
+    # signs included, as the oracle's per-qubit draws and insertions
+    for seed in range(4):
+        old = zero_state(5)
+        old.apply_clifford(random_clifford(5, np.random.default_rng(seed)))
+        new = old.copy()
+        rng_old, rng_new = make_rng(seed), make_rng(seed)
+        for _ in range(10):
+            oracles.apply_sampled_noise_per_qubit(old, qubits, p, rng_old)
+            apply_sampled_noise(new, qubits, p, rng_new)
+            assert (new.stabs, new.destabs) == (old.stabs, old.destabs)
+        assert rng_new.random() == rng_old.random()
 
 
 def test_apply_sampled_noise_at_p_one_inserts_nothing_and_draws_nothing():
@@ -163,13 +184,14 @@ def test_noisy_bell_measure_fully_depolarized():
 
 
 class _ScriptedUniforms:
-    """Stands in for a Generator whose `random()` returns scripted doubles."""
+    """Stands in for a Generator whose `random(size)` returns scripted doubles."""
 
     def __init__(self, uniforms):
         self.left = list(uniforms)
 
-    def random(self):
-        return self.left.pop(0)
+    def random(self, size):
+        drawn, self.left = self.left[:size], self.left[size:]
+        return np.array(drawn)
 
 
 def _insertion_patterns(p: float, k: int):
