@@ -91,7 +91,6 @@ class ProtocolStats:
     p_success_ci: tuple[float, float]
     protocol_yield: float
     samples: int
-    seed: int | None = None
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .noise import NoiseModel, apply_sampled_noise
 from .pauli import CliffordMap, PauliString, gate_map
-from .tableau import BellOutcome, InconsistentProjection, StabilizerState
+from .tableau import BellOutcome, InconsistentProjection, StabilizerState, TableauError
 
 _ANCILLA_LETTERS = ("Z", "X")  # |0> and |+>
 
@@ -168,8 +168,8 @@ def _build_resource(name: str, circuit: CliffordMap,
 
     Every non-ancilla wire is entangled with one fresh input qubit, the
     circuit images give the stabilizers and destabilizers on the wire
-    side, pre-measured operators are projected onto +1 and their fully
-    determined qubits dropped.
+    side, pre-measured operators are projected onto +1 and pinned as
+    stabilizer rows, and `StabilizerState.drop_measured` drops their wires.
     """
     w = circuit.n
     anc = dict(ancilla_init)
@@ -199,23 +199,30 @@ def _build_resource(name: str, circuit: CliffordMap,
     for wire, letter in anc.items():
         stabs.append(on_wires(letter, wire))
         destabs.append(on_wires("X" if letter == "Z" else "Z", wire))
-    state = StabilizerState(stabs, destabs)
+    # lightest rows first: a random pre-measurement multiplies its pivot,
+    # the first row it anticommutes with, into the others, so light pivots
+    # keep each input in few rows and the Bell measurements into it cheap
+    rows = sorted(zip(stabs, destabs), key=lambda r: (r[0].x | r[0].z).bit_count())
+    state = StabilizerState([s for s, _ in rows], [d for _, d in rows])
 
-    # project the pre-measured operators onto +1 and drop dead qubits
-    drop: list[int] = []
+    # pin each pre-measured operator, projected onto +1, and drop its wires
+    pinned: list[int] = []
+    drop: set[int] = set()
     for vm in premeasured:
-        embedded = vm.operator.shifted(n, n_in)
         try:
-            state.measure(embedded, force=+1)
+            state.measure(vm.operator.shifted(n, n_in), force=+1, pinned=pinned)
         except InconsistentProjection as exc:
             raise ResourceError(
                 f"pre-measurement {vm.name} has projection probability zero"
             ) from exc
-        for q in vm.operator.support():
-            drop.append(n_in + q)
-    drop = sorted(set(drop))
+        drop.update(n_in + q for q in vm.operator.support())
     if drop:
-        state.remove_qubits(drop)
+        try:
+            state.drop_measured(pinned, drop)
+        except TableauError as exc:
+            names = _entangling(premeasured, [state.stabs[j] for j in pinned], n_in)
+            raise ResourceError(f"qubits of pre-measurement {', '.join(names)} "
+                                "stay entangled with the rest") from exc
 
     surviving = [wire for wire in range(w) if (n_in + wire) not in drop]
     in_labels = tuple(input_labels) if input_labels else tuple(
@@ -239,6 +246,24 @@ def _build_resource(name: str, circuit: CliffordMap,
         syndrome=tuple(syndrome),
         sites=tuple(sites),
     )
+
+
+def _entangling(premeasured: Sequence[VirtualMeasurement], rows: list[PauliString],
+                n_in: int) -> list[str]:
+    """Names of the pre-measurements in each set linked by shared wires
+    that holds fewer of the pinned `rows` than wires (each row lies in one)."""
+    groups: list[int] = []
+    for vm in premeasured:
+        mask = vm.operator.x | vm.operator.z
+        for g in [g for g in groups if g & mask]:
+            groups.remove(g)
+            mask |= g
+        groups.append(mask)
+    loose = 0
+    for mask in groups:
+        if sum(not (r.x | r.z) >> n_in & ~mask for r in rows) < mask.bit_count():
+            loose |= mask
+    return [vm.name for vm in premeasured if (vm.operator.x | vm.operator.z) & loose]
 
 
 def cj_state(circuit: CliffordMap, name: str = "cj",
@@ -420,8 +445,7 @@ class LabeledRegister:
                      force: BellOutcome | None = None,
                      prob_sink: list | None = None) -> BellOutcome:
         a, b = self.index(la), self.index(lb)
-        outcome, _keep = self.state.bell_measure(a, b, rng, force,
-                                                 prob_sink=prob_sink)
+        outcome = self.state.bell_measure(a, b, rng, force, prob_sink=prob_sink)
         self.labels = [l for l in self.labels if l not in (la, lb)]
         return outcome
 

@@ -6,12 +6,12 @@ resolve deterministic measurement outcomes), all as phased PauliStrings
 arbitrary Pauli operators and Bell measurements with qubit removal
 live here.
 
-Qubits leave a tableau in two ways. A Bell measurement pins its two
-measured operators as stabilizer rows and drops the pair in one pass
-over the rows (`StabilizerState.bell_measure`). `remove_qubits` drops
-any product-state qubits by two Gauss-Jordan eliminations; resource
-builds use it, and the rows it leaves are pinned by the catalog digests
-in the tests. Both cut the dropped bits out with `PauliString.without`.
+A qubit leaves a tableau in one way (`StabilizerState.drop_measured`).
+The operators that measure it out are pinned as stabilizer rows by
+`measure`, and every other row is cleared of the dropped qubits in one
+pass, by the pinned rows that its part there is made of; the bits are
+then cut out with `PauliString.without`. Bell measurements pin X_a X_b
+and Z_a Z_b, resource builds their pre-measured operators.
 """
 
 from __future__ import annotations
@@ -111,24 +111,24 @@ class StabilizerState:
     # -- measurement -----------------------------------------------------
 
     def measure(self, p: PauliString, rng=None, force: int | None = None,
-                prob_sink: list | None = None) -> int:
+                prob_sink: list | None = None, pinned: list[int] | None = None) -> int:
         """Measure a Hermitian Pauli; returns the +-1 outcome and updates.
 
         `force` pins the outcome: allowed freely in the random case, and
         raises InconsistentProjection if a deterministic outcome differs.
         `prob_sink` collects the Born probability of the taken branch
         (0.5 for random outcomes, 1.0 for deterministic ones).
-        """
-        return self._measure(p, rng, force, prob_sink)[0]
 
-    def _measure(self, p: PauliString, rng, force: int | None, prob_sink: list | None,
-                 pin: bool = False, avoid: int = -1) -> tuple[int, int]:
-        """`measure`, returning (outcome, row). After a random outcome the
-        signed p is stabilizer row `row`. After a deterministic one, with
-        `pin`, it replaces row `row` (never `avoid`), one whose
-        destabilizer anticommutes with p, and the other such destabilizers
-        are multiplied by that row's, so every pairing holds; without
-        `pin` the tableau is untouched and `row` is -1."""
+        `pinned` lists the rows that hold measured operators, for
+        `drop_measured`. With it the signed p stays a stabilizer row and
+        its row joins the list. A random outcome then pivots on a pinned
+        row that anticommutes with p if there is one, so pinned rows are
+        only ever multiplied by pinned rows. A deterministic p replaces an
+        unpinned row among those whose product it is, and the other such
+        destabilizers are multiplied by that row's, so every pairing
+        holds; if all of those rows are pinned, p already lies in their
+        group and no row joins.
+        """
         if p.is_identity:
             raise TableauError("cannot measure the identity")
         if not p.is_hermitian:
@@ -146,9 +146,12 @@ class StabilizerState:
                         if (d.x & pz ^ d.z & px).bit_count() & 1]
         if anti_stabs:
             piv = anti_stabs[0]
+            if pinned:
+                piv = next((k for k in anti_stabs if k in pinned), piv)
             pivot_row = self.stabs[piv]
-            for k in anti_stabs[1:]:
-                self.stabs[k] = self.stabs[k] * pivot_row
+            for k in anti_stabs:
+                if k != piv:
+                    self.stabs[k] = self.stabs[k] * pivot_row
             for k in anti_destabs:
                 self.destabs[k] = self.destabs[k] * pivot_row
             if force is not None:
@@ -159,7 +162,9 @@ class StabilizerState:
                 outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
             self.destabs[piv] = pivot_row
             self.stabs[piv] = p if outcome == 1 else p.negate()
-            return outcome, piv
+            if pinned is not None and piv not in pinned:
+                pinned.append(piv)
+            return outcome
         # deterministic: reconstruct +-P as a product of generators
         acc = PauliString.identity(n)
         for k in anti_destabs:
@@ -169,96 +174,92 @@ class StabilizerState:
         outcome = 1 if acc.phase == p.phase else -1
         if force is not None and outcome != (1 if force >= 0 else -1):
             raise InconsistentProjection("projection has probability zero")
-        if not pin:
-            return outcome, -1
+        if pinned is None:
+            return outcome
         # +-p is the product of the rows in anti_destabs, so it can stand
         # in for any one of them
-        row = next(k for k in anti_destabs if k != avoid)
+        row = next((k for k in anti_destabs if k not in pinned), -1)
+        if row < 0:
+            return outcome
         partner = self.destabs[row]
         for k in anti_destabs:
             if k != row:
                 self.destabs[k] = self.destabs[k] * partner
         self.stabs[row] = p if outcome == 1 else p.negate()
-        return outcome, row
+        pinned.append(row)
+        return outcome
 
     def bell_measure(self, a: int, b: int, rng=None,
                      force: BellOutcome | None = None,
-                     prob_sink: list | None = None) -> tuple[BellOutcome, list[int]]:
-        """Bell measurement on qubits (a, b).
+                     prob_sink: list | None = None) -> BellOutcome:
+        """Bell measurement on qubits (a, b): measures X_a X_b then Z_a Z_b,
+        pins both as stabilizer rows and drops the pair with
+        `drop_measured`; the other qubits keep their order.
 
-        Measures X_a X_b then Z_a Z_b, removes both qubits, and returns
-        the outcome plus the old indices of the surviving qubits (the new
-        index of old qubit q is the position of q in that list).
-
-        The removal is one pass over the rows. Each measured operator,
-        signed by its outcome, is pinned as a stabilizer row (`_measure`
-        with `pin`; ZZ never replaces the XX row). Every other row commutes
-        with both, so its part on (a, b) is II, XX, YY or ZZ: it is
-        multiplied by the XX row if it has x_a and by the ZZ row if it has
-        z_a, which leaves II there, and bits a and b are cut out. The two
-        pinned rows and their destabilizers are deleted. Stabilizers keep
-        their phase; destabilizers come out unsigned. What is random or
-        deterministic, and a deterministic value, depend on the state
-        alone, so this takes the same rng draws as measuring and then
-        calling `remove_qubits`.
+        Each row other than the two pinned ones commutes with both, so its
+        part on (a, b) is II, XX, YY or ZZ, and the one-pass rule
+        multiplies it by the XX row if it has x_a and by the ZZ row if it
+        has z_a. What is random or deterministic, and a deterministic
+        value, depend on the state alone, so this takes the same rng draws
+        as measuring and then eliminating the pair by Gauss-Jordan.
         """
         n = self.n
         _check_qubits((a, b), n)
         if a == b:
             raise TableauError("Bell measurement needs two distinct qubits")
         pair = 1 << a | 1 << b
-        xx, zz = PauliString(n, pair, 0), PauliString(n, 0, pair)
         fx = None if force is None else (1 - 2 * force.b_x)
         fz = None if force is None else (1 - 2 * force.b_z)
-        sx, kx = self._measure(xx, rng, fx, prob_sink, pin=True)
-        sz, kz = self._measure(zz, rng, fz, prob_sink, pin=True, avoid=kx)
-        row_x, row_z = self.stabs[kx], self.stabs[kz]
-        bit = 1 << a
-        drop = sorted((a, b))
-
-        def cleared(row: PauliString) -> PauliString:
-            if row.x & bit:
-                row = row * row_x
-            if row.z & bit:
-                row = row * row_z
-            return row
-
-        rest = [k for k in range(n) if k != kx and k != kz]
-        stabs = [cleared(self.stabs[k]) for k in rest]
-        self.stabs = [g.without(drop).with_phase(g.phase) for g in stabs]
-        self.destabs = [cleared(self.destabs[k]).without(drop) for k in rest]
-        outcome = BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
-        return outcome, [q for q in range(n) if q != a and q != b]
+        pinned: list[int] = []
+        sx = self.measure(PauliString(n, pair, 0), rng, fx, prob_sink, pinned)
+        sz = self.measure(PauliString(n, 0, pair), rng, fz, prob_sink, pinned)
+        self.drop_measured(pinned, (a, b))
+        return BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
 
     # -- qubit removal ---------------------------------------------------
 
-    def remove_qubits(self, qubits: list[int]):
-        """Drop qubits that are in a product state with the rest.
+    def drop_measured(self, pinned: list[int], qubits):
+        """Remove `qubits`, which the `pinned` stabilizer rows measure out.
 
-        Reduces the tableau in place with `_eliminate`. A product state
-        leaves exactly one pivot row per dropped qubit after elimination on
-        the dropped columns; elimination on the kept columns clears the
-        kept qubits from those rows, which are then deleted. Bell
-        measurements drop their pair in one pass instead (`bell_measure`);
-        resource builds keep this elimination because the rows it leaves
-        are pinned by the catalog digests in the tests.
+        `pinned` are the rows that `measure(..., pinned=...)` left, one
+        per dropped qubit, each acting on `qubits` alone. Pinned row j is
+        paired with destabilizer j (<s_i, d_j> = delta_ij), so the part
+        of any other row on `qubits` is the product of the pinned rows j
+        whose destabilizer meets it oddly there. One pass multiplies those
+        in, which clears `qubits`, and their bits are cut out with
+        `PauliString.without`. The pinned rows and their destabilizers are
+        deleted. Stabilizers keep their phase; destabilizers come out
+        unsigned. Raises TableauError, leaving the state as it was, when
+        the pinned rows do not measure `qubits` out.
         """
         n = self.n
         drop = sorted(set(qubits))
         _check_qubits(drop, n)
-        keep = [q for q in range(n) if q not in drop]
-        stabs, destabs = list(self.stabs), list(self.destabs)
-        dropped = _eliminate(stabs, destabs, _columns(drop), range(n))
-        if len(dropped) != len(drop):
+        if len(pinned) != len(drop):
             raise TableauError("removed qubits are still entangled with the rest")
-        rest = [i for i in range(n) if i not in dropped]
-        _eliminate(stabs, destabs, _columns(keep), rest)
-        # the surviving stabilizers do not touch the dropped qubits, so each
-        # keeps its phase; the dropped rows now act there alone and a
-        # surviving destabilizer commutes with them, so its part there lies
-        # in their group and cutting it off keeps every pairing
-        self.stabs = [stabs[k].without(drop).with_phase(stabs[k].phase) for k in rest]
-        self.destabs = [destabs[k].without(drop) for k in rest]
+        mask = sum(1 << q for q in drop)
+        pins = [(self.stabs[j], self.destabs[j].x & mask, self.destabs[j].z & mask)
+                for j in pinned]
+        if any((g.x | g.z) & ~mask for g, _, _ in pins):
+            raise TableauError("a pinned row reaches a kept qubit")
+
+        def cleared(row: PauliString) -> PauliString:
+            # a pinned row meets no other pin's destabilizer, so every
+            # coefficient can be read off the row as it came
+            x, z = row.x, row.z
+            if (x | z) & mask:
+                for g, dx, dz in pins:
+                    if (x & dz ^ z & dx).bit_count() & 1:
+                        row = row * g
+                if (row.x | row.z) & mask:
+                    raise TableauError("removed qubits are still entangled with the rest")
+            return row
+
+        rest = [k for k in range(n) if k not in pinned]
+        stabs = [cleared(self.stabs[k]) for k in rest]
+        destabs = [cleared(self.destabs[k]) for k in rest]
+        self.stabs = [g.without(drop).with_phase(g.phase) for g in stabs]
+        self.destabs = [d.without(drop) for d in destabs]
 
     def tensor(self, other: "StabilizerState") -> "StabilizerState":
         n1 = self.n
@@ -276,47 +277,6 @@ def _check_qubits(qubits, n: int):
     for q in qubits:
         if not 0 <= q < n:
             raise TableauError(f"qubit {q} out of range for n={n}")
-
-
-def _columns(qubits) -> list[tuple[bool, int]]:
-    """The x columns of `qubits`, then their z columns, as (is_x, mask)."""
-    qubits = list(qubits)
-    return [(True, 1 << q) for q in qubits] + [(False, 1 << q) for q in qubits]
-
-
-def _eliminate(stabs: list[PauliString], destabs: list[PauliString],
-               cols, candidates) -> list[int]:
-    """Gauss-Jordan elimination on the stabilizer rows, in place.
-
-    Pivots each column of `cols` in turn on the lowest-numbered candidate
-    row that has it and is no pivot yet, and clears it from every other
-    row. Row operations keep each destabilizer paired with its stabilizer
-    (Aaronson and Gottesman, PRA 70, 052328): s_i <- s_i s_j goes with
-    d_j <- d_j d_i. Returns the pivot rows in column order; over all
-    columns of independent rows these rows are the unique RREF.
-    """
-    pivots: list[int] = []
-    free = set(candidates)
-    for is_x, mask in cols:
-        # a row operation on row i changes row i alone, so the rows that
-        # have the column are found once per column
-        if is_x:
-            has = [i for i, g in enumerate(stabs) if g.x & mask]
-        else:
-            has = [i for i, g in enumerate(stabs) if g.z & mask]
-        for row in has:
-            if row in free:
-                break
-        else:
-            continue
-        pivots.append(row)
-        free.discard(row)
-        pivot = stabs[row]
-        for i in has:
-            if i != row:
-                stabs[i] = stabs[i] * pivot
-                destabs[row] = destabs[row] * destabs[i]
-    return pivots
 
 
 def complete_clifford(image_x: dict[int, PauliString],

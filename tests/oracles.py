@@ -1,10 +1,11 @@
 """Reference implementations that several test files compare the package
 against: dense state vectors and density matrices, stabilizer-state
-helpers the commands never call, graph states and their local-Clifford
-tools, tableau invariant checks, noise sampled one qubit at a time,
-the noise-moving identity, the repeater-station resource, and the dense
-4-qubit derivation of the Bell-diagonal coefficient maps. None of this
-runs under the CLI.
+helpers the commands never call (among them the Gauss-Jordan qubit
+removal that checks the package's one-pass removal), graph states and
+their local-Clifford tools, tableau invariant checks, noise sampled one
+qubit at a time, the noise-moving identity, the repeater-station
+resource, and the dense 4-qubit derivation of the Bell-diagonal
+coefficient maps. None of this runs under the CLI.
 
 Dense state vectors index basis states with qubit 0 as the most
 significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
@@ -28,8 +29,7 @@ from mbqcomm.tableau import (
     BellOutcome,
     StabilizerState,
     TableauError,
-    _columns,
-    _eliminate,
+    _check_qubits,
 )
 
 # Controlled-phase gate diag(1,1,1,-1): the graph-state edge unitary.
@@ -283,6 +283,75 @@ def pauli_sign(p: PauliString) -> int:
     if r == 2:
         return -1
     raise PauliError("sign undefined for non-Hermitian phase")
+
+
+def _columns(qubits) -> list[tuple[bool, int]]:
+    """The x columns of `qubits`, then their z columns, as (is_x, mask)."""
+    qubits = list(qubits)
+    return [(True, 1 << q) for q in qubits] + [(False, 1 << q) for q in qubits]
+
+
+def _eliminate(stabs: list[PauliString], destabs: list[PauliString],
+               cols, candidates) -> list[int]:
+    """Gauss-Jordan elimination on the stabilizer rows, in place.
+
+    Pivots each column of `cols` in turn on the lowest-numbered candidate
+    row that has it and is no pivot yet, and clears it from every other
+    row. Row operations keep each destabilizer paired with its stabilizer
+    (Aaronson and Gottesman, PRA 70, 052328): s_i <- s_i s_j goes with
+    d_j <- d_j d_i. Returns the pivot rows in column order; over all
+    columns of independent rows these rows are the unique RREF.
+    """
+    pivots: list[int] = []
+    free = set(candidates)
+    for is_x, mask in cols:
+        # a row operation on row i changes row i alone, so the rows that
+        # have the column are found once per column
+        if is_x:
+            has = [i for i, g in enumerate(stabs) if g.x & mask]
+        else:
+            has = [i for i, g in enumerate(stabs) if g.z & mask]
+        for row in has:
+            if row in free:
+                break
+        else:
+            continue
+        pivots.append(row)
+        free.discard(row)
+        pivot = stabs[row]
+        for i in has:
+            if i != row:
+                stabs[i] = stabs[i] * pivot
+                destabs[row] = destabs[row] * destabs[i]
+    return pivots
+
+
+def remove_qubits(state: StabilizerState, qubits):
+    """Oracle of `StabilizerState.drop_measured`: drop qubits that are in a
+    product state with the rest, whatever measured them, by two
+    Gauss-Jordan eliminations.
+
+    A product state leaves exactly one pivot row per dropped qubit after
+    elimination on the dropped columns; elimination on the kept columns
+    clears the kept qubits from those rows, which are then deleted.
+    Raises TableauError, leaving the state as it was, otherwise.
+    """
+    n = state.n
+    drop = sorted(set(qubits))
+    _check_qubits(drop, n)
+    keep = [q for q in range(n) if q not in drop]
+    stabs, destabs = list(state.stabs), list(state.destabs)
+    dropped = _eliminate(stabs, destabs, _columns(drop), range(n))
+    if len(dropped) != len(drop):
+        raise TableauError("removed qubits are still entangled with the rest")
+    rest = [i for i in range(n) if i not in dropped]
+    _eliminate(stabs, destabs, _columns(keep), rest)
+    # the surviving stabilizers do not touch the dropped qubits, so each
+    # keeps its phase; the dropped rows now act there alone and a
+    # surviving destabilizer commutes with them, so its part there lies
+    # in their group and cutting it off keeps every pairing
+    state.stabs = [stabs[k].without(drop).with_phase(stabs[k].phase) for k in rest]
+    state.destabs = [destabs[k].without(drop) for k in rest]
 
 
 def canonical_generators(state: StabilizerState) -> tuple[PauliString, ...]:

@@ -38,6 +38,7 @@ from mbqcomm.tableau import StabilizerState
 import oracles
 from oracles import (
     bell_outcome,
+    canonical_generators,
     graph_state,
     is_connected,
     lc_equivalent,
@@ -353,7 +354,10 @@ def test_every_catalog_resource_tableau_is_valid():
 
 def _canonical_text(spec) -> str:
     """Every observable field of a resource, one line each: the sha256 of
-    this text pins a resource down exactly."""
+    this text pins a resource down exactly. The state enters as its
+    canonical generators: its rows are not observable, and the outcomes
+    and rng draws of the commands depend on the state alone (the pairing
+    of the rows is checked by `test_every_catalog_resource_tableau_is_valid`)."""
     lines = [
         f"name {spec.name}",
         f"inputs {' '.join(spec.inputs)}",
@@ -365,8 +369,7 @@ def _canonical_text(spec) -> str:
         f"checks {list(spec.checks)}",
         f"syndrome {list(spec.syndrome)}",
         f"sites {list(spec.sites)}",
-        *(f"stab {g}" for g in spec.state.stabs),
-        *(f"destab {d}" for d in spec.state.destabs),
+        *(f"gen {g}" for g in canonical_generators(spec.state)),
         *(f"image_x {p}" for p in spec.circuit.image_x),
         *(f"image_z {p}" for p in spec.circuit.image_z),
     ]
@@ -384,56 +387,57 @@ _CATALOG_BUILDS = {
 }
 
 # sha256 of `_canonical_text` per build: a refactor of how resources are
-# merged, pre-measured or embedded must leave every catalog entry as it is
+# merged, pre-measured or embedded must leave every catalog entry's state
+# and fields as they are
 CATALOG_DIGESTS = {
     "code_correct(repetition3)":
-        "8e38b55f167aad1c5c01ad0e294dc91d1739ba23090fad54caad8567753f81be",
+        "093adea1a4a94b54a376b92612ff94b442fbd8f5a47f3e5e7663111b68d6734d",
     "code_correct(repetition3-phase)":
-        "2b3510cb0339d6d3cf689bf1f4682fa06c9ad80061d8176244fbab518420eb7e",
+        "ff11110228ed5aa4d18913aae29e84ca613f839633715d10cfece90d2612e112",
     "code_correct(repetition5)":
-        "7f1c161b859ed65ac9f55db64551a462129d8e138314995ef0b6eaaa29ae1e3d",
+        "df2d1e5d14b12cfe9373b8930e4b97e094991c988a72c7c2ac1e78e7178a300f",
     "code_correct(ring5)":
-        "cda41b5d0d41ddd6cf7dd66120bbec0ccee82e8d1e9e75621df0545c3e7af6ed",
+        "429cc5e2de6683707607e6bb720ff9f4e9164eb1e9bfc0ed830d5e1ea1d12fb0",
     "code_decode_syndrome(repetition3)":
-        "ddd9254bc5e8eebcc993e764287122d3abbf1ce03a44588cadcb2efed3ddaf1a",
+        "56d1d59bf1477598a8fca292f66db84b1cb9ca48a7dd11bf6fd39967f5b396ab",
     "code_decode_syndrome(repetition3-phase)":
-        "0c1a4a238d34f5fb4db975281b3bfe0195de148b12123ea38685675b7346a395",
+        "6b0a1d0107f43cabead224deccdb9eb56db3ab81eeb27260fea1668609dc735d",
     "code_decode_syndrome(repetition5)":
-        "305ba4c07eb0409b1b5b477f5f01eef5cf159ed2d6203df0a58f7ecaf914b12e",
+        "403dd10f885a52da5a1650dd3ce40e8fa76f23322280a6e0bedfc27ae3ac5b4f",
     "code_decode_syndrome(ring5)":
-        "ed81f8394687dcd7793ec9de2e3fe06466def2ff707b42fd8320b0474ac51ed7",
+        "0f1f6e607dde95ad4e2a564f02dc4b1250a5d324644ec25951efa15c175d4625",
     "code_encode(repetition3)":
-        "cdf87bcd022ca863f07421f608bc81b76a9a5044aef2eadb9bb37756714399ad",
+        "aef4ca7e1b9bc60dfdb51d3a9a53e2b8e1188ded80d9c2473c9d91a87668d260",
     "code_encode(repetition3-phase)":
-        "31295d71cf70d918fe4f5b6b9de078c033d4b84f9d6218aad249c0dc7f31d5c6",
+        "9f0dd90a62e89f8ee7e960db8d9dd90f5c486f88cc449364f0b53f75e89adc45",
     "code_encode(repetition5)":
-        "3b072d9d77a1f97a798e2d840db7c8c4026061440a5e42cd9c997f689a3a2fdd",
+        "43df5ed91986b15a99aae2496d663ebc51a280611204e21a4082b1596bc0dd88",
     "code_encode(ring5)":
-        "d7bc1ad724570b66f588103ffcdb9e9b9b71d9b7b1c57379d7cbb8625bd1aa56",
+        "e675c1f8c54ff6bf383514008c189e629836974e4a166f0e63f9df98552aa82b",
     "code_encode_decode_combined(repetition3)":
-        "1a2dbb055732affbd3127b0ae179c2269448f8fe41aab327fff68126fb87f85a",
+        "c7e5b7069360f0e6b2c56474a4d9b6cd98ad717513597e722b41067db386d5fd",
     "code_encode_decode_combined(repetition3-phase)":
-        "db05ed1b7648cca2d88b09269e62faff6a3eaf3ed91040f1559bbaa197c05148",
+        "4c7bd8ef826c704207ee7799845ad3ab7aa3b2a755183ce54fa3595768de7fb5",
     "code_encode_decode_combined(repetition5)":
-        "73c6e92895d1939c0dda3e80d22ffe755953db73af37a856311242a6f6023e1b",
+        "fbc4186b128d14bdfe72779d1666f14d4ef9cc77278d88eec85d529ed7825dc7",
     "code_encode_decode_combined(ring5)":
-        "f6caa97132a48135020bccb053e509c225336bd528b2b2618db4c8810b2fe634",
+        "a6f644b687a988aa238009f4c2308890b482664e37f1415ed78d316ead4ba524",
     "epp_recurrence(1,BBPSSW)":
-        "4d142c747c6cb4b6913401d08ec60c3644a7c7e5af1071694c12d54d06f410ec",
+        "7bebacb0f96a3981b0e74e618c12c1e19110c77960f55f7d81458a2f101154a8",
     "epp_recurrence(1,DEJMPS)":
-        "facdffaff13c7591e420f0442e8706b1517ac3484bfd6c638acc74ae81c26bf6",
+        "cdd90925d6958383dd06c6ecdf70f512896f0b785f5b81df4fa8dc6939e25b93",
     "epp_recurrence(2,BBPSSW)":
-        "7cb477c0038c17c490cd00d07386c0e168cea5db06613c1d70d2f1c287fa6522",
+        "75f4e52af03f2ea7764c599d3622aea5efe799648e1f0d25fe775c2948297984",
     "epp_recurrence(2,DEJMPS)":
-        "ee837042730e9884547cbf129a9a99794cc1b1b34855d11f62b6ee2b9c33a910",
+        "0e555b1dd638fdb8eff280eb76f662fbd15137658a4f8a9435263a48c73c6c89",
     "epp_recurrence(3,BBPSSW)":
-        "89ff138e3e94d912c942c16aa6248e9ddccc8624af92d0ce6bdbf6df17b42bc7",
+        "e64462e9ab87d023b0b1361c15f56d164f8dfaf2a8b652f8c804fd0fc3b596ca",
     "epp_recurrence(3,DEJMPS)":
-        "68481870ac48e6ef93df7cdd34691fd6155ba6f52ffc2a22769b8501c620d3ee",
+        "93f809e525fdab067d5fe8984c6a7b7b6526aa6a81cc300cce3242f0102c302f",
     "repeater_station(1)":
-        "0b32e0f7fa274a67f9ad2ee84925f828aac49bedafe4abced3eec16e92476c96",
+        "b54e5e2e0bcb6ded0e0a58a4efc0052f4c800b1353f156d2f8427868dc75793a",
     "repeater_station(2)":
-        "14a2c4707b1085f03f2299f23cf324093d4a4d15ced73817f80a744817680fd4",
+        "9b138985a5261627d485d993c4603812408a2dce1bbb5489a014cb97ead1c771",
 }
 
 

@@ -33,7 +33,7 @@ from oracles import (
 
 
 def noisy_bell_measure(state: StabilizerState, a: int, b: int, q: float,
-                       rng) -> tuple[BellOutcome, list[int]]:
+                       rng) -> BellOutcome:
     """Depolarize both measured qubits with parameter q, then Bell-measure."""
     apply_sampled_noise(state, [a, b], q, rng)
     return state.bell_measure(a, b, rng)
@@ -79,7 +79,7 @@ def test_apply_sampled_noise_edge_cases():
     for _ in range(4000):
         s = _phi_plus_state()
         apply_sampled_noise(s, [0], 0.0, rng)
-        counts[s.bell_measure(0, 1)[0].index] += 1
+        counts[s.bell_measure(0, 1).index] += 1
     for c in counts.values():
         assert 800 < c < 1200
 
@@ -164,7 +164,7 @@ def test_noisy_bell_measure_ideal():
     rng = np.random.default_rng(1)
     for _ in range(30):
         s = _phi_plus_state()
-        outcome, _ = noisy_bell_measure(s, 0, 1, 1.0, rng)
+        outcome = noisy_bell_measure(s, 0, 1, 1.0, rng)
         assert outcome.index == 0
 
 
@@ -178,7 +178,7 @@ def test_noisy_bell_measure_fully_depolarized():
     counts = {i: 0 for i in range(4)}
     for _ in range(2000):
         s = _phi_plus_state()
-        outcome, _ = noisy_bell_measure(s, 0, 1, 0.0, rng)
+        outcome = noisy_bell_measure(s, 0, 1, 0.0, rng)
         counts[outcome.index] += 1
     assert all(c > 400 for c in counts.values())
 
@@ -216,7 +216,7 @@ def test_noisy_bell_measure_partial_matches_exact_probability():
     total = p0 = 0.0
     for weight, uniforms in _insertion_patterns(q, 2):
         rng = _ScriptedUniforms(uniforms)
-        outcome, _ = noisy_bell_measure(_phi_plus_state(), 0, 1, q, rng)
+        outcome = noisy_bell_measure(_phi_plus_state(), 0, 1, q, rng)
         assert rng.left == []
         total += weight
         p0 += weight * (outcome.index == 0)

@@ -13,6 +13,7 @@ from mbqcomm.resources import (
     ResourceError,
     cj_state,
     merge,
+    premeasure_joint,
     premeasure_outputs,
     teleport_in,
 )
@@ -40,7 +41,7 @@ def all_outcomes(k):
 
 def remove_labels(reg, labels):
     """Drop product-state qubits of a register by label."""
-    reg.state.remove_qubits([reg.index(l) for l in labels])
+    oracles.remove_qubits(reg.state, [reg.index(l) for l in labels])
     reg.labels = [l for l in reg.labels if l not in set(labels)]
 
 
@@ -210,6 +211,23 @@ def test_premeasure_impossible_projection_raises():
     assert flip.inputs == ()
     with pytest.raises(ResourceError):
         premeasure_outputs(flip, [("out0", "Z")])
+
+
+def test_premeasure_that_leaves_qubits_entangled_raises():
+    # XX alone on two outputs of the identity leaves them a Bell pair
+    # with the inputs
+    id2 = cj_state(CliffordMap.identity(2), "id2")
+    with pytest.raises(ResourceError, match=r"qubits of pre-measurement xx stay entangled"):
+        premeasure_joint(id2, [({"out0": "X", "out1": "X"}, "xx")])
+    both = premeasure_joint(id2, [({"out0": "X", "out1": "X"}, "xx"),
+                                  ({"out0": "Z", "out1": "Z"}, "zz")])
+    assert both.outputs == ()
+    # Z on out1 after XX undoes XX: the pre-measurements linked by shared
+    # wires are named, the others not
+    id3 = cj_state(CliffordMap.identity(3), "id3")
+    with pytest.raises(ResourceError, match=r"pre-measurement xx, z1 stay"):
+        premeasure_joint(id3, [({"out0": "X", "out1": "X"}, "xx"), ({"out2": "Z"}, "z2"),
+                               ({"out1": "Z"}, "z1")])
 
 
 def test_merge_identity_resources():

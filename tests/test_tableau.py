@@ -62,8 +62,7 @@ def measure_pauli(state, p, rng=None, force=None):
 def bell_measure(state, a, b, rng=None, force=None):
     """Functional Bell measurement; (a, b) are removed from the result."""
     out = state.copy()
-    outcome, _ = out.bell_measure(a, b, rng, force)
-    return outcome, out
+    return out.bell_measure(a, b, rng, force), out
 
 
 def eliminating_bell_measure(state, a, b, rng=None, force=None):
@@ -74,7 +73,7 @@ def eliminating_bell_measure(state, a, b, rng=None, force=None):
     zz = PauliString.single(n, a, "Z") * PauliString.single(n, b, "Z")
     sx = state.measure(xx, rng, None if force is None else 1 - 2 * force.b_x)
     sz = state.measure(zz, rng, None if force is None else 1 - 2 * force.b_z)
-    state.remove_qubits([a, b])
+    oracles.remove_qubits(state, [a, b])
     return BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
 
 
@@ -89,9 +88,7 @@ def assert_bell_measure_matches_oracle(s, a, b, force, seed):
         with pytest.raises(InconsistentProjection):
             got.bell_measure(a, b, rng_got, force)
         return
-    outcome, kept = got.bell_measure(a, b, rng_got, force)
-    assert outcome == expected
-    assert kept == [q for q in range(s.n) if q not in (a, b)]
+    assert got.bell_measure(a, b, rng_got, force) == expected
     validate_tableau(got)
     assert same_state(got, want)
     assert rng_got.random() == rng_want.random()
@@ -249,7 +246,7 @@ def test_bell_measure_swapping_matches_dense_oracle():
     seen = set()
     for _ in range(80):
         s = base.copy()
-        outcome, _ = s.bell_measure(1, 2, rng)
+        outcome = s.bell_measure(1, 2, rng)
         seen.add(outcome.index)
         prob, reduced = oracles.project_bell_vec(v, 1, 2, outcome.index)
         assert abs(prob - 0.25) < 1e-12
@@ -274,7 +271,7 @@ def test_bell_measure_pair_with_fresh_zero_uniform():
     counts = {i: 0 for i in range(4)}
     for _ in range(400):
         s = base.copy()
-        outcome, _ = s.bell_measure(1, 2, rng)
+        outcome = s.bell_measure(1, 2, rng)
         counts[outcome.index] += 1
     assert all(c > 0 for c in counts.values())
 
@@ -294,7 +291,7 @@ def test_bell_outcome_distribution_matches_dense_generic():
                 with pytest.raises(InconsistentProjection):
                     branch.bell_measure(a, b, force=bell_outcome(i))
                 continue
-            outcome, _ = branch.bell_measure(a, b, force=bell_outcome(i))
+            outcome = branch.bell_measure(a, b, force=bell_outcome(i))
             assert outcome.index == i
             if branch.n:
                 assert oracles.states_equal_up_to_phase(to_dense(branch), reduced, 1e-12)
@@ -336,6 +333,63 @@ def test_bell_measure_equals_the_elimination_oracle(n):
                                                            int(rng.integers(1 << 32)))
 
 
+def assert_measure_out_matches_oracle(s, ops, qubits, force, seed):
+    """`measure` with `pinned` and then `drop_measured`, against measuring
+    and then the Gauss-Jordan `remove_qubits`: the same outcomes (or the
+    same refusal), the same state left, a valid tableau and the same rng
+    draws."""
+    got, want = s.copy(), s.copy()
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    pinned = []
+    try:
+        expected = [want.measure(p, rng_want, force) for p in ops]
+    except InconsistentProjection:
+        with pytest.raises(InconsistentProjection):
+            for p in ops:
+                got.measure(p, rng_got, force, pinned=pinned)
+        return
+    assert [got.measure(p, rng_got, force, pinned=pinned) for p in ops] == expected
+    oracles.remove_qubits(want, qubits)
+    got.drop_measured(pinned, qubits)
+    validate_tableau(got)
+    assert same_state(got, want)
+    assert rng_got.random() == rng_want.random()
+
+
+def measured_out(n, rng):
+    """Operators that measure some qubits of n out, shuffled, and those
+    qubits: one or two single-qubit Paulis per qubit (a repeated letter is
+    deterministic, another one displaces the first), and XX with ZZ on
+    pairs."""
+    order = [int(q) for q in rng.permutation(n)]
+    k = int(rng.integers(1, n + 1))
+    singles = int(rng.integers(0, k + 1))
+    pairs = [order[j:j + 2] for j in range(singles, k - 1, 2)]
+    qubits = order[:singles] + [q for pair in pairs for q in pair]
+    ops = [PauliString.single(n, q, letter) for q in order[:singles]
+           for letter in rng.choice(list("XYZ"), size=int(rng.integers(1, 3)))]
+    for a, b in pairs:
+        ops += [PauliString.single(n, a, letter) * PauliString.single(n, b, letter)
+                for letter in "XZ"]
+    return [ops[i] for i in rng.permutation(len(ops))], qubits
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_drop_measured_equals_the_elimination_oracle(n):
+    rng = np.random.default_rng(90 + n)
+    states = [random_stabilizer_state(n, rng, depth) for depth in (2, n, None)]
+    pairs = StabilizerState.bell_pair(int(rng.integers(4))).tensor(
+        random_stabilizer_state(n - 2, rng))
+    pairs.apply_clifford(random_clifford(n, rng, 2))
+    for s in states + [pairs]:
+        s = scrambled(s, rng)
+        for _ in range(8):
+            ops, qubits = measured_out(n, rng)
+            for force in (None, +1):
+                assert_measure_out_matches_oracle(s, ops, qubits, force,
+                                                  int(rng.integers(1 << 32)))
+
+
 def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
     # |phi+> on (0, 1) held as XX, -YY with destabilizers XZ, XI: XX is
     # deterministic and pinned on row 0, whose destabilizer anticommutes
@@ -354,8 +408,7 @@ def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
     for force in [None] + [bell_outcome(i) for i in range(4)]:
         for a, b in ((0, 1), (1, 0)):
             assert_bell_measure_matches_oracle(s, a, b, force, 11)
-    outcome, _ = s.bell_measure(0, 1)
-    assert outcome.index == 0
+    assert s.bell_measure(0, 1).index == 0
 
 
 def test_to_dense_trivial_cases():
@@ -379,20 +432,33 @@ def test_tensor_and_remove_qubits():
     b = plus_state(1)
     ab = a.tensor(b)
     assert ab.n == 2
-    ab.remove_qubits([0])
+    pinned = []
+    assert ab.measure(PauliString.from_string("ZI"), pinned=pinned) == 1
+    ab.drop_measured(pinned, [0])
     assert str(ab.stabs[0]) == "+X"
     c = StabilizerState.from_generators(
         [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
     )
-    with pytest.raises(Exception):
-        c.copy().remove_qubits([0])
+    with pytest.raises(TableauError, match="still entangled"):
+        c.copy().drop_measured([], [0])
+    with pytest.raises(TableauError, match="still entangled"):
+        oracles.remove_qubits(c.copy(), [0])
+    # XX pinned on the pair does not measure qubit 0 out on its own
+    pinned = []
+    c.measure(PauliString.from_string("XX"), np.random.default_rng(0), pinned=pinned)
+    before = c.copy()
+    with pytest.raises(TableauError, match="reaches a kept qubit"):
+        c.drop_measured(pinned, [0])
+    assert c.stabs == before.stabs and c.destabs == before.destabs
 
 
 @pytest.mark.parametrize("q", [5, -1, 3])
 def test_removals_reject_out_of_range_indices(q):
     s = zero_state(3)
     with pytest.raises(TableauError, match=f"qubit {q} out of range"):
-        s.remove_qubits([0, q])
+        s.drop_measured([0, 1], [0, q])
+    with pytest.raises(TableauError, match=f"qubit {q} out of range"):
+        oracles.remove_qubits(s, [0, q])
     with pytest.raises(TableauError, match=f"qubit {q} out of range"):
         s.bell_measure(0, q)
     assert same_state(s, zero_state(3))
@@ -494,8 +560,9 @@ def test_measurements_and_removal_match_dense_oracle(data):
             p = PauliString.single(n, q, data.draw(st.sampled_from("XYZ"), label="letter"))
             ref = {o: post for _pr, o, post in oracles.measure_pauli_vec(v, p)}
             o = data.draw(st.sampled_from(sorted(ref)), label="outcome")
-            s.measure(p, force=o)
-            drop = [q]
+            pinned = []
+            s.measure(p, force=o, pinned=pinned)
+            s.drop_measured(pinned, [q])
             expect = _reduced(ref[o], [k for k in range(n) if k != q])
         elif kind == "bell":
             a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
@@ -506,7 +573,7 @@ def test_measurements_and_removal_match_dense_oracle(data):
                 with pytest.raises(InconsistentProjection):
                     s.copy().bell_measure(a, b, force=bell_outcome(i))
                 continue
-            assert s.bell_measure(a, b, force=bell_outcome(i))[0].index == i
+            assert s.bell_measure(a, b, force=bell_outcome(i)).index == i
             validate_tableau(s)
             if s.n:
                 assert oracles.states_equal_up_to_phase(to_dense(s), post, 1e-10)
@@ -515,13 +582,14 @@ def test_measurements_and_removal_match_dense_oracle(data):
             drop = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1),
                                     label="drop"))
             expect = _reduced(v, [k for k in range(n) if k not in drop])
-        if abs(np.trace(expect.mat @ expect.mat).real - 1) > 1e-9:
-            before = s.copy()
-            with pytest.raises(TableauError, match="still entangled"):
-                s.remove_qubits(drop)
-            assert same_state(s, before)
-            continue
-        s.remove_qubits(drop)
+            # unmeasured qubits leave by the Gauss-Jordan oracle alone
+            if abs(np.trace(expect.mat @ expect.mat).real - 1) > 1e-9:
+                before = s.copy()
+                with pytest.raises(TableauError, match="still entangled"):
+                    oracles.remove_qubits(s, drop)
+                assert same_state(s, before)
+                continue
+            oracles.remove_qubits(s, drop)
         validate_tableau(s)
         if s.n:
             assert abs(fidelity_with_vec(expect, to_dense(s)) - 1) < 1e-10
