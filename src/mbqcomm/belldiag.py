@@ -142,9 +142,9 @@ def recurrence_table(variant: str) -> tuple[np.ndarray, np.ndarray]:
     for code in range(16):
         i, j = code >> 2, code & 3
         # signs play no part: only the letters of the image are read
-        error = circuit.conjugate(PauliString(2, i >> 1 | (j >> 1) << 1, i & 1 | (j & 1) << 1))
+        error = circuit.conjugate(PauliString.from_codes([i, j]))
         keep[code] = not error.x_bit(1)
-        out[code] = 2 * error.x_bit(0) + error.z_bit(0)
+        out[code] = error.codes()[0]
     keep.setflags(write=False)  # cached: every caller shares these arrays
     out.setflags(write=False)
     return keep, out

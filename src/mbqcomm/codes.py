@@ -53,21 +53,13 @@ class CodeSpec:
         """Whether `error` flips the logical (X, Z) measurement outcomes."""
         return _anticommuting(error, (self.logical_x, self.logical_z))
 
-    def estimate(self, raw: tuple[int, ...],
-                 frame: PauliString | None = None) -> tuple[tuple[int, ...], PauliString]:
-        """(syndrome, correction) of a raw read-out taken while `frame`
-        was still pending: the frame's own syndrome is XORed out before
-        the table lookup."""
-        if frame is not None:
-            raw = tuple(a ^ b for a, b in zip(raw, self.syndrome_of(frame)))
-        return raw, self.correction_for(raw)
-
     def correctable(self, syndrome: tuple[int, ...]) -> bool:
         entry = self.syndrome_table.get(syndrome)
         return entry is not None and entry.weight <= self.correctable_weight
 
     def correction_for(self, syndrome: tuple[int, ...]) -> PauliString:
-        """Lookup correction; falls back to best-effort minimum weight."""
+        """The table's lowest-weight error with this syndrome; raises
+        CodeError for a syndrome the table does not hold."""
         entry = self.syndrome_table.get(syndrome)
         if entry is None:
             raise CodeError(f"syndrome {syndrome} missing from lookup table")

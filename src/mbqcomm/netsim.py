@@ -6,9 +6,13 @@ its syndrome/outcome record and never reads downstream messages); all
 Pauli corrections can be deferred to the final station via the frame.
 
 The encoded chain runs shot by shot on the stabilizer engine
-(trajectory), or exactly: each perfect correction station is one logical
-Pauli channel on the encoded qubit (`CodeSpec.logical_channel`), and the
-chain composes those channels on one half of a Bell pair (dense).
+(trajectory): the tableau draws each station's Bell outcomes, and the
+station reads them as letter codes through its resource's frame map
+(`protocols.station_reading`), so the frame is passed on as letter codes
+and applied only where the delivered pair is read. Or it runs exactly:
+each perfect correction station is one logical Pauli channel on the
+encoded qubit (`CodeSpec.logical_channel`), and the chain composes
+those channels on one half of a Bell pair (dense).
 """
 
 from __future__ import annotations
@@ -84,10 +88,10 @@ class ChainConfig:
         return self.channel_overrides.get(segment, self.noise.q_channel)
 
 
-def frame_apply(host: LabeledRegister, frame: PauliString, labels) -> None:
-    """Physically apply a tracked frame to the delivered qubits."""
-    if not frame.is_identity:
-        host.apply_pauli(frame, labels)
+def frame_apply(host: LabeledRegister, frame: np.ndarray, labels) -> None:
+    """Physically apply a tracked frame, letter codes on `labels`."""
+    if frame.any():
+        host.apply_pauli(PauliString.from_codes(frame), labels)
 
 
 # -- encoded transmission ----------------------------------------------------
@@ -120,7 +124,7 @@ def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances,
         frame, labels = r.frame, r.labels
         if at_station:
             frame_apply(reg, frame, labels)
-            frame = PauliString.identity(code.n)
+            frame = np.zeros(code.n, dtype=np.uint8)
         stations.append(r)
     d = qec_decode(code, reg, labels, noise, rng, dec, frame)
     frame_apply(reg, d.frame, d.labels)
@@ -203,9 +207,11 @@ def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
 
 def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:
     """The paper's per-step reduction: all imperfections fold into one
-    depolarizing parameter p^2 q acting before a perfect correction."""
-    folded = cfg.noise.folded()
-    return folded.p_resource * cfg.noise.p_resource * cfg.channel_for(segment)
+    depolarizing parameter p^2 q acting before a perfect correction,
+    the in-coupling and output dressings of `noise_stages` and the
+    segment's channel."""
+    dress_in, dress_out = noise_stages(cfg.noise)
+    return dress_in.p * dress_out.p * cfg.channel_for(segment)
 
 
 def _encoded_chain_dense(cfg: ChainConfig) -> float:
@@ -280,8 +286,13 @@ def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ProtocolStat
     elif mode == "mc":
         if rng is None:
             raise ChainError("Monte-Carlo repeater needs an rng")
+        per_output = pairs_per_output(stages)
+        needed = -(-per_output // cfg.segments)
+        if cfg.samples < needed:
+            raise ChainError(f"{cfg.samples} samples per segment fill no output slot of "
+                             f"{per_output} elementary pairs; need at least {needed}")
         counts = sample_stages(pair, stages, cfg.samples, rng)
-        stats = stats_from_counts(counts, pairs_per_output(stages))
+        stats = stats_from_counts(counts, per_output)
         stats.extra["delivered"] = counts["kept"]
     else:
         raise ChainError(f"unknown mode {mode!r}")

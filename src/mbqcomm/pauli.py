@@ -15,8 +15,8 @@ places a Pauli on any listed qubits) and `shifted` reject a negative
 qubit count, x/z bits outside the register and unknown letters, and
 reduce the phase modulo 4. Every operand of the
 algebra therefore satisfies the invariant: x and z lie inside n bits
-and 0 <= phase < 4. Products, sign changes, restrictions (`restrict`,
-`without`) and Clifford images of such operands satisfy it too, so they
+and 0 <= phase < 4. Products, sign changes, restrictions (`without`)
+and Clifford images of such operands satisfy it too, so they
 are built by `_unchecked`, which skips the checks; the result is equal
 to, and hashes like, the same operator built through the public
 constructor.
@@ -104,6 +104,16 @@ class PauliString:
                 phase += 1
         return cls(n, x, z, phase % 4)
 
+    @classmethod
+    def from_codes(cls, codes: Iterable[int]) -> "PauliString":
+        """The unsigned Pauli with one letter code per qubit (see `codes`)."""
+        x = z = 0
+        codes = [int(c) for c in codes]
+        for j, code in enumerate(codes):
+            x |= (code >> 1 & 1) << j
+            z |= (code & 1) << j
+        return cls(len(codes), x, z, (x & z).bit_count())
+
     # -- basic queries -------------------------------------------------
 
     def x_bit(self, qubit: int) -> int:
@@ -114,6 +124,11 @@ class PauliString:
 
     def letter(self, qubit: int) -> str:
         return _BITS_TO_LETTER[(self.x_bit(qubit), self.z_bit(qubit))]
+
+    def codes(self) -> list[int]:
+        """One letter code 2x + z per qubit (I, Z, X, Y = 0, 1, 2, 3), the
+        coding of `ResourceSpec.frame_map`: codes multiply by XOR."""
+        return [2 * (self.x >> j & 1) + (self.z >> j & 1) for j in range(self.n)]
 
     @property
     def weight(self) -> int:
@@ -164,18 +179,9 @@ class PauliString:
         """Same letters with canonical (+) sign."""
         return _unchecked(self.n, self.x, self.z, self.y_count % 4)
 
-    def restrict(self, qubits: Sequence[int]) -> "PauliString":
-        """Sub-Pauli on the listed qubits (in the given order), phase dropped."""
-        sx, sz = self.x, self.z
-        x = z = 0
-        for i, q in enumerate(qubits):
-            x |= (sx >> q & 1) << i
-            z |= (sz >> q & 1) << i
-        return _unchecked(len(qubits), x, z, (x & z).bit_count() % 4)
-
     def without(self, drop: Sequence[int]) -> "PauliString":
-        """Sub-Pauli on the qubits not in `drop`, in order, phase dropped:
-        `restrict` of the kept qubits. `drop` must be sorted, distinct and
+        """Sub-Pauli on the qubits not in `drop`, in order, phase dropped
+        (unsigned). `drop` must be sorted, distinct and
         inside the register; each qubit is cut out by one shift and mask."""
         x, z = self.x, self.z
         for q in reversed(drop):

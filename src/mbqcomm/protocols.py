@@ -9,9 +9,11 @@ the resource's GF(2) map (`ResourceSpec.frame_map`) takes each attempt's
 error frame to its virtual-bit flips and output Bell index, and the
 resource's `checks`, parities of named virtual bits, turn the flips
 into the kept flag (`purify_frames`). The tableau serves as the oracle
-that this map is tested against. The QEC stations still teleport
-through the tableau shot by shot and read the code syndrome as the
-virtual bits that the resource's `syndrome` names.
+that this map is tested against. The QEC stations teleport through the
+tableau shot by shot and read their Bell outcomes through the same map
+(`station_reading`): the outcome codes, XOR the pending frame, flip the
+code syndrome at the virtual bits that the resource's `syndrome` names,
+and together with the lookup correction they give the new frame.
 
 Recurrence purification and the nested repeater are written once, as a
 list of stages, and run by two evaluators: `evaluate_stages` (exact,
@@ -35,11 +37,11 @@ at once, in a table over the packed leaves of a block.
 The sampler returns raw counts: `attempts`, `consumed` (elementary
 pairs drawn over all segments), `kept` and `good` (kept output pairs in
 |phi+>). Counts of shards add, and `stats_from_counts` turns them into
-fidelity = good/kept, yield = kept/consumed and p_success = kept *
-pairs_per_output / consumed. The exact p_success that `evaluate_stages`
-reports is the product, over the `Purify` stages, of the probability
-that one block passes all its checks, and yield = p_success /
-pairs_per_output.
+fidelity = good/kept, yield = kept/consumed and p_success = kept over
+the consumed // pairs_per_output whole output slots. The exact
+p_success that `evaluate_stages` reports is the product, over the
+`Purify` stages, of the probability that one block passes all its
+checks, and yield = p_success / pairs_per_output.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .belldiag import (
 from .catalog import epp_recurrence
 from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
-from .pauli import PauliString
 from .resources import LabeledRegister, ResourceSpec, teleport_in
 from .rng import draw_indices
 
@@ -87,7 +88,7 @@ class ProtocolStats:
 
     fidelity: float | None
     fidelity_ci: tuple[float, float] | tuple[None, None]
-    p_success: float
+    p_success: float | None
     p_success_ci: tuple[float, float]
     protocol_yield: float
     samples: int
@@ -336,18 +337,19 @@ def exact_stats(state: BellDiagonalState, stages) -> ProtocolStats:
 def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
     """Reported numbers of one run or of summed shard counts.
 
-    fidelity = good/kept, yield = kept/consumed and p_success =
-    kept * per_output / consumed, with `per_output` elementary pairs
-    behind each output pair. The p_success interval takes the
-    consumed // per_output output slots as its trials. With no kept
-    pair the fidelity and its interval are None.
+    With `per_output` elementary pairs behind each output pair, the
+    consumed // per_output whole output slots are the trials of
+    p_success = kept / slots and of its interval; fidelity = good/kept
+    and yield = kept/consumed. With no kept pair the fidelity and its
+    interval are None, and with no whole slot p_success is None.
     """
     kept, good, consumed = counts["kept"], counts["good"], counts["consumed"]
+    slots = consumed // per_output
     return ProtocolStats(
         fidelity=good / kept if kept else None,
         fidelity_ci=wilson_interval(good, kept) if kept else (None, None),
-        p_success=kept * per_output / consumed,
-        p_success_ci=wilson_interval(kept, consumed // per_output),
+        p_success=kept / slots if slots else None,
+        p_success_ci=wilson_interval(kept, slots),
         protocol_yield=kept / consumed,
         samples=counts["attempts"],
         extra={"counts": counts},
@@ -397,12 +399,9 @@ def purify_recurrence_mc(input_state: BellDiagonalState, rounds: int,
 
 
 def bd_index_of_pair(reg: LabeledRegister, la: str, lb: str) -> int:
-    """Destructively read the Bell index of a pair held in a register."""
-    xx = PauliString.from_string("XX")
-    zz = PauliString.from_string("ZZ")
-    sx = reg.measure(xx, [la, lb])
-    sz = reg.measure(zz, [la, lb])
-    return 2 * ((1 - sz) // 2) + ((1 - sx) // 2)
+    """Bell index of a pair held in a register: the code of one Bell
+    measurement, which removes the pair."""
+    return reg.bell_measure(la, lb).code
 
 
 def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
@@ -424,7 +423,7 @@ def purify_frames(spec: ResourceSpec, in_codes: np.ndarray,
     is set. The kept pair (L/out0, R/out0) has Bell index
     2 (x_L ^ x_R) + (z_L ^ z_R), the XOR of its halves' codes.
     """
-    out_map, flip_map = spec.frame_map()
+    out_map, flip_map = spec.frame_map
     left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
     pair_map = out_map[..., left] ^ out_map[..., right]
     names = [vm.name for vm in spec.virtual_meas]
@@ -655,7 +654,7 @@ class QecResult:
     """Outcome of one QEC stage; the frame is never applied physically."""
 
     labels: tuple[str, ...]
-    frame: PauliString
+    frame: np.ndarray  # letter codes on `labels`
     syndrome: tuple[int, ...] | None = None
     uncorrectable: bool = False
 
@@ -672,28 +671,35 @@ def qec_encode(code: CodeSpec, host: LabeledRegister, in_label: str,
                noise: NoiseModel, rng, resource: ResourceSpec) -> QecResult:
     """Couple one qubit into the encoding resource by a Bell measurement."""
     block = tuple(_fresh(f"{code.name}.b{k}") for k in range(code.n))
-    r = teleport_in(resource, host, {"in": in_label}, noise=noise, rng=rng,
-                    out_labels=block)
-    return QecResult(labels=block, frame=r.frame)
+    codes = teleport_in(resource, host, {"in": in_label}, noise, rng, block)
+    return QecResult(labels=block, frame=resource.byproduct(codes)[0])
+
+
+def station_reading(code: CodeSpec, spec: ResourceSpec,
+                    codes: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """Syndrome and new frame of a station whose inputs carry the letter
+    `codes`: its Bell outcomes XOR the frame still pending on the block.
+
+    The syndrome is the bits that `codes` flip (`spec.byproduct`), so the
+    pending frame's own syndrome is XORed out. Its lookup correction
+    joins `codes`, and the output codes of the sum are the new frame.
+    """
+    syndrome = tuple(spec.byproduct(codes)[1].tolist())
+    estimate = np.array(code.correction_for(syndrome).codes(), dtype=np.uint8)
+    return syndrome, spec.byproduct(codes ^ estimate)[0]
 
 
 def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
              block: tuple[str, ...], out_labels: tuple[str, ...], noise: NoiseModel,
-             rng, frame: PauliString | None) -> QecResult:
-    """Teleport a block into a syndrome-reading resource.
-
-    The syndrome is reconstructed from the in-coupling Bell outcomes,
-    de-rotated by the tracked frame and looked up in the code table;
-    the correction is folded into the new frame (never applied).
-    """
-    frame = frame if frame is not None else PauliString.identity(code.n)
-    r = teleport_in(spec, host, dict(zip(spec.inputs, block)), noise=noise, rng=rng,
-                    out_labels=out_labels)
-    syndrome, estimate = code.estimate(r.syndrome, frame)
-    new_frame = r.frame * spec.push_through(frame * estimate)[1]
+             rng, frame: np.ndarray) -> QecResult:
+    """Teleport a block into a syndrome-reading resource and read it with
+    `station_reading`; the correction is folded into the new frame (never
+    applied)."""
+    codes = teleport_in(spec, host, dict(zip(spec.inputs, block)), noise, rng, out_labels)
+    syndrome, new_frame = station_reading(code, spec, codes ^ frame)
     return QecResult(
         labels=out_labels,
-        frame=new_frame.unsigned(),
+        frame=new_frame,
         syndrome=syndrome,
         uncorrectable=not code.correctable(syndrome),
     )
@@ -701,7 +707,7 @@ def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
 
 def qec_correct(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
                 noise: NoiseModel, rng, resource: ResourceSpec,
-                frame: PauliString | None = None) -> QecResult:
+                frame: np.ndarray) -> QecResult:
     """Teleport the block through the 2N syndrome/correction resource."""
     new_block = tuple(_fresh(f"{code.name}.c{k}") for k in range(code.n))
     return _station(code, resource, host, block, new_block, noise, rng, frame)
@@ -709,7 +715,7 @@ def qec_correct(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
 
 def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
                noise: NoiseModel, rng, resource: ResourceSpec,
-               frame: PauliString | None = None) -> QecResult:
+               frame: np.ndarray) -> QecResult:
     """Bell-measure the whole block into the decode resource."""
     out = (_fresh(f"{code.name}.out"),)
     return _station(code, resource, host, block, out, noise, rng, frame)

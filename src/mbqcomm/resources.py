@@ -3,15 +3,16 @@
 A resource is the entangled state obtained by applying a Clifford wire
 circuit to halves of maximally entangled pairs (plus fixed ancilla
 feeds), optionally with some output wires pre-measured in a Pauli basis.
-Bell measurements couple host qubits into the inputs; the byproduct
-Pauli on the outputs and the virtual outcomes of pre-measured wires are
-reconstructed from the Bell outcomes by conjugating through the circuit.
-The same conjugation, done once per unit Pauli on the inputs, gives the
-resource's GF(2) map on error frames (`ResourceSpec.frame_map`).
-What the virtual outcomes mean is data, GF(2) functions of the virtual
-bits that the frame engine applies to whole batches: `checks` (an attempt
-is kept iff the named outcomes of each check XOR to 0) and `syndrome`
-(named outcomes read in order).
+Bell measurements couple host qubits into the inputs, and each outcome
+is read as the letter code 2x + z of its byproduct Pauli. A resource's
+GF(2) map on such codes (`ResourceSpec.frame_map`) is found once, by
+conjugating each unit Pauli on the inputs through the circuit: it gives
+the codes on the outputs and the flipped virtual outcomes of the
+pre-measured wires. Reading any outcome tuple, or any error frame, is
+then an XOR of its rows (`ResourceSpec.byproduct`). What the virtual
+outcomes mean is data, GF(2) functions of the virtual bits:
+`checks` (an attempt is kept iff the named outcomes of each check XOR
+to 0) and `syndrome` (named outcomes read in order).
 
 Composite resources come from two operations. `merge` joins two
 resources by internal Bell measurements (none: the side-by-side
@@ -24,6 +25,7 @@ spelling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,16 +47,6 @@ class VirtualMeasurement:
 
     name: str
     operator: PauliString  # on the wire space
-
-
-@dataclass(frozen=True)
-class ByproductInfo:
-    """Interpretation of one Bell-outcome tuple."""
-
-    keep: bool
-    frame: PauliString  # on the outputs, in output order
-    bits: dict
-    syndrome: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -101,58 +93,59 @@ class ResourceSpec:
 
     # -- outcomes and frames -------------------------------------------
 
-    def push_through(self, riding: PauliString) -> tuple[PauliString, PauliString]:
-        """Conjugate a Pauli on the inputs (in input order) through the
-        circuit: returns its image on the wires and that image restricted
-        to the surviving outputs (in output order)."""
-        embedded = riding.embed(self.n_wires, list(self.input_wires))
-        pushed = self.circuit.conjugate(embedded)
-        return pushed, pushed.restrict(list(self.output_wires))
-
+    @cached_property
     def frame_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """The resource's GF(2) linear map on Pauli frames, as letter tables.
+        """The resource's GF(2) linear map on Pauli frames, as read-only
+        letter tables, built once per resource.
 
         A one-qubit letter is coded 2x + z (I, Z, X, Y = 0, 1, 2, 3: the
         Bell index of a pair carrying it on one half), so codes multiply
-        by XOR. Each unit X_k and Z_k on the inputs is pushed through the
-        circuit once. Returns (out, flips): out[k, c] holds the codes on
-        the outputs (in output order) of letter c riding into input k,
+        by XOR. Each unit X_k and Z_k on the inputs is conjugated through
+        the circuit once. Returns (out, flips): out[k, c] holds the codes
+        on the outputs (in output order) of letter c riding into input k,
         flips[k, c] the virtual-measurement bits it flips (in
-        `virtual_meas` order), as `byproduct` reads them.
+        `virtual_meas` order): those whose operator anticommutes with the
+        image.
         """
         n_in = len(self.inputs)
         out = np.zeros((n_in, 4, len(self.outputs)), dtype=np.uint8)
         flips = np.zeros((n_in, 4, len(self.virtual_meas)), dtype=np.uint8)
-        for k in range(n_in):
+        for k, wire in enumerate(self.input_wires):
             for code, letter in ((2, "X"), (1, "Z")):
-                pushed, frame = self.push_through(PauliString.single(n_in, k, letter))
-                out[k, code] = [2 * frame.x_bit(j) + frame.z_bit(j) for j in range(frame.n)]
+                pushed = self.circuit.conjugate(PauliString.single(self.n_wires, wire, letter))
+                letters = pushed.codes()
+                out[k, code] = [letters[w] for w in self.output_wires]
                 flips[k, code] = [not pushed.commutes(vm.operator) for vm in self.virtual_meas]
         out[:, 3] = out[:, 1] ^ out[:, 2]
         flips[:, 3] = flips[:, 1] ^ flips[:, 2]
+        out.setflags(write=False)
+        flips.setflags(write=False)
         return out, flips
 
-    def byproduct(self, outcomes: Sequence[BellOutcome]) -> ByproductInfo:
-        """Interpret one in-coupling outcome tuple.
+    @cached_property
+    def _read_table(self) -> np.ndarray:
+        """`frame_map`'s output codes beside its flips at the `syndrome`
+        names, one row per (input, letter)."""
+        out, flips = self.frame_map
+        names = [vm.name for vm in self.virtual_meas]
+        table = np.concatenate([out, flips[..., [names.index(s) for s in self.syndrome]]],
+                               axis=-1)
+        table.setflags(write=False)
+        return table
 
-        Conjugates the byproduct Pauli through the circuit; its
-        restriction to surviving output wires is the frame, and its
-        anticommutation with each pre-measured operator flips that
-        virtual outcome bit.
+    def byproduct(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Read letter codes riding into the inputs (one per input, in
+        input order; a Bell outcome reads as `BellOutcome.code`).
+
+        Returns their image on the outputs as letter codes, in output
+        order, and the `syndrome` bits they flip: the XOR of the
+        `frame_map` rows of each input's letter.
         """
-        if len(outcomes) != len(self.inputs):
-            raise ResourceError("need one Bell outcome per input")
-        sigma = PauliString.identity(len(self.inputs))
-        for k, outcome in enumerate(outcomes):
-            sigma = sigma * outcome.byproduct().embed(len(self.inputs), [k])
-        pushed, frame = self.push_through(sigma)
-        bits = {
-            vm.name: 0 if pushed.commutes(vm.operator) else 1
-            for vm in self.virtual_meas
-        }
-        keep = all(sum(bits[name] for name in check) % 2 == 0 for check in self.checks)
-        syndrome = tuple(bits[name] for name in self.syndrome)
-        return ByproductInfo(keep, frame, bits, syndrome)
+        if len(codes) != len(self.inputs):
+            raise ResourceError("need one letter code per input")
+        read = np.bitwise_xor.reduce(self._read_table[np.arange(len(codes)), codes])
+        n_out = len(self.outputs)
+        return read[:n_out], read[n_out:]
 
 
 def _build_resource(name: str, circuit: CliffordMap,
@@ -436,43 +429,22 @@ class LabeledRegister:
     def depolarize(self, labels: Sequence[str], p: float, rng):
         apply_sampled_noise(self.state, [self.index(l) for l in labels], p, rng)
 
-    def measure(self, p: PauliString, on: Sequence[str], rng=None, force=None,
-                prob_sink: list | None = None) -> int:
-        return self.state.measure(self.embed_pauli(p, on), rng, force,
-                                  prob_sink=prob_sink)
-
-    def bell_measure(self, la: str, lb: str, rng=None,
-                     force: BellOutcome | None = None,
-                     prob_sink: list | None = None) -> BellOutcome:
-        a, b = self.index(la), self.index(lb)
-        outcome = self.state.bell_measure(a, b, rng, force, prob_sink=prob_sink)
+    def bell_measure(self, la: str, lb: str, rng=None) -> BellOutcome:
+        outcome = self.state.bell_measure(self.index(la), self.index(lb), rng)
         self.labels = [l for l in self.labels if l not in (la, lb)]
         return outcome
 
 
-@dataclass
-class TeleportResult:
-    """Everything observable from one in-coupling round."""
-
-    outcomes: tuple[BellOutcome, ...]
-    frame: PauliString  # on resource outputs, in output order
-    keep: bool
-    bits: dict
-    syndrome: tuple[int, ...]
-    out_labels: tuple[str, ...]
-    branch_probability: float = 1.0
-
-
 def teleport_in(resource: ResourceSpec, host: LabeledRegister,
                 wiring: dict[str, str], noise: NoiseModel | None = None,
-                rng=None, forced: Sequence[BellOutcome] | None = None,
-                out_labels: Sequence[str] | None = None,
-                apply_frame: bool = False) -> TeleportResult:
+                rng=None, out_labels: Sequence[str] | None = None) -> np.ndarray:
     """Couple host qubits into a resource by Bell measurements.
 
     wiring maps resource input label -> host label. The resource's
-    output qubits join the host register. The byproduct frame is
-    recorded (and only physically applied when apply_frame is set).
+    output qubits join the host register under `out_labels` (by default
+    the resource's own output labels). Returns the Bell outcomes as
+    letter codes, in input order, for `ResourceSpec.byproduct`; no
+    frame is applied.
     """
     noise = noise or NoiseModel()
     if set(wiring) != set(resource.inputs):
@@ -487,37 +459,10 @@ def teleport_in(resource: ResourceSpec, host: LabeledRegister,
         raise ResourceError("out_labels must match the resource outputs")
     scratch = [f"!{resource.name}/{l}" for l in resource.inputs]
     host.add(res_state, scratch + list(out_labels))
-    outcomes = []
-    sink: list = []
+    codes = np.zeros(len(scratch), dtype=np.uint8)
     for k, in_label in enumerate(resource.inputs):
         host_label = wiring[in_label]
-        res_label = scratch[k]
         if noise.q_meas < 1.0:
-            host.depolarize([host_label, res_label], noise.q_meas, rng)
-        force = forced[k] if forced is not None else None
-        try:
-            outcomes.append(
-                host.bell_measure(host_label, res_label, rng, force, prob_sink=sink)
-            )
-        except InconsistentProjection:
-            # forced enumeration hit a zero-probability branch
-            return TeleportResult(
-                outcomes=tuple(outcomes), frame=PauliString.identity(0),
-                keep=False, bits={}, syndrome=(), out_labels=(),
-                branch_probability=0.0,
-            )
-    result = resource.byproduct(outcomes)
-    if apply_frame and not result.frame.is_identity and result.keep:
-        host.apply_pauli(result.frame, out_labels)
-    prob = 1.0
-    for p_branch in sink:
-        prob *= p_branch
-    return TeleportResult(
-        outcomes=tuple(outcomes),
-        frame=result.frame,
-        keep=result.keep,
-        bits=result.bits,
-        syndrome=result.syndrome,
-        out_labels=out_labels,
-        branch_probability=prob,
-    )
+            host.depolarize([host_label, scratch[k]], noise.q_meas, rng)
+        codes[k] = host.bell_measure(host_label, scratch[k], rng).code
+    return codes

@@ -52,7 +52,7 @@ class ResultRecord:
     fidelity: float | None
     ci_lo: float | None
     ci_hi: float | None
-    p_success: float
+    p_success: float | None
     protocol_yield: float
     samples: int
     seed: int
@@ -89,7 +89,7 @@ class ResultRecord:
             _cell(self.fidelity),
             _cell(self.ci_lo),
             _cell(self.ci_hi),
-            repr(self.p_success),
+            _cell(self.p_success),
             repr(self.protocol_yield),
             self.samples,
             self.seed,

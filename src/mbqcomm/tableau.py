@@ -23,9 +23,6 @@ import numpy as np
 from . import gf2
 from .pauli import CliffordMap, PauliError, PauliString
 
-_BELL_INDEX = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
-_BELL_LETTER = {0: "I", 1: "X", 2: "Y", 3: "Z"}
-
 
 class TableauError(ValueError):
     """Raised on invalid tableaus or impossible projections."""
@@ -39,25 +36,18 @@ class InconsistentProjection(TableauError):
 class BellOutcome:
     """Outcome of a Bell measurement.
 
-    b_x is the sign bit of the X(x)X measurement, b_z of Z(x)Z; the index
-    i labels the observed Bell state (I (x) sigma_i^*)|phi+> and sigma_i
-    is the teleportation byproduct.
+    b_x is the sign bit of the X(x)X measurement, b_z of Z(x)Z.
     """
 
     b_x: int
     b_z: int
 
     @property
-    def index(self) -> int:
-        return _BELL_INDEX[(self.b_x, self.b_z)]
-
-    @property
-    def letter(self) -> str:
-        return _BELL_LETTER[self.index]
-
-    def byproduct(self) -> PauliString:
-        """Single-qubit byproduct operator sigma_i."""
-        return PauliString.single(1, 0, self.letter)
+    def code(self) -> int:
+        """The teleportation byproduct as a letter code 2x + z (I, Z, X, Y
+        = 0, 1, 2, 3): an X on one half flips ZZ, a Z flips XX. It is also
+        the Bell-diagonal index of the measured pair."""
+        return 2 * self.b_z + self.b_x
 
 
 class StabilizerState:
@@ -70,16 +60,10 @@ class StabilizerState:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def bell_pair(cls, index: int = 0) -> "StabilizerState":
-        """sigma|phi+> on qubits (0, 1), sigma = I, Z, X, Y for index 0..3.
-
-        The Bell-diagonal index order of `belldiag`; a Z on qubit 1 flips
-        the sign of XX, an X that of ZZ.
-        """
-        xx = PauliString.from_string("XX")
-        zz = PauliString.from_string("ZZ")
-        stabs = [xx.negate() if index & 1 else xx, zz.negate() if index & 2 else zz]
-        return cls(stabs, [PauliString.from_string("ZI"), PauliString.from_string("IX")])
+    def bell_pair(cls) -> "StabilizerState":
+        """|phi+> on qubits (0, 1)."""
+        return cls([PauliString.from_string("XX"), PauliString.from_string("ZZ")],
+                   [PauliString.from_string("ZI"), PauliString.from_string("IX")])
 
     @classmethod
     def from_generators(cls, gens: list[PauliString]) -> "StabilizerState":
@@ -111,13 +95,11 @@ class StabilizerState:
     # -- measurement -----------------------------------------------------
 
     def measure(self, p: PauliString, rng=None, force: int | None = None,
-                prob_sink: list | None = None, pinned: list[int] | None = None) -> int:
+                pinned: list[int] | None = None) -> int:
         """Measure a Hermitian Pauli; returns the +-1 outcome and updates.
 
         `force` pins the outcome: allowed freely in the random case, and
         raises InconsistentProjection if a deterministic outcome differs.
-        `prob_sink` collects the Born probability of the taken branch
-        (0.5 for random outcomes, 1.0 for deterministic ones).
 
         `pinned` lists the rows that hold measured operators, for
         `drop_measured`. With it the signed p stays a stabilizer row and
@@ -140,8 +122,6 @@ class StabilizerState:
         # rows that anticommute with p: odd symplectic product with (px, pz)
         anti_stabs = [k for k, g in enumerate(self.stabs)
                       if (g.x & pz ^ g.z & px).bit_count() & 1]
-        if prob_sink is not None:
-            prob_sink.append(0.5 if anti_stabs else 1.0)
         anti_destabs = [k for k, d in enumerate(self.destabs)
                         if (d.x & pz ^ d.z & px).bit_count() & 1]
         if anti_stabs:
@@ -189,9 +169,7 @@ class StabilizerState:
         pinned.append(row)
         return outcome
 
-    def bell_measure(self, a: int, b: int, rng=None,
-                     force: BellOutcome | None = None,
-                     prob_sink: list | None = None) -> BellOutcome:
+    def bell_measure(self, a: int, b: int, rng=None) -> BellOutcome:
         """Bell measurement on qubits (a, b): measures X_a X_b then Z_a Z_b,
         pins both as stabilizer rows and drops the pair with
         `drop_measured`; the other qubits keep their order.
@@ -208,11 +186,9 @@ class StabilizerState:
         if a == b:
             raise TableauError("Bell measurement needs two distinct qubits")
         pair = 1 << a | 1 << b
-        fx = None if force is None else (1 - 2 * force.b_x)
-        fz = None if force is None else (1 - 2 * force.b_z)
         pinned: list[int] = []
-        sx = self.measure(PauliString(n, pair, 0), rng, fx, prob_sink, pinned)
-        sz = self.measure(PauliString(n, 0, pair), rng, fz, prob_sink, pinned)
+        sx = self.measure(PauliString(n, pair, 0), rng, pinned=pinned)
+        sz = self.measure(PauliString(n, 0, pair), rng, pinned=pinned)
         self.drop_measured(pinned, (a, b))
         return BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
 

@@ -1,11 +1,14 @@
 """Reference implementations that several test files compare the package
 against: dense state vectors and density matrices, stabilizer-state
 helpers the commands never call (among them the Gauss-Jordan qubit
-removal that checks the package's one-pass removal), graph states and
-their local-Clifford tools, tableau invariant checks, noise sampled one
+removal that checks the package's one-pass removal, and Bell
+measurements with a forced outcome), graph states and their
+local-Clifford tools, tableau invariant checks, noise sampled one
 qubit at a time, the noise-moving identity, the repeater-station
-resource, and the dense 4-qubit derivation of the Bell-diagonal
-coefficient maps. None of this runs under the CLI.
+resource, the reading of Bell outcomes by conjugating them through a
+resource's circuit (which checks the package's table reading) with the
+forced-branch teleport built on it, and the dense 4-qubit derivation of
+the Bell-diagonal coefficient maps. None of this runs under the CLI.
 
 Dense state vectors index basis states with qubit 0 as the most
 significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
@@ -14,7 +17,7 @@ DENSE_LIMIT qubits.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -22,11 +25,17 @@ from mbqcomm import gf2
 from mbqcomm.catalog import epp_site_resource
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map, gate_map
-from mbqcomm.resources import ResourceSpec, merge, premeasure_joint
+from mbqcomm.resources import (
+    LabeledRegister,
+    ResourceError,
+    ResourceSpec,
+    merge,
+    premeasure_joint,
+)
 from mbqcomm.rng import draw_indices
 from mbqcomm.tableau import (
-    _BELL_INDEX,
     BellOutcome,
+    InconsistentProjection,
     StabilizerState,
     TableauError,
     _check_qubits,
@@ -267,12 +276,38 @@ def zero_state(n: int) -> StabilizerState:
     return StabilizerState(stabs, destabs)
 
 
-def bell_outcome(i: int) -> BellOutcome:
-    """The Bell outcome of index i (sigma_i = I, X, Y, Z)."""
-    for bits, idx in _BELL_INDEX.items():
-        if idx == i:
-            return BellOutcome(*bits)
-    raise ValueError(f"invalid Bell index {i}")
+def bell_outcome(code: int) -> BellOutcome:
+    """The Bell outcome whose byproduct has letter code `code` (I, Z, X,
+    Y = 0, 1, 2, 3)."""
+    if not 0 <= code < 4:
+        raise ValueError(f"invalid letter code {code}")
+    return BellOutcome(b_x=code & 1, b_z=code >> 1)
+
+
+def bell_pair(code: int) -> StabilizerState:
+    """|phi+> on qubits (0, 1) with the letter of code `code` on qubit 1:
+    the pair of Bell-diagonal index `code`."""
+    pair = StabilizerState.bell_pair()
+    pair.apply_pauli(PauliString.from_codes([0, code]))
+    return pair
+
+
+def forced_bell_measure(state: StabilizerState, a: int, b: int, code: int) -> float:
+    """Bell measurement of (a, b) forced onto the outcome of letter code
+    `code`: X_a X_b and Z_a Z_b are measured with forced signs and pinned,
+    and `drop_measured` removes the pair, as `bell_measure` does. Returns
+    the Born probability of the branch (1/2 per random measurement);
+    raises InconsistentProjection when it is zero."""
+    n = state.n
+    pair = 1 << a | 1 << b
+    prob = 1.0
+    pinned: list[int] = []
+    for op, bit in ((PauliString(n, pair, 0), code & 1), (PauliString(n, 0, pair), code >> 1)):
+        if not all(g.commutes(op) for g in state.stabs):
+            prob /= 2
+        state.measure(op, force=1 - 2 * bit, pinned=pinned)
+    state.drop_measured(pinned, (a, b))
+    return prob
 
 
 def pauli_sign(p: PauliString) -> int:
@@ -616,6 +651,110 @@ def repeater_station(rounds: int) -> ResourceSpec:
          ({"L/out0": "Z", "R/out0": "Z"}, "swap_zz")],
         name=f"repeater_station{rounds}",
     )
+
+
+# -- Bell outcomes read by conjugation through the circuit --------------------
+
+
+def restrict(p: PauliString, qubits) -> PauliString:
+    """Unsigned sub-Pauli of `p` on the listed qubits, in the given order."""
+    x = z = 0
+    for i, q in enumerate(qubits):
+        x |= (p.x >> q & 1) << i
+        z |= (p.z >> q & 1) << i
+    return PauliString(len(qubits), x, z, (x & z).bit_count())
+
+
+def push_through(spec: ResourceSpec, riding: PauliString) -> tuple[PauliString, PauliString]:
+    """Conjugate a Pauli on the inputs (in input order) through the
+    circuit: its image on the wires and that image restricted to the
+    surviving outputs (in output order)."""
+    pushed = spec.circuit.conjugate(riding.embed(spec.n_wires, list(spec.input_wires)))
+    return pushed, restrict(pushed, spec.output_wires)
+
+
+@dataclass(frozen=True)
+class ConjugationReading:
+    """What letter codes riding into a resource's inputs mean, found by
+    conjugating their Pauli through the circuit."""
+
+    keep: bool
+    frame: PauliString  # on the outputs, in output order
+    bits: dict  # virtual-measurement name -> flipped bit
+    syndrome: tuple[int, ...]
+
+
+def conjugation_reading(spec: ResourceSpec, codes) -> ConjugationReading:
+    """The image's restriction to the outputs is the frame, and its
+    anticommutation with each pre-measured operator flips that virtual
+    bit; `checks` and `syndrome` read the bits."""
+    if len(codes) != len(spec.inputs):
+        raise ResourceError("need one letter code per input")
+    pushed, frame = push_through(spec, PauliString.from_codes(codes))
+    bits = {vm.name: 0 if pushed.commutes(vm.operator) else 1 for vm in spec.virtual_meas}
+    keep = all(sum(bits[name] for name in check) % 2 == 0 for check in spec.checks)
+    return ConjugationReading(keep, frame, bits, tuple(bits[name] for name in spec.syndrome))
+
+
+def conjugation_station(code, spec: ResourceSpec, outcomes,
+                        frame: PauliString) -> tuple[tuple[int, ...], PauliString]:
+    """Syndrome and new frame of a QEC station, read by conjugation: the
+    raw syndrome of the Bell outcome codes, with the pending frame's own
+    syndrome XORed out, is looked up, and the frame times the correction
+    is pushed through and multiplied into the outcomes' frame."""
+    reading = conjugation_reading(spec, outcomes)
+    syndrome = tuple(a ^ b for a, b in zip(reading.syndrome, code.syndrome_of(frame)))
+    fix = push_through(spec, frame * code.correction_for(syndrome))[1]
+    return syndrome, (reading.frame * fix).unsigned()
+
+
+def single_and_double_errors(n: int) -> list[PauliString]:
+    """Every Pauli error of weight one or two on n qubits, unsigned."""
+    singles = [PauliString.single(n, q, c).unsigned() for q in range(n) for c in "XYZ"]
+    doubles = [(a * b).unsigned() for a, b in combinations(singles, 2)
+               if not (a.x | a.z) & (b.x | b.z)]
+    return singles + doubles
+
+
+@dataclass(frozen=True)
+class ForcedTeleport:
+    """One in-coupling branch: outcome codes, their reading (None for an
+    impossible branch) and the Born probability of a forced branch (0
+    when it is impossible; 1 when the outcomes were drawn)."""
+
+    codes: tuple[int, ...]
+    reading: ConjugationReading | None
+    branch_probability: float
+
+
+def forced_teleport(spec: ResourceSpec, host: LabeledRegister, wiring: dict[str, str],
+                    forced=None, rng=None, out_labels=None,
+                    apply_frame: bool = True) -> ForcedTeleport:
+    """Noiseless `teleport_in` with the Bell outcomes forced to the letter
+    codes `forced` (drawn with `rng` where it is None), read by
+    conjugation; the frame is applied to the outputs of a kept branch
+    when `apply_frame` is set."""
+    if set(wiring) != set(spec.inputs):
+        raise ResourceError("wiring must cover exactly the resource inputs")
+    out_labels = tuple(out_labels) if out_labels is not None else spec.outputs
+    scratch = [f"!{spec.name}/{l}" for l in spec.inputs]
+    host.add(spec.state.copy(), scratch + list(out_labels))
+    codes, prob = [], 1.0
+    for k, in_label in enumerate(spec.inputs):
+        la, lb = wiring[in_label], scratch[k]
+        if forced is None:
+            codes.append(host.bell_measure(la, lb, rng).code)
+            continue
+        try:
+            prob *= forced_bell_measure(host.state, host.index(la), host.index(lb), forced[k])
+        except InconsistentProjection:
+            return ForcedTeleport(tuple(forced), None, 0.0)
+        host.labels = [l for l in host.labels if l not in (la, lb)]
+        codes.append(forced[k])
+    reading = conjugation_reading(spec, codes)
+    if apply_frame and reading.keep and not reading.frame.is_identity:
+        host.apply_pauli(reading.frame, out_labels)
+    return ForcedTeleport(tuple(codes), reading, prob)
 
 
 # -- dense operators and density matrices -------------------------------------

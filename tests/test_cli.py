@@ -321,6 +321,46 @@ def test_no_kept_pair_reports_null_fidelity(tmp_path, capsys):
     assert (cells["p_success"], cells["samples"]) == ("0.0", "10")
 
 
+# noiseless runs keep every output pair of each whole output slot, so
+# p_success is 1 also when the samples leave pairs over: 100 samples per
+# segment on 4 segments fill 12 slots of 32 pairs, and 101 stepwise
+# samples 25 slots of 4
+@pytest.mark.parametrize("argv", [
+    ["repeater", "--segments", "4", "--rounds", "1", "--samples", "100"],
+    ["repeater", "--segments", "4", "--rounds", "1", "--samples", "96"],
+    ["purify", "--F", "1", "--engine", "mc", "--mode", "stepwise", "--rounds", "2",
+     "--samples", "101"],
+], ids=["repeater-100", "repeater-96", "purify-stepwise-101"])
+def test_noiseless_p_success_counts_whole_output_slots(argv, capsys):
+    rc, out, _err = run(argv, capsys)
+    assert rc == 0
+    assert json.loads(out)["p_success"] == 1.0
+
+
+def test_repeater_with_no_whole_output_slot_exits_2_naming_the_samples_needed(capsys):
+    rc, out, err = run(["repeater", "--rounds", "2", "--samples", "7"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: 7 samples per segment fill no output slot of 256 elementary "
+                   "pairs; need at least 64\n")
+    rc, out, _err = run(["repeater", "--rounds", "2", "--samples", "64"], capsys)
+    assert rc == 0 and json.loads(out)["p_success"] is not None
+
+
+@pytest.mark.parametrize("shards", ["1", "5"])
+def test_purify_with_no_whole_output_slot_reports_null_p_success(shards, tmp_path, capsys):
+    # shards are independent pools whose counts add, so a shard may fill
+    # no slot; the run reports p_success as missing, whatever the sharding
+    csv_path = tmp_path / "r.csv"
+    rc, out, _err = run(["purify", "--F", "1", "--engine", "mc", "--mode", "stepwise",
+                         "--rounds", "2", "--samples", "3", "--shards", shards,
+                         "--csv-out", str(csv_path)], capsys)
+    assert rc == 0
+    assert json.loads(out)["p_success"] is None
+    with open(csv_path, newline="") as fh:
+        (cells,) = csv.DictReader(fh)
+    assert (cells["p_success"], cells["samples"]) == ("", "3")
+
+
 def test_repeater_without_purification_runs(capsys):
     rc, out, _err = run(["repeater", "--rounds", "0", "--samples", "100"], capsys)
     assert rc == 0

@@ -32,13 +32,13 @@ from mbqcomm.resources import (
     ResourceError,
     ResourceSpec,
     cj_state,
-    teleport_in,
 )
 from mbqcomm.tableau import StabilizerState
 import oracles
 from oracles import (
-    bell_outcome,
     canonical_generators,
+    conjugation_reading,
+    forced_teleport,
     graph_state,
     is_connected,
     lc_equivalent,
@@ -171,19 +171,17 @@ def test_correct_resource_size_and_syndrome_info():
         code = code_by_name(name)
         corr = code_correct(code)
         assert corr.n == 2 * code.n
-        info = corr.byproduct(
-            [bell_outcome(0)] * code.n
-        )
-        assert info.syndrome == (0,) * len(code.stabilizers)
+        _, syndrome = corr.byproduct(np.zeros(code.n, dtype=np.uint8))
+        assert list(syndrome) == [0] * len(code.stabilizers)
 
 
 @pytest.mark.parametrize("name", ["ring5", "repetition3-phase"])
 def test_merge_carries_the_decoder_syndrome(name):
     code = code_by_name(name)
     corr, dec = code_correct(code), code_decode_syndrome(code)
-    for k, i in product(range(code.n), range(4)):
-        outcomes = [bell_outcome(i if j == k else 0) for j in range(code.n)]
-        assert corr.byproduct(outcomes).syndrome == dec.byproduct(outcomes).syndrome
+    for k, letter in product(range(code.n), range(4)):
+        codes = np.array([letter if j == k else 0 for j in range(code.n)], dtype=np.uint8)
+        assert list(corr.byproduct(codes)[1]) == list(dec.byproduct(codes)[1])
 
 
 def test_checks_and_syndrome_must_name_virtual_measurements():
@@ -245,7 +243,7 @@ def test_repeater_station_is_input_only():
     assert len(st.inputs) == 4
     st2 = repeater_station(2)
     assert len(st2.inputs) == 8 and st2.n == 8
-    info = st.byproduct([bell_outcome(0)] * 4)
+    info = conjugation_reading(st, [0] * 4)
     assert (info.bits["swap_xx"], info.bits["swap_zz"]) == (0, 0)
     _gates, targets = epp_site_circuit(1, "A")
     assert all(f"{side}/meas[out{t}]" in info.bits for side in "LR" for t in targets)
@@ -304,10 +302,8 @@ def test_merge_encode_decode_is_identity_channel():
             base = zero_state(1)
             base.apply_clifford(random_clifford(1, rng))
             host = LabeledRegister.from_state(base.copy(), ["psi"])
-            r = teleport_in(
-                chain, host, {f"{enc.name}/in": "psi"}, rng=rng, apply_frame=True
-            )
-            assert r.keep
+            r = forced_teleport(chain, host, {f"{enc.name}/in": "psi"}, rng=rng)
+            assert r.reading.keep
             assert oracles.states_equal_up_to_phase(
                 to_dense(host.state), to_dense(base), 1e-12
             )

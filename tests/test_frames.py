@@ -1,7 +1,9 @@
-"""The batched Pauli-frame engine of stabilizer purification: the frame
-map against `byproduct`, the kernel against the per-attempt byproduct
-rule and against the tableau on injected error patterns, and no tableau
-work per attempt."""
+"""The frame map and its readers: the map and `byproduct` against the
+reading by conjugation through the circuit, the batched purification
+kernel against that reading and against the tableau on injected error
+patterns, no tableau work per purification attempt, and the QEC
+stations' table reading against the conjugation oracle on every single
+and double error."""
 
 from dataclasses import replace
 from itertools import combinations, product
@@ -11,18 +13,34 @@ import pytest
 
 from mbqcomm import protocols, resources
 from mbqcomm.belldiag import werner
-from mbqcomm.catalog import code_by_name, code_correct, code_encode, epp_recurrence
+from mbqcomm.catalog import (
+    code_by_name,
+    code_correct,
+    code_decode_syndrome,
+    code_encode,
+    epp_recurrence,
+)
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
-from mbqcomm.protocols import bd_index_of_pair, purify_frames, purify_recurrence
+from mbqcomm.protocols import (
+    bd_index_of_pair,
+    purify_frames,
+    purify_recurrence,
+    qec_encode,
+    station_reading,
+)
 from mbqcomm.resources import LabeledRegister, teleport_in
 from mbqcomm.rng import make_rng
 from mbqcomm.tableau import StabilizerState
-from oracles import bell_outcome, repeater_station
+from oracles import (
+    conjugation_reading,
+    conjugation_station,
+    forced_teleport,
+    repeater_station,
+    single_and_double_errors,
+)
 
 CODES = {"I": 0, "Z": 1, "X": 2, "Y": 3}
-# the in-coupling outcome whose byproduct is the letter of each code
-OUTCOME = {CODES[o.letter]: o for o in map(bell_outcome, range(4))}
 SEEDS = (1, 2)
 
 
@@ -49,9 +67,8 @@ def tableau_run(spec, errors, seed):
             state.apply_pauli(PauliString.single(state.n, q, letter))
     wiring = {f"L/in{k}": f"a{k}" for k in range(n_pairs)}
     wiring.update({f"R/in{k}": f"b{k}" for k in range(n_pairs)})
-    result = teleport_in(replace(spec, state=state), host, wiring, rng=make_rng(seed),
-                         apply_frame=True)
-    if not result.keep:
+    result = forced_teleport(replace(spec, state=state), host, wiring, rng=make_rng(seed))
+    if not result.reading.keep:
         return False, None
     return True, bd_index_of_pair(host, "L/out0", "R/out0")
 
@@ -74,21 +91,23 @@ def frame_runs(spec, patterns):
     return purify_frames(spec, in_codes, out_codes)
 
 
-def codes_of(frame):
-    return [CODES[frame.letter(j)] for j in range(frame.n)]
-
-
 @pytest.mark.parametrize("spec", [
     epp_recurrence(1), repeater_station(1), code_encode(code_by_name("ring5")),
     code_correct(code_by_name("ring5")), code_correct(code_by_name("repetition3-phase")),
 ], ids=lambda spec: spec.name)
 def test_frame_map_is_the_byproduct_of_every_letter(spec):
-    out, flips = spec.frame_map()
+    out, flips = spec.frame_map
+    assert spec.frame_map is spec.frame_map  # built once per resource
+    assert not out.flags.writeable and not flips.flags.writeable
+    syndrome_at = [[vm.name for vm in spec.virtual_meas].index(s) for s in spec.syndrome]
     for k, code in product(range(len(spec.inputs)), range(4)):
-        outcomes = [OUTCOME[code if j == k else 0] for j in range(len(spec.inputs))]
-        info = spec.byproduct(outcomes)
-        assert list(out[k, code]) == codes_of(info.frame)
+        codes = [code if j == k else 0 for j in range(len(spec.inputs))]
+        info = conjugation_reading(spec, codes)
+        assert list(out[k, code]) == info.frame.codes()
         assert list(flips[k, code]) == [info.bits[vm.name] for vm in spec.virtual_meas]
+        table_out, table_syndrome = spec.byproduct(np.array(codes, dtype=np.uint8))
+        assert list(table_out) == info.frame.codes()
+        assert list(table_syndrome) == list(flips[k, code][syndrome_at]) == list(info.syndrome)
 
 
 @pytest.mark.parametrize("rounds", [3, 5])
@@ -106,10 +125,10 @@ def test_frames_match_the_byproduct_rule_on_random_frames(rounds):
     left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
     patterns = set()
     for s in range(n):
-        info = spec.byproduct([OUTCOME[c] for c in in_codes[:, s]])
+        info = conjugation_reading(spec, in_codes[:, s])
         patterns.add(tuple(info.bits.values()))
         assert keep[s] == info.keep
-        frame = codes_of(info.frame)
+        frame = info.frame.codes()
         assert index[s] == frame[left] ^ frame[right] ^ out_codes[left, s] ^ out_codes[right, s]
     assert 0 < keep.sum() < n and len(patterns) > n // 2
 
@@ -149,3 +168,43 @@ def test_stabilizer_purify_runs_no_tableau_per_attempt(monkeypatch):
     stats = purify_recurrence(werner(0.8), 1, NoiseModel(0.97, 0.97), samples=100,
                               rng=make_rng(3), engine="stabilizer")
     assert stats.extra["counts"]["attempts"] == 100
+
+
+def read_station(code, spec, host, block, frame, rng):
+    """Teleport `block` into a station resource; its syndrome and new
+    frame by the table, checked against the conjugation oracle on the
+    same Bell outcomes."""
+    out_labels = tuple(f"{spec.name}.o{k}" for k in range(len(spec.outputs)))
+    codes = teleport_in(spec, host, dict(zip(spec.inputs, block)), rng=rng,
+                        out_labels=out_labels)
+    syndrome, new_frame = station_reading(code, spec, codes ^ frame)
+    want_syndrome, want_frame = conjugation_station(code, spec, codes,
+                                                    PauliString.from_codes(frame))
+    assert syndrome == want_syndrome
+    assert list(new_frame) == want_frame.codes()
+    return syndrome, new_frame, out_labels
+
+
+@pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase"])
+def test_station_table_matches_the_conjugation_oracle_on_every_error(name):
+    # one noiseless segment with each single and double error injected:
+    # the correction station sees the error's syndrome whatever frame the
+    # encoding left pending, and the delivered pair is |phi+> exactly when
+    # the lookup correction undoes the error
+    code = code_by_name(name)
+    enc, corr, dec = code_encode(code), code_correct(code), code_decode_syndrome(code)
+    rng = make_rng(17)
+    frames = set()
+    for error in single_and_double_errors(code.n):
+        host = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
+        encoded = qec_encode(code, host, "in", NoiseModel(), rng, enc)
+        frames.add(tuple(encoded.frame))
+        host.apply_pauli(error, encoded.labels)
+        syndrome, frame, block = read_station(code, corr, host, encoded.labels,
+                                              encoded.frame, rng)
+        assert syndrome == code.syndrome_of(error)
+        _, frame, (out,) = read_station(code, dec, host, block, frame, rng)
+        host.apply_pauli(PauliString.from_codes(frame), [out])
+        residual = error * code.correction_for(syndrome)
+        assert (bd_index_of_pair(host, "ref", out) == 0) == (code.logical_flips(residual) == (0, 0))
+    assert len(frames) > 1

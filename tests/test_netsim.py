@@ -1,5 +1,5 @@
-"""Tests of encoded transmission: the syndrome/frame rule shared by the
-stations and the exact chain, frozen chain values, the composed logical
+"""Tests of encoded transmission: the stations' syndrome/frame rule,
+frozen chain values, the composed logical
 channel (dense) against a density-matrix branch ensemble, and stabilizer
 trajectories against the dense chain."""
 
@@ -8,15 +8,22 @@ import math
 import numpy as np
 import pytest
 
-from mbqcomm.catalog import code_by_name
-from mbqcomm.codes import CodeSpec, all_single_qubit_errors
+from mbqcomm.catalog import code_by_name, code_correct, code_decode_syndrome
+from mbqcomm.codes import CodeSpec
 from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
+from mbqcomm.protocols import station_reading
 from mbqcomm.rng import make_rng
 from mbqcomm.tableau import StabilizerState
 import oracles
-from oracles import depolarize, embed_unitary, fidelity_with_vec, to_dense
+from oracles import (
+    depolarize,
+    embed_unitary,
+    fidelity_with_vec,
+    single_and_double_errors,
+    to_dense,
+)
 
 CHAIN_NOISE = NoiseModel(0.98, 0.99, 0.9)
 
@@ -36,17 +43,20 @@ CHAIN_FROZEN = {
 ANALYTIC_FROZEN = {1: 0.8962128276627241, 2: 0.8067880248478049, 3: 0.7297380852608575}
 
 
-@pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase"])
+@pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase", "repetition5"])
 def test_estimate_removes_the_pending_frame(name):
+    # a station reads the syndrome bits of its outcome codes XOR the
+    # pending frame; the frame's own syndrome drops out because the bits
+    # the table reads for any Pauli on the block are its code syndrome
     code = code_by_name(name)
-    frames = [PauliString.identity(code.n)] + all_single_qubit_errors(code.n)
-    for error in all_single_qubit_errors(code.n):
-        for frame in frames:
-            raw = code.syndrome_of(error * frame)
-            syndrome, correction = code.estimate(raw, frame)
+    for spec in (code_correct(code), code_decode_syndrome(code)):
+        for error in [PauliString.identity(code.n)] + single_and_double_errors(code.n):
+            codes = np.array(error.codes(), dtype=np.uint8)
+            assert tuple(spec.byproduct(codes)[1]) == code.syndrome_of(error)
+            syndrome, frame = station_reading(code, spec, codes)
             assert syndrome == code.syndrome_of(error)
-            assert correction == code.correction_for(syndrome)
-            assert code.estimate(raw) == (raw, code.correction_for(raw))
+            fixed = (error * code.correction_for(syndrome)).codes()
+            assert list(frame) == list(spec.byproduct(np.array(fixed, dtype=np.uint8))[0])
 
 
 @pytest.mark.parametrize("key", sorted(CHAIN_FROZEN))
@@ -135,7 +145,8 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
             for q in block:
                 dm = depolarize(dm, q, p_tilde)
             for bprob, raw_bits, bdm in _syndrome_projector_branches(code, dm, gen_mats):
-                est = code.estimate(raw_bits, frame)[1]
+                syndrome = tuple(a ^ b for a, b in zip(raw_bits, code.syndrome_of(frame)))
+                est = code.correction_for(syndrome)
                 if cfg.correction_timing == "station":
                     bdm = apply_pauli(bdm, est.embed(n + 1, block))
                     new_frame = frame

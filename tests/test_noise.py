@@ -79,7 +79,7 @@ def test_apply_sampled_noise_edge_cases():
     for _ in range(4000):
         s = _phi_plus_state()
         apply_sampled_noise(s, [0], 0.0, rng)
-        counts[s.bell_measure(0, 1).index] += 1
+        counts[s.bell_measure(0, 1).code] += 1
     for c in counts.values():
         assert 800 < c < 1200
 
@@ -165,7 +165,7 @@ def test_noisy_bell_measure_ideal():
     for _ in range(30):
         s = _phi_plus_state()
         outcome = noisy_bell_measure(s, 0, 1, 1.0, rng)
-        assert outcome.index == 0
+        assert outcome.code == 0
 
 
 def test_noisy_bell_measure_fully_depolarized():
@@ -179,7 +179,7 @@ def test_noisy_bell_measure_fully_depolarized():
     for _ in range(2000):
         s = _phi_plus_state()
         outcome = noisy_bell_measure(s, 0, 1, 0.0, rng)
-        counts[outcome.index] += 1
+        counts[outcome.code] += 1
     assert all(c > 400 for c in counts.values())
 
 
@@ -219,7 +219,7 @@ def test_noisy_bell_measure_partial_matches_exact_probability():
         outcome = noisy_bell_measure(_phi_plus_state(), 0, 1, q, rng)
         assert rng.left == []
         total += weight
-        p0 += weight * (outcome.index == 0)
+        p0 += weight * (outcome.code == 0)
     assert abs(total - 1.0) < 1e-12
     assert abs(p0 - exact_p0) < 1e-12
 

@@ -22,16 +22,20 @@ from mbqcomm.protocols import (
     _purify_blocks,
     _tree_table,
     _xor_draws,
+    bd_index_of_pair,
     noise_stages,
     pairs_per_output,
     purify_recurrence,
     purify_stages,
     sample_stages,
     stats_from_counts,
+    wilson_interval,
 )
 from mbqcomm.protocols import _CHUNK as PAIR_CHUNK
 from mbqcomm.rng import _CHUNK, draw_indices, make_rng
+from mbqcomm.resources import LabeledRegister
 from mbqcomm.tableau import StabilizerState
+import oracles
 from oracles import validate_tableau
 
 PURIFY_NOISE = NoiseModel(0.97, 0.97, 1.0)
@@ -132,6 +136,18 @@ def test_summed_shard_counts_keep_p_success():
     assert _z(whole.p_success, exact, n >> rounds) < 4
     assert abs(merged.p_success - whole.p_success) < 4 * math.sqrt(
         2 * exact * (1 - exact) / (n >> rounds))
+
+
+def test_p_success_counts_whole_output_slots():
+    # 101 pairs in slots of 4 pairs: the 25 whole slots are the trials of
+    # p_success and of its interval, and 3 pairs fill none
+    counts = {"attempts": 101, "consumed": 101, "kept": 25, "good": 25}
+    stats = stats_from_counts(counts, 4)
+    assert (stats.p_success, stats.p_success_ci) == (1.0, wilson_interval(25, 25))
+    assert stats.protocol_yield == 25 / 101
+    assert stats_from_counts(dict(counts, kept=24, good=24, consumed=100), 4).p_success == 24 / 25
+    empty = stats_from_counts({"attempts": 3, "consumed": 3, "kept": 0, "good": 0}, 4)
+    assert (empty.p_success, empty.fidelity) == (None, None)
 
 
 # Raw sampler counts at seed 1, taken when the pools were still drawn by
@@ -294,10 +310,14 @@ def test_bell_pair_constructor(index, letter):
     )
     if letter != "I":
         ref.apply_pauli(PauliString.single(2, 1, letter))
-    pair = StabilizerState.bell_pair(index)
+    pair = oracles.bell_pair(index)
     assert pair.stabs == ref.stabs
     assert pair.destabs == ref.destabs
     validate_tableau(pair)
+    if index == 0:
+        assert pair.stabs == StabilizerState.bell_pair().stabs
+    # the Bell index that the chain reads off its delivered pair
+    assert bd_index_of_pair(LabeledRegister.from_state(pair, ["a", "b"]), "a", "b") == index
 
 
 # (rounds, F, noise): the frame engine against the exact maps; rounds 5

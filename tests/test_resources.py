@@ -17,10 +17,11 @@ from mbqcomm.resources import (
     premeasure_outputs,
     teleport_in,
 )
-from mbqcomm.tableau import StabilizerState
+from mbqcomm.tableau import InconsistentProjection, StabilizerState
 import oracles
 from oracles import (
-    bell_outcome,
+    conjugation_reading,
+    forced_teleport,
     is_connected,
     plus_state,
     random_clifford,
@@ -35,8 +36,8 @@ RNG = np.random.default_rng
 
 
 def all_outcomes(k):
-    for combo in product(range(4), repeat=k):
-        yield [bell_outcome(i) for i in combo]
+    """Every tuple of k Bell outcomes, as letter codes."""
+    return product(range(4), repeat=k)
 
 
 def remove_labels(reg, labels):
@@ -58,9 +59,11 @@ def test_cj_identity_is_bell_pair():
             [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
         )
     )
-    for i in range(4):
-        info = spec.byproduct([bell_outcome(i)])
-        assert str(info.frame) == "+" + "IXYZ"[i]
+    for code in range(4):
+        out, syndrome = spec.byproduct([code])
+        assert list(out) == [code] and len(syndrome) == 0
+        info = conjugation_reading(spec, [code])
+        assert str(info.frame) == "+" + "IZXY"[code]
         assert info.keep
 
 
@@ -73,10 +76,26 @@ def test_resource_invariant_inputs_plus_outputs():
 def test_teleport_identity_trivial():
     spec = cj_state(CliffordMap.identity(1), "id")
     host = LabeledRegister.from_state(plus_state(1), ["psi"])
-    res = teleport_in(spec, host, {"in0": "psi"},
-                      forced=[bell_outcome(0)])
-    assert str(res.frame) == "+I"
+    res = forced_teleport(spec, host, {"in0": "psi"}, forced=[0])
+    assert str(res.reading.frame) == "+I"
     assert str(host.state.stabs[0]) == "+X"
+
+
+def test_teleport_in_returns_the_outcome_codes():
+    # the frame of the returned codes, applied, teleports the state through H
+    spec = cj_state(circuit_map(1, [("H", 0)]), "h")
+    rng = RNG(7)
+    seen = set()
+    for _ in range(40):
+        base = random_host_state(1, rng)
+        host = LabeledRegister.from_state(base.copy(), ["psi"])
+        codes = teleport_in(spec, host, {"in0": "psi"}, rng=rng, out_labels=["o"])
+        seen.add(int(codes[0]))
+        assert host.labels == ["o"]
+        host.apply_pauli(PauliString.from_codes(spec.byproduct(codes)[0]), ["o"])
+        want = oracles.apply_unitary_vec(to_dense(base), oracles.H, [0])
+        assert oracles.states_equal_up_to_phase(to_dense(host.state), want, 1e-12)
+    assert seen == {0, 1, 2, 3}
 
 
 def test_teleport_through_hadamard_every_outcome():
@@ -87,8 +106,7 @@ def test_teleport_through_hadamard_every_outcome():
         want = oracles.apply_unitary_vec(to_dense(base), oracles.H, [0])
         for forced in all_outcomes(1):
             host = LabeledRegister.from_state(base.copy(), ["psi"])
-            r = teleport_in(spec, host, {"in0": "psi"}, forced=forced,
-                            apply_frame=True)
+            r = forced_teleport(spec, host, {"in0": "psi"}, forced)
             assert r.branch_probability == 0.25
             assert oracles.states_equal_up_to_phase(to_dense(host.state), want, 1e-12)
 
@@ -101,8 +119,7 @@ def test_teleport_through_cnot_reproduces_cnot():
         want = oracles.apply_unitary_vec(to_dense(base), oracles.CNOT, [0, 1])
         for forced in all_outcomes(2):
             host = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            r = teleport_in(spec, host, {"in0": "a", "in1": "b"},
-                            forced=forced, apply_frame=True)
+            r = forced_teleport(spec, host, {"in0": "a", "in1": "b"}, forced)
             assert abs(r.branch_probability - 1 / 16) < 1e-15
             assert oracles.states_equal_up_to_phase(to_dense(host.state), want, 1e-12)
 
@@ -119,10 +136,7 @@ def test_channel_identity_random_cliffords():
             host = LabeledRegister.from_state(
                 base.copy(), [f"q{k}" for k in range(n)]
             )
-            teleport_in(
-                spec, host, {f"in{k}": f"q{k}" for k in range(n)},
-                forced=forced, apply_frame=True,
-            )
+            forced_teleport(spec, host, {f"in{k}": f"q{k}" for k in range(n)}, forced)
             # resulting state must be stabilized by C g C^dagger
             for g in base.stabs:
                 img = c.conjugate(g)
@@ -139,9 +153,8 @@ def test_teleport_cnot_on_bell_plus_zero_is_ghz_class():
     want = oracles.apply_unitary_vec(want, oracles.CNOT, [1, 2])
     for forced in all_outcomes(2):
         host = LabeledRegister.from_state(base.copy(), ["keep", "a", "b"])
-        teleport_in(spec, host, {"in0": "a", "in1": "b"}, forced=forced,
-                    apply_frame=True,
-                    out_labels=["o0", "o1"])
+        forced_teleport(spec, host, {"in0": "a", "in1": "b"}, forced,
+                        out_labels=["o0", "o1"])
         got = to_dense(host.state)  # order: keep, o0, o1
         assert oracles.states_equal_up_to_phase(got, want, 1e-12)
         spec_g, _ = to_graph(host.state)
@@ -168,17 +181,15 @@ def test_premeasure_equals_postselected_measurement():
         m_op = PauliString.single(spec.n_wires, m_wire, "Z")
         for forced in all_outcomes(2):
             host_pre = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            r_pre = teleport_in(pre, host_pre, wiring, forced=forced)
+            r_pre = forced_teleport(pre, host_pre, wiring, forced, apply_frame=False)
             host_post = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            r_post = teleport_in(spec, host_post, wiring, forced=forced)
-            sink: list = []
+            r_post = forced_teleport(spec, host_post, wiring, forced, apply_frame=False)
+            z_out1 = host_post.embed_pauli(PauliString.single(1, 0, "Z"), ["out1"])
+            random = not all(g.commutes(z_out1) for g in host_post.state.stabs)
             try:
-                host_post.measure(
-                    PauliString.single(1, 0, "Z"), ["out1"], force=+1,
-                    prob_sink=sink,
-                )
-                post_prob = r_post.branch_probability * sink[0]
-            except Exception:
+                host_post.state.measure(z_out1, force=+1)
+                post_prob = r_post.branch_probability * (0.5 if random else 1.0)
+            except InconsistentProjection:
                 post_prob = 0.0
             assert abs(r_pre.branch_probability - 2 * post_prob) < 1e-12
             if post_prob > 0:
@@ -188,17 +199,10 @@ def test_premeasure_equals_postselected_measurement():
                 )
                 # the virtual bit equals the frame commutation flag
                 pushed = spec.circuit.conjugate(
-                    _sigma_of(forced, spec)
+                    PauliString.from_codes(forced).embed(spec.n_wires, list(spec.input_wires))
                 )
                 want_bit = 0 if pushed.commutes(m_op) else 1
-                assert r_pre.bits["meas[out1]"] == want_bit
-
-
-def _sigma_of(forced, spec):
-    sigma = PauliString.identity(spec.n_wires)
-    for outcome, wire in zip(forced, spec.input_wires):
-        sigma = sigma * outcome.byproduct().embed(spec.n_wires, [wire])
-    return sigma
+                assert r_pre.reading.bits["meas[out1]"] == want_bit
 
 
 def test_premeasure_impossible_projection_raises():
@@ -240,9 +244,9 @@ def test_merge_identity_resources():
         [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
     )
     assert same_state(merged.state, base)
-    for i in range(4):
-        info = merged.byproduct([bell_outcome(i)])
-        assert str(info.frame) == "+" + "IXYZ"[i]
+    for code in range(4):
+        assert list(merged.byproduct([code])[0]) == [code]
+        assert str(conjugation_reading(merged, [code]).frame) == "+" + "IZXY"[code]
 
 
 def test_merge_matches_sequential_teleport():
@@ -259,10 +263,7 @@ def test_merge_matches_sequential_teleport():
         want.apply_clifford(c2 @ c1)
         for forced in all_outcomes(2):
             host = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            teleport_in(
-                merged, host,
-                {"r1/in0": "a", "r1/in1": "b"}, forced=forced, apply_frame=True,
-            )
+            forced_teleport(merged, host, {"r1/in0": "a", "r1/in1": "b"}, forced)
             assert oracles.states_equal_up_to_phase(
                 to_dense(host.state), to_dense(want), 1e-12
             )
@@ -277,10 +278,8 @@ def test_merge_associativity_as_channels():
     left = merge(merge(a, b, [("out0", "in0")]), c, [("b/out0", "in0")])
     right = merge(a, merge(b, c, [("out0", "in0")]), [("out0", "b/in0")])
     assert same_state(left.state, right.state)
-    for i in range(4):
-        fl = left.byproduct([bell_outcome(i)]).frame
-        fr = right.byproduct([bell_outcome(i)]).frame
-        assert fl.x == fr.x and fl.z == fr.z
+    for code in range(4):
+        assert list(left.byproduct([code])[0]) == list(right.byproduct([code])[0])
 
 
 def test_merge_without_connections_is_the_product():
@@ -294,8 +293,8 @@ def test_merge_without_connections_is_the_product():
     want.apply_clifford(c2.shifted(3, 2) @ c1.shifted(3, 0))
     for forced in all_outcomes(3):
         host = LabeledRegister.from_state(base.copy(), ["a", "b", "c"])
-        teleport_in(product_, host, {"r1/in0": "a", "r1/in1": "b", "r2/in0": "c"},
-                    forced=forced, apply_frame=True)
+        forced_teleport(product_, host, {"r1/in0": "a", "r1/in1": "b", "r2/in0": "c"},
+                        forced)
         assert oracles.states_equal_up_to_phase(to_dense(host.state), to_dense(want), 1e-12)
 
 

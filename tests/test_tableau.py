@@ -10,6 +10,7 @@ from mbqcomm.pauli import PauliError, PauliString
 from mbqcomm.tableau import BellOutcome, InconsistentProjection, StabilizerState, TableauError
 import oracles
 from oracles import (
+    BD_SIGMA_ORDER,
     U_PG,
     GraphSpec,
     apply_gate,
@@ -59,22 +60,32 @@ def measure_pauli(state, p, rng=None, force=None):
     return out.measure(p, rng, force), out
 
 
-def bell_measure(state, a, b, rng=None, force=None):
+def bell_measure(state, a, b, rng=None):
     """Functional Bell measurement; (a, b) are removed from the result."""
     out = state.copy()
-    return out.bell_measure(a, b, rng, force), out
+    return out.bell_measure(a, b, rng), out
 
 
 def eliminating_bell_measure(state, a, b, rng=None, force=None):
-    """Oracle of `StabilizerState.bell_measure`: measure X_a X_b and Z_a Z_b,
+    """Oracle of `StabilizerState.bell_measure`: measure X_a X_b and Z_a Z_b
+    (forced onto the outcome of letter code `force` unless it is None),
     then drop the pair by the two Gauss-Jordan passes of `remove_qubits`."""
     n = state.n
     xx = PauliString.single(n, a, "X") * PauliString.single(n, b, "X")
     zz = PauliString.single(n, a, "Z") * PauliString.single(n, b, "Z")
-    sx = state.measure(xx, rng, None if force is None else 1 - 2 * force.b_x)
-    sz = state.measure(zz, rng, None if force is None else 1 - 2 * force.b_z)
+    sx = state.measure(xx, rng, None if force is None else 1 - 2 * (force & 1))
+    sz = state.measure(zz, rng, None if force is None else 1 - 2 * (force >> 1))
     oracles.remove_qubits(state, [a, b])
     return BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
+
+
+def pinning_bell_measure(state, a, b, rng, force):
+    """`bell_measure`, or its forced twin `oracles.forced_bell_measure`
+    (the same pins and one-pass removal) when `force` is a letter code."""
+    if force is None:
+        return state.bell_measure(a, b, rng)
+    oracles.forced_bell_measure(state, a, b, force)
+    return bell_outcome(force)
 
 
 def assert_bell_measure_matches_oracle(s, a, b, force, seed):
@@ -86,9 +97,9 @@ def assert_bell_measure_matches_oracle(s, a, b, force, seed):
         expected = eliminating_bell_measure(want, a, b, rng_want, force)
     except InconsistentProjection:
         with pytest.raises(InconsistentProjection):
-            got.bell_measure(a, b, rng_got, force)
+            pinning_bell_measure(got, a, b, rng_got, force)
         return
-    assert got.bell_measure(a, b, rng_got, force) == expected
+    assert pinning_bell_measure(got, a, b, rng_got, force) == expected
     validate_tableau(got)
     assert same_state(got, want)
     assert rng_got.random() == rng_want.random()
@@ -231,7 +242,7 @@ def test_bell_measure_on_phi_plus_is_outcome_zero():
     )
     rng = np.random.default_rng(0)
     outcome, rest = bell_measure(s, 0, 1, rng)
-    assert outcome.index == 0
+    assert outcome.code == 0
     assert rest.n == 0
 
 
@@ -247,11 +258,11 @@ def test_bell_measure_swapping_matches_dense_oracle():
     for _ in range(80):
         s = base.copy()
         outcome = s.bell_measure(1, 2, rng)
-        seen.add(outcome.index)
-        prob, reduced = oracles.project_bell_vec(v, 1, 2, outcome.index)
+        seen.add(outcome.code)
+        prob, reduced = oracles.project_bell_vec(v, 1, 2, BD_SIGMA_ORDER[outcome.code])
         assert abs(prob - 0.25) < 1e-12
         assert oracles.states_equal_up_to_phase(to_dense(s), reduced, 1e-12)
-        sigma = oracles.pauli_matrix(outcome.byproduct())
+        sigma = oracles.pauli_matrix(PauliString.from_codes([outcome.code]))
         expect = oracles.apply_unitary_vec(
             np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), sigma, [1]
         )
@@ -272,7 +283,7 @@ def test_bell_measure_pair_with_fresh_zero_uniform():
     for _ in range(400):
         s = base.copy()
         outcome = s.bell_measure(1, 2, rng)
-        counts[outcome.index] += 1
+        counts[outcome.code] += 1
     assert all(c > 0 for c in counts.values())
 
 
@@ -284,15 +295,14 @@ def test_bell_outcome_distribution_matches_dense_generic():
         v = to_dense(s)
         a, b = rng.choice(n, size=2, replace=False)
         a, b = int(a), int(b)
-        for i in range(4):
-            prob, reduced = oracles.project_bell_vec(v, a, b, i)
+        for code in range(4):
+            prob, reduced = oracles.project_bell_vec(v, a, b, BD_SIGMA_ORDER[code])
             branch = s.copy()
             if prob < 1e-14:
                 with pytest.raises(InconsistentProjection):
-                    branch.bell_measure(a, b, force=bell_outcome(i))
+                    oracles.forced_bell_measure(branch, a, b, code)
                 continue
-            outcome = branch.bell_measure(a, b, force=bell_outcome(i))
-            assert outcome.index == i
+            assert abs(oracles.forced_bell_measure(branch, a, b, code) - prob) < 1e-12
             if branch.n:
                 assert oracles.states_equal_up_to_phase(to_dense(branch), reduced, 1e-12)
             validate_tableau(branch)
@@ -318,9 +328,9 @@ def test_bell_measure_equals_the_elimination_oracle(n):
     # shallow circuits and Bell pairs leave deterministic XX or ZZ
     # outcomes; scrambled generators vary which rows hold them
     rng = np.random.default_rng(70 + n)
-    forces = [None] + [bell_outcome(i) for i in range(4)]
+    forces = [None, 0, 1, 2, 3]
     states = [random_stabilizer_state(n, rng, depth) for depth in (2, n, None)]
-    pairs = StabilizerState.bell_pair(int(rng.integers(4))).tensor(
+    pairs = oracles.bell_pair(int(rng.integers(4))).tensor(
         random_stabilizer_state(n - 2, rng))
     pairs.apply_clifford(random_clifford(n, rng, 2))
     for s in states + [pairs]:
@@ -378,7 +388,7 @@ def measured_out(n, rng):
 def test_drop_measured_equals_the_elimination_oracle(n):
     rng = np.random.default_rng(90 + n)
     states = [random_stabilizer_state(n, rng, depth) for depth in (2, n, None)]
-    pairs = StabilizerState.bell_pair(int(rng.integers(4))).tensor(
+    pairs = oracles.bell_pair(int(rng.integers(4))).tensor(
         random_stabilizer_state(n - 2, rng))
     pairs.apply_clifford(random_clifford(n, rng, 2))
     for s in states + [pairs]:
@@ -405,10 +415,10 @@ def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
     for i, j in ((2, 0), (3, 1), (4, 0), (4, 1)):
         row_operation(s, i, j)
     validate_tableau(s)
-    for force in [None] + [bell_outcome(i) for i in range(4)]:
+    for force in [None, 0, 1, 2, 3]:
         for a, b in ((0, 1), (1, 0)):
             assert_bell_measure_matches_oracle(s, a, b, force, 11)
-    assert s.bell_measure(0, 1).index == 0
+    assert s.bell_measure(0, 1).code == 0
 
 
 def test_to_dense_trivial_cases():
@@ -567,13 +577,13 @@ def test_measurements_and_removal_match_dense_oracle(data):
         elif kind == "bell":
             a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                                       unique=True), label="pair")
-            i = data.draw(st.integers(0, 3), label="bell index")
-            prob, post = oracles.project_bell_vec(v, a, b, i)
+            code = data.draw(st.integers(0, 3), label="bell index")
+            prob, post = oracles.project_bell_vec(v, a, b, BD_SIGMA_ORDER[code])
             if prob < 1e-12:
                 with pytest.raises(InconsistentProjection):
-                    s.copy().bell_measure(a, b, force=bell_outcome(i))
+                    oracles.forced_bell_measure(s.copy(), a, b, code)
                 continue
-            assert s.bell_measure(a, b, force=bell_outcome(i)).index == i
+            assert abs(oracles.forced_bell_measure(s, a, b, code) - prob) < 1e-10
             validate_tableau(s)
             if s.n:
                 assert oracles.states_equal_up_to_phase(to_dense(s), post, 1e-10)
