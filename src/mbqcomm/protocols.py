@@ -20,16 +20,19 @@ list of stages, and run by two evaluators: `evaluate_stages` (exact,
 on the Bell-diagonal maps) and `sample_stages` (Bell-index Monte
 Carlo). The stage kinds are:
 
-- `Depolarize(p)`: E(p) on both halves of each pair, one Bell-index
-  draw from E(p^2) in the sampler;
+- `Depolarize(p)`: E(p) on both halves of each pair; the sampler
+  composes each run of consecutive `Depolarize` stages into one
+  Bell-index distribution;
 - `Purify(depth, variant)`: one merged block of `depth` recurrence
   rounds on a tree of 2^depth pairs, kept only if every check in the
   tree passes; the outputs of a block are pooled for the next stage;
 - `Swap`: entanglement swapping of the pairs of adjacent segments.
 
-The sampler keeps each segment's pool as uint8 Bell indices. Every pool
-and every `Depolarize` draw comes from `rng.draw_indices`, the one
-uint8 draw of the package. A recurrence round reduces a (source,
+The sampler keeps each segment's pool as uint8 Bell indices. A run of
+`Depolarize` stages at the head of the list is folded into the state the
+pools are drawn from; a later run XORs one draw into every pool. Every
+pool and every such draw comes from `rng.draw_indices`, the one uint8
+draw of the package. A recurrence round reduces a (source,
 target) pair through 16-entry keep and output tables looked up by the
 4-bit code (src << 2) | tgt; the sampler looks up up to 3 such rounds
 at once, in a table over the packed leaves of a block.
@@ -49,12 +52,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .belldiag import (
     BellDiagonalState,
     apply_depolarizing,
+    perfect_pair,
     recurrence_step,
     recurrence_table,
     swap_pairs,
@@ -107,7 +112,9 @@ class ProtocolStats:
 class Depolarize:
     """E(p) on both halves of every pair.
 
-    The two one-sided maps compose to one Bell-index draw from E(p^2).
+    The two one-sided maps compose to E(p^2) on one half. The sampler
+    composes a run of such stages with `evaluate_stages`, so a run costs
+    it one Bell-index draw, or none at the head of a stage list.
     """
 
     p: float
@@ -272,9 +279,10 @@ def _purify_blocks(pool: np.ndarray, stage: Purify) -> np.ndarray:
 def _xor_draws(pool: np.ndarray, weights, rng) -> None:
     """pool ^= draw_indices(rng, weights, pool.size), one chunk at a time.
 
-    The doubles are drawn in the same order as by one call, so the
-    stream and the result are those of the one-shot XOR, without a
-    second pool-sized array.
+    `weights` is the Bell-index distribution of one whole `Depolarize`
+    run applied to |phi+>. The doubles are drawn in the same order as by
+    one call, so the stream and the result are those of the one-shot
+    XOR, without a second pool-sized array.
     """
     for start in range(0, pool.size, _CHUNK):
         chunk = pool[start:start + _CHUNK]
@@ -285,25 +293,33 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
                   pairs_per_attempt: int = 1) -> dict:
     """Bell-index Monte Carlo of a stage list; returns raw counts.
 
-    Each segment (2^(number of swaps) of them) starts from a pool of
-    attempts * pairs_per_attempt Bell indices, held as uint8 and drawn by
-    `draw_indices`; a `Depolarize` stage XORs one more draw into every
-    pool, chunk by chunk. A `Purify` stage reduces every block through
-    one tree-table lookup per 3 rounds (`_purify_blocks`), chunk by chunk.
-    Survivors of a block are pooled for the next stage; swapping pairs up
-    the pools of adjacent segments, truncated to the shorter one.
+    Each run of consecutive `Depolarize` stages is one Bell-index
+    distribution, composed by `evaluate_stages`. A run at the head of
+    the list is composed into `state`, and each segment (2^(number of
+    swaps) of them) starts from a pool of attempts * pairs_per_attempt
+    Bell indices drawn from the result, held as uint8. A later run XORs
+    one draw from the run applied to |phi+> into every pool, chunk by
+    chunk. A `Purify` stage reduces every block through one tree-table
+    lookup per 3 rounds (`_purify_blocks`), chunk by chunk. Survivors of
+    a block are pooled for the next stage; swapping pairs up the pools of
+    adjacent segments, truncated to the shorter one.
 
     The random stream is a function of the stage list and the pool sizes
-    only: every pool, then every `Depolarize` draw in stage order, one
-    double per pair, whatever the chunking. The counts at a seed are
-    pinned by the tests.
+    only: every pool, then one draw per later `Depolarize` run in stage
+    order, one double per pair, whatever the chunking. The counts at a
+    seed are pinned by the tests.
     """
     segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
     size = attempts * pairs_per_attempt
+    steps = []  # the stages, with each run of `Depolarize` stages as one list
+    for noisy, run in groupby(stages, lambda stage: isinstance(stage, Depolarize)):
+        steps += [list(run)] if noisy else list(run)
+    if steps and isinstance(steps[0], list):
+        state = evaluate_stages(state, steps.pop(0))[0]
     pools = [draw_indices(rng, state.as_array(), size) for _ in range(segments)]
-    for stage in stages:
-        if isinstance(stage, Depolarize):
-            w = stage.index_weights()
+    for stage in steps:
+        if isinstance(stage, list):
+            w = evaluate_stages(perfect_pair(), stage)[0].as_array()
             for pool in pools:
                 _xor_draws(pool, w, rng)
         elif isinstance(stage, Purify):

@@ -23,6 +23,7 @@ from mbqcomm.protocols import (
     _tree_table,
     _xor_draws,
     bd_index_of_pair,
+    evaluate_stages,
     noise_stages,
     pairs_per_output,
     purify_recurrence,
@@ -150,14 +151,16 @@ def test_p_success_counts_whole_output_slots():
     assert (empty.p_success, empty.fidelity) == (None, None)
 
 
-# Raw sampler counts at seed 1, taken when the pools were still drawn by
-# `Generator.choice`: a faster sampler must consume the same random stream.
+# Raw sampler counts at seed 1. The stream is one double per pair for
+# each pool draw (a leading `Depolarize` run folded into the pool's
+# state), plus one double per pair for each later `Depolarize` run; a
+# sampler that consumes it otherwise moves these counts.
 # merged: the purify-mc bench command (3 rounds, 1M attempts);
 # repeater: the repeater-mc bench command (8 segments, 2 rounds, 2^20 pairs)
 STREAM_COUNTS = {
-    "merged": (1_000_000, 8_000_000, 72_783, 65_576),
-    "stepwise": (1_000_000, 1_000_000, 101_165, 68_080),
-    "repeater": (1 << 20, 8 << 20, 1_284, 1_264),
+    "merged": (1_000_000, 8_000_000, 72_979, 65_696),
+    "stepwise": (1_000_000, 1_000_000, 101_110, 68_004),
+    "repeater": (1 << 20, 8 << 20, 1_254, 1_232),
 }
 
 
@@ -248,6 +251,34 @@ def test_chunked_xor_equals_one_shot_xor(size):
     _xor_draws(pool, weights, ours)
     assert np.array_equal(pool, expected)
     assert ours.random() == ref.random()  # both streams consumed alike
+
+
+# Stage lists without `Purify`, so every pool keeps its size: (stages,
+# doubles drawn per attempt). Each segment's pool is one draw with the
+# leading run folded into its state; a later run is one more draw.
+NOISE_RUNS = {
+    "head run": ([Depolarize(0.9), Depolarize(0.8)], 1),
+    "run after swap": ([Depolarize(0.9), Swap(), Depolarize(0.95), Depolarize(0.85)], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_RUNS))
+@pytest.mark.parametrize("size", [1, 1000, PAIR_CHUNK + 3])
+def test_a_run_of_depolarize_stages_is_one_draw(case, size):
+    stages, per_pair = NOISE_RUNS[case]
+    ours, ref = make_rng(6), make_rng(6)
+    sample_stages(werner(0.8), stages, size, ours)
+    ref.random(per_pair * size)
+    assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("case", sorted(NOISE_RUNS))
+def test_noise_runs_sample_their_exact_state(case):
+    stages, _ = NOISE_RUNS[case]
+    counts = sample_stages(werner(0.8), stages, 200_000, make_rng(8))
+    fidelity = evaluate_stages(werner(0.8), stages)[0].fidelity
+    assert counts["kept"] == 200_000
+    assert _z(counts["good"] / counts["kept"], fidelity, counts["kept"]) < 4
 
 
 @pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
