@@ -62,12 +62,12 @@ def werner(fidelity: float) -> BellDiagonalState:
     return BellDiagonalState((fidelity, r, r, r))
 
 
-def apply_pauli_channel(state: BellDiagonalState, side: str,
-                        channel: PauliChannel) -> BellDiagonalState:
-    """Exact action of a one-sided Pauli channel: XOR convolution."""
-    if side not in ("A", "B"):
-        raise BellDiagonalError("side must be 'A' or 'B'")
-    w = channel.bd_weights()
+def apply_pauli_channel(state: BellDiagonalState, channel: PauliChannel) -> BellDiagonalState:
+    """Exact action of a Pauli channel on one half: XOR convolution of
+    the coefficients with `channel.weights`, which share their letter
+    order. A Pauli on either half of |phi+> gives the same Bell index,
+    so the half need not be named."""
+    w = channel.weights
     c = state.as_array()
     out = np.zeros(4)
     for k in range(4):
@@ -76,8 +76,8 @@ def apply_pauli_channel(state: BellDiagonalState, side: str,
     return BellDiagonalState(tuple(out))
 
 
-def apply_depolarizing(state: BellDiagonalState, side: str, p: float) -> BellDiagonalState:
-    return apply_pauli_channel(state, side, PauliChannel.depolarizing(p))
+def apply_depolarizing(state: BellDiagonalState, p: float) -> BellDiagonalState:
+    return apply_pauli_channel(state, PauliChannel.depolarizing(p))
 
 
 def shannon_entropy(state: BellDiagonalState) -> float:

@@ -28,7 +28,7 @@ from .netsim import (
 from .noise import NoiseModel
 from .protocols import HashingEnsemble, purify_hashing, purify_recurrence, stats_from_counts
 from .results import ResultRecord, config_hash, write_csv, write_jsonl, write_plot_csv
-from .rng import default_shards, make_rng
+from .rng import make_rng
 from .thresholds import (
     ThresholdError,
     code_step_detector,
@@ -142,7 +142,7 @@ def cmd_purify(args) -> int:
     else:
         samples = 10_000 if samples is None else samples
         seed = 1 if seed is None else seed
-        shards = default_shards() if shards is None else shards
+        shards = 1 if shards is None else shards
         counts = Counter()
         for shard in range(shards):
             size = samples // shards + (shard < samples % shards)
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_noise_args(p)
     add_run_args(p, samples=None, seed=None)
     p.add_argument("--shards", type=positive_int, default=None,
-                   help="defaults to MBQCOMM_SHARDS or 1")
+                   help="defaults to 1")
     p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("hashing", help="hashing purification (exact decode)")

@@ -66,20 +66,22 @@ class CodeSpec:
         return entry
 
     def logical_channel(self, weights, max_weight: int | None = None) -> np.ndarray:
-        """Weights (I, X, Y, Z) of the residual logical Pauli after i.i.d.
-        single-qubit Pauli noise `weights` (I, X, Y, Z) on every block
-        qubit and one lookup correction.
+        """Weights of the residual logical Pauli after i.i.d. single-qubit
+        Pauli noise `weights` on every block qubit and one lookup
+        correction, both indexed by letter code 2x + z (I, Z, X, Y).
 
-        Sums exactly over all 4^n errors. With `max_weight` only errors of
+        Sums exactly over all 4^n errors. The residual's anticommutation
+        bits with (logical X, logical Z) are its z and x bits, so they are
+        its letter code as they stand. With `max_weight` only errors of
         at most that weight count, so the weights sum to less than one.
         """
         n = self.n
         err = np.arange(1 << 2 * n, dtype=np.int64)
         x, z = err & ((1 << n) - 1), err >> n
-        by_bits = np.asarray(weights, dtype=float)[[0, 1, 3, 2]]  # x + 2z: I, X, Z, Y
+        weights = np.asarray(weights, dtype=float)
         prob = np.ones(err.size)
         for q in range(n):
-            prob *= by_bits[(x >> q & 1) + 2 * (z >> q & 1)]
+            prob *= weights[2 * (x >> q & 1) + (z >> q & 1)]
         if max_weight is not None:
             prob[np.bitwise_count(x | z) > max_weight] = 0.0
         logicals = (self.logical_x, self.logical_z)
@@ -89,8 +91,7 @@ class CodeSpec:
         fix_flips = _parities(np.array([f.x for f in fixes]),
                               np.array([f.z for f in fixes]), logicals)
         residual = _parities(x, z, logicals) ^ fix_flips[_parities(x, z, self.stabilizers)]
-        # flip bits (anticommutes with logical X, with logical Z) -> I, Z, X, Y
-        return np.bincount(np.array([0, 3, 1, 2])[residual], weights=prob, minlength=4)
+        return np.bincount(residual, weights=prob, minlength=4)
 
     def logical_noise(self, p: float, max_weight: int | None = None) -> float:
         """Logical depolarizing parameter (4 F - 1)/3 of one correction step

@@ -226,7 +226,7 @@ def _encoded_chain_dense(cfg: ChainConfig) -> float:
     for seg in range(cfg.segments):
         physical = PauliChannel.depolarizing(effective_step_noise(cfg, seg))
         logical = PauliChannel(tuple(code.logical_channel(physical.weights)))
-        pair = apply_pauli_channel(pair, "B", logical)
+        pair = apply_pauli_channel(pair, logical)
     return pair.fidelity
 
 

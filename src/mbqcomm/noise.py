@@ -3,6 +3,10 @@ measurements and noisy resource states, in two forms that are kept
 interchangeable by tests: trajectory sampling (Pauli insertion on
 stabilizer states) and exact Pauli channels (`PauliChannel`, which the
 Bell-diagonal maps apply).
+
+A one-qubit Pauli is coded by its letter code 2x + z (I, Z, X, Y = 0, 1,
+2, 3), as everywhere in the package: channel weights, Bell indices and
+frame letters are indexed alike, and letters multiply by XOR.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ def _check_prob(value: float, name: str):
 
 
 def _depolarizing_weights(p: float) -> tuple[float, float, float, float]:
-    """I, X, Y, Z weights of E(p): keep with probability p, else uniform."""
+    """Weights of E(p), identity first: keep with probability p, else
+    uniform. The three Paulis weigh alike, so any letter order reads them."""
     _check_prob(p, "p")
     r = (1.0 - p) / 4.0
     return (p + r, r, r, r)
@@ -65,7 +70,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class PauliChannel:
-    """Single-qubit Pauli-diagonal channel as weights over I, X, Y, Z."""
+    """Single-qubit Pauli-diagonal channel: `weights[c]` is the
+    probability of the letter of code c = 2x + z (I, Z, X, Y), which is
+    also the Bell index it gives |phi+> on either half."""
 
     weights: tuple[float, float, float, float]
 
@@ -82,16 +89,16 @@ class PauliChannel:
         """White noise: keep with probability p, else uniformly randomize."""
         return cls(_depolarizing_weights(p))
 
-    def bd_weights(self) -> np.ndarray:
-        """Weights re-indexed in Bell-diagonal order (I, Z, X, Y)."""
-        wi, wx, wy, wz = self.weights
-        return np.array([wi, wz, wx, wy])
-
 
 def apply_sampled_noise(state: StabilizerState, qubits: list[int], p: float, rng):
     """Insert i.i.d. depolarizing-sampled Paulis on the listed qubits: the
     letters of one `random(len(qubits))` call, cut as `draw_indices` cuts
-    them, applied as one Pauli (sign flips compose)."""
+    them, applied as one Pauli (sign flips compose).
+
+    This is the package's one reading of a cut index in the order I, X,
+    Y, Z rather than by letter code: the seed-pinned trajectory records
+    of `qec` and `chain` were drawn with it, and E(p)'s weights do not
+    depend on the order, only which double becomes which letter does."""
     _check_prob(p, "p")
     if p == 1.0:
         return

@@ -119,9 +119,6 @@ class Depolarize:
 
     p: float
 
-    def index_weights(self) -> np.ndarray:
-        return PauliChannel.depolarizing(self.p * self.p).bd_weights()
-
 
 @dataclass(frozen=True)
 class Purify:
@@ -169,7 +166,7 @@ def evaluate_stages(state: BellDiagonalState, stages) -> tuple[BellDiagonalState
     p_success = 1.0
     for stage in stages:
         if isinstance(stage, Depolarize):
-            state = apply_depolarizing(apply_depolarizing(state, "A", stage.p), "B", stage.p)
+            state = apply_depolarizing(apply_depolarizing(state, stage.p), stage.p)
         elif isinstance(stage, Purify):
             for r in range(stage.depth):
                 state, s = recurrence_step(state, state, stage.variant)
@@ -417,7 +414,7 @@ def purify_recurrence_mc(input_state: BellDiagonalState, rounds: int,
 def bd_index_of_pair(reg: LabeledRegister, la: str, lb: str) -> int:
     """Bell index of a pair held in a register: the code of one Bell
     measurement, which removes the pair."""
-    return reg.bell_measure(la, lb).code
+    return reg.bell_measure(la, lb)
 
 
 def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
@@ -470,12 +467,12 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
     spec = epp_recurrence(rounds, "DEJMPS")
     n_pairs = 1 << rounds
     dress_in, dress_out = noise_stages(noise)
-    in_codes = _letters(rng, PauliChannel.depolarizing(dress_in.p).bd_weights(),
+    in_codes = _letters(rng, PauliChannel.depolarizing(dress_in.p).weights,
                         len(spec.inputs), samples)
     pairs = _letters(rng, input_state.as_array(), n_pairs, samples)
     for k in range(n_pairs):
         in_codes[spec.inputs.index(f"R/in{k}")] ^= pairs[k]
-    out_codes = _letters(rng, PauliChannel.depolarizing(dress_out.p).bd_weights(),
+    out_codes = _letters(rng, PauliChannel.depolarizing(dress_out.p).weights,
                          len(spec.outputs), samples)
     keep, index = purify_frames(spec, in_codes, out_codes)
     counts = {"attempts": samples, "consumed": samples * n_pairs,
@@ -605,12 +602,6 @@ def _ml_decode(n_pairs: int, weights: np.ndarray, rounds: list[HashingRound],
     return est, ambiguous
 
 
-def hashing_effective_state(ensemble: HashingEnsemble, noise: NoiseModel) -> BellDiagonalState:
-    """Pair state after folding resource-input noise onto the ensemble."""
-    dress_in, _dress_out = noise_stages(noise)
-    return evaluate_stages(ensemble.pair_state, [dress_in])[0]
-
-
 def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
                    samples: int, rng) -> ProtocolStats:
     """Hashing in the classical error-string representation, exact ML decode.
@@ -623,9 +614,9 @@ def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
         raise ProtocolError("exact ML decoding is limited to 24 pairs")
     if checks < 0:
         raise ProtocolError(f"checks must be at least 0, got {checks}")
-    dressed = hashing_effective_state(ensemble, noise)
-    weights = dressed.as_array()
-    out_w = noise_stages(noise)[1].index_weights()
+    dress_in, dress_out = noise_stages(noise)
+    weights = evaluate_stages(ensemble.pair_state, [dress_in])[0].as_array()
+    out_w = evaluate_stages(perfect_pair(), [dress_out])[0].as_array()
     n = ensemble.n_pairs
     survivors_total = correct_total = 0
     all_correct = ambiguous_count = 0

@@ -32,7 +32,7 @@ import numpy as np
 
 from .noise import NoiseModel, apply_sampled_noise
 from .pauli import CliffordMap, PauliString, gate_map
-from .tableau import BellOutcome, InconsistentProjection, StabilizerState, TableauError
+from .tableau import InconsistentProjection, StabilizerState, TableauError
 
 _ANCILLA_LETTERS = ("Z", "X")  # |0> and |+>
 
@@ -135,7 +135,8 @@ class ResourceSpec:
 
     def byproduct(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read letter codes riding into the inputs (one per input, in
-        input order; a Bell outcome reads as `BellOutcome.code`).
+        input order, such as the codes `StabilizerState.bell_measure`
+        returns).
 
         Returns their image on the outputs as letter codes, in output
         order, and the `syndrome` bits they flip: the XOR of the
@@ -429,7 +430,7 @@ class LabeledRegister:
     def depolarize(self, labels: Sequence[str], p: float, rng):
         apply_sampled_noise(self.state, [self.index(l) for l in labels], p, rng)
 
-    def bell_measure(self, la: str, lb: str, rng=None) -> BellOutcome:
+    def bell_measure(self, la: str, lb: str, rng=None) -> int:
         outcome = self.state.bell_measure(self.index(la), self.index(lb), rng)
         self.labels = [l for l in self.labels if l not in (la, lb)]
         return outcome
@@ -464,5 +465,5 @@ def teleport_in(resource: ResourceSpec, host: LabeledRegister,
         host_label = wiring[in_label]
         if noise.q_meas < 1.0:
             host.depolarize([host_label, scratch[k]], noise.q_meas, rng)
-        codes[k] = host.bell_measure(host_label, scratch[k], rng).code
+        codes[k] = host.bell_measure(host_label, scratch[k], rng)
     return codes

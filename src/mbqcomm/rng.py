@@ -76,13 +76,3 @@ def draw_indices(rng: np.random.Generator, weights, size: int | None = None):
             o += h
     return out
 
-
-def default_shards() -> int:
-    import os
-
-    value = os.environ.get("MBQCOMM_SHARDS", "1")
-    try:
-        shards = int(value)
-    except ValueError as exc:
-        raise ValueError("MBQCOMM_SHARDS must be an integer") from exc
-    return max(1, shards)

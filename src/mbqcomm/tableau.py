@@ -16,8 +16,6 @@ and Z_a Z_b, resource builds their pre-measured operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gf2
@@ -30,24 +28,6 @@ class TableauError(ValueError):
 
 class InconsistentProjection(TableauError):
     """Forcing a measurement outcome that has probability zero."""
-
-
-@dataclass(frozen=True)
-class BellOutcome:
-    """Outcome of a Bell measurement.
-
-    b_x is the sign bit of the X(x)X measurement, b_z of Z(x)Z.
-    """
-
-    b_x: int
-    b_z: int
-
-    @property
-    def code(self) -> int:
-        """The teleportation byproduct as a letter code 2x + z (I, Z, X, Y
-        = 0, 1, 2, 3): an X on one half flips ZZ, a Z flips XX. It is also
-        the Bell-diagonal index of the measured pair."""
-        return 2 * self.b_z + self.b_x
 
 
 class StabilizerState:
@@ -169,10 +149,14 @@ class StabilizerState:
         pinned.append(row)
         return outcome
 
-    def bell_measure(self, a: int, b: int, rng=None) -> BellOutcome:
+    def bell_measure(self, a: int, b: int, rng=None) -> int:
         """Bell measurement on qubits (a, b): measures X_a X_b then Z_a Z_b,
         pins both as stabilizer rows and drops the pair with
         `drop_measured`; the other qubits keep their order.
+
+        Returns the teleportation byproduct as a letter code 2x + z (I, Z,
+        X, Y = 0, 1, 2, 3): an X on one half flips ZZ, a Z flips XX. It is
+        also the Bell-diagonal index of the measured pair.
 
         Each row other than the two pinned ones commutes with both, so its
         part on (a, b) is II, XX, YY or ZZ, and the one-pass rule
@@ -190,7 +174,7 @@ class StabilizerState:
         sx = self.measure(PauliString(n, pair, 0), rng, pinned=pinned)
         sz = self.measure(PauliString(n, 0, pair), rng, pinned=pinned)
         self.drop_measured(pinned, (a, b))
-        return BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
+        return (1 - sz) + (1 - sx) // 2
 
     # -- qubit removal ---------------------------------------------------
 

@@ -31,15 +31,13 @@ class ThresholdError(ValueError):
 
 @dataclass
 class ThresholdReport:
-    """Analytic threshold value plus optional empirical confirmation."""
+    """Analytic threshold value with its assumptions and formula."""
 
     name: str
     analytic: float
     assumptions: dict
     formula: str
     binding: str | None = None
-    empirical: float | None = None
-    empirical_interval: tuple[float, float] | None = None
     notes: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
 
@@ -59,8 +57,6 @@ class ThresholdReport:
             "assumptions": self.assumptions,
             "formula": self.formula,
             "binding": self.binding,
-            "empirical": self.empirical,
-            "empirical_interval": self.empirical_interval,
             "notes": list(self.notes),
             "details": self.details,
         }
@@ -230,7 +226,7 @@ def dephasing_repetition_threshold() -> ThresholdReport:
     above it.
     """
     details = {
-        key: [1.0 - repetition_code(m).logical_channel((1.0 - eps, eps, 0.0, 0.0))[0]
+        key: [1.0 - repetition_code(m).logical_channel((1.0 - eps, 0.0, eps, 0.0))[0]
               for m in (3, 5, 7, 9)]
         for eps, key in ((0.4, "below"), (0.6, "above"))
     }

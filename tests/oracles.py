@@ -34,7 +34,6 @@ from mbqcomm.resources import (
 )
 from mbqcomm.rng import draw_indices
 from mbqcomm.tableau import (
-    BellOutcome,
     InconsistentProjection,
     StabilizerState,
     TableauError,
@@ -202,9 +201,10 @@ class DensityMatrix:
         return cls(np.outer(v, v.conj()))
 
     def apply_pauli_channel(self, weights, qubit: int) -> "DensityMatrix":
-        """The Pauli channel with I, X, Y, Z weights `weights` on `qubit`."""
+        """The Pauli channel with weights `weights` on `qubit`, indexed by
+        letter code 2x + z (I, Z, X, Y) as `PauliChannel.weights` is."""
         out = np.zeros_like(self.mat)
-        for letter, w in zip("IXYZ", weights):
+        for letter, w in zip("IZXY", weights):
             if w == 0.0:
                 continue
             p = PauliString.single(self.n, qubit, letter)
@@ -274,14 +274,6 @@ def zero_state(n: int) -> StabilizerState:
     stabs = [PauliString.single(n, k, "Z") for k in range(n)]
     destabs = [PauliString.single(n, k, "X") for k in range(n)]
     return StabilizerState(stabs, destabs)
-
-
-def bell_outcome(code: int) -> BellOutcome:
-    """The Bell outcome whose byproduct has letter code `code` (I, Z, X,
-    Y = 0, 1, 2, 3)."""
-    if not 0 <= code < 4:
-        raise ValueError(f"invalid letter code {code}")
-    return BellOutcome(b_x=code & 1, b_z=code >> 1)
 
 
 def bell_pair(code: int) -> StabilizerState:
@@ -743,7 +735,7 @@ def forced_teleport(spec: ResourceSpec, host: LabeledRegister, wiring: dict[str,
     for k, in_label in enumerate(spec.inputs):
         la, lb = wiring[in_label], scratch[k]
         if forced is None:
-            codes.append(host.bell_measure(la, lb, rng).code)
+            codes.append(host.bell_measure(la, lb, rng))
             continue
         try:
             prob *= forced_bell_measure(host.state, host.index(la), host.index(lb), forced[k])
@@ -812,7 +804,8 @@ def fidelity_with_vec(rho: DensityMatrix, v: np.ndarray) -> float:
 
 def depolarize_sample(n: int, qubit: int, p: float, rng) -> PauliString:
     """One Pauli insertion of E(p) on `qubit`: one `draw_indices` draw
-    from the weights of `PauliChannel.depolarizing(p)`."""
+    from the weights of `PauliChannel.depolarizing(p)`, its index read in
+    the I, X, Y, Z order of `noise.apply_sampled_noise`."""
     letter = "IXYZ"[draw_indices(rng, PauliChannel.depolarizing(p).weights)]
     return PauliString.single(n, qubit, letter)
 

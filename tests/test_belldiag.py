@@ -9,6 +9,7 @@ from mbqcomm.belldiag import (
     BellDiagonalError,
     BellDiagonalState,
     apply_depolarizing,
+    apply_pauli_channel,
     perfect_pair,
     recurrence_step,
     recurrence_table,
@@ -104,16 +105,16 @@ def test_invalid_coefficients_rejected():
 
 def test_apply_depolarizing_identity_and_uniform():
     w = werner(0.8)
-    assert apply_depolarizing(w, "A", 1.0).coeffs == w.coeffs
-    out = apply_depolarizing(w, "B", 0.0)
+    assert apply_depolarizing(w, 1.0).coeffs == w.coeffs
+    out = apply_depolarizing(w, 0.0)
     assert np.allclose(out.coeffs, 0.25)
 
 
 def test_two_sided_equals_one_sided_squared():
     # E_a(q) E_b(q) |phi+> = E_a(q^2) |phi+>
     q = 0.83
-    both = apply_depolarizing(apply_depolarizing(perfect_pair(), "A", q), "B", q)
-    one = apply_depolarizing(perfect_pair(), "A", q * q)
+    both = apply_depolarizing(apply_depolarizing(perfect_pair(), q), q)
+    one = apply_depolarizing(perfect_pair(), q * q)
     assert np.allclose(both.coeffs, one.coeffs, atol=1e-15)
 
 
@@ -123,11 +124,17 @@ def test_apply_channel_matches_dense_oracle():
         c = rng.dirichlet(np.ones(4))
         state = BellDiagonalState(tuple(c))
         ch = PauliChannel(tuple(rng.dirichlet(np.ones(4))))
-        side = "A" if rng.integers(2) else "B"
-        out = __import__("mbqcomm.belldiag", fromlist=["apply_pauli_channel"]) \
-            .apply_pauli_channel(state, side, ch)
-        rho = bd_to_dense(state).apply_pauli_channel(ch.weights, 0 if side == "A" else 1)
-        assert np.allclose(out.as_array(), bell_coeffs(rho), atol=1e-12)
+        out = apply_pauli_channel(state, ch)
+        for qubit in (0, 1):
+            rho = bd_to_dense(state).apply_pauli_channel(ch.weights, qubit)
+            assert np.allclose(out.as_array(), bell_coeffs(rho), atol=1e-12)
+
+
+def test_channel_weights_are_the_bell_indices_they_give_a_perfect_pair():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        ch = PauliChannel(tuple(rng.dirichlet(np.ones(4))))
+        assert apply_pauli_channel(perfect_pair(), ch).coeffs == ch.weights
 
 
 def test_entropy_yield_extremes():
@@ -290,7 +297,7 @@ def test_normalization_preserved():
         assert abs(sum(out.coeffs) - 1.0) < 1e-12
         out2 = swap_pairs(c1, c2)
         assert abs(sum(out2.coeffs) - 1.0) < 1e-12
-        out3 = apply_depolarizing(c1, "A", float(rng.uniform()))
+        out3 = apply_depolarizing(c1, float(rng.uniform()))
         assert abs(sum(out3.coeffs) - 1.0) < 1e-12
 
 

@@ -147,6 +147,15 @@ def test_config_hash_covers_the_input(base, changed, capsys):
     assert hashes[0] != hashes[1]
 
 
+@pytest.mark.parametrize("value", ["3", "0", "-4", "x"])
+def test_shards_come_from_the_flag_alone(value, monkeypatch, capsys):
+    argv = PURIFY_MC + ["--samples", "30"]
+    _rc, plain, _ = run(argv, capsys)
+    monkeypatch.setenv("MBQCOMM_SHARDS", value)
+    rc, out, err = run(argv, capsys)
+    assert (rc, out, err) == (0, plain, "")
+
+
 def test_qec_enumerate_errors_rejects_a_code_that_corrects_nothing(capsys):
     rc, out, err = run(["qec", "--code", "repetition2", "--enumerate-errors"], capsys)
     assert rc == 2

@@ -272,9 +272,17 @@ def test_ring5_weight_one_channel_is_the_paper_bound(p):
     ("repetition3-phase", "Z", "X"), ("repetition3-phase", "X", "Z"),
 ])
 def test_logical_channel_labels_residuals_by_the_logicals(name, letter, logical):
-    weights = [float(c == letter) for c in "IXYZ"]
+    weights = [float(c == letter) for c in "IZXY"]
     channel = code_by_name(name).logical_channel(weights)
-    assert list(channel) == [float(c == logical) for c in "IXYZ"]
+    assert list(channel) == [float(c == logical) for c in "IZXY"]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.4, 0.6])
+def test_repetition3_majority_vote_puts_its_flips_on_the_x_code(eps):
+    # weights are indexed by letter code 2x + z, so a bit flip is code 2
+    channel = repetition_code(3).logical_channel((1 - eps, 0.0, eps, 0.0))
+    assert channel[2] == pytest.approx(3 * eps ** 2 - 2 * eps ** 3, rel=1e-12)
+    assert channel[1] == channel[3] == 0.0
 
 
 @pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition5"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mbqcomm import protocols
-from mbqcomm.belldiag import werner
+from mbqcomm.belldiag import perfect_pair, werner
 from mbqcomm.netsim import ChainConfig, elementary_pair, repeater_chain, repeater_stages
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
@@ -244,7 +244,7 @@ def test_purify_blocks_equals_per_round_oracle(depth, fidelity, variant):
 @pytest.mark.parametrize("size", [0, 1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1,
                                   2 * PAIR_CHUNK + 5])
 def test_chunked_xor_equals_one_shot_xor(size):
-    weights = Depolarize(0.9).index_weights()
+    weights = evaluate_stages(perfect_pair(), [Depolarize(0.9)])[0].as_array()
     pool = draw_indices(make_rng(2), werner(0.8).as_array(), size)
     ours, ref = make_rng(9), make_rng(9)
     expected = pool ^ draw_indices(ref, weights, size)

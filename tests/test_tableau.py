@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from mbqcomm.catalog import code_by_name, code_decode_syndrome, code_encode, epp_recurrence
 from mbqcomm.pauli import PauliError, PauliString
-from mbqcomm.tableau import BellOutcome, InconsistentProjection, StabilizerState, TableauError
+from mbqcomm.tableau import InconsistentProjection, StabilizerState, TableauError
 import oracles
 from oracles import (
     BD_SIGMA_ORDER,
     U_PG,
     GraphSpec,
     apply_gate,
-    bell_outcome,
     density,
     fidelity_with_vec,
     graph_state,
@@ -76,7 +75,7 @@ def eliminating_bell_measure(state, a, b, rng=None, force=None):
     sx = state.measure(xx, rng, None if force is None else 1 - 2 * (force & 1))
     sz = state.measure(zz, rng, None if force is None else 1 - 2 * (force >> 1))
     oracles.remove_qubits(state, [a, b])
-    return BellOutcome(b_x=(1 - sx) // 2, b_z=(1 - sz) // 2)
+    return (1 - sz) + (1 - sx) // 2
 
 
 def pinning_bell_measure(state, a, b, rng, force):
@@ -85,7 +84,7 @@ def pinning_bell_measure(state, a, b, rng, force):
     if force is None:
         return state.bell_measure(a, b, rng)
     oracles.forced_bell_measure(state, a, b, force)
-    return bell_outcome(force)
+    return force
 
 
 def assert_bell_measure_matches_oracle(s, a, b, force, seed):
@@ -242,7 +241,7 @@ def test_bell_measure_on_phi_plus_is_outcome_zero():
     )
     rng = np.random.default_rng(0)
     outcome, rest = bell_measure(s, 0, 1, rng)
-    assert outcome.code == 0
+    assert outcome == 0
     assert rest.n == 0
 
 
@@ -258,11 +257,11 @@ def test_bell_measure_swapping_matches_dense_oracle():
     for _ in range(80):
         s = base.copy()
         outcome = s.bell_measure(1, 2, rng)
-        seen.add(outcome.code)
-        prob, reduced = oracles.project_bell_vec(v, 1, 2, BD_SIGMA_ORDER[outcome.code])
+        seen.add(outcome)
+        prob, reduced = oracles.project_bell_vec(v, 1, 2, BD_SIGMA_ORDER[outcome])
         assert abs(prob - 0.25) < 1e-12
         assert oracles.states_equal_up_to_phase(to_dense(s), reduced, 1e-12)
-        sigma = oracles.pauli_matrix(PauliString.from_codes([outcome.code]))
+        sigma = oracles.pauli_matrix(PauliString.from_codes([outcome]))
         expect = oracles.apply_unitary_vec(
             np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), sigma, [1]
         )
@@ -283,7 +282,7 @@ def test_bell_measure_pair_with_fresh_zero_uniform():
     for _ in range(400):
         s = base.copy()
         outcome = s.bell_measure(1, 2, rng)
-        counts[outcome.code] += 1
+        counts[outcome] += 1
     assert all(c > 0 for c in counts.values())
 
 
@@ -418,7 +417,7 @@ def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
     for force in [None, 0, 1, 2, 3]:
         for a, b in ((0, 1), (1, 0)):
             assert_bell_measure_matches_oracle(s, a, b, force, 11)
-    assert s.bell_measure(0, 1).code == 0
+    assert s.bell_measure(0, 1) == 0
 
 
 def test_to_dense_trivial_cases():
