@@ -24,23 +24,22 @@ class CatalogError(ValueError):
     """Raised for unknown catalog entries or bad parameters."""
 
 
-_BUILT: dict = {}  # (builder, argument keys) -> (arguments, resource)
+_BUILT: dict = {}  # (builder, *arguments) -> resource
 
 
 def _built_once(build):
-    """Memoise a builder per argument set, defaults filled in. A `CodeSpec`
-    holds a dict and cannot be hashed, so a code is keyed by identity; the
-    entry holds the code, so its id is never reused."""
+    """Memoise a builder per argument set, defaults filled in; a `CodeSpec`
+    is hashed by identity."""
     signature = inspect.signature(build)
 
     @wraps(build)
     def once(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        key = (build.__name__, *(id(a) if isinstance(a, CodeSpec) else a for a in bound.args))
+        key = (build.__name__, *bound.args)
         if key not in _BUILT:
-            _BUILT[key] = (bound.args, build(*bound.args))
-        return _BUILT[key][1]
+            _BUILT[key] = build(*bound.args)
+        return _BUILT[key]
 
     return once
 

@@ -175,27 +175,28 @@ def cmd_hashing(args) -> int:
 
 def cmd_qec(args) -> int:
     noise = noise_from_args(args)
-    rng = make_rng(args.seed)
     if args.enumerate_errors:
-        reject_unread((("--samples", args.samples), ("--csv-out", args.csv_out),
-                       ("--json-out", args.json_out), *noise_options(args)),
+        reject_unread((("--samples", args.samples), ("--seed", args.seed),
+                       ("--csv-out", args.csv_out), ("--json-out", args.json_out),
+                       *noise_options(args)),
                       "--enumerate-errors (it injects each correctable error once, "
-                      "without noise)")
-        good, total = enumerate_single_errors(code_by_name(args.code), rng)
+                      "without noise or sampling)")
+        good, total = enumerate_single_errors(code_by_name(args.code))
         print(f"{good}/{total} corrected")
         return 0 if good == total else 1
     samples = 10_000 if args.samples is None else args.samples
+    seed = 1 if args.seed is None else args.seed
     cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=samples)
-    stats = encoded_trajectories(cfg, rng)
+    stats = encoded_trajectories(cfg, make_rng(seed))
     params = {"code": args.code}
     cfg_hash = config_hash({**params, "noise": noise_list(noise),
-                            "samples": samples, "seed": args.seed})
-    record = ResultRecord.from_stats("qec", params, noise, stats, args.seed, cfg_hash)
+                            "samples": samples, "seed": seed})
+    record = ResultRecord.from_stats("qec", params, noise, stats, seed, cfg_hash)
     emit(args, record)
     return 0
 
 
-CHAIN_KEYS = ("segments", "code", "samples", "timing", "p_resource", "q_meas", "q_channel")
+CHAIN_KEYS = ("segments", "code", "samples", "p_resource", "q_meas", "q_channel")
 STATION_KEYS = ("q_channel",)
 
 
@@ -255,29 +256,30 @@ def parse_chain_config(path: str) -> ChainConfig:
         noise=noise,
         code=sec.get("code", "ring5"),
         samples=_config_number(sec, "samples", int, 1000),
-        correction_timing=sec.get("timing", "end"),
         channel_overrides=overrides,
     )
 
 
 def cmd_chain(args) -> int:
+    # --timing selects nothing (corrections are deferred by construction): it
+    # is still parsed only so that it is rejected with every other unread option
+    timing = ("--timing", args.timing)
     if args.mode != "trajectory":
-        reject_unread((("--samples", args.samples), ("--seed", args.seed),
-                       ("--timing", args.timing)),
-                      f"--mode {args.mode} (it is exact: no sampling, no correction timing)")
+        reject_unread((("--samples", args.samples), ("--seed", args.seed), timing),
+                      f"--mode {args.mode} (it is exact: no sampling)")
     if args.config:
         reject_unread((("--segments", args.segments), ("--code", args.code),
-                       ("--timing", args.timing), ("--samples", args.samples),
+                       timing, ("--samples", args.samples),
                        *noise_options(args), ("--ideal", args.ideal or None)),
                       "--config (the INI file sets the chain)")
         cfg = parse_chain_config(args.config)
     else:
+        reject_unread((timing,), "chain (corrections are deferred by construction)")
         cfg = ChainConfig(
             segments=3 if args.segments is None else args.segments,
             noise=noise_from_args(args),
             code="ring5" if args.code is None else args.code,
             samples=10_000 if args.samples is None else args.samples,
-            correction_timing="end" if args.timing is None else args.timing,
         )
     stats = encoded_chain(cfg, make_rng(1 if args.seed is None else args.seed), mode=args.mode)
     payload = {
@@ -435,15 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", default="ring5")
     p.add_argument("--enumerate-errors", action="store_true")
     add_noise_args(p)
-    add_run_args(p, samples=None)
+    add_run_args(p, samples=None, seed=None)
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("chain", help="encoded transmission chain")
     p.add_argument("--config", default=None, help="INI chain config file")
     p.add_argument("--segments", type=int, default=None, help="defaults to 3")
     p.add_argument("--code", default=None, help="defaults to ring5")
-    p.add_argument("--timing", choices=["end", "station"], default=None,
-                   help="defaults to end")
+    p.add_argument("--timing", default=None, help=argparse.SUPPRESS)
     p.add_argument("--mode", choices=["trajectory", "analytic", "dense"],
                    default="trajectory",
                    help="trajectory samples the noisy resources shot by shot; dense is "

@@ -2,14 +2,18 @@
 
 Each CodeSpec carries its stabilizer generators, logical operators, an
 encoding Clifford (wire 0 = logical qubit, other wires ancilla |0>) and
-a syndrome lookup table built by enumeration, never transcribed. Its
-logical channel, summed exactly over all Pauli errors, is the one
-source of every code's logical error rate and threshold.
+a syndrome lookup table built by enumeration, never transcribed: one
+correction per syndrome integer, as letter codes. The table has one
+reader, `CodeSpec.decode`: a QEC station is one lookup in it, for one
+shot or for many at once, and so is every syndrome of the code's
+logical channel. That channel, summed exactly over all Pauli errors, is
+the one source of every code's logical error rate and threshold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -23,9 +27,15 @@ class CodeError(ValueError):
     """Raised for malformed codes or syndrome lookups."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
-    """One logical qubit in n physical qubits."""
+    """One logical qubit in n physical qubits, compared and hashed by
+    identity.
+
+    `lookup` is the syndrome table, read-only: row s holds, as letter
+    codes, the correction of the syndrome whose bit j, for generator j,
+    is bit j of s.
+    """
 
     name: str
     n: int
@@ -33,7 +43,7 @@ class CodeSpec:
     logical_x: PauliString
     logical_z: PauliString
     encoder: CliffordMap
-    syndrome_table: dict
+    lookup: np.ndarray
     correctable_weight: int
 
     def __post_init__(self):
@@ -45,6 +55,9 @@ class CodeSpec:
                 raise CodeError("logicals must commute with the stabilizer group")
         if self.logical_x.commutes(self.logical_z):
             raise CodeError("logical X and Z must anticommute")
+        if self.lookup.shape != (1 << len(self.stabilizers), self.n):
+            raise CodeError("the lookup table needs one correction per syndrome")
+        self.lookup.setflags(write=False)
 
     def syndrome_of(self, error: PauliString) -> tuple[int, ...]:
         return _anticommuting(error, self.stabilizers)
@@ -53,29 +66,41 @@ class CodeSpec:
         """Whether `error` flips the logical (X, Z) measurement outcomes."""
         return _anticommuting(error, (self.logical_x, self.logical_z))
 
-    def correctable(self, syndrome: tuple[int, ...]) -> bool:
-        entry = self.syndrome_table.get(syndrome)
-        return entry is not None and entry.weight <= self.correctable_weight
+    @cached_property
+    def correctable(self) -> np.ndarray:
+        """Per syndrome integer: whether the table's correction has weight
+        within `correctable_weight`."""
+        flags = np.count_nonzero(self.lookup, axis=1) <= self.correctable_weight
+        flags.setflags(write=False)
+        return flags
+
+    def decode(self, bits) -> tuple[np.ndarray, np.ndarray]:
+        """The lookup corrections of syndrome `bits`, one bit per generator
+        on the first axis, for one shot or, on a second axis, for many:
+        their letter codes, one per qubit on the first axis, and whether
+        each is correctable."""
+        bits = np.asarray(bits)
+        if len(bits) != len(self.stabilizers):
+            raise CodeError(f"syndrome needs {len(self.stabilizers)} bits, got {len(bits)}")
+        index = (1 << np.arange(len(bits))) @ bits
+        return np.moveaxis(self.lookup[index], -1, 0), self.correctable[index]
 
     def correction_for(self, syndrome: tuple[int, ...]) -> PauliString:
-        """The table's lowest-weight error with this syndrome; raises
-        CodeError for a syndrome the table does not hold."""
-        entry = self.syndrome_table.get(syndrome)
-        if entry is None:
-            raise CodeError(f"syndrome {syndrome} missing from lookup table")
-        return entry
+        """The table's lowest-weight error with this syndrome."""
+        return PauliString.from_codes(self.decode(syndrome)[0])
 
     def logical_channel(self, weights, max_weight: int | None = None) -> np.ndarray:
         """Weights of the residual logical Pauli after i.i.d. single-qubit
         Pauli noise `weights` on every block qubit and one lookup
         correction, both indexed by letter code 2x + z (I, Z, X, Y).
 
-        Sums exactly over all 4^n errors. The residual's anticommutation
+        Sums exactly over all 4^n errors, whose syndromes index the
+        table's corrections in one lookup. The residual's anticommutation
         bits with (logical X, logical Z) are its z and x bits, so they are
         its letter code as they stand. With `max_weight` only errors of
         at most that weight count, so the weights sum to less than one.
         """
-        n = self.n
+        n, k = self.n, len(self.stabilizers)
         err = np.arange(1 << 2 * n, dtype=np.int64)
         x, z = err & ((1 << n) - 1), err >> n
         weights = np.asarray(weights, dtype=float)
@@ -85,11 +110,9 @@ class CodeSpec:
         if max_weight is not None:
             prob[np.bitwise_count(x | z) > max_weight] = 0.0
         logicals = (self.logical_x, self.logical_z)
-        k = len(self.stabilizers)
-        fixes = [self.correction_for(tuple(s >> j & 1 for j in range(k)))
-                 for s in range(1 << k)]
-        fix_flips = _parities(np.array([f.x for f in fixes]),
-                              np.array([f.z for f in fixes]), logicals)
+        fixes = self.decode(np.arange(1 << k) >> np.arange(k)[:, None] & 1)[0]
+        qubit = 1 << np.arange(n)
+        fix_flips = _parities(qubit @ (fixes >> 1), qubit @ (fixes & 1), logicals)
         residual = _parities(x, z, logicals) ^ fix_flips[_parities(x, z, self.stabilizers)]
         return np.bincount(residual, weights=prob, minlength=4)
 
@@ -115,13 +138,19 @@ def _anticommuting(error: PauliString, ops) -> tuple[int, ...]:
     return tuple(0 if error.commutes(g) else 1 for g in ops)
 
 
-def _min_weight_table(n: int, stabilizers, candidates) -> dict:
-    """Syndrome -> lowest-weight candidate error, ties broken lexically."""
-    table: dict = {}
+def _min_weight_table(stabilizers, candidates) -> np.ndarray:
+    """The lookup table: row s the letter codes of the lowest-weight
+    candidate error with syndrome integer s, ties broken lexically.
+    Raises CodeError if a syndrome has no candidate."""
     ranked = sorted(candidates, key=lambda p: (p.weight, str(p)))
-    for err in ranked:
-        table.setdefault(_anticommuting(err, stabilizers), err)
-    return table
+    syndromes = _parities(np.array([p.x for p in ranked]), np.array([p.z for p in ranked]),
+                          stabilizers)
+    found, first = np.unique(syndromes, return_index=True)
+    if found.size < 1 << len(stabilizers):
+        s = min(set(range(1 << len(stabilizers))) - set(found.tolist()))
+        missing = tuple(s >> j & 1 for j in range(len(stabilizers)))
+        raise CodeError(f"syndrome {missing} missing from lookup table")
+    return np.array([ranked[i].codes() for i in first], dtype=np.uint8)
 
 
 def encoder_from_code(stabilizers, logical_x, logical_z) -> CliffordMap:
@@ -162,7 +191,7 @@ def repetition_code(m: int, basis: str = "bit") -> CodeSpec:
         stabs = [_hadamard_all(g) for g in stabs]
         logical_x, logical_z = _hadamard_all(logical_x), _hadamard_all(logical_z)
         candidates = [_hadamard_all(c) for c in candidates]
-    table = _min_weight_table(m, stabs, candidates)
+    table = _min_weight_table(stabs, candidates)
     encoder = encoder_from_code(stabs, logical_x, logical_z)
     return CodeSpec(
         name=f"repetition{m}" + ("-phase" if basis == "phase" else ""),
@@ -171,7 +200,7 @@ def repetition_code(m: int, basis: str = "bit") -> CodeSpec:
         logical_x=logical_x,
         logical_z=logical_z,
         encoder=encoder,
-        syndrome_table=table,
+        lookup=table,
         correctable_weight=(m - 1) // 2,
     )
 
@@ -201,7 +230,7 @@ def ring5_code() -> CodeSpec:
         a * b for a, b in combinations(singles, 2)
         if (a.x | a.z) & (b.x | b.z) == 0
     ]
-    table = _min_weight_table(n, stabs, [PauliString.identity(n)] + singles + doubles)
+    table = _min_weight_table(stabs, [PauliString.identity(n)] + singles + doubles)
     syndromes = {_anticommuting(e, stabs) for e in singles}
     if len(syndromes) != 15 or (0, 0, 0, 0) in syndromes:
         raise CodeError("ring5 single-qubit errors do not have distinct syndromes")
@@ -213,7 +242,7 @@ def ring5_code() -> CodeSpec:
         logical_x=logical_x,
         logical_z=logical_z,
         encoder=encoder,
-        syndrome_table=table,
+        lookup=table,
         correctable_weight=1,
     )
 

@@ -32,11 +32,6 @@ def row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def rank(mat: np.ndarray) -> int:
-    _, pivots = row_reduce(mat)
-    return len(pivots)
-
-
 def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """One solution x of mat @ x = rhs over GF(2), or None if inconsistent."""
     a = np.array(mat, dtype=np.uint8) & 1

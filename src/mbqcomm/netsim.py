@@ -2,17 +2,20 @@
 correction stations, and nested measurement-based repeater chains.
 
 Classical side information flows strictly forward (each station appends
-its syndrome/outcome record and never reads downstream messages); all
-Pauli corrections can be deferred to the final station via the frame.
+its syndrome/outcome record and never reads downstream messages).
+Every operation is Clifford, so no station applies a correction: a
+station is one lookup in its code's syndrome table by the syndrome its
+Bell outcomes flip (`protocols.station_reading`), for one shot or many,
+and the correction joins the frame passed on as letter codes. So
+corrections are deferred to the end by construction, where the
+delivered pair is read against the final frame.
 
 The encoded chain runs shot by shot on the stabilizer engine
-(trajectory): the tableau draws each station's Bell outcomes, and the
-station reads them as letter codes through its resource's frame map
-(`protocols.station_reading`), so the frame is passed on as letter codes
-and applied only where the delivered pair is read. Or it runs exactly:
-each perfect correction station is one logical Pauli channel on the
-encoded qubit (`CodeSpec.logical_channel`), and the chain composes
-those channels on one half of a Bell pair (dense).
+(trajectory), whose tableau draws the Bell outcomes, or exactly: each
+perfect correction station is one logical Pauli channel on the encoded
+qubit (`CodeSpec.logical_channel`), composed on one half of a Bell pair
+(dense). Injected errors go through all stations in one batch
+(`corrected`).
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .belldiag import BellDiagonalState, apply_pauli_channel, perfect_pair, wern
 from .catalog import code_by_name, code_correct, code_decode_syndrome, code_encode
 from .codes import CodeSpec, all_single_qubit_errors
 from .noise import NoiseModel, PauliChannel
-from .pauli import PauliString
 from .protocols import (
     Depolarize,
     ProtocolStats,
@@ -42,6 +44,7 @@ from .protocols import (
     qec_decode,
     qec_encode,
     sample_stages,
+    station_reading,
     stats_from_counts,
 )
 from .resources import LabeledRegister
@@ -66,7 +69,6 @@ class ChainConfig:
     code: str = "ring5"
     purify_rounds: int = 1
     samples: int = 1000
-    correction_timing: str = "end"  # or "station"
     channel_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -76,8 +78,6 @@ class ChainConfig:
             raise ChainError(f"samples must be at least 1, got {self.samples}")
         if self.purify_rounds < 0:
             raise ChainError(f"rounds must be at least 0, got {self.purify_rounds}")
-        if self.correction_timing not in ("end", "station"):
-            raise ChainError("correction_timing must be 'end' or 'station'")
         for seg, q in self.channel_overrides.items():
             if not 0 <= seg < self.segments:
                 raise ChainError(f"station {seg}: segments are 0..{self.segments - 1}")
@@ -88,12 +88,6 @@ class ChainConfig:
         return self.channel_overrides.get(segment, self.noise.q_channel)
 
 
-def frame_apply(host: LabeledRegister, frame: np.ndarray, labels) -> None:
-    """Physically apply a tracked frame, letter codes on `labels`."""
-    if frame.any():
-        host.apply_pauli(PauliString.from_codes(frame), labels)
-
-
 # -- encoded transmission ----------------------------------------------------
 
 
@@ -102,33 +96,25 @@ def code_resources(code: CodeSpec) -> tuple:
     return code_encode(code), code_correct(code), code_decode_syndrome(code)
 
 
-def encoded_shot(code: CodeSpec, noise: NoiseModel, rng, disturbances,
-                 at_station: bool = False) -> tuple[bool, list[QecResult]]:
+def encoded_shot(code: CodeSpec, noise: NoiseModel, rng,
+                 q_channel: list[float]) -> tuple[bool, list[QecResult]]:
     """One encoded transmission of half of a reference Bell pair.
 
-    Encode; per segment, disturb the block and correct it at a station;
-    decode; apply the tracked frame; read the Bell index of the
-    reference pair. `disturbances` holds one callable (register, block
-    labels) per segment. With `at_station` every station applies its
-    frame at once instead of passing it on. Returns whether the pair
-    came out in |phi+> and the station results.
+    Encode; per segment, depolarize the block by that segment's
+    `q_channel` entry and correct it at a station; decode; read the Bell
+    index of the reference pair against the final frame. Returns whether
+    the pair came out in |phi+> and the station results.
     """
     enc, corr, dec = code_resources(code)
     reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-    e = qec_encode(code, reg, "in", noise, rng, enc)
-    frame, labels = e.frame, e.labels
+    r = qec_encode(code, reg, "in", noise, rng, enc)
     stations = []
-    for disturb in disturbances:
-        disturb(reg, labels)
-        r = qec_correct(code, reg, labels, noise, rng, corr, frame)
-        frame, labels = r.frame, r.labels
-        if at_station:
-            frame_apply(reg, frame, labels)
-            frame = np.zeros(code.n, dtype=np.uint8)
+    for q in q_channel:
+        reg.depolarize(r.labels, q, rng)
+        r = qec_correct(code, reg, r.labels, noise, rng, corr, r.frame)
         stations.append(r)
-    d = qec_decode(code, reg, labels, noise, rng, dec, frame)
-    frame_apply(reg, d.frame, d.labels)
-    return bd_index_of_pair(reg, "ref", d.labels[0]) == 0, stations
+    d = qec_decode(code, reg, r.labels, noise, rng, dec, r.frame)
+    return bool(bd_index_of_pair(reg, "ref", d.labels[0]) == d.frame[0]), stations
 
 
 def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> ProtocolStats:
@@ -164,30 +150,39 @@ def encoded_trajectories(cfg: ChainConfig, rng) -> ProtocolStats:
     """Stabilizer Monte Carlo with a reference pair as fidelity witness.
 
     `extra` holds the station syndrome histogram and, under `report`, the
-    runs with an uncorrectable syndrome and the correction timing.
+    runs with an uncorrectable syndrome.
     """
     code = code_by_name(cfg.code)
-    disturbances = [
-        lambda reg, block, q=cfg.channel_for(seg): reg.depolarize(block, q, rng)
-        for seg in range(cfg.segments)
-    ]
+    q_channel = [cfg.channel_for(seg) for seg in range(cfg.segments)]
     good = uncorrectable_runs = 0
     syndromes = Counter()
     for _ in range(cfg.samples):
-        ok, stations = encoded_shot(code, cfg.noise, rng, disturbances,
-                                    at_station=cfg.correction_timing == "station")
+        ok, stations = encoded_shot(code, cfg.noise, rng, q_channel)
         good += ok
         uncorrectable_runs += any(r.uncorrectable for r in stations)
         syndromes.update(r.syndrome for r in stations)
     n = cfg.samples
     stats = stats_from_counts({"attempts": n, "consumed": n, "kept": n, "good": good}, 1)
     stats.extra.update(syndromes=dict(syndromes),
-                       report={"timing": cfg.correction_timing,
-                               "uncorrectable_runs": uncorrectable_runs})
+                       report={"uncorrectable_runs": uncorrectable_runs})
     return stats
 
 
-def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
+def corrected(code: CodeSpec, errors: np.ndarray) -> np.ndarray:
+    """Whether each error (letter codes, a qubit per row, an error per
+    column) injected into one noiseless segment is delivered exactly.
+
+    Whatever its Bell outcomes, a station maps an error E relative to the
+    frame to F(E ^ C(S(E))): F and S its frame map's output and syndrome
+    columns, C the lookup correction. So all errors go through the
+    correct and decode stations at once, with no tableau and no draw.
+    """
+    _, corr, dec = code_resources(code)
+    block = station_reading(code, corr, errors)[2]
+    return station_reading(code, dec, block)[2][0] == 0
+
+
+def enumerate_single_errors(code: CodeSpec) -> tuple[int, int]:
     """Inject each single-qubit error that the lookup correction undoes
     (weight within `correctable_weight`, corrected residual flipping no
     logical) into one noiseless segment in place of channel noise; count
@@ -197,12 +192,8 @@ def enumerate_single_errors(code: CodeSpec, rng) -> tuple[int, int]:
               and code.logical_flips(e * code.correction_for(code.syndrome_of(e))) == (0, 0)]
     if not errors:
         raise ChainError(f"code {code.name} corrects no single-qubit error")
-    good = sum(
-        encoded_shot(code, NoiseModel(), rng,
-                     [lambda reg, block, e=e: reg.apply_pauli(e, block)])[0]
-        for e in errors
-    )
-    return good, len(errors)
+    ok = corrected(code, np.array([e.codes() for e in errors], dtype=np.uint8).T)
+    return int(ok.sum()), len(errors)
 
 
 def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:
@@ -217,10 +208,8 @@ def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:
 def _encoded_chain_dense(cfg: ChainConfig) -> float:
     """Exact delivered fidelity of perfect corrections: each segment's
     folded depolarizing step, passed through the code's logical channel,
-    acts on one half of a perfect pair. A station's estimate removes the
-    pending frame, so applying corrections at once or at the end gives
-    the same channel. The folding leaves out the noise of encoding and
-    decoding."""
+    acts on one half of a perfect pair. The folding leaves out the noise
+    of encoding and decoding."""
     code = code_by_name(cfg.code)
     pair = perfect_pair()
     for seg in range(cfg.segments):

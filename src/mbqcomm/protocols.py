@@ -13,7 +13,9 @@ that this map is tested against. The QEC stations teleport through the
 tableau shot by shot and read their Bell outcomes through the same map
 (`station_reading`): the outcome codes, XOR the pending frame, flip the
 code syndrome at the virtual bits that the resource's `syndrome` names,
-and together with the lookup correction they give the new frame.
+which indexes the code's one lookup table (`CodeSpec.decode`). So a
+station is one table lookup, for one shot or many at once, and its
+correction joins the new frame: corrections are deferred by construction.
 
 Recurrence purification and the nested repeater are written once, as a
 list of stages, and run by two evaluators: `evaluate_stages` (exact,
@@ -343,8 +345,7 @@ def exact_stats(state: BellDiagonalState, stages) -> ProtocolStats:
     """Reported numbers of `evaluate_stages`, with yield = p_success /
     pairs_per_output."""
     state, success = evaluate_stages(state, stages)
-    return point_stats(state.fidelity, success, success / pairs_per_output(stages),
-                       coeffs=state.coeffs)
+    return point_stats(state.fidelity, success, success / pairs_per_output(stages))
 
 
 def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
@@ -646,8 +647,7 @@ def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
         p_success_ci=wilson_interval(all_correct, samples),
         protocol_yield=(n - checks) / n,
         samples=samples,
-        extra={"checks": checks, "ambiguous": ambiguous_count,
-               "counts": {"correct": correct_total, "survivors": survivors_total,
+        extra={"counts": {"correct": correct_total, "survivors": survivors_total,
                           "all_correct": all_correct, "attempts": samples,
                           "ambiguous": ambiguous_count}},
     )
@@ -666,63 +666,55 @@ class QecResult:
     uncorrectable: bool = False
 
 
-_label_counter = [0]
-
-
-def _fresh(prefix: str) -> str:
-    _label_counter[0] += 1
-    return f"{prefix}.{_label_counter[0]}"
-
-
 def qec_encode(code: CodeSpec, host: LabeledRegister, in_label: str,
                noise: NoiseModel, rng, resource: ResourceSpec) -> QecResult:
-    """Couple one qubit into the encoding resource by a Bell measurement."""
-    block = tuple(_fresh(f"{code.name}.b{k}") for k in range(code.n))
+    """Couple one qubit into the encoding resource by a Bell measurement;
+    the block joins the register as b0, b1, ..."""
+    block = tuple(f"b{k}" for k in range(code.n))
     codes = teleport_in(resource, host, {"in": in_label}, noise, rng, block)
     return QecResult(labels=block, frame=resource.byproduct(codes)[0])
 
 
 def station_reading(code: CodeSpec, spec: ResourceSpec,
-                    codes: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """Syndrome and new frame of a station whose inputs carry the letter
-    `codes`: its Bell outcomes XOR the frame still pending on the block.
+                    codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Syndrome bits, correctable flag and new frame of a station whose
+    inputs carry the letter `codes`: its Bell outcomes XOR the frame
+    still pending on the block, one per input on the first axis, for one
+    shot or, on a second axis, for many.
 
-    The syndrome is the bits that `codes` flip (`spec.byproduct`), so the
-    pending frame's own syndrome is XORed out. Its lookup correction
-    joins `codes`, and the output codes of the sum are the new frame.
+    A station is one lookup in the code's syndrome table: the syndrome
+    is the bits that `codes` flip (`spec.byproduct`), so the pending
+    frame's own syndrome is XORed out. Its lookup correction joins
+    `codes`, and the output codes of the sum are the new frame: the
+    correction is deferred into the frame, never applied.
     """
-    syndrome = tuple(spec.byproduct(codes)[1].tolist())
-    estimate = np.array(code.correction_for(syndrome).codes(), dtype=np.uint8)
-    return syndrome, spec.byproduct(codes ^ estimate)[0]
+    syndrome = spec.byproduct(codes)[1]
+    estimate, correctable = code.decode(syndrome)
+    return syndrome, correctable, spec.byproduct(codes ^ estimate)[0]
 
 
 def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
              block: tuple[str, ...], out_labels: tuple[str, ...], noise: NoiseModel,
              rng, frame: np.ndarray) -> QecResult:
     """Teleport a block into a syndrome-reading resource and read it with
-    `station_reading`; the correction is folded into the new frame (never
-    applied)."""
+    `station_reading`."""
     codes = teleport_in(spec, host, dict(zip(spec.inputs, block)), noise, rng, out_labels)
-    syndrome, new_frame = station_reading(code, spec, codes ^ frame)
-    return QecResult(
-        labels=out_labels,
-        frame=new_frame,
-        syndrome=syndrome,
-        uncorrectable=not code.correctable(syndrome),
-    )
+    syndrome, correctable, new_frame = station_reading(code, spec, codes ^ frame)
+    return QecResult(out_labels, new_frame, tuple(syndrome.tolist()), not correctable)
 
 
 def qec_correct(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
                 noise: NoiseModel, rng, resource: ResourceSpec,
                 frame: np.ndarray) -> QecResult:
-    """Teleport the block through the 2N syndrome/correction resource."""
-    new_block = tuple(_fresh(f"{code.name}.c{k}") for k in range(code.n))
+    """Teleport the block through the 2N syndrome/correction resource;
+    the new block takes the old labels primed."""
+    new_block = tuple(f"{label}'" for label in block)
     return _station(code, resource, host, block, new_block, noise, rng, frame)
 
 
 def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
                noise: NoiseModel, rng, resource: ResourceSpec,
                frame: np.ndarray) -> QecResult:
-    """Bell-measure the whole block into the decode resource."""
-    out = (_fresh(f"{code.name}.out"),)
-    return _station(code, resource, host, block, out, noise, rng, frame)
+    """Bell-measure the whole block into the decode resource; its output
+    joins the register as out."""
+    return _station(code, resource, host, block, ("out",), noise, rng, frame)

@@ -134,17 +134,21 @@ class ResourceSpec:
         return table
 
     def byproduct(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Read letter codes riding into the inputs (one per input, in
-        input order, such as the codes `StabilizerState.bell_measure`
-        returns).
+        """Read letter codes riding into the inputs, one per input on the
+        first axis in input order (such as the codes
+        `StabilizerState.bell_measure` returns), for one shot or, on a
+        second axis, for many.
 
-        Returns their image on the outputs as letter codes, in output
-        order, and the `syndrome` bits they flip: the XOR of the
-        `frame_map` rows of each input's letter.
+        Returns their image on the outputs as letter codes, one per output
+        on the first axis, and the `syndrome` bits they flip, one per name
+        on the first axis: the XOR of the `frame_map` rows of each
+        input's letter.
         """
+        codes = np.asarray(codes)
         if len(codes) != len(self.inputs):
             raise ResourceError("need one letter code per input")
-        read = np.bitwise_xor.reduce(self._read_table[np.arange(len(codes)), codes])
+        inputs = np.arange(len(codes)).reshape(-1, *(1,) * (codes.ndim - 1))
+        read = np.moveaxis(np.bitwise_xor.reduce(self._read_table[inputs, codes]), -1, 0)
         n_out = len(self.outputs)
         return read[:n_out], read[n_out:]
 

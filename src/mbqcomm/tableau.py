@@ -45,16 +45,6 @@ class StabilizerState:
         return cls([PauliString.from_string("XX"), PauliString.from_string("ZZ")],
                    [PauliString.from_string("ZI"), PauliString.from_string("IX")])
 
-    @classmethod
-    def from_generators(cls, gens: list[PauliString]) -> "StabilizerState":
-        """Build a state from n commuting independent generators on n qubits.
-
-        The generators are the Z images of a Clifford completed by
-        `complete_clifford`; its X images are the destabilizers.
-        """
-        c = complete_clifford({}, dict(enumerate(gens)), len(gens))
-        return cls(list(c.image_z), list(c.image_x))
-
     def copy(self) -> "StabilizerState":
         return StabilizerState(list(self.stabs), list(self.destabs))
 
@@ -62,15 +52,11 @@ class StabilizerState:
     def n(self) -> int:
         return self.stabs[0].n if self.stabs else 0
 
-    # -- unitaries and Paulis -------------------------------------------
+    # -- Paulis ----------------------------------------------------------
 
     def apply_pauli(self, p: PauliString):
         """Apply a Pauli operator (flips generator signs only)."""
         self.stabs = [g if g.commutes(p) else g.negate() for g in self.stabs]
-
-    def apply_clifford(self, c: CliffordMap):
-        self.stabs = [c.conjugate(g) for g in self.stabs]
-        self.destabs = [c.conjugate(d) for d in self.destabs]
 
     # -- measurement -----------------------------------------------------
 

@@ -7,8 +7,10 @@ local-Clifford tools, tableau invariant checks, noise sampled one
 qubit at a time, the noise-moving identity, the repeater-station
 resource, the reading of Bell outcomes by conjugating them through a
 resource's circuit (which checks the package's table reading) with the
-forced-branch teleport built on it, and the dense 4-qubit derivation of
-the Bell-diagonal coefficient maps. None of this runs under the CLI.
+forced-branch teleport built on it, the encoded shot that applies each
+station's correction at once (which checks that deferring them changes
+nothing), and the dense 4-qubit derivation of the Bell-diagonal
+coefficient maps. None of this runs under the CLI.
 
 Dense state vectors index basis states with qubit 0 as the most
 significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
@@ -21,10 +23,11 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from mbqcomm import gf2
-from mbqcomm.catalog import epp_site_resource
+from mbqcomm.catalog import code_correct, code_decode_syndrome, code_encode, epp_site_resource
+from mbqcomm.gf2 import row_reduce
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map, gate_map
+from mbqcomm.protocols import bd_index_of_pair, qec_correct, qec_decode, qec_encode
 from mbqcomm.resources import (
     LabeledRegister,
     ResourceError,
@@ -38,6 +41,7 @@ from mbqcomm.tableau import (
     StabilizerState,
     TableauError,
     _check_qubits,
+    complete_clifford,
 )
 
 # Controlled-phase gate diag(1,1,1,-1): the graph-state edge unitary.
@@ -242,6 +246,27 @@ def plus_state(n: int) -> StabilizerState:
     return StabilizerState(stabs, destabs)
 
 
+def from_generators(gens: list[PauliString]) -> StabilizerState:
+    """The state of n commuting independent generators on n qubits.
+
+    The generators are the Z images of a Clifford completed by
+    `complete_clifford`; its X images are the destabilizers.
+    """
+    c = complete_clifford({}, dict(enumerate(gens)), len(gens))
+    return StabilizerState(list(c.image_z), list(c.image_x))
+
+
+def apply_clifford(state: StabilizerState, c: CliffordMap):
+    """Conjugate every stabilizer and destabilizer row by `c`, in place."""
+    state.stabs = [c.conjugate(g) for g in state.stabs]
+    state.destabs = [c.conjugate(d) for d in state.destabs]
+
+
+def rank(mat: np.ndarray) -> int:
+    """GF(2) rank of a binary matrix."""
+    return len(row_reduce(mat)[1])
+
+
 def validate_tableau(state: StabilizerState):
     """Raise TableauError unless the tableau holds n Hermitian, commuting
     stabilizers and n destabilizers, each paired with its stabilizer alone."""
@@ -266,7 +291,7 @@ def validate_tableau(state: StabilizerState):
 
 def apply_gate(state: StabilizerState, name: str, *qubits: int):
     """Apply a named gate of `pauli.gate_map` to the tableau in place."""
-    state.apply_clifford(gate_map(state.n, name.upper(), *qubits))
+    apply_clifford(state, gate_map(state.n, name.upper(), *qubits))
 
 
 def zero_state(n: int) -> StabilizerState:
@@ -511,7 +536,7 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
             [[g.x_bit(q) for q in range(n)] for g in work.stabs], dtype=np.uint8
         )
 
-    r = gf2.rank(xmat())
+    r = rank(xmat())
     while r < n:
         improved = False
         for q in range(n):
@@ -520,10 +545,10 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
             m = np.array(
                 [[g.x_bit(c) for c in range(n)] for g in trial.stabs], dtype=np.uint8
             )
-            if gf2.rank(m) > r:
+            if rank(m) > r:
                 apply_gate(work, "H", q)
                 ops.append(("H", q))
-                r = gf2.rank(xmat())
+                r = rank(xmat())
                 improved = True
                 break
         if not improved:
@@ -747,6 +772,32 @@ def forced_teleport(spec: ResourceSpec, host: LabeledRegister, wiring: dict[str,
     if apply_frame and reading.keep and not reading.frame.is_identity:
         host.apply_pauli(reading.frame, out_labels)
     return ForcedTeleport(tuple(codes), reading, prob)
+
+
+# -- corrections applied at each station --------------------------------------
+
+
+def at_station_shot(code, noise, rng, q_channel) -> tuple[bool, list]:
+    """`netsim.encoded_shot` with each correction applied where it is
+    found: every correction station applies its frame to its output block
+    at once and passes on no frame, and the decode station's frame is
+    applied before the reference pair is Bell-measured. A Pauli changes
+    no outcome's randomness, so this takes the draws of the deferred
+    shot."""
+    enc, corr, dec = code_encode(code), code_correct(code), code_decode_syndrome(code)
+    reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
+    r = qec_encode(code, reg, "in", noise, rng, enc)
+    frame = r.frame
+    stations = []
+    for q in q_channel:
+        reg.depolarize(r.labels, q, rng)
+        r = qec_correct(code, reg, r.labels, noise, rng, corr, frame)
+        reg.apply_pauli(PauliString.from_codes(r.frame), r.labels)
+        frame = np.zeros(code.n, dtype=np.uint8)
+        stations.append(r)
+    d = qec_decode(code, reg, r.labels, noise, rng, dec, frame)
+    reg.apply_pauli(PauliString.from_codes(d.frame), d.labels)
+    return bd_index_of_pair(reg, "ref", d.labels[0]) == 0, stations
 
 
 # -- dense operators and density matrices -------------------------------------

@@ -45,6 +45,8 @@ def run(argv, capsys):
     ["sweep", "--target", "epp", "--segments", "0", "--code", "nonsense"],
     ["sweep", "--target", "code", "--segments", "-3"],
     ["sweep", "--target", "repeater", "--code", "ring5"],
+    # corrections are deferred by construction: no option picks their timing
+    ["chain", "--timing", "station"],
 ])
 def test_bad_counts_exit_2_with_one_line(argv, capsys):
     rc, out, err = run(argv, capsys)
@@ -95,6 +97,7 @@ QEC_NOISE = ["--p-resource", "0.99", "--q-meas", "0.99", "--q-channel", "0.97"]
     "[chain]\nsegments = 2\n[station:1]\nq_meas = 0.9\n",
     "[chain]\nsegments = 2\n[station:1]\nq_channel = 1.7\n",
     "[chain]\nsegments = 2\n[station:2]\nq_channel = 0.9\n",
+    "[chain]\nsegments = 1\ntiming = station\n",
 ])
 def test_bad_chain_config_exits_2_with_one_line(ini, tmp_path, capsys):
     path = tmp_path / "chain.ini"
@@ -156,6 +159,12 @@ def test_shards_come_from_the_flag_alone(value, monkeypatch, capsys):
     assert (rc, out, err) == (0, plain, "")
 
 
+def test_qec_seed_defaults_to_1_in_the_record(capsys):
+    _rc, implicit, _ = run(["qec", "--samples", "2"] + QEC_NOISE, capsys)
+    _rc, explicit, _ = run(["qec", "--samples", "2", "--seed", "1"] + QEC_NOISE, capsys)
+    assert implicit == explicit and json.loads(implicit)["seed"] == 1
+
+
 def test_qec_enumerate_errors_rejects_a_code_that_corrects_nothing(capsys):
     rc, out, err = run(["qec", "--code", "repetition2", "--enumerate-errors"], capsys)
     assert rc == 2
@@ -171,6 +180,7 @@ def test_qec_enumerate_errors_rejects_a_code_that_corrects_nothing(capsys):
     (["--p-resource", "0.5", "--q-channel", "0.3"], "--p-resource and --q-channel"),
     (["--q-meas", "0.9"], "--q-meas"),
     (["--q-channel", "1.0"], "--q-channel"),
+    (["--seed", "5"], "--seed"),
 ])
 def test_qec_enumerate_errors_rejects_unread_options(extra, named, tmp_path,
                                                      monkeypatch, capsys):
@@ -224,6 +234,16 @@ def test_unset_noise_flags_give_the_record_of_explicit_ones(capsys):
     (["--mode", "dense", "--timing", "station"], "--timing"),
     (["--mode", "dense", "--samples", "5", "--seed", "5", "--timing", "end"],
      "--samples and --seed and --timing"),
+    # --timing selects nothing now, so a trajectory run rejects it too
+    (["--timing", "end"], "--timing"),
+    (["--segments", "2", "--timing", "station"], "--timing"),
+    (["--mode", "analytic", "--samples", "5", "--seed", "5"], "--samples and --seed"),
+    (["--config", "{ini}", "--mode", "analytic", "--samples", "5"], "--samples"),
+    (["--config", "{ini}", "--code", "repetition3"], "--code"),
+    (["--mode", "dense", "--samples", "5", "--seed", "5"], "--samples and --seed"),
+    (["--config", "{ini}", "--segments", "4"], "--segments"),
+    (["--config", "{ini}", "--samples", "5", "--q-channel", "0.9"],
+     "--samples and --q-channel"),
 ])
 def test_chain_rejects_options_it_does_not_read(extra, named, tmp_path, capsys):
     path = tmp_path / "chain.ini"
@@ -239,8 +259,7 @@ def test_chain_rejects_options_it_does_not_read(extra, named, tmp_path, capsys):
 def test_chain_defaults_are_the_explicit_values(capsys):
     base = ["chain", "--mode", "trajectory", "--samples", "20", "--q-channel", "0.9"]
     _rc, implicit, _ = run(base, capsys)
-    _rc, explicit, _ = run(base + ["--segments", "3", "--code", "ring5", "--timing", "end"],
-                           capsys)
+    _rc, explicit, _ = run(base + ["--segments", "3", "--code", "ring5"], capsys)
     assert implicit == explicit and json.loads(implicit)["segments"] == 3
 
 

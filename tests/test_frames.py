@@ -3,7 +3,8 @@ reading by conjugation through the circuit, the batched purification
 kernel against that reading and against the tableau on injected error
 patterns, no tableau work per purification attempt, and the QEC
 stations' table reading against the conjugation oracle on every single
-and double error."""
+and double error, where the batched station maps of the error
+enumeration give the tableau's verdicts without running it."""
 
 from dataclasses import replace
 from itertools import combinations, product
@@ -11,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from mbqcomm import protocols, resources
+from mbqcomm import cli, protocols, resources
 from mbqcomm.belldiag import werner
 from mbqcomm.catalog import (
     code_by_name,
@@ -20,6 +21,7 @@ from mbqcomm.catalog import (
     code_encode,
     epp_recurrence,
 )
+from mbqcomm.netsim import corrected
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.protocols import (
@@ -177,7 +179,8 @@ def read_station(code, spec, host, block, frame, rng):
     out_labels = tuple(f"{spec.name}.o{k}" for k in range(len(spec.outputs)))
     codes = teleport_in(spec, host, dict(zip(spec.inputs, block)), rng=rng,
                         out_labels=out_labels)
-    syndrome, new_frame = station_reading(code, spec, codes ^ frame)
+    syndrome, _, new_frame = station_reading(code, spec, codes ^ frame)
+    syndrome = tuple(syndrome.tolist())
     want_syndrome, want_frame = conjugation_station(code, spec, codes,
                                                     PauliString.from_codes(frame))
     assert syndrome == want_syndrome
@@ -190,12 +193,15 @@ def test_station_table_matches_the_conjugation_oracle_on_every_error(name):
     # one noiseless segment with each single and double error injected:
     # the correction station sees the error's syndrome whatever frame the
     # encoding left pending, and the delivered pair is |phi+> exactly when
-    # the lookup correction undoes the error
+    # the lookup correction undoes the error; the station maps that
+    # `qec --enumerate-errors` reads give the same verdict on every error
     code = code_by_name(name)
     enc, corr, dec = code_encode(code), code_correct(code), code_decode_syndrome(code)
     rng = make_rng(17)
     frames = set()
-    for error in single_and_double_errors(code.n):
+    errors = single_and_double_errors(code.n)
+    verdicts = corrected(code, np.array([e.codes() for e in errors], dtype=np.uint8).T)
+    for error, verdict in zip(errors, verdicts):
         host = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
         encoded = qec_encode(code, host, "in", NoiseModel(), rng, enc)
         frames.add(tuple(encoded.frame))
@@ -206,5 +212,21 @@ def test_station_table_matches_the_conjugation_oracle_on_every_error(name):
         _, frame, (out,) = read_station(code, dec, host, block, frame, rng)
         host.apply_pauli(PauliString.from_codes(frame), [out])
         residual = error * code.correction_for(syndrome)
-        assert (bd_index_of_pair(host, "ref", out) == 0) == (code.logical_flips(residual) == (0, 0))
+        delivered = bd_index_of_pair(host, "ref", out) == 0
+        assert delivered == (code.logical_flips(residual) == (0, 0)) == verdict
     assert len(frames) > 1
+    assert not verdicts.all() and verdicts.any()
+
+
+def test_enumerate_errors_runs_no_tableau_and_no_rng(monkeypatch, capsys):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the error enumeration ran the tableau or drew")
+
+    monkeypatch.setattr(resources, "teleport_in", forbidden)
+    monkeypatch.setattr(protocols, "teleport_in", forbidden)
+    monkeypatch.setattr(LabeledRegister, "__init__", forbidden)
+    monkeypatch.setattr(StabilizerState, "bell_measure", forbidden)
+    monkeypatch.setattr(cli, "make_rng", forbidden)
+    for name, total in (("ring5", 15), ("repetition3", 3), ("repetition3-phase", 3)):
+        assert cli.main(["qec", "--code", name, "--enumerate-errors"]) == 0
+        assert capsys.readouterr().out == f"{total}/{total} corrected\n"

@@ -1,23 +1,25 @@
-"""Tests of encoded transmission: the stations' syndrome/frame rule,
-frozen chain values, the composed logical
-channel (dense) against a density-matrix branch ensemble, and stabilizer
+"""Tests of encoded transmission: the stations' syndrome/frame rule, one
+shot or many, frozen chain values, the deferred corrections against
+corrections applied at each station, the composed logical channel
+(dense) against a density-matrix branch ensemble, and stabilizer
 trajectories against the dense chain."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from mbqcomm.catalog import code_by_name, code_correct, code_decode_syndrome
 from mbqcomm.codes import CodeSpec
-from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain
+from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain, encoded_shot
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.protocols import station_reading
 from mbqcomm.rng import make_rng
-from mbqcomm.tableau import StabilizerState
 import oracles
 from oracles import (
+    at_station_shot,
     depolarize,
     embed_unitary,
     fidelity_with_vec,
@@ -28,7 +30,10 @@ from oracles import (
 CHAIN_NOISE = NoiseModel(0.98, 0.99, 0.9)
 
 # fidelity at CHAIN_NOISE before the chain shared one shot body, and for
-# trajectories (10 shots at seed 1) the stations' non-trivial syndromes
+# trajectories (10 shots at seed 1) the stations' non-trivial syndromes.
+# "end" is the package's chain, which defers every correction; "station"
+# applies each correction where it is found: the branch ensemble
+# (dense) or the at-station shot of the oracles (trajectory)
 CHAIN_FROZEN = {
     ("ring5", "dense", 1, "end"): (0.8990951221413057, None),
     ("ring5", "dense", 2, "end"): (0.811765970116841, None),
@@ -47,29 +52,77 @@ ANALYTIC_FROZEN = {1: 0.8962128276627241, 2: 0.8067880248478049, 3: 0.7297380852
 def test_estimate_removes_the_pending_frame(name):
     # a station reads the syndrome bits of its outcome codes XOR the
     # pending frame; the frame's own syndrome drops out because the bits
-    # the table reads for any Pauli on the block are its code syndrome
+    # the table reads for any Pauli on the block are its code syndrome.
+    # Read as one batch, every error gets its one-shot reading
     code = code_by_name(name)
+    errors = [PauliString.identity(code.n)] + single_and_double_errors(code.n)
+    batch = np.array([error.codes() for error in errors], dtype=np.uint8).T
     for spec in (code_correct(code), code_decode_syndrome(code)):
-        for error in [PauliString.identity(code.n)] + single_and_double_errors(code.n):
+        shots = []
+        for error in errors:
             codes = np.array(error.codes(), dtype=np.uint8)
             assert tuple(spec.byproduct(codes)[1]) == code.syndrome_of(error)
-            syndrome, frame = station_reading(code, spec, codes)
-            assert syndrome == code.syndrome_of(error)
-            fixed = (error * code.correction_for(syndrome)).codes()
-            assert list(frame) == list(spec.byproduct(np.array(fixed, dtype=np.uint8))[0])
+            syndrome, correctable, frame = station_reading(code, spec, codes)
+            assert tuple(syndrome) == code.syndrome_of(error)
+            estimate = code.correction_for(tuple(syndrome))
+            assert correctable == (estimate.weight <= code.correctable_weight)
+            fixed = error * estimate
+            assert list(frame) == list(spec.byproduct(np.array(fixed.codes(), dtype=np.uint8))[0])
+            shots.append((syndrome, correctable, frame))
+        for want, got in zip(zip(*shots), station_reading(code, spec, batch)):
+            assert np.array_equal(np.stack(want, axis=-1), got)
+
+
+def at_station_chain(cfg: ChainConfig, rng) -> tuple[float, Counter]:
+    """Fidelity and station syndrome histogram of the trajectory chain
+    run by the at-station oracle."""
+    code = code_by_name(cfg.code)
+    q_channel = [cfg.channel_for(seg) for seg in range(cfg.segments)]
+    good, syndromes = 0, Counter()
+    for _ in range(cfg.samples):
+        ok, stations = at_station_shot(code, cfg.noise, rng, q_channel)
+        good += ok
+        syndromes.update(r.syndrome for r in stations)
+    return good / cfg.samples, syndromes
 
 
 @pytest.mark.parametrize("key", sorted(CHAIN_FROZEN))
 def test_chain_frozen(key):
     code, mode, segments, timing = key
     fidelity, flagged = CHAIN_FROZEN[key]
-    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=code, samples=10,
-                      correction_timing=timing)
-    s = encoded_chain(cfg, make_rng(1), mode=mode)
-    assert abs(s.fidelity - fidelity) < 1e-12
+    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=code, samples=10)
+    if timing == "end":
+        s = encoded_chain(cfg, make_rng(1), mode=mode)
+        got, syndromes = s.fidelity, s.extra.get("syndromes")
+    elif mode == "dense":
+        got, syndromes = _branch_ensemble_fidelity(cfg, timing), None
+    else:
+        got, syndromes = at_station_chain(cfg, make_rng(1))
+    assert abs(got - fidelity) < 1e-12
     if flagged is not None:
         trivial = (0,) * len(code_by_name(code).stabilizers)
-        assert segments * cfg.samples - s.extra["syndromes"].get(trivial, 0) == flagged
+        assert segments * cfg.samples - syndromes.get(trivial, 0) == flagged
+
+
+@pytest.mark.parametrize("seed", [1, 99])
+@pytest.mark.parametrize("segments", [1, 2])
+@pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase"])
+def test_corrections_at_each_station_give_the_deferred_shots(name, segments, seed):
+    # every operation is Clifford, so applying each correction where it is
+    # found takes the same draws and delivers the same pair as deferring
+    # all of them into the frame, shot by shot
+    code = code_by_name(name)
+    noise = NoiseModel(0.95, 0.97, 0.85)
+    deferred_rng, at_station_rng = make_rng(seed), make_rng(seed)
+    outcomes = set()
+    for _ in range(12):
+        ok, stations = encoded_shot(code, noise, deferred_rng, [0.85] * segments)
+        want_ok, want = at_station_shot(code, noise, at_station_rng, [0.85] * segments)
+        assert ok == want_ok
+        assert [r.syndrome for r in stations] == [r.syndrome for r in want]
+        assert [r.uncorrectable for r in stations] == [r.uncorrectable for r in want]
+        outcomes.add((bool(ok), any(any(r.syndrome) for r in stations)))
+    assert len(outcomes) > 1
 
 
 @pytest.mark.parametrize("segments", sorted(ANALYTIC_FROZEN))
@@ -111,13 +164,14 @@ def _syndrome_projector_branches(code: CodeSpec, dm: oracles.DensityMatrix,
     return out
 
 
-def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
+def _branch_ensemble_fidelity(cfg: ChainConfig, timing: str) -> float:
     """Delivered fidelity by exact branch-ensemble evolution.
 
     The host is a reference qubit plus the encoded block; each segment
     applies the folded per-step noise and a perfect syndrome projection
     (valid by the tested resource channel identities). Corrections are
-    applied per cfg.correction_timing.
+    applied at each station (`timing` "station") or tracked and applied
+    at the end ("end").
     """
     code = code_by_name(cfg.code)
     n = code.n
@@ -130,7 +184,7 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
         PauliString.single(n + 1, 0, "Z")
         * code.logical_z.embed(n + 1, list(range(1, n + 1)))
     )
-    ideal_vec = to_dense(StabilizerState.from_generators(gens))
+    ideal_vec = to_dense(oracles.from_generators(gens))
     block = list(range(1, n + 1))
     gen_mats = [
         embed_unitary(n + 1, oracles.pauli_matrix(g), block)
@@ -147,7 +201,7 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
             for bprob, raw_bits, bdm in _syndrome_projector_branches(code, dm, gen_mats):
                 syndrome = tuple(a ^ b for a, b in zip(raw_bits, code.syndrome_of(frame)))
                 est = code.correction_for(syndrome)
-                if cfg.correction_timing == "station":
+                if timing == "station":
                     bdm = apply_pauli(bdm, est.embed(n + 1, block))
                     new_frame = frame
                 else:
@@ -156,7 +210,7 @@ def _branch_ensemble_fidelity(cfg: ChainConfig) -> float:
         branches = nxt
     fid = 0.0
     for prob, dm, frame in branches:
-        if cfg.correction_timing == "end" and not frame.is_identity:
+        if timing == "end" and not frame.is_identity:
             dm = apply_pauli(dm, frame.embed(n + 1, block))
         fid += prob * fidelity_with_vec(dm, ideal_vec)
     return fid
@@ -170,10 +224,9 @@ def test_logical_channel_composes_to_the_dense_chain(name, segments):
     # correction timing, is its reference
     exact = encoded_chain(ChainConfig(segments=segments, noise=CHAIN_NOISE, code=name),
                           mode="dense").fidelity
+    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=name)
     for timing in ("end", "station"):
-        cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, code=name,
-                          correction_timing=timing)
-        assert abs(exact - _branch_ensemble_fidelity(cfg)) < 1e-12
+        assert abs(exact - _branch_ensemble_fidelity(cfg, timing)) < 1e-12
 
 
 def test_dense_chain_reaches_codes_beyond_the_branch_ensemble():
@@ -195,11 +248,15 @@ def test_analytic_chain_is_a_lower_bound_on_dense(name):
 @pytest.mark.parametrize("timing", ["end", "station"])
 @pytest.mark.parametrize("segments", [1, 2])
 def test_chain_trajectory_matches_dense(segments, timing):
-    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, samples=30,
-                      correction_timing=timing)
+    # "end" is the package's chain; "station" the at-station oracle
+    cfg = ChainConfig(segments=segments, noise=CHAIN_NOISE, samples=30)
     exact = encoded_chain(cfg, mode="dense").fidelity
-    s = encoded_chain(cfg, make_rng(1), mode="trajectory")
+    if timing == "end":
+        s = encoded_chain(cfg, make_rng(1), mode="trajectory")
+        assert s.samples == cfg.samples
+        fidelity, syndromes = s.fidelity, s.extra["syndromes"]
+    else:
+        fidelity, syndromes = at_station_chain(cfg, make_rng(1))
     se = math.sqrt(exact * (1 - exact) / cfg.samples)
-    assert s.samples == cfg.samples
-    assert sum(s.extra["syndromes"].values()) == segments * cfg.samples
-    assert abs(s.fidelity - exact) < 4 * se
+    assert sum(syndromes.values()) == segments * cfg.samples
+    assert abs(fidelity - exact) < 4 * se

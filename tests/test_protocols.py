@@ -336,7 +336,7 @@ def test_sampler_rejects_non_deterministic_variant():
 
 @pytest.mark.parametrize("index,letter", enumerate("IZXY"))
 def test_bell_pair_constructor(index, letter):
-    ref = StabilizerState.from_generators(
+    ref = oracles.from_generators(
         [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
     )
     if letter != "I":
