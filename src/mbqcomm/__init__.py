@@ -7,4 +7,4 @@ transmission and quantum repeaters, together with the closed-form
 error-threshold solvers.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

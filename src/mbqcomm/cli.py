@@ -2,7 +2,8 @@
 threshold | sweep.
 
 All noise inputs are probabilities in [0, 1]; percent values are
-rejected. Single-shard runs are bitwise reproducible from the seed;
+rejected. A seed is an integer >= 0 of any size. A run is bitwise
+reproducible from its seed, shard count and package version;
 multi-shard aggregates are shard-order independent.
 """
 
@@ -62,6 +63,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 class OneLineParser(argparse.ArgumentParser):
     """Reports bad input in one line on stderr and exits 2."""
 
@@ -101,7 +109,7 @@ def noise_list(noise: NoiseModel) -> list[float]:
 def add_run_args(p: argparse.ArgumentParser, outputs: bool = True,
                  samples: int | None = 10_000, seed: int | None = 1):
     p.add_argument("--samples", type=positive_int, default=samples)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=nonnegative_int, default=seed)
     if outputs:
         p.add_argument("--csv-out", default=None)
         p.add_argument("--json-out", default=None)
@@ -143,9 +151,15 @@ def cmd_purify(args) -> int:
         samples = 10_000 if samples is None else samples
         seed = 1 if seed is None else seed
         shards = 1 if shards is None else shards
+        # a stepwise shard holds whole output slots of 2^rounds pairs, and
+        # the last one also the pairs that fill no slot; merged runs count
+        # attempts, so their unit is 1 (purify_recurrence rejects rounds < 1)
+        unit = 1 << args.rounds if args.mode == "stepwise" and args.rounds > 0 else 1
+        slots, rest = divmod(samples, unit)
         counts = Counter()
         for shard in range(shards):
-            size = samples // shards + (shard < samples % shards)
+            size = unit * (slots // shards + (shard < slots % shards))
+            size += rest if shard == shards - 1 else 0
             if size:
                 part = purify_recurrence(state, args.rounds, noise, mode=args.mode,
                                          samples=size, rng=make_rng(seed, shard),

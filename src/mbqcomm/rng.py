@@ -1,10 +1,12 @@
-"""Reproducible, splittable random streams on the Philox counter-based
-bit generator.
+"""Reproducible, splittable random streams on the PCG64DXSM bit generator.
 
-Stream derivation (stable across versions): the Philox key is the pair
-(master_seed, shard_id * 2^32), both reduced modulo 2^64. Distinct
-shards give independent streams; a single-shard run is bitwise
-reproducible from (seed, config, version).
+Stream derivation: shard `k` of master seed `s` is
+`PCG64DXSM(SeedSequence(s, spawn_key=(k,)))`, the stream that numpy's
+`SeedSequence(s).spawn` hands its `k`-th child. The seed enters
+SeedSequence as an exact integer of any size, so distinct nonnegative
+seeds name distinct streams, and distinct shards give independent
+streams. A single-shard run is bitwise reproducible from (seed, config,
+version).
 
 Every categorical draw in the package (Bell indices, Pauli letters)
 reproduces `Generator.choice(k, size, p)` draw for draw: the same
@@ -18,22 +20,25 @@ also cut the doubles of one `random(n)` call itself.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 18
 _ATOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's tolerance on sum(p)
 
 
 def make_rng(master_seed: int, shard_id: int = 0) -> np.random.Generator:
     """Generator for one stream; same inputs always give the same stream."""
+    master_seed = operator.index(master_seed)  # an exact Python int, never a float
+    if master_seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {master_seed}")
     if shard_id < 0:
         raise ValueError("shard id must be nonnegative")
-    key = (master_seed & _MASK64, (shard_id << 32) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(master_seed, spawn_key=(shard_id,))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 @lru_cache(maxsize=256)

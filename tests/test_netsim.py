@@ -30,7 +30,7 @@ from oracles import (
 CHAIN_NOISE = NoiseModel(0.98, 0.99, 0.9)
 
 # fidelity at CHAIN_NOISE before the chain shared one shot body, and for
-# trajectories (10 shots at seed 1) the stations' non-trivial syndromes.
+# trajectories (10 shots at seed 1 of the PCG64DXSM stream) the stations' non-trivial syndromes.
 # "end" is the package's chain, which defers every correction; "station"
 # applies each correction where it is found: the branch ensemble
 # (dense) or the at-station shot of the oracles (trajectory)
@@ -38,9 +38,9 @@ CHAIN_FROZEN = {
     ("ring5", "dense", 1, "end"): (0.8990951221413057, None),
     ("ring5", "dense", 2, "end"): (0.811765970116841, None),
     ("ring5", "dense", 2, "station"): (0.8117659701168409, None),
-    ("ring5", "trajectory", 3, "end"): (0.8, 10),
-    ("ring5", "trajectory", 3, "station"): (0.8, 10),
-    ("repetition3", "trajectory", 3, "station"): (0.6, 6),
+    ("ring5", "trajectory", 3, "end"): (0.9, 10),
+    ("ring5", "trajectory", 3, "station"): (0.9, 10),
+    ("repetition3", "trajectory", 3, "station"): (0.5, 6),
 }
 
 # the paper's ring-5 bound at CHAIN_NOISE, as reported before one logical

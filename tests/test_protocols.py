@@ -158,9 +158,9 @@ def test_p_success_counts_whole_output_slots():
 # merged: the purify-mc bench command (3 rounds, 1M attempts);
 # repeater: the repeater-mc bench command (8 segments, 2 rounds, 2^20 pairs)
 STREAM_COUNTS = {
-    "merged": (1_000_000, 8_000_000, 72_979, 65_696),
-    "stepwise": (1_000_000, 1_000_000, 101_110, 68_004),
-    "repeater": (1 << 20, 8 << 20, 1_254, 1_232),
+    "merged": (1_000_000, 8_000_000, 72_821, 65_523),
+    "stepwise": (1_000_000, 1_000_000, 101_040, 67_818),
+    "repeater": (1 << 20, 8 << 20, 1_241, 1_212),
 }
 
 
