@@ -76,14 +76,14 @@ class CodeSpec:
 
     def decode(self, bits) -> tuple[np.ndarray, np.ndarray]:
         """The lookup corrections of syndrome `bits`, one bit per generator
-        on the first axis, for one shot or, on a second axis, for many:
-        their letter codes, one per qubit on the first axis, and whether
-        each is correctable."""
+        on the first axis, for one shot or, on a second axis, for many (at
+        most one shot axis): their letter codes, one per qubit on the
+        first axis, and whether each is correctable."""
         bits = np.asarray(bits)
         if len(bits) != len(self.stabilizers):
             raise CodeError(f"syndrome needs {len(self.stabilizers)} bits, got {len(bits)}")
         index = (1 << np.arange(len(bits))) @ bits
-        return np.moveaxis(self.lookup[index], -1, 0), self.correctable[index]
+        return self.lookup[index].T, self.correctable[index]
 
     def correction_for(self, syndrome: tuple[int, ...]) -> PauliString:
         """The table's lowest-weight error with this syndrome."""

@@ -15,11 +15,10 @@ places a Pauli on any listed qubits) and `shifted` reject a negative
 qubit count, x/z bits outside the register and unknown letters, and
 reduce the phase modulo 4. Every operand of the
 algebra therefore satisfies the invariant: x and z lie inside n bits
-and 0 <= phase < 4. Products, sign changes, restrictions (`without`)
-and Clifford images of such operands satisfy it too, so they
-are built by `_unchecked`, which skips the checks; the result is equal
-to, and hashes like, the same operator built through the public
-constructor.
+and 0 <= phase < 4. Products, phase changes, placements and Clifford
+images of such operands satisfy it too, so they are built by
+`_unchecked`, which skips the checks; the result is equal to, and
+hashes like, the same operator built through the public constructor.
 """
 
 from __future__ import annotations
@@ -169,26 +168,12 @@ class PauliString:
         t = (self.x & other.z).bit_count() + (self.z & other.x).bit_count()
         return t % 2 == 0
 
-    def negate(self) -> "PauliString":
-        return _unchecked(self.n, self.x, self.z, (self.phase + 2) % 4)
-
     def with_phase(self, phase: int) -> "PauliString":
         return _unchecked(self.n, self.x, self.z, phase % 4)
 
     def unsigned(self) -> "PauliString":
         """Same letters with canonical (+) sign."""
         return _unchecked(self.n, self.x, self.z, self.y_count % 4)
-
-    def without(self, drop: Sequence[int]) -> "PauliString":
-        """Sub-Pauli on the qubits not in `drop`, in order, phase dropped
-        (unsigned). `drop` must be sorted, distinct and
-        inside the register; each qubit is cut out by one shift and mask."""
-        x, z = self.x, self.z
-        for q in reversed(drop):
-            low = (1 << q) - 1
-            x = x & low | x >> q + 1 << q
-            z = z & low | z >> q + 1 << q
-        return _unchecked(self.n - len(drop), x, z, (x & z).bit_count() % 4)
 
     def embed(self, n: int, positions: Sequence[int]) -> "PauliString":
         """Place this Pauli on `positions` of an n-qubit register."""

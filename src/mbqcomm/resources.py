@@ -137,7 +137,7 @@ class ResourceSpec:
         """Read letter codes riding into the inputs, one per input on the
         first axis in input order (such as the codes
         `StabilizerState.bell_measure` returns), for one shot or, on a
-        second axis, for many.
+        second axis, for many; at most one shot axis is accepted.
 
         Returns their image on the outputs as letter codes, one per output
         on the first axis, and the `syndrome` bits they flip, one per name
@@ -145,10 +145,10 @@ class ResourceSpec:
         input's letter.
         """
         codes = np.asarray(codes)
-        if len(codes) != len(self.inputs):
-            raise ResourceError("need one letter code per input")
+        if not 1 <= codes.ndim <= 2 or len(codes) != len(self.inputs):
+            raise ResourceError("need one letter code per input, on at most one shot axis")
         inputs = np.arange(len(codes)).reshape(-1, *(1,) * (codes.ndim - 1))
-        read = np.moveaxis(np.bitwise_xor.reduce(self._read_table[inputs, codes]), -1, 0)
+        read = np.bitwise_xor.reduce(self._read_table[inputs, codes]).T
         n_out = len(self.outputs)
         return read[:n_out], read[n_out:]
 
@@ -218,7 +218,8 @@ def _build_resource(name: str, circuit: CliffordMap,
         try:
             state.drop_measured(pinned, drop)
         except TableauError as exc:
-            names = _entangling(premeasured, [state.stabs[j] for j in pinned], n_in)
+            rows = state.stabs
+            names = _entangling(premeasured, [rows[j] for j in pinned], n_in)
             raise ResourceError(f"qubits of pre-measurement {', '.join(names)} "
                                 "stay entangled with the rest") from exc
 

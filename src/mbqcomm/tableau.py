@@ -1,17 +1,21 @@
 """Stabilizer-state engine with destabilizer bookkeeping.
 
 The tableau stores n stabilizer generators plus n destabilizers (used to
-resolve deterministic measurement outcomes), all as phased PauliStrings
-(Aaronson and Gottesman, PRA 70, 052328, 2004). Measurements of
-arbitrary Pauli operators and Bell measurements with qubit removal
-live here.
+resolve deterministic measurement outcomes; Aaronson and Gottesman,
+PRA 70, 052328, 2004) as plain ints, bit j = qubit j: stabilizer k is
+i^sp[k] X^sx[k] Z^sz[k] (the phase convention of `PauliString`) and
+destabilizer k is X^dx[k] Z^dz[k], unsigned, since no result reads a
+destabilizer's sign. Row products follow `PauliString.multiply`: the
+phase of g h is p_g + p_h + 2 |z_g & x_h| (mod 4). Measurements of
+arbitrary Pauli operators and Bell measurements with qubit removal live
+here, and no row operation builds a PauliString.
 
 A qubit leaves a tableau in one way (`StabilizerState.drop_measured`).
 The operators that measure it out are pinned as stabilizer rows by
 `measure`, and every other row is cleared of the dropped qubits in one
 pass, by the pinned rows that its part there is made of; the bits are
-then cut out with `PauliString.without`. Bell measurements pin X_a X_b
-and Z_a Z_b, resource builds their pre-measured operators.
+then cut out by shifts. Bell measurements pin X_a X_b and Z_a Z_b,
+resource builds their pre-measured operators.
 """
 
 from __future__ import annotations
@@ -31,32 +35,77 @@ class InconsistentProjection(TableauError):
 
 
 class StabilizerState:
-    """n-qubit pure stabilizer state as a destabilizer tableau."""
+    """n-qubit pure stabilizer state as a destabilizer tableau.
+
+    Row k is held in five parallel lists of ints (see the module
+    docstring): `sx`, `sz` and the phase `sp` of the stabilizer, `dx`
+    and `dz` of the unsigned destabilizer. `stabs` and `destabs` are
+    read-only tuples of PauliStrings built on each read; assigning a
+    whole list of PauliStrings to either replaces its rows (destabilizer
+    signs are dropped).
+    """
+
+    __slots__ = ("n", "sx", "sz", "sp", "dx", "dz")
 
     def __init__(self, stabs: list[PauliString], destabs: list[PauliString]):
-        self.stabs = list(stabs)
-        self.destabs = list(destabs)
+        self.stabs = stabs
+        self.destabs = destabs
 
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _from_rows(cls, n: int, sx: list[int], sz: list[int], sp: list[int],
+                   dx: list[int], dz: list[int]) -> "StabilizerState":
+        """The state with these row lists, taken as they are."""
+        state = object.__new__(cls)
+        state.n, state.sx, state.sz, state.sp, state.dx, state.dz = n, sx, sz, sp, dx, dz
+        return state
+
+    @classmethod
     def bell_pair(cls) -> "StabilizerState":
-        """|phi+> on qubits (0, 1)."""
-        return cls([PauliString.from_string("XX"), PauliString.from_string("ZZ")],
-                   [PauliString.from_string("ZI"), PauliString.from_string("IX")])
+        """|phi+> on qubits (0, 1): stabilizers XX, ZZ with destabilizers
+        ZI, IX."""
+        return cls._from_rows(2, [0b11, 0], [0, 0b11], [0, 0], [0, 0b10], [0b01, 0])
 
     def copy(self) -> "StabilizerState":
-        return StabilizerState(list(self.stabs), list(self.destabs))
+        return StabilizerState._from_rows(self.n, self.sx[:], self.sz[:], self.sp[:],
+                                          self.dx[:], self.dz[:])
+
+    # -- rows as PauliStrings ------------------------------------------
 
     @property
-    def n(self) -> int:
-        return self.stabs[0].n if self.stabs else 0
+    def stabs(self) -> tuple[PauliString, ...]:
+        n = self.n
+        return tuple(PauliString(n, x, z, p) for x, z, p in zip(self.sx, self.sz, self.sp))
+
+    @stabs.setter
+    def stabs(self, rows: list[PauliString]):
+        rows = list(rows)
+        self.n = rows[0].n if rows else 0
+        self.sx = [g.x for g in rows]
+        self.sz = [g.z for g in rows]
+        self.sp = [g.phase for g in rows]
+
+    @property
+    def destabs(self) -> tuple[PauliString, ...]:
+        n = self.n
+        return tuple(PauliString(n, x, z, (x & z).bit_count()) for x, z in zip(self.dx, self.dz))
+
+    @destabs.setter
+    def destabs(self, rows: list[PauliString]):
+        rows = list(rows)
+        self.dx = [d.x for d in rows]
+        self.dz = [d.z for d in rows]
 
     # -- Paulis ----------------------------------------------------------
 
     def apply_pauli(self, p: PauliString):
         """Apply a Pauli operator (flips generator signs only)."""
-        self.stabs = [g if g.commutes(p) else g.negate() for g in self.stabs]
+        if p.n != self.n:
+            raise PauliError("length mismatch in Pauli application")
+        px, pz = p.x, p.z
+        self.sp = [ph ^ 2 if (x & pz ^ z & px).bit_count() & 1 else ph
+                   for x, z, ph in zip(self.sx, self.sz, self.sp)]
 
     # -- measurement -----------------------------------------------------
 
@@ -81,43 +130,51 @@ class StabilizerState:
             raise TableauError("cannot measure the identity")
         if not p.is_hermitian:
             raise TableauError("measured operator must be Hermitian")
-        n = self.n
-        if p.n != n:
+        if p.n != self.n:
             raise PauliError("length mismatch in measurement")
-        px, pz = p.x, p.z
+        return self._measure(p.x, p.z, p.phase, rng, force, pinned)
+
+    def _measure(self, px: int, pz: int, phase: int, rng, force, pinned) -> int:
+        """`measure` of i^phase X^px Z^pz, which it has checked."""
+        sx, sz, sp, dx, dz = self.sx, self.sz, self.sp, self.dx, self.dz
         # rows that anticommute with p: odd symplectic product with (px, pz)
-        anti_stabs = [k for k, g in enumerate(self.stabs)
-                      if (g.x & pz ^ g.z & px).bit_count() & 1]
-        anti_destabs = [k for k, d in enumerate(self.destabs)
-                        if (d.x & pz ^ d.z & px).bit_count() & 1]
+        rows = range(self.n)
+        anti_stabs = [k for k in rows if (sx[k] & pz ^ sz[k] & px).bit_count() & 1]
+        anti_destabs = [k for k in rows if (dx[k] & pz ^ dz[k] & px).bit_count() & 1]
         if anti_stabs:
             piv = anti_stabs[0]
             if pinned:
                 piv = next((k for k in anti_stabs if k in pinned), piv)
-            pivot_row = self.stabs[piv]
+            gx, gz, gp = sx[piv], sz[piv], sp[piv]
             for k in anti_stabs:
                 if k != piv:
-                    self.stabs[k] = self.stabs[k] * pivot_row
+                    sp[k] = sp[k] + gp + ((sz[k] & gx).bit_count() & 1) * 2 & 3
+                    sx[k] ^= gx
+                    sz[k] ^= gz
             for k in anti_destabs:
-                self.destabs[k] = self.destabs[k] * pivot_row
+                dx[k] ^= gx
+                dz[k] ^= gz
             if force is not None:
                 outcome = 1 if force >= 0 else -1
             else:
                 if rng is None:
                     raise TableauError("random outcome requires an rng")
                 outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
-            self.destabs[piv] = pivot_row
-            self.stabs[piv] = p if outcome == 1 else p.negate()
+            dx[piv], dz[piv] = gx, gz
+            sx[piv], sz[piv], sp[piv] = px, pz, phase if outcome == 1 else phase ^ 2
             if pinned is not None and piv not in pinned:
                 pinned.append(piv)
             return outcome
         # deterministic: reconstruct +-P as a product of generators
-        acc = PauliString.identity(n)
+        ax = az = ap = 0
         for k in anti_destabs:
-            acc = acc * self.stabs[k]
-        if acc.x != p.x or acc.z != p.z:
+            x = sx[k]
+            ap += sp[k] + ((az & x).bit_count() & 1) * 2
+            ax ^= x
+            az ^= sz[k]
+        if ax != px or az != pz:
             raise TableauError("deterministic reconstruction failed")
-        outcome = 1 if acc.phase == p.phase else -1
+        outcome = 1 if ap & 3 == phase else -1
         if force is not None and outcome != (1 if force >= 0 else -1):
             raise InconsistentProjection("projection has probability zero")
         if pinned is None:
@@ -127,11 +184,12 @@ class StabilizerState:
         row = next((k for k in anti_destabs if k not in pinned), -1)
         if row < 0:
             return outcome
-        partner = self.destabs[row]
+        rx, rz = dx[row], dz[row]
         for k in anti_destabs:
             if k != row:
-                self.destabs[k] = self.destabs[k] * partner
-        self.stabs[row] = p if outcome == 1 else p.negate()
+                dx[k] ^= rx
+                dz[k] ^= rz
+        sx[row], sz[row], sp[row] = px, pz, phase if outcome == 1 else phase ^ 2
         pinned.append(row)
         return outcome
 
@@ -151,16 +209,15 @@ class StabilizerState:
         value, depend on the state alone, so this takes the same rng draws
         as measuring and then eliminating the pair by Gauss-Jordan.
         """
-        n = self.n
-        _check_qubits((a, b), n)
+        _check_qubits((a, b), self.n)
         if a == b:
             raise TableauError("Bell measurement needs two distinct qubits")
         pair = 1 << a | 1 << b
         pinned: list[int] = []
-        sx = self.measure(PauliString(n, pair, 0), rng, pinned=pinned)
-        sz = self.measure(PauliString(n, 0, pair), rng, pinned=pinned)
+        xx = self._measure(pair, 0, 0, rng, None, pinned)
+        zz = self._measure(0, pair, 0, rng, None, pinned)
         self.drop_measured(pinned, (a, b))
-        return (1 - sz) + (1 - sx) // 2
+        return (1 - zz) + (1 - xx) // 2
 
     # -- qubit removal ---------------------------------------------------
 
@@ -172,11 +229,10 @@ class StabilizerState:
         paired with destabilizer j (<s_i, d_j> = delta_ij), so the part
         of any other row on `qubits` is the product of the pinned rows j
         whose destabilizer meets it oddly there. One pass multiplies those
-        in, which clears `qubits`, and their bits are cut out with
-        `PauliString.without`. The pinned rows and their destabilizers are
-        deleted. Stabilizers keep their phase; destabilizers come out
-        unsigned. Raises TableauError, leaving the state as it was, when
-        the pinned rows do not measure `qubits` out.
+        in, which clears `qubits`, and their bits are cut out by shifts.
+        The pinned rows and their destabilizers are deleted. Stabilizers
+        keep their phase. Raises TableauError, leaving the state as it
+        was, when the pinned rows do not measure `qubits` out.
         """
         n = self.n
         drop = sorted(set(qubits))
@@ -184,37 +240,54 @@ class StabilizerState:
         if len(pinned) != len(drop):
             raise TableauError("removed qubits are still entangled with the rest")
         mask = sum(1 << q for q in drop)
-        pins = [(self.stabs[j], self.destabs[j].x & mask, self.destabs[j].z & mask)
-                for j in pinned]
-        if any((g.x | g.z) & ~mask for g, _, _ in pins):
+        # work on copies, so that a raise leaves the state as it was
+        sx, sz, sp, dx, dz = self.sx[:], self.sz[:], self.sp[:], self.dx[:], self.dz[:]
+        pins = [(sx[j], sz[j], sp[j], dx[j] & mask, dz[j] & mask) for j in pinned]
+        if any((gx | gz) & ~mask for gx, gz, _, _, _ in pins):
             raise TableauError("a pinned row reaches a kept qubit")
-
-        def cleared(row: PauliString) -> PauliString:
-            # a pinned row meets no other pin's destabilizer, so every
-            # coefficient can be read off the row as it came
-            x, z = row.x, row.z
+        for j in sorted(pinned, reverse=True):
+            del sx[j], sz[j], sp[j], dx[j], dz[j]
+        # a pinned row meets no other pin's destabilizer, so every
+        # coefficient can be read off the row as it came
+        rows = range(n - len(drop))
+        for k in [k for k in rows if (sx[k] | sz[k]) & mask]:
+            x, z, p = sx[k], sz[k], sp[k]
+            for gx, gz, gp, mx, mz in pins:
+                if (sx[k] & mz ^ sz[k] & mx).bit_count() & 1:
+                    p += gp + ((z & gx).bit_count() & 1) * 2
+                    x ^= gx
+                    z ^= gz
             if (x | z) & mask:
-                for g, dx, dz in pins:
-                    if (x & dz ^ z & dx).bit_count() & 1:
-                        row = row * g
-                if (row.x | row.z) & mask:
-                    raise TableauError("removed qubits are still entangled with the rest")
-            return row
-
-        rest = [k for k in range(n) if k not in pinned]
-        stabs = [cleared(self.stabs[k]) for k in rest]
-        destabs = [cleared(self.destabs[k]) for k in rest]
-        self.stabs = [g.without(drop).with_phase(g.phase) for g in stabs]
-        self.destabs = [d.without(drop) for d in destabs]
+                raise TableauError("removed qubits are still entangled with the rest")
+            sx[k], sz[k], sp[k] = x, z, p & 3
+        for k in [k for k in rows if (dx[k] | dz[k]) & mask]:
+            x, z = dx[k], dz[k]
+            for gx, gz, _, mx, mz in pins:
+                if (dx[k] & mz ^ dz[k] & mx).bit_count() & 1:
+                    x ^= gx
+                    z ^= gz
+            if (x | z) & mask:
+                raise TableauError("removed qubits are still entangled with the rest")
+            dx[k], dz[k] = x, z
+        # every row is clear of the dropped qubits: cut each one out by
+        # moving the bits above it down by one, on all four columns at once
+        parts = sx + sz + dx + dz
+        for q in reversed(drop):
+            low = (1 << q) - 1
+            high = ~low
+            parts = [v & low | v >> 1 & high for v in parts]
+        m = len(sp)
+        self.n = m
+        self.sx, self.sz, self.sp = parts[:m], parts[m:2 * m], sp
+        self.dx, self.dz = parts[2 * m:3 * m], parts[3 * m:]
 
     def tensor(self, other: "StabilizerState") -> "StabilizerState":
         n1 = self.n
-        n = n1 + other.n
-        stabs = [g.shifted(n, 0) for g in self.stabs]
-        stabs += [g.shifted(n, n1) for g in other.stabs]
-        destabs = [d.shifted(n, 0) for d in self.destabs]
-        destabs += [d.shifted(n, n1) for d in other.destabs]
-        return StabilizerState(stabs, destabs)
+        return StabilizerState._from_rows(
+            n1 + other.n,
+            self.sx + [x << n1 for x in other.sx], self.sz + [z << n1 for z in other.sz],
+            self.sp + other.sp,
+            self.dx + [x << n1 for x in other.dx], self.dz + [z << n1 for z in other.dz])
 
 
 def _check_qubits(qubits, n: int):

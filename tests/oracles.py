@@ -271,21 +271,22 @@ def validate_tableau(state: StabilizerState):
     """Raise TableauError unless the tableau holds n Hermitian, commuting
     stabilizers and n destabilizers, each paired with its stabilizer alone."""
     n = state.n
-    if len(state.stabs) != n or len(state.destabs) != n:
+    stabs, destabs = state.stabs, state.destabs
+    if len(stabs) != n or len(destabs) != n:
         raise TableauError("tableau must hold n stabilizers and n destabilizers")
-    for i, g in enumerate(state.stabs):
+    for i, g in enumerate(stabs):
         if not g.is_hermitian:
             raise TableauError(f"generator {i} is not Hermitian")
         for j in range(i + 1, n):
-            if not g.commutes(state.stabs[j]):
+            if not g.commutes(stabs[j]):
                 raise TableauError(f"generators {i},{j} do not commute")
-    for k, d in enumerate(state.destabs):
-        for j, g in enumerate(state.stabs):
+    for k, d in enumerate(destabs):
+        for j, g in enumerate(stabs):
             want = (j == k)
             if d.commutes(g) == want:
                 raise TableauError(f"destabilizer {k} pairing broken at {j}")
         for j in range(k + 1, n):
-            if not d.commutes(state.destabs[j]):
+            if not d.commutes(destabs[j]):
                 raise TableauError(f"destabilizers {k},{j} do not commute")
 
 
@@ -378,6 +379,23 @@ def _eliminate(stabs: list[PauliString], destabs: list[PauliString],
     return pivots
 
 
+def negate(p: PauliString) -> PauliString:
+    """-p."""
+    return PauliString(p.n, p.x, p.z, p.phase + 2)
+
+
+def without(p: PauliString, drop) -> PauliString:
+    """Sub-Pauli of `p` on the qubits not in `drop`, in order, unsigned.
+    `drop` must be sorted, distinct and inside the register; each qubit
+    is cut out by one shift and mask."""
+    x, z = p.x, p.z
+    for q in reversed(drop):
+        low = (1 << q) - 1
+        x = x & low | x >> q + 1 << q
+        z = z & low | z >> q + 1 << q
+    return PauliString(p.n - len(drop), x, z, (x & z).bit_count())
+
+
 def remove_qubits(state: StabilizerState, qubits):
     """Oracle of `StabilizerState.drop_measured`: drop qubits that are in a
     product state with the rest, whatever measured them, by two
@@ -402,8 +420,8 @@ def remove_qubits(state: StabilizerState, qubits):
     # keeps its phase; the dropped rows now act there alone and a
     # surviving destabilizer commutes with them, so its part there lies
     # in their group and cutting it off keeps every pairing
-    state.stabs = [stabs[k].without(drop).with_phase(stabs[k].phase) for k in rest]
-    state.destabs = [destabs[k].without(drop) for k in rest]
+    state.stabs = [without(stabs[k], drop).with_phase(stabs[k].phase) for k in rest]
+    state.destabs = [without(destabs[k], drop) for k in rest]
 
 
 def canonical_generators(state: StabilizerState) -> tuple[PauliString, ...]:
@@ -467,7 +485,7 @@ def random_pauli(n: int, rng, allow_identity: bool = True) -> PauliString:
             break
     sign = int(rng.integers(0, 2))
     p = PauliString(n, x, z, 0).unsigned()
-    return p.negate() if sign else p
+    return negate(p) if sign else p
 
 
 # -- graph states ----------------------------------------------------------
@@ -555,10 +573,10 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
             raise TableauError("cannot complete X-block rank (not a stabilizer state?)")
 
     # row-reduce so the X block becomes the identity, destabilizers in step
-    pivots = _eliminate(work.stabs, work.destabs, [(True, 1 << q) for q in range(n)],
-                        range(n))
-    work.stabs = [work.stabs[i] for i in pivots]
-    work.destabs = [work.destabs[i] for i in pivots]
+    stabs, destabs = list(work.stabs), list(work.destabs)
+    pivots = _eliminate(stabs, destabs, [(True, 1 << q) for q in range(n)], range(n))
+    work.stabs = [stabs[i] for i in pivots]
+    work.destabs = [destabs[i] for i in pivots]
 
     for q in range(n):
         if work.stabs[q].z_bit(q):

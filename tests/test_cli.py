@@ -166,6 +166,46 @@ def test_qec_record_frozen(q_channel, fidelity, ci, capsys):
     assert record["samples"] == 10
 
 
+# Full records of noisy stabilizer trajectories. At this noise most shots
+# draw Paulis, random Bell outcomes and flagged syndromes, so every branch
+# of the tableau (sign flips, random and deterministic measurements, qubit
+# removal) feeds the record; a changed draw or sign shows up here.
+NOISY_QEC = ["--p-resource", "0.95", "--q-meas", "0.95", "--q-channel", "0.85",
+             "--samples", "300", "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv,record", [
+    (["qec", "--code", "ring5"] + NOISY_QEC,
+     '{"ci_hi": 0.5791993463738232, "ci_lo": 0.46687729355961566, '
+     '"config_hash": "f5ad5b2819fd5acb", "fidelity": 0.5233333333333333, '
+     '"p_resource": 0.95, "p_success": 1.0, "params": {"code": "ring5"}, '
+     '"protocol": "qec", "q_channel": 0.85, "q_meas": 0.95, "samples": 300, '
+     '"schema": 1, "seed": 7, "version": "0.2.0", "yield": 1.0}\n'),
+    (["qec", "--code", "repetition3"] + NOISY_QEC,
+     '{"ci_hi": 0.5198689689624482, "ci_lo": 0.40772488257071904, '
+     '"config_hash": "c24a21e9e793a40e", "fidelity": 0.4633333333333333, '
+     '"p_resource": 0.95, "p_success": 1.0, "params": {"code": "repetition3"}, '
+     '"protocol": "qec", "q_channel": 0.85, "q_meas": 0.95, "samples": 300, '
+     '"schema": 1, "seed": 7, "version": "0.2.0", "yield": 1.0}\n'),
+    (["chain", "--segments", "2", "--code", "ring5", "--p-resource", "0.97", "--q-meas", "0.97",
+      "--q-channel", "0.9", "--samples", "200", "--seed", "12345"],
+     '{"ci": [0.5409361758928832, 0.6749177028050861], "code": "ring5", '
+     '"extra": {"uncorrectable_runs": 0}, "fidelity": 0.61, "mode": "trajectory", '
+     '"protocol": "chain", "resources": {"correction_resources": 2, '
+     '"resource_qubits": 32}, "segments": 2}\n'),
+    (["purify", "--F", "0.8", "--engine", "stabilizer", "--rounds", "2", "--p-resource", "0.97",
+      "--q-meas", "0.97", "--samples", "300", "--seed", "3"],
+     '{"ci_hi": 0.8980013866009613, "ci_lo": 0.7534859492631247, '
+     '"config_hash": "b9fbadbe8f84be59", "fidelity": 0.8383838383838383, '
+     '"p_resource": 0.97, "p_success": 0.33, "params": {"F": 0.8, '
+     '"engine": "stabilizer", "mode": "merged", "rounds": 2, "variant": "DEJMPS"}, '
+     '"protocol": "purify", "q_channel": 1.0, "q_meas": 0.97, "samples": 300, '
+     '"schema": 1, "seed": 3, "version": "0.2.0", "yield": 0.0825}\n'),
+], ids=["qec-ring5", "qec-repetition3", "chain-ring5", "purify-stabilizer"])
+def test_noisy_trajectory_records_frozen(argv, record, capsys):
+    assert run(argv, capsys) == (0, record, "")
+
+
 @pytest.mark.parametrize("base,changed", [
     (["qec", "--samples", "1"] + QEC_NOISE,
      ["qec", "--samples", "1"] + QEC_NOISE + ["--q-channel", "0.9"]),

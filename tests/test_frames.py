@@ -112,6 +112,19 @@ def test_frame_map_is_the_byproduct_of_every_letter(spec):
         assert list(table_syndrome) == list(flips[k, code][syndrome_at]) == list(info.syndrome)
 
 
+def test_byproduct_of_many_shots_is_each_shot_by_itself():
+    spec = code_correct(code_by_name("ring5"))
+    codes = np.random.default_rng(3).integers(0, 4, size=(len(spec.inputs), 7), dtype=np.uint8)
+    out, syndrome = spec.byproduct(codes)
+    assert out.shape == (len(spec.outputs), 7) and syndrome.shape == (len(spec.syndrome), 7)
+    for s in range(7):
+        one_out, one_syndrome = spec.byproduct(codes[:, s])
+        assert list(out[:, s]) == list(one_out) and list(syndrome[:, s]) == list(one_syndrome)
+    for bad in (codes[..., None], np.uint8(0), codes[:-1]):
+        with pytest.raises(resources.ResourceError):
+            spec.byproduct(bad)
+
+
 @pytest.mark.parametrize("rounds", [3, 5])
 def test_frames_match_the_byproduct_rule_on_random_frames(rounds):
     # dense and sparse frames: many distinct virtual-bit patterns over

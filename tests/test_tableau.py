@@ -190,7 +190,7 @@ def test_measure_pauli_matches_dense_oracle():
         v = to_dense(s)
         p = random_pauli(s.n, rng, allow_identity=False)
         if pauli_sign(p) == -1:
-            p = p.negate()
+            p = oracles.negate(p)
         ref = _dense_measure_reference(v, p)
         if any(not g.commutes(p) for g in s.stabs):
             assert set(ref) == {1, -1}
@@ -231,7 +231,7 @@ def test_tableau_invariants_after_random_measurements():
             p = random_pauli(n, rng, allow_identity=False)
             if not p.is_hermitian:
                 continue
-            s.measure(p if pauli_sign(p) == 1 else p.negate(), rng)
+            s.measure(p if pauli_sign(p) == 1 else oracles.negate(p), rng)
             validate_tableau(s)
 
 
@@ -308,9 +308,12 @@ def test_bell_outcome_distribution_matches_dense_generic():
 
 
 def row_operation(s, i, j):
-    """s_i <- s_i s_j with d_j <- d_j d_i: the same state, pairing kept."""
-    s.stabs[i] = s.stabs[i] * s.stabs[j]
-    s.destabs[j] = s.destabs[j] * s.destabs[i]
+    """s_i <- s_i s_j with d_j <- d_j d_i: the same state, pairing kept.
+    The rows are read-only views, so whole lists are written back."""
+    stabs, destabs = list(s.stabs), list(s.destabs)
+    stabs[i] = stabs[i] * stabs[j]
+    destabs[j] = destabs[j] * destabs[i]
+    s.stabs, s.destabs = stabs, destabs
 
 
 def scrambled(s, rng, steps=12):
@@ -320,6 +323,18 @@ def scrambled(s, rng, steps=12):
         row_operation(s, *rng.choice(s.n, size=2, replace=False))
     validate_tableau(s)
     return s
+
+
+def test_scrambled_changes_the_generators_not_the_state():
+    rng = np.random.default_rng(12)
+    for n in range(2, 8):
+        s = random_stabilizer_state(n, rng)
+        t = scrambled(s, rng)
+        assert t.stabs != s.stabs and t.destabs != s.destabs
+        assert same_state(t, s)
+        # the rows are read-only views: writing one in place raises
+        with pytest.raises(TypeError):
+            t.stabs[0] = t.stabs[1]
 
 
 @pytest.mark.parametrize("n", range(3, 9))
