@@ -3,8 +3,9 @@ threshold | sweep.
 
 All noise inputs are probabilities in [0, 1]; percent values are
 rejected. A seed is an integer >= 0 of any size. A run is bitwise
-reproducible from its seed, shard count and package version;
-multi-shard aggregates are shard-order independent.
+reproducible from its seed, its options and the package version. Every
+option a subcommand takes changes what it reports; one it would not
+read is rejected in one line with exit status 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import configparser
 import json
 import os
 import sys
-from collections import Counter
 
 from . import __version__
 from .belldiag import werner
@@ -27,7 +27,7 @@ from .netsim import (
     repeater_chain,
 )
 from .noise import NoiseModel
-from .protocols import HashingEnsemble, purify_hashing, purify_recurrence, stats_from_counts
+from .protocols import HashingEnsemble, purify_hashing, purify_recurrence
 from .results import ResultRecord, config_hash, write_csv, write_jsonl, write_plot_csv
 from .rng import make_rng
 from .thresholds import (
@@ -42,6 +42,9 @@ from .thresholds import (
     sweep,
     universal_epp_threshold,
 )
+
+# defaults shared by the flags and the chain INI file
+SAMPLES, SEED, SEGMENTS, CODE = 10_000, 1, 3, "ring5"
 
 
 def probability(text: str) -> float:
@@ -77,27 +80,26 @@ class OneLineParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def add_noise_args(p: argparse.ArgumentParser):
+def add_noise_args(p: argparse.ArgumentParser, channel: bool = True):
+    """The noise flags; `channel` False for subcommands that send nothing
+    through a channel (their input pairs already carry that noise)."""
     p.add_argument("--p-resource", type=probability, default=None,
                    help="per-particle resource noise parameter (default 1)")
     p.add_argument("--q-meas", type=probability, default=None,
                    help="per-qubit Bell measurement noise parameter (default 1)")
-    p.add_argument("--q-channel", type=probability, default=None,
-                   help="per-transmission/storage noise parameter (default 1)")
-    p.add_argument("--ideal", action="store_true",
-                   help="shorthand for all noise parameters = 1")
+    if channel:
+        p.add_argument("--q-channel", type=probability, default=None,
+                       help="per-transmission/storage noise parameter (default 1)")
 
 
 def noise_options(args) -> tuple:
     """The noise flags as (flag, value) pairs, None meaning not given."""
     return (("--p-resource", args.p_resource), ("--q-meas", args.q_meas),
-            ("--q-channel", args.q_channel))
+            ("--q-channel", getattr(args, "q_channel", None)))
 
 
 def noise_from_args(args) -> NoiseModel:
     """The noise model of the given flags; an unset parameter is 1."""
-    if args.ideal:
-        reject_unread(noise_options(args), "--ideal (it sets every noise parameter to 1)")
     return NoiseModel(*(1.0 if value is None else value for _, value in noise_options(args)))
 
 
@@ -107,9 +109,10 @@ def noise_list(noise: NoiseModel) -> list[float]:
 
 
 def add_run_args(p: argparse.ArgumentParser, outputs: bool = True,
-                 samples: int | None = 10_000, seed: int | None = 1):
-    p.add_argument("--samples", type=positive_int, default=samples)
-    p.add_argument("--seed", type=nonnegative_int, default=seed)
+                 samples: int | None = SAMPLES, seed: int | None = SEED):
+    p.add_argument("--samples", type=positive_int, default=samples,
+                   help=f"defaults to {SAMPLES}")
+    p.add_argument("--seed", type=nonnegative_int, default=seed, help=f"defaults to {SEED}")
     if outputs:
         p.add_argument("--csv-out", default=None)
         p.add_argument("--json-out", default=None)
@@ -136,37 +139,22 @@ def emit(args, record: ResultRecord):
 
 def cmd_purify(args) -> int:
     noise = noise_from_args(args)
-    state = werner(args.F)
     params = {
         "F": args.F, "rounds": args.rounds, "mode": args.mode,
         "engine": args.engine, "variant": args.variant,
     }
-    samples, seed, shards = args.samples, args.seed, args.shards
+    samples, seed, rng = args.samples, args.seed, None
     if args.engine == "analytic":
-        reject_unread((("--samples", samples), ("--seed", seed), ("--shards", shards)),
+        reject_unread((("--samples", samples), ("--seed", seed)),
                       "--engine analytic (it is exact)")
-        stats = purify_recurrence(state, args.rounds, noise, mode=args.mode,
-                                  engine="analytic", variant=args.variant)
     else:
-        samples = 10_000 if samples is None else samples
-        seed = 1 if seed is None else seed
-        shards = 1 if shards is None else shards
-        # a stepwise shard holds whole output slots of 2^rounds pairs, and
-        # the last one also the pairs that fill no slot; merged runs count
-        # attempts, so their unit is 1 (purify_recurrence rejects rounds < 1)
-        unit = 1 << args.rounds if args.mode == "stepwise" and args.rounds > 0 else 1
-        slots, rest = divmod(samples, unit)
-        counts = Counter()
-        for shard in range(shards):
-            size = unit * (slots // shards + (shard < slots % shards))
-            size += rest if shard == shards - 1 else 0
-            if size:
-                part = purify_recurrence(state, args.rounds, noise, mode=args.mode,
-                                         samples=size, rng=make_rng(seed, shard),
-                                         engine=args.engine, variant=args.variant)
-                counts.update(part.extra["counts"])
-        stats = stats_from_counts(dict(counts), 1 << args.rounds)
-    cfg_hash = config_hash({**params, "noise": noise_list(noise), "shards": shards,
+        samples = SAMPLES if samples is None else samples
+        seed = SEED if seed is None else seed
+        rng = make_rng(seed)
+    stats = purify_recurrence(werner(args.F), args.rounds, noise, mode=args.mode,
+                              samples=samples, rng=rng, engine=args.engine,
+                              variant=args.variant)
+    cfg_hash = config_hash({**params, "noise": noise_list(noise),
                             "samples": samples, "seed": seed})
     record = ResultRecord.from_stats("purify", params, noise, stats, seed, cfg_hash)
     emit(args, record)
@@ -198,8 +186,8 @@ def cmd_qec(args) -> int:
         good, total = enumerate_single_errors(code_by_name(args.code))
         print(f"{good}/{total} corrected")
         return 0 if good == total else 1
-    samples = 10_000 if args.samples is None else args.samples
-    seed = 1 if args.seed is None else args.seed
+    samples = SAMPLES if args.samples is None else args.samples
+    seed = SEED if args.seed is None else args.seed
     cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=samples)
     stats = encoded_trajectories(cfg, make_rng(seed))
     params = {"code": args.code}
@@ -266,36 +254,31 @@ def parse_chain_config(path: str) -> ChainConfig:
     noise = NoiseModel(*(_config_number(sec, key, float, 1.0)
                          for key in ("p_resource", "q_meas", "q_channel")))
     return ChainConfig(
-        segments=_config_number(sec, "segments", int, 2),
+        segments=_config_number(sec, "segments", int, SEGMENTS),
         noise=noise,
-        code=sec.get("code", "ring5"),
-        samples=_config_number(sec, "samples", int, 1000),
+        code=sec.get("code", CODE),
+        samples=_config_number(sec, "samples", int, SAMPLES),
         channel_overrides=overrides,
     )
 
 
 def cmd_chain(args) -> int:
-    # --timing selects nothing (corrections are deferred by construction): it
-    # is still parsed only so that it is rejected with every other unread option
-    timing = ("--timing", args.timing)
     if args.mode != "trajectory":
-        reject_unread((("--samples", args.samples), ("--seed", args.seed), timing),
+        reject_unread((("--samples", args.samples), ("--seed", args.seed)),
                       f"--mode {args.mode} (it is exact: no sampling)")
     if args.config:
         reject_unread((("--segments", args.segments), ("--code", args.code),
-                       timing, ("--samples", args.samples),
-                       *noise_options(args), ("--ideal", args.ideal or None)),
+                       ("--samples", args.samples), *noise_options(args)),
                       "--config (the INI file sets the chain)")
         cfg = parse_chain_config(args.config)
     else:
-        reject_unread((timing,), "chain (corrections are deferred by construction)")
         cfg = ChainConfig(
-            segments=3 if args.segments is None else args.segments,
+            segments=SEGMENTS if args.segments is None else args.segments,
             noise=noise_from_args(args),
-            code="ring5" if args.code is None else args.code,
-            samples=10_000 if args.samples is None else args.samples,
+            code=CODE if args.code is None else args.code,
+            samples=SAMPLES if args.samples is None else args.samples,
         )
-    stats = encoded_chain(cfg, make_rng(1 if args.seed is None else args.seed), mode=args.mode)
+    stats = encoded_chain(cfg, make_rng(SEED if args.seed is None else args.seed), mode=args.mode)
     payload = {
         "protocol": "chain",
         "mode": args.mode,
@@ -318,9 +301,9 @@ def cmd_repeater(args) -> int:
         segments=args.segments,
         noise=noise_from_args(args),
         purify_rounds=args.rounds,
-        samples=10_000 if args.samples is None else args.samples,
+        samples=SAMPLES if args.samples is None else args.samples,
     )
-    stats = repeater_chain(cfg, make_rng(1 if args.seed is None else args.seed), mode=args.mode)
+    stats = repeater_chain(cfg, make_rng(SEED if args.seed is None else args.seed), mode=args.mode)
     payload = {
         "protocol": "repeater",
         "mode": args.mode,
@@ -355,17 +338,16 @@ def assumption(formula: str, text: str | None):
 
 def cmd_threshold(args) -> int:
     regime = assumption(args.formula, args.assume)
+    if args.formula != "code":
+        reject_unread((("--code", args.code),), f"--formula {args.formula}")
     try:
         if args.formula == "universal-epp":
-            if regime == "q=p":
-                report = universal_epp_threshold("q=p")
-            else:
-                q = 1.0 if regime == "q=1" else regime
-                report = universal_epp_threshold("q_fixed", q_value=q)
+            report = universal_epp_threshold({"q=p": None, "q=1": 1.0}.get(regime, regime))
         elif args.formula == "hashing":
             report = hashing_threshold()
         elif args.formula == "code":
-            report = code_threshold(code_by_name(args.code), regime)
+            report = code_threshold(code_by_name(CODE if args.code is None else args.code),
+                                    regime)
         elif args.formula == "shor-type":
             report = shor_type_threshold(regime)
         else:
@@ -388,13 +370,13 @@ def cmd_sweep(args) -> int:
     if args.target == "epp":
         detector = epp_regime_detector()
         lo, hi = 0.72, 0.80
-        analytic = universal_epp_threshold("q=p").analytic
+        analytic = universal_epp_threshold().analytic
     elif args.target == "repeater":
         detector = repeater_regime_detector(4 if args.segments is None else args.segments)
         lo, hi = 0.72, 0.80
-        analytic = universal_epp_threshold("q=p").analytic
+        analytic = universal_epp_threshold().analytic
     else:
-        code = code_by_name("ring5" if args.code is None else args.code)
+        code = code_by_name(CODE if args.code is None else args.code)
         analytic = code_threshold(code, "q=p").analytic
         detector = code_step_detector(code)
         lo, hi = analytic - 0.03, analytic + 0.03
@@ -427,28 +409,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("purify", help="recurrence entanglement purification")
-    p.add_argument("--F", type=probability, required=True)
+    p.add_argument("--F", type=probability, required=True,
+                   help="Werner fidelity of the input pairs, channel noise included")
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--mode", choices=["merged", "stepwise"], default="merged")
     p.add_argument("--variant", choices=["DEJMPS", "BBPSSW"], default="DEJMPS")
     p.add_argument("--engine", choices=["analytic", "mc", "stabilizer"],
                    default="mc")
-    add_noise_args(p)
+    add_noise_args(p, channel=False)
     add_run_args(p, samples=None, seed=None)
-    p.add_argument("--shards", type=positive_int, default=None,
-                   help="defaults to 1")
     p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("hashing", help="hashing purification (exact decode)")
-    p.add_argument("--F", type=probability, required=True)
+    p.add_argument("--F", type=probability, required=True,
+                   help="Werner fidelity of the input pairs, channel noise included")
     p.add_argument("--pairs", type=int, default=16)
     p.add_argument("--checks", type=int, default=8)
-    add_noise_args(p)
+    add_noise_args(p, channel=False)
     add_run_args(p)
     p.set_defaults(func=cmd_hashing)
 
     p = sub.add_parser("qec", help="measurement-based error correction")
-    p.add_argument("--code", default="ring5")
+    p.add_argument("--code", default=CODE)
     p.add_argument("--enumerate-errors", action="store_true")
     add_noise_args(p)
     add_run_args(p, samples=None, seed=None)
@@ -456,9 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="encoded transmission chain")
     p.add_argument("--config", default=None, help="INI chain config file")
-    p.add_argument("--segments", type=int, default=None, help="defaults to 3")
-    p.add_argument("--code", default=None, help="defaults to ring5")
-    p.add_argument("--timing", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--segments", type=int, default=None, help=f"defaults to {SEGMENTS}")
+    p.add_argument("--code", default=None, help=f"defaults to {CODE}")
     p.add_argument("--mode", choices=["trajectory", "analytic", "dense"],
                    default="trajectory",
                    help="trajectory samples the noisy resources shot by shot; dense is "
@@ -483,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume", default=None,
                    help="'q=p' (default) or 'q=1'; universal-epp also takes a fixed q "
                         "value; hashing and dephasing-repetition take none")
-    p.add_argument("--code", default="ring5")
+    p.add_argument("--code", default=None, help=f"--formula code only; defaults to {CODE}")
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("sweep", help="empirical threshold sweeps")
@@ -492,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=probability, default=None)
     p.add_argument("--steps", type=int, default=7)
     p.add_argument("--segments", type=int, default=None, help="repeater only; defaults to 4")
-    p.add_argument("--code", default=None, help="code only; defaults to ring5")
+    p.add_argument("--code", default=None, help=f"code only; defaults to {CODE}")
     p.add_argument("--plot-out", default=None)
     p.set_defaults(func=cmd_sweep)
 

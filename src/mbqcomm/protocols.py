@@ -41,7 +41,7 @@ at once, in a table over the packed leaves of a block.
 
 The sampler returns raw counts: `attempts`, `consumed` (elementary
 pairs drawn over all segments), `kept` and `good` (kept output pairs in
-|phi+>). Counts of shards add, and `stats_from_counts` turns them into
+|phi+>). Counts of runs add, and `stats_from_counts` turns them into
 fidelity = good/kept, yield = kept/consumed and p_success = kept over
 the consumed // pairs_per_output whole output slots. The exact
 p_success that `evaluate_stages` reports is the product, over the
@@ -349,7 +349,7 @@ def exact_stats(state: BellDiagonalState, stages) -> ProtocolStats:
 
 
 def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
-    """Reported numbers of one run or of summed shard counts.
+    """Reported numbers of one run or of the summed counts of runs.
 
     With `per_output` elementary pairs behind each output pair, the
     consumed // per_output whole output slots are the trials of

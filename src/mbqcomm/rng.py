@@ -1,12 +1,10 @@
-"""Reproducible, splittable random streams on the PCG64DXSM bit generator.
+"""Reproducible random streams on the PCG64DXSM bit generator.
 
-Stream derivation: shard `k` of master seed `s` is
-`PCG64DXSM(SeedSequence(s, spawn_key=(k,)))`, the stream that numpy's
-`SeedSequence(s).spawn` hands its `k`-th child. The seed enters
-SeedSequence as an exact integer of any size, so distinct nonnegative
-seeds name distinct streams, and distinct shards give independent
-streams. A single-shard run is bitwise reproducible from (seed, config,
-version).
+Stream derivation: seed `s` names `PCG64DXSM(SeedSequence(s,
+spawn_key=(0,)))`, the stream that numpy's `SeedSequence(s).spawn` hands
+its first child. The seed enters SeedSequence as an exact integer of any
+size, so distinct nonnegative seeds name distinct streams. A run is
+bitwise reproducible from (seed, config, version).
 
 Every categorical draw in the package (Bell indices, Pauli letters)
 reproduces `Generator.choice(k, size, p)` draw for draw: the same
@@ -30,14 +28,12 @@ _CHUNK = 1 << 18
 _ATOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's tolerance on sum(p)
 
 
-def make_rng(master_seed: int, shard_id: int = 0) -> np.random.Generator:
-    """Generator for one stream; same inputs always give the same stream."""
-    master_seed = operator.index(master_seed)  # an exact Python int, never a float
-    if master_seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {master_seed}")
-    if shard_id < 0:
-        raise ValueError("shard id must be nonnegative")
-    seq = np.random.SeedSequence(master_seed, spawn_key=(shard_id,))
+def make_rng(seed: int) -> np.random.Generator:
+    """Generator of the stream of `seed`; a seed always gives the same stream."""
+    seed = operator.index(seed)  # an exact Python int, never a float
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seq = np.random.SeedSequence(seed, spawn_key=(0,))
     return np.random.Generator(np.random.PCG64DXSM(seq))
 
 

@@ -62,15 +62,14 @@ class ThresholdReport:
         }
 
 
-def universal_epp_threshold(assumption: str = "q=p",
-                            q_value: float | None = None) -> ThresholdReport:
+def universal_epp_threshold(q: float | None = None) -> ThresholdReport:
     """Solve q^2 p^2 > 1/3 and p^2 >= q^2 for the resource noise p.
 
-    Under q = p both conditions reduce to p^4 > 1/3, the universal
-    purification threshold; for fixed q the binding constraint is
-    reported explicitly.
+    Under q = p (`q` None) both conditions reduce to p^4 > 1/3, the
+    universal purification threshold; for a fixed q the binding
+    constraint is reported explicitly.
     """
-    if assumption == "q=p":
+    if q is None:
         return ThresholdReport(
             name="universal-epp",
             analytic=UNIVERSAL_EPP_THRESHOLD,
@@ -78,30 +77,20 @@ def universal_epp_threshold(assumption: str = "q=p",
             formula="p_min = 3^(-1/4) from q^2 p^2 > 1/3 with q = p",
             binding="input fidelity (q^2 p^2 > 1/3)",
         )
-    if assumption == "q_fixed":
-        if q_value is None:
-            raise ThresholdError("q_fixed needs a value")
-        if q_value <= 0:
-            raise ThresholdError("infeasible: q^2 p^2 > 1/3 cannot hold at q = 0")
-        fidelity_bound = 1.0 / (math.sqrt(3.0) * q_value)
-        p_min = max(q_value, fidelity_bound)
-        if p_min > 1.0:
-            raise ThresholdError(
-                f"infeasible assumption set: required p = {p_min:.4f} > 1"
-            )
-        binding = (
-            "output vs input fidelity (p >= q)"
-            if q_value >= fidelity_bound
-            else "input fidelity (q^2 p^2 > 1/3)"
-        )
-        return ThresholdReport(
-            name="universal-epp",
-            analytic=p_min,
-            assumptions={"q": q_value},
-            formula="p_min = max(q, 1/(sqrt(3) q))",
-            binding=binding,
-        )
-    raise ThresholdError(f"unknown assumption {assumption!r}")
+    if q <= 0:
+        raise ThresholdError("infeasible: q^2 p^2 > 1/3 cannot hold at q = 0")
+    fidelity_bound = 1.0 / (math.sqrt(3.0) * q)
+    p_min = max(q, fidelity_bound)
+    if p_min > 1.0:
+        raise ThresholdError(f"infeasible assumption set: required p = {p_min:.4f} > 1")
+    return ThresholdReport(
+        name="universal-epp",
+        analytic=p_min,
+        assumptions={"q": q},
+        formula="p_min = max(q, 1/(sqrt(3) q))",
+        binding=("output vs input fidelity (p >= q)" if q >= fidelity_bound
+                 else "input fidelity (q^2 p^2 > 1/3)"),
+    )
 
 
 def hashing_threshold() -> ThresholdReport:
@@ -177,7 +166,7 @@ def _p_crit(p_tilde: float, regime: str) -> tuple[float, str]:
     """Resource threshold of a per-step crossing p~, and its formula."""
     if regime == "q=p":
         return p_tilde ** (1.0 / 3.0), "p_crit = p~^(1/3) (per step p~ = p^2 q with q = p)"
-    if regime in ("q=1", "q~1"):
+    if regime == "q=1":
         return math.sqrt(p_tilde), "p_crit = p~^(1/2) (per step p~ = p^2, storage ideal)"
     raise ThresholdError(f"unknown regime {regime!r}")
 

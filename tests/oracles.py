@@ -384,18 +384,6 @@ def negate(p: PauliString) -> PauliString:
     return PauliString(p.n, p.x, p.z, p.phase + 2)
 
 
-def without(p: PauliString, drop) -> PauliString:
-    """Sub-Pauli of `p` on the qubits not in `drop`, in order, unsigned.
-    `drop` must be sorted, distinct and inside the register; each qubit
-    is cut out by one shift and mask."""
-    x, z = p.x, p.z
-    for q in reversed(drop):
-        low = (1 << q) - 1
-        x = x & low | x >> q + 1 << q
-        z = z & low | z >> q + 1 << q
-    return PauliString(p.n - len(drop), x, z, (x & z).bit_count())
-
-
 def remove_qubits(state: StabilizerState, qubits):
     """Oracle of `StabilizerState.drop_measured`: drop qubits that are in a
     product state with the rest, whatever measured them, by two
@@ -420,8 +408,8 @@ def remove_qubits(state: StabilizerState, qubits):
     # keeps its phase; the dropped rows now act there alone and a
     # surviving destabilizer commutes with them, so its part there lies
     # in their group and cutting it off keeps every pairing
-    state.stabs = [without(stabs[k], drop).with_phase(stabs[k].phase) for k in rest]
-    state.destabs = [without(destabs[k], drop) for k in rest]
+    state.stabs = [restrict(stabs[k], keep).with_phase(stabs[k].phase) for k in rest]
+    state.destabs = [restrict(destabs[k], keep) for k in rest]
 
 
 def canonical_generators(state: StabilizerState) -> tuple[PauliString, ...]:

@@ -10,10 +10,23 @@ from pathlib import Path
 
 import pytest
 
+from mbqcomm import cli
 from mbqcomm.cli import main
+from mbqcomm.netsim import encoded_chain
 
 PURIFY_MC = ["purify", "--engine", "mc", "--F", "0.8", "--rounds", "2",
              "--p-resource", "0.97", "--q-meas", "0.97"]
+
+# options that changed no reported number and left the CLI: argparse
+# rejects them like any unknown option
+REMOVED = ("--shards", "--timing", "--ideal")
+
+
+def rejection(named: str) -> str:
+    """The start of the one stderr line that rejects `named`."""
+    if named in REMOVED:
+        return f"mbqcomm: error: unrecognized arguments: {named}"
+    return f"error: {named} "
 
 
 def run(argv, capsys):
@@ -28,8 +41,8 @@ def run(argv, capsys):
 @pytest.mark.parametrize("argv", [
     PURIFY_MC + ["--samples", "0"],
     PURIFY_MC + ["--samples", "-5"],
-    PURIFY_MC + ["--shards", "0"],
-    PURIFY_MC + ["--samples", "100", "--shards", "-1"],
+    ["purify", "--F", "0.8", "--rounds", "0"],
+    ["chain", "--segments", "0"],
     ["qec", "--samples", "0"],
     ["hashing", "--F", "0.9", "--samples", "0"],
     ["hashing", "--F", "0.9", "--checks", "-1", "--samples", "5"],
@@ -71,18 +84,22 @@ def test_bad_counts_exit_2_with_one_line(argv, capsys):
     ["chain", "--json-out", "x.jsonl"],
     ["repeater", "--csv-out", "x.csv"],
     ["repeater", "--json-out", "x.jsonl"],
+    PURIFY_MC + ["--shards", "2"],
+    # purify and hashing send nothing through a channel: F is the pair they purify
+    ["purify", "--F", "0.8", "--q-channel", "0.5"],
+    ["hashing", "--F", "0.9", "--q-channel", "0.5"],
 ])
 def test_unread_options_are_rejected(argv, capsys):
-    rc, _out, err = run(argv, capsys)
-    assert rc == 2
-    assert "unrecognized arguments" in err
+    rc, out, err = run(argv, capsys)
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert (rc, out) == (2, "")
+    assert err == f"mbqcomm: error: unrecognized arguments: {' '.join(argv[argv.index(flag):])}\n"
 
 
 @pytest.mark.parametrize("mode", ["merged", "stepwise"])
-@pytest.mark.parametrize("samples,shards", [(10, 3), (1000, 1), (1001, 4), (3, 5)])
-def test_record_reports_requested_samples(mode, samples, shards, capsys):
-    argv = PURIFY_MC + ["--mode", mode, "--samples", str(samples),
-                        "--shards", str(shards)]
+@pytest.mark.parametrize("samples,seed", [(10, 3), (1000, 1), (1001, 4), (3, 5)])
+def test_record_reports_requested_samples(mode, samples, seed, capsys):
+    argv = PURIFY_MC + ["--mode", mode, "--samples", str(samples), "--seed", str(seed)]
     rc, out, _err = run(argv, capsys)
     assert rc == 0
     assert json.loads(out)["samples"] == samples
@@ -101,23 +118,6 @@ def test_distinct_seeds_give_distinct_records(seeds, capsys):
             assert record["seed"] == seed
             records.append((record["fidelity"], record["p_success"]))
     assert records[0] != records[1]
-
-
-@pytest.mark.parametrize("shards", ["1", "3", "5"])
-def test_stepwise_shards_hold_whole_output_slots(shards, capsys):
-    # 10 pairs in slots of 4 split 4, 4, 2 over 3 shards: no shard holds
-    # part of a slot it could have filled, so a noiseless run keeps them all
-    rc, out, _err = run(["purify", "--F", "1", "--engine", "mc", "--mode", "stepwise",
-                         "--rounds", "2", "--samples", "10", "--shards", shards], capsys)
-    assert rc == 0
-    assert json.loads(out)["p_success"] == 1.0
-
-
-def test_one_shard_record_is_reproducible(capsys):
-    argv = PURIFY_MC + ["--samples", "5000", "--seed", "4"]
-    _rc, first, _ = run(argv, capsys)
-    _rc, second, _ = run(argv + ["--shards", "1"], capsys)
-    assert first == second
 
 
 QEC_NOISE = ["--p-resource", "0.99", "--q-meas", "0.99", "--q-channel", "0.97"]
@@ -196,7 +196,7 @@ NOISY_QEC = ["--p-resource", "0.95", "--q-meas", "0.95", "--q-channel", "0.85",
     (["purify", "--F", "0.8", "--engine", "stabilizer", "--rounds", "2", "--p-resource", "0.97",
       "--q-meas", "0.97", "--samples", "300", "--seed", "3"],
      '{"ci_hi": 0.8980013866009613, "ci_lo": 0.7534859492631247, '
-     '"config_hash": "b9fbadbe8f84be59", "fidelity": 0.8383838383838383, '
+     '"config_hash": "f58da9d196fad2b2", "fidelity": 0.8383838383838383, '
      '"p_resource": 0.97, "p_success": 0.33, "params": {"F": 0.8, '
      '"engine": "stabilizer", "mode": "merged", "rounds": 2, "variant": "DEJMPS"}, '
      '"protocol": "purify", "q_channel": 1.0, "q_meas": 0.97, "samples": 300, '
@@ -212,7 +212,7 @@ def test_noisy_trajectory_records_frozen(argv, record, capsys):
     (["qec", "--samples", "1"], ["qec", "--samples", "2"]),
     (["hashing", "--F", "0.9", "--samples", "1"],
      ["hashing", "--F", "0.9", "--samples", "1", "--p-resource", "0.9"]),
-    (PURIFY_MC + ["--samples", "10"], PURIFY_MC + ["--samples", "10", "--shards", "2"]),
+    (PURIFY_MC + ["--samples", "10"], PURIFY_MC + ["--samples", "10", "--seed", "2"]),
 ])
 def test_config_hash_covers_the_input(base, changed, capsys):
     hashes = []
@@ -223,6 +223,7 @@ def test_config_hash_covers_the_input(base, changed, capsys):
     assert hashes[0] != hashes[1]
 
 
+# no environment variable splits or reseeds a run
 @pytest.mark.parametrize("value", ["3", "0", "-4", "x"])
 def test_shards_come_from_the_flag_alone(value, monkeypatch, capsys):
     argv = PURIFY_MC + ["--samples", "30"]
@@ -275,17 +276,57 @@ def test_qec_enumerate_errors_rejects_unread_options(extra, named, tmp_path,
 ])
 @pytest.mark.parametrize("flag", ["--p-resource", "--q-meas", "--q-channel"])
 def test_ideal_with_a_noise_flag_exits_2_naming_it(argv, flag, capsys):
+    # --ideal is gone (every noise parameter defaults to 1), so beside any
+    # noise flag the run ends in one line naming --ideal
     rc, out, err = run(argv + ["--ideal", flag, "0.9"], capsys)
     assert rc == 2
     assert out == ""
-    assert err.startswith(f"error: {flag} does not apply to --ideal")
+    assert err.startswith(rejection("--ideal"))
     assert len(err.strip().splitlines()) == 1
 
 
 def test_unset_noise_flags_give_the_record_of_explicit_ones(capsys):
     records = [run(["qec", "--samples", "2"] + extra, capsys)[1] for extra in (
-        [], ["--ideal"], ["--p-resource", "1", "--q-meas", "1.0", "--q-channel", "1"])]
-    assert records[0] == records[1] == records[2]
+        [], ["--p-resource", "1", "--q-meas", "1.0", "--q-channel", "1"])]
+    assert records[0] == records[1]
+
+
+# one run of each subcommand without noise flags; each noise flag it takes
+# must move its fidelity or p_success
+UNNOISED = {
+    "purify": ["purify", "--engine", "analytic", "--F", "0.8"],
+    "hashing": ["hashing", "--F", "0.9", "--samples", "20"],
+    "qec": ["qec", "--samples", "20"],
+    "chain": ["chain", "--mode", "dense", "--segments", "1"],
+    "repeater": ["repeater", "--mode", "analytic"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--p-resource", "--q-meas", "--q-channel"])
+@pytest.mark.parametrize("base", UNNOISED.values(), ids=UNNOISED)
+def test_every_noise_flag_is_read(base, flag, capsys):
+    rc, plain, _err = run(base, capsys)
+    assert rc == 0
+    rc, out, err = run(base + [flag, "0.9"], capsys)
+    if rc == 2:
+        assert out == "" and flag in err and len(err.strip().splitlines()) == 1
+    else:
+        before, after = json.loads(plain), json.loads(out)
+        assert (rc, err) == (0, "")
+        assert (before["fidelity"], before.get("p_success")) != \
+            (after["fidelity"], after.get("p_success"))
+
+
+@pytest.mark.parametrize("formula", ["universal-epp", "hashing", "code", "shor-type",
+                                     "dephasing-repetition"])
+def test_threshold_code_is_read_or_rejected(formula, capsys):
+    _rc, plain, _err = run(["threshold", "--formula", formula], capsys)
+    rc, out, err = run(["threshold", "--formula", formula, "--code", "repetition5"], capsys)
+    if formula == "code":
+        assert out != plain
+    else:
+        assert (rc, out) == (2, "")
+        assert err == f"error: --code does not apply to --formula {formula}\n"
 
 
 @pytest.mark.parametrize("extra,named", [
@@ -293,6 +334,7 @@ def test_unset_noise_flags_give_the_record_of_explicit_ones(capsys):
     (["--mode", "dense", "--seed", "5"], "--seed"),
     (["--mode", "analytic", "--samples", "5"], "--samples"),
     (["--mode", "analytic", "--seed", "5"], "--seed"),
+    # --timing and --ideal left the CLI, so argparse rejects them
     (["--mode", "analytic", "--timing", "station"], "--timing"),
     (["--mode", "analytic", "--timing", "end"], "--timing"),
     (["--config", "{ini}", "--segments", "4", "--code", "repetition3"],
@@ -305,9 +347,7 @@ def test_unset_noise_flags_give_the_record_of_explicit_ones(capsys):
     (["--config", "{ini}", "--ideal"], "--ideal"),
     (["--mode", "dense", "--timing", "end"], "--timing"),
     (["--mode", "dense", "--timing", "station"], "--timing"),
-    (["--mode", "dense", "--samples", "5", "--seed", "5", "--timing", "end"],
-     "--samples and --seed and --timing"),
-    # --timing selects nothing now, so a trajectory run rejects it too
+    (["--config", "{ini}", "--mode", "dense", "--seed", "5"], "--seed"),
     (["--timing", "end"], "--timing"),
     (["--segments", "2", "--timing", "station"], "--timing"),
     (["--mode", "analytic", "--samples", "5", "--seed", "5"], "--samples and --seed"),
@@ -325,7 +365,7 @@ def test_chain_rejects_options_it_does_not_read(extra, named, tmp_path, capsys):
     rc, out, err = run(argv, capsys)
     assert rc == 2
     assert out == ""
-    assert err.startswith(f"error: {named} ")
+    assert err.startswith(rejection(named))
     assert len(err.strip().splitlines()) == 1
 
 
@@ -334,6 +374,24 @@ def test_chain_defaults_are_the_explicit_values(capsys):
     _rc, implicit, _ = run(base, capsys)
     _rc, explicit, _ = run(base + ["--segments", "3", "--code", "ring5"], capsys)
     assert implicit == explicit and json.loads(implicit)["segments"] == 3
+
+
+def test_chain_config_defaults_are_the_flag_defaults(tmp_path, monkeypatch, capsys):
+    # a trajectory run of the default chain takes seconds, so the sampled
+    # chain is replaced by the dense one of the same configuration
+    configs = []
+
+    def dense_chain(cfg, rng, mode):
+        configs.append(cfg)
+        return encoded_chain(cfg, rng, mode="dense")
+
+    monkeypatch.setattr(cli, "encoded_chain", dense_chain)
+    path = tmp_path / "chain.ini"
+    path.write_text("[chain]\n")
+    from_ini = run(["chain", "--config", str(path)], capsys)
+    assert from_ini == run(["chain"], capsys)
+    assert from_ini[0] == 0 and json.loads(from_ini[1])["segments"] == 3
+    assert configs[0] == configs[1] and configs[0].samples == 10_000
 
 
 def test_chain_config_reads_seed_and_mode(tmp_path, capsys):
@@ -447,13 +505,12 @@ def test_repeater_with_no_whole_output_slot_exits_2_naming_the_samples_needed(ca
     assert rc == 0 and json.loads(out)["p_success"] is not None
 
 
-@pytest.mark.parametrize("shards", ["1", "5"])
-def test_purify_with_no_whole_output_slot_reports_null_p_success(shards, tmp_path, capsys):
-    # shards are independent pools whose counts add, so a shard may fill
-    # no slot; the run reports p_success as missing, whatever the sharding
+@pytest.mark.parametrize("seed", ["1", "5"])
+def test_purify_with_no_whole_output_slot_reports_null_p_success(seed, tmp_path, capsys):
+    # 3 pairs fill no slot of 4, so the run reports p_success as missing
     csv_path = tmp_path / "r.csv"
     rc, out, _err = run(["purify", "--F", "1", "--engine", "mc", "--mode", "stepwise",
-                         "--rounds", "2", "--samples", "3", "--shards", shards,
+                         "--rounds", "2", "--samples", "3", "--seed", seed,
                          "--csv-out", str(csv_path)], capsys)
     assert rc == 0
     assert json.loads(out)["p_success"] is None
@@ -566,7 +623,7 @@ def test_analytic_purify_rejects_sampling_options(extra, named, capsys):
     rc, out, err = run(PURIFY_ANALYTIC + extra, capsys)
     assert rc == 2
     assert out == ""
-    assert err.startswith(f"error: {named} ")
+    assert err.startswith(rejection(named))
     assert len(err.strip().splitlines()) == 1
 
 
@@ -577,11 +634,11 @@ def test_analytic_purify_record_has_no_sampling(capsys):
     assert (record["samples"], record["seed"]) == (0, None)
 
 
-@pytest.mark.parametrize("samples,shards", [(10, 3), (3, 5)])
-def test_stabilizer_record_reports_requested_samples(samples, shards, capsys):
+@pytest.mark.parametrize("samples,seed", [(10, 3), (3, 5)])
+def test_stabilizer_record_reports_requested_samples(samples, seed, capsys):
     argv = ["purify", "--engine", "stabilizer", "--F", "0.8", "--rounds", "2",
             "--p-resource", "0.97", "--q-meas", "0.97",
-            "--samples", str(samples), "--shards", str(shards)]
+            "--samples", str(samples), "--seed", str(seed)]
     rc, out, _err = run(argv, capsys)
     assert rc == 0
     assert json.loads(out)["samples"] == samples

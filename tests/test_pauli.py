@@ -305,11 +305,6 @@ def test_shifted_and_without_equal_embed_and_restrict(data):
     if n:
         c = _clifford(data, n, "c")
         assert c.shifted(big, start) == embed_map(c, big, range(start, start + n))
-    drop = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n), label="drop")
-                  if n else [])
-    cut = oracles.without(p, drop)
-    _assert_public(cut)
-    assert cut == oracles.restrict(p, [q for q in range(n) if q not in drop])
 
 
 def test_shifted_rejects_a_block_outside_the_register():

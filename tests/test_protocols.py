@@ -1,6 +1,6 @@
 """Tests for the stage-list evaluators of recurrence purification and
 the nested repeater: frozen exact values, Monte Carlo against exact,
-and shard merging."""
+and summed counts of runs."""
 
 import math
 from collections import Counter
@@ -125,11 +125,11 @@ def test_summed_shard_counts_keep_p_success():
     n, rounds = 200_000, 2
     exact = PURIFY_EXACT[("stepwise", "DEJMPS", rounds)][1]
     whole = purify_recurrence(werner(0.8), rounds, PURIFY_NOISE, mode="stepwise",
-                              samples=n, rng=make_rng(3, 0), engine="mc")
+                              samples=n, rng=make_rng(3), engine="mc")
     summed = Counter()
-    for shard, size in enumerate((n // 2, n - n // 2)):
+    for seed, size in ((4, n // 2), (5, n - n // 2)):
         part = purify_recurrence(werner(0.8), rounds, PURIFY_NOISE, mode="stepwise",
-                                 samples=size, rng=make_rng(3, shard), engine="mc")
+                                 samples=size, rng=make_rng(seed), engine="mc")
         summed.update(part.extra["counts"])
     merged = stats_from_counts(dict(summed), 1 << rounds)
     assert merged.samples == n
@@ -235,7 +235,7 @@ def test_purify_blocks_equals_per_round_oracle(depth, fidelity, variant):
              PAIR_CHUNK + block, 2 * PAIR_CHUNK + 3 * block + 1]
     weights = werner(fidelity).as_array()
     for size in sizes:
-        pool = draw_indices(make_rng(depth, size), weights, size)
+        pool = draw_indices(make_rng(size << 3 | depth), weights, size)
         got = _purify_blocks(pool, Purify(depth, variant))
         assert got.dtype == np.uint8
         assert np.array_equal(got, per_round_blocks(pool, depth, variant)), size
