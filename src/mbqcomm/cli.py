@@ -4,8 +4,15 @@ threshold | sweep.
 All noise inputs are probabilities in [0, 1]; percent values are
 rejected. A seed is an integer >= 0 of any size. A run is bitwise
 reproducible from its seed, its options and the package version. Every
-option a subcommand takes changes what it reports; one it would not
-read is rejected in one line with exit status 2.
+option a subcommand takes, and every key of a chain INI file, changes
+what it reports; one it would not read is rejected in one line with
+exit status 2.
+
+The five protocol subcommands (purify, hashing, qec, chain, repeater)
+each print one `ResultRecord` (schema 2) as one JSON line; what a run
+reports beside the fixed columns, such as resource counts, is in its
+`report` object. `--csv-out` also writes the record as a one-row CSV
+file. `threshold` and `sweep` print their own reports.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .netsim import (
 )
 from .noise import NoiseModel
 from .protocols import HashingEnsemble, purify_hashing, purify_recurrence
-from .results import ResultRecord, config_hash, write_csv, write_jsonl, write_plot_csv
+from .results import ResultRecord, config_hash, write_csv, write_plot_csv
 from .rng import make_rng
 from .thresholds import (
     ThresholdError,
@@ -103,19 +110,10 @@ def noise_from_args(args) -> NoiseModel:
     return NoiseModel(*(1.0 if value is None else value for _, value in noise_options(args)))
 
 
-def noise_list(noise: NoiseModel) -> list[float]:
-    """The noise model as it enters config hashes."""
-    return [noise.p_resource, noise.q_meas, noise.q_channel]
-
-
-def add_run_args(p: argparse.ArgumentParser, outputs: bool = True,
-                 samples: int | None = SAMPLES, seed: int | None = SEED):
-    p.add_argument("--samples", type=positive_int, default=samples,
-                   help=f"defaults to {SAMPLES}")
-    p.add_argument("--seed", type=nonnegative_int, default=seed, help=f"defaults to {SEED}")
-    if outputs:
-        p.add_argument("--csv-out", default=None)
-        p.add_argument("--json-out", default=None)
+def add_run_args(p: argparse.ArgumentParser):
+    p.add_argument("--samples", type=positive_int, default=None, help=f"defaults to {SAMPLES}")
+    p.add_argument("--seed", type=nonnegative_int, default=None, help=f"defaults to {SEED}")
+    p.add_argument("--csv-out", default=None, help="also write the record as a CSV file")
 
 
 def reject_unread(options, context: str):
@@ -127,14 +125,30 @@ def reject_unread(options, context: str):
         raise ValueError(f"{' and '.join(unread)} {verb} not apply to {context}")
 
 
-def emit(args, record: ResultRecord):
-    """Write the requested files, then print the record: a path that
-    cannot be written ends the run before anything is printed."""
+def sampling(args, exact: str | None) -> tuple:
+    """(samples, seed, rng) of a run, the flags' defaults filled in; all
+    None for an exact run, which rejects --samples and --seed naming
+    `exact`, its context."""
+    if exact:
+        reject_unread((("--samples", args.samples), ("--seed", args.seed)), exact)
+        return None, None, None
+    seed = SEED if args.seed is None else args.seed
+    return SAMPLES if args.samples is None else args.samples, seed, make_rng(seed)
+
+
+def emit(args, params: dict, noise: NoiseModel, stats, samples: int | None,
+         seed: int | None) -> int:
+    """Print the record of the run of subcommand `args.command`, after
+    writing it to the requested CSV file: a path that cannot be written
+    ends the run before anything is printed. Its config hash covers
+    params, noise, samples and seed."""
+    cfg_hash = config_hash({**params, "noise": [noise.p_resource, noise.q_meas, noise.q_channel],
+                            "samples": samples, "seed": seed})
+    record = ResultRecord.from_stats(args.command, params, noise, stats, seed, cfg_hash)
     if args.csv_out:
         write_csv(args.csv_out, [record])
-    if args.json_out:
-        write_jsonl(args.json_out, [record])
     print(record.to_json())
+    return 0
 
 
 def cmd_purify(args) -> int:
@@ -143,59 +157,37 @@ def cmd_purify(args) -> int:
         "F": args.F, "rounds": args.rounds, "mode": args.mode,
         "engine": args.engine, "variant": args.variant,
     }
-    samples, seed, rng = args.samples, args.seed, None
-    if args.engine == "analytic":
-        reject_unread((("--samples", samples), ("--seed", seed)),
-                      "--engine analytic (it is exact)")
-    else:
-        samples = SAMPLES if samples is None else samples
-        seed = SEED if seed is None else seed
-        rng = make_rng(seed)
+    samples, seed, rng = sampling(args, "--engine analytic (it is exact)"
+                                  if args.engine == "analytic" else None)
     stats = purify_recurrence(werner(args.F), args.rounds, noise, mode=args.mode,
                               samples=samples, rng=rng, engine=args.engine,
                               variant=args.variant)
-    cfg_hash = config_hash({**params, "noise": noise_list(noise),
-                            "samples": samples, "seed": seed})
-    record = ResultRecord.from_stats("purify", params, noise, stats, seed, cfg_hash)
-    emit(args, record)
-    return 0
+    return emit(args, params, noise, stats, samples, seed)
 
 
 def cmd_hashing(args) -> int:
     noise = noise_from_args(args)
     ens = HashingEnsemble(args.pairs, werner(args.F))
     params = {"F": args.F, "pairs": args.pairs, "checks": args.checks}
-    cfg_hash = config_hash({**params, "noise": noise_list(noise), "seed": args.seed,
-                            "samples": args.samples})
-    rng = make_rng(args.seed)
-    stats = purify_hashing(ens, args.checks, noise, args.samples, rng)
-    record = ResultRecord.from_stats("hashing", params, noise, stats,
-                                     args.seed, cfg_hash)
-    emit(args, record)
-    return 0
+    samples, seed, rng = sampling(args, None)
+    stats = purify_hashing(ens, args.checks, noise, samples, rng)
+    return emit(args, params, noise, stats, samples, seed)
 
 
 def cmd_qec(args) -> int:
     noise = noise_from_args(args)
     if args.enumerate_errors:
         reject_unread((("--samples", args.samples), ("--seed", args.seed),
-                       ("--csv-out", args.csv_out), ("--json-out", args.json_out),
-                       *noise_options(args)),
+                       ("--csv-out", args.csv_out), *noise_options(args)),
                       "--enumerate-errors (it injects each correctable error once, "
                       "without noise or sampling)")
         good, total = enumerate_single_errors(code_by_name(args.code))
         print(f"{good}/{total} corrected")
         return 0 if good == total else 1
-    samples = SAMPLES if args.samples is None else args.samples
-    seed = SEED if args.seed is None else args.seed
+    samples, seed, rng = sampling(args, None)
     cfg = ChainConfig(segments=1, noise=noise, code=args.code, samples=samples)
-    stats = encoded_trajectories(cfg, make_rng(seed))
-    params = {"code": args.code}
-    cfg_hash = config_hash({**params, "noise": noise_list(noise),
-                            "samples": samples, "seed": seed})
-    record = ResultRecord.from_stats("qec", params, noise, stats, seed, cfg_hash)
-    emit(args, record)
-    return 0
+    stats = encoded_trajectories(cfg, rng)
+    return emit(args, {"code": args.code}, noise, stats, samples, seed)
 
 
 CHAIN_KEYS = ("segments", "code", "samples", "p_resource", "q_meas", "q_channel")
@@ -226,7 +218,9 @@ def _config_number(sec, key: str, kind, default):
         raise ValueError(f"config [{sec.name}]: {key} must be {what}, got {text!r}") from None
 
 
-def parse_chain_config(path: str) -> ChainConfig:
+def parse_chain_config(path: str, exact: str | None) -> ChainConfig:
+    """The chain an INI file sets. `exact`, the context of an exact mode,
+    rejects the `samples` key, which no exact mode reads."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
@@ -251,6 +245,8 @@ def parse_chain_config(path: str) -> ChainConfig:
         if index is not None:
             overrides[index] = _config_number(parser[name], "q_channel", float, None)
     sec = parser["chain"]
+    if exact:
+        reject_unread((("config [chain]: samples", sec.get("samples")),), exact)
     noise = NoiseModel(*(_config_number(sec, key, float, 1.0)
                          for key in ("p_resource", "q_meas", "q_channel")))
     return ChainConfig(
@@ -263,59 +259,36 @@ def parse_chain_config(path: str) -> ChainConfig:
 
 
 def cmd_chain(args) -> int:
-    if args.mode != "trajectory":
-        reject_unread((("--samples", args.samples), ("--seed", args.seed)),
-                      f"--mode {args.mode} (it is exact: no sampling)")
+    exact = None if args.mode == "trajectory" else f"--mode {args.mode} (it is exact: no sampling)"
+    samples, seed, rng = sampling(args, exact)
     if args.config:
         reject_unread((("--segments", args.segments), ("--code", args.code),
                        ("--samples", args.samples), *noise_options(args)),
                       "--config (the INI file sets the chain)")
-        cfg = parse_chain_config(args.config)
+        cfg = parse_chain_config(args.config, exact)
+        samples = None if exact else cfg.samples
     else:
         cfg = ChainConfig(
             segments=SEGMENTS if args.segments is None else args.segments,
             noise=noise_from_args(args),
             code=CODE if args.code is None else args.code,
-            samples=SAMPLES if args.samples is None else args.samples,
+            samples=samples or SAMPLES,
         )
-    stats = encoded_chain(cfg, make_rng(SEED if args.seed is None else args.seed), mode=args.mode)
-    payload = {
-        "protocol": "chain",
-        "mode": args.mode,
-        "segments": cfg.segments,
-        "code": cfg.code,
-        "fidelity": stats.fidelity,
-        "ci": list(stats.fidelity_ci),
-        "resources": stats.extra["resources"],
-        "extra": stats.extra["report"],
-    }
-    print(json.dumps(payload, sort_keys=True))
-    return 0
+    stats = encoded_chain(cfg, rng, mode=args.mode)
+    params = {"mode": args.mode, "segments": cfg.segments, "code": cfg.code,
+              "channel_overrides": {str(seg): q for seg, q in cfg.channel_overrides.items()}}
+    return emit(args, params, cfg.noise, stats, samples, seed)
 
 
 def cmd_repeater(args) -> int:
-    if args.mode == "analytic":
-        reject_unread((("--samples", args.samples), ("--seed", args.seed)),
-                      "--mode analytic (it is exact)")
-    cfg = ChainConfig(
-        segments=args.segments,
-        noise=noise_from_args(args),
-        purify_rounds=args.rounds,
-        samples=SAMPLES if args.samples is None else args.samples,
-    )
-    stats = repeater_chain(cfg, make_rng(SEED if args.seed is None else args.seed), mode=args.mode)
-    payload = {
-        "protocol": "repeater",
-        "mode": args.mode,
-        "segments": cfg.segments,
-        "rounds": cfg.purify_rounds,
-        "fidelity": stats.fidelity,
-        "ci": list(stats.fidelity_ci),
-        "p_success": stats.p_success,
-        "resources": stats.extra["resources"],
-    }
-    print(json.dumps(payload, sort_keys=True))
-    return 0
+    samples, seed, rng = sampling(args, "--mode analytic (it is exact)"
+                                  if args.mode == "analytic" else None)
+    noise = noise_from_args(args)
+    cfg = ChainConfig(segments=args.segments, noise=noise, purify_rounds=args.rounds,
+                      samples=samples or SAMPLES)
+    stats = repeater_chain(cfg, rng, mode=args.mode)
+    params = {"mode": args.mode, "segments": args.segments, "rounds": args.rounds}
+    return emit(args, params, noise, stats, samples, seed)
 
 
 def assumption(formula: str, text: str | None):
@@ -417,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=["analytic", "mc", "stabilizer"],
                    default="mc")
     add_noise_args(p, channel=False)
-    add_run_args(p, samples=None, seed=None)
+    add_run_args(p)
     p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("hashing", help="hashing purification (exact decode)")
@@ -433,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", default=CODE)
     p.add_argument("--enumerate-errors", action="store_true")
     add_noise_args(p)
-    add_run_args(p, samples=None, seed=None)
+    add_run_args(p)
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("chain", help="encoded transmission chain")
@@ -446,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the exact composed channel of perfect corrections; analytic is "
                         "the paper's closed-form bound on it")
     add_noise_args(p)
-    add_run_args(p, outputs=False, samples=None, seed=None)
+    add_run_args(p)
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("repeater", help="nested repeater chain")
@@ -454,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--mode", choices=["analytic", "mc"], default="mc")
     add_noise_args(p)
-    add_run_args(p, outputs=False, samples=None, seed=None)
+    add_run_args(p)
     p.set_defaults(func=cmd_repeater)
 
     p = sub.add_parser("threshold", help="closed-form threshold solvers")

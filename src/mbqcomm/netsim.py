@@ -123,7 +123,7 @@ def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> Proto
     Modes: "trajectory" runs the noisy resources shot by shot, "dense"
     composes the exact logical channel of perfect corrections, and
     "analytic" is the paper's folded-noise bound on that channel.
-    `extra` holds the resource counts and, under `report`, the values
+    `extra` holds, under `report`, the resource counts and the values
     the mode reports beside the fidelity.
     """
     if mode == "trajectory":
@@ -134,7 +134,7 @@ def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> Proto
         stats = point_stats(_encoded_chain_dense(cfg), report={})
     else:
         raise ChainError(f"unknown mode {mode!r}")
-    stats.extra["resources"] = _resource_counts(cfg)
+    stats.extra["report"].update(_resource_counts(cfg))
     return stats
 
 
@@ -261,8 +261,8 @@ def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ProtocolStat
 
     The delivered pair finally sits on the end stations' output
     particles. The Monte Carlo draws `cfg.samples` elementary pairs per
-    segment. `extra` holds the station resource counts, and for the
-    Monte Carlo the delivered pair count.
+    segment. `extra` holds, under `report`, the station resource counts,
+    and for the Monte Carlo the delivered pair count.
     """
     levels = int(np.log2(cfg.segments))
     if 1 << levels != cfg.segments:
@@ -275,17 +275,12 @@ def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ProtocolStat
     elif mode == "mc":
         if rng is None:
             raise ChainError("Monte-Carlo repeater needs an rng")
-        per_output = pairs_per_output(stages)
-        needed = -(-per_output // cfg.segments)
-        if cfg.samples < needed:
-            raise ChainError(f"{cfg.samples} samples per segment fill no output slot of "
-                             f"{per_output} elementary pairs; need at least {needed}")
         counts = sample_stages(pair, stages, cfg.samples, rng)
-        stats = stats_from_counts(counts, per_output)
+        stats = stats_from_counts(counts, pairs_per_output(stages))
         stats.extra["delivered"] = counts["kept"]
     else:
         raise ChainError(f"unknown mode {mode!r}")
-    stats.extra["resources"] = _station_resources(cfg, levels)
+    stats.extra["report"] = _station_resources(cfg, levels)
     return stats
 
 

@@ -95,7 +95,7 @@ class ProtocolStats:
 
     fidelity: float | None
     fidelity_ci: tuple[float, float] | tuple[None, None]
-    p_success: float | None
+    p_success: float
     p_success_ci: tuple[float, float]
     protocol_yield: float
     samples: int
@@ -306,10 +306,17 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
     The random stream is a function of the stage list and the pool sizes
     only: every pool, then one draw per later `Depolarize` run in stage
     order, one double per pair, whatever the chunking. The counts at a
-    seed are pinned by the tests.
+    seed are pinned by the tests. Attempts that fill no output slot of
+    `pairs_per_output` elementary pairs raise `ProtocolError`.
     """
     segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
     size = attempts * pairs_per_attempt
+    per_output = pairs_per_output(stages)
+    if segments * size < per_output:
+        raise ProtocolError(
+            f"{attempts} samples{' per segment' if segments > 1 else ''} fill no output "
+            f"slot of {per_output} elementary pairs; need at least "
+            f"{-(-per_output // (segments * pairs_per_attempt))}")
     steps = []  # the stages, with each run of `Depolarize` stages as one list
     for noisy, run in groupby(stages, lambda stage: isinstance(stage, Depolarize)):
         steps += [list(run)] if noisy else list(run)
@@ -352,17 +359,18 @@ def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
     """Reported numbers of one run or of the summed counts of runs.
 
     With `per_output` elementary pairs behind each output pair, the
-    consumed // per_output whole output slots are the trials of
-    p_success = kept / slots and of its interval; fidelity = good/kept
-    and yield = kept/consumed. With no kept pair the fidelity and its
-    interval are None, and with no whole slot p_success is None.
+    consumed // per_output whole output slots (at least one: the
+    sampler fills one or stops) are the trials of p_success = kept /
+    slots and of its interval; fidelity = good/kept and yield =
+    kept/consumed. With no kept pair the fidelity and its interval are
+    None.
     """
     kept, good, consumed = counts["kept"], counts["good"], counts["consumed"]
     slots = consumed // per_output
     return ProtocolStats(
         fidelity=good / kept if kept else None,
         fidelity_ci=wilson_interval(good, kept) if kept else (None, None),
-        p_success=kept / slots if slots else None,
+        p_success=kept / slots,
         p_success_ci=wilson_interval(kept, slots),
         protocol_yield=kept / consumed,
         samples=counts["attempts"],

@@ -1,32 +1,26 @@
-"""Result records: the fixed CSV schema and its JSON-lines mirror."""
+"""Result records: one `ResultRecord` per protocol run, printed by
+`purify`, `hashing`, `qec`, `chain` and `repeater` as one JSON line and
+written by `--csv-out` as one CSV row under the same column names.
+
+The fixed columns are the protocol, its parameters, the noise model,
+the reported numbers, the samples run, the seed, a hash over every input
+that moves the result, and the version. `report` holds what a run
+reports beside them as one flat JSON object: resource counts, the
+closed-form quantities of an analytic chain, or the runs with an
+uncorrectable syndrome; `{}` when there are none. In CSV, `params` and
+`report` are each one cell of canonical JSON. Schema 2 added `report`.
+"""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 
-CSV_SCHEMA_VERSION = 1
-CSV_HEADER = (
-    "schema",
-    "protocol",
-    "params",
-    "p_resource",
-    "q_meas",
-    "q_channel",
-    "fidelity",
-    "ci_lo",
-    "ci_hi",
-    "p_success",
-    "yield",
-    "samples",
-    "seed",
-    "config_hash",
-    "version",
-)
+CSV_SCHEMA_VERSION = 2
 
 
 def canonical_config_text(config: dict) -> str:
@@ -37,9 +31,14 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_config_text(config).encode()).hexdigest()[:16]
 
 
-def _cell(value: float | None) -> str:
-    """A number's CSV cell; a value that does not exist is left empty."""
-    return "" if value is None else repr(value)
+def _cell(value) -> str:
+    """A value's CSV cell: a value that does not exist is left empty and
+    an object is canonical JSON."""
+    if value is None:
+        return ""
+    if isinstance(value, dict):
+        return canonical_config_text(value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -52,15 +51,16 @@ class ResultRecord:
     fidelity: float | None
     ci_lo: float | None
     ci_hi: float | None
-    p_success: float | None
-    protocol_yield: float
+    p_success: float
+    protocol_yield: float = field(metadata={"column": "yield"})  # a Python keyword
+    report: dict
     samples: int
-    seed: int
+    seed: int | None
     config_hash: str
     version: str = __version__
 
     @classmethod
-    def from_stats(cls, protocol: str, params: dict, noise, stats, seed: int,
+    def from_stats(cls, protocol: str, params: dict, noise, stats, seed: int | None,
                    cfg_hash: str) -> "ResultRecord":
         return cls(
             protocol=protocol,
@@ -73,35 +73,26 @@ class ResultRecord:
             ci_hi=stats.fidelity_ci[1],
             p_success=stats.p_success,
             protocol_yield=stats.protocol_yield,
+            report=stats.extra.get("report", {}),
             samples=stats.samples,
             seed=seed,
             config_hash=cfg_hash,
         )
 
-    def to_csv_row(self) -> list:
-        return [
-            CSV_SCHEMA_VERSION,
-            self.protocol,
-            canonical_config_text(self.params),
-            repr(self.p_resource),
-            repr(self.q_meas),
-            repr(self.q_channel),
-            _cell(self.fidelity),
-            _cell(self.ci_lo),
-            _cell(self.ci_hi),
-            _cell(self.p_success),
-            repr(self.protocol_yield),
-            self.samples,
-            self.seed,
-            self.config_hash,
-            self.version,
-        ]
+    def columns(self) -> dict:
+        """The record under its output names (`CSV_HEADER`), in CSV order."""
+        return dict(zip(CSV_HEADER, (CSV_SCHEMA_VERSION,
+                                     *(getattr(self, f.name) for f in fields(self)))))
+
+    def to_csv_row(self) -> list[str]:
+        return [_cell(value) for value in self.columns().values()]
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["schema"] = CSV_SCHEMA_VERSION
-        d["yield"] = d.pop("protocol_yield")
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(self.columns(), sort_keys=True)
+
+
+# the schema, then each field under its column name
+CSV_HEADER = ("schema", *(f.metadata.get("column", f.name) for f in fields(ResultRecord)))
 
 
 def write_csv(path: str, records: list[ResultRecord]):
@@ -110,12 +101,6 @@ def write_csv(path: str, records: list[ResultRecord]):
         writer.writerow(CSV_HEADER)
         for rec in records:
             writer.writerow(rec.to_csv_row())
-
-
-def write_jsonl(path: str, records: list[ResultRecord]):
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
 
 
 def write_plot_csv(path: str, rows: list[tuple[float, float, float]]):

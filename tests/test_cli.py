@@ -13,13 +13,15 @@ import pytest
 from mbqcomm import cli
 from mbqcomm.cli import main
 from mbqcomm.netsim import encoded_chain
+from mbqcomm.results import CSV_HEADER
 
 PURIFY_MC = ["purify", "--engine", "mc", "--F", "0.8", "--rounds", "2",
              "--p-resource", "0.97", "--q-meas", "0.97"]
 
-# options that changed no reported number and left the CLI: argparse
-# rejects them like any unknown option
-REMOVED = ("--shards", "--timing", "--ideal")
+# options that changed no reported number, or wrote a copy of stdout
+# (--json-out), and left the CLI: argparse rejects them like any unknown
+# option
+REMOVED = ("--shards", "--timing", "--ideal", "--json-out")
 
 
 def rejection(named: str) -> str:
@@ -50,7 +52,7 @@ def run(argv, capsys):
     ["repeater", "--samples", "0"],
     ["sweep", "--target", "repeater", "--segments", "0"],
     PURIFY_MC + ["--samples", "10", "--csv-out", "/nonexistent/x.csv"],
-    PURIFY_MC + ["--samples", "10", "--json-out", "/nonexistent/x.jsonl"],
+    ["repeater", "--mode", "analytic", "--csv-out", "/nonexistent/x.csv"],
     ["sweep", "--target", "code", "--plot-out", "/nonexistent/x.csv"],
     # 10 kept pairs of 57 rounds need 10 * 2^57 pairs: 1.25 EiB, more than
     # any 64-bit address space, so the allocation fails without touching memory
@@ -80,14 +82,16 @@ def test_bad_counts_exit_2_with_one_line(argv, capsys):
     ["qec", "--shards", "2"],
     ["chain", "--shards", "2"],
     ["repeater", "--shards", "2"],
-    ["chain", "--csv-out", "x.csv"],
+    # --json-out wrote a copy of stdout
+    ["purify", "--F", "0.8", "--json-out", "x.jsonl"],
     ["chain", "--json-out", "x.jsonl"],
-    ["repeater", "--csv-out", "x.csv"],
+    ["hashing", "--F", "0.9", "--json-out", "x.jsonl"],
     ["repeater", "--json-out", "x.jsonl"],
     PURIFY_MC + ["--shards", "2"],
     # purify and hashing send nothing through a channel: F is the pair they purify
     ["purify", "--F", "0.8", "--q-channel", "0.5"],
     ["hashing", "--F", "0.9", "--q-channel", "0.5"],
+    ["qec", "--json-out", "x.jsonl"],
 ])
 def test_unread_options_are_rejected(argv, capsys):
     rc, out, err = run(argv, capsys)
@@ -100,9 +104,13 @@ def test_unread_options_are_rejected(argv, capsys):
 @pytest.mark.parametrize("samples,seed", [(10, 3), (1000, 1), (1001, 4), (3, 5)])
 def test_record_reports_requested_samples(mode, samples, seed, capsys):
     argv = PURIFY_MC + ["--mode", mode, "--samples", str(samples), "--seed", str(seed)]
-    rc, out, _err = run(argv, capsys)
-    assert rc == 0
-    assert json.loads(out)["samples"] == samples
+    rc, out, err = run(argv, capsys)
+    if mode == "stepwise" and samples < 4:
+        # 2 stepwise rounds purify the pairs in slots of 4
+        assert (rc, out) == (2, "") and err.startswith(f"error: {samples} samples fill no")
+    else:
+        assert rc == 0
+        assert json.loads(out)["samples"] == samples
 
 
 @pytest.mark.parametrize("seeds", [(2**63 + 1, 2**63 + 2), (1, 2**64 + 1)])
@@ -179,31 +187,90 @@ NOISY_QEC = ["--p-resource", "0.95", "--q-meas", "0.95", "--q-channel", "0.85",
      '{"ci_hi": 0.5791993463738232, "ci_lo": 0.46687729355961566, '
      '"config_hash": "f5ad5b2819fd5acb", "fidelity": 0.5233333333333333, '
      '"p_resource": 0.95, "p_success": 1.0, "params": {"code": "ring5"}, '
-     '"protocol": "qec", "q_channel": 0.85, "q_meas": 0.95, "samples": 300, '
-     '"schema": 1, "seed": 7, "version": "0.2.0", "yield": 1.0}\n'),
+     '"protocol": "qec", "q_channel": 0.85, "q_meas": 0.95, '
+     '"report": {"uncorrectable_runs": 0}, "samples": 300, '
+     '"schema": 2, "seed": 7, "version": "0.2.0", "yield": 1.0}\n'),
     (["qec", "--code", "repetition3"] + NOISY_QEC,
      '{"ci_hi": 0.5198689689624482, "ci_lo": 0.40772488257071904, '
      '"config_hash": "c24a21e9e793a40e", "fidelity": 0.4633333333333333, '
      '"p_resource": 0.95, "p_success": 1.0, "params": {"code": "repetition3"}, '
-     '"protocol": "qec", "q_channel": 0.85, "q_meas": 0.95, "samples": 300, '
-     '"schema": 1, "seed": 7, "version": "0.2.0", "yield": 1.0}\n'),
+     '"protocol": "qec", "q_channel": 0.85, "q_meas": 0.95, '
+     '"report": {"uncorrectable_runs": 0}, "samples": 300, '
+     '"schema": 2, "seed": 7, "version": "0.2.0", "yield": 1.0}\n'),
     (["chain", "--segments", "2", "--code", "ring5", "--p-resource", "0.97", "--q-meas", "0.97",
       "--q-channel", "0.9", "--samples", "200", "--seed", "12345"],
-     '{"ci": [0.5409361758928832, 0.6749177028050861], "code": "ring5", '
-     '"extra": {"uncorrectable_runs": 0}, "fidelity": 0.61, "mode": "trajectory", '
-     '"protocol": "chain", "resources": {"correction_resources": 2, '
-     '"resource_qubits": 32}, "segments": 2}\n'),
+     '{"ci_hi": 0.6749177028050861, "ci_lo": 0.5409361758928832, '
+     '"config_hash": "1360ebe77f2295fa", "fidelity": 0.61, "p_resource": 0.97, '
+     '"p_success": 1.0, "params": {"channel_overrides": {}, "code": "ring5", '
+     '"mode": "trajectory", "segments": 2}, "protocol": "chain", "q_channel": 0.9, '
+     '"q_meas": 0.97, "report": {"correction_resources": 2, "resource_qubits": 32, '
+     '"uncorrectable_runs": 0}, "samples": 200, "schema": 2, "seed": 12345, '
+     '"version": "0.2.0", "yield": 1.0}\n'),
     (["purify", "--F", "0.8", "--engine", "stabilizer", "--rounds", "2", "--p-resource", "0.97",
       "--q-meas", "0.97", "--samples", "300", "--seed", "3"],
      '{"ci_hi": 0.8980013866009613, "ci_lo": 0.7534859492631247, '
      '"config_hash": "f58da9d196fad2b2", "fidelity": 0.8383838383838383, '
      '"p_resource": 0.97, "p_success": 0.33, "params": {"F": 0.8, '
      '"engine": "stabilizer", "mode": "merged", "rounds": 2, "variant": "DEJMPS"}, '
-     '"protocol": "purify", "q_channel": 1.0, "q_meas": 0.97, "samples": 300, '
-     '"schema": 1, "seed": 3, "version": "0.2.0", "yield": 0.0825}\n'),
+     '"protocol": "purify", "q_channel": 1.0, "q_meas": 0.97, "report": {}, '
+     '"samples": 300, "schema": 2, "seed": 3, "version": "0.2.0", "yield": 0.0825}\n'),
 ], ids=["qec-ring5", "qec-repetition3", "chain-ring5", "purify-stabilizer"])
 def test_noisy_trajectory_records_frozen(argv, record, capsys):
     assert run(argv, capsys) == (0, record, "")
+
+
+# one run of each protocol subcommand and engine or mode, at a seed
+PROTOCOL_RUNS = {
+    "purify-analytic": ["purify", "--engine", "analytic", "--F", "0.8", "--p-resource", "0.97"],
+    "purify-mc": PURIFY_MC + ["--samples", "200", "--seed", "3"],
+    "purify-stabilizer": ["purify", "--engine", "stabilizer", "--F", "0.8",
+                          "--samples", "20", "--seed", "3"],
+    "hashing": ["hashing", "--F", "0.9", "--samples", "5", "--seed", "3"],
+    "qec": ["qec", "--samples", "5", "--seed", "3"] + QEC_NOISE,
+    "chain-trajectory": ["chain", "--segments", "1", "--samples", "5", "--seed", "3"]
+    + QEC_NOISE,
+    "chain-dense": ["chain", "--mode", "dense"] + QEC_NOISE,
+    "chain-analytic": ["chain", "--mode", "analytic"] + QEC_NOISE,
+    "repeater-analytic": ["repeater", "--mode", "analytic", "--q-channel", "0.95"],
+    "repeater-mc": ["repeater", "--mode", "mc", "--q-channel", "0.95", "--samples", "256",
+                    "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", PROTOCOL_RUNS.values(), ids=PROTOCOL_RUNS)
+def test_every_protocol_subcommand_prints_one_record(argv, capsys):
+    rc, out, err = run(argv, capsys)
+    assert (rc, err) == (0, "")
+    (line,) = out.splitlines()
+    record = json.loads(line)
+    assert set(record) == set(CSV_HEADER)
+    assert (record["protocol"], record["schema"]) == (argv[0], 2)
+    assert isinstance(record["report"], dict)
+    assert run(argv, capsys) == (0, out, "")
+
+
+def csv_cell_value(cell: str, like):
+    """A CSV cell read as the type of its JSON value `like`."""
+    if like is None:
+        return None if cell == "" else cell
+    if isinstance(like, dict):
+        return json.loads(cell)
+    return type(like)(cell)
+
+
+@pytest.mark.parametrize("name", ["purify-mc", "purify-analytic", "chain-trajectory",
+                                  "chain-analytic", "repeater-mc"])
+def test_csv_row_holds_the_printed_record(name, tmp_path, capsys):
+    csv_path = tmp_path / "r.csv"
+    rc, out, _err = run(PROTOCOL_RUNS[name] + ["--csv-out", str(csv_path)], capsys)
+    assert rc == 0
+    record = json.loads(out)
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        (row,) = reader
+    assert tuple(header) == CSV_HEADER
+    assert {key: csv_cell_value(cell, record[key]) for key, cell in zip(header, row)} == record
 
 
 @pytest.mark.parametrize("base,changed", [
@@ -250,7 +317,7 @@ def test_qec_enumerate_errors_rejects_a_code_that_corrects_nothing(capsys):
     (["--samples", "5"], "--samples"),
     (["--csv-out", "x.csv"], "--csv-out"),
     (["--json-out", "x.jsonl"], "--json-out"),
-    (["--samples", "5", "--json-out", "x.jsonl"], "--samples and --json-out"),
+    (["--samples", "5", "--csv-out", "x.csv"], "--samples and --csv-out"),
     (["--p-resource", "0.5", "--q-channel", "0.3"], "--p-resource and --q-channel"),
     (["--q-meas", "0.9"], "--q-meas"),
     (["--q-channel", "1.0"], "--q-channel"),
@@ -262,7 +329,7 @@ def test_qec_enumerate_errors_rejects_unread_options(extra, named, tmp_path,
     rc, out, err = run(["qec", "--enumerate-errors"] + extra, capsys)
     assert rc == 2
     assert out == ""
-    assert err.startswith(f"error: {named} ")
+    assert err.startswith(rejection(named))
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
@@ -357,6 +424,9 @@ def test_threshold_code_is_read_or_rejected(formula, capsys):
     (["--config", "{ini}", "--segments", "4"], "--segments"),
     (["--config", "{ini}", "--samples", "5", "--q-channel", "0.9"],
      "--samples and --q-channel"),
+    # no exact mode reads the INI's samples key
+    (["--config", "{ini}", "--mode", "analytic"], "config [chain]: samples"),
+    (["--config", "{ini}", "--mode", "dense"], "config [chain]: samples"),
 ])
 def test_chain_rejects_options_it_does_not_read(extra, named, tmp_path, capsys):
     path = tmp_path / "chain.ini"
@@ -373,7 +443,7 @@ def test_chain_defaults_are_the_explicit_values(capsys):
     base = ["chain", "--mode", "trajectory", "--samples", "20", "--q-channel", "0.9"]
     _rc, implicit, _ = run(base, capsys)
     _rc, explicit, _ = run(base + ["--segments", "3", "--code", "ring5"], capsys)
-    assert implicit == explicit and json.loads(implicit)["segments"] == 3
+    assert implicit == explicit and json.loads(implicit)["params"]["segments"] == 3
 
 
 def test_chain_config_defaults_are_the_flag_defaults(tmp_path, monkeypatch, capsys):
@@ -390,7 +460,7 @@ def test_chain_config_defaults_are_the_flag_defaults(tmp_path, monkeypatch, caps
     path.write_text("[chain]\n")
     from_ini = run(["chain", "--config", str(path)], capsys)
     assert from_ini == run(["chain"], capsys)
-    assert from_ini[0] == 0 and json.loads(from_ini[1])["segments"] == 3
+    assert from_ini[0] == 0 and json.loads(from_ini[1])["params"]["segments"] == 3
     assert configs[0] == configs[1] and configs[0].samples == 10_000
 
 
@@ -398,9 +468,17 @@ def test_chain_config_reads_seed_and_mode(tmp_path, capsys):
     path = tmp_path / "chain.ini"
     path.write_text("[chain]\nsegments = 1\nsamples = 3\nq_channel = 0.9\n")
     rc, out, _err = run(["chain", "--config", str(path), "--seed", "4"], capsys)
-    assert rc == 0 and json.loads(out)["mode"] == "trajectory"
+    record = json.loads(out)
+    assert rc == 0 and record["params"]["mode"] == "trajectory"
+    assert (record["samples"], record["seed"], record["q_channel"]) == (3, 4, 0.9)
+    # an exact mode reads no samples key
+    rc, out, err = run(["chain", "--config", str(path), "--mode", "analytic"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: config [chain]: samples does not apply to --mode analytic "
+                   "(it is exact: no sampling)\n")
+    path.write_text("[chain]\nsegments = 1\nq_channel = 0.9\n")
     rc, out, _err = run(["chain", "--config", str(path), "--mode", "analytic"], capsys)
-    assert rc == 0 and json.loads(out)["mode"] == "analytic"
+    assert rc == 0 and json.loads(out)["params"]["mode"] == "analytic"
 
 
 def test_negative_rounds_exit_2_naming_rounds(capsys):
@@ -505,24 +583,27 @@ def test_repeater_with_no_whole_output_slot_exits_2_naming_the_samples_needed(ca
     assert rc == 0 and json.loads(out)["p_success"] is not None
 
 
-@pytest.mark.parametrize("seed", ["1", "5"])
-def test_purify_with_no_whole_output_slot_reports_null_p_success(seed, tmp_path, capsys):
-    # 3 pairs fill no slot of 4, so the run reports p_success as missing
+@pytest.mark.parametrize("rounds,samples", [(2, 3), (3, 7)])
+def test_purify_with_no_whole_output_slot_exits_2_naming_the_samples_needed(
+        rounds, samples, tmp_path, capsys):
+    # stepwise rounds purify the pairs in slots of 2^rounds, as the
+    # repeater's stations do
     csv_path = tmp_path / "r.csv"
-    rc, out, _err = run(["purify", "--F", "1", "--engine", "mc", "--mode", "stepwise",
-                         "--rounds", "2", "--samples", "3", "--seed", seed,
-                         "--csv-out", str(csv_path)], capsys)
-    assert rc == 0
-    assert json.loads(out)["p_success"] is None
-    with open(csv_path, newline="") as fh:
-        (cells,) = csv.DictReader(fh)
-    assert (cells["p_success"], cells["samples"]) == ("", "3")
+    argv = ["purify", "--F", "1", "--engine", "mc", "--mode", "stepwise",
+            "--rounds", str(rounds), "--csv-out", str(csv_path)]
+    rc, out, err = run(argv + ["--samples", str(samples)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {samples} samples fill no output slot of {1 << rounds} "
+                   f"elementary pairs; need at least {1 << rounds}\n")
+    assert not csv_path.exists()
+    rc, out, _err = run(argv + ["--samples", str(1 << rounds)], capsys)
+    assert rc == 0 and json.loads(out)["p_success"] == 1.0
 
 
 def test_repeater_without_purification_runs(capsys):
     rc, out, _err = run(["repeater", "--rounds", "0", "--samples", "100"], capsys)
     assert rc == 0
-    assert json.loads(out)["rounds"] == 0
+    assert json.loads(out)["params"]["rounds"] == 0
 
 
 # every sweep detector is exact: sweep has no sampling options at all

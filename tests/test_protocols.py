@@ -147,8 +147,8 @@ def test_p_success_counts_whole_output_slots():
     assert (stats.p_success, stats.p_success_ci) == (1.0, wilson_interval(25, 25))
     assert stats.protocol_yield == 25 / 101
     assert stats_from_counts(dict(counts, kept=24, good=24, consumed=100), 4).p_success == 24 / 25
-    empty = stats_from_counts({"attempts": 3, "consumed": 3, "kept": 0, "good": 0}, 4)
-    assert (empty.p_success, empty.fidelity) == (None, None)
+    with pytest.raises(ProtocolError, match="3 samples fill no output slot of 4 elementary"):
+        sample_stages(werner(0.8), purify_stages(2, PURIFY_NOISE, "stepwise"), 3, make_rng(1))
 
 
 # Raw sampler counts at seed 1. The stream is one double per pair for
