@@ -34,7 +34,7 @@ from .netsim import (
     repeater_chain,
 )
 from .noise import NoiseModel
-from .protocols import HashingEnsemble, purify_hashing, purify_recurrence
+from .protocols import purify_hashing, purify_recurrence
 from .results import ResultRecord, config_hash, write_csv, write_plot_csv
 from .rng import make_rng
 from .thresholds import (
@@ -167,10 +167,9 @@ def cmd_purify(args) -> int:
 
 def cmd_hashing(args) -> int:
     noise = noise_from_args(args)
-    ens = HashingEnsemble(args.pairs, werner(args.F))
     params = {"F": args.F, "pairs": args.pairs, "checks": args.checks}
     samples, seed, rng = sampling(args, None)
-    stats = purify_hashing(ens, args.checks, noise, samples, rng)
+    stats = purify_hashing(werner(args.F), args.pairs, args.checks, noise, samples, rng)
     return emit(args, params, noise, stats, samples, seed)
 
 

@@ -96,7 +96,6 @@ class ProtocolStats:
     fidelity: float | None
     fidelity_ci: tuple[float, float] | tuple[None, None]
     p_success: float
-    p_success_ci: tuple[float, float]
     protocol_yield: float
     samples: int
     extra: dict = field(default_factory=dict)
@@ -344,8 +343,8 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
 def point_stats(fidelity: float, p_success: float = 1.0, protocol_yield: float = 1.0,
                 **extra) -> ProtocolStats:
     """Stats of an exact evaluation: the intervals collapse to the values."""
-    return ProtocolStats(fidelity, (fidelity, fidelity), p_success, (p_success, p_success),
-                         protocol_yield, 0, extra=extra)
+    return ProtocolStats(fidelity, (fidelity, fidelity), p_success, protocol_yield, 0,
+                         extra=extra)
 
 
 def exact_stats(state: BellDiagonalState, stages) -> ProtocolStats:
@@ -361,9 +360,8 @@ def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
     With `per_output` elementary pairs behind each output pair, the
     consumed // per_output whole output slots (at least one: the
     sampler fills one or stops) are the trials of p_success = kept /
-    slots and of its interval; fidelity = good/kept and yield =
-    kept/consumed. With no kept pair the fidelity and its interval are
-    None.
+    slots; fidelity = good/kept and yield = kept/consumed. With no kept
+    pair the fidelity and its interval are None.
     """
     kept, good, consumed = counts["kept"], counts["good"], counts["consumed"]
     slots = consumed // per_output
@@ -371,7 +369,6 @@ def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
         fidelity=good / kept if kept else None,
         fidelity_ci=wilson_interval(good, kept) if kept else (None, None),
         p_success=kept / slots,
-        p_success_ci=wilson_interval(kept, slots),
         protocol_yield=kept / consumed,
         samples=counts["attempts"],
         extra={"counts": counts},
@@ -511,151 +508,115 @@ def purify_recurrence(input_state: BellDiagonalState, rounds: int,
 # -- hashing ----------------------------------------------------------------
 
 
-@dataclass
-class HashingEnsemble:
-    """N i.i.d. pairs with a common Bell-diagonal error distribution."""
+def _check_network(n_pairs: int, checks: int, rng) -> tuple[np.ndarray, list[int]]:
+    """A random network of `checks` parity checks on `n_pairs` pairs: its
+    flip table and its sacrificed pairs, in check order.
 
-    n_pairs: int
-    pair_state: BellDiagonalState
-
-    def __post_init__(self):
-        if self.n_pairs < 2:
-            raise ProtocolError("hashing needs at least two pairs")
-
-
-@dataclass
-class HashingRound:
-    """One parity check: subset, type ('x' or 'z') and sacrificed pair."""
-
-    subset: tuple[int, ...]
-    kind: str
-    target: int
-
-
-def sample_hashing_rounds(n_pairs: int, checks: int, rng) -> list[HashingRound]:
+    Check k reads the x bits or the z bits of a random nonempty subset of
+    the pairs not yet sacrificed, and sacrifices one pair of that subset.
+    `flips[j, c]` has bit k set where letter c (code 2x + z) on pair j
+    flips check k, so an error string `err` has the syndrome
+    XOR_j flips[j, err[j]]. The table is the one place that says which
+    letters a check reads.
+    """
+    flips = np.zeros((n_pairs, 4), dtype=np.int64)
     remaining = list(range(n_pairs))
-    rounds = []
-    for _ in range(checks):
-        if len(remaining) < 2:
-            raise ProtocolError("too many checks for the ensemble size")
+    sacrificed = []
+    for k in range(checks):
         while True:
             mask = rng.integers(0, 2, size=len(remaining))
             if mask.any():
                 break
-        subset = tuple(remaining[k] for k in np.flatnonzero(mask))
+        subset = [remaining[i] for i in np.flatnonzero(mask)]
         target = subset[int(rng.integers(0, len(subset)))]
-        kind = "x" if rng.integers(0, 2) == 0 else "z"
-        rounds.append(HashingRound(subset, kind, target))
+        bit = 1 if rng.integers(0, 2) == 0 else 0  # the x bit, else the z bit
+        flips[subset] |= ((np.arange(4) >> bit) & 1) << k
         remaining.remove(target)
-    return rounds
+        sacrificed.append(target)
+    return flips, sacrificed
 
 
-def _round_parity(rnd: HashingRound, x_bits: np.ndarray, z_bits: np.ndarray):
-    sel = list(rnd.subset)
-    if rnd.kind == "x":
-        return x_bits[..., sel].sum(axis=-1) % 2
-    return z_bits[..., sel].sum(axis=-1) % 2
+def _ml_decode(weights: np.ndarray, flips: np.ndarray, checks: int,
+               syndrome: int) -> tuple[np.ndarray, bool]:
+    """The most likely error string of i.i.d. letter `weights` with the
+    given syndrome under the flip table `flips`, and whether another
+    string is as likely.
 
-
-def _ml_decode(n_pairs: int, weights: np.ndarray, rounds: list[HashingRound],
-               parities: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Exact ML error-string decode by dynamic programming.
-
-    State = partial parity vector over the checks; per pair, each of the
-    four letters contributes its bits. Ties resolve toward the lower
-    Bell index (identity first), deterministically.
+    A dynamic programme over the partial syndrome: pair j moves each
+    state s to s ^ flips[j, c] for all four letters c at once. Ties
+    within 1e-12 in log weight resolve toward the lower letter code,
+    from the last pair down, so the estimate is deterministic.
     """
-    checks = len(rounds)
-    n_states = 1 << checks
-    # contribution bit of letter l on pair j to check k
-    contrib = np.zeros((n_pairs, 4), dtype=np.int64)
-    for k, rnd in enumerate(rounds):
-        for j in rnd.subset:
-            for letter in range(4):
-                x_bit = letter >> 1
-                z_bit = letter & 1
-                bit = x_bit if rnd.kind == "x" else z_bit
-                if bit:
-                    contrib[j, letter] ^= 1 << k
     logw = np.full(4, -1e30)  # effectively forbidden, avoids inf arithmetic
     nz = weights > 0
     logw[nz] = np.log(weights[nz])
-    score = np.full(n_states, -1e30)
+    states = np.arange(1 << checks)
+    score = np.full(states.size, -1e30)
     score[0] = 0.0
-    back = np.zeros((n_pairs, n_states), dtype=np.int8)
-    tied = np.zeros((n_pairs, n_states), dtype=bool)
-    states = np.arange(n_states)
-    for j in range(n_pairs):
-        cands = np.stack(
-            [score[states ^ contrib[j, letter]] + logw[letter] for letter in range(4)]
-        )
-        best = cands.max(axis=0)
-        near = np.abs(cands - best) < 1e-12
-        back[j] = near.argmax(axis=0)  # lowest Bell index wins ties
+    back = np.empty((len(flips), states.size), dtype=np.int8)
+    tied = np.empty((len(flips), states.size), dtype=bool)
+    for j, row in enumerate(flips):
+        cands = score[states ^ row[:, None]] + logw[:, None]
+        score = cands.max(axis=0)
+        near = np.abs(cands - score) < 1e-12
+        back[j] = near.argmax(axis=0)  # lowest letter code wins ties
         tied[j] = near.sum(axis=0) > 1
-        score = best
-    target = 0
-    for k, b in enumerate(parities):
-        if b:
-            target |= 1 << k
-    est = np.zeros(n_pairs, dtype=np.int64)
-    state = target
-    ambiguous = False
-    for j in range(n_pairs - 1, -1, -1):
-        letter = int(back[j, state])
+    est = np.zeros(len(flips), dtype=np.int64)
+    state, ambiguous = syndrome, False
+    for j in range(len(flips) - 1, -1, -1):
+        est[j] = back[j, state]
         ambiguous = ambiguous or bool(tied[j, state])
-        est[j] = letter
-        state ^= int(contrib[j, letter])
+        state ^= int(flips[j, est[j]])
     if state != 0:
         raise ProtocolError("hashing decoder backtrack failed")
     return est, ambiguous
 
 
-def purify_hashing(ensemble: HashingEnsemble, checks: int, noise: NoiseModel,
-                   samples: int, rng) -> ProtocolStats:
-    """Hashing in the classical error-string representation, exact ML decode.
+def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
+                   noise: NoiseModel, samples: int, rng) -> ProtocolStats:
+    """Hashing of `n_pairs` i.i.d. pairs in the classical error-string
+    representation, with an exact ML decode.
 
-    Random-subset bilateral-CNOT parities are measured on sacrificed
-    pairs; resource noise enters as extra per-pair depolarization before
-    (in-coupling) and after (output particles) the protocol.
+    Each sample draws a check network (`_check_network`), then the
+    pairs' letters, reads their syndrome from the network's flip table
+    and decodes it on the same table (`_ml_decode`). The checks read the
+    input error string: the back-action of the bilateral CNOTs on the
+    other pairs is not modelled. Resource noise enters as extra per-pair
+    depolarization before (in-coupling) and after (output particles) the
+    protocol. A sample counts toward p_success only if every kept pair
+    is clean and the decode is unambiguous.
     """
-    if ensemble.n_pairs > 24:
+    if n_pairs < 2:
+        raise ProtocolError("hashing needs at least two pairs")
+    if n_pairs > 24:
         raise ProtocolError("exact ML decoding is limited to 24 pairs")
     if checks < 0:
         raise ProtocolError(f"checks must be at least 0, got {checks}")
+    if checks > n_pairs - 1:
+        raise ProtocolError(f"too many checks for the ensemble size: {n_pairs} pairs "
+                            f"take at most {n_pairs - 1}, got {checks}")
     dress_in, dress_out = noise_stages(noise)
-    weights = evaluate_stages(ensemble.pair_state, [dress_in])[0].as_array()
+    weights = evaluate_stages(pair_state, [dress_in])[0].as_array()
     out_w = evaluate_stages(perfect_pair(), [dress_out])[0].as_array()
-    n = ensemble.n_pairs
-    survivors_total = correct_total = 0
-    all_correct = ambiguous_count = 0
+    survivors = samples * (n_pairs - checks)
+    correct_total = all_correct = ambiguous_count = 0
     for _ in range(samples):
-        rounds = sample_hashing_rounds(n, checks, rng)
-        err = draw_indices(rng, weights, n)
-        x_bits = err >> 1
-        z_bits = err & 1
-        parities = np.array([_round_parity(r, x_bits, z_bits) for r in rounds])
-        est, ambiguous = _ml_decode(n, weights, rounds, parities)
+        flips, sacrificed = _check_network(n_pairs, checks, rng)
+        err = draw_indices(rng, weights, n_pairs)
+        syndrome = int(np.bitwise_xor.reduce(flips[np.arange(n_pairs), err]))
+        est, ambiguous = _ml_decode(weights, flips, checks, syndrome)
+        keep = np.delete(np.arange(n_pairs), sacrificed)
+        ok = err[keep] ^ est[keep] ^ draw_indices(rng, out_w, keep.size) == 0
         ambiguous_count += ambiguous
-        sacrificed = {r.target for r in rounds}
-        keep = [j for j in range(n) if j not in sacrificed]
-        residual = (err[keep] ^ est[keep])
-        residual = residual ^ draw_indices(rng, out_w, len(keep))
-        ok = residual == 0
-        survivors_total += len(keep)
         correct_total += int(ok.sum())
-        # a run counts as fully successful only if unambiguous and clean
         all_correct += bool(ok.all()) and not ambiguous
-    fid = correct_total / survivors_total if survivors_total else 0.0
-    p_all = all_correct / samples if samples else 0.0
     return ProtocolStats(
-        fidelity=fid,
-        fidelity_ci=wilson_interval(correct_total, survivors_total),
-        p_success=p_all,
-        p_success_ci=wilson_interval(all_correct, samples),
-        protocol_yield=(n - checks) / n,
+        fidelity=correct_total / survivors if survivors else 0.0,
+        fidelity_ci=wilson_interval(correct_total, survivors),
+        p_success=all_correct / samples if samples else 0.0,
+        protocol_yield=(n_pairs - checks) / n_pairs,
         samples=samples,
-        extra={"counts": {"correct": correct_total, "survivors": survivors_total,
+        extra={"counts": {"correct": correct_total, "survivors": survivors,
                           "all_correct": all_correct, "attempts": samples,
                           "ambiguous": ambiguous_count}},
     )

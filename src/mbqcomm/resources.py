@@ -426,12 +426,6 @@ class LabeledRegister:
         self.state = self.state.tensor(state) if self.labels else state.copy()
         self.labels.extend(labels)
 
-    def embed_pauli(self, p: PauliString, on: Sequence[str]) -> PauliString:
-        return p.embed(self.n, [self.index(l) for l in on])
-
-    def apply_pauli(self, p: PauliString, on: Sequence[str]):
-        self.state.apply_pauli(self.embed_pauli(p, on))
-
     def depolarize(self, labels: Sequence[str], p: float, rng):
         apply_sampled_noise(self.state, [self.index(l) for l in labels], p, rng)
 

@@ -310,6 +310,16 @@ def bell_pair(code: int) -> StabilizerState:
     return pair
 
 
+def register_pauli(reg: LabeledRegister, p: PauliString, on) -> PauliString:
+    """`p` on the register's qubits labelled `on`, the identity elsewhere."""
+    return p.embed(reg.n, [reg.index(label) for label in on])
+
+
+def apply_register_pauli(reg: LabeledRegister, p: PauliString, on):
+    """Apply `p` to the register's qubits labelled `on`, in place."""
+    reg.state.apply_pauli(register_pauli(reg, p, on))
+
+
 def forced_bell_measure(state: StabilizerState, a: int, b: int, code: int) -> float:
     """Bell measurement of (a, b) forced onto the outcome of letter code
     `code`: X_a X_b and Z_a Z_b are measured with forced signs and pinned,
@@ -776,7 +786,7 @@ def forced_teleport(spec: ResourceSpec, host: LabeledRegister, wiring: dict[str,
         codes.append(forced[k])
     reading = conjugation_reading(spec, codes)
     if apply_frame and reading.keep and not reading.frame.is_identity:
-        host.apply_pauli(reading.frame, out_labels)
+        apply_register_pauli(host, reading.frame, out_labels)
     return ForcedTeleport(tuple(codes), reading, prob)
 
 
@@ -798,11 +808,11 @@ def at_station_shot(code, noise, rng, q_channel) -> tuple[bool, list]:
     for q in q_channel:
         reg.depolarize(r.labels, q, rng)
         r = qec_correct(code, reg, r.labels, noise, rng, corr, frame)
-        reg.apply_pauli(PauliString.from_codes(r.frame), r.labels)
+        apply_register_pauli(reg, PauliString.from_codes(r.frame), r.labels)
         frame = np.zeros(code.n, dtype=np.uint8)
         stations.append(r)
     d = qec_decode(code, reg, r.labels, noise, rng, dec, frame)
-    reg.apply_pauli(PauliString.from_codes(d.frame), d.labels)
+    apply_register_pauli(reg, PauliString.from_codes(d.frame), d.labels)
     return bd_index_of_pair(reg, "ref", d.labels[0]) == 0, stations
 
 

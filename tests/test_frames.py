@@ -35,6 +35,7 @@ from mbqcomm.resources import LabeledRegister, teleport_in
 from mbqcomm.rng import make_rng
 from mbqcomm.tableau import StabilizerState
 from oracles import (
+    apply_register_pauli,
     conjugation_reading,
     conjugation_station,
     forced_teleport,
@@ -64,7 +65,7 @@ def tableau_run(spec, errors, seed):
     state = spec.state.copy()
     for (kind, q), letter in errors:
         if kind == "host":
-            host.apply_pauli(PauliString.single(1, 0, letter), [q])
+            apply_register_pauli(host, PauliString.single(1, 0, letter), [q])
         else:
             state.apply_pauli(PauliString.single(state.n, q, letter))
     wiring = {f"L/in{k}": f"a{k}" for k in range(n_pairs)}
@@ -218,12 +219,12 @@ def test_station_table_matches_the_conjugation_oracle_on_every_error(name):
         host = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
         encoded = qec_encode(code, host, "in", NoiseModel(), rng, enc)
         frames.add(tuple(encoded.frame))
-        host.apply_pauli(error, encoded.labels)
+        apply_register_pauli(host, error, encoded.labels)
         syndrome, frame, block = read_station(code, corr, host, encoded.labels,
                                               encoded.frame, rng)
         assert syndrome == code.syndrome_of(error)
         _, frame, (out,) = read_station(code, dec, host, block, frame, rng)
-        host.apply_pauli(PauliString.from_codes(frame), [out])
+        apply_register_pauli(host, PauliString.from_codes(frame), [out])
         residual = error * code.correction_for(syndrome)
         delivered = bd_index_of_pair(host, "ref", out) == 0
         assert delivered == (code.logical_flips(residual) == (0, 0)) == verdict

@@ -1,7 +1,10 @@
 """Tests for the stage-list evaluators of recurrence purification and
 the nested repeater: frozen exact values, Monte Carlo against exact,
-and summed counts of runs."""
+and summed counts of runs; and for hashing: its check networks, its
+decoder against brute force, and its runs without checks against the
+exact maps."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -18,6 +21,8 @@ from mbqcomm.protocols import (
     ProtocolError,
     Purify,
     Swap,
+    _check_network,
+    _ml_decode,
     _pack_leaves,
     _purify_blocks,
     _tree_table,
@@ -26,11 +31,11 @@ from mbqcomm.protocols import (
     evaluate_stages,
     noise_stages,
     pairs_per_output,
+    purify_hashing,
     purify_recurrence,
     purify_stages,
     sample_stages,
     stats_from_counts,
-    wilson_interval,
 )
 from mbqcomm.protocols import _CHUNK as PAIR_CHUNK
 from mbqcomm.rng import _CHUNK, draw_indices, make_rng
@@ -141,10 +146,10 @@ def test_summed_shard_counts_keep_p_success():
 
 def test_p_success_counts_whole_output_slots():
     # 101 pairs in slots of 4 pairs: the 25 whole slots are the trials of
-    # p_success and of its interval, and 3 pairs fill none
+    # p_success, and 3 pairs fill none
     counts = {"attempts": 101, "consumed": 101, "kept": 25, "good": 25}
     stats = stats_from_counts(counts, 4)
-    assert (stats.p_success, stats.p_success_ci) == (1.0, wilson_interval(25, 25))
+    assert stats.p_success == 1.0
     assert stats.protocol_yield == 25 / 101
     assert stats_from_counts(dict(counts, kept=24, good=24, consumed=100), 4).p_success == 24 / 25
     with pytest.raises(ProtocolError, match="3 samples fill no output slot of 4 elementary"):
@@ -368,3 +373,80 @@ def test_purify_stabilizer_matches_exact(rounds, F, noise):
     assert s.samples == samples
     assert _z(s.fidelity, exact.fidelity, s.extra["counts"]["kept"]) < 4
     assert _z(s.p_success, exact.p_success, samples) < 4
+
+
+# -- hashing ------------------------------------------------------------------
+
+X_LETTERS, Z_LETTERS = {2, 3}, {1, 3}  # codes 2x + z with the x bit, the z bit
+
+
+@pytest.mark.parametrize("n_pairs", [2, 3, 5, 8])
+@pytest.mark.parametrize("seed", range(4))
+def test_each_check_reads_one_bit_of_a_subset_and_sacrifices_a_member(n_pairs, seed):
+    flips, sacrificed = _check_network(n_pairs, n_pairs - 1, make_rng(seed))
+    assert flips.shape == (n_pairs, 4)
+    assert len(set(sacrificed)) == n_pairs - 1
+    assert not (flips >> (n_pairs - 1)).any()  # no bit beyond the last check
+    for k, target in enumerate(sacrificed):
+        letters = [{c for c in range(4) if flips[j, c] >> k & 1} for j in range(n_pairs)]
+        subset = {j for j in range(n_pairs) if letters[j]}
+        assert target in subset
+        assert not subset & set(sacrificed[:k])  # an earlier check sacrificed these
+        assert {frozenset(letters[j]) for j in subset} in ({frozenset(X_LETTERS)},
+                                                            {frozenset(Z_LETTERS)})
+
+
+def syndrome_of(flips: np.ndarray, err) -> int:
+    out = 0
+    for j, c in enumerate(err):
+        out ^= int(flips[j, c])
+    return out
+
+
+@pytest.mark.parametrize("weights", [(0.7, 0.15, 0.1, 0.05), werner(0.9).as_array()],
+                         ids=["distinct", "werner"])
+@pytest.mark.parametrize("checks", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_ml_decode_is_brute_force_ml_on_every_syndrome(weights, checks, seed):
+    weights = np.asarray(weights, dtype=float)
+    flips, _ = _check_network(4, checks, make_rng(seed))
+    by_syndrome = {}
+    for err in itertools.product(range(4), repeat=4):
+        logp = sum(math.log(weights[c]) for c in err)
+        by_syndrome.setdefault(syndrome_of(flips, err), []).append((logp, err))
+    assert sorted(by_syndrome) == list(range(1 << checks))
+    for syndrome, strings in by_syndrome.items():
+        best = max(logp for logp, _ in strings)
+        likeliest = [err for logp, err in strings if logp > best - 1e-9]
+        est, ambiguous = _ml_decode(weights, flips, checks, syndrome)
+        # the first most likely string, read from the last pair down
+        assert tuple(est) == min(likeliest, key=lambda err: err[::-1])
+        assert ambiguous == (len(likeliest) > 1)
+
+
+@pytest.mark.parametrize("F,noise", [(0.9, NoiseModel(0.97, 0.98, 1.0)),
+                                     (0.8, NoiseModel(0.99, 0.95, 1.0))])
+def test_hashing_without_checks_is_the_dressed_pair(F, noise):
+    # no check: each kept pair is the input pair through the in-coupling
+    # and output dressing, and a sample succeeds when all pairs are clean
+    n_pairs, samples = 4, 5000
+    exact = evaluate_stages(werner(F), list(noise_stages(noise)))[0].fidelity
+    stats = purify_hashing(werner(F), n_pairs, 0, noise, samples, make_rng(11))
+    assert stats.extra["counts"]["ambiguous"] == 0
+    assert _z(stats.fidelity, exact, n_pairs * samples) < 4
+    assert _z(stats.p_success, exact ** n_pairs, samples) < 4
+    assert stats.protocol_yield == 1.0
+
+
+@pytest.mark.parametrize("n_pairs,checks,message", [
+    (1, 0, "hashing needs at least two pairs"),
+    (25, 0, "exact ML decoding is limited to 24 pairs"),
+    (4, -1, "checks must be at least 0, got -1"),
+    (4, 4, "too many checks for the ensemble size: 4 pairs take at most 3, got 4"),
+])
+def test_hashing_rejects_bad_sizes_before_any_draw(n_pairs, checks, message):
+    rng = make_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        purify_hashing(werner(0.9), n_pairs, checks, NoiseModel(), 10, rng)
+    assert rng.bit_generator.state == before

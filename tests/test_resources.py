@@ -20,11 +20,13 @@ from mbqcomm.resources import (
 from mbqcomm.tableau import InconsistentProjection
 import oracles
 from oracles import (
+    apply_register_pauli,
     conjugation_reading,
     forced_teleport,
     is_connected,
     plus_state,
     random_clifford,
+    register_pauli,
     same_state,
     site_sizes,
     to_dense,
@@ -92,7 +94,7 @@ def test_teleport_in_returns_the_outcome_codes():
         codes = teleport_in(spec, host, {"in0": "psi"}, rng=rng, out_labels=["o"])
         seen.add(int(codes[0]))
         assert host.labels == ["o"]
-        host.apply_pauli(PauliString.from_codes(spec.byproduct(codes)[0]), ["o"])
+        apply_register_pauli(host, PauliString.from_codes(spec.byproduct(codes)[0]), ["o"])
         want = oracles.apply_unitary_vec(to_dense(base), oracles.H, [0])
         assert oracles.states_equal_up_to_phase(to_dense(host.state), want, 1e-12)
     assert seen == {0, 1, 2, 3}
@@ -184,7 +186,7 @@ def test_premeasure_equals_postselected_measurement():
             r_pre = forced_teleport(pre, host_pre, wiring, forced, apply_frame=False)
             host_post = LabeledRegister.from_state(base.copy(), ["a", "b"])
             r_post = forced_teleport(spec, host_post, wiring, forced, apply_frame=False)
-            z_out1 = host_post.embed_pauli(PauliString.single(1, 0, "Z"), ["out1"])
+            z_out1 = register_pauli(host_post, PauliString.single(1, 0, "Z"), ["out1"])
             random = not all(g.commutes(z_out1) for g in host_post.state.stabs)
             try:
                 host_post.state.measure(z_out1, force=+1)
