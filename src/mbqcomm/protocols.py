@@ -37,7 +37,11 @@ pool and every such draw comes from `rng.draw_indices`, the one uint8
 draw of the package. A recurrence round reduces a (source,
 target) pair through 16-entry keep and output tables looked up by the
 4-bit code (src << 2) | tgt; the sampler looks up up to 3 such rounds
-at once, in a table over the packed leaves of a block.
+at once, in a table over the packed leaves of a block. When the first
+stage after the head run is a `Purify`, each pool is drawn in chunks of
+whole blocks and every chunk is reduced as it is drawn, so the sampler
+holds one chunk plus the survivors, never a pool of raw pairs. The
+random stream is the same as if every pool were drawn at once.
 
 The sampler returns raw counts: `attempts`, `consumed` (elementary
 pairs drawn over all segments), `kept` and `good` (kept output pairs in
@@ -256,22 +260,28 @@ def _purify_rows(idx: np.ndarray, variant: str) -> np.ndarray:
         idx = out
 
 
-def _purify_blocks(pool: np.ndarray, stage: Purify) -> np.ndarray:
+def _purify_blocks(chunks, stage: Purify) -> np.ndarray:
     """Outputs of the blocks of 2^depth consecutive pairs that pass every check.
 
-    Each round pairs the first half of every block (sources) with the
-    second (targets) and reduces them through the 16-entry tables of
-    `_index_tables`; `_tree_table` holds up to 3 such rounds at once, so
-    a block costs one lookup per 3 rounds. The blocks go through in
-    chunks of about 2^18 pairs and the survivors are concatenated, so
-    the temporaries do not grow with the pool.
+    `chunks` yields a pool in order, as uint8 arrays of whole blocks; the
+    last may end in a partial block, which is dropped. Each round pairs
+    the first half of every block (sources) with the second (targets)
+    and reduces them through the 16-entry tables of `_index_tables`;
+    `_tree_table` holds up to 3 such rounds at once, so a block costs one
+    lookup per 3 rounds. Only the survivors of each chunk are kept, so a
+    pool that is drawn chunk by chunk never exists as one array.
     """
     width = 1 << stage.depth
-    blocks = pool[:pool.size - pool.size % width].reshape(-1, width)
-    rows = max(1, _CHUNK >> stage.depth)
-    kept = [_purify_rows(blocks[r:r + rows], stage.variant)
-            for r in range(0, blocks.shape[0], rows)]
+    kept = [_purify_rows(chunk[:chunk.size - chunk.size % width].reshape(-1, width),
+                         stage.variant)
+            for chunk in chunks if chunk.size >= width]
     return np.concatenate(kept) if kept else np.zeros(0, dtype=np.uint8)
+
+
+def _chunk_pairs(stage: Purify) -> int:
+    """Pairs per chunk of a pool that `stage` reduces: about 2^18 and
+    whole blocks, so a block wider than 2^18 pairs is one chunk."""
+    return max(_CHUNK, 1 << stage.depth)
 
 
 def _xor_draws(pool: np.ndarray, weights, rng) -> None:
@@ -302,11 +312,19 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
     a block are pooled for the next stage; swapping pairs up the pools of
     adjacent segments, truncated to the shorter one.
 
+    When the first step after the head run is a `Purify` stage, each
+    pool goes into it chunk by chunk as it is drawn, so memory is one
+    chunk (`_chunk_pairs`: about 2^18 pairs, or one block if wider) plus
+    the survivors, whatever the number of attempts. Otherwise a pool is
+    drawn as one array.
+
     The random stream is a function of the stage list and the pool sizes
-    only: every pool, then one draw per later `Depolarize` run in stage
-    order, one double per pair, whatever the chunking. The counts at a
-    seed are pinned by the tests. Attempts that fill no output slot of
-    `pairs_per_output` elementary pairs raise `ProtocolError`.
+    only: every pool, segment by segment, then one draw per later
+    `Depolarize` run in stage order, one double per pair, whatever the
+    chunking; the pairs of a partial block are drawn and dropped. The
+    counts at a seed are pinned by the tests. Attempts that fill no
+    output slot of `pairs_per_output` elementary pairs raise
+    `ProtocolError`.
     """
     segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
     size = attempts * pairs_per_attempt
@@ -321,14 +339,25 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
         steps += [list(run)] if noisy else list(run)
     if steps and isinstance(steps[0], list):
         state = evaluate_stages(state, steps.pop(0))[0]
-    pools = [draw_indices(rng, state.as_array(), size) for _ in range(segments)]
+    w = state.as_array()
+    if steps and isinstance(steps[0], Purify):
+        stage = steps.pop(0)
+        step = _chunk_pairs(stage)
+        pools = [_purify_blocks((draw_indices(rng, w, min(step, size - start))
+                                 for start in range(0, size, step)), stage)
+                 for _ in range(segments)]
+    else:
+        pools = [draw_indices(rng, w, size) for _ in range(segments)]
     for stage in steps:
         if isinstance(stage, list):
             w = evaluate_stages(perfect_pair(), stage)[0].as_array()
             for pool in pools:
                 _xor_draws(pool, w, rng)
         elif isinstance(stage, Purify):
-            pools = [_purify_blocks(pool, stage) for pool in pools]
+            step = _chunk_pairs(stage)
+            pools = [_purify_blocks((pool[start:start + step]
+                                     for start in range(0, pool.size, step)), stage)
+                     for pool in pools]
         else:
             joined = []
             for a, b in zip(pools[0::2], pools[1::2]):
@@ -536,6 +565,9 @@ def _check_network(n_pairs: int, checks: int, rng) -> tuple[np.ndarray, list[int
     return flips, sacrificed
 
 
+_ML_TABLE_CAP = 1 << 20  # pairs * 2^checks entries of `_ml_decode`'s tables
+
+
 def _ml_decode(weights: np.ndarray, flips: np.ndarray, checks: int,
                syndrome: int) -> tuple[np.ndarray, bool]:
     """The most likely error string of i.i.d. letter `weights` with the
@@ -545,7 +577,9 @@ def _ml_decode(weights: np.ndarray, flips: np.ndarray, checks: int,
     A dynamic programme over the partial syndrome: pair j moves each
     state s to s ^ flips[j, c] for all four letters c at once. Ties
     within 1e-12 in log weight resolve toward the lower letter code,
-    from the last pair down, so the estimate is deterministic.
+    from the last pair down, so the estimate is deterministic. Its
+    back-pointer tables hold pairs * 2^checks entries, which
+    `purify_hashing` keeps within `_ML_TABLE_CAP`.
     """
     logw = np.full(4, -1e30)  # effectively forbidden, avoids inf arithmetic
     nz = weights > 0
@@ -584,7 +618,8 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
     other pairs is not modelled. Resource noise enters as extra per-pair
     depolarization before (in-coupling) and after (output particles) the
     protocol. A sample counts toward p_success only if every kept pair
-    is clean and the decode is unambiguous.
+    is clean and the decode is unambiguous; `report` counts the
+    ambiguous decodes.
     """
     if n_pairs < 2:
         raise ProtocolError("hashing needs at least two pairs")
@@ -595,6 +630,9 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
     if checks > n_pairs - 1:
         raise ProtocolError(f"too many checks for the ensemble size: {n_pairs} pairs "
                             f"take at most {n_pairs - 1}, got {checks}")
+    if n_pairs << checks > _ML_TABLE_CAP:
+        raise ProtocolError(f"the ML decoder's table of {n_pairs} pairs x {1 << checks} "
+                            f"states exceeds its cap of {_ML_TABLE_CAP} entries")
     dress_in, dress_out = noise_stages(noise)
     weights = evaluate_stages(pair_state, [dress_in])[0].as_array()
     out_w = evaluate_stages(perfect_pair(), [dress_out])[0].as_array()
@@ -617,8 +655,8 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
         protocol_yield=(n_pairs - checks) / n_pairs,
         samples=samples,
         extra={"counts": {"correct": correct_total, "survivors": survivors,
-                          "all_correct": all_correct, "attempts": samples,
-                          "ambiguous": ambiguous_count}},
+                          "all_correct": all_correct, "attempts": samples},
+               "report": {"ambiguous_decodes": ambiguous_count}},
     )
 
 

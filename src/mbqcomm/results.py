@@ -6,9 +6,10 @@ The fixed columns are the protocol, its parameters, the noise model,
 the reported numbers, the samples run, the seed, a hash over every input
 that moves the result, and the version. `report` holds what a run
 reports beside them as one flat JSON object: resource counts, the
-closed-form quantities of an analytic chain, or the runs with an
-uncorrectable syndrome; `{}` when there are none. In CSV, `params` and
-`report` are each one cell of canonical JSON. Schema 2 added `report`.
+closed-form quantities of an analytic chain, the runs with an
+uncorrectable syndrome, or the ambiguous hashing decodes; `{}` when
+there are none. In CSV, `params` and `report` are each one cell of
+canonical JSON. Schema 2 added `report`.
 """
 
 from __future__ import annotations

@@ -72,6 +72,8 @@ def run(argv, capsys):
     # hashing needs two pairs, and sacrifices at most all pairs but one
     ["hashing", "--F", "0.9", "--pairs", "1"],
     ["hashing", "--F", "0.9", "--pairs", "4", "--checks", "4"],
+    # the ML decoder's table of pairs x 2^checks entries is capped
+    ["hashing", "--F", "0.9", "--pairs", "24", "--checks", "23"],
 ])
 def test_bad_counts_exit_2_with_one_line(argv, capsys):
     rc, out, err = run(argv, capsys)
@@ -230,21 +232,24 @@ def test_noisy_trajectory_records_frozen(argv, record, capsys):
      '{"ci_hi": 0.8954948806677585, "ci_lo": 0.8912173414113373, '
      '"config_hash": "d1521287bbb0247d", "fidelity": 0.893375, "p_resource": 1.0, '
      '"p_success": 0.3708, "params": {"F": 0.9, "checks": 8, "pairs": 16}, '
-     '"protocol": "hashing", "q_channel": 1.0, "q_meas": 1.0, "report": {}, '
+     '"protocol": "hashing", "q_channel": 1.0, "q_meas": 1.0, '
+     '"report": {"ambiguous_decodes": 5303}, '
      '"samples": 10000, "schema": 2, "seed": 1, "version": "0.2.0", "yield": 0.5}\n'),
     (["hashing", "--F", "0.85", "--pairs", "12", "--checks", "8", "--p-resource", "0.97",
       "--q-meas", "0.98", "--seed", "3"],
      '{"ci_hi": 0.729577942992447, "ci_lo": 0.7208287999439614, '
      '"config_hash": "89a3d5114eb7aec9", "fidelity": 0.725225, "p_resource": 0.97, '
      '"p_success": 0.1651, "params": {"F": 0.85, "checks": 8, "pairs": 12}, '
-     '"protocol": "hashing", "q_channel": 1.0, "q_meas": 0.98, "report": {}, '
+     '"protocol": "hashing", "q_channel": 1.0, "q_meas": 0.98, '
+     '"report": {"ambiguous_decodes": 6714}, '
      '"samples": 10000, "schema": 2, "seed": 3, "version": "0.2.0", '
      '"yield": 0.3333333333333333}\n'),
     (["hashing", "--F", "0.9", "--checks", "0"],
      '{"ci_hi": 0.9014045287128566, "ci_lo": 0.8984637664493768, '
      '"config_hash": "21faff85dcf1aaca", "fidelity": 0.89994375, "p_resource": 1.0, '
      '"p_success": 0.1891, "params": {"F": 0.9, "checks": 0, "pairs": 16}, '
-     '"protocol": "hashing", "q_channel": 1.0, "q_meas": 1.0, "report": {}, '
+     '"protocol": "hashing", "q_channel": 1.0, "q_meas": 1.0, '
+     '"report": {"ambiguous_decodes": 0}, '
      '"samples": 10000, "schema": 2, "seed": 1, "version": "0.2.0", "yield": 1.0}\n'),
 ], ids=["defaults", "noisy-12-pairs", "no-checks"])
 def test_hashing_records_frozen(argv, record, capsys):

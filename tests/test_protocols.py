@@ -6,6 +6,7 @@ exact maps."""
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -33,6 +34,7 @@ from mbqcomm.protocols import (
     pairs_per_output,
     purify_hashing,
     purify_recurrence,
+    purify_recurrence_mc,
     purify_stages,
     sample_stages,
     stats_from_counts,
@@ -241,7 +243,9 @@ def test_purify_blocks_equals_per_round_oracle(depth, fidelity, variant):
     weights = werner(fidelity).as_array()
     for size in sizes:
         pool = draw_indices(make_rng(size << 3 | depth), weights, size)
-        got = _purify_blocks(pool, Purify(depth, variant))
+        step = max(PAIR_CHUNK, block)
+        got = _purify_blocks((pool[s:s + step] for s in range(0, size, step)),
+                             Purify(depth, variant))
         assert got.dtype == np.uint8
         assert np.array_equal(got, per_round_blocks(pool, depth, variant)), size
 
@@ -256,6 +260,96 @@ def test_chunked_xor_equals_one_shot_xor(size):
     _xor_draws(pool, weights, ours)
     assert np.array_equal(pool, expected)
     assert ours.random() == ref.random()  # both streams consumed alike
+
+
+# -- oracle: every pool drawn as one array
+
+def whole_pool_outputs(state, stages, size, rng):
+    """The pools that each `Purify` stage leaves, in stage order, and the
+    final pool, with every pool drawn as one array, each `Depolarize` run
+    after the head XORed in as one draw, and each block reduced by
+    `per_round_blocks`."""
+    segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
+    steps = [(noisy, list(run)) for noisy, run in
+             itertools.groupby(stages, lambda stage: isinstance(stage, Depolarize))]
+    if steps and steps[0][0]:
+        state = evaluate_stages(state, steps.pop(0)[1])[0]
+    pools = [draw_indices(rng, state.as_array(), size) for _ in range(segments)]
+    outputs = []
+    for noisy, run in steps:
+        if noisy:
+            w = evaluate_stages(perfect_pair(), run)[0].as_array()
+            pools = [pool ^ draw_indices(rng, w, pool.size) for pool in pools]
+            continue
+        for stage in run:
+            if isinstance(stage, Purify):
+                pools = [per_round_blocks(pool, stage.depth, stage.variant) for pool in pools]
+                outputs.append(pools)
+            else:
+                pools = [a[:min(a.size, b.size)] ^ b[:min(a.size, b.size)]
+                         for a, b in zip(pools[0::2], pools[1::2])]
+    return outputs, pools[0]
+
+
+def streamed_stage_lists(variant):
+    dress_in, dress_out = noise_stages(PURIFY_NOISE)
+    lists = {f"merged-{depth}": [dress_in, Purify(depth, variant), dress_out]
+             for depth in range(7)}
+    lists["stepwise"] = [dress_in, Purify(1, variant), dress_out] * 3
+    for rounds, levels in ((2, 2), (1, 3)):  # 4 and 8 segments
+        level = [dress_in, Purify(rounds, variant)]
+        lists[f"repeater-{1 << levels}"] = level + [Swap(), *level] * levels + [dress_out]
+    return lists
+
+
+@pytest.mark.parametrize("chunk", ["default", 8])
+@pytest.mark.parametrize("case", sorted(streamed_stage_lists("DEJMPS")))
+def test_streamed_first_purify_equals_whole_pool_oracle(case, chunk, variant, monkeypatch):
+    # chunk 8 makes every block of depth 4 or more wider than a chunk
+    if chunk != "default":
+        monkeypatch.setattr(protocols, "_CHUNK", chunk)
+    stages = streamed_stage_lists(variant)[case]
+    segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
+    block = 1 << next(stage.depth for stage in stages if isinstance(stage, Purify))
+    step = max(protocols._CHUNK, block)
+    least = -(-pairs_per_output(stages) // segments)  # one output slot
+    sizes = {step - 1, step, step + 1, block + 1, 2 * step + 3 * block + 1, least,
+             3 * least + 1}
+    sizes = sorted(size for size in sizes if size >= least)
+    seen = []  # what each `_purify_blocks` call returned, before later stages XOR into it
+    real = protocols._purify_blocks
+    monkeypatch.setattr(protocols, "_purify_blocks",
+                        lambda chunks, stage: seen.append(real(chunks, stage)) or seen[-1].copy())
+    for size in sizes:
+        seen.clear()
+        ours, ref = make_rng(size), make_rng(size)
+        counts = sample_stages(werner(0.8), stages, size, ours)
+        outputs, final = whole_pool_outputs(werner(0.8), stages, size, ref)
+        expected = [pool for pools in outputs for pool in pools]
+        assert len(seen) == len(expected), size
+        for got, want in zip(seen, expected):
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want), size
+        assert (counts["kept"], counts["good"]) == (final.size, int((final == 0).sum()))
+        assert ours.random() == ref.random(), size  # both streams consumed alike
+
+
+def test_streamed_purification_holds_one_chunk_plus_survivors():
+    # tracemalloc sees numpy's buffers; a drawn pool of 8 pairs per
+    # attempt would take 8 MiB at 2^20 attempts and 16 MiB at 2^21. A
+    # first small run fills the table caches, which the peaks leave out.
+    def peak(attempts):
+        tracemalloc.start()
+        try:
+            purify_recurrence_mc(werner(0.8), 3, PURIFY_NOISE, attempts, make_rng(1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)
+    small, large = peak(1 << 20), peak(1 << 21)
+    assert small < 4 << 20
+    assert large - small < 1 << 20
 
 
 # Stage lists without `Purify`, so every pool keeps its size: (stages,
@@ -432,7 +526,7 @@ def test_hashing_without_checks_is_the_dressed_pair(F, noise):
     n_pairs, samples = 4, 5000
     exact = evaluate_stages(werner(F), list(noise_stages(noise)))[0].fidelity
     stats = purify_hashing(werner(F), n_pairs, 0, noise, samples, make_rng(11))
-    assert stats.extra["counts"]["ambiguous"] == 0
+    assert stats.extra["report"] == {"ambiguous_decodes": 0}
     assert _z(stats.fidelity, exact, n_pairs * samples) < 4
     assert _z(stats.p_success, exact ** n_pairs, samples) < 4
     assert stats.protocol_yield == 1.0
@@ -443,6 +537,11 @@ def test_hashing_without_checks_is_the_dressed_pair(F, noise):
     (25, 0, "exact ML decoding is limited to 24 pairs"),
     (4, -1, "checks must be at least 0, got -1"),
     (4, 4, "too many checks for the ensemble size: 4 pairs take at most 3, got 4"),
+    # the smallest decoder table over the cap of 2^20 entries
+    (17, 16, "the ML decoder's table of 17 pairs x 65536 states exceeds its cap of "
+             "1048576 entries"),
+    (24, 23, "the ML decoder's table of 24 pairs x 8388608 states exceeds its cap of "
+             "1048576 entries"),
 ])
 def test_hashing_rejects_bad_sizes_before_any_draw(n_pairs, checks, message):
     rng = make_rng(1)
@@ -450,3 +549,11 @@ def test_hashing_rejects_bad_sizes_before_any_draw(n_pairs, checks, message):
     with pytest.raises(ProtocolError, match=f"^{message}$"):
         purify_hashing(werner(0.9), n_pairs, checks, NoiseModel(), 10, rng)
     assert rng.bit_generator.state == before
+
+
+def test_hashing_runs_the_largest_decoder_table_under_the_cap():
+    # 24 pairs x 2^15 states = 786432 entries; 16 checks would be 1572864
+    assert 24 << 15 <= protocols._ML_TABLE_CAP < 24 << 16
+    stats = purify_hashing(werner(0.9), 24, 15, NoiseModel(), 2, make_rng(1))
+    assert stats.samples == 2
+    assert set(stats.extra["report"]) == {"ambiguous_decodes"}
