@@ -5,9 +5,11 @@ encoding Clifford (wire 0 = logical qubit, other wires ancilla |0>) and
 a syndrome lookup table built by enumeration, never transcribed: one
 correction per syndrome integer, as letter codes. The table has one
 reader, `CodeSpec.decode`: a QEC station is one lookup in it, for one
-shot or for many at once, and so is every syndrome of the code's
-logical channel. That channel, summed exactly over all Pauli errors, is
-the one source of every code's logical error rate and threshold.
+shot or for many at once. Errors are read through the code one way, as
+arrays: `CodeSpec.residual` takes bit-packed errors to the logical
+letter that their lookup correction leaves. Summed over all Pauli
+errors, it is the one source of every code's logical error rate and
+threshold.
 """
 
 from __future__ import annotations
@@ -59,13 +61,6 @@ class CodeSpec:
             raise CodeError("the lookup table needs one correction per syndrome")
         self.lookup.setflags(write=False)
 
-    def syndrome_of(self, error: PauliString) -> tuple[int, ...]:
-        return _anticommuting(error, self.stabilizers)
-
-    def logical_flips(self, error: PauliString) -> tuple[int, int]:
-        """Whether `error` flips the logical (X, Z) measurement outcomes."""
-        return _anticommuting(error, (self.logical_x, self.logical_z))
-
     @cached_property
     def correctable(self) -> np.ndarray:
         """Per syndrome integer: whether the table's correction has weight
@@ -85,22 +80,27 @@ class CodeSpec:
         index = (1 << np.arange(len(bits))) @ bits
         return self.lookup[index].T, self.correctable[index]
 
-    def correction_for(self, syndrome: tuple[int, ...]) -> PauliString:
-        """The table's lowest-weight error with this syndrome."""
-        return PauliString.from_codes(self.decode(syndrome)[0])
+    def residual(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The logical letter code 2x + z that one lookup correction leaves
+        of each error with bit-packed parts (x, z): its anticommutation
+        bits with (logical X, logical Z) are its z and x bits."""
+        k = len(self.stabilizers)
+        logicals = (self.logical_x, self.logical_z)
+        fixes = self.decode(np.arange(1 << k) >> np.arange(k)[:, None] & 1)[0]
+        qubit = 1 << np.arange(self.n)
+        fix_flips = _parities(qubit @ (fixes >> 1), qubit @ (fixes & 1), logicals)
+        return _parities(x, z, logicals) ^ fix_flips[_parities(x, z, self.stabilizers)]
 
     def logical_channel(self, weights, max_weight: int | None = None) -> np.ndarray:
         """Weights of the residual logical Pauli after i.i.d. single-qubit
         Pauli noise `weights` on every block qubit and one lookup
         correction, both indexed by letter code 2x + z (I, Z, X, Y).
 
-        Sums exactly over all 4^n errors, whose syndromes index the
-        table's corrections in one lookup. The residual's anticommutation
-        bits with (logical X, logical Z) are its z and x bits, so they are
-        its letter code as they stand. With `max_weight` only errors of
-        at most that weight count, so the weights sum to less than one.
+        Sums exactly over all 4^n errors: one `residual` of them all.
+        With `max_weight` only errors of at most that weight count, so
+        the weights sum to less than one.
         """
-        n, k = self.n, len(self.stabilizers)
+        n = self.n
         err = np.arange(1 << 2 * n, dtype=np.int64)
         x, z = err & ((1 << n) - 1), err >> n
         weights = np.asarray(weights, dtype=float)
@@ -109,12 +109,7 @@ class CodeSpec:
             prob *= weights[2 * (x >> q & 1) + (z >> q & 1)]
         if max_weight is not None:
             prob[np.bitwise_count(x | z) > max_weight] = 0.0
-        logicals = (self.logical_x, self.logical_z)
-        fixes = self.decode(np.arange(1 << k) >> np.arange(k)[:, None] & 1)[0]
-        qubit = 1 << np.arange(n)
-        fix_flips = _parities(qubit @ (fixes >> 1), qubit @ (fixes & 1), logicals)
-        residual = _parities(x, z, logicals) ^ fix_flips[_parities(x, z, self.stabilizers)]
-        return np.bincount(residual, weights=prob, minlength=4)
+        return np.bincount(self.residual(x, z), weights=prob, minlength=4)
 
     def logical_noise(self, p: float, max_weight: int | None = None) -> float:
         """Logical depolarizing parameter (4 F - 1)/3 of one correction step
@@ -131,11 +126,6 @@ def _parities(x: np.ndarray, z: np.ndarray, ops) -> np.ndarray:
     for j, g in enumerate(ops):
         out |= (np.bitwise_count((x & g.z) ^ (z & g.x)) & 1).astype(np.int64) << j
     return out
-
-
-def _anticommuting(error: PauliString, ops) -> tuple[int, ...]:
-    """One bit per operator: 1 where it anticommutes with `error`."""
-    return tuple(0 if error.commutes(g) else 1 for g in ops)
 
 
 def _min_weight_table(stabilizers, candidates) -> np.ndarray:
@@ -231,8 +221,9 @@ def ring5_code() -> CodeSpec:
         if (a.x | a.z) & (b.x | b.z) == 0
     ]
     table = _min_weight_table(stabs, [PauliString.identity(n)] + singles + doubles)
-    syndromes = {_anticommuting(e, stabs) for e in singles}
-    if len(syndromes) != 15 or (0, 0, 0, 0) in syndromes:
+    syndromes = _parities(np.array([e.x for e in singles]), np.array([e.z for e in singles]),
+                          stabs)
+    if len(set(syndromes.tolist()) - {0}) != 15:
         raise CodeError("ring5 single-qubit errors do not have distinct syndromes")
     encoder = encoder_from_code(stabs, logical_x, logical_z)
     return CodeSpec(
@@ -245,7 +236,3 @@ def ring5_code() -> CodeSpec:
         lookup=table,
         correctable_weight=1,
     )
-
-
-def all_single_qubit_errors(n: int) -> list[PauliString]:
-    return [PauliString.single(n, q, c) for q in range(n) for c in "XYZ"]

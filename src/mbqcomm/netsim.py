@@ -27,7 +27,7 @@ import numpy as np
 
 from .belldiag import BellDiagonalState, apply_pauli_channel, perfect_pair, werner
 from .catalog import code_by_name, code_correct, code_decode_syndrome, code_encode
-from .codes import CodeSpec, all_single_qubit_errors
+from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
 from .protocols import (
     Depolarize,
@@ -184,16 +184,18 @@ def corrected(code: CodeSpec, errors: np.ndarray) -> np.ndarray:
 
 def enumerate_single_errors(code: CodeSpec) -> tuple[int, int]:
     """Inject each single-qubit error that the lookup correction undoes
-    (weight within `correctable_weight`, corrected residual flipping no
-    logical) into one noiseless segment in place of channel noise; count
-    exact recoveries."""
-    errors = [e for e in all_single_qubit_errors(code.n)
-              if e.weight <= code.correctable_weight
-              and code.logical_flips(e * code.correction_for(code.syndrome_of(e))) == (0, 0)]
-    if not errors:
+    (weight within `correctable_weight`, `CodeSpec.residual` the
+    identity) into one noiseless segment in place of channel noise;
+    count exact recoveries."""
+    qubit, letter = np.divmod(np.arange(3 * code.n), 3)
+    letter += 1  # Z, X, Y on each qubit
+    errors = np.where(np.arange(code.n)[:, None] == qubit, letter, 0).astype(np.uint8)
+    undone = code.residual((letter >> 1) << qubit, (letter & 1) << qubit) == 0
+    undone &= code.correctable_weight >= 1  # a single error has weight 1
+    if not undone.any():
         raise ChainError(f"code {code.name} corrects no single-qubit error")
-    ok = corrected(code, np.array([e.codes() for e in errors], dtype=np.uint8).T)
-    return int(ok.sum()), len(errors)
+    ok = corrected(code, errors[:, undone])
+    return int(ok.sum()), int(undone.sum())
 
 
 def effective_step_noise(cfg: ChainConfig, segment: int = 0) -> float:

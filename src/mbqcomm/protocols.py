@@ -5,17 +5,17 @@ Each protocol is mirrored by the exact Bell-diagonal analytics, with a
 fast index-sampling Monte Carlo beside them; the engines are tested
 against each other. Recurrence purification also runs on the stabilizer
 engine, as a batched Pauli-frame simulation of the noisy joint resource:
-the resource's GF(2) map (`ResourceSpec.frame_map`) takes each attempt's
-error frame to its virtual-bit flips and output Bell index, and the
-resource's `checks`, parities of named virtual bits, turn the flips
-into the kept flag (`purify_frames`). The tableau serves as the oracle
-that this map is tested against. The QEC stations teleport through the
-tableau shot by shot and read their Bell outcomes through the same map
-(`station_reading`): the outcome codes, XOR the pending frame, flip the
-code syndrome at the virtual bits that the resource's `syndrome` names,
-which indexes the code's one lookup table (`CodeSpec.decode`). So a
-station is one table lookup, for one shot or many at once, and its
-correction joins the new frame: corrections are deferred by construction.
+the resource's frame reader (`ResourceSpec.byproduct`) takes each
+attempt's error frame to its output letters and the parities of its
+`checks`, and an attempt is kept iff no check is flipped. The tableau
+serves as the oracle that this reading is tested against. The QEC
+stations teleport through the tableau shot by shot and read their Bell
+outcomes through the same reader (`station_reading`): the outcome
+codes, XOR the pending frame, flip the code syndrome at the virtual
+bits that the resource's `syndrome` names, which indexes the code's one
+lookup table (`CodeSpec.decode`). So a station is one table lookup, for
+one shot or many at once, and its correction joins the new frame:
+corrections are deferred by construction.
 
 Recurrence purification and the nested repeater are written once, as a
 list of stages, and run by two evaluators: `evaluate_stages` (exact,
@@ -457,36 +457,6 @@ def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
     return draw_indices(rng, weights, width * samples).reshape(width, samples)
 
 
-def purify_frames(spec: ResourceSpec, in_codes: np.ndarray,
-                  out_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kept flag and output Bell index of attempts given by their frames.
-
-    in_codes[k] holds, per attempt, the Pauli letter riding into input
-    k and out_codes[j] the letter on output j, coded 2x + z as in
-    `ResourceSpec.frame_map`. The images of the letters XOR together.
-    A letter flips a check of `spec.checks` when it flips an odd number
-    of the check's virtual bits; these check flips are found once per
-    input letter, packed into as many bytes as they need (31 checks at
-    5 rounds) and XORed per attempt. An attempt is kept iff no check bit
-    is set. The kept pair (L/out0, R/out0) has Bell index
-    2 (x_L ^ x_R) + (z_L ^ z_R), the XOR of its halves' codes.
-    """
-    out_map, flip_map = spec.frame_map
-    left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
-    pair_map = out_map[..., left] ^ out_map[..., right]
-    names = [vm.name for vm in spec.virtual_meas]
-    incidence = np.array([[check.count(name) for name in names] for check in spec.checks],
-                         dtype=np.uint8).reshape(len(spec.checks), len(names))
-    check_bytes = np.packbits(flip_map @ incidence.T & 1, axis=-1, bitorder="little")
-    index = out_codes[left] ^ out_codes[right]
-    failed = np.zeros((check_bytes.shape[-1], in_codes.shape[1]), dtype=np.uint8)
-    for k, codes in enumerate(in_codes):
-        index ^= pair_map[k][codes]
-        for b, row in enumerate(failed):
-            row ^= check_bytes[k, :, b][codes]
-    return ~failed.any(axis=0), index
-
-
 def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
                                  noise: NoiseModel, samples: int, rng) -> ProtocolStats:
     """Batched Pauli-frame simulation of the joint resource (merged, DEJMPS).
@@ -496,8 +466,10 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
     (2021)). All attempts are drawn at once: the input pairs' Bell
     indices on the R halves, one E(q^2 p) letter per input slot (the
     in-coupling dressing of `noise_stages`) and one E(p) letter per
-    output qubit; `purify_frames` pushes them through the resource's
-    GF(2) map. No tableau runs per attempt.
+    output qubit. `ResourceSpec.byproduct` reads the input letters: an
+    attempt is kept iff no readout bit is set, and the kept pair's Bell
+    index is the XOR of the letters on L/out0 and R/out0. No tableau runs
+    per attempt.
     """
     spec = epp_recurrence(rounds, "DEJMPS")
     n_pairs = 1 << rounds
@@ -509,7 +481,10 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
         in_codes[spec.inputs.index(f"R/in{k}")] ^= pairs[k]
     out_codes = _letters(rng, PauliChannel.depolarizing(dress_out.p).weights,
                          len(spec.outputs), samples)
-    keep, index = purify_frames(spec, in_codes, out_codes)
+    out, readout = spec.byproduct(in_codes)
+    left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
+    keep = ~readout.any(axis=0)
+    index = out[left] ^ out[right] ^ out_codes[left] ^ out_codes[right]
     counts = {"attempts": samples, "consumed": samples * n_pairs,
               "kept": int(keep.sum()), "good": int((keep & (index == 0)).sum())}
     return stats_from_counts(counts, n_pairs)
@@ -617,9 +592,8 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
     input error string: the back-action of the bilateral CNOTs on the
     other pairs is not modelled. Resource noise enters as extra per-pair
     depolarization before (in-coupling) and after (output particles) the
-    protocol. A sample counts toward p_success only if every kept pair
-    is clean and the decode is unambiguous; `report` counts the
-    ambiguous decodes.
+    protocol. A sample succeeds when every kept pair is clean, whether
+    or not its decode tied; `report` counts the ambiguous decodes.
     """
     if n_pairs < 2:
         raise ProtocolError("hashing needs at least two pairs")
@@ -647,7 +621,7 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
         ok = err[keep] ^ est[keep] ^ draw_indices(rng, out_w, keep.size) == 0
         ambiguous_count += ambiguous
         correct_total += int(ok.sum())
-        all_correct += bool(ok.all()) and not ambiguous
+        all_correct += bool(ok.all())
     return ProtocolStats(
         fidelity=correct_total / survivors if survivors else 0.0,
         fidelity_ci=wilson_interval(correct_total, survivors),

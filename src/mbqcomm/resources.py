@@ -8,11 +8,13 @@ is read as the letter code 2x + z of its byproduct Pauli. A resource's
 GF(2) map on such codes (`ResourceSpec.frame_map`) is found once, by
 conjugating each unit Pauli on the inputs through the circuit: it gives
 the codes on the outputs and the flipped virtual outcomes of the
-pre-measured wires. Reading any outcome tuple, or any error frame, is
-then an XOR of its rows (`ResourceSpec.byproduct`). What the virtual
-outcomes mean is data, GF(2) functions of the virtual bits:
-`checks` (an attempt is kept iff the named outcomes of each check XOR
-to 0) and `syndrome` (named outcomes read in order).
+pre-measured wires. What the virtual outcomes mean is data, GF(2)
+functions of the virtual bits: `syndrome` (named outcomes read in
+order) and `checks` (an attempt is kept iff the named outcomes of each
+check XOR to 0). `ResourceSpec.byproduct` is the one reader of the map:
+reading any outcome tuple, or any error frame, is an XOR of one table
+row per input, which holds the output codes and the readout, the
+`syndrome` bits followed by one parity bit per check.
 
 Composite resources come from two operations. `merge` joins two
 resources by internal Bell measurements (none: the side-by-side
@@ -124,34 +126,40 @@ class ResourceSpec:
 
     @cached_property
     def _read_table(self) -> np.ndarray:
-        """`frame_map`'s output codes beside its flips at the `syndrome`
-        names, one row per (input, letter)."""
+        """`frame_map`'s output codes beside the readout they flip, one row
+        per (input, letter): the `syndrome` bits, then the parity of each
+        check's named bits (a syndrome bit is a check of one name)."""
         out, flips = self.frame_map
         names = [vm.name for vm in self.virtual_meas]
-        table = np.concatenate([out, flips[..., [names.index(s) for s in self.syndrome]]],
-                               axis=-1)
+        reads = [(s,) for s in self.syndrome] + list(self.checks)
+        incidence = np.array([[read.count(name) for read in reads] for name in names],
+                             dtype=np.uint8).reshape(len(names), len(reads))
+        table = np.concatenate([out, flips @ incidence & 1], axis=-1)
         table.setflags(write=False)
         return table
 
     def byproduct(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Read letter codes riding into the inputs, one per input on the
         first axis in input order (such as the codes
-        `StabilizerState.bell_measure` returns), for one shot or, on a
-        second axis, for many; at most one shot axis is accepted.
+        `StabilizerState.bell_measure` returns, or an error frame), for
+        one shot or, on a second axis, for many; at most one shot axis is
+        accepted.
 
         Returns their image on the outputs as letter codes, one per output
-        on the first axis, and the `syndrome` bits they flip, one per name
-        on the first axis: the XOR of the `frame_map` rows of each
-        input's letter.
+        on the first axis, and the readout bits they flip on the first
+        axis: one per `syndrome` name, then one per check, set where the
+        check fails. Both are the XOR of the `_read_table` rows of each
+        input's letter, accumulated one input at a time.
         """
         codes = np.asarray(codes)
         if not 1 <= codes.ndim <= 2 or len(codes) != len(self.inputs):
             raise ResourceError("need one letter code per input, on at most one shot axis")
-        inputs = np.arange(len(codes)).reshape(-1, *(1,) * (codes.ndim - 1))
-        read = np.bitwise_xor.reduce(self._read_table[inputs, codes]).T
+        table = self._read_table
+        read = np.zeros(codes.shape[1:] + table.shape[-1:], dtype=np.uint8)
+        for k, letters in enumerate(codes):
+            read ^= table[k, letters]
         n_out = len(self.outputs)
-        return read[:n_out], read[n_out:]
-
+        return read[..., :n_out].T, read[..., n_out:].T
 
 def _build_resource(name: str, circuit: CliffordMap,
                     input_wires: Sequence[int],

@@ -7,7 +7,9 @@ local-Clifford tools, tableau invariant checks, noise sampled one
 qubit at a time, the noise-moving identity, the repeater-station
 resource, the reading of Bell outcomes by conjugating them through a
 resource's circuit (which checks the package's table reading) with the
-forced-branch teleport built on it, the encoded shot that applies each
+forced-branch teleport built on it, a code's reading of one error as a
+`PauliString` (its syndrome, logical flips and lookup correction, which
+check the package's letter-array reading), the encoded shot that applies each
 station's correction at once (which checks that deferring them changes
 nothing), and the dense 4-qubit derivation of the Bell-diagonal
 coefficient maps. None of this runs under the CLI.
@@ -736,9 +738,36 @@ def conjugation_station(code, spec: ResourceSpec, outcomes,
     syndrome XORed out, is looked up, and the frame times the correction
     is pushed through and multiplied into the outcomes' frame."""
     reading = conjugation_reading(spec, outcomes)
-    syndrome = tuple(a ^ b for a, b in zip(reading.syndrome, code.syndrome_of(frame)))
-    fix = push_through(spec, frame * code.correction_for(syndrome))[1]
+    syndrome = tuple(a ^ b for a, b in zip(reading.syndrome, syndrome_of(code, frame)))
+    fix = push_through(spec, frame * correction_for(code, syndrome))[1]
     return syndrome, (reading.frame * fix).unsigned()
+
+
+# -- one error read through a code ---------------------------------------------
+
+
+def _anticommuting(error: PauliString, ops) -> tuple[int, ...]:
+    """One bit per operator: 1 where it anticommutes with `error`."""
+    return tuple(0 if error.commutes(g) else 1 for g in ops)
+
+
+def syndrome_of(code, error: PauliString) -> tuple[int, ...]:
+    """The code syndrome of `error`, one bit per generator."""
+    return _anticommuting(error, code.stabilizers)
+
+
+def logical_flips(code, error: PauliString) -> tuple[int, int]:
+    """Whether `error` flips the logical (X, Z) measurement outcomes."""
+    return _anticommuting(error, (code.logical_x, code.logical_z))
+
+
+def correction_for(code, syndrome: tuple[int, ...]) -> PauliString:
+    """The lookup table's lowest-weight error with this syndrome."""
+    return PauliString.from_codes(code.decode(syndrome)[0])
+
+
+def all_single_qubit_errors(n: int) -> list[PauliString]:
+    return [PauliString.single(n, q, c) for q in range(n) for c in "XYZ"]
 
 
 def single_and_double_errors(n: int) -> list[PauliString]:

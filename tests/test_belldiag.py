@@ -20,7 +20,6 @@ from mbqcomm.belldiag import (
 from mbqcomm.catalog import epp_recurrence
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import PauliString
-from mbqcomm.protocols import purify_frames
 import oracles
 from oracles import BD_SIGMA_ORDER, density, embed_unitary, fidelity_with_vec, partial_trace
 
@@ -218,10 +217,11 @@ def test_recurrence_tables_are_the_catalog_round():
         in_codes = np.zeros((len(spec.inputs), 16), dtype=np.uint8)
         in_codes[spec.inputs.index("R/in0")] = np.arange(16) >> 2
         in_codes[spec.inputs.index("R/in1")] = np.arange(16) & 3
-        frame_keep, frame_out = purify_frames(
-            spec, in_codes, np.zeros((len(spec.outputs), 16), dtype=np.uint8))
+        frame_out, readout = spec.byproduct(in_codes)
+        left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
+        frame_keep = ~readout.any(axis=0)
         assert np.array_equal(frame_keep, keep), variant
-        assert np.array_equal(frame_out[keep], out[keep]), variant
+        assert np.array_equal((frame_out[left] ^ frame_out[right])[keep], out[keep]), variant
         tensor = belldiag._recurrence_tensor(variant)
         assert np.max(np.abs(tensor - dense_maps[f"recurrence_{variant.lower()}"])) < 1e-14
     assert np.max(np.abs(belldiag._SWAP_TENSOR - dense_maps["swap"])) < 1e-14

@@ -219,7 +219,26 @@ NOISY_QEC = ["--p-resource", "0.95", "--q-meas", "0.95", "--q-channel", "0.85",
      '"engine": "stabilizer", "mode": "merged", "rounds": 2, "variant": "DEJMPS"}, '
      '"protocol": "purify", "q_channel": 1.0, "q_meas": 0.97, "report": {}, '
      '"samples": 300, "schema": 2, "seed": 3, "version": "0.2.0", "yield": 0.0825}\n'),
-], ids=["qec-ring5", "qec-repetition3", "chain-ring5", "purify-stabilizer"])
+    (["purify", "--F", "0.8", "--engine", "stabilizer", "--rounds", "1", "--p-resource", "0.97",
+      "--q-meas", "0.97", "--samples", "300", "--seed", "3"],
+     '{"ci_hi": 0.7409431359502443, "ci_lo": 0.6171151963425776, '
+     '"config_hash": "caca5dcc31cf395d", "fidelity": 0.6822429906542056, '
+     '"p_resource": 0.97, "p_success": 0.7133333333333334, "params": {"F": 0.8, '
+     '"engine": "stabilizer", "mode": "merged", "rounds": 1, "variant": "DEJMPS"}, '
+     '"protocol": "purify", "q_channel": 1.0, "q_meas": 0.97, "report": {}, '
+     '"samples": 300, "schema": 2, "seed": 3, "version": "0.2.0", '
+     '"yield": 0.3566666666666667}\n'),
+    (["purify", "--F", "0.8", "--engine", "stabilizer", "--rounds", "3", "--p-resource", "0.97",
+      "--q-meas", "0.97", "--samples", "300", "--seed", "3"],
+     '{"ci_hi": 0.9447962896007217, "ci_lo": 0.6243407235682331, '
+     '"config_hash": "e7de4f9ba3d2fe22", "fidelity": 0.8421052631578947, '
+     '"p_resource": 0.97, "p_success": 0.06333333333333334, "params": {"F": 0.8, '
+     '"engine": "stabilizer", "mode": "merged", "rounds": 3, "variant": "DEJMPS"}, '
+     '"protocol": "purify", "q_channel": 1.0, "q_meas": 0.97, "report": {}, '
+     '"samples": 300, "schema": 2, "seed": 3, "version": "0.2.0", '
+     '"yield": 0.007916666666666667}\n'),
+], ids=["qec-ring5", "qec-repetition3", "chain-ring5", "purify-stabilizer",
+        "purify-stabilizer-1-round", "purify-stabilizer-3-rounds"])
 def test_noisy_trajectory_records_frozen(argv, record, capsys):
     assert run(argv, capsys) == (0, record, "")
 
@@ -231,7 +250,7 @@ def test_noisy_trajectory_records_frozen(argv, record, capsys):
     (["hashing", "--F", "0.9"],
      '{"ci_hi": 0.8954948806677585, "ci_lo": 0.8912173414113373, '
      '"config_hash": "d1521287bbb0247d", "fidelity": 0.893375, "p_resource": 1.0, '
-     '"p_success": 0.3708, "params": {"F": 0.9, "checks": 8, "pairs": 16}, '
+     '"p_success": 0.5464, "params": {"F": 0.9, "checks": 8, "pairs": 16}, '
      '"protocol": "hashing", "q_channel": 1.0, "q_meas": 1.0, '
      '"report": {"ambiguous_decodes": 5303}, '
      '"samples": 10000, "schema": 2, "seed": 1, "version": "0.2.0", "yield": 0.5}\n'),
@@ -239,7 +258,7 @@ def test_noisy_trajectory_records_frozen(argv, record, capsys):
       "--q-meas", "0.98", "--seed", "3"],
      '{"ci_hi": 0.729577942992447, "ci_lo": 0.7208287999439614, '
      '"config_hash": "89a3d5114eb7aec9", "fidelity": 0.725225, "p_resource": 0.97, '
-     '"p_success": 0.1651, "params": {"F": 0.85, "checks": 8, "pairs": 12}, '
+     '"p_success": 0.3457, "params": {"F": 0.85, "checks": 8, "pairs": 12}, '
      '"protocol": "hashing", "q_channel": 1.0, "q_meas": 0.98, '
      '"report": {"ambiguous_decodes": 6714}, '
      '"samples": 10000, "schema": 2, "seed": 3, "version": "0.2.0", '

@@ -18,13 +18,7 @@ from mbqcomm.catalog import (
     epp_recurrence,
     epp_site_resource,
 )
-from mbqcomm.codes import (
-    CodeError,
-    CodeSpec,
-    all_single_qubit_errors,
-    repetition_code,
-    ring5_code,
-)
+from mbqcomm.codes import CodeError, CodeSpec, repetition_code, ring5_code
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import PauliString, gate_map
 from mbqcomm.resources import (
@@ -35,8 +29,10 @@ from mbqcomm.resources import (
 )
 import oracles
 from oracles import (
+    all_single_qubit_errors,
     canonical_generators,
     conjugation_reading,
+    correction_for,
     forced_teleport,
     graph_state,
     is_connected,
@@ -48,6 +44,7 @@ from oracles import (
     ring_graph,
     same_state,
     site_sizes,
+    syndrome_of,
     to_dense,
     to_graph,
     validate_tableau,
@@ -97,11 +94,11 @@ def test_repetition_syndrome_lookup_corrects_bitflips():
             err = PauliString(m, bits, 0, 0)
             if err.weight > t:
                 continue
-            got = code.correction_for(code.syndrome_of(err))
+            got = correction_for(code, syndrome_of(code, err))
             # correction must differ from the error only by a stabilizer
             residual = got * err
             assert residual.x == 0  # X parts cancel exactly
-            assert code.decode(code.syndrome_of(err))[1]
+            assert code.decode(syndrome_of(code, err))[1]
 
 
 def test_phase_repetition_code_is_hadamard_rotated():
@@ -109,7 +106,7 @@ def test_phase_repetition_code_is_hadamard_rotated():
     assert [str(g) for g in code.stabilizers] == ["+XXI", "+IXX"]
     assert str(code.logical_x) == "+ZZZ"
     err = PauliString.single(3, 1, "Z")
-    assert code.correction_for(code.syndrome_of(err)) == err
+    assert correction_for(code, syndrome_of(code, err)) == err
 
 
 def test_ring5_code_structure():
@@ -117,7 +114,7 @@ def test_ring5_code_structure():
     assert len(code.stabilizers) == 4
     # logical flip between codewords is Z on every qubit
     assert str(code.logical_x) == "+ZZZZZ"
-    syndromes = {code.syndrome_of(e) for e in all_single_qubit_errors(5)}
+    syndromes = {syndrome_of(code, e) for e in all_single_qubit_errors(5)}
     assert len(syndromes) == 15
     assert (0, 0, 0, 0) not in syndromes
 
@@ -289,6 +286,21 @@ def test_exact_channel_sums_to_one_and_beats_its_bound(name):
     code = code_by_name(name)
     assert abs(code.logical_channel(PauliChannel.depolarizing(0.9).weights).sum() - 1) < 1e-12
     assert code.logical_noise(0.9) >= code.logical_noise(0.9, code.correctable_weight)
+
+
+@pytest.mark.parametrize("name", ["ring5", "repetition2", "repetition3", "repetition3-phase",
+                                  "repetition4"])
+def test_residual_is_the_oracle_residual_of_every_error(name):
+    # the letter-array reading against the PauliString one: the lookup
+    # correction times the error, its (logical X, logical Z) flips as the
+    # z and x bits of the residual letter
+    code = code_by_name(name)
+    errors = [PauliString.identity(code.n)] + oracles.single_and_double_errors(code.n)
+    got = code.residual(np.array([e.x for e in errors]), np.array([e.z for e in errors]))
+    for error, letter in zip(errors, got):
+        flips = oracles.logical_flips(code, error * correction_for(code, syndrome_of(code, error)))
+        assert letter == 2 * flips[1] + flips[0], error
+    assert (got == 0).any() and (got != 0).any()
 
 
 def test_merge_encode_decode_is_identity_channel():

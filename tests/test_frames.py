@@ -1,9 +1,11 @@
-"""The frame map and its readers: the map and `byproduct` against the
-reading by conjugation through the circuit, the batched purification
-kernel against that reading and against the tableau on injected error
-patterns, no tableau work per purification attempt, and the QEC
-stations' table reading against the conjugation oracle on every single
-and double error, where the batched station maps of the error
+"""The frame map and its one reader: the map and `byproduct`, output
+letters, syndrome and check parities, against the reading by
+conjugation through the circuit; the purification engine's reading of
+`byproduct` (kept iff no readout bit is set, the Bell index of the kept
+pair's letters) against that reading and against the tableau on
+injected error patterns; no tableau work per purification attempt; and
+the QEC stations' table reading against the conjugation oracle on every
+single and double error, where the batched station maps of the error
 enumeration give the tableau's verdicts without running it."""
 
 from dataclasses import replace
@@ -26,7 +28,6 @@ from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.protocols import (
     bd_index_of_pair,
-    purify_frames,
     purify_recurrence,
     qec_encode,
     station_reading,
@@ -38,9 +39,12 @@ from oracles import (
     apply_register_pauli,
     conjugation_reading,
     conjugation_station,
+    correction_for,
     forced_teleport,
+    logical_flips,
     repeater_station,
     single_and_double_errors,
+    syndrome_of,
 )
 
 CODES = {"I": 0, "Z": 1, "X": 2, "Y": 3}
@@ -76,6 +80,16 @@ def tableau_run(spec, errors, seed):
     return True, bd_index_of_pair(host, "L/out0", "R/out0")
 
 
+def pair_reading(spec, in_codes, out_codes):
+    """Kept flag and output Bell index of attempts given by their frames,
+    read as `purify_recurrence_stabilizer` reads them: kept iff no
+    readout bit of `byproduct` is set, the index the XOR of the output
+    letters and `out_codes` on L/out0 and R/out0."""
+    out, readout = spec.byproduct(in_codes)
+    left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
+    return ~readout.any(axis=0), out[left] ^ out[right] ^ out_codes[left] ^ out_codes[right]
+
+
 def frame_runs(spec, patterns):
     """Kept flags and output Bell indices of the frame kernel, one column
     per error pattern."""
@@ -91,7 +105,7 @@ def frame_runs(spec, patterns):
                 in_codes[q, s] ^= CODES[letter]
             else:
                 out_codes[q - n_in, s] ^= CODES[letter]
-    return purify_frames(spec, in_codes, out_codes)
+    return pair_reading(spec, in_codes, out_codes)
 
 
 @pytest.mark.parametrize("spec", [
@@ -103,20 +117,27 @@ def test_frame_map_is_the_byproduct_of_every_letter(spec):
     assert spec.frame_map is spec.frame_map  # built once per resource
     assert not out.flags.writeable and not flips.flags.writeable
     syndrome_at = [[vm.name for vm in spec.virtual_meas].index(s) for s in spec.syndrome]
+    n_syndrome = len(spec.syndrome)
     for k, code in product(range(len(spec.inputs)), range(4)):
         codes = [code if j == k else 0 for j in range(len(spec.inputs))]
         info = conjugation_reading(spec, codes)
         assert list(out[k, code]) == info.frame.codes()
         assert list(flips[k, code]) == [info.bits[vm.name] for vm in spec.virtual_meas]
-        table_out, table_syndrome = spec.byproduct(np.array(codes, dtype=np.uint8))
+        table_out, readout = spec.byproduct(np.array(codes, dtype=np.uint8))
         assert list(table_out) == info.frame.codes()
-        assert list(table_syndrome) == list(flips[k, code][syndrome_at]) == list(info.syndrome)
+        assert len(readout) == n_syndrome + len(spec.checks)
+        syndrome, checks = readout[:n_syndrome], readout[n_syndrome:]
+        assert list(syndrome) == list(flips[k, code][syndrome_at]) == list(info.syndrome)
+        assert list(checks) == [sum(info.bits[name] for name in check) % 2
+                                for check in spec.checks]
+        assert (not checks.any()) == info.keep
 
 
 def test_byproduct_of_many_shots_is_each_shot_by_itself():
     spec = code_correct(code_by_name("ring5"))
     codes = np.random.default_rng(3).integers(0, 4, size=(len(spec.inputs), 7), dtype=np.uint8)
     out, syndrome = spec.byproduct(codes)
+    assert not spec.checks  # a station's readout is its syndrome
     assert out.shape == (len(spec.outputs), 7) and syndrome.shape == (len(spec.syndrome), 7)
     for s in range(7):
         one_out, one_syndrome = spec.byproduct(codes[:, s])
@@ -137,7 +158,7 @@ def test_frames_match_the_byproduct_rule_on_random_frames(rounds):
     in_codes = rng.integers(1, 4, size=(len(spec.inputs), n), dtype=np.uint8)
     in_codes[rng.random(in_codes.shape) > density] = 0
     out_codes = rng.integers(0, 4, size=(len(spec.outputs), n), dtype=np.uint8)
-    keep, index = purify_frames(spec, in_codes, out_codes)
+    keep, index = pair_reading(spec, in_codes, out_codes)
     left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
     patterns = set()
     for s in range(n):
@@ -222,12 +243,12 @@ def test_station_table_matches_the_conjugation_oracle_on_every_error(name):
         apply_register_pauli(host, error, encoded.labels)
         syndrome, frame, block = read_station(code, corr, host, encoded.labels,
                                               encoded.frame, rng)
-        assert syndrome == code.syndrome_of(error)
+        assert syndrome == syndrome_of(code, error)
         _, frame, (out,) = read_station(code, dec, host, block, frame, rng)
         apply_register_pauli(host, PauliString.from_codes(frame), [out])
-        residual = error * code.correction_for(syndrome)
+        residual = error * correction_for(code, syndrome)
         delivered = bd_index_of_pair(host, "ref", out) == 0
-        assert delivered == (code.logical_flips(residual) == (0, 0)) == verdict
+        assert delivered == (logical_flips(code, residual) == (0, 0)) == verdict
     assert len(frames) > 1
     assert not verdicts.all() and verdicts.any()
 

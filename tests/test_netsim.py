@@ -12,18 +12,30 @@ import pytest
 
 from mbqcomm.catalog import code_by_name, code_correct, code_decode_syndrome
 from mbqcomm.codes import CodeSpec
-from mbqcomm.netsim import ChainConfig, effective_step_noise, encoded_chain, encoded_shot
+from mbqcomm.netsim import (
+    ChainConfig,
+    ChainError,
+    corrected,
+    effective_step_noise,
+    encoded_chain,
+    encoded_shot,
+    enumerate_single_errors,
+)
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.protocols import station_reading
 from mbqcomm.rng import make_rng
 import oracles
 from oracles import (
+    all_single_qubit_errors,
     at_station_shot,
+    correction_for,
     depolarize,
     embed_unitary,
     fidelity_with_vec,
+    logical_flips,
     single_and_double_errors,
+    syndrome_of,
     to_dense,
 )
 
@@ -61,10 +73,10 @@ def test_estimate_removes_the_pending_frame(name):
         shots = []
         for error in errors:
             codes = np.array(error.codes(), dtype=np.uint8)
-            assert tuple(spec.byproduct(codes)[1]) == code.syndrome_of(error)
+            assert tuple(spec.byproduct(codes)[1]) == syndrome_of(code, error)
             syndrome, correctable, frame = station_reading(code, spec, codes)
-            assert tuple(syndrome) == code.syndrome_of(error)
-            estimate = code.correction_for(tuple(syndrome))
+            assert tuple(syndrome) == syndrome_of(code, error)
+            estimate = correction_for(code, tuple(syndrome))
             assert correctable == (estimate.weight <= code.correctable_weight)
             fixed = error * estimate
             assert list(frame) == list(spec.byproduct(np.array(fixed.codes(), dtype=np.uint8))[0])
@@ -84,6 +96,24 @@ def at_station_chain(cfg: ChainConfig, rng) -> tuple[float, Counter]:
         good += ok
         syndromes.update(r.syndrome for r in stations)
     return good / cfg.samples, syndromes
+
+
+@pytest.mark.parametrize("name", ["ring5", "repetition2", "repetition3", "repetition3-phase",
+                                  "repetition4", "repetition5"])
+def test_enumerated_errors_are_the_oracle_filter(name):
+    # the single errors that `qec --enumerate-errors` injects, filtered on
+    # letter arrays, are those the PauliString reading says the lookup
+    # undoes; with none (repetition2 corrects weight 0) it raises
+    code = code_by_name(name)
+    errors = [e for e in all_single_qubit_errors(code.n)
+              if e.weight <= code.correctable_weight
+              and logical_flips(code, e * correction_for(code, syndrome_of(code, e))) == (0, 0)]
+    if not errors:
+        with pytest.raises(ChainError, match=f"code {name} corrects no single-qubit error"):
+            enumerate_single_errors(code)
+        return
+    ok = corrected(code, np.array([e.codes() for e in errors], dtype=np.uint8).T)
+    assert enumerate_single_errors(code) == (int(ok.sum()), len(errors))
 
 
 @pytest.mark.parametrize("key", sorted(CHAIN_FROZEN))
@@ -199,8 +229,8 @@ def _branch_ensemble_fidelity(cfg: ChainConfig, timing: str) -> float:
             for q in block:
                 dm = depolarize(dm, q, p_tilde)
             for bprob, raw_bits, bdm in _syndrome_projector_branches(code, dm, gen_mats):
-                syndrome = tuple(a ^ b for a, b in zip(raw_bits, code.syndrome_of(frame)))
-                est = code.correction_for(syndrome)
+                syndrome = tuple(a ^ b for a, b in zip(raw_bits, syndrome_of(code, frame)))
+                est = correction_for(code, syndrome)
                 if timing == "station":
                     bdm = apply_pauli(bdm, est.embed(n + 1, block))
                     new_frame = frame
