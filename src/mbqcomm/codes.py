@@ -21,8 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .noise import PauliChannel
-from .pauli import CliffordMap, PauliString
-from .tableau import complete_clifford
+from .pauli import CliffordMap, PauliString, complete_clifford
 
 
 class CodeError(ValueError):

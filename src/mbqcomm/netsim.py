@@ -11,9 +11,11 @@ corrections are deferred to the end by construction, where the
 delivered pair is read against the final frame.
 
 The encoded chain runs shot by shot on the stabilizer engine
-(trajectory), whose tableau draws the Bell outcomes, or exactly: each
-perfect correction station is one logical Pauli channel on the encoded
-qubit (`CodeSpec.logical_channel`), composed on one half of a Bell pair
+(trajectory): `encoded_shot` makes each station one
+`resources.teleport_in` of the block, whose tableau draws the Bell
+outcomes, and one `station_reading`. It also runs exactly: each perfect
+correction station is one logical Pauli channel on the encoded qubit
+(`CodeSpec.logical_channel`), composed on one half of a Bell pair
 (dense). Injected errors go through all stations in one batch
 (`corrected`).
 """
@@ -33,21 +35,17 @@ from .protocols import (
     Depolarize,
     ProtocolStats,
     Purify,
-    QecResult,
     Swap,
-    bd_index_of_pair,
     exact_stats,
     noise_stages,
     pairs_per_output,
     point_stats,
-    qec_correct,
-    qec_decode,
     qec_encode,
     sample_stages,
     station_reading,
     stats_from_counts,
 )
-from .resources import LabeledRegister
+from .resources import LabeledRegister, teleport_in
 from .tableau import StabilizerState
 
 
@@ -91,30 +89,33 @@ class ChainConfig:
 # -- encoded transmission ----------------------------------------------------
 
 
-def code_resources(code: CodeSpec) -> tuple:
-    """(encode, correct, decode) resources of a code, shared across shots."""
-    return code_encode(code), code_correct(code), code_decode_syndrome(code)
-
-
 def encoded_shot(code: CodeSpec, noise: NoiseModel, rng,
-                 q_channel: list[float]) -> tuple[bool, list[QecResult]]:
+                 q_channel: list[float]) -> tuple[bool, list[tuple[tuple[int, ...], bool]]]:
     """One encoded transmission of half of a reference Bell pair.
 
     Encode; per segment, depolarize the block by that segment's
-    `q_channel` entry and correct it at a station; decode; read the Bell
-    index of the reference pair against the final frame. Returns whether
-    the pair came out in |phi+> and the station results.
+    `q_channel` entry and teleport it into a correction station, whose
+    outputs take the block's labels primed; teleport it into the decode
+    station; read the Bell index of the reference pair against the final
+    frame. Each station is read by `station_reading`. Returns whether the
+    pair came out in |phi+> and, per correction station, its syndrome
+    and whether the lookup corrects it.
     """
-    enc, corr, dec = code_resources(code)
     reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-    r = qec_encode(code, reg, "in", noise, rng, enc)
+    enc = code_encode(code)
+    frame = qec_encode(reg, "in", noise, rng, enc)
+    block, corr, dec = enc.outputs, code_correct(code), code_decode_syndrome(code)
     stations = []
     for q in q_channel:
-        reg.depolarize(r.labels, q, rng)
-        r = qec_correct(code, reg, r.labels, noise, rng, corr, r.frame)
-        stations.append(r)
-    d = qec_decode(code, reg, r.labels, noise, rng, dec, r.frame)
-    return bool(bd_index_of_pair(reg, "ref", d.labels[0]) == d.frame[0]), stations
+        reg.depolarize(block, q, rng)
+        primed = tuple(f"{label}'" for label in block)
+        codes = teleport_in(corr, reg, dict(zip(corr.inputs, block)), noise, rng, primed)
+        syndrome, correctable, frame = station_reading(code, corr, codes ^ frame)
+        stations.append((tuple(syndrome.tolist()), bool(correctable)))
+        block = primed
+    codes = teleport_in(dec, reg, dict(zip(dec.inputs, block)), noise, rng)
+    frame = station_reading(code, dec, codes ^ frame)[2]
+    return bool(reg.bell_measure("ref", "out") == frame[0]), stations
 
 
 def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> ProtocolStats:
@@ -159,8 +160,8 @@ def encoded_trajectories(cfg: ChainConfig, rng) -> ProtocolStats:
     for _ in range(cfg.samples):
         ok, stations = encoded_shot(code, cfg.noise, rng, q_channel)
         good += ok
-        uncorrectable_runs += any(r.uncorrectable for r in stations)
-        syndromes.update(r.syndrome for r in stations)
+        uncorrectable_runs += not all(correctable for _, correctable in stations)
+        syndromes.update(syndrome for syndrome, _ in stations)
     n = cfg.samples
     stats = stats_from_counts({"attempts": n, "consumed": n, "kept": n, "good": good}, 1)
     stats.extra.update(syndromes=dict(syndromes),
@@ -177,9 +178,8 @@ def corrected(code: CodeSpec, errors: np.ndarray) -> np.ndarray:
     columns, C the lookup correction. So all errors go through the
     correct and decode stations at once, with no tableau and no draw.
     """
-    _, corr, dec = code_resources(code)
-    block = station_reading(code, corr, errors)[2]
-    return station_reading(code, dec, block)[2][0] == 0
+    block = station_reading(code, code_correct(code), errors)[2]
+    return station_reading(code, code_decode_syndrome(code), block)[2][0] == 0
 
 
 def enumerate_single_errors(code: CodeSpec) -> tuple[int, int]:

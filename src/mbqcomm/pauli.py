@@ -26,6 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from . import gf2
+
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 _PHASE_STR = {0: "+", 1: "i", 2: "-", 3: "-i"}
@@ -354,6 +358,38 @@ class CliffordMap:
             raise PauliError("inverse lookup failed (map not symplectic)")
         diff = (target.phase - target.y_count - (image.phase - image.y_count)) % 4
         return candidate.with_phase((candidate.phase + diff) % 4)
+
+
+def complete_clifford(image_x: dict[int, PauliString],
+                      image_z: dict[int, PauliString], n: int) -> CliffordMap:
+    """Clifford on n qubits with the given images of some X_k and Z_k.
+
+    The missing images are filled in, X_0..X_{n-1} then Z_0..Z_{n-1}, by
+    solving their symplectic pairing with every image known so far over
+    GF(2). Raises PauliError when no Clifford has the given images.
+    """
+    known: dict[tuple[str, int], PauliString] = {}
+    known.update((("x", k), p) for k, p in image_x.items())
+    known.update((("z", k), p) for k, p in image_z.items())
+    if any(p.n != n for p in known.values()):
+        raise PauliError(f"images must act on exactly {n} qubits")
+    for key in [("x", k) for k in range(n)] + [("z", k) for k in range(n)]:
+        if key in known:
+            continue
+        kind, k = key
+        partner = ("z" if kind == "x" else "x", k)
+        # row of image p: the functional v -> <p, v> (symplectic product)
+        rows = np.array([[p.z_bit(j) for j in range(n)] + [p.x_bit(j) for j in range(n)]
+                         for p in known.values()], dtype=np.uint8)
+        rhs = np.array([other == partner for other in known], dtype=np.uint8)
+        sol = gf2.solve(rows, rhs)
+        if sol is None:
+            raise PauliError("symplectic completion failed (images dependent?)")
+        x = sum(int(b) << j for j, b in enumerate(sol[:n]))
+        z = sum(int(b) << j for j, b in enumerate(sol[n:]))
+        known[key] = PauliString(n, x, z, 0).unsigned()
+    return CliffordMap.from_images([known["x", k] for k in range(n)],
+                                   [known["z", k] for k in range(n)])
 
 
 def gate_map(n: int, gate: str, *qubits: int) -> CliffordMap:

@@ -8,14 +8,16 @@ engine, as a batched Pauli-frame simulation of the noisy joint resource:
 the resource's frame reader (`ResourceSpec.byproduct`) takes each
 attempt's error frame to its output letters and the parities of its
 `checks`, and an attempt is kept iff no check is flipped. The tableau
-serves as the oracle that this reading is tested against. The QEC
-stations teleport through the tableau shot by shot and read their Bell
-outcomes through the same reader (`station_reading`): the outcome
-codes, XOR the pending frame, flip the code syndrome at the virtual
-bits that the resource's `syndrome` names, which indexes the code's one
-lookup table (`CodeSpec.decode`). So a station is one table lookup, for
-one shot or many at once, and its correction joins the new frame:
-corrections are deferred by construction.
+serves as the oracle that this reading is tested against. A QEC
+station is one `teleport_in` of the block into its resource, which the
+tableau runs shot by shot, and one `station_reading` of its Bell
+outcomes through the same reader: the outcome codes, XOR the pending
+frame, flip the code syndrome at the virtual bits that the resource's
+`syndrome` names, which indexes the code's one lookup table
+(`CodeSpec.decode`). So a station is one table lookup, for one shot or
+many at once, and its correction joins the new frame: corrections are
+deferred by construction. `qec_encode` starts the frame; the encoded
+shot (`netsim.encoded_shot`) strings the stations together.
 
 Recurrence purification and the nested repeater are written once, as a
 list of stages, and run by two evaluators: `evaluate_stages` (exact,
@@ -181,22 +183,6 @@ def evaluate_stages(state: BellDiagonalState, stages) -> tuple[BellDiagonalState
     return state, p_success
 
 
-def _index_tables(variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """16-entry (keep, out_index) tables of one recurrence round.
-
-    Entry (i << 2) | j holds the round on source index i and target
-    index j (`belldiag.recurrence_table`). DEJMPS is deterministic at
-    the Bell-index level: each basis input pair either always fails or
-    maps to one output index. BBPSSW twirls its inputs and output to
-    Werner form, which maps an index to a distribution over indices.
-    """
-    if variant.upper() == "BBPSSW":
-        raise ProtocolError(
-            f"index sampling needs an index-deterministic map; {variant} is not"
-        )
-    return recurrence_table(variant.upper())
-
-
 _CHUNK = 1 << 18  # pairs per pass of the sampler; its temporaries stay this size
 _FAILED = 4  # tree-table entry of a block in which a check fails
 # Per tree depth d <= 3: the little-endian word that holds a block's 2^d
@@ -217,11 +203,14 @@ def _tree_table(variant: str, depth: int) -> np.ndarray:
     Indexed by the block's leaves packed as `_pack_leaves` packs them.
     In bit-reversed order the last round's source subtree holds the low
     half of the code and its target subtree the high half, so each depth
-    is one round of `_index_tables` over two lookups of the depth below.
+    is one round of `belldiag.recurrence_table` over two lookups of the
+    depth below. That table maps each pair of Bell indices to one output
+    index, which holds for DEJMPS; BBPSSW's twirls map an index to a
+    distribution, so `sample_stages` refuses it.
     """
     if depth == 0:
         return np.arange(4, dtype=np.uint8)
-    keep_t, out_t = _index_tables(variant)
+    keep_t, out_t = recurrence_table(variant.upper())
     round_t = np.full((5, 5), _FAILED, dtype=np.uint8)  # [source, target]
     round_t[:4, :4] = np.where(keep_t, out_t, _FAILED).reshape(4, 4)
     sub = _tree_table(variant, depth - 1)
@@ -266,7 +255,8 @@ def _purify_blocks(chunks, stage: Purify) -> np.ndarray:
     `chunks` yields a pool in order, as uint8 arrays of whole blocks; the
     last may end in a partial block, which is dropped. Each round pairs
     the first half of every block (sources) with the second (targets)
-    and reduces them through the 16-entry tables of `_index_tables`;
+    and reduces them through the 16-entry tables of
+    `belldiag.recurrence_table`;
     `_tree_table` holds up to 3 such rounds at once, so a block costs one
     lookup per 3 rounds. Only the survivors of each chunk are kept, so a
     pool that is drawn chunk by chunk never exists as one array.
@@ -322,10 +312,15 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
     only: every pool, segment by segment, then one draw per later
     `Depolarize` run in stage order, one double per pair, whatever the
     chunking; the pairs of a partial block are drawn and dropped. The
-    counts at a seed are pinned by the tests. Attempts that fill no
+    counts at a seed are pinned by the tests. A BBPSSW `Purify` stage,
+    whose round is no map of Bell indices, and attempts that fill no
     output slot of `pairs_per_output` elementary pairs raise
-    `ProtocolError`.
+    `ProtocolError` before any draw.
     """
+    for stage in stages:
+        if isinstance(stage, Purify) and stage.variant.upper() == "BBPSSW":
+            raise ProtocolError(
+                f"index sampling needs an index-deterministic map; {stage.variant} is not")
     segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
     size = attempts * pairs_per_attempt
     per_output = pairs_per_output(stages)
@@ -446,12 +441,6 @@ def purify_recurrence_mc(input_state: BellDiagonalState, rounds: int,
     return stats_from_counts(counts, pairs_per_output(stages))
 
 
-def bd_index_of_pair(reg: LabeledRegister, la: str, lb: str) -> int:
-    """Bell index of a pair held in a register: the code of one Bell
-    measurement, which removes the pair."""
-    return reg.bell_measure(la, lb)
-
-
 def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
     """width x samples i.i.d. letter codes drawn from `weights`, as uint8."""
     return draw_indices(rng, weights, width * samples).reshape(width, samples)
@@ -471,6 +460,8 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
     index is the XOR of the letters on L/out0 and R/out0. No tableau runs
     per attempt.
     """
+    if samples < 1:
+        raise ProtocolError(f"samples must be at least 1, got {samples}")
     spec = epp_recurrence(rounds, "DEJMPS")
     n_pairs = 1 << rounds
     dress_in, dress_out = noise_stages(noise)
@@ -595,6 +586,8 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
     protocol. A sample succeeds when every kept pair is clean, whether
     or not its decode tied; `report` counts the ambiguous decodes.
     """
+    if samples < 1:
+        raise ProtocolError(f"samples must be at least 1, got {samples}")
     if n_pairs < 2:
         raise ProtocolError("hashing needs at least two pairs")
     if n_pairs > 24:
@@ -623,9 +616,9 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
         correct_total += int(ok.sum())
         all_correct += bool(ok.all())
     return ProtocolStats(
-        fidelity=correct_total / survivors if survivors else 0.0,
+        fidelity=correct_total / survivors,
         fidelity_ci=wilson_interval(correct_total, survivors),
-        p_success=all_correct / samples if samples else 0.0,
+        p_success=all_correct / samples,
         protocol_yield=(n_pairs - checks) / n_pairs,
         samples=samples,
         extra={"counts": {"correct": correct_total, "survivors": survivors,
@@ -637,23 +630,14 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
 # -- measurement-based QEC --------------------------------------------------
 
 
-@dataclass
-class QecResult:
-    """Outcome of one QEC stage; the frame is never applied physically."""
+def qec_encode(host: LabeledRegister, in_label: str, noise: NoiseModel, rng,
+               resource: ResourceSpec) -> np.ndarray:
+    """Couple one qubit into the encoding resource by a Bell measurement.
 
-    labels: tuple[str, ...]
-    frame: np.ndarray  # letter codes on `labels`
-    syndrome: tuple[int, ...] | None = None
-    uncorrectable: bool = False
-
-
-def qec_encode(code: CodeSpec, host: LabeledRegister, in_label: str,
-               noise: NoiseModel, rng, resource: ResourceSpec) -> QecResult:
-    """Couple one qubit into the encoding resource by a Bell measurement;
-    the block joins the register as b0, b1, ..."""
-    block = tuple(f"b{k}" for k in range(code.n))
-    codes = teleport_in(resource, host, {"in": in_label}, noise, rng, block)
-    return QecResult(labels=block, frame=resource.byproduct(codes)[0])
+    The block joins the register under the resource's output labels,
+    b0, b1, ...; returns the frame it carries, as letter codes."""
+    codes = teleport_in(resource, host, {"in": in_label}, noise, rng)
+    return resource.byproduct(codes)[0]
 
 
 def station_reading(code: CodeSpec, spec: ResourceSpec,
@@ -672,30 +656,3 @@ def station_reading(code: CodeSpec, spec: ResourceSpec,
     syndrome = spec.byproduct(codes)[1]
     estimate, correctable = code.decode(syndrome)
     return syndrome, correctable, spec.byproduct(codes ^ estimate)[0]
-
-
-def _station(code: CodeSpec, spec: ResourceSpec, host: LabeledRegister,
-             block: tuple[str, ...], out_labels: tuple[str, ...], noise: NoiseModel,
-             rng, frame: np.ndarray) -> QecResult:
-    """Teleport a block into a syndrome-reading resource and read it with
-    `station_reading`."""
-    codes = teleport_in(spec, host, dict(zip(spec.inputs, block)), noise, rng, out_labels)
-    syndrome, correctable, new_frame = station_reading(code, spec, codes ^ frame)
-    return QecResult(out_labels, new_frame, tuple(syndrome.tolist()), not correctable)
-
-
-def qec_correct(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
-                noise: NoiseModel, rng, resource: ResourceSpec,
-                frame: np.ndarray) -> QecResult:
-    """Teleport the block through the 2N syndrome/correction resource;
-    the new block takes the old labels primed."""
-    new_block = tuple(f"{label}'" for label in block)
-    return _station(code, resource, host, block, new_block, noise, rng, frame)
-
-
-def qec_decode(code: CodeSpec, host: LabeledRegister, block: tuple[str, ...],
-               noise: NoiseModel, rng, resource: ResourceSpec,
-               frame: np.ndarray) -> QecResult:
-    """Bell-measure the whole block into the decode resource; its output
-    joins the register as out."""
-    return _station(code, resource, host, block, ("out",), noise, rng, frame)

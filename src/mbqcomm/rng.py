@@ -19,7 +19,6 @@ also cut the doubles of one `random(n)` call itself.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -52,15 +51,10 @@ def _cut_points(weights: tuple) -> tuple[float, ...]:
     return tuple(c / total for c in cdf[:-1])
 
 
-def draw_indices(rng: np.random.Generator, weights, size: int | None = None):
-    """Indices into `weights`, i.i.d., as `rng.choice(len(weights), size, p=weights)`.
-
-    With `size` None one index is drawn and returned as an int; else a
-    uint8 array of `size` indices (up to 256 categories).
-    """
+def draw_indices(rng: np.random.Generator, weights, size: int) -> np.ndarray:
+    """Indices into `weights`, i.i.d., as `rng.choice(len(weights), size, p=weights)`,
+    as a uint8 array of `size` indices (up to 256 categories)."""
     cuts = _cut_points(tuple(weights))
-    if size is None:
-        return bisect_right(cuts, rng.random())
     # the first cut point writes the output through a bool view (with
     # none, 1.0 > every double gives index 0); later ones add their mask
     first, later = (cuts[0], cuts[1:]) if cuts else (1.0, ())

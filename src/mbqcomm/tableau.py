@@ -20,10 +20,7 @@ resource builds their pre-measured operators.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import gf2
-from .pauli import CliffordMap, PauliError, PauliString
+from .pauli import PauliError, PauliString
 
 
 class TableauError(ValueError):
@@ -296,39 +293,3 @@ def _check_qubits(qubits, n: int):
     for q in qubits:
         if not 0 <= q < n:
             raise TableauError(f"qubit {q} out of range for n={n}")
-
-
-def complete_clifford(image_x: dict[int, PauliString],
-                      image_z: dict[int, PauliString], n: int) -> CliffordMap:
-    """Clifford on n qubits with the given images of some X_k and Z_k.
-
-    The missing images are filled in, X_0..X_{n-1} then Z_0..Z_{n-1}, by
-    solving their symplectic pairing with every image known so far over
-    GF(2). Raises TableauError when no Clifford has the given images.
-    """
-    known: dict[tuple[str, int], PauliString] = {}
-    known.update((("x", k), p) for k, p in image_x.items())
-    known.update((("z", k), p) for k, p in image_z.items())
-    if any(p.n != n for p in known.values()):
-        raise TableauError(f"images must act on exactly {n} qubits")
-    for key in [("x", k) for k in range(n)] + [("z", k) for k in range(n)]:
-        if key in known:
-            continue
-        kind, k = key
-        partner = ("z" if kind == "x" else "x", k)
-        # row of image p: the functional v -> <p, v> (symplectic product)
-        rows = np.array([[p.z_bit(j) for j in range(n)] + [p.x_bit(j) for j in range(n)]
-                         for p in known.values()], dtype=np.uint8)
-        rhs = np.array([other == partner for other in known], dtype=np.uint8)
-        sol = gf2.solve(rows, rhs)
-        if sol is None:
-            raise TableauError("symplectic completion failed (images dependent?)")
-        x = sum(int(b) << j for j, b in enumerate(sol[:n]))
-        z = sum(int(b) << j for j, b in enumerate(sol[n:]))
-        known[key] = PauliString(n, x, z, 0).unsigned()
-    try:
-        return CliffordMap.from_images([known["x", k] for k in range(n)],
-                                       [known["z", k] for k in range(n)])
-    except PauliError as exc:
-        raise TableauError(str(exc)) from exc
-

@@ -28,14 +28,22 @@ import numpy as np
 from mbqcomm.catalog import code_correct, code_decode_syndrome, code_encode, epp_site_resource
 from mbqcomm.gf2 import row_reduce
 from mbqcomm.noise import PauliChannel
-from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map, gate_map
-from mbqcomm.protocols import bd_index_of_pair, qec_correct, qec_decode, qec_encode
+from mbqcomm.pauli import (
+    CliffordMap,
+    PauliError,
+    PauliString,
+    circuit_map,
+    complete_clifford,
+    gate_map,
+)
+from mbqcomm.protocols import qec_encode, station_reading
 from mbqcomm.resources import (
     LabeledRegister,
     ResourceError,
     ResourceSpec,
     merge,
     premeasure_joint,
+    teleport_in,
 )
 from mbqcomm.rng import draw_indices
 from mbqcomm.tableau import (
@@ -43,7 +51,6 @@ from mbqcomm.tableau import (
     StabilizerState,
     TableauError,
     _check_qubits,
-    complete_clifford,
 )
 
 # Controlled-phase gate diag(1,1,1,-1): the graph-state edge unitary.
@@ -252,9 +259,13 @@ def from_generators(gens: list[PauliString]) -> StabilizerState:
     """The state of n commuting independent generators on n qubits.
 
     The generators are the Z images of a Clifford completed by
-    `complete_clifford`; its X images are the destabilizers.
+    `complete_clifford`; its X images are the destabilizers. Raises
+    TableauError when the generators define no state.
     """
-    c = complete_clifford({}, dict(enumerate(gens)), len(gens))
+    try:
+        c = complete_clifford({}, dict(enumerate(gens)), len(gens))
+    except PauliError as exc:
+        raise TableauError(str(exc)) from exc
     return StabilizerState(list(c.image_z), list(c.image_x))
 
 
@@ -831,18 +842,22 @@ def at_station_shot(code, noise, rng, q_channel) -> tuple[bool, list]:
     shot."""
     enc, corr, dec = code_encode(code), code_correct(code), code_decode_syndrome(code)
     reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-    r = qec_encode(code, reg, "in", noise, rng, enc)
-    frame = r.frame
+    frame = qec_encode(reg, "in", noise, rng, enc)
+    block = enc.outputs
     stations = []
     for q in q_channel:
-        reg.depolarize(r.labels, q, rng)
-        r = qec_correct(code, reg, r.labels, noise, rng, corr, frame)
-        apply_register_pauli(reg, PauliString.from_codes(r.frame), r.labels)
+        reg.depolarize(block, q, rng)
+        primed = tuple(f"{label}'" for label in block)
+        codes = teleport_in(corr, reg, dict(zip(corr.inputs, block)), noise, rng, primed)
+        syndrome, correctable, correction = station_reading(code, corr, codes ^ frame)
+        apply_register_pauli(reg, PauliString.from_codes(correction), primed)
         frame = np.zeros(code.n, dtype=np.uint8)
-        stations.append(r)
-    d = qec_decode(code, reg, r.labels, noise, rng, dec, frame)
-    apply_register_pauli(reg, PauliString.from_codes(d.frame), d.labels)
-    return bd_index_of_pair(reg, "ref", d.labels[0]) == 0, stations
+        stations.append((tuple(syndrome.tolist()), bool(correctable)))
+        block = primed
+    codes = teleport_in(dec, reg, dict(zip(dec.inputs, block)), noise, rng)
+    correction = station_reading(code, dec, codes ^ frame)[2]
+    apply_register_pauli(reg, PauliString.from_codes(correction), ["out"])
+    return reg.bell_measure("ref", "out") == 0, stations
 
 
 # -- dense operators and density matrices -------------------------------------
@@ -902,7 +917,7 @@ def depolarize_sample(n: int, qubit: int, p: float, rng) -> PauliString:
     """One Pauli insertion of E(p) on `qubit`: one `draw_indices` draw
     from the weights of `PauliChannel.depolarizing(p)`, its index read in
     the I, X, Y, Z order of `noise.apply_sampled_noise`."""
-    letter = "IXYZ"[draw_indices(rng, PauliChannel.depolarizing(p).weights)]
+    letter = "IXYZ"[draw_indices(rng, PauliChannel.depolarizing(p).weights, 1)[0]]
     return PauliString.single(n, qubit, letter)
 
 

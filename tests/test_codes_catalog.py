@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mbqcomm import catalog, gf2, netsim
+from mbqcomm import catalog, gf2
 from mbqcomm.belldiag import epp_site_circuit
 from mbqcomm.catalog import (
     CatalogError,
@@ -493,11 +493,12 @@ def test_runs_leave_the_shared_resources_as_built(capsys):
     from mbqcomm.cli import main
 
     code = code_by_name("ring5")
-    shared = netsim.code_resources(code)
+    builds = (code_encode, code_correct, code_decode_syndrome)
+    shared = [build(code) for build in builds]
     before = [_canonical_text(spec) for spec in shared]
     noise = ["--p-resource", "0.9", "--q-meas", "0.9", "--q-channel", "0.8"]
     assert main(["qec", *noise, "--samples", "3"]) == 0
     assert main(["chain", "--segments", "2", *noise, "--samples", "3"]) == 0
     capsys.readouterr()
-    assert all(a is b for a, b in zip(netsim.code_resources(code), shared))
+    assert all(build(code) is spec for build, spec in zip(builds, shared))
     assert [_canonical_text(spec) for spec in shared] == before

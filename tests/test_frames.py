@@ -26,12 +26,7 @@ from mbqcomm.catalog import (
 from mbqcomm.netsim import corrected
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
-from mbqcomm.protocols import (
-    bd_index_of_pair,
-    purify_recurrence,
-    qec_encode,
-    station_reading,
-)
+from mbqcomm.protocols import purify_recurrence, qec_encode, station_reading
 from mbqcomm.resources import LabeledRegister, teleport_in
 from mbqcomm.rng import make_rng
 from mbqcomm.tableau import StabilizerState
@@ -77,7 +72,7 @@ def tableau_run(spec, errors, seed):
     result = forced_teleport(replace(spec, state=state), host, wiring, rng=make_rng(seed))
     if not result.reading.keep:
         return False, None
-    return True, bd_index_of_pair(host, "L/out0", "R/out0")
+    return True, host.bell_measure("L/out0", "R/out0")
 
 
 def pair_reading(spec, in_codes, out_codes):
@@ -238,16 +233,15 @@ def test_station_table_matches_the_conjugation_oracle_on_every_error(name):
     verdicts = corrected(code, np.array([e.codes() for e in errors], dtype=np.uint8).T)
     for error, verdict in zip(errors, verdicts):
         host = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-        encoded = qec_encode(code, host, "in", NoiseModel(), rng, enc)
-        frames.add(tuple(encoded.frame))
-        apply_register_pauli(host, error, encoded.labels)
-        syndrome, frame, block = read_station(code, corr, host, encoded.labels,
-                                              encoded.frame, rng)
+        frame = qec_encode(host, "in", NoiseModel(), rng, enc)
+        frames.add(tuple(frame))
+        apply_register_pauli(host, error, enc.outputs)
+        syndrome, frame, block = read_station(code, corr, host, enc.outputs, frame, rng)
         assert syndrome == syndrome_of(code, error)
         _, frame, (out,) = read_station(code, dec, host, block, frame, rng)
         apply_register_pauli(host, PauliString.from_codes(frame), [out])
         residual = error * correction_for(code, syndrome)
-        delivered = bd_index_of_pair(host, "ref", out) == 0
+        delivered = host.bell_measure("ref", out) == 0
         assert delivered == (logical_flips(code, residual) == (0, 0)) == verdict
     assert len(frames) > 1
     assert not verdicts.all() and verdicts.any()

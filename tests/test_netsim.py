@@ -94,7 +94,7 @@ def at_station_chain(cfg: ChainConfig, rng) -> tuple[float, Counter]:
     for _ in range(cfg.samples):
         ok, stations = at_station_shot(code, cfg.noise, rng, q_channel)
         good += ok
-        syndromes.update(r.syndrome for r in stations)
+        syndromes.update(syndrome for syndrome, _ in stations)
     return good / cfg.samples, syndromes
 
 
@@ -149,9 +149,8 @@ def test_corrections_at_each_station_give_the_deferred_shots(name, segments, see
         ok, stations = encoded_shot(code, noise, deferred_rng, [0.85] * segments)
         want_ok, want = at_station_shot(code, noise, at_station_rng, [0.85] * segments)
         assert ok == want_ok
-        assert [r.syndrome for r in stations] == [r.syndrome for r in want]
-        assert [r.uncorrectable for r in stations] == [r.uncorrectable for r in want]
-        outcomes.add((bool(ok), any(any(r.syndrome) for r in stations)))
+        assert stations == want  # each station's syndrome and correctable flag
+        outcomes.add((bool(ok), any(any(syndrome) for syndrome, _ in stations)))
     assert len(outcomes) > 1
 
 

@@ -28,7 +28,6 @@ from mbqcomm.protocols import (
     _purify_blocks,
     _tree_table,
     _xor_draws,
-    bd_index_of_pair,
     evaluate_stages,
     noise_stages,
     pairs_per_output,
@@ -197,16 +196,16 @@ MADE_UP_ROUND = (np.random.default_rng(11).random(16) < 0.8,
 @pytest.fixture(params=["DEJMPS", "made-up"])
 def variant(request, monkeypatch):
     if request.param == "made-up":
-        real = protocols._index_tables
-        monkeypatch.setattr(protocols, "_index_tables",
-                            lambda v: MADE_UP_ROUND if v == "made-up" else real(v))
+        real = protocols.recurrence_table
+        monkeypatch.setattr(protocols, "recurrence_table",
+                            lambda v: MADE_UP_ROUND if v == "MADE-UP" else real(v))
         request.addfinalizer(protocols._tree_table.cache_clear)
     return request.param
 
 
 def per_round_outputs(blocks: np.ndarray, variant: str) -> np.ndarray:
     """Output index of each row of leaves, or 4 where a check in its tree fails."""
-    keep_t, out_t = protocols._index_tables(variant)
+    keep_t, out_t = protocols.recurrence_table(variant.upper())
     idx, alive = blocks, np.ones(blocks.shape[0], dtype=bool)
     while idx.shape[1] > 1:
         half = idx.shape[1] // 2
@@ -405,9 +404,9 @@ def test_draw_indices_edge_weights_equal_generator_choice(weights):
                                      (0.0, 0.0, 0.0, 1.0), (0.5, 0.0, 0.5, 0.0)])
 def test_draw_indices_scalar_equals_generator_choice(weights):
     ours, ref = make_rng(5), make_rng(5)
-    drawn = [draw_indices(ours, weights) for _ in range(2000)]
-    assert all(type(d) is int for d in drawn)
-    assert drawn == [int(ref.choice(4, p=weights)) for _ in range(2000)]
+    drawn = [draw_indices(ours, weights, 1) for _ in range(2000)]
+    assert all(d.dtype == np.uint8 and d.shape == (1,) for d in drawn)
+    assert [int(d[0]) for d in drawn] == [int(ref.choice(4, p=weights)) for _ in range(2000)]
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5, 0.1, 0.0), (1.2, -0.2, 0.0, 0.0),
@@ -428,9 +427,24 @@ def test_pairs_per_output_and_consumed():
 
 
 def test_sampler_rejects_non_deterministic_variant():
+    rng = make_rng(1)
     with pytest.raises(ProtocolError):
-        purify_recurrence(werner(0.8), 1, PURIFY_NOISE, samples=10, rng=make_rng(1),
+        purify_recurrence(werner(0.8), 1, PURIFY_NOISE, samples=10, rng=rng,
                           engine="mc", variant="BBPSSW")
+    assert rng.random() == make_rng(1).random()  # refused before any draw
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("engine", ["mc", "stabilizer", "hashing"])
+def test_samplers_reject_fewer_than_one_sample_before_any_draw(engine, samples):
+    rng = make_rng(1)
+    with pytest.raises(ProtocolError, match="samples"):
+        if engine == "hashing":
+            purify_hashing(werner(0.9), 4, 1, PURIFY_NOISE, samples, rng)
+        else:
+            purify_recurrence(werner(0.8), 1, PURIFY_NOISE, samples=samples, rng=rng,
+                              engine=engine)
+    assert rng.random() == make_rng(1).random()  # refused before any draw
 
 
 @pytest.mark.parametrize("index,letter", enumerate("IZXY"))
@@ -447,7 +461,7 @@ def test_bell_pair_constructor(index, letter):
     if index == 0:
         assert pair.stabs == StabilizerState.bell_pair().stabs
     # the Bell index that the chain reads off its delivered pair
-    assert bd_index_of_pair(LabeledRegister.from_state(pair, ["a", "b"]), "a", "b") == index
+    assert LabeledRegister.from_state(pair, ["a", "b"]).bell_measure("a", "b") == index
 
 
 # (rounds, F, noise): the frame engine against the exact maps; rounds 5
