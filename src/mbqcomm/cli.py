@@ -1,5 +1,5 @@
 """Command-line interface: purify | hashing | qec | chain | repeater |
-threshold | sweep.
+threshold.
 
 All noise inputs are probabilities in [0, 1]; percent values are
 rejected. A seed is an integer >= 0 of any size. A run is bitwise
@@ -12,7 +12,7 @@ The five protocol subcommands (purify, hashing, qec, chain, repeater)
 each print one `ResultRecord` (schema 2) as one JSON line; what a run
 reports beside the fixed columns, such as resource counts, is in its
 `report` object. `--csv-out` also writes the record as a one-row CSV
-file. `threshold` and `sweep` print their own reports.
+file. `threshold` prints its own report.
 """
 
 from __future__ import annotations
@@ -35,23 +35,20 @@ from .netsim import (
 )
 from .noise import NoiseModel
 from .protocols import purify_hashing, purify_recurrence
-from .results import ResultRecord, config_hash, write_csv, write_plot_csv
+from .results import ResultRecord, config_hash, write_csv
 from .rng import make_rng
 from .thresholds import (
-    ThresholdError,
-    code_step_detector,
     code_threshold,
     dephasing_repetition_threshold,
-    epp_regime_detector,
     hashing_threshold,
-    repeater_regime_detector,
+    repeater_threshold,
     shor_type_threshold,
-    sweep,
     universal_epp_threshold,
 )
 
 # defaults shared by the flags and the chain INI file
 SAMPLES, SEED, SEGMENTS, CODE = 10_000, 1, 3, "ring5"
+REPEATER_SEGMENTS = 4
 
 
 def probability(text: str) -> float:
@@ -293,7 +290,7 @@ def cmd_repeater(args) -> int:
 def assumption(formula: str, text: str | None):
     """The regime `--assume` selects: 'q=p' (the default) or 'q=1', or a
     fixed q for universal-epp; None for formulas that take no regime."""
-    if formula in ("hashing", "dephasing-repetition"):
+    if formula in ("hashing", "repeater", "dephasing-repetition"):
         if text is not None:
             raise ValueError(f"--assume does not apply to --formula {formula}")
         return None
@@ -310,65 +307,25 @@ def assumption(formula: str, text: str | None):
 
 def cmd_threshold(args) -> int:
     regime = assumption(args.formula, args.assume)
-    if args.formula != "code":
-        reject_unread((("--code", args.code),), f"--formula {args.formula}")
-    try:
-        if args.formula == "universal-epp":
-            report = universal_epp_threshold({"q=p": None, "q=1": 1.0}.get(regime, regime))
-        elif args.formula == "hashing":
-            report = hashing_threshold()
-        elif args.formula == "code":
-            report = code_threshold(code_by_name(CODE if args.code is None else args.code),
-                                    regime)
-        elif args.formula == "shor-type":
-            report = shor_type_threshold(regime)
-        else:
-            report = dephasing_repetition_threshold()
-    except ThresholdError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+    reject_unread([(flag, value) for flag, value, formula in
+                   (("--code", args.code, "code"), ("--segments", args.segments, "repeater"))
+                   if formula != args.formula], f"--formula {args.formula}")
+    if args.formula == "universal-epp":
+        report = universal_epp_threshold({"q=p": None, "q=1": 1.0}.get(regime, regime))
+    elif args.formula == "hashing":
+        report = hashing_threshold()
+    elif args.formula == "code":
+        report = code_threshold(code_by_name(CODE if args.code is None else args.code), regime)
+    elif args.formula == "shor-type":
+        report = shor_type_threshold(regime)
+    elif args.formula == "repeater":
+        report = repeater_threshold(REPEATER_SEGMENTS if args.segments is None
+                                    else args.segments)
+    else:
+        report = dephasing_repetition_threshold()
     print(json.dumps(report.to_dict(), sort_keys=True))
     print(f"# {report.name}: p_crit = {report.analytic:.6f} "
           f"({report.noise_percent:.1f}% tolerable noise)", file=sys.stderr)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    if args.steps < 2:
-        raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    unread = {"epp": ("segments", "code"), "repeater": ("code",), "code": ("segments",)}
-    reject_unread([(f"--{key}", getattr(args, key)) for key in unread[args.target]],
-                  f"--target {args.target}")
-    if args.target == "epp":
-        detector = epp_regime_detector()
-        lo, hi = 0.72, 0.80
-        analytic = universal_epp_threshold().analytic
-    elif args.target == "repeater":
-        detector = repeater_regime_detector(4 if args.segments is None else args.segments)
-        lo, hi = 0.72, 0.80
-        analytic = universal_epp_threshold().analytic
-    else:
-        code = code_by_name(CODE if args.code is None else args.code)
-        analytic = code_threshold(code, "q=p").analytic
-        detector = code_step_detector(code)
-        lo, hi = analytic - 0.03, analytic + 0.03
-    lo = lo if args.lo is None else args.lo
-    hi = hi if args.hi is None else args.hi
-    try:
-        result = sweep(detector, lo, hi, steps=args.steps, name=args.target)
-    except ThresholdError as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
-    payload = {
-        "target": args.target,
-        "boundary": result.boundary,
-        "bracket": list(result.bracket),
-        "analytic": analytic,
-        "within": abs(result.boundary - analytic),
-    }
-    if args.plot_out:
-        write_plot_csv(args.plot_out, result.plot_rows())
-    print(json.dumps(payload, sort_keys=True))
     return 0
 
 
@@ -422,32 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("repeater", help="nested repeater chain")
-    p.add_argument("--segments", type=int, default=4)
+    p.add_argument("--segments", type=int, default=REPEATER_SEGMENTS)
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--mode", choices=["analytic", "mc"], default="mc")
     add_noise_args(p)
     add_run_args(p)
     p.set_defaults(func=cmd_repeater)
 
-    p = sub.add_parser("threshold", help="closed-form threshold solvers")
+    p = sub.add_parser("threshold", help="closed-form threshold solvers and the "
+                                         "repeater's exact fidelity-1/2 crossing")
     p.add_argument("--formula", required=True,
-                   choices=["universal-epp", "hashing", "code", "shor-type",
+                   choices=["universal-epp", "hashing", "code", "shor-type", "repeater",
                             "dephasing-repetition"])
     p.add_argument("--assume", default=None,
                    help="'q=p' (default) or 'q=1'; universal-epp also takes a fixed q "
-                        "value; hashing and dephasing-repetition take none")
+                        "value; hashing, repeater and dephasing-repetition take none")
     p.add_argument("--code", default=None, help=f"--formula code only; defaults to {CODE}")
+    p.add_argument("--segments", type=int, default=None,
+                   help=f"repeater only; defaults to {REPEATER_SEGMENTS}")
     p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("sweep", help="empirical threshold sweeps")
-    p.add_argument("--target", required=True, choices=["epp", "repeater", "code"])
-    p.add_argument("--lo", type=probability, default=None)
-    p.add_argument("--hi", type=probability, default=None)
-    p.add_argument("--steps", type=int, default=7)
-    p.add_argument("--segments", type=int, default=None, help="repeater only; defaults to 4")
-    p.add_argument("--code", default=None, help=f"code only; defaults to {CODE}")
-    p.add_argument("--plot-out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -258,6 +258,17 @@ def repeater_stages(dress_in: Depolarize, rounds: int, levels: int) -> list:
     return stages
 
 
+def repeater_levels(segments: int) -> int:
+    """Nesting levels of a repeater over `segments` segments, which must
+    be a power of two."""
+    if segments < 1:
+        raise ChainError("need at least one segment")
+    levels = segments.bit_length() - 1
+    if 1 << levels != segments:
+        raise ChainError("repeater segment count must be a power of two")
+    return levels
+
+
 def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ProtocolStats:
     """Nested purify-and-swap chain built from merged station resources.
 
@@ -266,9 +277,7 @@ def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ProtocolStat
     segment. `extra` holds, under `report`, the station resource counts,
     and for the Monte Carlo the delivered pair count.
     """
-    levels = int(np.log2(cfg.segments))
-    if 1 << levels != cfg.segments:
-        raise ChainError("repeater segment count must be a power of two")
+    levels = repeater_levels(cfg.segments)
     dress_in, dress_out = noise_stages(cfg.noise)
     stages = repeater_stages(dress_in, cfg.purify_rounds, levels) + [dress_out]
     pair = elementary_pair(cfg.noise.q_channel)

@@ -102,11 +102,3 @@ def write_csv(path: str, records: list[ResultRecord]):
         writer.writerow(CSV_HEADER)
         for rec in records:
             writer.writerow(rec.to_csv_row())
-
-
-def write_plot_csv(path: str, rows: list[tuple[float, float, float]]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("x", "y", "err"))
-        for row in rows:
-            writer.writerow([repr(v) for v in row])

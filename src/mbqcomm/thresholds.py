@@ -1,11 +1,10 @@
-"""Closed-form error-threshold solvers and empirical sweep drivers.
+"""Error-threshold solvers.
 
-The analytic values reproduce the noise thresholds of the protocols:
-recurrence purification (universal), hashing, code-based correction and
-dephasing repetition codes. Every code number comes from the code's one
-exact logical channel (`CodeSpec.logical_channel`). Sweeps locate the
-same boundaries from a detector and report both; every detector is
-exact.
+The values reproduce the noise thresholds of the protocols: recurrence
+purification (universal), hashing, code-based correction, dephasing
+repetition codes and the nested repeater. Every code number comes from
+the code's one exact logical channel (`CodeSpec.logical_channel`). A
+value without a closed form is the bisected zero of an exact margin.
 """
 
 from __future__ import annotations
@@ -14,15 +13,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .belldiag import shannon_entropy, werner
 from .codes import CodeSpec, repetition_code
-from .netsim import elementary_pair, repeater_stages
+from .netsim import elementary_pair, repeater_levels, repeater_stages
 from .protocols import Depolarize, evaluate_stages
 
 UNIVERSAL_EPP_THRESHOLD = 3.0 ** (-0.25)
 SHOR_TYPE_P_TILDE = 0.7449  # imported constant for Shor-type codes
+REPEATER_ROUNDS = 25  # merged recurrence rounds per repeater level
 
 
 class ThresholdError(ValueError):
@@ -209,10 +207,9 @@ def shor_type_threshold(regime: str = "q=p") -> ThresholdReport:
 def dephasing_repetition_threshold() -> ThresholdReport:
     """Asymptotic repetition-code threshold under pure dephasing: 1/2.
 
-    Sweep mode: verifies that below the boundary the logical flip
-    probability, under bit flips with probability eps on every qubit, is
-    strictly decreasing in the code size (3, 5, 7, 9), and increasing
-    above it.
+    Verifies that below the boundary the logical flip probability,
+    under bit flips with probability eps on every qubit, is strictly
+    decreasing in the code size (3, 5, 7, 9), and increasing above it.
     """
     details = {
         key: [1.0 - repetition_code(m).logical_channel((1.0 - eps, 0.0, eps, 0.0))[0]
@@ -234,105 +231,25 @@ def dephasing_repetition_threshold() -> ThresholdReport:
     )
 
 
-# -- empirical sweeps ---------------------------------------------------------
-
-
-@dataclass
-class SweepResult:
-    """Bracketed detector boundary plus the evaluated grid points."""
-
-    boundary: float
-    bracket: tuple[float, float]
-    points: list  # (param, statistic, stat_err, detector_bool)
-    detector: str
-
-    def plot_rows(self) -> list[tuple[float, float, float]]:
-        return [(p, s, e) for p, s, e, _flag in self.points]
-
-
-def sweep(detector: Callable[[float], tuple[bool, float, float]],
-          lo: float, hi: float, *, steps: int = 7,
-          name: str = "detector") -> SweepResult:
-    """Locate a monotone detector's boundary by grid scan + bisection.
-
-    detector(p) returns (flag, statistic, stat_err). The flag must be
-    False at lo and True at hi; a non-monotone grid response raises.
-    """
-    points = []
-    grid = np.linspace(lo, hi, steps)
-    flags = []
-    for p in grid:
-        flag, stat, err = detector(float(p))
-        points.append((float(p), stat, err, flag))
-        flags.append(flag)
-    if flags[0] or not flags[-1]:
-        raise ThresholdError(
-            f"{name}: detector must be off at {lo} and on at {hi}"
-        )
-    flips = [k for k in range(len(flags) - 1) if flags[k] != flags[k + 1]]
-    if len(flips) != 1:
-        raise ThresholdError(f"{name}: non-monotone detector response {flags}")
-    b_lo, b_hi = float(grid[flips[0]]), float(grid[flips[0] + 1])
-    for _ in range(14):  # bisections: the bracket shrinks 2^14-fold
-        mid = 0.5 * (b_lo + b_hi)
-        flag, stat, err = detector(mid)
-        points.append((mid, stat, err, flag))
-        if flag:
-            b_hi = mid
-        else:
-            b_lo = mid
-    return SweepResult(
-        boundary=0.5 * (b_lo + b_hi),
-        bracket=(b_lo, b_hi),
-        points=points,
-        detector=name,
-    )
-
-
-def epp_regime_detector() -> Callable[[float], tuple[bool, float, float]]:
-    """Exact detector of a nonempty purification regime.
-
-    Evaluates the in-coupling stage of the recurrence protocol under
-    q = p: elementary pairs from the channel with the resource-input
-    noise moved onto them (noise-moving lemma). The regime is nonempty
-    iff this effective fidelity exceeds 1/2.
-    """
-    def detector(p: float) -> tuple[bool, float, float]:
-        fidelity = evaluate_stages(elementary_pair(p), [Depolarize(p)])[0].fidelity
-        return fidelity > 0.5, fidelity, 0.0
-
-    return detector
-
-
-def repeater_regime_detector(segments: int):
-    """Exact detector: delivered fidelity of the nested scheme above 1/2.
+def repeater_threshold(segments: int) -> ThresholdReport:
+    """Resource noise at which the nested repeater over `segments`
+    segments delivers fidelity 1/2.
 
     Under q = p, per level the station noise is moved onto the pairs
-    and 25 merged recurrence rounds purify them; swapping joins the
-    segments. The end stations' output noise is a fixed factor (p >= q
-    holds with equality under q = p) and is left out.
+    and `REPEATER_ROUNDS` merged recurrence rounds purify them; swapping
+    joins the segments. The end stations' output noise is a fixed factor
+    (p >= q holds with equality under q = p) and is left out.
     """
-    if segments < 1:
-        raise ThresholdError("need at least one segment")
-    levels = int(math.log2(segments))
-    if 1 << levels != segments:
-        raise ThresholdError("segments must be a power of two")
+    levels = repeater_levels(segments)
 
-    def detector(p: float) -> tuple[bool, float, float]:
-        stages = repeater_stages(Depolarize(p), 25, levels)
-        fidelity = evaluate_stages(elementary_pair(p), stages)[0].fidelity
-        return fidelity > 0.5, fidelity, 0.0
+    def margin(p: float) -> float:
+        stages = repeater_stages(Depolarize(p), REPEATER_ROUNDS, levels)
+        return evaluate_stages(elementary_pair(p), stages)[0].fidelity - 0.5
 
-    return detector
-
-
-def code_step_detector(code: CodeSpec):
-    """Exact detector for code sweeps: under q = p (per-step noise
-    p~ = p^3), does one perfect correction step leave less logical noise
-    than the physical noise?"""
-    def detector(p: float) -> tuple[bool, float, float]:
-        p_tilde = p ** 3
-        p_l = code.logical_noise(p_tilde)
-        return p_l > p_tilde, p_l, 0.0
-
-    return detector
+    return ThresholdReport(
+        name="repeater",
+        analytic=_bisect(margin, 0.5, 1.0, tol=1e-7),
+        assumptions={"q": "p", "segments": segments, "rounds": REPEATER_ROUNDS},
+        formula="F(p_min) = 1/2, F the exact delivered fidelity of the nested scheme",
+        binding="delivered fidelity reaches 1/2",
+    )

@@ -50,17 +50,18 @@ def run(argv, capsys):
     ["hashing", "--F", "0.9", "--checks", "-1", "--samples", "5"],
     ["chain", "--samples", "0"],
     ["repeater", "--samples", "0"],
-    ["sweep", "--target", "repeater", "--segments", "0"],
+    ["threshold", "--formula", "repeater", "--segments", "0"],
     PURIFY_MC + ["--samples", "10", "--csv-out", "/nonexistent/x.csv"],
     ["repeater", "--mode", "analytic", "--csv-out", "/nonexistent/x.csv"],
-    ["sweep", "--target", "code", "--plot-out", "/nonexistent/x.csv"],
+    # an assumption set no resource noise satisfies
+    ["threshold", "--formula", "universal-epp", "--assume", "0"],
     # 10 kept pairs of 57 rounds need 10 * 2^57 pairs: 1.25 EiB, more than
     # any 64-bit address space, so the allocation fails without touching memory
     PURIFY_MC + ["--rounds", "57", "--samples", "10"],
-    # options the sweep target does not read
-    ["sweep", "--target", "epp", "--segments", "0", "--code", "nonsense"],
-    ["sweep", "--target", "code", "--segments", "-3"],
-    ["sweep", "--target", "repeater", "--code", "ring5"],
+    ["threshold", "--formula", "universal-epp", "--assume", "0.1"],
+    # options the threshold formula does not read
+    ["threshold", "--formula", "universal-epp", "--segments", "4"],
+    ["threshold", "--formula", "repeater", "--code", "ring5"],
     # corrections are deferred by construction: no option picks their timing
     ["chain", "--timing", "station"],
     # a seed is a nonnegative integer
@@ -662,45 +663,30 @@ def test_repeater_without_purification_runs(capsys):
     assert json.loads(out)["params"]["rounds"] == 0
 
 
-# every sweep detector is exact: sweep has no sampling options at all
+# every threshold is exact: threshold has no sampling options at all
 @pytest.mark.parametrize("option", [["--samples", "10"], ["--seed", "2"]])
-def test_sweep_repeater_rejects_sampling_options(option, capsys):
-    rc, out, err = run(["sweep", "--target", "repeater", "--steps", "2"] + option, capsys)
+def test_threshold_repeater_rejects_sampling_options(option, capsys):
+    rc, out, err = run(["threshold", "--formula", "repeater"] + option, capsys)
     assert rc == 2
     assert out == ""
     assert err == f"mbqcomm: error: unrecognized arguments: {' '.join(option)}\n"
 
 
-@pytest.mark.parametrize("option", [["--samples", "10"], ["--seed", "2"]])
-def test_sweep_code_rejects_sampling_options(option, capsys):
-    rc, out, err = run(["sweep", "--target", "code", "--steps", "2"] + option, capsys)
-    assert rc == 2
-    assert out == ""
-    assert err == f"mbqcomm: error: unrecognized arguments: {' '.join(option)}\n"
-
-
-@pytest.mark.parametrize("segments", ["0", "-4"])
-def test_sweep_repeater_needs_a_segment(segments, capsys):
-    rc, out, err = run(["sweep", "--target", "repeater", "--segments", segments], capsys)
-    assert rc == 2
-    assert out == ""
-    assert err == "error: need at least one segment\n"
-
-
-def test_sweep_epp_finds_the_exact_boundary(capsys):
-    rc, out, _err = run(["sweep", "--target", "epp"], capsys)
-    assert rc == 0
-    # the detector's fidelity (3 p^4 + 1)/4 crosses 1/2 at 3^(-1/4)
-    assert abs(json.loads(out)["boundary"] - 3 ** -0.25) < 1e-6
+@pytest.mark.parametrize("segments,message", [
+    ("0", "need at least one segment"),
+    ("-4", "need at least one segment"),
+    ("3", "repeater segment count must be a power of two"),
+], ids=["0", "-4", "3"])
+def test_repeater_and_its_threshold_reject_segments_alike(segments, message, capsys):
+    for argv in (["repeater", "--mode", "analytic"], ["threshold", "--formula", "repeater"]):
+        rc, out, err = run(argv + ["--segments", segments], capsys)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("code", ["repetition2", "repetition3", "repetition5-phase"])
 def test_code_that_never_beats_the_physical_error_is_named(code, capsys):
     message = f"code {code} never beats the physical error"
-    rc, out, _err = run(["threshold", "--formula", "code", "--code", code], capsys)
-    assert rc == 1
-    assert json.loads(out)["error"].startswith(message)
-    rc, out, err = run(["sweep", "--target", "code", "--code", code], capsys)
+    rc, out, err = run(["threshold", "--formula", "code", "--code", code], capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
@@ -714,37 +700,6 @@ def test_threshold_code_reports_the_exact_crossing_beside_the_bound(capsys):
     assert abs(details["exact_p_tilde"] - 0.81650) < 5e-6
     assert abs(details["exact_p_crit"] - 0.93466) < 5e-6
     assert details["exact_p_tilde"] < details["p_tilde"]
-
-
-def test_sweep_code_finds_the_exact_crossing(capsys):
-    rc, out, _err = run(["sweep", "--target", "code", "--code", "ring5"], capsys)
-    assert rc == 0
-    assert abs(json.loads(out)["boundary"] - 0.9346553) < 1e-6
-
-
-@pytest.mark.parametrize("steps", ["0", "-3", "1"])
-def test_sweep_steps_below_two_exit_2_naming_steps(steps, capsys):
-    rc, out, err = run(["sweep", "--target", "repeater", "--steps", steps], capsys)
-    assert rc == 2
-    assert out == ""
-    assert err == f"error: --steps must be at least 2, got {steps}\n"
-
-
-def test_sweep_lo_zero_is_kept(tmp_path, capsys):
-    path = tmp_path / "f.csv"
-    rc, _out, _err = run(["sweep", "--target", "repeater", "--lo", "0", "--hi", "0.8",
-                          "--steps", "2", "--plot-out", str(path)], capsys)
-    assert rc == 0
-    header, first = path.read_text().splitlines()[:2]
-    assert header.split(",")[0] == "x"
-    assert float(first.split(",")[0]) == 0.0
-
-
-def test_sweep_hi_zero_is_kept(capsys):
-    rc, out, _err = run(["sweep", "--target", "repeater", "--lo", "0", "--hi", "0",
-                         "--steps", "2"], capsys)
-    assert rc == 1
-    assert "on at 0.0" in json.loads(out)["error"]
 
 
 PURIFY_ANALYTIC = ["purify", "--engine", "analytic", "--F", "0.8", "--rounds", "2"]
@@ -812,24 +767,24 @@ def test_threshold_assume_selects_the_regime(formula, assume, shown, capsys):
     assert json.loads(out)["assumptions"] == shown
 
 
-# sweep records before --segments and --code defaulted per target
-@pytest.mark.parametrize("target,record", [
-    ("code", {"analytic": 0.9379528247535346, "boundary": 0.9346554004371284,
-              "bracket": [0.9346550952613472, 0.9346557056129097], "target": "code",
-              "within": 0.003297424316406228}),
-    ("repeater", {"analytic": 0.7598356856515925, "boundary": 0.7598783365885415,
-                  "bracket": [0.7598779296874999, 0.7598787434895833],
-                  "target": "repeater", "within": 4.26509369489958e-05}),
-])
-def test_sweep_default_records_frozen(target, record, capsys):
-    rc, out, _err = run(["sweep", "--target", target], capsys)
+# the brackets the grid-and-bisection sweep found for the same boundaries
+@pytest.mark.parametrize("formula,key,bracket", [
+    ("universal-epp", ("analytic",), (0.7598356119791666, 0.75983642578125)),
+    ("code", ("details", "exact_p_crit"), (0.9346550952613472, 0.9346557056129097)),
+    ("repeater", ("analytic",), (0.7598779296874999, 0.7598787434895833)),
+], ids=["universal-epp", "code", "repeater"])
+def test_threshold_lies_in_the_old_sweep_bracket(formula, key, bracket, capsys):
+    rc, out, _err = run(["threshold", "--formula", formula], capsys)
+    value = json.loads(out)
+    for name in key:
+        value = value[name]
     assert rc == 0
-    assert json.loads(out) == record
+    assert bracket[0] <= value <= bracket[1]
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["repeater", "--mode", "analytic"],
-                                  ["sweep", "--target", "epp"]])
+                                  ["threshold", "--formula", "code"]])
 def test_closed_stdout_exits_0_silently(argv, buffered):
     # the reader end of the child's stdout is closed before the child starts,
     # as `mbqcomm ... | head -c 1` leaves it once head has exited
@@ -837,12 +792,15 @@ def test_closed_stdout_exits_0_silently(argv, buffered):
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "mbqcomm.cli", *argv]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        child = subprocess.run([sys.executable, "-m", "mbqcomm.cli", *argv], env=env,
-                               stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        child = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                               timeout=60)
     finally:
         os.close(write_end)
+    # threshold writes a summary line on stderr; the closed pipe adds nothing to it
+    summary = subprocess.run(command, env=env, capture_output=True, timeout=60).stderr
     assert child.returncode == 0
-    assert child.stderr == b""
+    assert child.stderr in (b"", summary)

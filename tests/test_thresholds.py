@@ -1,17 +1,17 @@
-"""Tests for the threshold solvers and the regime detectors."""
+"""Tests for the threshold solvers."""
 
 import pytest
 
 from mbqcomm.belldiag import shannon_entropy, werner
 from mbqcomm.codes import ring5_code
+from mbqcomm.netsim import elementary_pair
+from mbqcomm.protocols import Depolarize, evaluate_stages
 from mbqcomm.thresholds import (
     UNIVERSAL_EPP_THRESHOLD,
     code_threshold,
     dephasing_repetition_threshold,
-    epp_regime_detector,
     hashing_threshold,
-    repeater_regime_detector,
-    sweep,
+    repeater_threshold,
 )
 
 
@@ -24,14 +24,23 @@ def test_hashing_f_min_is_the_zero_of_the_unclamped_yield():
 
 
 def test_repeater_detector_boundary_matches_universal_threshold():
-    result = sweep(repeater_regime_detector(4), 0.72, 0.80, name="repeater")
-    assert abs(result.boundary - UNIVERSAL_EPP_THRESHOLD) < 1e-3
+    report = repeater_threshold(4)
+    assert abs(report.analytic - UNIVERSAL_EPP_THRESHOLD) < 1e-3
 
 
-def test_epp_detector_straddles_the_threshold():
-    detector = epp_regime_detector()
-    assert not detector(0.74)[0]
-    assert detector(0.78)[0]
+def in_coupled_fidelity(p: float) -> float:
+    """Fidelity of an elementary pair with the station's resource-input
+    noise moved onto it, under q = p."""
+    return evaluate_stages(elementary_pair(p), [Depolarize(p)])[0].fidelity
+
+
+def test_in_coupled_fidelity_is_the_universal_closed_form():
+    for p in (k / 20 for k in range(21)):
+        assert abs(in_coupled_fidelity(p) - (3.0 * p ** 4 + 1.0) / 4.0) < 1e-12
+
+
+def test_in_coupled_fidelity_is_one_half_at_the_universal_threshold():
+    assert abs(in_coupled_fidelity(UNIVERSAL_EPP_THRESHOLD) - 0.5) < 1e-12
 
 
 # the paper's ring-5 bound p_no^5 + 5 p_no^4 p_yes, as reported before one
