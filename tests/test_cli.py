@@ -702,6 +702,12 @@ def test_threshold_code_reports_the_exact_crossing_beside_the_bound(capsys):
     assert details["exact_p_tilde"] < details["p_tilde"]
 
 
+def test_threshold_code_finds_the_exact_crossing(capsys):
+    rc, out, _err = run(["threshold", "--formula", "code", "--code", "ring5"], capsys)
+    assert rc == 0
+    assert abs(json.loads(out)["details"]["exact_p_crit"] - 0.9346553) < 1e-6
+
+
 PURIFY_ANALYTIC = ["purify", "--engine", "analytic", "--F", "0.8", "--rounds", "2"]
 
 
