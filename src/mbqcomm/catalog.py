@@ -24,22 +24,31 @@ class CatalogError(ValueError):
     """Raised for unknown catalog entries or bad parameters."""
 
 
-_BUILT: dict = {}  # (builder, *arguments) -> resource
+_BUILT: dict = {}  # (builder, *arguments) -> resource, as called and with defaults
 
 
 def _built_once(build):
     """Memoise a builder per argument set, defaults filled in; a `CodeSpec`
-    is hashed by identity."""
+    is hashed by identity. A call with positional arguments alone is
+    answered from its arguments as given, so the signature is bound only
+    on a miss or for keyword arguments. The wrapper stays a plain
+    function with the builder's signature."""
     signature = inspect.signature(build)
+    name = build.__name__
 
     @wraps(build)
     def once(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = (build.__name__, *bound.args)
-        if key not in _BUILT:
-            _BUILT[key] = build(*bound.args)
-        return _BUILT[key]
+        called = (name, *args)
+        if kwargs or called not in _BUILT:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            key = (name, *bound.args)
+            if key not in _BUILT:
+                _BUILT[key] = build(*bound.args)
+            if kwargs:
+                return _BUILT[key]
+            _BUILT[called] = _BUILT[key]
+        return _BUILT[called]
 
     return once
 

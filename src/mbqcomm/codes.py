@@ -129,17 +129,26 @@ def _parities(x: np.ndarray, z: np.ndarray, ops) -> np.ndarray:
 
 def _min_weight_table(stabilizers, candidates) -> np.ndarray:
     """The lookup table: row s the letter codes of the lowest-weight
-    candidate error with syndrome integer s, ties broken lexically.
-    Raises CodeError if a syndrome has no candidate."""
-    ranked = sorted(candidates, key=lambda p: (p.weight, str(p)))
-    syndromes = _parities(np.array([p.x for p in ranked]), np.array([p.z for p in ranked]),
-                          stabilizers)
-    found, first = np.unique(syndromes, return_index=True)
+    candidate error with syndrome integer s, ties broken lexically (the
+    text of the operators is compared among exact ties alone). Raises
+    CodeError if a syndrome has no candidate."""
+    x = np.array([p.x for p in candidates])
+    z = np.array([p.z for p in candidates])
+    syndromes = _parities(x, z, stabilizers)
+    weights = np.array([p.weight for p in candidates])
+    order = np.lexsort((weights, syndromes))
+    found, first = np.unique(syndromes[order], return_index=True)
     if found.size < 1 << len(stabilizers):
         s = min(set(range(1 << len(stabilizers))) - set(found.tolist()))
         missing = tuple(s >> j & 1 for j in range(len(stabilizers)))
         raise CodeError(f"syndrome {missing} missing from lookup table")
-    return np.array([ranked[i].codes() for i in first], dtype=np.uint8)
+    best = order[first]
+    lowest = weights == weights[best][syndromes]  # of the lowest weight of their syndrome
+    for s in np.flatnonzero(np.bincount(syndromes[lowest]) > 1).tolist():
+        ties = np.flatnonzero(lowest & (syndromes == s))
+        best[s] = min(ties.tolist(), key=lambda i: str(candidates[i]))
+    qubit = np.arange(candidates[0].n)
+    return (2 * (x[best, None] >> qubit & 1) + (z[best, None] >> qubit & 1)).astype(np.uint8)
 
 
 def encoder_from_code(stabilizers, logical_x, logical_z) -> CliffordMap:

@@ -1,48 +1,34 @@
-"""Small dense GF(2) linear algebra helpers on numpy uint8 arrays."""
+"""GF(2) linear systems on bit-packed int rows."""
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
 
-def row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Row-reduce a binary matrix in place-free fashion.
+def solve(rows: Sequence[int], rhs: Sequence[int], cols: int) -> int | None:
+    """One solution x of the system over GF(2), or None if inconsistent.
 
-    Returns the reduced matrix and the list of pivot column indices.
+    Row i is an int whose bit c is the coefficient of unknown c (c <
+    `cols`), with right-hand side bit rhs[i]; the solution is packed the
+    same way. Gauss-Jordan elimination pivots on the columns in order,
+    each time on the first row below the pivots made so far, and free
+    unknowns are 0: the solution read off the reduced row echelon form.
     """
-    m = np.atleast_2d(np.array(mat, dtype=np.uint8, copy=True)) & 1
-    rows, cols = m.shape
-    pivots: list[int] = []
+    aug = [row | (b & 1) << cols for row, b in zip(rows, rhs)]
+    x = 0
     r = 0
     for c in range(cols):
-        if r >= rows:
-            break
-        hit = np.flatnonzero(m[r:, c])
-        if hit.size == 0:
+        hit = next((i for i in range(r, len(aug)) if aug[i] >> c & 1), -1)
+        if hit < 0:
             continue
-        pivot = r + int(hit[0])
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        others = np.flatnonzero(m[:, c])
-        for o in others:
-            if o != r:
-                m[o] ^= m[r]
-        pivots.append(c)
+        aug[r], aug[hit] = aug[hit], aug[r]
+        pivot = aug[r]
+        aug = [row ^ pivot if i != r and row >> c & 1 else row for i, row in enumerate(aug)]
         r += 1
-    return m, pivots
-
-
-def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution x of mat @ x = rhs over GF(2), or None if inconsistent."""
-    a = np.array(mat, dtype=np.uint8) & 1
-    b = np.array(rhs, dtype=np.uint8).reshape(-1, 1) & 1
-    aug, pivots = row_reduce(np.hstack([a, b]))
-    cols = a.shape[1]
-    if cols in pivots:
+    if any(aug[r:]):
         return None
-    x = np.zeros(cols, dtype=np.uint8)
-    r = 0
-    for c in pivots:
-        x[c] = aug[r, cols]
-        r += 1
+    for row in aug[:r]:
+        # the pivot is the row's lowest set bit; no other pivot column is set
+        low = row & -row
+        x |= (row >> cols & 1) * low
     return x

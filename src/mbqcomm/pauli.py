@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import gf2
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -379,15 +377,13 @@ def complete_clifford(image_x: dict[int, PauliString],
         kind, k = key
         partner = ("z" if kind == "x" else "x", k)
         # row of image p: the functional v -> <p, v> (symplectic product)
-        rows = np.array([[p.z_bit(j) for j in range(n)] + [p.x_bit(j) for j in range(n)]
-                         for p in known.values()], dtype=np.uint8)
-        rhs = np.array([other == partner for other in known], dtype=np.uint8)
-        sol = gf2.solve(rows, rhs)
+        # on v's x bits, then its z bits
+        rows = [p.z | p.x << n for p in known.values()]
+        rhs = [other == partner for other in known]
+        sol = gf2.solve(rows, rhs, 2 * n)
         if sol is None:
             raise PauliError("symplectic completion failed (images dependent?)")
-        x = sum(int(b) << j for j, b in enumerate(sol[:n]))
-        z = sum(int(b) << j for j, b in enumerate(sol[n:]))
-        known[key] = PauliString(n, x, z, 0).unsigned()
+        known[key] = PauliString(n, sol & (1 << n) - 1, sol >> n, 0).unsigned()
     return CliffordMap.from_images([known["x", k] for k in range(n)],
                                    [known["z", k] for k in range(n)])
 

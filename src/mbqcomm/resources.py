@@ -453,24 +453,42 @@ def teleport_in(resource: ResourceSpec, host: LabeledRegister,
     the resource's own output labels). Returns the Bell outcomes as
     letter codes, in input order, for `ResourceSpec.byproduct`; no
     frame is applied.
+
+    Every pair is measured against one shared pinned list while qubit
+    indices stay fixed, and one `drop_measured` then removes all the
+    measured qubits; each pair's q_meas noise is drawn just before its
+    measurement, so the draws are those of measuring and dropping pair
+    by pair. The inputs are checked before the register is touched: each
+    host label must exist and appear once, and noise needs an rng.
     """
     noise = noise or NoiseModel()
     if set(wiring) != set(resource.inputs):
         raise ResourceError("wiring must cover exactly the resource inputs")
-    res_state = resource.state.copy()
-    if noise.p_resource < 1.0:
-        if rng is None:
-            raise ResourceError("noisy teleport_in requires an rng")
-        apply_sampled_noise(res_state, list(range(res_state.n)), noise.p_resource, rng)
+    hosts = [wiring[l] for l in resource.inputs]
+    if len(set(hosts)) != len(hosts):
+        raise ResourceError("a host qubit is wired to two resource inputs")
+    for label in hosts:
+        host.index(label)  # raises for a label the register lacks
+    if rng is None and (noise.p_resource < 1.0 or noise.q_meas < 1.0):
+        raise ResourceError("noisy teleport_in requires an rng")
     out_labels = tuple(out_labels) if out_labels is not None else resource.outputs
     if len(out_labels) != len(resource.outputs):
         raise ResourceError("out_labels must match the resource outputs")
+    res_state = resource.state.copy()
+    if noise.p_resource < 1.0:
+        apply_sampled_noise(res_state, list(range(res_state.n)), noise.p_resource, rng)
     scratch = [f"!{resource.name}/{l}" for l in resource.inputs]
     host.add(res_state, scratch + list(out_labels))
+    index = {l: i for i, l in enumerate(host.labels)}
+    state = host.state
+    pinned: list[int] = []
     codes = np.zeros(len(scratch), dtype=np.uint8)
-    for k, in_label in enumerate(resource.inputs):
-        host_label = wiring[in_label]
+    for k, (host_label, scratch_label) in enumerate(zip(hosts, scratch)):
+        a, b = index[host_label], index[scratch_label]
         if noise.q_meas < 1.0:
-            host.depolarize([host_label, scratch[k]], noise.q_meas, rng)
-        codes[k] = host.bell_measure(host_label, scratch[k], rng)
+            apply_sampled_noise(state, [a, b], noise.q_meas, rng)
+        codes[k] = state.bell_measure(a, b, rng, pinned)
+    measured = set(hosts + scratch)
+    state.drop_measured(pinned, [index[l] for l in measured])
+    host.labels = [l for l in host.labels if l not in measured]
     return codes

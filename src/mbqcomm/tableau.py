@@ -14,8 +14,12 @@ A qubit leaves a tableau in one way (`StabilizerState.drop_measured`).
 The operators that measure it out are pinned as stabilizer rows by
 `measure`, and every other row is cleared of the dropped qubits in one
 pass, by the pinned rows that its part there is made of; the bits are
-then cut out by shifts. Bell measurements pin X_a X_b and Z_a Z_b,
-resource builds their pre-measured operators.
+then cut out by shifts. A Bell measurement pins X_a X_b and Z_a Z_b; a
+resource build pins its pre-measured operators. Several measurements
+can share one pinned list while qubit indices stay fixed, so one pass
+removes them all: a QEC station's Bell measurements, or a resource's
+pre-measured outputs (Aaronson and Gottesman's pinned-row elimination,
+applied to many qubits at once).
 """
 
 from __future__ import annotations
@@ -190,30 +194,37 @@ class StabilizerState:
         pinned.append(row)
         return outcome
 
-    def bell_measure(self, a: int, b: int, rng=None) -> int:
-        """Bell measurement on qubits (a, b): measures X_a X_b then Z_a Z_b,
-        pins both as stabilizer rows and drops the pair with
-        `drop_measured`; the other qubits keep their order.
+    def bell_measure(self, a: int, b: int, rng=None,
+                     pinned: list[int] | None = None) -> int:
+        """Bell measurement on qubits (a, b): measures X_a X_b then Z_a Z_b
+        and pins both as stabilizer rows. Without `pinned` it drops the
+        pair with `drop_measured`, and the other qubits keep their order.
+        Given a list, the two pinned rows join it and the pair stays, so
+        that one `drop_measured` of every measured qubit removes several
+        pairs in one pass; the pairs must then be disjoint, as no pinned
+        row may act on a later pair.
 
         Returns the teleportation byproduct as a letter code 2x + z (I, Z,
         X, Y = 0, 1, 2, 3): an X on one half flips ZZ, a Z flips XX. It is
         also the Bell-diagonal index of the measured pair.
 
-        Each row other than the two pinned ones commutes with both, so its
+        Each row other than the pinned ones commutes with both, so its
         part on (a, b) is II, XX, YY or ZZ, and the one-pass rule
         multiplies it by the XX row if it has x_a and by the ZZ row if it
         has z_a. What is random or deterministic, and a deterministic
         value, depend on the state alone, so this takes the same rng draws
-        as measuring and then eliminating the pair by Gauss-Jordan.
+        as measuring and then eliminating the pair by Gauss-Jordan, with
+        or without a shared pinned list.
         """
         _check_qubits((a, b), self.n)
         if a == b:
             raise TableauError("Bell measurement needs two distinct qubits")
         pair = 1 << a | 1 << b
-        pinned: list[int] = []
-        xx = self._measure(pair, 0, 0, rng, None, pinned)
-        zz = self._measure(0, pair, 0, rng, None, pinned)
-        self.drop_measured(pinned, (a, b))
+        pins = [] if pinned is None else pinned
+        xx = self._measure(pair, 0, 0, rng, None, pins)
+        zz = self._measure(0, pair, 0, rng, None, pins)
+        if pinned is None:
+            self.drop_measured(pins, (a, b))
         return (1 - zz) + (1 - xx) // 2
 
     # -- qubit removal ---------------------------------------------------

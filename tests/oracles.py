@@ -9,7 +9,9 @@ resource, the reading of Bell outcomes by conjugating them through a
 resource's circuit (which checks the package's table reading) with the
 forced-branch teleport built on it, a code's reading of one error as a
 `PauliString` (its syndrome, logical flips and lookup correction, which
-check the package's letter-array reading), the encoded shot that applies each
+check the package's letter-array reading) and its lookup table by
+sorting every candidate, the numpy Gauss-Jordan reduction that checks
+the package's bit-packed GF(2) solve, the encoded shot that applies each
 station's correction at once (which checks that deferring them changes
 nothing), and the dense 4-qubit derivation of the Bell-diagonal
 coefficient maps. None of this runs under the CLI.
@@ -26,7 +28,6 @@ from itertools import combinations, permutations
 import numpy as np
 
 from mbqcomm.catalog import code_correct, code_decode_syndrome, code_encode, epp_site_resource
-from mbqcomm.gf2 import row_reduce
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import (
     CliffordMap,
@@ -273,6 +274,46 @@ def apply_clifford(state: StabilizerState, c: CliffordMap):
     """Conjugate every stabilizer and destabilizer row by `c`, in place."""
     state.stabs = [c.conjugate(g) for g in state.stabs]
     state.destabs = [c.conjugate(d) for d in state.destabs]
+
+
+def row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan reduction of a binary matrix, on a copy: the reduced
+    row echelon form and its pivot columns."""
+    m = np.atleast_2d(np.array(mat, dtype=np.uint8, copy=True)) & 1
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        hit = np.flatnonzero(m[r:, c])
+        if hit.size == 0:
+            continue
+        pivot = r + int(hit[0])
+        if pivot != r:
+            m[[r, pivot]] = m[[pivot, r]]
+        others = np.flatnonzero(m[:, c])
+        for o in others:
+            if o != r:
+                m[o] ^= m[r]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def solve_dense(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Oracle of `gf2.solve` on uint8 arrays: one solution x of
+    mat @ x = rhs over GF(2), free unknowns 0, or None if inconsistent."""
+    a = np.array(mat, dtype=np.uint8) & 1
+    b = np.array(rhs, dtype=np.uint8).reshape(-1, 1) & 1
+    aug, pivots = row_reduce(np.hstack([a, b]))
+    cols = a.shape[1]
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.uint8)
+    for r, c in enumerate(pivots):
+        x[c] = aug[r, cols]
+    return x
 
 
 def rank(mat: np.ndarray) -> int:
@@ -760,6 +801,18 @@ def conjugation_station(code, spec: ResourceSpec, outcomes,
 def _anticommuting(error: PauliString, ops) -> tuple[int, ...]:
     """One bit per operator: 1 where it anticommutes with `error`."""
     return tuple(0 if error.commutes(g) else 1 for g in ops)
+
+
+def min_weight_table(stabilizers, candidates) -> np.ndarray:
+    """Oracle of a code's lookup table: the candidates sorted by weight and
+    then by text, and the letter codes of the first one of each syndrome
+    integer (bit j for generator j)."""
+    ranked = sorted(candidates, key=lambda p: (p.weight, str(p)))
+    table: dict[int, list[int]] = {}
+    for p in ranked:
+        bits = _anticommuting(p, stabilizers)
+        table.setdefault(sum(b << j for j, b in enumerate(bits)), p.codes())
+    return np.array([table[s] for s in range(1 << len(stabilizers))], dtype=np.uint8)
 
 
 def syndrome_of(code, error: PauliString) -> tuple[int, ...]:

@@ -810,3 +810,15 @@ def test_closed_stdout_exits_0_silently(argv, buffered):
     summary = subprocess.run(command, env=env, capture_output=True, timeout=60).stderr
     assert child.returncode == 0
     assert child.stderr in (b"", summary)
+
+
+def test_importing_the_cli_draws_nothing_and_builds_nothing():
+    # set-up work belongs inside `main`, where each run pays for it: the
+    # import alone loads no random generator and builds no catalog entry
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    check = ("import sys, mbqcomm.cli, mbqcomm.catalog as c; "
+             "assert 'numpy.random' not in sys.modules, 'numpy.random imported'; "
+             "assert not c._BUILT, c._BUILT")
+    child = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
+                           text=True, timeout=60)
+    assert child.returncode == 0, child.stderr

@@ -1,13 +1,16 @@
 """Tests for code specs and the named resource catalog."""
 
 import hashlib
+import inspect
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbqcomm import catalog, gf2
+from mbqcomm import catalog, codes as code_module, gf2
 from mbqcomm.belldiag import epp_site_circuit
 from mbqcomm.catalog import (
     CatalogError,
@@ -472,6 +475,94 @@ def test_a_repeated_build_returns_the_same_object():
         assert build(code) is build(code)
     assert epp_recurrence(2) is epp_recurrence(2, "DEJMPS") is epp_recurrence(2, variant="DEJMPS")
     assert epp_site_resource(1, "A") is epp_site_resource(1, "A", "DEJMPS")
+
+
+def test_catalog_builders_stay_plain_functions_returning_resources():
+    # the benchmark counts builds as calls of catalog functions annotated
+    # to return a ResourceSpec; a memo object such as lru_cache would hide them
+    for build in (epp_site_resource, epp_recurrence, code_encode, code_decode_syndrome,
+                  code_correct):
+        assert inspect.isfunction(build)
+        assert inspect.signature(build).return_annotation in ("ResourceSpec", ResourceSpec)
+
+
+def test_a_repeated_positional_call_binds_no_signature(monkeypatch):
+    monkeypatch.setattr(catalog, "_BUILT", {})
+    binds = []
+    bind = inspect.Signature.bind
+    monkeypatch.setattr(inspect.Signature, "bind",
+                        lambda self, *a, **k: binds.append(a) or bind(self, *a, **k))
+    first = epp_recurrence(2)
+    assert binds
+    binds.clear()
+    assert epp_recurrence(2) is first
+    assert binds == []
+    # every spelling of the same arguments answers with the same object
+    assert epp_recurrence(2, "DEJMPS") is first
+    assert epp_recurrence(rounds=2) is first
+    assert epp_recurrence(2, variant="DEJMPS") is first
+
+
+def test_a_code_keys_its_resources_by_identity():
+    # two equal codes are two instances, each with its own resources
+    a, b = repetition_code(3), repetition_code(3)
+    assert a.lookup.tobytes() == b.lookup.tobytes()
+    for build in (code_encode, code_decode_syndrome, code_correct):
+        assert build(a) is build(a)
+        assert build(a) is not build(b)
+
+
+LOOKUP_CODES = {"ring5": (ring5_code, ())}
+LOOKUP_CODES.update({f"repetition{m}-{basis}": (repetition_code, (m, basis))
+                     for m in range(2, 8) for basis in ("bit", "phase")})
+
+
+@pytest.mark.parametrize("build, args", LOOKUP_CODES.values(), ids=LOOKUP_CODES.keys())
+def test_lookup_table_equals_the_sorting_oracle(monkeypatch, build, args):
+    # the table picks lowest weights in numpy and compares text only among
+    # ties; sorting every candidate by (weight, text) gives the same bytes
+    made = []
+    table_of = code_module._min_weight_table
+
+    def checked(stabilizers, candidates):
+        table = table_of(stabilizers, candidates)
+        made.append((table, oracles.min_weight_table(stabilizers, candidates)))
+        return table
+
+    monkeypatch.setattr(code_module, "_min_weight_table", checked)
+    code = build(*args)
+    [(table, want)] = made
+    assert (table.dtype, table.shape) == (want.dtype, want.shape)
+    assert table.tobytes() == want.tobytes() == code.lookup.tobytes()
+
+
+def test_a_lookup_table_names_its_lowest_missing_syndrome():
+    code = repetition_code(3)
+    candidates = [PauliString(3, 0, 0, 0), PauliString(3, 0b001, 0, 0)]
+    with pytest.raises(CodeError, match=r"syndrome \(0, 1\) missing"):
+        code_module._min_weight_table(code.stabilizers, candidates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_solve_equals_the_dense_oracle(cols, data):
+    # more rows than unknowns, or repeated rows, make most systems inconsistent
+    m = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=m, max_size=m))
+    rhs = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    mat = np.array([[row >> c & 1 for c in range(cols)] for row in rows], dtype=np.uint8)
+    want = oracles.solve_dense(mat, np.array(rhs))
+    got = gf2.solve(rows, rhs, cols)
+    if want is None:
+        assert got is None
+    else:
+        assert got == sum(int(b) << c for c, b in enumerate(want))
+
+
+def test_solve_reports_an_inconsistent_system():
+    assert gf2.solve([0b01, 0b01], [0, 1], 2) is None
+    assert gf2.solve([0b11, 0b01], [1, 1], 2) == 0b01
+    assert gf2.solve([0b10], [1], 2) == 0b10
 
 
 def test_distinct_arguments_give_distinct_resources():

@@ -7,6 +7,7 @@ import pytest
 
 from mbqcomm.catalog import code_encode, epp_recurrence
 from mbqcomm.codes import repetition_code
+from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import CliffordMap, PauliString, circuit_map
 from mbqcomm.resources import (
     LabeledRegister,
@@ -325,6 +326,22 @@ def test_teleport_requires_full_wiring():
     host = LabeledRegister.from_state(zero_state(2), ["a", "b"])
     with pytest.raises(ResourceError):
         teleport_in(spec, host, {"in0": "a"})
+
+
+@pytest.mark.parametrize("wiring, noise, message", [
+    ({"in0": "a", "in1": "a"}, NoiseModel(), "wired to two resource inputs"),
+    ({"in0": "a", "in1": "z"}, NoiseModel(), "no qubit labeled 'z'"),
+    ({"in0": "a", "in1": "b"}, NoiseModel(p_resource=0.9), "requires an rng"),
+    ({"in0": "a", "in1": "b"}, NoiseModel(q_meas=0.9), "requires an rng"),
+], ids=["repeated-host", "missing-host", "p-resource-without-rng", "q-meas-without-rng"])
+def test_teleport_in_refuses_before_touching_the_register(wiring, noise, message):
+    spec = cj_state(CliffordMap.identity(2), "id2")
+    base = random_host_state(2, RNG(5))
+    host = LabeledRegister.from_state(base, ["a", "b"])
+    with pytest.raises(ResourceError, match=message):
+        teleport_in(spec, host, wiring, noise)
+    assert host.labels == ["a", "b"]
+    assert (host.state.stabs, host.state.destabs) == (base.stabs, base.destabs)
 
 
 def test_labeled_register_bookkeeping():

@@ -357,6 +357,57 @@ def test_bell_measure_equals_the_elimination_oracle(n):
                                                            int(rng.integers(1 << 32)))
 
 
+def assert_one_pass_matches_pair_by_pair(s, pairs, seed):
+    """`bell_measure` of disjoint pairs against one shared pinned list and
+    then one `drop_measured`, against measuring and dropping pair by pair:
+    the same outcomes, the same state left, a valid tableau and the same
+    rng draws. Returns the outcomes."""
+    got, want = s.copy(), s.copy()
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    pinned = []
+    outcomes = [got.bell_measure(a, b, rng_got, pinned) for a, b in pairs]
+    assert len(pinned) == 2 * len(pairs)
+    got.drop_measured(pinned, [q for pair in pairs for q in pair])
+    left = list(range(s.n))  # the original index of each qubit still in `want`
+    expected = []
+    for a, b in pairs:
+        expected.append(want.bell_measure(left.index(a), left.index(b), rng_want))
+        left.remove(a)
+        left.remove(b)
+    assert outcomes == expected
+    validate_tableau(got)
+    assert same_state(got, want)
+    assert rng_got.random() == rng_want.random()
+    return outcomes
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_one_pass_station_equals_pair_by_pair_removal(n):
+    # a QEC station measures its pairs against one pinned list and removes
+    # them all at once; k = 1..5 pairs of random, scrambled and Bell-pair
+    # states, the last with deterministic outcomes
+    rng = np.random.default_rng(110 + n)
+    for k in range(1, min(5, n // 2) + 1):
+        letters = [int(i) for i in rng.integers(4, size=k)]
+        bells = oracles.bell_pair(letters[0])
+        for letter in letters[1:]:
+            bells = bells.tensor(oracles.bell_pair(letter))
+        if n > 2 * k:
+            bells = bells.tensor(random_stabilizer_state(n - 2 * k, rng))
+        states = [random_stabilizer_state(n, rng, depth) for depth in (2, n, None)]
+        for s in states + [bells]:
+            s = scrambled(s, rng)
+            for _ in range(4):
+                order = [int(q) for q in rng.permutation(n)]
+                pairs = [(order[2 * j], order[2 * j + 1]) for j in range(k)]
+                assert_one_pass_matches_pair_by_pair(s, pairs, int(rng.integers(1 << 32)))
+        order = [int(j) for j in rng.permutation(k)]
+        pairs = [(2 * j, 2 * j + 1) for j in order]
+        outcomes = assert_one_pass_matches_pair_by_pair(scrambled(bells, rng), pairs,
+                                                        int(rng.integers(1 << 32)))
+        assert outcomes == [letters[j] for j in order]
+
+
 def assert_measure_out_matches_oracle(s, ops, qubits, force, seed):
     """`measure` with `pinned` and then `drop_measured`, against measuring
     and then the Gauss-Jordan `remove_qubits`: the same outcomes (or the
