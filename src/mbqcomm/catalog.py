@@ -5,7 +5,7 @@ pre-measurement and merging; nothing is transcribed from figures. The
 purification resources run the circuit of `belldiag.epp_site_circuit`,
 the same round from which the Bell-diagonal maps are derived. Each entry
 is built once per argument set and shared, so callers never mutate
-`spec.state` (`teleport_in` couples in a copy).
+`spec.state` (`teleport_in` reads it and writes a new state).
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ corrections are deferred to the end by construction, where the
 delivered pair is read against the final frame.
 
 The encoded chain runs shot by shot on the stabilizer engine
-(trajectory): `encoded_shot` makes each station one
-`resources.teleport_in` of the block, whose tableau draws the Bell
-outcomes, and one `station_reading`. It also runs exactly: each perfect
-correction station is one logical Pauli channel on the encoded qubit
+(trajectory): `encoded_shot` keeps a reference half at qubit 0 and the
+block at qubits 1..n, and makes each station one `teleport_in` of the
+block, whose tableau draws the Bell outcomes, and one
+`station_reading`. It also runs exactly: each perfect correction
+station is one logical Pauli channel on the encoded qubit
 (`CodeSpec.logical_channel`), composed on one half of a Bell pair
 (dense). Injected errors go through all stations in one batch
 (`corrected`).
@@ -30,7 +31,7 @@ import numpy as np
 from .belldiag import BellDiagonalState, apply_pauli_channel, perfect_pair, werner
 from .catalog import code_by_name, code_correct, code_decode_syndrome, code_encode
 from .codes import CodeSpec
-from .noise import NoiseModel, PauliChannel
+from .noise import NoiseModel, PauliChannel, apply_sampled_noise
 from .protocols import (
     Depolarize,
     ProtocolStats,
@@ -45,7 +46,7 @@ from .protocols import (
     station_reading,
     stats_from_counts,
 )
-from .resources import LabeledRegister, teleport_in
+from .resources import teleport_in
 from .tableau import StabilizerState
 
 
@@ -91,31 +92,29 @@ class ChainConfig:
 
 def encoded_shot(code: CodeSpec, noise: NoiseModel, rng,
                  q_channel: list[float]) -> tuple[bool, list[tuple[tuple[int, ...], bool]]]:
-    """One encoded transmission of half of a reference Bell pair.
-
-    Encode; per segment, depolarize the block by that segment's
-    `q_channel` entry and teleport it into a correction station, whose
-    outputs take the block's labels primed; teleport it into the decode
-    station; read the Bell index of the reference pair against the final
-    frame. Each station is read by `station_reading`. Returns whether the
-    pair came out in |phi+> and, per correction station, its syndrome
-    and whether the lookup corrects it.
+    """One encoded transmission of half of a reference Bell pair, whose
+    other half stays qubit 0 while the block is qubits 1..n at every
+    station. Encode qubit 1; per segment, depolarize the block by that
+    segment's `q_channel` entry and teleport it into a correction
+    station; teleport it into the decode station, whose output is qubit
+    1; read the Bell index of qubits (0, 1) against the final frame. Each
+    station is read by `station_reading`. Returns whether the pair came
+    out in |phi+> and, per correction station, its syndrome and whether
+    the lookup corrects it.
     """
-    reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
     enc = code_encode(code)
-    frame = qec_encode(reg, "in", noise, rng, enc)
-    block, corr, dec = enc.outputs, code_correct(code), code_decode_syndrome(code)
+    state, frame = qec_encode(StabilizerState.bell_pair(), 1, noise, rng, enc)
+    corr, dec = code_correct(code), code_decode_syndrome(code)
+    block = list(range(1, code.n + 1))
     stations = []
     for q in q_channel:
-        reg.depolarize(block, q, rng)
-        primed = tuple(f"{label}'" for label in block)
-        codes = teleport_in(corr, reg, dict(zip(corr.inputs, block)), noise, rng, primed)
+        apply_sampled_noise(state, block, q, rng)
+        state, codes = teleport_in(corr, state, block, noise, rng)
         syndrome, correctable, frame = station_reading(code, corr, codes ^ frame)
         stations.append((tuple(syndrome.tolist()), bool(correctable)))
-        block = primed
-    codes = teleport_in(dec, reg, dict(zip(dec.inputs, block)), noise, rng)
+    state, codes = teleport_in(dec, state, block, noise, rng)
     frame = station_reading(code, dec, codes ^ frame)[2]
-    return bool(reg.bell_measure("ref", "out") == frame[0]), stations
+    return bool(state.bell_measure(0, 1, rng, []) == frame[0]), stations
 
 
 def encoded_chain(cfg: ChainConfig, rng=None, mode: str = "trajectory") -> ProtocolStats:
@@ -282,7 +281,7 @@ def repeater_chain(cfg: ChainConfig, rng=None, mode: str = "mc") -> ProtocolStat
     stages = repeater_stages(dress_in, cfg.purify_rounds, levels) + [dress_out]
     pair = elementary_pair(cfg.noise.q_channel)
     if mode == "analytic":
-        stats = exact_stats(pair, stages)
+        stats = exact_stats(pair, stages, cfg.purify_rounds)
     elif mode == "mc":
         if rng is None:
             raise ChainError("Monte-Carlo repeater needs an rng")

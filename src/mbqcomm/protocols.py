@@ -8,16 +8,19 @@ engine, as a batched Pauli-frame simulation of the noisy joint resource:
 the resource's frame reader (`ResourceSpec.byproduct`) takes each
 attempt's error frame to its output letters and the parities of its
 `checks`, and an attempt is kept iff no check is flipped. The tableau
-serves as the oracle that this reading is tested against. A QEC
-station is one `teleport_in` of the block into its resource, which the
-tableau runs shot by shot, and one `station_reading` of its Bell
-outcomes through the same reader: the outcome codes, XOR the pending
-frame, flip the code syndrome at the virtual bits that the resource's
-`syndrome` names, which indexes the code's one lookup table
-(`CodeSpec.decode`). So a station is one table lookup, for one shot or
-many at once, and its correction joins the new frame: corrections are
-deferred by construction. `qec_encode` starts the frame; the encoded
-shot (`netsim.encoded_shot`) strings the stations together.
+serves as the oracle that this reading is tested against. A QEC shot
+runs on the tableau in one layout: a reference half at qubit 0, and the
+block at qubits 1..n once `qec_encode` has teleported the other half
+into the encoder, which starts the frame. A station is one
+`teleport_in` of the block into its resource, whose outputs take the
+block's place, and one `station_reading` of its Bell outcomes through
+the same reader: the outcome codes, XOR the pending frame, flip the
+code syndrome at the virtual bits that the resource's `syndrome` names,
+which indexes the code's one lookup table (`CodeSpec.decode`). So a
+station is one table lookup, for one shot or many at once, and its
+correction joins the new frame: corrections are deferred by
+construction. The encoded shot (`netsim.encoded_shot`) strings the
+stations together.
 
 Recurrence purification and the nested repeater are written once, as a
 list of stages, and run by two evaluators: `evaluate_stages` (exact,
@@ -75,8 +78,9 @@ from .belldiag import (
 from .catalog import epp_recurrence
 from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
-from .resources import LabeledRegister, ResourceSpec, teleport_in
+from .resources import ResourceSpec, teleport_in
 from .rng import draw_indices
+from .tableau import StabilizerState
 
 
 class ProtocolError(ValueError):
@@ -371,11 +375,16 @@ def point_stats(fidelity: float, p_success: float = 1.0, protocol_yield: float =
                          extra=extra)
 
 
-def exact_stats(state: BellDiagonalState, stages) -> ProtocolStats:
+def exact_stats(state: BellDiagonalState, stages, rounds: int) -> ProtocolStats:
     """Reported numbers of `evaluate_stages`, with yield = p_success /
-    pairs_per_output."""
+    pairs_per_output; a count over a float's 2^1023 raises first."""
+    per_output = pairs_per_output(stages)
+    if per_output > 1 << 1023:
+        raise ProtocolError(f"rounds {rounds}: an output pair would take "
+                            f"2^{per_output.bit_length() - 1} elementary pairs; "
+                            "the exact engines hold at most 2^1023")
     state, success = evaluate_stages(state, stages)
-    return point_stats(state.fidelity, success, success / pairs_per_output(stages))
+    return point_stats(state.fidelity, success, success / per_output)
 
 
 def stats_from_counts(counts: dict, per_output: int) -> ProtocolStats:
@@ -423,7 +432,7 @@ def purify_recurrence_analytic(input_state: BellDiagonalState, rounds: int,
                                variant: str = "DEJMPS") -> ProtocolStats:
     """Exact composition of the recurrence and noise maps under the error
     model: `evaluate_stages` on the stages of `purify_stages`."""
-    return exact_stats(input_state, purify_stages(rounds, noise, mode, variant))
+    return exact_stats(input_state, purify_stages(rounds, noise, mode, variant), rounds)
 
 
 def purify_recurrence_mc(input_state: BellDiagonalState, rounds: int,
@@ -446,6 +455,9 @@ def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
     return draw_indices(rng, weights, width * samples).reshape(width, samples)
 
 
+_STABILIZER_ROUNDS = 16  # at 17 the build holds 2^19 qubits, a tableau of 128 GiB
+
+
 def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
                                  noise: NoiseModel, samples: int, rng) -> ProtocolStats:
     """Batched Pauli-frame simulation of the joint resource (merged, DEJMPS).
@@ -462,6 +474,9 @@ def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
     """
     if samples < 1:
         raise ProtocolError(f"samples must be at least 1, got {samples}")
+    if rounds > _STABILIZER_ROUNDS:
+        raise ProtocolError(f"rounds {rounds}: the stabilizer engine runs at most "
+                            f"{_STABILIZER_ROUNDS} (its resource has 2^(rounds+1) + 2 qubits)")
     spec = epp_recurrence(rounds, "DEJMPS")
     n_pairs = 1 << rounds
     dress_in, dress_out = noise_stages(noise)
@@ -630,14 +645,13 @@ def purify_hashing(pair_state: BellDiagonalState, n_pairs: int, checks: int,
 # -- measurement-based QEC --------------------------------------------------
 
 
-def qec_encode(host: LabeledRegister, in_label: str, noise: NoiseModel, rng,
-               resource: ResourceSpec) -> np.ndarray:
-    """Couple one qubit into the encoding resource by a Bell measurement.
-
-    The block joins the register under the resource's output labels,
-    b0, b1, ...; returns the frame it carries, as letter codes."""
-    codes = teleport_in(resource, host, {"in": in_label}, noise, rng)
-    return resource.byproduct(codes)[0]
+def qec_encode(state: StabilizerState, qubit: int, noise: NoiseModel, rng,
+               resource: ResourceSpec) -> tuple[StabilizerState, np.ndarray]:
+    """Couple `qubit` of `state` into the encoding resource by a Bell
+    measurement. Returns the new state, whose block follows the other
+    qubits (`teleport_in`), and the frame it carries, as letter codes."""
+    state, codes = teleport_in(resource, state, [qubit], noise, rng)
+    return state, resource.byproduct(codes)[0]
 
 
 def station_reading(code: CodeSpec, spec: ResourceSpec,

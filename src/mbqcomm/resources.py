@@ -395,100 +395,47 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     )
 
 
-# -- host register and teleportation ---------------------------------------
+# -- teleportation into host positions ---------------------------------------
 
 
-class LabeledRegister:
-    """A stabilizer state whose qubits are addressed by symbolic labels.
+def teleport_in(resource: ResourceSpec, state: StabilizerState, hosts: Sequence[int],
+                noise: NoiseModel | None = None,
+                rng=None) -> tuple[StabilizerState, np.ndarray]:
+    """Couple host qubits into a resource by Bell measurements: `hosts[k]`
+    is the position in `state` of the qubit coupled into input k.
 
-    Qubit removal after Bell measurements renumbers positions; labels
-    stay stable, which is what every protocol layer uses.
-    """
+    Returns the new state, which holds the unmeasured host qubits in
+    their order and then the resource's outputs in output order, and the
+    Bell outcomes as letter codes, in input order, for
+    `ResourceSpec.byproduct` (no frame is applied); `state` is unchanged.
 
-    def __init__(self):
-        self.state = StabilizerState([], [])
-        self.labels: list[str] = []
-
-    @classmethod
-    def from_state(cls, state: StabilizerState, labels: Sequence[str]) -> "LabeledRegister":
-        reg = cls()
-        reg.add(state, labels)
-        return reg
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ResourceError(f"no qubit labeled {label!r}") from None
-
-    def add(self, state: StabilizerState, labels: Sequence[str]):
-        labels = list(labels)
-        if len(labels) != state.n:
-            raise ResourceError("label count must match qubit count")
-        if set(labels) & set(self.labels):
-            raise ResourceError("duplicate labels in register")
-        self.state = self.state.tensor(state) if self.labels else state.copy()
-        self.labels.extend(labels)
-
-    def depolarize(self, labels: Sequence[str], p: float, rng):
-        apply_sampled_noise(self.state, [self.index(l) for l in labels], p, rng)
-
-    def bell_measure(self, la: str, lb: str, rng=None) -> int:
-        outcome = self.state.bell_measure(self.index(la), self.index(lb), rng)
-        self.labels = [l for l in self.labels if l not in (la, lb)]
-        return outcome
-
-
-def teleport_in(resource: ResourceSpec, host: LabeledRegister,
-                wiring: dict[str, str], noise: NoiseModel | None = None,
-                rng=None, out_labels: Sequence[str] | None = None) -> np.ndarray:
-    """Couple host qubits into a resource by Bell measurements.
-
-    wiring maps resource input label -> host label. The resource's
-    output qubits join the host register under `out_labels` (by default
-    the resource's own output labels). Returns the Bell outcomes as
-    letter codes, in input order, for `ResourceSpec.byproduct`; no
-    frame is applied.
-
-    Every pair is measured against one shared pinned list while qubit
-    indices stay fixed, and one `drop_measured` then removes all the
-    measured qubits; each pair's q_meas noise is drawn just before its
-    measurement, so the draws are those of measuring and dropping pair
-    by pair. The inputs are checked before the register is touched: each
-    host label must exist and appear once, and noise needs an rng.
+    Every pair is measured against one shared pinned list at fixed
+    indices, and one `drop_measured` then removes all measured qubits;
+    each pair's q_meas noise is drawn just before its measurement, so the
+    draws are those of measuring and dropping pair by pair. The inputs
+    are checked before any draw: one host qubit per input, each in range
+    and none twice, and an rng whenever there is noise.
     """
     noise = noise or NoiseModel()
-    if set(wiring) != set(resource.inputs):
-        raise ResourceError("wiring must cover exactly the resource inputs")
-    hosts = [wiring[l] for l in resource.inputs]
+    hosts = list(hosts)
+    if len(hosts) != len(resource.inputs):
+        raise ResourceError(f"{resource.name} takes {len(resource.inputs)} host qubits, "
+                            f"got {len(hosts)}")
     if len(set(hosts)) != len(hosts):
         raise ResourceError("a host qubit is wired to two resource inputs")
-    for label in hosts:
-        host.index(label)  # raises for a label the register lacks
+    if not all(0 <= q < state.n for q in hosts):
+        raise ResourceError(f"host qubits {hosts} are not all in a register of {state.n}")
     if rng is None and (noise.p_resource < 1.0 or noise.q_meas < 1.0):
         raise ResourceError("noisy teleport_in requires an rng")
-    out_labels = tuple(out_labels) if out_labels is not None else resource.outputs
-    if len(out_labels) != len(resource.outputs):
-        raise ResourceError("out_labels must match the resource outputs")
-    res_state = resource.state.copy()
+    n_host = state.n
+    state = state.tensor(resource.state)
     if noise.p_resource < 1.0:
-        apply_sampled_noise(res_state, list(range(res_state.n)), noise.p_resource, rng)
-    scratch = [f"!{resource.name}/{l}" for l in resource.inputs]
-    host.add(res_state, scratch + list(out_labels))
-    index = {l: i for i, l in enumerate(host.labels)}
-    state = host.state
+        apply_sampled_noise(state, list(range(n_host, state.n)), noise.p_resource, rng)
     pinned: list[int] = []
-    codes = np.zeros(len(scratch), dtype=np.uint8)
-    for k, (host_label, scratch_label) in enumerate(zip(hosts, scratch)):
-        a, b = index[host_label], index[scratch_label]
+    codes = np.zeros(len(hosts), dtype=np.uint8)
+    for k, a in enumerate(hosts):
         if noise.q_meas < 1.0:
-            apply_sampled_noise(state, [a, b], noise.q_meas, rng)
-        codes[k] = state.bell_measure(a, b, rng, pinned)
-    measured = set(hosts + scratch)
-    state.drop_measured(pinned, [index[l] for l in measured])
-    host.labels = [l for l in host.labels if l not in measured]
-    return codes
+            apply_sampled_noise(state, [a, n_host + k], noise.q_meas, rng)
+        codes[k] = state.bell_measure(a, n_host + k, rng, pinned)
+    state.drop_measured(pinned, hosts + list(range(n_host, n_host + len(hosts))))
+    return state, codes

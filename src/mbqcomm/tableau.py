@@ -68,10 +68,6 @@ class StabilizerState:
         ZI, IX."""
         return cls._from_rows(2, [0b11, 0], [0, 0b11], [0, 0], [0, 0b10], [0b01, 0])
 
-    def copy(self) -> "StabilizerState":
-        return StabilizerState._from_rows(self.n, self.sx[:], self.sz[:], self.sp[:],
-                                          self.dx[:], self.dz[:])
-
     # -- rows as PauliStrings ------------------------------------------
 
     @property
@@ -194,15 +190,12 @@ class StabilizerState:
         pinned.append(row)
         return outcome
 
-    def bell_measure(self, a: int, b: int, rng=None,
-                     pinned: list[int] | None = None) -> int:
-        """Bell measurement on qubits (a, b): measures X_a X_b then Z_a Z_b
-        and pins both as stabilizer rows. Without `pinned` it drops the
-        pair with `drop_measured`, and the other qubits keep their order.
-        Given a list, the two pinned rows join it and the pair stays, so
-        that one `drop_measured` of every measured qubit removes several
-        pairs in one pass; the pairs must then be disjoint, as no pinned
-        row may act on a later pair.
+    def bell_measure(self, a: int, b: int, rng, pinned: list[int]) -> int:
+        """Bell measurement on qubits (a, b): measures X_a X_b then Z_a Z_b,
+        pins both as stabilizer rows and adds them to `pinned`. The pair
+        stays in place, so that one `drop_measured` of every measured
+        qubit removes several pairs in one pass; pairs that share a list
+        must be disjoint, as no pinned row may act on a later pair.
 
         Returns the teleportation byproduct as a letter code 2x + z (I, Z,
         X, Y = 0, 1, 2, 3): an X on one half flips ZZ, a Z flips XX. It is
@@ -214,17 +207,14 @@ class StabilizerState:
         has z_a. What is random or deterministic, and a deterministic
         value, depend on the state alone, so this takes the same rng draws
         as measuring and then eliminating the pair by Gauss-Jordan, with
-        or without a shared pinned list.
+        or without other pairs on the list.
         """
         _check_qubits((a, b), self.n)
         if a == b:
             raise TableauError("Bell measurement needs two distinct qubits")
         pair = 1 << a | 1 << b
-        pins = [] if pinned is None else pinned
-        xx = self._measure(pair, 0, 0, rng, None, pins)
-        zz = self._measure(0, pair, 0, rng, None, pins)
-        if pinned is None:
-            self.drop_measured(pins, (a, b))
+        xx = self._measure(pair, 0, 0, rng, None, pinned)
+        zz = self._measure(0, pair, 0, rng, None, pinned)
         return (1 - zz) + (1 - xx) // 2
 
     # -- qubit removal ---------------------------------------------------

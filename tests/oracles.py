@@ -1,20 +1,21 @@
 """Reference implementations that several test files compare the package
 against: dense state vectors and density matrices, stabilizer-state
-helpers the commands never call (among them the Gauss-Jordan qubit
-removal that checks the package's one-pass removal, and Bell
-measurements with a forced outcome), graph states and their
-local-Clifford tools, tableau invariant checks, noise sampled one
-qubit at a time, the noise-moving identity, the repeater-station
-resource, the reading of Bell outcomes by conjugating them through a
-resource's circuit (which checks the package's table reading) with the
-forced-branch teleport built on it, a code's reading of one error as a
-`PauliString` (its syndrome, logical flips and lookup correction, which
-check the package's letter-array reading) and its lookup table by
-sorting every candidate, the numpy Gauss-Jordan reduction that checks
-the package's bit-packed GF(2) solve, the encoded shot that applies each
-station's correction at once (which checks that deferring them changes
-nothing), and the dense 4-qubit derivation of the Bell-diagonal
-coefficient maps. None of this runs under the CLI.
+helpers the commands never call (among them a tableau copy, the
+Gauss-Jordan qubit removal that checks the package's one-pass removal,
+and Bell measurements that drop their pair at once or have a forced
+outcome), graph states and their local-Clifford tools, tableau invariant
+checks, noise sampled one qubit at a time, the noise-moving identity,
+the repeater-station resource, the reading of Bell outcomes by
+conjugating them through a resource's circuit (which checks the
+package's table reading) with the forced-branch teleport built on it, a
+code's reading of one error as a `PauliString` (its syndrome, logical
+flips and lookup correction, which check the package's letter-array
+reading) and its lookup table by sorting every candidate, the numpy
+Gauss-Jordan reduction that checks the package's bit-packed GF(2) solve,
+the encoded shot that applies each station's correction at once (which
+checks that deferring them changes nothing), and the dense 4-qubit
+derivation of the Bell-diagonal coefficient maps. None of this runs
+under the CLI.
 
 Dense state vectors index basis states with qubit 0 as the most
 significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
@@ -28,7 +29,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from mbqcomm.catalog import code_correct, code_decode_syndrome, code_encode, epp_site_resource
-from mbqcomm.noise import PauliChannel
+from mbqcomm.noise import PauliChannel, apply_sampled_noise
 from mbqcomm.pauli import (
     CliffordMap,
     PauliError,
@@ -39,7 +40,6 @@ from mbqcomm.pauli import (
 )
 from mbqcomm.protocols import qec_encode, station_reading
 from mbqcomm.resources import (
-    LabeledRegister,
     ResourceError,
     ResourceSpec,
     merge,
@@ -364,22 +364,27 @@ def bell_pair(code: int) -> StabilizerState:
     return pair
 
 
-def register_pauli(reg: LabeledRegister, p: PauliString, on) -> PauliString:
-    """`p` on the register's qubits labelled `on`, the identity elsewhere."""
-    return p.embed(reg.n, [reg.index(label) for label in on])
+def copy_state(state: StabilizerState) -> StabilizerState:
+    """An independent copy of a tableau."""
+    return StabilizerState._from_rows(state.n, state.sx[:], state.sz[:], state.sp[:],
+                                      state.dx[:], state.dz[:])
 
 
-def apply_register_pauli(reg: LabeledRegister, p: PauliString, on):
-    """Apply `p` to the register's qubits labelled `on`, in place."""
-    reg.state.apply_pauli(register_pauli(reg, p, on))
+def bell_measure_and_drop(state: StabilizerState, a: int, b: int, rng=None) -> int:
+    """`bell_measure` of (a, b), then `drop_measured` of the pair: the
+    other qubits keep their order. Returns the outcome's letter code."""
+    pinned: list[int] = []
+    code = state.bell_measure(a, b, rng, pinned)
+    state.drop_measured(pinned, (a, b))
+    return code
 
 
 def forced_bell_measure(state: StabilizerState, a: int, b: int, code: int) -> float:
     """Bell measurement of (a, b) forced onto the outcome of letter code
     `code`: X_a X_b and Z_a Z_b are measured with forced signs and pinned,
-    and `drop_measured` removes the pair, as `bell_measure` does. Returns
-    the Born probability of the branch (1/2 per random measurement);
-    raises InconsistentProjection when it is zero."""
+    and `drop_measured` removes the pair, as in `bell_measure_and_drop`.
+    Returns the Born probability of the branch (1/2 per random
+    measurement); raises InconsistentProjection when it is zero."""
     n = state.n
     pair = 1 << a | 1 << b
     prob = 1.0
@@ -597,7 +602,7 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
     Returns (graph, ops) where ops is a list of single-qubit gates that,
     applied to the input state, produce exactly graph_state(graph).
     """
-    work = state.copy()
+    work = copy_state(state)
     n = work.n
     ops: list[tuple[str, int]] = []
 
@@ -610,7 +615,7 @@ def to_graph(state: StabilizerState) -> tuple[GraphSpec, list[tuple[str, int]]]:
     while r < n:
         improved = False
         for q in range(n):
-            trial = work.copy()
+            trial = copy_state(work)
             apply_gate(trial, "H", q)
             m = np.array(
                 [[g.x_bit(c) for c in range(n)] for g in trial.stabs], dtype=np.uint8
@@ -845,42 +850,44 @@ def single_and_double_errors(n: int) -> list[PauliString]:
 @dataclass(frozen=True)
 class ForcedTeleport:
     """One in-coupling branch: outcome codes, their reading (None for an
-    impossible branch) and the Born probability of a forced branch (0
-    when it is impossible; 1 when the outcomes were drawn)."""
+    impossible branch), the Born probability of a forced branch (0 when
+    it is impossible; 1 when the outcomes were drawn) and the state left
+    (None for an impossible branch)."""
 
     codes: tuple[int, ...]
     reading: ConjugationReading | None
     branch_probability: float
+    state: StabilizerState | None
 
 
-def forced_teleport(spec: ResourceSpec, host: LabeledRegister, wiring: dict[str, str],
-                    forced=None, rng=None, out_labels=None,
-                    apply_frame: bool = True) -> ForcedTeleport:
-    """Noiseless `teleport_in` with the Bell outcomes forced to the letter
-    codes `forced` (drawn with `rng` where it is None), read by
-    conjugation; the frame is applied to the outputs of a kept branch
-    when `apply_frame` is set."""
-    if set(wiring) != set(spec.inputs):
-        raise ResourceError("wiring must cover exactly the resource inputs")
-    out_labels = tuple(out_labels) if out_labels is not None else spec.outputs
-    scratch = [f"!{spec.name}/{l}" for l in spec.inputs]
-    host.add(spec.state.copy(), scratch + list(out_labels))
+def forced_teleport(spec: ResourceSpec, state: StabilizerState, hosts, forced=None,
+                    rng=None, apply_frame: bool = True) -> ForcedTeleport:
+    """Noiseless `teleport_in` of the qubits at positions `hosts`, one per
+    input, pair by pair, with the Bell outcomes forced to the letter codes
+    `forced` (drawn with `rng` where it is None), read by conjugation. The
+    state left has the layout of `teleport_in`'s; the frame is applied to
+    the outputs of a kept branch when `apply_frame` is set."""
+    n_host = state.n
+    state = state.tensor(spec.state)
+    left = list(range(state.n))  # the original index of each qubit still in `state`
     codes, prob = [], 1.0
-    for k, in_label in enumerate(spec.inputs):
-        la, lb = wiring[in_label], scratch[k]
+    for k, host in enumerate(hosts):
+        a, b = left.index(host), left.index(n_host + k)
         if forced is None:
-            codes.append(host.bell_measure(la, lb, rng))
-            continue
-        try:
-            prob *= forced_bell_measure(host.state, host.index(la), host.index(lb), forced[k])
-        except InconsistentProjection:
-            return ForcedTeleport(tuple(forced), None, 0.0)
-        host.labels = [l for l in host.labels if l not in (la, lb)]
-        codes.append(forced[k])
+            codes.append(bell_measure_and_drop(state, a, b, rng))
+        else:
+            try:
+                prob *= forced_bell_measure(state, a, b, forced[k])
+            except InconsistentProjection:
+                return ForcedTeleport(tuple(forced), None, 0.0, None)
+            codes.append(forced[k])
+        left.remove(host)
+        left.remove(n_host + k)
     reading = conjugation_reading(spec, codes)
     if apply_frame and reading.keep and not reading.frame.is_identity:
-        apply_register_pauli(host, reading.frame, out_labels)
-    return ForcedTeleport(tuple(codes), reading, prob)
+        outputs = range(state.n - len(spec.outputs), state.n)
+        state.apply_pauli(reading.frame.embed(state.n, outputs))
+    return ForcedTeleport(tuple(codes), reading, prob, state)
 
 
 # -- corrections applied at each station --------------------------------------
@@ -889,28 +896,25 @@ def forced_teleport(spec: ResourceSpec, host: LabeledRegister, wiring: dict[str,
 def at_station_shot(code, noise, rng, q_channel) -> tuple[bool, list]:
     """`netsim.encoded_shot` with each correction applied where it is
     found: every correction station applies its frame to its output block
-    at once and passes on no frame, and the decode station's frame is
-    applied before the reference pair is Bell-measured. A Pauli changes
-    no outcome's randomness, so this takes the draws of the deferred
-    shot."""
+    (qubits 1..n) at once and passes on no frame, and the decode station's
+    frame is applied to qubit 1 before the reference pair (0, 1) is
+    Bell-measured. A Pauli changes no outcome's randomness, so this takes
+    the draws of the deferred shot."""
     enc, corr, dec = code_encode(code), code_correct(code), code_decode_syndrome(code)
-    reg = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-    frame = qec_encode(reg, "in", noise, rng, enc)
-    block = enc.outputs
+    state, frame = qec_encode(StabilizerState.bell_pair(), 1, noise, rng, enc)
+    block = list(range(1, code.n + 1))
     stations = []
     for q in q_channel:
-        reg.depolarize(block, q, rng)
-        primed = tuple(f"{label}'" for label in block)
-        codes = teleport_in(corr, reg, dict(zip(corr.inputs, block)), noise, rng, primed)
+        apply_sampled_noise(state, block, q, rng)
+        state, codes = teleport_in(corr, state, block, noise, rng)
         syndrome, correctable, correction = station_reading(code, corr, codes ^ frame)
-        apply_register_pauli(reg, PauliString.from_codes(correction), primed)
+        state.apply_pauli(PauliString.from_codes([0, *correction]))
         frame = np.zeros(code.n, dtype=np.uint8)
         stations.append((tuple(syndrome.tolist()), bool(correctable)))
-        block = primed
-    codes = teleport_in(dec, reg, dict(zip(dec.inputs, block)), noise, rng)
+    state, codes = teleport_in(dec, state, block, noise, rng)
     correction = station_reading(code, dec, codes ^ frame)[2]
-    apply_register_pauli(reg, PauliString.from_codes(correction), ["out"])
-    return reg.bell_measure("ref", "out") == 0, stations
+    state.apply_pauli(PauliString.from_codes([0, *correction]))
+    return bell_measure_and_drop(state, 0, 1, rng) == 0, stations
 
 
 # -- dense operators and density matrices -------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mbqcomm import cli
+from mbqcomm import cli, protocols
 from mbqcomm.cli import main
 from mbqcomm.netsim import encoded_chain
 from mbqcomm.results import CSV_HEADER
@@ -81,6 +81,40 @@ def test_bad_counts_exit_2_with_one_line(argv, capsys):
     assert rc == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+EXACT_EDGES = (
+    (["purify", "--F", "0.8", "--engine", "analytic"], 1023),
+    (["purify", "--F", "0.8", "--engine", "analytic", "--mode", "stepwise"], 1023),
+    (["repeater", "--mode", "analytic", "--segments", "4"], 340),
+)
+
+
+@pytest.mark.parametrize("argv", [
+    base + ["--rounds", str(rounds + 1)] for base, rounds in EXACT_EDGES] + [
+    ["purify", "--F", "0.8", "--engine", "stabilizer", "--samples", "1", "--rounds", "17"],
+    ["purify", "--F", "0.8", "--engine", "stabilizer", "--samples", "1", "--rounds", "63"],
+])
+def test_too_many_rounds_exit_2_before_any_work(argv, monkeypatch, capsys):
+    # the exact yield divides by the elementary pairs behind one output
+    # pair, which a float holds up to 2^1023; the stabilizer engine builds
+    # its resource on 2^(rounds+2) qubits
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("evaluated, built or drew before refusing")
+
+    for name in ("evaluate_stages", "epp_recurrence", "draw_indices"):
+        monkeypatch.setattr(protocols, name, forbidden)
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: rounds {argv[-1]}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, rounds", EXACT_EDGES)
+def test_the_largest_exact_round_count_prints_a_record(argv, rounds, capsys):
+    rc, out, _ = run(argv + ["--rounds", str(rounds)], capsys)
+    record = json.loads(out)
+    assert rc == 0 and record["params"]["rounds"] == rounds
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,13 +27,13 @@ from mbqcomm.netsim import corrected
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import PauliString
 from mbqcomm.protocols import purify_recurrence, qec_encode, station_reading
-from mbqcomm.resources import LabeledRegister, teleport_in
+from mbqcomm.resources import teleport_in
 from mbqcomm.rng import make_rng
 from mbqcomm.tableau import StabilizerState
 from oracles import (
-    apply_register_pauli,
     conjugation_reading,
     conjugation_station,
+    copy_state,
     correction_for,
     forced_teleport,
     logical_flips,
@@ -47,32 +47,30 @@ SEEDS = (1, 2)
 
 
 def qubits(spec):
-    """Every qubit an error can hit: the host pairs' halves, then the
+    """Every qubit an error can hit: the host pairs' halves, pair k on
+    host qubits 2k (into L/in{k}) and 2k + 1 (into R/in{k}), then the
     resource qubits (inputs first, then outputs, as in the tableau)."""
-    n_pairs = len(spec.inputs) // 2
-    host = [("host", f"{side}{k}") for k in range(n_pairs) for side in "ab"]
-    return host + [("resource", q) for q in range(spec.n)]
+    return ([("host", q) for q in range(len(spec.inputs))]
+            + [("resource", q) for q in range(spec.n)])
 
 
 def tableau_run(spec, errors, seed):
     """Kept flag and output Bell index of one noiseless teleportation of
     perfect pairs, with the Paulis `errors` injected first."""
-    n_pairs = len(spec.inputs) // 2
-    host = LabeledRegister()
-    for k in range(n_pairs):
-        host.add(StabilizerState.bell_pair(), [f"a{k}", f"b{k}"])
-    state = spec.state.copy()
+    host = StabilizerState.bell_pair()
+    for _ in range(len(spec.inputs) // 2 - 1):
+        host = host.tensor(StabilizerState.bell_pair())
+    state = copy_state(spec.state)
     for (kind, q), letter in errors:
-        if kind == "host":
-            apply_register_pauli(host, PauliString.single(1, 0, letter), [q])
-        else:
-            state.apply_pauli(PauliString.single(state.n, q, letter))
-    wiring = {f"L/in{k}": f"a{k}" for k in range(n_pairs)}
-    wiring.update({f"R/in{k}": f"b{k}" for k in range(n_pairs)})
-    result = forced_teleport(replace(spec, state=state), host, wiring, rng=make_rng(seed))
+        target = host if kind == "host" else state
+        target.apply_pauli(PauliString.single(target.n, q, letter))
+    sides = [label.split("/in") for label in spec.inputs]
+    hosts = [2 * int(k) + (side == "R") for side, k in sides]
+    result = forced_teleport(replace(spec, state=state), host, hosts, rng=make_rng(seed))
     if not result.reading.keep:
         return False, None
-    return True, host.bell_measure("L/out0", "R/out0")
+    left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
+    return True, result.state.bell_measure(left, right, None, [])
 
 
 def pair_reading(spec, in_codes, out_codes):
@@ -94,8 +92,7 @@ def frame_runs(spec, patterns):
     for s, errors in enumerate(patterns):
         for (kind, q), letter in errors:
             if kind == "host":
-                side = "L" if q[0] == "a" else "R"
-                in_codes[spec.inputs.index(f"{side}/in{q[1:]}"), s] ^= CODES[letter]
+                in_codes[spec.inputs.index(f"{'LR'[q % 2]}/in{q // 2}"), s] ^= CODES[letter]
             elif q < n_in:
                 in_codes[q, s] ^= CODES[letter]
             else:
@@ -192,7 +189,6 @@ def test_stabilizer_purify_runs_no_tableau_per_attempt(monkeypatch):
 
     monkeypatch.setattr(resources, "teleport_in", forbidden)
     monkeypatch.setattr(protocols, "teleport_in", forbidden)
-    monkeypatch.setattr(LabeledRegister, "__init__", forbidden)
     monkeypatch.setattr(StabilizerState, "bell_measure", forbidden)
     stats = protocols.purify_recurrence_stabilizer(
         werner(0.8), 2, NoiseModel(0.97, 0.97), 1000, make_rng(3))
@@ -202,20 +198,19 @@ def test_stabilizer_purify_runs_no_tableau_per_attempt(monkeypatch):
     assert stats.extra["counts"]["attempts"] == 100
 
 
-def read_station(code, spec, host, block, frame, rng):
-    """Teleport `block` into a station resource; its syndrome and new
-    frame by the table, checked against the conjugation oracle on the
-    same Bell outcomes."""
-    out_labels = tuple(f"{spec.name}.o{k}" for k in range(len(spec.outputs)))
-    codes = teleport_in(spec, host, dict(zip(spec.inputs, block)), rng=rng,
-                        out_labels=out_labels)
+def read_station(code, spec, state, frame, rng):
+    """Teleport the block, qubits 1..n, into a station resource, whose
+    outputs follow qubit 0; the state left, and the station's syndrome
+    and new frame by the table, checked against the conjugation oracle on
+    the same Bell outcomes."""
+    state, codes = teleport_in(spec, state, range(1, code.n + 1), rng=rng)
     syndrome, _, new_frame = station_reading(code, spec, codes ^ frame)
     syndrome = tuple(syndrome.tolist())
     want_syndrome, want_frame = conjugation_station(code, spec, codes,
                                                     PauliString.from_codes(frame))
     assert syndrome == want_syndrome
     assert list(new_frame) == want_frame.codes()
-    return syndrome, new_frame, out_labels
+    return state, syndrome, new_frame
 
 
 @pytest.mark.parametrize("name", ["ring5", "repetition3", "repetition3-phase"])
@@ -232,16 +227,16 @@ def test_station_table_matches_the_conjugation_oracle_on_every_error(name):
     errors = single_and_double_errors(code.n)
     verdicts = corrected(code, np.array([e.codes() for e in errors], dtype=np.uint8).T)
     for error, verdict in zip(errors, verdicts):
-        host = LabeledRegister.from_state(StabilizerState.bell_pair(), ["ref", "in"])
-        frame = qec_encode(host, "in", NoiseModel(), rng, enc)
+        # the reference half is qubit 0 and the block qubits 1..n
+        state, frame = qec_encode(StabilizerState.bell_pair(), 1, NoiseModel(), rng, enc)
         frames.add(tuple(frame))
-        apply_register_pauli(host, error, enc.outputs)
-        syndrome, frame, block = read_station(code, corr, host, enc.outputs, frame, rng)
+        state.apply_pauli(error.embed(state.n, range(1, code.n + 1)))
+        state, syndrome, frame = read_station(code, corr, state, frame, rng)
         assert syndrome == syndrome_of(code, error)
-        _, frame, (out,) = read_station(code, dec, host, block, frame, rng)
-        apply_register_pauli(host, PauliString.from_codes(frame), [out])
+        state, _, frame = read_station(code, dec, state, frame, rng)
+        state.apply_pauli(PauliString.from_codes([0, *frame]))
         residual = error * correction_for(code, syndrome)
-        delivered = host.bell_measure("ref", out) == 0
+        delivered = state.bell_measure(0, 1, None, []) == 0
         assert delivered == (logical_flips(code, residual) == (0, 0)) == verdict
     assert len(frames) > 1
     assert not verdicts.all() and verdicts.any()
@@ -253,7 +248,6 @@ def test_enumerate_errors_runs_no_tableau_and_no_rng(monkeypatch, capsys):
 
     monkeypatch.setattr(resources, "teleport_in", forbidden)
     monkeypatch.setattr(protocols, "teleport_in", forbidden)
-    monkeypatch.setattr(LabeledRegister, "__init__", forbidden)
     monkeypatch.setattr(StabilizerState, "bell_measure", forbidden)
     monkeypatch.setattr(cli, "make_rng", forbidden)
     for name, total in (("ring5", 15), ("repetition3", 3), ("repetition3-phase", 3)):

@@ -18,6 +18,7 @@ from mbqcomm.tableau import StabilizerState
 import oracles
 from oracles import (
     MoveNoiseReport,
+    copy_state,
     density,
     depolarize,
     move_noise_across_bell,
@@ -36,12 +37,12 @@ def noisy_bell_measure(state: StabilizerState, a: int, b: int, q: float,
                        rng) -> int:
     """Depolarize both measured qubits with parameter q, then Bell-measure."""
     apply_sampled_noise(state, [a, b], q, rng)
-    return state.bell_measure(a, b, rng)
+    return state.bell_measure(a, b, rng, [])
 
 
 def noisy_state_trajectory(state: StabilizerState, p: float, rng) -> StabilizerState:
     """One sampled noisy copy of a state: E(p) insertion on every particle."""
-    out = state.copy()
+    out = copy_state(state)
     apply_sampled_noise(out, list(range(out.n)), p, rng)
     return out
 
@@ -79,7 +80,7 @@ def test_apply_sampled_noise_edge_cases():
     for _ in range(4000):
         s = _phi_plus_state()
         apply_sampled_noise(s, [0], 0.0, rng)
-        counts[s.bell_measure(0, 1)] += 1
+        counts[s.bell_measure(0, 1, None, [])] += 1
     for c in counts.values():
         assert 800 < c < 1200
 
@@ -99,7 +100,7 @@ def test_one_draw_per_layer_matches_one_draw_per_qubit(p, qubits):
     for seed in range(4):
         old = zero_state(5)
         oracles.apply_clifford(old, random_clifford(5, np.random.default_rng(seed)))
-        new = old.copy()
+        new = copy_state(old)
         rng_old, rng_new = make_rng(seed), make_rng(seed)
         for _ in range(10):
             oracles.apply_sampled_noise_per_qubit(old, qubits, p, rng_old)

@@ -40,7 +40,6 @@ from mbqcomm.protocols import (
 )
 from mbqcomm.protocols import _CHUNK as PAIR_CHUNK
 from mbqcomm.rng import _CHUNK, draw_indices, make_rng
-from mbqcomm.resources import LabeledRegister
 from mbqcomm.tableau import StabilizerState
 import oracles
 from oracles import validate_tableau
@@ -461,7 +460,7 @@ def test_bell_pair_constructor(index, letter):
     if index == 0:
         assert pair.stabs == StabilizerState.bell_pair().stabs
     # the Bell index that the chain reads off its delivered pair
-    assert LabeledRegister.from_state(pair, ["a", "b"]).bell_measure("a", "b") == index
+    assert pair.bell_measure(0, 1, None, []) == index
 
 
 # (rounds, F, noise): the frame engine against the exact maps; rounds 5

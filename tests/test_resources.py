@@ -5,12 +5,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from mbqcomm.catalog import code_encode, epp_recurrence
+from mbqcomm.catalog import code_by_name, code_decode_syndrome, code_encode, epp_recurrence
 from mbqcomm.codes import repetition_code
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import CliffordMap, PauliString, circuit_map
 from mbqcomm.resources import (
-    LabeledRegister,
     ResourceError,
     cj_state,
     merge,
@@ -21,17 +20,17 @@ from mbqcomm.resources import (
 from mbqcomm.tableau import InconsistentProjection
 import oracles
 from oracles import (
-    apply_register_pauli,
     conjugation_reading,
+    copy_state,
     forced_teleport,
     is_connected,
     plus_state,
     random_clifford,
-    register_pauli,
     same_state,
     site_sizes,
     to_dense,
     to_graph,
+    validate_tableau,
     zero_state,
 )
 
@@ -41,12 +40,6 @@ RNG = np.random.default_rng
 def all_outcomes(k):
     """Every tuple of k Bell outcomes, as letter codes."""
     return product(range(4), repeat=k)
-
-
-def remove_labels(reg, labels):
-    """Drop product-state qubits of a register by label."""
-    oracles.remove_qubits(reg.state, [reg.index(l) for l in labels])
-    reg.labels = [l for l in reg.labels if l not in set(labels)]
 
 
 def random_host_state(n, rng):
@@ -78,10 +71,9 @@ def test_resource_invariant_inputs_plus_outputs():
 
 def test_teleport_identity_trivial():
     spec = cj_state(CliffordMap.identity(1), "id")
-    host = LabeledRegister.from_state(plus_state(1), ["psi"])
-    res = forced_teleport(spec, host, {"in0": "psi"}, forced=[0])
+    res = forced_teleport(spec, plus_state(1), [0], forced=[0])
     assert str(res.reading.frame) == "+I"
-    assert str(host.state.stabs[0]) == "+X"
+    assert str(res.state.stabs[0]) == "+X"
 
 
 def test_teleport_in_returns_the_outcome_codes():
@@ -91,13 +83,12 @@ def test_teleport_in_returns_the_outcome_codes():
     seen = set()
     for _ in range(40):
         base = random_host_state(1, rng)
-        host = LabeledRegister.from_state(base.copy(), ["psi"])
-        codes = teleport_in(spec, host, {"in0": "psi"}, rng=rng, out_labels=["o"])
+        state, codes = teleport_in(spec, base, [0], rng=rng)
         seen.add(int(codes[0]))
-        assert host.labels == ["o"]
-        apply_register_pauli(host, PauliString.from_codes(spec.byproduct(codes)[0]), ["o"])
+        assert state.n == 1
+        state.apply_pauli(PauliString.from_codes(spec.byproduct(codes)[0]))
         want = oracles.apply_unitary_vec(to_dense(base), oracles.H, [0])
-        assert oracles.states_equal_up_to_phase(to_dense(host.state), want, 1e-12)
+        assert oracles.states_equal_up_to_phase(to_dense(state), want, 1e-12)
     assert seen == {0, 1, 2, 3}
 
 
@@ -108,10 +99,9 @@ def test_teleport_through_hadamard_every_outcome():
         base = random_host_state(1, rng)
         want = oracles.apply_unitary_vec(to_dense(base), oracles.H, [0])
         for forced in all_outcomes(1):
-            host = LabeledRegister.from_state(base.copy(), ["psi"])
-            r = forced_teleport(spec, host, {"in0": "psi"}, forced)
+            r = forced_teleport(spec, base, [0], forced)
             assert r.branch_probability == 0.25
-            assert oracles.states_equal_up_to_phase(to_dense(host.state), want, 1e-12)
+            assert oracles.states_equal_up_to_phase(to_dense(r.state), want, 1e-12)
 
 
 def test_teleport_through_cnot_reproduces_cnot():
@@ -121,10 +111,9 @@ def test_teleport_through_cnot_reproduces_cnot():
         base = random_host_state(2, rng)
         want = oracles.apply_unitary_vec(to_dense(base), oracles.CNOT, [0, 1])
         for forced in all_outcomes(2):
-            host = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            r = forced_teleport(spec, host, {"in0": "a", "in1": "b"}, forced)
+            r = forced_teleport(spec, base, [0, 1], forced)
             assert abs(r.branch_probability - 1 / 16) < 1e-15
-            assert oracles.states_equal_up_to_phase(to_dense(host.state), want, 1e-12)
+            assert oracles.states_equal_up_to_phase(to_dense(r.state), want, 1e-12)
 
 
 def test_channel_identity_random_cliffords():
@@ -136,14 +125,11 @@ def test_channel_identity_random_cliffords():
         spec = cj_state(c, "rc")
         base = random_host_state(n, rng)
         for forced in all_outcomes(n):
-            host = LabeledRegister.from_state(
-                base.copy(), [f"q{k}" for k in range(n)]
-            )
-            forced_teleport(spec, host, {f"in{k}": f"q{k}" for k in range(n)}, forced)
+            state = forced_teleport(spec, base, range(n), forced).state
             # resulting state must be stabilized by C g C^dagger
             for g in base.stabs:
                 img = c.conjugate(g)
-                v = to_dense(host.state)
+                v = to_dense(state)
                 assert np.allclose(oracles.apply_pauli_vec(img, v), v, atol=1e-10)
 
 
@@ -155,12 +141,10 @@ def test_teleport_cnot_on_bell_plus_zero_is_ghz_class():
     want = to_dense(base)
     want = oracles.apply_unitary_vec(want, oracles.CNOT, [1, 2])
     for forced in all_outcomes(2):
-        host = LabeledRegister.from_state(base.copy(), ["keep", "a", "b"])
-        forced_teleport(spec, host, {"in0": "a", "in1": "b"}, forced,
-                        out_labels=["o0", "o1"])
-        got = to_dense(host.state)  # order: keep, o0, o1
+        state = forced_teleport(spec, base, [1, 2], forced).state
+        got = to_dense(state)  # order: the unmeasured host qubit, out0, out1
         assert oracles.states_equal_up_to_phase(got, want, 1e-12)
-        spec_g, _ = to_graph(host.state)
+        spec_g, _ = to_graph(state)
         assert is_connected(spec_g)
 
 
@@ -179,26 +163,25 @@ def test_premeasure_equals_postselected_measurement():
         spec = cj_state(c, "rc")
         pre = premeasure_outputs(spec, [("out1", "Z")])
         base = random_host_state(2, rng)
-        wiring = {"in0": "a", "in1": "b"}
-        m_wire = spec.output_wires[spec.outputs.index("out1")]
+        out1 = spec.outputs.index("out1")  # its position once both hosts are measured
+        m_wire = spec.output_wires[out1]
         m_op = PauliString.single(spec.n_wires, m_wire, "Z")
         for forced in all_outcomes(2):
-            host_pre = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            r_pre = forced_teleport(pre, host_pre, wiring, forced, apply_frame=False)
-            host_post = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            r_post = forced_teleport(spec, host_post, wiring, forced, apply_frame=False)
-            z_out1 = register_pauli(host_post, PauliString.single(1, 0, "Z"), ["out1"])
-            random = not all(g.commutes(z_out1) for g in host_post.state.stabs)
+            r_pre = forced_teleport(pre, base, [0, 1], forced, apply_frame=False)
+            r_post = forced_teleport(spec, base, [0, 1], forced, apply_frame=False)
+            post = r_post.state
+            z_out1 = PauliString.single(post.n, out1, "Z")
+            random = not all(g.commutes(z_out1) for g in post.stabs)
             try:
-                host_post.state.measure(z_out1, force=+1)
+                post.measure(z_out1, force=+1)
                 post_prob = r_post.branch_probability * (0.5 if random else 1.0)
             except InconsistentProjection:
                 post_prob = 0.0
             assert abs(r_pre.branch_probability - 2 * post_prob) < 1e-12
             if post_prob > 0:
-                remove_labels(host_post, ["out1"])
+                oracles.remove_qubits(post, [out1])
                 assert oracles.states_equal_up_to_phase(
-                    to_dense(host_pre.state), to_dense(host_post.state), 1e-12
+                    to_dense(r_pre.state), to_dense(post), 1e-12
                 )
                 # the virtual bit equals the frame commutation flag
                 pushed = spec.circuit.conjugate(
@@ -262,14 +245,11 @@ def test_merge_matches_sequential_teleport():
         merged = merge(r1, r2, [("out0", "in0"), ("out1", "in1")])
         assert merged.n == 4
         base = random_host_state(2, rng)
-        want = base.copy()
+        want = copy_state(base)
         oracles.apply_clifford(want, c2 @ c1)
         for forced in all_outcomes(2):
-            host = LabeledRegister.from_state(base.copy(), ["a", "b"])
-            forced_teleport(merged, host, {"r1/in0": "a", "r1/in1": "b"}, forced)
-            assert oracles.states_equal_up_to_phase(
-                to_dense(host.state), to_dense(want), 1e-12
-            )
+            state = forced_teleport(merged, base, [0, 1], forced).state
+            assert oracles.states_equal_up_to_phase(to_dense(state), to_dense(want), 1e-12)
 
 
 def test_merge_associativity_as_channels():
@@ -292,13 +272,11 @@ def test_merge_without_connections_is_the_product():
     assert product_.inputs == ("r1/in0", "r1/in1", "r2/in0")
     assert product_.outputs == ("r1/out0", "r1/out1", "r2/out0")
     base = random_host_state(3, rng)
-    want = base.copy()
+    want = copy_state(base)
     oracles.apply_clifford(want, c2.shifted(3, 2) @ c1.shifted(3, 0))
     for forced in all_outcomes(3):
-        host = LabeledRegister.from_state(base.copy(), ["a", "b", "c"])
-        forced_teleport(product_, host, {"r1/in0": "a", "r1/in1": "b", "r2/in0": "c"},
-                        forced)
-        assert oracles.states_equal_up_to_phase(to_dense(host.state), to_dense(want), 1e-12)
+        state = forced_teleport(product_, base, [0, 1, 2], forced).state
+        assert oracles.states_equal_up_to_phase(to_dense(state), to_dense(want), 1e-12)
 
 
 def test_merge_carries_sites_without_the_connected_labels():
@@ -321,36 +299,42 @@ def test_merge_rejects_bad_connections():
         merge(ida, idb, [("out0", "nope")])
 
 
-def test_teleport_requires_full_wiring():
-    spec = cj_state(CliffordMap.identity(2), "id2")
-    host = LabeledRegister.from_state(zero_state(2), ["a", "b"])
-    with pytest.raises(ResourceError):
-        teleport_in(spec, host, {"in0": "a"})
-
-
-@pytest.mark.parametrize("wiring, noise, message", [
-    ({"in0": "a", "in1": "a"}, NoiseModel(), "wired to two resource inputs"),
-    ({"in0": "a", "in1": "z"}, NoiseModel(), "no qubit labeled 'z'"),
-    ({"in0": "a", "in1": "b"}, NoiseModel(p_resource=0.9), "requires an rng"),
-    ({"in0": "a", "in1": "b"}, NoiseModel(q_meas=0.9), "requires an rng"),
-], ids=["repeated-host", "missing-host", "p-resource-without-rng", "q-meas-without-rng"])
-def test_teleport_in_refuses_before_touching_the_register(wiring, noise, message):
+@pytest.mark.parametrize("hosts, noise, message", [
+    ([0], NoiseModel(), "takes 2 host qubits, got 1"),
+    ([0, 0], NoiseModel(), "wired to two resource inputs"),
+    ([0, 2], NoiseModel(), r"host qubits \[0, 2\] are not all in a register of 2"),
+    ([0, 1], NoiseModel(p_resource=0.9), "requires an rng"),
+    ([0, 1], NoiseModel(q_meas=0.9), "requires an rng"),
+], ids=["host-count", "repeated-host", "missing-host", "p-resource-without-rng",
+        "q-meas-without-rng"])
+def test_teleport_in_refuses_before_touching_the_register(hosts, noise, message):
     spec = cj_state(CliffordMap.identity(2), "id2")
     base = random_host_state(2, RNG(5))
-    host = LabeledRegister.from_state(base, ["a", "b"])
+    before = copy_state(base)
     with pytest.raises(ResourceError, match=message):
-        teleport_in(spec, host, wiring, noise)
-    assert host.labels == ["a", "b"]
-    assert (host.state.stabs, host.state.destabs) == (base.stabs, base.destabs)
+        teleport_in(spec, base, hosts, noise)
+    assert (base.stabs, base.destabs) == (before.stabs, before.destabs)
 
 
-def test_labeled_register_bookkeeping():
-    reg = LabeledRegister.from_state(zero_state(3), ["a", "b", "c"])
-    assert reg.index("b") == 1
-    remove_labels(reg, ["a"])
-    assert reg.labels == ["b", "c"]
-    assert reg.n == 2
-    with pytest.raises(ResourceError):
-        reg.index("a")
-    with pytest.raises(ResourceError):
-        reg.add(zero_state(1), ["c"])
+@pytest.mark.parametrize("n_host", [2, 3, 4])
+def test_teleport_in_puts_the_outputs_after_the_unmeasured_hosts(n_host):
+    # random host states into catalog resources: the state left equals
+    # the pair-by-pair oracle's, whose outputs follow the hosts it leaves,
+    # and the two take the same draws
+    rng = RNG(40 + n_host)
+    specs = [code_encode(repetition_code(3)), code_encode(code_by_name("ring5")),
+             epp_recurrence(1), code_decode_syndrome(repetition_code(3))]
+    for spec in specs:
+        for _ in range(4):
+            n_in = len(spec.inputs)
+            base = random_host_state(max(n_host, n_in), rng)
+            hosts = [int(q) for q in rng.permutation(base.n)[:n_in]]
+            seed = int(rng.integers(1 << 32))
+            rng_got, rng_want = RNG(seed), RNG(seed)
+            state, codes = teleport_in(spec, base, hosts, rng=rng_got)
+            want = forced_teleport(spec, base, hosts, rng=rng_want, apply_frame=False)
+            assert tuple(codes.tolist()) == want.codes
+            assert state.n == base.n - n_in + len(spec.outputs)
+            validate_tableau(state)
+            assert same_state(state, want.state)
+            assert rng_got.random() == rng_want.random()

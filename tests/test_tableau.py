@@ -14,6 +14,8 @@ from oracles import (
     U_PG,
     GraphSpec,
     apply_gate,
+    bell_measure_and_drop,
+    copy_state,
     density,
     fidelity_with_vec,
     graph_state,
@@ -50,19 +52,13 @@ def dense_checked_states(count, max_n, rng):
     for spec in (epp_recurrence(1), code_encode(code_by_name("repetition3")),
                  code_encode(code_by_name("ring5")),
                  code_decode_syndrome(code_by_name("repetition3")), repeater_station(1)):
-        yield spec.state.copy()
+        yield copy_state(spec.state)
 
 
 def measure_pauli(state, p, rng=None, force=None):
     """Functional Pauli measurement: returns (outcome, new state)."""
-    out = state.copy()
+    out = copy_state(state)
     return out.measure(p, rng, force), out
-
-
-def bell_measure(state, a, b, rng=None):
-    """Functional Bell measurement; (a, b) are removed from the result."""
-    out = state.copy()
-    return out.bell_measure(a, b, rng), out
 
 
 def eliminating_bell_measure(state, a, b, rng=None, force=None):
@@ -79,10 +75,11 @@ def eliminating_bell_measure(state, a, b, rng=None, force=None):
 
 
 def pinning_bell_measure(state, a, b, rng, force):
-    """`bell_measure`, or its forced twin `oracles.forced_bell_measure`
-    (the same pins and one-pass removal) when `force` is a letter code."""
+    """`bell_measure` and the pair's removal, or its forced twin
+    `oracles.forced_bell_measure` (the same pins and one-pass removal)
+    when `force` is a letter code."""
     if force is None:
-        return state.bell_measure(a, b, rng)
+        return bell_measure_and_drop(state, a, b, rng)
     oracles.forced_bell_measure(state, a, b, force)
     return force
 
@@ -90,7 +87,7 @@ def pinning_bell_measure(state, a, b, rng, force):
 def assert_bell_measure_matches_oracle(s, a, b, force, seed):
     """Same outcome (or the same refusal), the same state left, a valid
     tableau, and the same rng draws as the elimination oracle."""
-    got, want = s.copy(), s.copy()
+    got, want = copy_state(s), copy_state(s)
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
     try:
         expected = eliminating_bell_measure(want, a, b, rng_want, force)
@@ -196,7 +193,7 @@ def test_measure_pauli_matches_dense_oracle():
             assert set(ref) == {1, -1}
             for o in (1, -1):
                 assert abs(ref[o][0] - 0.5) < 1e-12
-                branch = s.copy()
+                branch = copy_state(s)
                 got = branch.measure(p, force=o)
                 assert got == o
                 assert oracles.states_equal_up_to_phase(to_dense(branch), ref[o][1], 1e-12)
@@ -204,7 +201,7 @@ def test_measure_pauli_matches_dense_oracle():
         else:
             assert len(ref) == 1
             o = next(iter(ref))
-            branch = s.copy()
+            branch = copy_state(s)
             assert branch.measure(p) == o
             assert same_state(branch, s)
 
@@ -240,9 +237,8 @@ def test_bell_measure_on_phi_plus_is_outcome_zero():
         [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
     )
     rng = np.random.default_rng(0)
-    outcome, rest = bell_measure(s, 0, 1, rng)
-    assert outcome == 0
-    assert rest.n == 0
+    assert bell_measure_and_drop(s, 0, 1, rng) == 0
+    assert s.n == 0
 
 
 def test_bell_measure_swapping_matches_dense_oracle():
@@ -255,8 +251,8 @@ def test_bell_measure_swapping_matches_dense_oracle():
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(80):
-        s = base.copy()
-        outcome = s.bell_measure(1, 2, rng)
+        s = copy_state(base)
+        outcome = bell_measure_and_drop(s, 1, 2, rng)
         seen.add(outcome)
         prob, reduced = oracles.project_bell_vec(v, 1, 2, BD_SIGMA_ORDER[outcome])
         assert abs(prob - 0.25) < 1e-12
@@ -280,8 +276,7 @@ def test_bell_measure_pair_with_fresh_zero_uniform():
     rng = np.random.default_rng(9)
     counts = {i: 0 for i in range(4)}
     for _ in range(400):
-        s = base.copy()
-        outcome = s.bell_measure(1, 2, rng)
+        outcome = copy_state(base).bell_measure(1, 2, rng, [])
         counts[outcome] += 1
     assert all(c > 0 for c in counts.values())
 
@@ -296,7 +291,7 @@ def test_bell_outcome_distribution_matches_dense_generic():
         a, b = int(a), int(b)
         for code in range(4):
             prob, reduced = oracles.project_bell_vec(v, a, b, BD_SIGMA_ORDER[code])
-            branch = s.copy()
+            branch = copy_state(s)
             if prob < 1e-14:
                 with pytest.raises(InconsistentProjection):
                     oracles.forced_bell_measure(branch, a, b, code)
@@ -318,7 +313,7 @@ def row_operation(s, i, j):
 
 def scrambled(s, rng, steps=12):
     """The same state under other generators, by random row operations."""
-    s = s.copy()
+    s = copy_state(s)
     for _ in range(steps):
         row_operation(s, *rng.choice(s.n, size=2, replace=False))
     validate_tableau(s)
@@ -362,7 +357,7 @@ def assert_one_pass_matches_pair_by_pair(s, pairs, seed):
     then one `drop_measured`, against measuring and dropping pair by pair:
     the same outcomes, the same state left, a valid tableau and the same
     rng draws. Returns the outcomes."""
-    got, want = s.copy(), s.copy()
+    got, want = copy_state(s), copy_state(s)
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
     pinned = []
     outcomes = [got.bell_measure(a, b, rng_got, pinned) for a, b in pairs]
@@ -371,7 +366,7 @@ def assert_one_pass_matches_pair_by_pair(s, pairs, seed):
     left = list(range(s.n))  # the original index of each qubit still in `want`
     expected = []
     for a, b in pairs:
-        expected.append(want.bell_measure(left.index(a), left.index(b), rng_want))
+        expected.append(bell_measure_and_drop(want, left.index(a), left.index(b), rng_want))
         left.remove(a)
         left.remove(b)
     assert outcomes == expected
@@ -413,7 +408,7 @@ def assert_measure_out_matches_oracle(s, ops, qubits, force, seed):
     and then the Gauss-Jordan `remove_qubits`: the same outcomes (or the
     same refusal), the same state left, a valid tableau and the same rng
     draws."""
-    got, want = s.copy(), s.copy()
+    got, want = copy_state(s), copy_state(s)
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
     pinned = []
     try:
@@ -483,7 +478,7 @@ def test_bell_measure_pins_zz_beside_an_anticommuting_xx_row():
     for force in [None, 0, 1, 2, 3]:
         for a, b in ((0, 1), (1, 0)):
             assert_bell_measure_matches_oracle(s, a, b, force, 11)
-    assert s.bell_measure(0, 1) == 0
+    assert s.bell_measure(0, 1, None, []) == 0
 
 
 def test_to_dense_trivial_cases():
@@ -515,13 +510,13 @@ def test_tensor_and_remove_qubits():
         [PauliString.from_string("XX"), PauliString.from_string("ZZ")]
     )
     with pytest.raises(TableauError, match="still entangled"):
-        c.copy().drop_measured([], [0])
+        copy_state(c).drop_measured([], [0])
     with pytest.raises(TableauError, match="still entangled"):
-        oracles.remove_qubits(c.copy(), [0])
+        oracles.remove_qubits(copy_state(c), [0])
     # XX pinned on the pair does not measure qubit 0 out on its own
     pinned = []
     c.measure(PauliString.from_string("XX"), np.random.default_rng(0), pinned=pinned)
-    before = c.copy()
+    before = copy_state(c)
     with pytest.raises(TableauError, match="reaches a kept qubit"):
         c.drop_measured(pinned, [0])
     assert c.stabs == before.stabs and c.destabs == before.destabs
@@ -535,7 +530,7 @@ def test_removals_reject_out_of_range_indices(q):
     with pytest.raises(TableauError, match=f"qubit {q} out of range"):
         oracles.remove_qubits(s, [0, q])
     with pytest.raises(TableauError, match=f"qubit {q} out of range"):
-        s.bell_measure(0, q)
+        s.bell_measure(0, q, None, [])
     assert same_state(s, zero_state(3))
 
 
@@ -546,7 +541,7 @@ def test_to_graph_on_known_states():
     )
     spec, ops = to_graph(ghz)
     assert is_connected(spec)
-    check = ghz.copy()
+    check = copy_state(ghz)
     for name, q in ops:
         if name == "Z":
             check.apply_pauli(PauliString.single(3, q, "Z"))
@@ -561,7 +556,7 @@ def test_to_graph_random_roundtrip():
         n = int(rng.integers(1, 6))
         s = random_stabilizer_state(n, rng)
         spec, ops = to_graph(s)
-        check = s.copy()
+        check = copy_state(s)
         for name, q in ops:
             if name == "Z":
                 check.apply_pauli(PauliString.single(n, q, "Z"))
@@ -646,7 +641,7 @@ def test_measurements_and_removal_match_dense_oracle(data):
             prob, post = oracles.project_bell_vec(v, a, b, BD_SIGMA_ORDER[code])
             if prob < 1e-12:
                 with pytest.raises(InconsistentProjection):
-                    oracles.forced_bell_measure(s.copy(), a, b, code)
+                    oracles.forced_bell_measure(copy_state(s), a, b, code)
                 continue
             assert abs(oracles.forced_bell_measure(s, a, b, code) - prob) < 1e-10
             validate_tableau(s)
@@ -659,7 +654,7 @@ def test_measurements_and_removal_match_dense_oracle(data):
             expect = _reduced(v, [k for k in range(n) if k not in drop])
             # unmeasured qubits leave by the Gauss-Jordan oracle alone
             if abs(np.trace(expect.mat @ expect.mat).real - 1) > 1e-9:
-                before = s.copy()
+                before = copy_state(s)
                 with pytest.raises(TableauError, match="still entangled"):
                     oracles.remove_qubits(s, drop)
                 assert same_state(s, before)
