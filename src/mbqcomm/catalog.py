@@ -2,10 +2,12 @@
 
 Every entry is produced by the generic Choi-Jamiolkowski builder plus
 pre-measurement and merging; nothing is transcribed from figures. The
-purification resources run the circuit of `belldiag.epp_site_circuit`,
-the same round from which the Bell-diagonal maps are derived. Each entry
-is built once per argument set and shared, so callers never mutate
-`spec.state` (`teleport_in` reads it and writes a new state).
+purification resource is one party's site, which runs the circuit of
+`belldiag.epp_site_circuit`, the same round from which the Bell-diagonal
+maps are derived; the protocol reads the two sites side by side, and
+they are never merged into one resource. Each entry is built once per
+argument set and shared, so callers never mutate `spec.state`
+(`teleport_in` reads it and writes a new state).
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ def _built_once(build):
 
 @_built_once
 def epp_site_resource(rounds: int, role: str, variant: str = "DEJMPS") -> ResourceSpec:
-    """One party's purification resource: 2^m inputs, one output."""
+    """One party's purification resource: 2^m inputs, one output. Its
+    `syndrome` reads the pre-measured targets' outcomes in `virtual_meas`
+    order; a round keeps the pair iff the two sites read the same bits."""
     n = 1 << rounds
     gates, targets = epp_site_circuit(rounds, role, variant)
     circuit = circuit_map(n, gates)
@@ -63,26 +67,7 @@ def epp_site_resource(rounds: int, role: str, variant: str = "DEJMPS") -> Resour
     spec = premeasure_outputs(
         spec, [(f"out{t}", "Z") for t in targets], name=f"epp{role}{rounds}"
     )
-    return spec
-
-
-@_built_once
-def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
-    """Joint two-site recurrence resource (2^m + 1 qubits per site).
-
-    Inputs L/in{k} and R/in{k} take the two halves of pair k; the kept
-    pair appears on (L/out0, R/out0). One parity check per target wire:
-    keep requires equal virtual outcomes at the two sites.
-    """
-    site_a = replace(epp_site_resource(rounds, "A", variant), name="L")
-    site_b = replace(epp_site_resource(rounds, "B", variant), name="R")
-    joint = merge(site_a, site_b, (), name=f"epp_recurrence{rounds}")
-    sites = (
-        ("A", tuple(l for l in joint.inputs + joint.outputs if l.startswith("L/"))),
-        ("B", tuple(l for l in joint.inputs + joint.outputs if l.startswith("R/"))),
-    )
-    checks = tuple((f"L/{vm.name}", f"R/{vm.name}") for vm in site_a.virtual_meas)
-    return replace(joint, sites=sites, checks=checks)
+    return replace(spec, syndrome=tuple(vm.name for vm in spec.virtual_meas))
 
 
 @_built_once

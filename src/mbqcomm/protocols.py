@@ -4,19 +4,20 @@ measurement-based quantum error correction and entanglement swapping.
 Each protocol is mirrored by the exact Bell-diagonal analytics, with a
 fast index-sampling Monte Carlo beside them; the engines are tested
 against each other. Recurrence purification also runs on the stabilizer
-engine, as a batched Pauli-frame simulation of the noisy joint resource:
-the resource's frame reader (`ResourceSpec.byproduct`) takes each
-attempt's error frame to its output letters and the parities of its
-`checks`, and an attempt is kept iff no check is flipped. The tableau
-serves as the oracle that this reading is tested against. A QEC shot
-runs on the tableau in one layout: a reference half at qubit 0, and the
-block at qubits 1..n once `qec_encode` has teleported the other half
-into the encoder, which starts the frame. A station is one
-`teleport_in` of the block into its resource, whose outputs take the
-block's place, and one `station_reading` of its Bell outcomes through
-the same reader: the outcome codes, XOR the pending frame, flip the
-code syndrome at the virtual bits that the resource's `syndrome` names,
-which indexes the code's one lookup table (`CodeSpec.decode`). So a
+engine, as a batched Pauli-frame simulation of the two parties' noisy
+site resources: each site's frame reader (`ResourceSpec.byproduct`)
+takes its half of each attempt's error frame to its output letter and
+its `syndrome`, and an attempt is kept iff the two sites' syndromes
+agree. The tableau serves as the oracle that this reading is tested
+against. A QEC shot runs on the tableau in one layout: a reference half
+at qubit 0, and the block at qubits 1..n once `qec_encode` has
+teleported the other half into the encoder, which starts the frame. A
+station is one `teleport_in` of the block into its resource, whose
+outputs take the block's place, and one `station_reading` of its Bell
+outcomes through the same reader: the outcome codes, XOR the pending
+frame, flip the code syndrome at the virtual bits that the resource's
+`syndrome` names, which indexes the code's one lookup table
+(`CodeSpec.decode`). So a
 station is one table lookup, for one shot or many at once, and its
 correction joins the new frame: corrections are deferred by
 construction. The encoded shot (`netsim.encoded_shot`) strings the
@@ -75,7 +76,7 @@ from .belldiag import (
     recurrence_table,
     swap_pairs,
 )
-from .catalog import epp_recurrence
+from .catalog import epp_site_resource
 from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
 from .resources import ResourceSpec, teleport_in
@@ -455,42 +456,44 @@ def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
     return draw_indices(rng, weights, width * samples).reshape(width, samples)
 
 
-_STABILIZER_ROUNDS = 16  # at 17 the build holds 2^19 qubits, a tableau of 128 GiB
+# each site builds on 2^(rounds+1) qubits and keeps 2^rounds + 1: at 17 a
+# build holds 2^18 qubits, a tableau of 32 GiB
+_STABILIZER_ROUNDS = 16
 
 
 def purify_recurrence_stabilizer(input_state: BellDiagonalState, rounds: int,
                                  noise: NoiseModel, samples: int, rng) -> ProtocolStats:
-    """Batched Pauli-frame simulation of the joint resource (merged, DEJMPS).
+    """Batched Pauli-frame simulation of the two site resources (merged,
+    DEJMPS).
 
     Everything is Clifford with Pauli noise, so an attempt is an error
     frame in and a kept flag and Bell index out (Gidney, Quantum 5, 497
-    (2021)). All attempts are drawn at once: the input pairs' Bell
-    indices on the R halves, one E(q^2 p) letter per input slot (the
-    in-coupling dressing of `noise_stages`) and one E(p) letter per
-    output qubit. `ResourceSpec.byproduct` reads the input letters: an
-    attempt is kept iff no readout bit is set, and the kept pair's Bell
-    index is the XOR of the letters on L/out0 and R/out0. No tableau runs
-    per attempt.
+    (2021)). All attempts are drawn at once: one E(q^2 p) letter per
+    input slot (the in-coupling dressing of `noise_stages`), 2^m slots
+    into site A and then 2^m into site B, with the input pairs' Bell
+    indices on B's slots, and one E(p) letter per site output. Each
+    site's `ResourceSpec.byproduct` reads its input letters: an attempt is
+    kept iff the two sites' `syndrome` readouts agree bit for bit, and
+    the kept pair's Bell index is the XOR of the two output letters. No
+    tableau runs per attempt.
     """
     if samples < 1:
         raise ProtocolError(f"samples must be at least 1, got {samples}")
     if rounds > _STABILIZER_ROUNDS:
         raise ProtocolError(f"rounds {rounds}: the stabilizer engine runs at most "
-                            f"{_STABILIZER_ROUNDS} (its resource has 2^(rounds+1) + 2 qubits)")
-    spec = epp_recurrence(rounds, "DEJMPS")
+                            f"{_STABILIZER_ROUNDS} (each site's resource is built on "
+                            "2^(rounds+1) qubits and keeps 2^rounds + 1)")
+    site_a, site_b = epp_site_resource(rounds, "A"), epp_site_resource(rounds, "B")
     n_pairs = 1 << rounds
     dress_in, dress_out = noise_stages(noise)
     in_codes = _letters(rng, PauliChannel.depolarizing(dress_in.p).weights,
-                        len(spec.inputs), samples)
-    pairs = _letters(rng, input_state.as_array(), n_pairs, samples)
-    for k in range(n_pairs):
-        in_codes[spec.inputs.index(f"R/in{k}")] ^= pairs[k]
-    out_codes = _letters(rng, PauliChannel.depolarizing(dress_out.p).weights,
-                         len(spec.outputs), samples)
-    out, readout = spec.byproduct(in_codes)
-    left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
-    keep = ~readout.any(axis=0)
-    index = out[left] ^ out[right] ^ out_codes[left] ^ out_codes[right]
+                        2 * n_pairs, samples)
+    in_codes[n_pairs:] ^= _letters(rng, input_state.as_array(), n_pairs, samples)
+    out_codes = _letters(rng, PauliChannel.depolarizing(dress_out.p).weights, 2, samples)
+    out_a, read_a = site_a.byproduct(in_codes[:n_pairs])
+    out_b, read_b = site_b.byproduct(in_codes[n_pairs:])
+    keep = (read_a == read_b).all(axis=0)
+    index = out_a[0] ^ out_b[0] ^ out_codes[0] ^ out_codes[1]
     counts = {"attempts": samples, "consumed": samples * n_pairs,
               "kept": int(keep.sum()), "good": int((keep & (index == 0)).sum())}
     return stats_from_counts(counts, n_pairs)

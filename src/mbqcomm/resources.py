@@ -8,20 +8,19 @@ is read as the letter code 2x + z of its byproduct Pauli. A resource's
 GF(2) map on such codes (`ResourceSpec.frame_map`) is found once, by
 conjugating each unit Pauli on the inputs through the circuit: it gives
 the codes on the outputs and the flipped virtual outcomes of the
-pre-measured wires. What the virtual outcomes mean is data, GF(2)
-functions of the virtual bits: `syndrome` (named outcomes read in
-order) and `checks` (an attempt is kept iff the named outcomes of each
-check XOR to 0). `ResourceSpec.byproduct` is the one reader of the map:
-reading any outcome tuple, or any error frame, is an XOR of one table
-row per input, which holds the output codes and the readout, the
-`syndrome` bits followed by one parity bit per check.
+pre-measured wires. A resource's readout is data: `syndrome` names the
+virtual outcomes it reads, in order. `ResourceSpec.byproduct` is the
+one reader of the map: reading any outcome tuple, or any error frame,
+is an XOR of one table row per input, which holds the output codes and
+the `syndrome` bits. What a protocol does with the readout is its own
+rule: a code station looks its syndrome up, and a purification round
+keeps the pair iff its two sites read the same bits.
 
 Composite resources come from two operations. `merge` joins two
 resources by internal Bell measurements (none: the side-by-side
-product) and carries each side's labels, virtual measurements, checks,
-syndrome and sites under a `{name}/` prefix. `premeasure_joint`
-pre-measures Paulis on outputs; `premeasure_outputs` is its one-letter
-spelling.
+product) and carries each side's labels, virtual measurements and
+syndrome under a `{name}/` prefix. `premeasure_joint` pre-measures
+Paulis on outputs; `premeasure_outputs` is its one-letter spelling.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ class ResourceSpec:
     The state qubits are ordered inputs first (matching `inputs`), then
     the surviving outputs (matching `outputs`). `circuit` acts on the
     wire space; `input_wires[k]` is the wire fed by input k and
-    `output_wires[k]` the wire of output k. `checks` and `syndrome` name
-    virtual measurements (see the module docstring).
+    `output_wires[k]` the wire of output k. `syndrome` names virtual
+    measurements (see the module docstring).
     """
 
     name: str
@@ -71,17 +70,14 @@ class ResourceSpec:
     output_wires: tuple[int, ...]
     ancilla_init: tuple[tuple[int, str], ...] = ()
     virtual_meas: tuple[VirtualMeasurement, ...] = ()
-    checks: tuple[tuple[str, ...], ...] = ()
     syndrome: tuple[str, ...] = ()
-    sites: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def __post_init__(self):
         if set(self.inputs) & set(self.outputs):
             raise ResourceError("inputs and outputs must be disjoint")
         if len(self.inputs) + len(self.outputs) != self.state.n:
             raise ResourceError("resource must contain exactly inputs + outputs")
-        named = {name for check in self.checks for name in check} | set(self.syndrome)
-        unknown = named - {vm.name for vm in self.virtual_meas}
+        unknown = set(self.syndrome) - {vm.name for vm in self.virtual_meas}
         if unknown:
             raise ResourceError(f"no virtual measurement named {sorted(unknown)}")
 
@@ -126,15 +122,12 @@ class ResourceSpec:
 
     @cached_property
     def _read_table(self) -> np.ndarray:
-        """`frame_map`'s output codes beside the readout they flip, one row
-        per (input, letter): the `syndrome` bits, then the parity of each
-        check's named bits (a syndrome bit is a check of one name)."""
+        """`frame_map`'s output codes beside the `syndrome` bits they flip,
+        one row per (input, letter)."""
         out, flips = self.frame_map
         names = [vm.name for vm in self.virtual_meas]
-        reads = [(s,) for s in self.syndrome] + list(self.checks)
-        incidence = np.array([[read.count(name) for read in reads] for name in names],
-                             dtype=np.uint8).reshape(len(names), len(reads))
-        table = np.concatenate([out, flips @ incidence & 1], axis=-1)
+        read = [names.index(s) for s in self.syndrome]
+        table = np.concatenate([out, flips[..., read]], axis=-1)
         table.setflags(write=False)
         return table
 
@@ -146,10 +139,9 @@ class ResourceSpec:
         accepted.
 
         Returns their image on the outputs as letter codes, one per output
-        on the first axis, and the readout bits they flip on the first
-        axis: one per `syndrome` name, then one per check, set where the
-        check fails. Both are the XOR of the `_read_table` rows of each
-        input's letter, accumulated one input at a time.
+        on the first axis, and the `syndrome` bits they flip, one per name
+        on the first axis. Both are the XOR of the `_read_table` rows of
+        each input's letter, accumulated one input at a time.
         """
         codes = np.asarray(codes)
         if not 1 <= codes.ndim <= 2 or len(codes) != len(self.inputs):
@@ -165,11 +157,9 @@ def _build_resource(name: str, circuit: CliffordMap,
                     input_wires: Sequence[int],
                     ancilla_init: Sequence[tuple[int, str]],
                     premeasured: Sequence[VirtualMeasurement] = (),
-                    checks: Sequence[Sequence[str]] = (),
                     syndrome: Sequence[str] = (),
                     input_labels: Sequence[str] | None = None,
-                    output_labels: dict[int, str] | None = None,
-                    sites=()) -> ResourceSpec:
+                    output_labels: dict[int, str] | None = None) -> ResourceSpec:
     """Construct the resource state for a wire circuit.
 
     Every non-ancilla wire is entangled with one fresh input qubit, the
@@ -249,9 +239,7 @@ def _build_resource(name: str, circuit: CliffordMap,
         output_wires=tuple(surviving),
         ancilla_init=tuple(sorted(anc.items())),
         virtual_meas=tuple(premeasured),
-        checks=tuple(map(tuple, checks)),
         syndrome=tuple(syndrome),
-        sites=tuple(sites),
     )
 
 
@@ -325,8 +313,8 @@ def premeasure_joint(spec: ResourceSpec,
         vms.append(VirtualMeasurement(vm_name, op))
     return _build_resource(
         name or spec.name, spec.circuit, spec.input_wires, spec.ancilla_init, vms,
-        spec.checks, spec.syndrome, input_labels=spec.inputs,
-        output_labels=dict(zip(spec.output_wires, spec.outputs)), sites=spec.sites,
+        spec.syndrome, input_labels=spec.inputs,
+        output_labels=dict(zip(spec.output_wires, spec.outputs)),
     )
 
 
@@ -339,8 +327,8 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     fixed to 0), composing the two circuits into one; teleporting through
     the merged resource equals teleporting through r1 and then r2. With
     no connections the result is the side-by-side product. Labels,
-    virtual measurements, checks, syndrome and sites of each side are
-    carried under the prefix `{r.name}/`.
+    virtual measurements and syndrome of each side are carried under the
+    prefix `{r.name}/`.
     """
     for o, i in connections:
         if o not in r1.outputs:
@@ -384,14 +372,10 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
         if wo not in connected_out
     }
     out_names.update({wo + w1: f"{r2.name}/{l}" for wo, l in zip(r2.output_wires, r2.outputs)})
-    kept = set(in_labels) | set(out_names.values())
-    sites = [(f"{r.name}/{s}", tuple(f"{r.name}/{l}" for l in labels if f"{r.name}/{l}" in kept))
-             for r in (r1, r2) for s, labels in r.sites]
-    checks = [tuple(f"{r.name}/{n}" for n in check) for r in (r1, r2) for check in r.checks]
     syndrome = [f"{r.name}/{n}" for r in (r1, r2) for n in r.syndrome]
     return _build_resource(
         name or f"merge({r1.name},{r2.name})", circuit, input_wires, anc, vms,
-        checks, syndrome, input_labels=in_labels, output_labels=out_names, sites=sites,
+        syndrome, input_labels=in_labels, output_labels=out_names,
     )
 
 

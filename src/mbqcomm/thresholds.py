@@ -10,7 +10,7 @@ value without a closed form is the bisected zero of an exact margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .belldiag import shannon_entropy, werner
@@ -48,16 +48,7 @@ class ThresholdReport:
         return 100.0 * (1.0 - self.analytic)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "analytic": self.analytic,
-            "noise_percent": self.noise_percent,
-            "assumptions": self.assumptions,
-            "formula": self.formula,
-            "binding": self.binding,
-            "notes": list(self.notes),
-            "details": self.details,
-        }
+        return {**asdict(self), "noise_percent": self.noise_percent}
 
 
 def universal_epp_threshold(q: float | None = None) -> ThresholdReport:

@@ -5,17 +5,17 @@ Gauss-Jordan qubit removal that checks the package's one-pass removal,
 and Bell measurements that drop their pair at once or have a forced
 outcome), graph states and their local-Clifford tools, tableau invariant
 checks, noise sampled one qubit at a time, the noise-moving identity,
-the repeater-station resource, the reading of Bell outcomes by
-conjugating them through a resource's circuit (which checks the
-package's table reading) with the forced-branch teleport built on it, a
-code's reading of one error as a `PauliString` (its syndrome, logical
-flips and lookup correction, which check the package's letter-array
-reading) and its lookup table by sorting every candidate, the numpy
-Gauss-Jordan reduction that checks the package's bit-packed GF(2) solve,
-the encoded shot that applies each station's correction at once (which
-checks that deferring them changes nothing), and the dense 4-qubit
-derivation of the Bell-diagonal coefficient maps. None of this runs
-under the CLI.
+the joint two-site recurrence and repeater-station resources, the
+reading of Bell outcomes by conjugating them through a resource's
+circuit (which checks the package's table reading) with the
+forced-branch teleport built on it, a code's reading of one error as a
+`PauliString` (its syndrome, logical flips and lookup correction, which
+check the package's letter-array reading) and its lookup table by
+sorting every candidate, the numpy Gauss-Jordan reduction that checks
+the package's bit-packed GF(2) solve, the encoded shot that applies each
+station's correction at once (which checks that deferring them changes
+nothing), and the dense 4-qubit derivation of the Bell-diagonal
+coefficient maps. None of this runs under the CLI.
 
 Dense state vectors index basis states with qubit 0 as the most
 significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
@@ -721,9 +721,22 @@ def is_connected(g: GraphSpec) -> bool:
 # -- resources ---------------------------------------------------------------
 
 
-def site_sizes(spec) -> dict[str, int]:
-    """Qubits per site of a resource."""
-    return {site: len(labels) for site, labels in spec.sites}
+@lru_cache(maxsize=None)
+def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
+    """The joint two-site recurrence resource: site A as `L` and site B as
+    `R`, side by side with no connections. Inputs L/in{k} and R/in{k}
+    take the two halves of pair k, the kept pair appears on (L/out0,
+    R/out0), and its syndrome is site A's bits, then site B's."""
+    site_a = replace(epp_site_resource(rounds, "A", variant), name="L")
+    site_b = replace(epp_site_resource(rounds, "B", variant), name="R")
+    return merge(site_a, site_b, (), name=f"epp_recurrence{rounds}")
+
+
+def sites_agree(syndrome) -> bool:
+    """Keep rule of an attempt through `epp_recurrence`: each target's L
+    and R bits agree."""
+    half = len(syndrome) // 2
+    return tuple(syndrome[:half]) == tuple(syndrome[half:])
 
 
 def repeater_station(rounds: int) -> ResourceSpec:
@@ -770,7 +783,6 @@ class ConjugationReading:
     """What letter codes riding into a resource's inputs mean, found by
     conjugating their Pauli through the circuit."""
 
-    keep: bool
     frame: PauliString  # on the outputs, in output order
     bits: dict  # virtual-measurement name -> flipped bit
     syndrome: tuple[int, ...]
@@ -779,13 +791,12 @@ class ConjugationReading:
 def conjugation_reading(spec: ResourceSpec, codes) -> ConjugationReading:
     """The image's restriction to the outputs is the frame, and its
     anticommutation with each pre-measured operator flips that virtual
-    bit; `checks` and `syndrome` read the bits."""
+    bit; `syndrome` reads the bits."""
     if len(codes) != len(spec.inputs):
         raise ResourceError("need one letter code per input")
     pushed, frame = push_through(spec, PauliString.from_codes(codes))
     bits = {vm.name: 0 if pushed.commutes(vm.operator) else 1 for vm in spec.virtual_meas}
-    keep = all(sum(bits[name] for name in check) % 2 == 0 for check in spec.checks)
-    return ConjugationReading(keep, frame, bits, tuple(bits[name] for name in spec.syndrome))
+    return ConjugationReading(frame, bits, tuple(bits[name] for name in spec.syndrome))
 
 
 def conjugation_station(code, spec: ResourceSpec, outcomes,
@@ -866,7 +877,7 @@ def forced_teleport(spec: ResourceSpec, state: StabilizerState, hosts, forced=No
     input, pair by pair, with the Bell outcomes forced to the letter codes
     `forced` (drawn with `rng` where it is None), read by conjugation. The
     state left has the layout of `teleport_in`'s; the frame is applied to
-    the outputs of a kept branch when `apply_frame` is set."""
+    the outputs when `apply_frame` is set."""
     n_host = state.n
     state = state.tensor(spec.state)
     left = list(range(state.n))  # the original index of each qubit still in `state`
@@ -884,7 +895,7 @@ def forced_teleport(spec: ResourceSpec, state: StabilizerState, hosts, forced=No
         left.remove(host)
         left.remove(n_host + k)
     reading = conjugation_reading(spec, codes)
-    if apply_frame and reading.keep and not reading.frame.is_identity:
+    if apply_frame and not reading.frame.is_identity:
         outputs = range(state.n - len(spec.outputs), state.n)
         state.apply_pauli(reading.frame.embed(state.n, outputs))
     return ForcedTeleport(tuple(codes), reading, prob, state)

@@ -17,7 +17,7 @@ from mbqcomm.belldiag import (
     swap_pairs,
     werner,
 )
-from mbqcomm.catalog import epp_recurrence
+from mbqcomm.catalog import epp_site_resource
 from mbqcomm.noise import PauliChannel
 from mbqcomm.pauli import PauliString
 import oracles
@@ -207,21 +207,18 @@ def test_swap_fidelity_never_exceeds_min_for_werner():
 
 def test_recurrence_tables_are_the_catalog_round():
     # the tables conjugate the errors through one site's circuit; the
-    # stabilizer engine's joint resource must keep and output the same.
+    # stabilizer engine's two site resources must keep and output the same.
     # The derived tensors are exact (0/1 and the twirl's thirds); the
     # 4-qubit state-vector oracle rounds to within 1.2e-15 of them.
     dense_maps = oracles.dense_coefficient_maps()
     for variant in ("DEJMPS", "BBPSSW"):
         keep, out = recurrence_table(variant)
-        spec = epp_recurrence(1, variant)
-        in_codes = np.zeros((len(spec.inputs), 16), dtype=np.uint8)
-        in_codes[spec.inputs.index("R/in0")] = np.arange(16) >> 2
-        in_codes[spec.inputs.index("R/in1")] = np.arange(16) & 3
-        frame_out, readout = spec.byproduct(in_codes)
-        left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
-        frame_keep = ~readout.any(axis=0)
+        pairs = np.array([np.arange(16) >> 2, np.arange(16) & 3], dtype=np.uint8)
+        out_a, read_a = epp_site_resource(1, "A", variant).byproduct(np.zeros_like(pairs))
+        out_b, read_b = epp_site_resource(1, "B", variant).byproduct(pairs)
+        frame_keep = (read_a == read_b).all(axis=0)
         assert np.array_equal(frame_keep, keep), variant
-        assert np.array_equal((frame_out[left] ^ frame_out[right])[keep], out[keep]), variant
+        assert np.array_equal((out_a[0] ^ out_b[0])[keep], out[keep]), variant
         tensor = belldiag._recurrence_tensor(variant)
         assert np.max(np.abs(tensor - dense_maps[f"recurrence_{variant.lower()}"])) < 1e-14
     assert np.max(np.abs(belldiag._SWAP_TENSOR - dense_maps["swap"])) < 1e-14

@@ -98,11 +98,11 @@ EXACT_EDGES = (
 def test_too_many_rounds_exit_2_before_any_work(argv, monkeypatch, capsys):
     # the exact yield divides by the elementary pairs behind one output
     # pair, which a float holds up to 2^1023; the stabilizer engine builds
-    # its resource on 2^(rounds+2) qubits
+    # each site's resource on 2^(rounds+1) qubits
     def forbidden(*_args, **_kwargs):
         raise AssertionError("evaluated, built or drew before refusing")
 
-    for name in ("evaluate_stages", "epp_recurrence", "draw_indices"):
+    for name in ("evaluate_stages", "epp_site_resource", "draw_indices"):
         monkeypatch.setattr(protocols, name, forbidden)
     rc, out, err = run(argv, capsys)
     assert (rc, out) == (2, "")

@@ -18,7 +18,6 @@ from mbqcomm.catalog import (
     code_correct,
     code_decode_syndrome,
     code_encode,
-    epp_recurrence,
     epp_site_resource,
 )
 from mbqcomm.codes import CodeError, CodeSpec, repetition_code, ring5_code
@@ -36,6 +35,7 @@ from oracles import (
     conjugation_reading,
     copy_state,
     correction_for,
+    epp_recurrence,
     forced_teleport,
     graph_state,
     is_connected,
@@ -46,7 +46,6 @@ from oracles import (
     repeater_station,
     ring_graph,
     same_state,
-    site_sizes,
     syndrome_of,
     to_dense,
     to_graph,
@@ -183,10 +182,7 @@ def test_merge_carries_the_decoder_syndrome(name):
         assert list(corr.byproduct(codes)[1]) == list(dec.byproduct(codes)[1])
 
 
-def test_checks_and_syndrome_must_name_virtual_measurements():
-    spec = epp_recurrence(1)
-    with pytest.raises(ResourceError, match="nope"):
-        replace(spec, checks=spec.checks + (("L/meas[out1]", "nope"),))
+def test_syndrome_must_name_virtual_measurements():
     with pytest.raises(ResourceError, match=r"meas\[anc9\]"):
         replace(code_decode_syndrome(ring5_code()), syndrome=("meas[anc1]", "meas[anc9]"))
 
@@ -200,11 +196,13 @@ def test_combined_resource_rep3_is_ghz5():
     assert oracles.states_equal_up_to_phase(v, want, 1e-12)
 
 
-def test_epp_recurrence_sizes():
-    for rounds in (1, 2):
-        spec = epp_recurrence(rounds)
-        per_site = (1 << rounds) + 1
-        assert site_sizes(spec) == {"A": per_site, "B": per_site}
+def test_epp_site_resource_sizes():
+    # 2^m inputs and one output; the syndrome reads the 2^m - 1 targets
+    for rounds, role in product((1, 2, 3), "AB"):
+        spec = epp_site_resource(rounds, role)
+        assert len(spec.inputs) == 1 << rounds and spec.outputs == ("out0",)
+        assert spec.syndrome == tuple(vm.name for vm in spec.virtual_meas)
+        assert len(spec.syndrome) == (1 << rounds) - 1
 
 
 def test_epp_site_resources_are_graph_classes():
@@ -220,8 +218,8 @@ def test_epp_site_resources_are_graph_classes():
 
 def test_every_catalog_resource_is_graph_state_equivalent():
     specs = [
-        epp_recurrence(1),
-        epp_recurrence(2),
+        epp_site_resource(1, "A"),
+        epp_site_resource(2, "B"),
         code_encode(repetition_code(3)),
         code_decode_syndrome(repetition_code(3)),
         code_correct(repetition_code(3)),
@@ -324,7 +322,6 @@ def test_merge_encode_decode_is_identity_channel():
             base = zero_state(1)
             oracles.apply_clifford(base, random_clifford(1, rng))
             r = forced_teleport(chain, base, [0], rng=rng)
-            assert r.reading.keep
             assert oracles.states_equal_up_to_phase(to_dense(r.state), to_dense(base), 1e-12)
 
 
@@ -332,9 +329,8 @@ CATALOG_CODES = ("ring5", "repetition3", "repetition3-phase")
 
 
 def catalog_resources(codes):
-    specs = [epp_recurrence(m) for m in (1, 2, 3)]
+    specs = [epp_site_resource(m, role) for m in (1, 2, 3) for role in "AB"]
     specs += [repeater_station(m) for m in (1, 2)]
-    specs += [epp_site_resource(m, role) for m in (1, 2) for role in "AB"]
     for code in codes:
         specs += [code_encode(code), code_decode_syndrome(code), code_correct(code),
                   code_encode_decode_combined(code)]
@@ -359,7 +355,7 @@ def test_resource_builds_solve_nothing(monkeypatch):
         raise AssertionError("a resource build called gf2.solve")
 
     monkeypatch.setattr(gf2, "solve", no_solve)
-    assert len(catalog_resources(codes)) == 21
+    assert len(catalog_resources(codes)) == 20
 
 
 def test_every_catalog_resource_tableau_is_valid():
@@ -381,9 +377,7 @@ def _canonical_text(spec) -> str:
         f"output_wires {list(spec.output_wires)}",
         f"ancillas {list(spec.ancilla_init)}",
         *(f"vm {vm.name} {vm.operator}" for vm in spec.virtual_meas),
-        f"checks {list(spec.checks)}",
         f"syndrome {list(spec.syndrome)}",
-        f"sites {list(spec.sites)}",
         *(f"gen {g}" for g in canonical_generators(spec.state)),
         *(f"image_x {p}" for p in spec.circuit.image_x),
         *(f"image_z {p}" for p in spec.circuit.image_z),
@@ -392,6 +386,8 @@ def _canonical_text(spec) -> str:
 
 
 _CATALOG_BUILDS = {
+    **{f"epp_site_resource({m},{r},{v})": (lambda m=m, r=r, v=v: epp_site_resource(m, r, v))
+       for m in (1, 2, 3) for r in "AB" for v in ("DEJMPS", "BBPSSW")},
     **{f"epp_recurrence({m},{v})": (lambda m=m, v=v: epp_recurrence(m, v))
        for m in (1, 2, 3) for v in ("DEJMPS", "BBPSSW")},
     **{f"repeater_station({m})": (lambda m=m: repeater_station(m)) for m in (1, 2)},
@@ -406,53 +402,77 @@ _CATALOG_BUILDS = {
 # and fields as they are
 CATALOG_DIGESTS = {
     "code_correct(repetition3)":
-        "093adea1a4a94b54a376b92612ff94b442fbd8f5a47f3e5e7663111b68d6734d",
+        "4fbbb623bbbd8ccd623c9a7e9d6d4555e5f5a51f63ecfde02ed5c400832d2233",
     "code_correct(repetition3-phase)":
-        "ff11110228ed5aa4d18913aae29e84ca613f839633715d10cfece90d2612e112",
+        "fec786c14614d104fd8e2dab58a42934442ffd48a7ea66e8f1ebd6bd498d415e",
     "code_correct(repetition5)":
-        "df2d1e5d14b12cfe9373b8930e4b97e094991c988a72c7c2ac1e78e7178a300f",
+        "6e54b5bd36507024cbb82124ab8c2fa47c78be217e0fd6336ba49bde861d4580",
     "code_correct(ring5)":
-        "429cc5e2de6683707607e6bb720ff9f4e9164eb1e9bfc0ed830d5e1ea1d12fb0",
+        "5090e50a55f4729130f32a1dde85210a627fb304164b7aca32fcc88baf7f1beb",
     "code_decode_syndrome(repetition3)":
-        "56d1d59bf1477598a8fca292f66db84b1cb9ca48a7dd11bf6fd39967f5b396ab",
+        "cd906f86d330e192d0b317a9dfb59b32fe7255fec4d5d1d957884c544761cebe",
     "code_decode_syndrome(repetition3-phase)":
-        "6b0a1d0107f43cabead224deccdb9eb56db3ab81eeb27260fea1668609dc735d",
+        "48ebac94b793070d2d6c69f9e966371b428c8eac849aab8b30c8f8cb37c294ed",
     "code_decode_syndrome(repetition5)":
-        "403dd10f885a52da5a1650dd3ce40e8fa76f23322280a6e0bedfc27ae3ac5b4f",
+        "11542fd7290cd70f3176487c587c2448d5d6f3a70b871e4d1e9bf931a3e03cee",
     "code_decode_syndrome(ring5)":
-        "0f1f6e607dde95ad4e2a564f02dc4b1250a5d324644ec25951efa15c175d4625",
+        "b5609eacf4ba87ebad392ddc499f3fbb73d9ae16174bf9457862c779083006d1",
     "code_encode(repetition3)":
-        "aef4ca7e1b9bc60dfdb51d3a9a53e2b8e1188ded80d9c2473c9d91a87668d260",
+        "42a22fb69ec16e7af19002af1b4e51d786687aa31b09016d9007b7e5d2b8bc5a",
     "code_encode(repetition3-phase)":
-        "9f0dd90a62e89f8ee7e960db8d9dd90f5c486f88cc449364f0b53f75e89adc45",
+        "4830cdd3233416cd2022419325d86b1b385faf734a00a76015c2f418f1663e90",
     "code_encode(repetition5)":
-        "43df5ed91986b15a99aae2496d663ebc51a280611204e21a4082b1596bc0dd88",
+        "36a2091dfcd315f821be14e36e018f690fe119d721310fc7468ab722194b4ad4",
     "code_encode(ring5)":
-        "e675c1f8c54ff6bf383514008c189e629836974e4a166f0e63f9df98552aa82b",
+        "a95c943edab01a4d8dd4bba0cd8dd4650e85841419341870e324819f8c9f6a61",
     "code_encode_decode_combined(repetition3)":
-        "c7e5b7069360f0e6b2c56474a4d9b6cd98ad717513597e722b41067db386d5fd",
+        "171686cbee0f56fc3f8c108c1d9468ca107f98e7ad58a96376356e4eb8a60333",
     "code_encode_decode_combined(repetition3-phase)":
-        "4c7bd8ef826c704207ee7799845ad3ab7aa3b2a755183ce54fa3595768de7fb5",
+        "a58429a8197dde33a008641c7a87f550a05714627a9e3c222fc47ed8e63d3638",
     "code_encode_decode_combined(repetition5)":
-        "fbc4186b128d14bdfe72779d1666f14d4ef9cc77278d88eec85d529ed7825dc7",
+        "03a98769125cb08fd38b85873ea0706ee2c0ee92264d8a1dffeb03dcc40a26b1",
     "code_encode_decode_combined(ring5)":
-        "a6f644b687a988aa238009f4c2308890b482664e37f1415ed78d316ead4ba524",
+        "3dd7fe0384634887899c891b3320d754d876a6fa002f3d69d98e0f0e1da78aa4",
     "epp_recurrence(1,BBPSSW)":
-        "7bebacb0f96a3981b0e74e618c12c1e19110c77960f55f7d81458a2f101154a8",
+        "da1c208804a05b8dbdb397100120dc1a05bd733f4c65c3c3da3932a816691b1e",
     "epp_recurrence(1,DEJMPS)":
-        "cdd90925d6958383dd06c6ecdf70f512896f0b785f5b81df4fa8dc6939e25b93",
+        "be26f8456d2fc5b4e7402f3b5fb60915fec3d45e7da2c16779c63089684bac58",
     "epp_recurrence(2,BBPSSW)":
-        "75f4e52af03f2ea7764c599d3622aea5efe799648e1f0d25fe775c2948297984",
+        "91e3bc6f95939026a81989b841936339db99a4b23a47c629a8b6861c3588c1d9",
     "epp_recurrence(2,DEJMPS)":
-        "0e555b1dd638fdb8eff280eb76f662fbd15137658a4f8a9435263a48c73c6c89",
+        "77be780e94e5b99b83213005f4cf5264de9cfa60973b901656468a533b19b57c",
     "epp_recurrence(3,BBPSSW)":
-        "e64462e9ab87d023b0b1361c15f56d164f8dfaf2a8b652f8c804fd0fc3b596ca",
+        "a059471fa2f869b160ecee0adfb1fa8d96cb13330f4ff1b58d571548bc4dee92",
     "epp_recurrence(3,DEJMPS)":
-        "93f809e525fdab067d5fe8984c6a7b7b6526aa6a81cc300cce3242f0102c302f",
+        "73e79b24e5292d81374732727977a23529a678362c40fac2c58e753e4dba9af9",
+    "epp_site_resource(1,A,BBPSSW)":
+        "335f53f87601ef2e0d1acd25b5727e77ad5b6abe1fbba449ca75df17f1c981c2",
+    "epp_site_resource(1,A,DEJMPS)":
+        "b8d6522019aa974278d12ec562d5135113dd16fd2633c78d73ddd20a04d729d7",
+    "epp_site_resource(1,B,BBPSSW)":
+        "a30e71ce5790c39d8e5d232721ab131076c3f6dd3ca32872a2d871011755493a",
+    "epp_site_resource(1,B,DEJMPS)":
+        "05f1b5c2f3c5663eee601eecefbddaca9d3e46f78e8a6f49d3da7cef99a86dff",
+    "epp_site_resource(2,A,BBPSSW)":
+        "a3b34e0ad56a57c3f5d10f0bcbb89de956ea99905c660f43d663d161c7144c46",
+    "epp_site_resource(2,A,DEJMPS)":
+        "d0509ed3d5f7ed7c5aad73429d20fce6a7bd7830a22df4663387d4ee902166d2",
+    "epp_site_resource(2,B,BBPSSW)":
+        "d5030443151848674881fbd18eb269890f93da78fd164cff7cf70189d0ae342f",
+    "epp_site_resource(2,B,DEJMPS)":
+        "0b00f5763493bf6ee278257936d450428519044d25206892599200158f2f3ad9",
+    "epp_site_resource(3,A,BBPSSW)":
+        "7309b51d637d9aea109dae2541bcb9b3b6cfd4876407e4dc51369c3b00562959",
+    "epp_site_resource(3,A,DEJMPS)":
+        "84892b755300a4f864dc2533dcf9931bf68d8837615b95598e01744f82d68985",
+    "epp_site_resource(3,B,BBPSSW)":
+        "eca1dfa952fdcbb5dbdbc86eff22433447e393cadc651fcfc32b348e2fe1da1e",
+    "epp_site_resource(3,B,DEJMPS)":
+        "4d14974b73f743fef5dc9920f07b6b59477402865bb71e3fa2518296ac02283d",
     "repeater_station(1)":
-        "b54e5e2e0bcb6ded0e0a58a4efc0052f4c800b1353f156d2f8427868dc75793a",
+        "a8086049828afb5a5a50177e2a8ae7806e1faa7f46211f540102baf815257f46",
     "repeater_station(2)":
-        "9b138985a5261627d485d993c4603812408a2dce1bbb5489a014cb97ead1c771",
+        "3b2a1b2429d8ac9b2bdec6df4db6383498325c2fca6edcf82f98e013f4d20bc3",
 }
 
 
@@ -470,15 +490,14 @@ def test_a_repeated_build_returns_the_same_object():
     assert code_by_name("ring5") is code
     for build in (code_encode, code_decode_syndrome, code_correct):
         assert build(code) is build(code)
-    assert epp_recurrence(2) is epp_recurrence(2, "DEJMPS") is epp_recurrence(2, variant="DEJMPS")
-    assert epp_site_resource(1, "A") is epp_site_resource(1, "A", "DEJMPS")
+    assert epp_site_resource(1, "A") is epp_site_resource(1, "A", "DEJMPS") \
+        is epp_site_resource(1, "A", variant="DEJMPS")
 
 
 def test_catalog_builders_stay_plain_functions_returning_resources():
     # the benchmark counts builds as calls of catalog functions annotated
     # to return a ResourceSpec; a memo object such as lru_cache would hide them
-    for build in (epp_site_resource, epp_recurrence, code_encode, code_decode_syndrome,
-                  code_correct):
+    for build in (epp_site_resource, code_encode, code_decode_syndrome, code_correct):
         assert inspect.isfunction(build)
         assert inspect.signature(build).return_annotation in ("ResourceSpec", ResourceSpec)
 
@@ -489,15 +508,15 @@ def test_a_repeated_positional_call_binds_no_signature(monkeypatch):
     bind = inspect.Signature.bind
     monkeypatch.setattr(inspect.Signature, "bind",
                         lambda self, *a, **k: binds.append(a) or bind(self, *a, **k))
-    first = epp_recurrence(2)
+    first = epp_site_resource(2, "A")
     assert binds
     binds.clear()
-    assert epp_recurrence(2) is first
+    assert epp_site_resource(2, "A") is first
     assert binds == []
     # every spelling of the same arguments answers with the same object
-    assert epp_recurrence(2, "DEJMPS") is first
-    assert epp_recurrence(rounds=2) is first
-    assert epp_recurrence(2, variant="DEJMPS") is first
+    assert epp_site_resource(2, "A", "DEJMPS") is first
+    assert epp_site_resource(rounds=2, role="A") is first
+    assert epp_site_resource(2, "A", variant="DEJMPS") is first
 
 
 def test_a_code_keys_its_resources_by_identity():

@@ -1,9 +1,10 @@
 """The frame map and its one reader: the map and `byproduct`, output
-letters, syndrome and check parities, against the reading by
-conjugation through the circuit; the purification engine's reading of
-`byproduct` (kept iff no readout bit is set, the Bell index of the kept
-pair's letters) against that reading and against the tableau on
-injected error patterns; no tableau work per purification attempt; and
+letters and syndrome, against the reading by conjugation through the
+circuit; the purification engine's reading of its two site resources
+(kept iff the two syndromes agree, the Bell index of the kept pair's
+letters) against that reading and against the tableau, both through the
+sites' side-by-side product, on injected error patterns; no tableau
+work per purification attempt and no resource but the two sites; and
 the QEC stations' table reading against the conjugation oracle on every
 single and double error, where the batched station maps of the error
 enumeration give the tableau's verdicts without running it."""
@@ -14,14 +15,14 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from mbqcomm import cli, protocols, resources
+from mbqcomm import catalog, cli, protocols, resources
 from mbqcomm.belldiag import werner
 from mbqcomm.catalog import (
     code_by_name,
     code_correct,
     code_decode_syndrome,
     code_encode,
-    epp_recurrence,
+    epp_site_resource,
 )
 from mbqcomm.netsim import corrected
 from mbqcomm.noise import NoiseModel
@@ -35,10 +36,12 @@ from oracles import (
     conjugation_station,
     copy_state,
     correction_for,
+    epp_recurrence,
     forced_teleport,
     logical_flips,
     repeater_station,
     single_and_double_errors,
+    sites_agree,
     syndrome_of,
 )
 
@@ -67,25 +70,29 @@ def tableau_run(spec, errors, seed):
     sides = [label.split("/in") for label in spec.inputs]
     hosts = [2 * int(k) + (side == "R") for side, k in sides]
     result = forced_teleport(replace(spec, state=state), host, hosts, rng=make_rng(seed))
-    if not result.reading.keep:
+    if not sites_agree(result.reading.syndrome):
         return False, None
     left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
     return True, result.state.bell_measure(left, right, None, [])
 
 
-def pair_reading(spec, in_codes, out_codes):
-    """Kept flag and output Bell index of attempts given by their frames,
-    read as `purify_recurrence_stabilizer` reads them: kept iff no
-    readout bit of `byproduct` is set, the index the XOR of the output
-    letters and `out_codes` on L/out0 and R/out0."""
-    out, readout = spec.byproduct(in_codes)
-    left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
-    return ~readout.any(axis=0), out[left] ^ out[right] ^ out_codes[left] ^ out_codes[right]
+def pair_reading(rounds, in_codes, out_codes):
+    """Kept flag and output Bell index of attempts given by their frames
+    in `epp_recurrence`'s input order, read as
+    `purify_recurrence_stabilizer` reads them: site A's `byproduct` reads
+    the first 2^rounds letters and site B's the rest, an attempt is kept
+    iff the two syndromes agree, and the index is the XOR of the two
+    output letters and `out_codes` on L/out0 and R/out0."""
+    n = 1 << rounds
+    out_a, read_a = epp_site_resource(rounds, "A").byproduct(in_codes[:n])
+    out_b, read_b = epp_site_resource(rounds, "B").byproduct(in_codes[n:])
+    return (read_a == read_b).all(axis=0), out_a[0] ^ out_b[0] ^ out_codes[0] ^ out_codes[1]
 
 
-def frame_runs(spec, patterns):
+def frame_runs(rounds, patterns):
     """Kept flags and output Bell indices of the frame kernel, one column
-    per error pattern."""
+    per error pattern on `epp_recurrence(rounds)`."""
+    spec = epp_recurrence(rounds)
     n_in = len(spec.inputs)
     in_codes = np.zeros((n_in, len(patterns)), dtype=np.uint8)
     out_codes = np.zeros((len(spec.outputs), len(patterns)), dtype=np.uint8)
@@ -97,7 +104,7 @@ def frame_runs(spec, patterns):
                 in_codes[q, s] ^= CODES[letter]
             else:
                 out_codes[q - n_in, s] ^= CODES[letter]
-    return pair_reading(spec, in_codes, out_codes)
+    return pair_reading(rounds, in_codes, out_codes)
 
 
 @pytest.mark.parametrize("spec", [
@@ -115,21 +122,16 @@ def test_frame_map_is_the_byproduct_of_every_letter(spec):
         info = conjugation_reading(spec, codes)
         assert list(out[k, code]) == info.frame.codes()
         assert list(flips[k, code]) == [info.bits[vm.name] for vm in spec.virtual_meas]
-        table_out, readout = spec.byproduct(np.array(codes, dtype=np.uint8))
+        table_out, syndrome = spec.byproduct(np.array(codes, dtype=np.uint8))
         assert list(table_out) == info.frame.codes()
-        assert len(readout) == n_syndrome + len(spec.checks)
-        syndrome, checks = readout[:n_syndrome], readout[n_syndrome:]
+        assert len(syndrome) == n_syndrome
         assert list(syndrome) == list(flips[k, code][syndrome_at]) == list(info.syndrome)
-        assert list(checks) == [sum(info.bits[name] for name in check) % 2
-                                for check in spec.checks]
-        assert (not checks.any()) == info.keep
 
 
 def test_byproduct_of_many_shots_is_each_shot_by_itself():
     spec = code_correct(code_by_name("ring5"))
     codes = np.random.default_rng(3).integers(0, 4, size=(len(spec.inputs), 7), dtype=np.uint8)
     out, syndrome = spec.byproduct(codes)
-    assert not spec.checks  # a station's readout is its syndrome
     assert out.shape == (len(spec.outputs), 7) and syndrome.shape == (len(spec.syndrome), 7)
     for s in range(7):
         one_out, one_syndrome = spec.byproduct(codes[:, s])
@@ -142,7 +144,7 @@ def test_byproduct_of_many_shots_is_each_shot_by_itself():
 @pytest.mark.parametrize("rounds", [3, 5])
 def test_frames_match_the_byproduct_rule_on_random_frames(rounds):
     # dense and sparse frames: many distinct virtual-bit patterns over
-    # several bytes, and some attempts that pass every check
+    # several bytes, and some attempts whose sites agree on every target
     spec = epp_recurrence(rounds)
     rng = np.random.default_rng(rounds)
     n = 300
@@ -150,13 +152,13 @@ def test_frames_match_the_byproduct_rule_on_random_frames(rounds):
     in_codes = rng.integers(1, 4, size=(len(spec.inputs), n), dtype=np.uint8)
     in_codes[rng.random(in_codes.shape) > density] = 0
     out_codes = rng.integers(0, 4, size=(len(spec.outputs), n), dtype=np.uint8)
-    keep, index = pair_reading(spec, in_codes, out_codes)
+    keep, index = pair_reading(rounds, in_codes, out_codes)
     left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
     patterns = set()
     for s in range(n):
         info = conjugation_reading(spec, in_codes[:, s])
         patterns.add(tuple(info.bits.values()))
-        assert keep[s] == info.keep
+        assert keep[s] == sites_agree(info.syndrome)
         frame = info.frame.codes()
         assert index[s] == frame[left] ^ frame[right] ^ out_codes[left, s] ^ out_codes[right, s]
     assert 0 < keep.sum() < n and len(patterns) > n // 2
@@ -172,7 +174,7 @@ def error_patterns(spec, weight):
 def test_frames_match_the_tableau_on_every_injected_pattern(rounds, weights):
     spec = epp_recurrence(rounds)
     patterns = [()] + [p for w in weights for p in error_patterns(spec, w)]
-    keep, index = frame_runs(spec, patterns)
+    keep, index = frame_runs(rounds, patterns)
     for s, errors in enumerate(patterns):
         for seed in SEEDS:
             kept, tableau_index = tableau_run(spec, errors, seed)
@@ -196,6 +198,20 @@ def test_stabilizer_purify_runs_no_tableau_per_attempt(monkeypatch):
     stats = purify_recurrence(werner(0.8), 1, NoiseModel(0.97, 0.97), samples=100,
                               rng=make_rng(3), engine="stabilizer")
     assert stats.extra["counts"]["attempts"] == 100
+
+
+def test_stabilizer_purify_reads_the_two_site_resources(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the purification engine merged resources")
+
+    monkeypatch.setattr(catalog, "_BUILT", {})
+    monkeypatch.setattr(resources, "merge", forbidden)
+    monkeypatch.setattr(catalog, "merge", forbidden)
+    for rounds in (1, 2):
+        protocols.purify_recurrence_stabilizer(
+            werner(0.8), rounds, NoiseModel(0.97, 0.97), 100, make_rng(3))
+    assert {key[:3] for key in catalog._BUILT} == {
+        ("epp_site_resource", rounds, role) for rounds in (1, 2) for role in "AB"}
 
 
 def read_station(code, spec, state, frame, rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbqcomm.catalog import code_by_name, code_decode_syndrome, code_encode, epp_recurrence
+from mbqcomm.catalog import code_by_name, code_decode_syndrome, code_encode
 from mbqcomm.pauli import PauliError, PauliString
 from mbqcomm.tableau import InconsistentProjection, StabilizerState, TableauError
 import oracles
@@ -17,6 +17,7 @@ from oracles import (
     bell_measure_and_drop,
     copy_state,
     density,
+    epp_recurrence,
     fidelity_with_vec,
     graph_state,
     is_connected,
