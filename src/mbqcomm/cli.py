@@ -13,12 +13,18 @@ each print one `ResultRecord` (schema 2) as one JSON line; what a run
 reports beside the fixed columns, such as resource counts, is in its
 `report` object. `--csv-out` also writes the record as a one-row CSV
 file. `threshold` prints its own report.
+
+`main` builds the parser of the invoked subcommand alone when its
+arguments start with a subcommand name; the full parser, with all six,
+is built only for help, `--version`, and a missing or unknown
+subcommand. Both print the same usage, help and error text. Modules that
+one subcommand or option alone uses (the threshold solvers, INI and CSV
+handling) are imported by the code that uses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import os
 import sys
@@ -37,14 +43,6 @@ from .noise import NoiseModel
 from .protocols import purify_hashing, purify_recurrence
 from .results import ResultRecord, config_hash, write_csv
 from .rng import make_rng
-from .thresholds import (
-    code_threshold,
-    dephasing_repetition_threshold,
-    hashing_threshold,
-    repeater_threshold,
-    shor_type_threshold,
-    universal_epp_threshold,
-)
 
 # defaults shared by the flags and the chain INI file
 SAMPLES, SEED, SEGMENTS, CODE = 10_000, 1, 3, "ring5"
@@ -217,6 +215,8 @@ def _config_number(sec, key: str, kind, default):
 def parse_chain_config(path: str, exact: str | None) -> ChainConfig:
     """The chain an INI file sets. `exact`, the context of an exact mode,
     rejects the `samples` key, which no exact mode reads."""
+    import configparser  # only a chain INI file needs it
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
@@ -306,6 +306,15 @@ def assumption(formula: str, text: str | None):
 
 
 def cmd_threshold(args) -> int:
+    from .thresholds import (  # only this subcommand needs the solvers
+        code_threshold,
+        dephasing_repetition_threshold,
+        hashing_threshold,
+        repeater_threshold,
+        shor_type_threshold,
+        universal_epp_threshold,
+    )
+
     regime = assumption(args.formula, args.assume)
     reject_unread([(flag, value) for flag, value, formula in
                    (("--code", args.code, "code"), ("--segments", args.segments, "repeater"))
@@ -329,14 +338,7 @@ def cmd_threshold(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = OneLineParser(
-        prog="mbqcomm",
-        description="measurement-based quantum communication simulator",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_purify(sub):
     p = sub.add_parser("purify", help="recurrence entanglement purification")
     p.add_argument("--F", type=probability, required=True,
                    help="Werner fidelity of the input pairs, channel noise included")
@@ -349,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_args(p)
     p.set_defaults(func=cmd_purify)
 
+
+def _add_hashing(sub):
     p = sub.add_parser("hashing", help="hashing purification (exact decode)")
     p.add_argument("--F", type=probability, required=True,
                    help="Werner fidelity of the input pairs, channel noise included")
@@ -358,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_args(p)
     p.set_defaults(func=cmd_hashing)
 
+
+def _add_qec(sub):
     p = sub.add_parser("qec", help="measurement-based error correction")
     p.add_argument("--code", default=CODE)
     p.add_argument("--enumerate-errors", action="store_true")
@@ -365,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_args(p)
     p.set_defaults(func=cmd_qec)
 
+
+def _add_chain(sub):
     p = sub.add_parser("chain", help="encoded transmission chain")
     p.add_argument("--config", default=None, help="INI chain config file")
     p.add_argument("--segments", type=int, default=None, help=f"defaults to {SEGMENTS}")
@@ -378,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_args(p)
     p.set_defaults(func=cmd_chain)
 
+
+def _add_repeater(sub):
     p = sub.add_parser("repeater", help="nested repeater chain")
     p.add_argument("--segments", type=int, default=REPEATER_SEGMENTS)
     p.add_argument("--rounds", type=int, default=1)
@@ -386,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_args(p)
     p.set_defaults(func=cmd_repeater)
 
+
+def _add_threshold(sub):
     p = sub.add_parser("threshold", help="closed-form threshold solvers and the "
                                          "repeater's exact fidelity-1/2 crossing")
     p.add_argument("--formula", required=True,
@@ -399,12 +411,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"repeater only; defaults to {REPEATER_SEGMENTS}")
     p.set_defaults(func=cmd_threshold)
 
+
+# each subcommand's parser, in the order the top-level help lists them
+SUBCOMMANDS = {"purify": _add_purify, "hashing": _add_hashing, "qec": _add_qec,
+               "chain": _add_chain, "repeater": _add_repeater, "threshold": _add_threshold}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a subcommand name, it holds that subcommand's
+    parser alone, and it parses that subcommand's arguments as the full
+    parser does."""
+    parser = OneLineParser(
+        prog="mbqcomm",
+        description="measurement-based quantum communication simulator",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add in SUBCOMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run that names its subcommand first builds that subparser alone;
+    # help, --version and a missing or unknown subcommand need them all
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         rc = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -19,11 +19,24 @@ and 0 <= phase < 4. Products, phase changes, placements and Clifford
 images of such operands satisfy it too, so they are built by
 `_unchecked`, which skips the checks; the result is equal to, and
 hashes like, the same operator built through the public constructor.
+
+A gate is appended to a Clifford map (`CliffordMap.then_gate`,
+`circuit_map`) where it acts, as in Aaronson and Gottesman's tableau
+update (PRA 70, 052328, 2004). X^x Z^z factorises over qubits with no
+sign, so each image's letters on the gate's one or two qubits map alone
+to i^d X^x' Z^z' through a small table, and its other letters and its
+phase carry over unchanged. The table holds the 4 or 16 local letter
+pairs and is built once per gate from `gate_map` on the gate's own
+qubits, so `_SINGLE_GATE_IMAGES` and `gate_map` stay the only
+definitions of the gates. `gate_map`, `then_gate` and `circuit_map`
+reject a gate with a wrong qubit count, a qubit outside the register or
+a qubit given twice, in one line, before they apply it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import gf2
@@ -228,6 +241,7 @@ _SINGLE_GATE_IMAGES = {
     "SQX": ("+X", "-Y"),
     "SQXDG": ("+X", "+Y"),
 }
+_TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
 
 
 @dataclass(frozen=True)
@@ -325,9 +339,14 @@ class CliffordMap:
     # -- circuit-style construction -----------------------------------
 
     def then_gate(self, gate: str, *qubits: int) -> "CliffordMap":
-        """Return the map with `gate` appended after the current circuit."""
-        g = gate_map(self.n, gate, *qubits)
-        return g.compose(self)
+        """Return the map with `gate` appended after the current circuit.
+        Only the letters each image has on the gate's qubits are rewritten
+        (see the module docstring)."""
+        name = _gate_name(self.n, gate, qubits)
+        images = list(self.image_x + self.image_z)
+        on = {q: {k for k, p in enumerate(images) if (p.x | p.z) >> q & 1} for q in qubits}
+        _append_gate(images, on, self.n, name, qubits)
+        return _unchecked_map(self.n, images)
 
     def inverse(self) -> "CliffordMap":
         """Inverse Clifford, computed by inverting the image table."""
@@ -388,15 +407,102 @@ def complete_clifford(image_x: dict[int, PauliString],
                                    [known["z", k] for k in range(n)])
 
 
+def _unchecked_map(n: int, images: list[PauliString]) -> CliffordMap:
+    """CliffordMap of n X images, then n Z images, that already act on n
+    qubits; nothing is checked."""
+    c = object.__new__(CliffordMap)
+    d = c.__dict__
+    d["n"] = n
+    d["image_x"] = tuple(images[:n])
+    d["image_z"] = tuple(images[n:])
+    return c
+
+
+def _gate_name(n: int, gate: str, qubits: Sequence[int]) -> str:
+    """The upper-case name of `gate`, once its qubit list is checked: as
+    many qubits as the gate acts on, each in range(n) and none twice."""
+    name = gate.upper()
+    if name in _SINGLE_GATE_IMAGES:
+        arity = 1
+    elif name in _TWO_QUBIT_GATES:
+        arity = 2
+    else:
+        raise PauliError(f"unknown gate {name!r}")
+    if len(qubits) != arity:
+        raise PauliError(f"{name} acts on {arity} qubit{'s' * (arity > 1)}, "
+                         f"got {len(qubits)}: {list(qubits)}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise PauliError(f"{name}: qubit {q} out of range for n={n}")
+    if arity == 2 and qubits[0] == qubits[1]:
+        raise PauliError(f"{name}: qubit {qubits[0]} given twice")
+    return name
+
+
+@lru_cache(maxsize=None)
+def _local_table(name: str) -> tuple[tuple[int, int, int], ...]:
+    """Entry x | z << k of a k-qubit gate G is (x', z', d) with
+    G X^x Z^z G^dagger = i^d X^x' Z^z' on the gate's own qubits, local
+    bit i meaning the gate's i-th qubit. Built once per gate from
+    `gate_map` on k wires."""
+    k = 1 if name in _SINGLE_GATE_IMAGES else 2
+    g = gate_map(k, name, *range(k))
+    images = (g.conjugate(_unchecked(k, code & (1 << k) - 1, code >> k, 0))
+              for code in range(1 << 2 * k))
+    return tuple((p.x, p.z, p.phase) for p in images)
+
+
+def _append_gate(images: list[PauliString], on, n: int, name: str, qubits: Sequence[int]):
+    """Conjugate each n-qubit Pauli in `images` through the gate `name`
+    (as `_gate_name` returns it, qubits checked), in place.
+
+    `on[q]` is the set of indices of the images with a letter on qubit q,
+    for each of the gate's qubits; only those images are read, and the
+    sets are kept up to date. X^x Z^z factorises over qubits with no
+    sign, so an image's letters on the gate's qubits map alone, through
+    `_local_table`; its other letters are kept, and its phase gains the
+    table's power of i.
+    """
+    table = _local_table(name)
+    if len(qubits) == 1:
+        # a one-qubit Clifford keeps a letter a letter: `on` stays as it is
+        (a,) = qubits
+        keep = ~(1 << a)
+        for k in on[a]:
+            p = images[k]
+            x, z = p.x, p.z
+            nx, nz, d = table[(x >> a & 1) | (z >> a & 1) << 1]
+            images[k] = _unchecked(n, x & keep | nx << a, z & keep | nz << a,
+                                   (p.phase + d) & 3)
+        return
+    a, b = qubits
+    keep = ~(1 << a | 1 << b)
+    on_a, on_b = set(), set()
+    for k in on[a] | on[b]:
+        p = images[k]
+        x, z = p.x, p.z
+        nx, nz, d = table[(x >> a & 1) | (x >> b & 1) << 1
+                          | (z >> a & 1) << 2 | (z >> b & 1) << 3]
+        images[k] = _unchecked(n, x & keep | (nx & 1) << a | (nx >> 1) << b,
+                               z & keep | (nz & 1) << a | (nz >> 1) << b, (p.phase + d) & 3)
+        if (nx | nz) & 1:
+            on_a.add(k)
+        if (nx | nz) & 2:
+            on_b.add(k)
+    on[a], on[b] = on_a, on_b
+
+
 def gate_map(n: int, gate: str, *qubits: int) -> CliffordMap:
     """CliffordMap of a named gate acting on the given qubits of n wires.
 
     Single-qubit gates: I, H, S, SDG, X, Y, Z, SQX, SQXDG.
     Two-qubit gates: CNOT(control, target), CZ(a, b), SWAP(a, b).
+    A wrong qubit count, a qubit outside range(n) or a qubit given twice
+    raises PauliError before any work.
     """
+    gate = _gate_name(n, gate, qubits)
     ident = CliffordMap.identity(n)
     ix, iz = list(ident.image_x), list(ident.image_z)
-    gate = gate.upper()
     if gate in _SINGLE_GATE_IMAGES:
         (q,) = qubits
         sx, sz = _SINGLE_GATE_IMAGES[gate]
@@ -410,12 +516,10 @@ def gate_map(n: int, gate: str, *qubits: int) -> CliffordMap:
         a, b = qubits
         ix[a] = PauliString.single(n, a, "X") * PauliString.single(n, b, "Z")
         ix[b] = PauliString.single(n, b, "X") * PauliString.single(n, a, "Z")
-    elif gate == "SWAP":
+    else:
         a, b = qubits
         ix[a], ix[b] = ix[b], ix[a]
         iz[a], iz[b] = iz[b], iz[a]
-    else:
-        raise PauliError(f"unknown gate {gate!r}")
     return CliffordMap(n, tuple(ix), tuple(iz))
 
 
@@ -425,9 +529,12 @@ def _expand_single(n: int, qubit: int, text: str) -> PauliString:
 
 
 def circuit_map(n: int, gates: Iterable[tuple]) -> CliffordMap:
-    """Compose a gate list [(name, qubits...), ...] applied left to right."""
-    c = CliffordMap.identity(n)
+    """Compose a gate list [(name, qubits...), ...] applied left to right,
+    each gate appended in place to one list of images."""
+    ident = CliffordMap.identity(n)
+    images = list(ident.image_x + ident.image_z)
+    on = [{q, n + q} for q in range(n)]  # the images of X_q and Z_q
     for name, *qs in gates:
-        c = c.then_gate(name, *qs)
-    return c
+        _append_gate(images, on, n, _gate_name(n, name, qs), qs)
+    return _unchecked_map(n, images)
 

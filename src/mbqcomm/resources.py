@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .noise import NoiseModel, apply_sampled_noise
-from .pauli import CliffordMap, PauliString, gate_map
+from .pauli import CliffordMap, PauliString
 from .tableau import InconsistentProjection, StabilizerState, TableauError
 
 _ANCILLA_LETTERS = ("Z", "X")  # |0> and |+>
@@ -347,7 +347,7 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     connected = [(r1.output_wires[r1.outputs.index(o)], r2.input_wires[r2.inputs.index(i)] + w1)
                  for o, i in connections]
     for wo, wi in connected:
-        circuit = gate_map(w, "SWAP", wo, wi) @ circuit
+        circuit = circuit.then_gate("SWAP", wo, wi)
     circuit = r2.circuit.shifted(w, w1) @ circuit
     connected_out = {wo for wo, _ in connected}
     connected_in = {wi for _, wi in connected}

@@ -14,7 +14,6 @@ canonical JSON. Schema 2 added `report`.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
@@ -97,6 +96,8 @@ CSV_HEADER = ("schema", *(f.metadata.get("column", f.name) for f in fields(Resul
 
 
 def write_csv(path: str, records: list[ResultRecord]):
+    import csv  # only --csv-out needs it
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)

@@ -1,5 +1,7 @@
 """Reference implementations that several test files compare the package
-against: dense state vectors and density matrices, stabilizer-state
+against: dense state vectors and density matrices, gates appended by
+composing with their full n-wire `gate_map` (which checks the package's
+rewriting of the gate's qubits alone), stabilizer-state
 helpers the commands never call (among them a tableau copy, the
 Gauss-Jordan qubit removal that checks the package's one-pass removal,
 and Bell measurements that drop their pair at once or have a forced
@@ -342,6 +344,21 @@ def validate_tableau(state: StabilizerState):
         for j in range(k + 1, n):
             if not d.commutes(destabs[j]):
                 raise TableauError(f"destabilizers {k},{j} do not commute")
+
+
+def then_gate_composed(c: CliffordMap, gate: str, *qubits: int) -> CliffordMap:
+    """`c` with `gate` appended by conjugating all its images through the
+    gate's full n-wire map: the oracle of `CliffordMap.then_gate`."""
+    return gate_map(c.n, gate, *qubits) @ c
+
+
+def circuit_composed(n: int, gates) -> CliffordMap:
+    """A gate list [(name, qubits...), ...] composed gate by gate through
+    `then_gate_composed`: the oracle of `pauli.circuit_map`."""
+    c = CliffordMap.identity(n)
+    for name, *qubits in gates:
+        c = then_gate_composed(c, name, *qubits)
+    return c
 
 
 def apply_gate(state: StabilizerState, name: str, *qubits: int):

@@ -848,11 +848,94 @@ def test_closed_stdout_exits_0_silently(argv, buffered):
 
 def test_importing_the_cli_draws_nothing_and_builds_nothing():
     # set-up work belongs inside `main`, where each run pays for it: the
-    # import alone loads no random generator and builds no catalog entry
+    # import alone loads no random generator and builds no catalog entry;
+    # modules that one subcommand or option alone uses are loaded by it
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     check = ("import sys, mbqcomm.cli, mbqcomm.catalog as c; "
-             "assert 'numpy.random' not in sys.modules, 'numpy.random imported'; "
+             "loaded = [m for m in ('numpy.random', 'csv', 'configparser', "
+             "'mbqcomm.thresholds') if m in sys.modules]; "
+             "assert not loaded, loaded; "
              "assert not c._BUILT, c._BUILT")
     child = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                            text=True, timeout=60)
     assert child.returncode == 0, child.stderr
+
+
+def parse(parser, argv, capsys):
+    """(exit status, stdout, stderr) of `parser.parse_args(argv)`; status
+    None when it parses."""
+    try:
+        parser.parse_args(argv)
+        rc = None
+    except SystemExit as exc:
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+# per subcommand: arguments that parse, an option with a bad value, and
+# the arguments with a required option missing (None: it has none)
+PARSE_CASES = {
+    "purify": (["--F", "0.8"], ["--F", "0.8", "--rounds", "x"], []),
+    "hashing": (["--F", "0.9"], ["--F", "0.9", "--pairs", "x"], ["--pairs", "4"]),
+    "qec": ([], ["--samples", "0"], None),
+    "chain": ([], ["--mode", "bad"], None),
+    "repeater": ([], ["--rounds", "x"], None),
+    "threshold": (["--formula", "hashing"], ["--formula", "bad"], ["--code", "ring5"]),
+}
+
+
+def test_every_subcommand_has_parse_cases():
+    assert set(PARSE_CASES) == set(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CASES))
+def test_one_subcommand_parser_parses_as_the_full_parser(name, monkeypatch, capsys):
+    # `main` builds the invoked subcommand's parser alone; what it prints
+    # and the status it exits with are those of the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    ok, bad_value, missing = PARSE_CASES[name]
+    no_value = "--segments" if name == "threshold" else "--samples"
+    cases = [["--help"], ok + ["--unknown", "1"], ok + ["stray"], bad_value, ok + [no_value]]
+    if missing is not None:
+        cases.append(missing)
+    for argv in cases:
+        full = parse(cli.build_parser(), [name, *argv], capsys)
+        alone = parse(cli.build_parser(name), [name, *argv], capsys)
+        assert alone == full, argv
+        assert full[0] in (0, 2) and (full[1] or full[2]), argv
+    assert parse(cli.build_parser(name), [name, *ok], capsys) == (None, "", "")
+
+
+TOP_LEVEL_HELP = """\
+usage: mbqcomm [-h] [--version]
+               {purify,hashing,qec,chain,repeater,threshold} ...
+
+measurement-based quantum communication simulator
+
+positional arguments:
+  {purify,hashing,qec,chain,repeater,threshold}
+    purify              recurrence entanglement purification
+    hashing             hashing purification (exact decode)
+    qec                 measurement-based error correction
+    chain               encoded transmission chain
+    repeater            nested repeater chain
+    threshold           closed-form threshold solvers and the repeater's exact
+                        fidelity-1/2 crossing
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], (2, "", "mbqcomm: error: the following arguments are required: command\n")),
+    (["--help"], (0, TOP_LEVEL_HELP, "")),
+    (["--version"], (0, "0.2.0\n", "")),
+    (["nope"], (2, "", "mbqcomm: error: argument command: invalid choice: 'nope' (choose "
+                       "from 'purify', 'hashing', 'qec', 'chain', 'repeater', 'threshold')\n")),
+])
+def test_top_level_output_is_kept(argv, expected, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv, capsys) == expected

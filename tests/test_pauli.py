@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbqcomm.belldiag import epp_site_circuit
 from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map, gate_map
 from mbqcomm.tableau import StabilizerState
 import oracles
@@ -317,3 +318,93 @@ def test_shifted_rejects_a_block_outside_the_register():
             c.shifted(n, start)
     assert c.shifted(5, 2) == embed_map(c, 5, [2, 3])
 
+
+
+ONE_QUBIT_GATES = ("I", "H", "S", "SDG", "X", "Y", "Z", "SQX", "SQXDG")
+TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
+
+
+def arity(name: str) -> int:
+    return 2 if name in TWO_QUBIT_GATES else 1
+
+
+@st.composite
+def gates_on(draw, n: int):
+    """One (name, qubits...) gate on n wires, over every gate name that fits."""
+    names = ONE_QUBIT_GATES + (TWO_QUBIT_GATES if n >= 2 else ())
+    name = draw(st.sampled_from(names))
+    return (name, *draw(st.permutations(range(n)))[:arity(name)])
+
+
+@pytest.mark.parametrize("name", ONE_QUBIT_GATES + TWO_QUBIT_GATES)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.data())
+def test_then_gate_equals_composition_with_the_full_gate_map(name, data):
+    n = data.draw(st.integers(arity(name), 8))
+    c = oracles.circuit_composed(n, data.draw(st.lists(gates_on(n), max_size=12)))
+    qubits = data.draw(st.permutations(range(n)))[:arity(name)]
+    assert c.then_gate(name, *qubits) == oracles.then_gate_composed(c, name, *qubits)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_circuit_map_equals_composition_gate_by_gate(data):
+    n = data.draw(st.integers(1, 8))
+    gates = data.draw(st.lists(gates_on(n), max_size=40))
+    c = circuit_map(n, gates)
+    assert c == oracles.circuit_composed(n, gates)
+    assert c.is_valid()
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("role", ["A", "B"])
+@pytest.mark.parametrize("variant", ["DEJMPS", "BBPSSW"])
+def test_site_circuit_map_equals_composition(rounds, role, variant):
+    gates, _ = epp_site_circuit(rounds, role, variant)
+    assert circuit_map(1 << rounds, gates) == oracles.circuit_composed(1 << rounds, gates)
+
+
+def appenders(n: int):
+    """Every way to append a gate to an n-wire map."""
+    return (lambda name, *qs: gate_map(n, name, *qs),
+            lambda name, *qs: CliffordMap.identity(n).then_gate(name, *qs),
+            lambda name, *qs: circuit_map(n, [(name, *qs)]))
+
+
+def rejected(append, name, qubits) -> str:
+    """The one-line message that rejects appending `name` on `qubits`."""
+    with pytest.raises(PauliError) as exc:
+        append(name, *qubits)
+    assert "\n" not in str(exc.value)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("name, qubits", [("CNOT", (1, 1)), ("CZ", (2, 2)), ("SWAP", (0, 0))])
+def test_a_repeated_qubit_is_rejected(name, qubits):
+    # before, CNOT(1, 1) and CZ(2, 2) gave maps that are not symplectic
+    for append in appenders(3):
+        assert rejected(append, name, qubits) == f"{name}: qubit {qubits[0]} given twice"
+
+
+@pytest.mark.parametrize("name, qubits, expected", [
+    ("H", (0, 1), "H acts on 1 qubit, got 2: [0, 1]"),
+    ("s", (), "S acts on 1 qubit, got 0: []"),
+    ("CNOT", (0,), "CNOT acts on 2 qubits, got 1: [0]"),
+    ("SWAP", (0, 1, 2), "SWAP acts on 2 qubits, got 3: [0, 1, 2]"),
+])
+def test_a_wrong_qubit_count_is_rejected(name, qubits, expected):
+    for append in appenders(3):
+        assert rejected(append, name, qubits) == expected
+
+
+@pytest.mark.parametrize("name, qubits, bad", [
+    ("H", (-1,), -1), ("X", (3,), 3), ("CNOT", (0, 3), 3), ("CZ", (-2, 1), -2),
+])
+def test_an_out_of_range_qubit_is_rejected(name, qubits, bad):
+    for append in appenders(3):
+        assert rejected(append, name, qubits) == f"{name}: qubit {bad} out of range for n=3"
+
+
+def test_an_unknown_gate_is_rejected():
+    for append in appenders(2):
+        assert rejected(append, "cx", (0, 1)) == "unknown gate 'CX'"
