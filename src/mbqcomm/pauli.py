@@ -92,6 +92,8 @@ class PauliString:
         """Single-qubit Pauli `letter` on `qubit`, identity elsewhere."""
         if not 0 <= qubit < n:
             raise PauliError(f"qubit {qubit} out of range for n={n}")
+        if letter not in _LETTER_TO_BITS:
+            raise PauliError(f"unknown Pauli letter {letter!r}")
         xb, zb = _LETTER_TO_BITS[letter]
         phase = 1 if letter == "Y" else 0
         return cls(n, xb << qubit, zb << qubit, phase)
@@ -159,10 +161,6 @@ class PauliString:
     @property
     def is_hermitian(self) -> bool:
         return (self.phase - self.y_count) % 2 == 0
-
-    def support(self) -> list[int]:
-        bits = self.x | self.z
-        return [j for j in range(self.n) if (bits >> j) & 1]
 
     # -- algebra -------------------------------------------------------
 

@@ -1,26 +1,29 @@
 """Minimal measurement-based resource states and teleportation into them.
 
-A resource is the entangled state obtained by applying a Clifford wire
-circuit to halves of maximally entangled pairs (plus fixed ancilla
-feeds), optionally with some output wires pre-measured in a Pauli basis.
-Bell measurements couple host qubits into the inputs, and each outcome
-is read as the letter code 2x + z of its byproduct Pauli. A resource's
-GF(2) map on such codes (`ResourceSpec.frame_map`) is found once, by
-conjugating each unit Pauli on the inputs through the circuit: it gives
-the codes on the outputs and the flipped virtual outcomes of the
-pre-measured wires. A resource's readout is data: `syndrome` names the
-virtual outcomes it reads, in order. `ResourceSpec.byproduct` is the
-one reader of the map: reading any outcome tuple, or any error frame,
-is an XOR of one table row per input, which holds the output codes and
-the `syndrome` bits. What a protocol does with the readout is its own
-rule: a code station looks its syndrome up, and a purification round
-keeps the pair iff its two sites read the same bits.
+A resource is its description: a Clifford wire circuit applied to halves
+of maximally entangled pairs (plus fixed ancilla feeds), with some output
+wires pre-measured in one Pauli letter each (single-qubit Pauli
+measurements at preparation time; Raussendorf, Browne and Briegel, PRA
+68, 022312, 2003). Its tableau `ResourceSpec.state` is built on first
+read. Bell measurements couple host qubits into the inputs, and each
+outcome is read as the letter code 2x + z of its byproduct Pauli. A
+resource's GF(2) map on such codes (`ResourceSpec.frame_map`) is read
+off the letter columns of the circuit's images of each unit X_k and Z_k
+on the inputs: their letters at the outputs, and at each pre-measured
+wire whether they anticommute with the letter measured there. A
+resource's readout is data: `syndrome` names the virtual outcomes it
+reads, in order. `ResourceSpec.byproduct` is the one reader of the map:
+reading any outcome tuple, or any error frame, is an XOR of one table
+row per input, which holds the output codes and the `syndrome` bits.
+What a protocol does with the readout is its own rule: a code station
+looks its syndrome up, and a purification round keeps the pair iff its
+two sites read the same bits.
 
 Composite resources come from two operations. `merge` joins two
 resources by internal Bell measurements (none: the side-by-side
 product) and carries each side's labels, virtual measurements and
-syndrome under a `{name}/` prefix. `premeasure_joint` pre-measures
-Paulis on outputs; `premeasure_outputs` is its one-letter spelling.
+syndrome under a `{name}/` prefix. `premeasure_outputs` pre-measures
+outputs, one letter each.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ import numpy as np
 
 from .noise import NoiseModel, apply_sampled_noise
 from .pauli import CliffordMap, PauliString
-from .tableau import InconsistentProjection, StabilizerState, TableauError
+from .tableau import InconsistentProjection, StabilizerState
 
 _ANCILLA_LETTERS = ("Z", "X")  # |0> and |+>
+# [a, b] is 1 where the letters coded a and b (I, Z, X, Y = 0, 1, 2, 3) anticommute
+_ANTICOMMUTE = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]], np.uint8)
 
 
 class ResourceError(ValueError):
@@ -44,25 +49,30 @@ class ResourceError(ValueError):
 
 @dataclass(frozen=True)
 class VirtualMeasurement:
-    """A pre-measured Pauli on the circuit's output wire space."""
+    """A pre-measured Pauli letter on one wire of the circuit's output
+    wire space."""
 
     name: str
     operator: PauliString  # on the wire space
 
+    @property
+    def wire(self) -> int:
+        return (self.operator.x | self.operator.z).bit_length() - 1
+
 
 @dataclass(frozen=True)
 class ResourceSpec:
-    """Stabilizer resource state with labeled inputs/outputs.
-
-    The state qubits are ordered inputs first (matching `inputs`), then
-    the surviving outputs (matching `outputs`). `circuit` acts on the
-    wire space; `input_wires[k]` is the wire fed by input k and
-    `output_wires[k]` the wire of output k. `syndrome` names virtual
-    measurements (see the module docstring).
+    """Stabilizer resource state with labeled inputs/outputs, held as its
+    description: `circuit` acts on the wire space, `input_wires[k]` is
+    the wire fed by input k, `ancilla_init` the wires fed |0> ('Z') or
+    |+> ('X'), `virtual_meas` the one-letter pre-measurements, and
+    `output_wires[k]` the wire of output k (every wire not pre-measured).
+    `syndrome` names virtual measurements (see the module docstring).
+    The qubits of `state` are the inputs (matching `inputs`), then the
+    outputs (matching `outputs`).
     """
 
     name: str
-    state: StabilizerState
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     circuit: CliffordMap
@@ -75,19 +85,60 @@ class ResourceSpec:
     def __post_init__(self):
         if set(self.inputs) & set(self.outputs):
             raise ResourceError("inputs and outputs must be disjoint")
-        if len(self.inputs) + len(self.outputs) != self.state.n:
-            raise ResourceError("resource must contain exactly inputs + outputs")
         unknown = set(self.syndrome) - {vm.name for vm in self.virtual_meas}
         if unknown:
             raise ResourceError(f"no virtual measurement named {sorted(unknown)}")
 
     @property
     def n(self) -> int:
-        return self.state.n
+        return len(self.inputs) + len(self.outputs)
 
     @property
     def n_wires(self) -> int:
         return self.circuit.n
+
+    @cached_property
+    def state(self) -> StabilizerState:
+        """The resource's tableau, built once, on first read. The circuit
+        images give the stabilizers and destabilizers on the wire side;
+        each pre-measured letter is projected onto +1 and pinned as a
+        stabilizer row, and one `StabilizerState.drop_measured` drops the
+        pre-measured wires, which a single-qubit measurement leaves in a
+        product state.
+        """
+        circuit, n_in = self.circuit, len(self.inputs)
+        n = n_in + circuit.n
+        images = {"X": circuit.image_x, "Z": circuit.image_z}
+        # each input k and its wire start as the Bell pair XX, ZZ with
+        # destabilizers Z_k and X_wire, an ancilla as its letter L with
+        # destabilizer the other letter; the circuit maps the wire side.
+        # X_k or Z_k and the wire image act on disjoint qubits, so a pair's
+        # row has the image's phase
+        stabs, destabs = [], []
+        for k, wire in enumerate(self.input_wires):
+            ix, iz, bit = circuit.image_x[wire], circuit.image_z[wire], 1 << k
+            stabs += [PauliString(n, ix.x << n_in | bit, ix.z << n_in, ix.phase),
+                      PauliString(n, iz.x << n_in, iz.z << n_in | bit, iz.phase)]
+            destabs += [PauliString.single(n, k, "Z"), ix.shifted(n, n_in)]
+        for wire, letter in self.ancilla_init:
+            stabs.append(images[letter][wire].shifted(n, n_in))
+            destabs.append(images["X" if letter == "Z" else "Z"][wire].shifted(n, n_in))
+        # lightest rows first: a random pre-measurement multiplies its pivot,
+        # the first row it anticommutes with, into the others, so light pivots
+        # keep each input in few rows and the Bell measurements into it cheap
+        rows = sorted(zip(stabs, destabs), key=lambda r: (r[0].x | r[0].z).bit_count())
+        state = StabilizerState([s for s, _ in rows], [d for _, d in rows])
+        pinned: list[int] = []
+        for vm in self.virtual_meas:
+            try:
+                state.measure(vm.operator.shifted(n, n_in), force=+1, pinned=pinned)
+            except InconsistentProjection as exc:
+                raise ResourceError(
+                    f"pre-measurement {vm.name} has projection probability zero"
+                ) from exc
+        if pinned:
+            state.drop_measured(pinned, [n_in + vm.wire for vm in self.virtual_meas])
+        return state
 
     # -- outcomes and frames -------------------------------------------
 
@@ -98,24 +149,25 @@ class ResourceSpec:
 
         A one-qubit letter is coded 2x + z (I, Z, X, Y = 0, 1, 2, 3: the
         Bell index of a pair carrying it on one half), so codes multiply
-        by XOR. Each unit X_k and Z_k on the inputs is conjugated through
-        the circuit once. Returns (out, flips): out[k, c] holds the codes
-        on the outputs (in output order) of letter c riding into input k,
-        flips[k, c] the virtual-measurement bits it flips (in
-        `virtual_meas` order): those whose operator anticommutes with the
-        image.
+        by XOR. The circuit's images of the unit Z_k and X_k on the inputs
+        are unpacked once into letter columns, one per wire. Returns
+        (out, flips): out[k, c] holds the codes on the outputs (in output
+        order) of letter c riding into input k, and flips[k, c] the
+        virtual-measurement bits it flips (in `virtual_meas` order): the
+        anticommutation of its letter at each pre-measured wire with the
+        letter measured there.
         """
-        n_in = len(self.inputs)
-        out = np.zeros((n_in, 4, len(self.outputs)), dtype=np.uint8)
-        flips = np.zeros((n_in, 4, len(self.virtual_meas)), dtype=np.uint8)
-        for k, wire in enumerate(self.input_wires):
-            for code, letter in ((2, "X"), (1, "Z")):
-                pushed = self.circuit.conjugate(PauliString.single(self.n_wires, wire, letter))
-                letters = pushed.codes()
-                out[k, code] = [letters[w] for w in self.output_wires]
-                flips[k, code] = [not pushed.commutes(vm.operator) for vm in self.virtual_meas]
-        out[:, 3] = out[:, 1] ^ out[:, 2]
-        flips[:, 3] = flips[:, 1] ^ flips[:, 2]
+        circuit = self.circuit
+        images = [p for wire in self.input_wires
+                  for p in (circuit.image_z[wire], circuit.image_x[wire])]
+        letters = np.zeros((len(self.inputs), 4, circuit.n), dtype=np.uint8)
+        letters[:, 1:3] = _letter_columns(images, circuit.n).reshape(-1, 2, circuit.n)
+        letters[:, 3] = letters[:, 1] ^ letters[:, 2]
+        wires = [vm.wire for vm in self.virtual_meas]
+        measured = [2 * (vm.operator.x >> w & 1) + (vm.operator.z >> w & 1)
+                    for vm, w in zip(self.virtual_meas, wires)]
+        out = letters[..., list(self.output_wires)]
+        flips = _ANTICOMMUTE[letters[..., wires], measured]
         out.setflags(write=False)
         flips.setflags(write=False)
         return out, flips
@@ -125,9 +177,11 @@ class ResourceSpec:
         """`frame_map`'s output codes beside the `syndrome` bits they flip,
         one row per (input, letter)."""
         out, flips = self.frame_map
-        names = [vm.name for vm in self.virtual_meas]
-        read = [names.index(s) for s in self.syndrome]
-        table = np.concatenate([out, flips[..., read]], axis=-1)
+        at = {vm.name: j for j, vm in enumerate(self.virtual_meas)}
+        read = [at[s] for s in self.syndrome]
+        # row by row, as `byproduct` gathers whole rows: a concatenation
+        # along the last axis can leave it strided
+        table = np.ascontiguousarray(np.concatenate([out, flips[..., read]], axis=-1))
         table.setflags(write=False)
         return table
 
@@ -153,6 +207,19 @@ class ResourceSpec:
         n_out = len(self.outputs)
         return read[..., :n_out].T, read[..., n_out:].T
 
+
+def _letter_columns(paulis: Sequence[PauliString], n: int) -> np.ndarray:
+    """Letter codes 2x + z of n-qubit Paulis, one row per Pauli and one
+    column per qubit, unpacked from their bits at once."""
+    width = (n + 7) // 8
+
+    def bits(ints) -> np.ndarray:
+        packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in ints), np.uint8)
+        return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
+
+    return bits(p.x for p in paulis) << 1 | bits(p.z for p in paulis)
+
+
 def _build_resource(name: str, circuit: CliffordMap,
                     input_wires: Sequence[int],
                     ancilla_init: Sequence[tuple[int, str]],
@@ -160,12 +227,15 @@ def _build_resource(name: str, circuit: CliffordMap,
                     syndrome: Sequence[str] = (),
                     input_labels: Sequence[str] | None = None,
                     output_labels: dict[int, str] | None = None) -> ResourceSpec:
-    """Construct the resource state for a wire circuit.
+    """The checked description of a wire circuit's resource: every wire
+    fed by an input or an ancilla, each pre-measurement one X, Y or Z
+    letter on a wire of its own, and the other wires the outputs.
 
-    Every non-ancilla wire is entangled with one fresh input qubit, the
-    circuit images give the stabilizers and destabilizers on the wire
-    side, pre-measured operators are projected onto +1 and pinned as
-    stabilizer rows, and `StabilizerState.drop_measured` drops their wires.
+    The tableau is built here only for a resource with ancilla feeds and
+    pre-measurements, to refuse a projection of probability zero. A
+    pre-measurement is deterministic only through a stabilizer on the
+    wires alone; the Bell-pair rows all reach the inputs, so only ancilla
+    feeds make such stabilizers (as for `merge`'s `link` Z measurements).
     """
     w = circuit.n
     anc = dict(ancilla_init)
@@ -174,64 +244,26 @@ def _build_resource(name: str, circuit: CliffordMap,
     wires_in = list(input_wires)
     if sorted(wires_in + list(anc)) != list(range(w)):
         raise ResourceError("every wire needs exactly one role (input or ancilla)")
-    n_in = len(wires_in)
-    n = n_in + w
-    images = {"X": circuit.image_x, "Z": circuit.image_z}
-
-    def on_wires(letter: str, wire: int) -> PauliString:
-        return images[letter][wire].shifted(n, n_in)
-
-    # each input k and its wire start as the Bell pair XX, ZZ with
-    # destabilizers Z_k and X_wire, an ancilla as its letter L with
-    # destabilizer the other letter; the circuit maps the wire side.
-    # X_k or Z_k and the wire image act on disjoint qubits, so a pair's
-    # row has the image's phase
-    stabs, destabs = [], []
-    for k, wire in enumerate(wires_in):
-        ix, iz, bit = circuit.image_x[wire], circuit.image_z[wire], 1 << k
-        stabs += [PauliString(n, ix.x << n_in | bit, ix.z << n_in, ix.phase),
-                  PauliString(n, iz.x << n_in, iz.z << n_in | bit, iz.phase)]
-        destabs += [PauliString.single(n, k, "Z"), on_wires("X", wire)]
-    for wire, letter in anc.items():
-        stabs.append(on_wires(letter, wire))
-        destabs.append(on_wires("X" if letter == "Z" else "Z", wire))
-    # lightest rows first: a random pre-measurement multiplies its pivot,
-    # the first row it anticommutes with, into the others, so light pivots
-    # keep each input in few rows and the Bell measurements into it cheap
-    rows = sorted(zip(stabs, destabs), key=lambda r: (r[0].x | r[0].z).bit_count())
-    state = StabilizerState([s for s, _ in rows], [d for _, d in rows])
-
-    # pin each pre-measured operator, projected onto +1, and drop its wires
-    pinned: list[int] = []
-    drop: set[int] = set()
+    measured: set[int] = set()
     for vm in premeasured:
-        try:
-            state.measure(vm.operator.shifted(n, n_in), force=+1, pinned=pinned)
-        except InconsistentProjection as exc:
-            raise ResourceError(
-                f"pre-measurement {vm.name} has projection probability zero"
-            ) from exc
-        drop.update(n_in + q for q in vm.operator.support())
-    if drop:
-        try:
-            state.drop_measured(pinned, drop)
-        except TableauError as exc:
-            rows = state.stabs
-            names = _entangling(premeasured, [rows[j] for j in pinned], n_in)
-            raise ResourceError(f"qubits of pre-measurement {', '.join(names)} "
-                                "stay entangled with the rest") from exc
+        op = vm.operator
+        if op.n != w or op.weight != 1 or not op.is_hermitian:
+            raise ResourceError(f"pre-measurement {vm.name} is {op}, not one X, Y or Z letter "
+                                f"on the {w} wires")
+        if vm.wire in measured:
+            raise ResourceError(f"pre-measurement {vm.name} measures wire {vm.wire} twice")
+        measured.add(vm.wire)
 
-    surviving = [wire for wire in range(w) if (n_in + wire) not in drop]
+    surviving = [wire for wire in range(w) if wire not in measured]
     in_labels = tuple(input_labels) if input_labels else tuple(
-        f"in{k}" for k in range(n_in)
+        f"in{k}" for k in range(len(wires_in))
     )
     out_names = output_labels or {}
     out_labels = tuple(
         out_names.get(wire, f"out{idx}") for idx, wire in enumerate(surviving)
     )
-    return ResourceSpec(
+    spec = ResourceSpec(
         name=name,
-        state=state,
         inputs=in_labels,
         outputs=out_labels,
         circuit=circuit,
@@ -241,24 +273,9 @@ def _build_resource(name: str, circuit: CliffordMap,
         virtual_meas=tuple(premeasured),
         syndrome=tuple(syndrome),
     )
-
-
-def _entangling(premeasured: Sequence[VirtualMeasurement], rows: list[PauliString],
-                n_in: int) -> list[str]:
-    """Names of the pre-measurements in each set linked by shared wires
-    that holds fewer of the pinned `rows` than wires (each row lies in one)."""
-    groups: list[int] = []
-    for vm in premeasured:
-        mask = vm.operator.x | vm.operator.z
-        for g in [g for g in groups if g & mask]:
-            groups.remove(g)
-            mask |= g
-        groups.append(mask)
-    loose = 0
-    for mask in groups:
-        if sum(not (r.x | r.z) >> n_in & ~mask for r in rows) < mask.bit_count():
-            loose |= mask
-    return [vm.name for vm in premeasured if (vm.operator.x | vm.operator.z) & loose]
+    if anc and premeasured:
+        spec.state  # refuses a projection of probability zero
+    return spec
 
 
 def cj_state(circuit: CliffordMap, name: str = "cj",
@@ -282,38 +299,22 @@ def cj_state(circuit: CliffordMap, name: str = "cj",
 def premeasure_outputs(spec: ResourceSpec,
                        measurements: Sequence[tuple[str, str]],
                        name: str | None = None) -> ResourceSpec:
-    """Pre-measure listed output qubits in a Pauli basis (+1 branch).
+    """Pre-measure listed output qubits in one Pauli letter each (+1 branch).
 
     measurements: list of (output label, Pauli letter); the virtual
-    outcome of output `label` is named `meas[label]`.
+    outcome of output `label` is named `meas[label]`, and stays
+    reconstructable from the in-coupling Bell outcomes.
     """
-    return premeasure_joint(
-        spec, [({label: letter}, f"meas[{label}]") for label, letter in measurements],
-        name or f"{spec.name}+premeasured",
-    )
-
-
-def premeasure_joint(spec: ResourceSpec,
-                     measurements: Sequence[tuple[dict[str, str], str]],
-                     name: str | None = None) -> ResourceSpec:
-    """Pre-measure joint (commuting) Paulis over output qubits (+1 branch).
-
-    measurements: list of ({output label: Pauli letter}, virtual name).
-    Each dropped qubit's virtual outcome stays reconstructable from the
-    in-coupling Bell outcomes.
-    """
+    wire_of = dict(zip(spec.outputs, spec.output_wires))
     vms = list(spec.virtual_meas)
-    for labels_letters, vm_name in measurements:
-        op = PauliString.identity(spec.n_wires)
-        for label, letter in labels_letters.items():
-            if label not in spec.outputs:
-                raise ResourceError(f"{label!r} is not an output of {spec.name}")
-            wire = spec.output_wires[spec.outputs.index(label)]
-            op = op * PauliString.single(spec.n_wires, wire, letter)
-        vms.append(VirtualMeasurement(vm_name, op))
+    for label, letter in measurements:
+        if label not in wire_of:
+            raise ResourceError(f"{label!r} is not an output of {spec.name}")
+        vms.append(VirtualMeasurement(
+            f"meas[{label}]", PauliString.single(spec.n_wires, wire_of[label], letter)))
     return _build_resource(
-        name or spec.name, spec.circuit, spec.input_wires, spec.ancilla_init, vms,
-        spec.syndrome, input_labels=spec.inputs,
+        name or f"{spec.name}+premeasured", spec.circuit, spec.input_wires,
+        spec.ancilla_init, vms, spec.syndrome, input_labels=spec.inputs,
         output_labels=dict(zip(spec.output_wires, spec.outputs)),
     )
 

@@ -15,7 +15,7 @@ The operators that measure it out are pinned as stabilizer rows by
 `measure`, and every other row is cleared of the dropped qubits in one
 pass, by the pinned rows that its part there is made of; the bits are
 then cut out by shifts. A Bell measurement pins X_a X_b and Z_a Z_b; a
-resource build pins its pre-measured operators. Several measurements
+resource's tableau pins its pre-measured letters. Several measurements
 can share one pinned list while qubit indices stay fixed, so one pass
 removes them all: a QEC station's Bell measurements, or a resource's
 pre-measured outputs (Aaronson and Gottesman's pinned-row elimination,
@@ -113,15 +113,15 @@ class StabilizerState:
         `force` pins the outcome: allowed freely in the random case, and
         raises InconsistentProjection if a deterministic outcome differs.
 
-        `pinned` lists the rows that hold measured operators, for
-        `drop_measured`. With it the signed p stays a stabilizer row and
-        its row joins the list. A random outcome then pivots on a pinned
-        row that anticommutes with p if there is one, so pinned rows are
-        only ever multiplied by pinned rows. A deterministic p replaces an
-        unpinned row among those whose product it is, and the other such
-        destabilizers are multiplied by that row's, so every pairing
-        holds; if all of those rows are pinned, p already lies in their
-        group and no row joins.
+        The signed p always stays a stabilizer row. `pinned` lists the
+        rows that hold measured operators, for `drop_measured`, and p's
+        row joins it (a fresh list when none is given). A random outcome
+        pivots on a pinned row that anticommutes with p if there is one,
+        so pinned rows are only ever multiplied by pinned rows. A
+        deterministic p replaces an unpinned row among those whose product
+        it is, and the other such destabilizers are multiplied by that
+        row's, so every pairing holds; if all of those rows are pinned, p
+        already lies in their group and no row joins.
         """
         if p.is_identity:
             raise TableauError("cannot measure the identity")
@@ -129,10 +129,11 @@ class StabilizerState:
             raise TableauError("measured operator must be Hermitian")
         if p.n != self.n:
             raise PauliError("length mismatch in measurement")
-        return self._measure(p.x, p.z, p.phase, rng, force, pinned)
+        return self._measure(p.x, p.z, p.phase, rng, force, [] if pinned is None else pinned)
 
-    def _measure(self, px: int, pz: int, phase: int, rng, force, pinned) -> int:
-        """`measure` of i^phase X^px Z^pz, which it has checked."""
+    def _measure(self, px: int, pz: int, phase: int, rng, force, pinned: list[int]) -> int:
+        """`measure` of i^phase X^px Z^pz, which it has checked, pinned
+        in `pinned`."""
         sx, sz, sp, dx, dz = self.sx, self.sz, self.sp, self.dx, self.dz
         # rows that anticommute with p: odd symplectic product with (px, pz)
         rows = range(self.n)
@@ -159,7 +160,7 @@ class StabilizerState:
                 outcome = 1 if int(rng.integers(0, 2)) == 0 else -1
             dx[piv], dz[piv] = gx, gz
             sx[piv], sz[piv], sp[piv] = px, pz, phase if outcome == 1 else phase ^ 2
-            if pinned is not None and piv not in pinned:
+            if piv not in pinned:
                 pinned.append(piv)
             return outcome
         # deterministic: reconstruct +-P as a product of generators
@@ -174,8 +175,6 @@ class StabilizerState:
         outcome = 1 if ap & 3 == phase else -1
         if force is not None and outcome != (1 if force >= 0 else -1):
             raise InconsistentProjection("projection has probability zero")
-        if pinned is None:
-            return outcome
         # +-p is the product of the rows in anti_destabs, so it can stand
         # in for any one of them
         row = next((k for k in anti_destabs if k not in pinned), -1)

@@ -44,8 +44,9 @@ from mbqcomm.protocols import qec_encode, station_reading
 from mbqcomm.resources import (
     ResourceError,
     ResourceSpec,
+    cj_state,
     merge,
-    premeasure_joint,
+    premeasure_outputs,
     teleport_in,
 )
 from mbqcomm.rng import draw_indices
@@ -756,23 +757,27 @@ def sites_agree(syndrome) -> bool:
     return tuple(syndrome[:half]) == tuple(syndrome[half:])
 
 
+def bell_measurement_resource() -> ResourceSpec:
+    """Two inputs and no outputs: CNOT and H, then Z on both wires, which
+    reads X X on the inputs as `meas[out0]` and Z Z as `meas[out1]`."""
+    circuit = circuit_map(2, [("CNOT", 0, 1), ("H", 0)])
+    return premeasure_outputs(cj_state(circuit, "bell"), [("out0", "Z"), ("out1", "Z")],
+                              name="bell")
+
+
 def repeater_station(rounds: int) -> ResourceSpec:
     """Input-only station resource: purify left and right, then swap.
 
-    The two purified output particles are virtual (pre-measured as a
-    Bell pair), so the resource has 2^(rounds+1) input qubits and no
+    The two purified output particles are merged into a Bell-measurement
+    resource, so the resource has 2^(rounds+1) input qubits and no
     outputs; the reconstructed swap outcome is the pair of virtual bits
-    swap_xx, swap_zz.
+    bell/meas[out0] (X X) and bell/meas[out1] (Z Z).
     """
     # Bob's side of the left segment, Alice's side of the right one
     left = replace(epp_site_resource(rounds, "B"), name="L")
     right = replace(epp_site_resource(rounds, "A"), name="R")
-    return premeasure_joint(
-        merge(left, right, ()),
-        [({"L/out0": "X", "R/out0": "X"}, "swap_xx"),
-         ({"L/out0": "Z", "R/out0": "Z"}, "swap_zz")],
-        name=f"repeater_station{rounds}",
-    )
+    return merge(merge(left, right, (), name="LR"), bell_measurement_resource(),
+                 [("L/out0", "in0"), ("R/out0", "in1")], name=f"repeater_station{rounds}")
 
 
 # -- Bell outcomes read by conjugation through the circuit --------------------
@@ -889,14 +894,17 @@ class ForcedTeleport:
 
 
 def forced_teleport(spec: ResourceSpec, state: StabilizerState, hosts, forced=None,
-                    rng=None, apply_frame: bool = True) -> ForcedTeleport:
+                    rng=None, apply_frame: bool = True,
+                    resource: StabilizerState | None = None) -> ForcedTeleport:
     """Noiseless `teleport_in` of the qubits at positions `hosts`, one per
     input, pair by pair, with the Bell outcomes forced to the letter codes
     `forced` (drawn with `rng` where it is None), read by conjugation. The
-    state left has the layout of `teleport_in`'s; the frame is applied to
-    the outputs when `apply_frame` is set."""
+    resource qubits are `resource` when given (such as `spec.state` with
+    errors on it), else `spec.state`. The state left has the layout of
+    `teleport_in`'s; the frame is applied to the outputs when
+    `apply_frame` is set."""
     n_host = state.n
-    state = state.tensor(spec.state)
+    state = state.tensor(spec.state if resource is None else resource)
     left = list(range(state.n))  # the original index of each qubit still in `state`
     codes, prob = [], 1.0
     for k, host in enumerate(hosts):

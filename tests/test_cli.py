@@ -92,13 +92,14 @@ EXACT_EDGES = (
 
 @pytest.mark.parametrize("argv", [
     base + ["--rounds", str(rounds + 1)] for base, rounds in EXACT_EDGES] + [
-    ["purify", "--F", "0.8", "--engine", "stabilizer", "--samples", "1", "--rounds", "17"],
+    ["purify", "--F", "0.8", "--engine", "stabilizer", "--samples", "1", "--rounds",
+     str(protocols._STABILIZER_ROUNDS + 1)],
     ["purify", "--F", "0.8", "--engine", "stabilizer", "--samples", "1", "--rounds", "63"],
 ])
 def test_too_many_rounds_exit_2_before_any_work(argv, monkeypatch, capsys):
     # the exact yield divides by the elementary pairs behind one output
-    # pair, which a float holds up to 2^1023; the stabilizer engine builds
-    # each site's resource on 2^(rounds+1) qubits
+    # pair, which a float holds up to 2^1023; the stabilizer engine reads
+    # each site's frame table of 2^(2 rounds + 2) letters
     def forbidden(*_args, **_kwargs):
         raise AssertionError("evaluated, built or drew before refusing")
 

@@ -241,9 +241,9 @@ def test_repeater_station_is_input_only():
     st2 = repeater_station(2)
     assert len(st2.inputs) == 8 and st2.n == 8
     info = conjugation_reading(st, [0] * 4)
-    assert (info.bits["swap_xx"], info.bits["swap_zz"]) == (0, 0)
+    assert (info.bits["bell/meas[out0]"], info.bits["bell/meas[out1]"]) == (0, 0)
     _gates, targets = epp_site_circuit(1, "A")
-    assert all(f"{side}/meas[out{t}]" in info.bits for side in "LR" for t in targets)
+    assert all(f"LR/{side}/meas[out{t}]" in info.bits for side in "LR" for t in targets)
 
 
 def test_code_by_name_rejects_unknown_names():
@@ -355,7 +355,7 @@ def test_resource_builds_solve_nothing(monkeypatch):
         raise AssertionError("a resource build called gf2.solve")
 
     monkeypatch.setattr(gf2, "solve", no_solve)
-    assert len(catalog_resources(codes)) == 20
+    assert len([spec.state for spec in catalog_resources(codes)]) == 20
 
 
 def test_every_catalog_resource_tableau_is_valid():
@@ -470,9 +470,9 @@ CATALOG_DIGESTS = {
     "epp_site_resource(3,B,DEJMPS)":
         "4d14974b73f743fef5dc9920f07b6b59477402865bb71e3fa2518296ac02283d",
     "repeater_station(1)":
-        "a8086049828afb5a5a50177e2a8ae7806e1faa7f46211f540102baf815257f46",
+        "dfa44e358c3b0542f9d38e1c8c47ac1e1430c3210f85d6f3c126dec9050e928d",
     "repeater_station(2)":
-        "3b2a1b2429d8ac9b2bdec6df4db6383498325c2fca6edcf82f98e013f4d20bc3",
+        "8dc238a25701b51389e2dc1b51ef3b5e9c26c786a701bbd98632fa2866ad7e5b",
 }
 
 

@@ -9,7 +9,6 @@ the QEC stations' table reading against the conjugation oracle on every
 single and double error, where the batched station maps of the error
 enumeration give the tableau's verdicts without running it."""
 
-from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -69,7 +68,7 @@ def tableau_run(spec, errors, seed):
         target.apply_pauli(PauliString.single(target.n, q, letter))
     sides = [label.split("/in") for label in spec.inputs]
     hosts = [2 * int(k) + (side == "R") for side, k in sides]
-    result = forced_teleport(replace(spec, state=state), host, hosts, rng=make_rng(seed))
+    result = forced_teleport(spec, host, hosts, rng=make_rng(seed), resource=state)
     if not sites_agree(result.reading.syndrome):
         return False, None
     left, right = spec.outputs.index("L/out0"), spec.outputs.index("R/out0")
@@ -110,11 +109,13 @@ def frame_runs(rounds, patterns):
 @pytest.mark.parametrize("spec", [
     epp_recurrence(1), repeater_station(1), code_encode(code_by_name("ring5")),
     code_correct(code_by_name("ring5")), code_correct(code_by_name("repetition3-phase")),
+    *(epp_site_resource(m, role) for m in range(1, 6) for role in "AB"),
 ], ids=lambda spec: spec.name)
 def test_frame_map_is_the_byproduct_of_every_letter(spec):
     out, flips = spec.frame_map
     assert spec.frame_map is spec.frame_map  # built once per resource
     assert not out.flags.writeable and not flips.flags.writeable
+    assert spec._read_table.flags.c_contiguous  # `byproduct` gathers its rows
     syndrome_at = [[vm.name for vm in spec.virtual_meas].index(s) for s in spec.syndrome]
     n_syndrome = len(spec.syndrome)
     for k, code in product(range(len(spec.inputs)), range(4)):
@@ -198,6 +199,23 @@ def test_stabilizer_purify_runs_no_tableau_per_attempt(monkeypatch):
     stats = purify_recurrence(werner(0.8), 1, NoiseModel(0.97, 0.97), samples=100,
                               rng=make_rng(3), engine="stabilizer")
     assert stats.extra["counts"]["attempts"] == 100
+
+
+def test_stabilizer_purify_builds_no_tableau(monkeypatch, capsys):
+    # the two sites are read through their frame maps alone: no resource
+    # build and no attempt constructs a StabilizerState
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("constructed a StabilizerState")
+
+    monkeypatch.setattr(catalog, "_BUILT", {})
+    monkeypatch.setattr(StabilizerState, "__init__", forbidden)
+    monkeypatch.setattr(StabilizerState, "_from_rows", forbidden)
+    for rounds in range(1, 6):
+        assert cli.main(["purify", "--F", "0.8", "--engine", "stabilizer", "--rounds",
+                         str(rounds), "--samples", "50", "--seed", "1"]) == 0
+        assert '"engine": "stabilizer"' in capsys.readouterr().out
+    assert {key[:3] for key in catalog._BUILT} == {
+        ("epp_site_resource", rounds, role) for rounds in range(1, 6) for role in "AB"}
 
 
 def test_stabilizer_purify_reads_the_two_site_resources(monkeypatch):

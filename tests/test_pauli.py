@@ -183,6 +183,12 @@ def test_circuit_map_order():
     assert str(c.conjugate(PauliString.from_string("Z"))) == "+Y"
 
 
+def test_single_rejects_an_unknown_letter_by_name():
+    for letter in ("Q", "x", ""):
+        with pytest.raises(PauliError, match=f"^unknown Pauli letter {letter!r}$"):
+            PauliString.single(1, 0, letter)
+
+
 def test_public_construction_rejects_invalid_operands():
     with pytest.raises(PauliError):
         PauliString(-1)

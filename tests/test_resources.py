@@ -9,15 +9,17 @@ from mbqcomm.catalog import code_by_name, code_decode_syndrome, code_encode
 from mbqcomm.codes import repetition_code
 from mbqcomm.noise import NoiseModel
 from mbqcomm.pauli import CliffordMap, PauliString, circuit_map
+from mbqcomm.pauli import PauliError
 from mbqcomm.resources import (
     ResourceError,
+    VirtualMeasurement,
+    _build_resource,
     cj_state,
     merge,
-    premeasure_joint,
     premeasure_outputs,
     teleport_in,
 )
-from mbqcomm.tableau import InconsistentProjection
+from mbqcomm.tableau import InconsistentProjection, StabilizerState
 import oracles
 from oracles import (
     conjugation_reading,
@@ -191,32 +193,117 @@ def test_premeasure_equals_postselected_measurement():
 
 
 def test_premeasure_impossible_projection_raises():
-    # measuring X after Z on the same wire is random, hence allowed
-    spec = cj_state(CliffordMap.identity(1), "id")
-    twice = premeasure_outputs(spec, [("out0", "Z"), ("out0", "X")])
-    assert twice.n == 1
     # an ancilla |0> flipped to |1> cannot be projected onto Z=+1
     flip = cj_state(circuit_map(1, [("X", 0)]), "flip", ancilla_init=[(0, "Z")])
     assert flip.inputs == ()
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match=r"^pre-measurement meas\[out0\] has projection "
+                                            r"probability zero$"):
         premeasure_outputs(flip, [("out0", "Z")])
+    # one wire is pre-measured once: Z and then X on it is refused
+    spec = cj_state(CliffordMap.identity(1), "id")
+    with pytest.raises(ResourceError,
+                       match=r"^pre-measurement meas\[out0\] measures wire 0 twice$"):
+        premeasure_outputs(spec, [("out0", "Z"), ("out0", "X")])
+    with pytest.raises(ResourceError, match=r"'out0' is not an output of id\+premeasured"):
+        premeasure_outputs(premeasure_outputs(spec, [("out0", "Z")]), [("out0", "X")])
 
 
-def test_premeasure_that_leaves_qubits_entangled_raises():
-    # XX alone on two outputs of the identity leaves them a Bell pair
-    # with the inputs
-    id2 = cj_state(CliffordMap.identity(2), "id2")
-    with pytest.raises(ResourceError, match=r"qubits of pre-measurement xx stay entangled"):
-        premeasure_joint(id2, [({"out0": "X", "out1": "X"}, "xx")])
-    both = premeasure_joint(id2, [({"out0": "X", "out1": "X"}, "xx"),
-                                  ({"out0": "Z", "out1": "Z"}, "zz")])
-    assert both.outputs == ()
-    # Z on out1 after XX undoes XX: the pre-measurements linked by shared
-    # wires are named, the others not
-    id3 = cj_state(CliffordMap.identity(3), "id3")
-    with pytest.raises(ResourceError, match=r"pre-measurement xx, z1 stay"):
-        premeasure_joint(id3, [({"out0": "X", "out1": "X"}, "xx"), ({"out2": "Z"}, "z2"),
-                               ({"out1": "Z"}, "z1")])
+def test_premeasure_refuses_a_joint_operator_and_a_repeated_wire():
+    # a pre-measurement is one X, Y or Z letter on a wire of its own
+    def build(*ops):
+        vms = [VirtualMeasurement(f"m{j}", PauliString.from_string(op)) for j, op in enumerate(ops)]
+        return _build_resource("id3", CliffordMap.identity(3), range(3), (), vms)
+
+    with pytest.raises(ResourceError, match=r"^pre-measurement m0 is \+XXI, not one X, Y or Z "
+                                            r"letter on the 3 wires$"):
+        build("XXI")
+    with pytest.raises(ResourceError, match=r"^pre-measurement m1 measures wire 2 twice$"):
+        build("IIZ", "IIX")
+    with pytest.raises(ResourceError, match=r"^pre-measurement m0 is \+Z, not one"):
+        build("Z")
+    assert build("XII", "IIY").outputs == ("out0",)
+
+
+def test_premeasure_refuses_an_identity_letter_and_an_unknown_one():
+    spec = cj_state(CliffordMap.identity(2), "id2")
+    with pytest.raises(ResourceError, match=r"^pre-measurement meas\[out0\] is \+II, not one "):
+        premeasure_outputs(spec, [("out0", "I")])
+    with pytest.raises(PauliError, match=r"^unknown Pauli letter 'Q'$"):
+        premeasure_outputs(spec, [("out0", "Q")])
+
+
+def test_a_resource_without_ancilla_feeds_builds_no_tableau(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("built a tableau")
+
+    rng = RNG(8)
+    monkeypatch.setattr(StabilizerState, "__init__", forbidden)
+    monkeypatch.setattr(StabilizerState, "_from_rows", forbidden)
+    a, b = cj_state(random_clifford(3, rng), "a"), cj_state(random_clifford(2, rng), "b")
+    pre = premeasure_outputs(a, [("out0", "X"), ("out2", "Y")])
+    product_ = merge(pre, b, ())
+    assert product_.n == 3 + 1 + 2 + 2 and len(product_.virtual_meas) == 2
+    assert product_.frame_map[1].shape == (5, 4, 2)
+    # a connection feeds a |0> ancilla and pre-measures its link wire: the
+    # one build that reads the tableau, to refuse an impossible projection
+    with pytest.raises(AssertionError, match="built a tableau"):
+        merge(pre, b, [("out1", "in0")])
+
+
+def _dense_projection_norm(n_in, w, gates, anc, vms) -> float:
+    """Norm of the resource's dense vector projected onto +1 of each
+    pre-measurement: each input k a Bell pair with its wire, each ancilla
+    |0> or |+>, the gates on the wires."""
+    n = n_in + w
+    v = oracles.basis_state(n)
+    inputs = [wire for wire in range(w) if wire not in anc]
+    for k, wire in enumerate(inputs):
+        v = oracles.apply_unitary_vec(v, oracles.H, [k])
+        v = oracles.apply_unitary_vec(v, oracles.CNOT, [k, n_in + wire])
+    for wire, letter in anc.items():
+        if letter == "X":
+            v = oracles.apply_unitary_vec(v, oracles.H, [n_in + wire])
+    for name, *qs in gates:
+        v = oracles.apply_unitary_vec(v, DENSE_GATES[name], [n_in + q for q in qs])
+    for vm in vms:
+        v = (v + oracles.apply_pauli_vec(vm.operator.shifted(n, n_in), v)) / 2
+    return float(np.linalg.norm(v))
+
+
+DENSE_GATES = {"H": oracles.H, "S": oracles.S, "X": oracles.X, "Y": oracles.Y, "Z": oracles.Z,
+               "CNOT": oracles.CNOT, "CZ": oracles.U_PG}
+
+
+def test_build_refuses_exactly_the_projections_of_norm_zero():
+    # random circuits of up to 4 wires, random ancilla feeds and one-letter
+    # pre-measurements: the build refuses iff the dense projection vanishes,
+    # and an accepted build's tableau always builds
+    rng = RNG(9)
+    refused = accepted = 0
+    for _ in range(400):
+        w = int(rng.integers(1, 5))
+        gates = []
+        for name in rng.choice(list(DENSE_GATES), size=int(rng.integers(0, 7))):
+            arity = 2 if name in ("CNOT", "CZ") else 1
+            if arity <= w:
+                gates.append((str(name), *(int(q) for q in rng.permutation(w)[:arity])))
+        anc = {int(q): str(rng.choice(["Z", "X"])) for q in range(w) if rng.random() < 0.5}
+        vms = [VirtualMeasurement(f"m{q}", PauliString.single(w, int(q), str(letter)))
+               for q, letter in zip(rng.permutation(w)[:int(rng.integers(0, w + 1))],
+                                    rng.choice(list("XYZ"), size=w))]
+        input_wires = [q for q in range(w) if q not in anc]
+        norm = _dense_projection_norm(len(input_wires), w, gates, anc, vms)
+        try:
+            spec = _build_resource("r", circuit_map(w, gates), input_wires, anc.items(), vms)
+        except ResourceError as exc:
+            assert "has projection probability zero" in str(exc)
+            assert norm < 1e-9
+            refused += 1
+            continue
+        assert norm > 0.1
+        assert spec.state.n == spec.n
+        accepted += 1
+    assert refused > 10 and accepted > 200
 
 
 def test_merge_identity_resources():
