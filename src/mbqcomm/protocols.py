@@ -39,15 +39,16 @@ Carlo). The stage kinds are:
 The sampler keeps each segment's pool as uint8 Bell indices. A run of
 `Depolarize` stages at the head of the list is folded into the state the
 pools are drawn from; a later run XORs one draw into every pool. Every
-pool and every such draw comes from `rng.draw_indices`, the one uint8
-draw of the package. A recurrence round reduces a (source,
-target) pair through 16-entry keep and output tables looked up by the
-4-bit code (src << 2) | tgt; the sampler looks up up to 3 such rounds
-at once, in a table over the packed leaves of a block. When the first
-stage after the head run is a `Purify`, each pool is drawn in chunks of
-whole blocks and every chunk is reduced as it is drawn, so the sampler
-holds one chunk plus the survivors, never a pool of raw pairs. The
-random stream is the same as if every pool were drawn at once.
+pool and every such draw comes from `rng.index_slices`, the package's
+one loop of uint8 draws, one L2-sized slice of `rng._CHUNK` pairs at a
+time. A recurrence round reduces a (source, target) pair through
+16-entry keep and output tables looked up by the 4-bit code
+(src << 2) | tgt; the sampler looks up up to 3 such rounds at once, in
+a table over the packed leaves of a block. When the first stage after
+the head run is a `Purify`, each pool is drawn in slices of whole
+blocks and every slice is reduced as it is drawn, so the sampler holds
+one slice plus the survivors, never a pool of raw pairs. The random
+stream is the same as if every pool were drawn at once.
 
 The sampler returns raw counts: `attempts`, `consumed` (elementary
 pairs drawn over all segments), `kept` and `good` (kept output pairs in
@@ -68,6 +69,7 @@ from itertools import groupby
 
 import numpy as np
 
+from . import rng as streams
 from .belldiag import (
     BellDiagonalState,
     apply_depolarizing,
@@ -80,7 +82,7 @@ from .catalog import epp_site_resource
 from .codes import CodeSpec
 from .noise import NoiseModel, PauliChannel
 from .resources import ResourceSpec, teleport_in
-from .rng import draw_indices
+from .rng import draw_indices, index_slices
 from .tableau import StabilizerState
 
 
@@ -188,7 +190,6 @@ def evaluate_stages(state: BellDiagonalState, stages) -> tuple[BellDiagonalState
     return state, p_success
 
 
-_CHUNK = 1 << 18  # pairs per pass of the sampler; its temporaries stay this size
 _FAILED = 4  # tree-table entry of a block in which a check fails
 # Per tree depth d <= 3: the little-endian word that holds a block's 2^d
 # uint8 leaves, and the (shift, mask) steps that gather its 2-bit leaves
@@ -254,42 +255,44 @@ def _purify_rows(idx: np.ndarray, variant: str) -> np.ndarray:
         idx = out
 
 
-def _purify_blocks(chunks, stage: Purify) -> np.ndarray:
+def _purify_blocks(slices, stage: Purify) -> np.ndarray:
     """Outputs of the blocks of 2^depth consecutive pairs that pass every check.
 
-    `chunks` yields a pool in order, as uint8 arrays of whole blocks; the
+    `slices` yields a pool in order, as uint8 arrays of whole blocks; the
     last may end in a partial block, which is dropped. Each round pairs
     the first half of every block (sources) with the second (targets)
     and reduces them through the 16-entry tables of
     `belldiag.recurrence_table`;
     `_tree_table` holds up to 3 such rounds at once, so a block costs one
-    lookup per 3 rounds. Only the survivors of each chunk are kept, so a
-    pool that is drawn chunk by chunk never exists as one array.
+    lookup per 3 rounds. Only the survivors of each slice are kept, so a
+    pool that is drawn slice by slice never exists as one array.
     """
     width = 1 << stage.depth
-    kept = [_purify_rows(chunk[:chunk.size - chunk.size % width].reshape(-1, width),
+    kept = [_purify_rows(part[:part.size - part.size % width].reshape(-1, width),
                          stage.variant)
-            for chunk in chunks if chunk.size >= width]
+            for part in slices if part.size >= width]
     return np.concatenate(kept) if kept else np.zeros(0, dtype=np.uint8)
 
 
 def _chunk_pairs(stage: Purify) -> int:
-    """Pairs per chunk of a pool that `stage` reduces: about 2^18 and
-    whole blocks, so a block wider than 2^18 pairs is one chunk."""
-    return max(_CHUNK, 1 << stage.depth)
+    """Pairs per slice of a pool that `stage` reduces: one `rng._CHUNK`
+    slice (2^16 pairs, a multiple of any narrower block), or one block
+    if it is wider."""
+    return max(streams._CHUNK, 1 << stage.depth)
 
 
 def _xor_draws(pool: np.ndarray, weights, rng) -> None:
-    """pool ^= draw_indices(rng, weights, pool.size), one chunk at a time.
+    """pool ^= draw_indices(rng, weights, pool.size), one `index_slices`
+    slice at a time.
 
     `weights` is the Bell-index distribution of one whole `Depolarize`
     run applied to |phi+>. The doubles are drawn in the same order as by
     one call, so the stream and the result are those of the one-shot
     XOR, without a second pool-sized array.
     """
-    for start in range(0, pool.size, _CHUNK):
-        chunk = pool[start:start + _CHUNK]
-        chunk ^= draw_indices(rng, weights, chunk.size)
+    step = streams._CHUNK
+    for start, idx in zip(range(0, pool.size, step), index_slices(rng, weights, pool.size, step)):
+        pool[start:start + idx.size] ^= idx
 
 
 def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
@@ -301,22 +304,23 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
     the list is composed into `state`, and each segment (2^(number of
     swaps) of them) starts from a pool of attempts * pairs_per_attempt
     Bell indices drawn from the result, held as uint8. A later run XORs
-    one draw from the run applied to |phi+> into every pool, chunk by
-    chunk. A `Purify` stage reduces every block through one tree-table
-    lookup per 3 rounds (`_purify_blocks`), chunk by chunk. Survivors of
+    one draw from the run applied to |phi+> into every pool, slice by
+    slice. A `Purify` stage reduces every block through one tree-table
+    lookup per 3 rounds (`_purify_blocks`), slice by slice. Survivors of
     a block are pooled for the next stage; swapping pairs up the pools of
     adjacent segments, truncated to the shorter one.
 
     When the first step after the head run is a `Purify` stage, each
-    pool goes into it chunk by chunk as it is drawn, so memory is one
-    chunk (`_chunk_pairs`: about 2^18 pairs, or one block if wider) plus
-    the survivors, whatever the number of attempts. Otherwise a pool is
-    drawn as one array.
+    pool goes into it slice by slice as `index_slices` draws it into one
+    set of buffers, so memory is one slice (`_chunk_pairs`: 2^16 pairs,
+    whose doubles, mask and indices fit a core's L2, or one block if
+    wider) plus the survivors, whatever the number of attempts.
+    Otherwise a pool is drawn as one array.
 
     The random stream is a function of the stage list and the pool sizes
     only: every pool, segment by segment, then one draw per later
     `Depolarize` run in stage order, one double per pair, whatever the
-    chunking; the pairs of a partial block are drawn and dropped. The
+    slicing; the pairs of a partial block are drawn and dropped. The
     counts at a seed are pinned by the tests. A BBPSSW `Purify` stage,
     whose round is no map of Bell indices, and attempts that fill no
     output slot of `pairs_per_output` elementary pairs raise
@@ -342,9 +346,7 @@ def sample_stages(state: BellDiagonalState, stages, attempts: int, rng,
     w = state.as_array()
     if steps and isinstance(steps[0], Purify):
         stage = steps.pop(0)
-        step = _chunk_pairs(stage)
-        pools = [_purify_blocks((draw_indices(rng, w, min(step, size - start))
-                                 for start in range(0, size, step)), stage)
+        pools = [_purify_blocks(index_slices(rng, w, size, _chunk_pairs(stage)), stage)
                  for _ in range(segments)]
     else:
         pools = [draw_indices(rng, w, size) for _ in range(segments)]

@@ -10,10 +10,13 @@ Every categorical draw in the package (Bell indices, Pauli letters)
 reproduces `Generator.choice(k, size, p)` draw for draw: the same
 normalised cumsum (`_cut_points`), one `random()` double per draw, and
 the index as the number of cut points at or below it (what
-`searchsorted(side="right")` computes). `draw_indices` makes such draws
-into a uint8 array from fixed chunks of doubles; the bit generator yields
-the same doubles whether asked once or in pieces, so a noise layer may
-also cut the doubles of one `random(n)` call itself.
+`searchsorted(side="right")` computes). `index_slices` is the one loop
+that makes such draws: it yields them as uint8 slices, each drawn into
+one reused set of buffers. The samplers take slices of `_CHUNK` draws,
+and `draw_indices` joins them into one array. The bit generator yields
+the same doubles whether asked once or in pieces, so slicing moves no
+draw, and a noise layer may also cut the doubles of one `random(n)`
+call itself.
 """
 
 from __future__ import annotations
@@ -23,7 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-_CHUNK = 1 << 18
+# Draws per slice of `index_slices`, the one slice size of the package's
+# samplers: a slice's doubles (512 KiB), mask and indices (64 KiB each) fit
+# in a core's L2 cache of 1 MiB, so each pass over them stays in the cache;
+# 2^18 draws (2.5 MiB) overflow even a 2 MiB L2.
+_CHUNK = 1 << 16
 _ATOL = float(np.sqrt(np.finfo(float).eps))  # Generator.choice's tolerance on sum(p)
 
 
@@ -51,23 +58,42 @@ def _cut_points(weights: tuple) -> tuple[float, ...]:
     return tuple(c / total for c in cdf[:-1])
 
 
-def draw_indices(rng: np.random.Generator, weights, size: int) -> np.ndarray:
-    """Indices into `weights`, i.i.d., as `rng.choice(len(weights), size, p=weights)`,
-    as a uint8 array of `size` indices (up to 256 categories)."""
+def index_slices(rng: np.random.Generator, weights, size: int, step: int):
+    """The `size` indices of `draw_indices(rng, weights, size)`, as consecutive
+    uint8 slices of `step` indices (the last may be shorter).
+
+    The slices consume the same doubles in the same order as the one call.
+    The weights are checked here, as `choice` checks them, even when no
+    slice is asked for. Every slice is drawn into one set of buffers
+    (doubles, mask, indices) of min(size, step) entries, allocated here,
+    so a slice holds its indices only until the next one is drawn.
+    """
     cuts = _cut_points(tuple(weights))
-    # the first cut point writes the output through a bool view (with
+    # the first cut point writes the indices through a bool view (with
     # none, 1.0 > every double gives index 0); later ones add their mask
     first, later = (cuts[0], cuts[1:]) if cuts else (1.0, ())
-    out = np.empty(size, dtype=np.uint8)
-    buf = np.empty(min(size, _CHUNK))
-    hit = np.empty(buf.size, dtype=np.uint8)
-    for start in range(0, size, _CHUNK):
-        n = min(_CHUNK, size - start)
-        u, h, o = buf[:n], hit[:n], out[start:start + n]
-        rng.random(out=u)
-        np.greater_equal(u, first, out=o.view(bool))
-        for c in later:
-            np.greater_equal(u, c, out=h.view(bool))
-            o += h
-    return out
+    n = min(size, step)
+    buf, hit, idx = np.empty(n), np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.uint8)
 
+    def slices():
+        for start in range(0, size, step):
+            n = min(step, size - start)
+            u, h, o = buf[:n], hit[:n], idx[:n]
+            rng.random(out=u)
+            np.greater_equal(u, first, out=o.view(bool))
+            for c in later:
+                np.greater_equal(u, c, out=h.view(bool))
+                o += h
+            yield o
+
+    return slices()
+
+
+def draw_indices(rng: np.random.Generator, weights, size: int) -> np.ndarray:
+    """Indices into `weights`, i.i.d., as `rng.choice(len(weights), size, p=weights)`,
+    as a uint8 array of `size` indices (up to 256 categories), joined from
+    the slices of `index_slices`."""
+    out = np.empty(size, dtype=np.uint8)
+    for start, idx in zip(range(0, size, _CHUNK), index_slices(rng, weights, size, _CHUNK)):
+        out[start:start + idx.size] = idx
+    return out

@@ -103,7 +103,7 @@ def test_too_many_rounds_exit_2_before_any_work(argv, monkeypatch, capsys):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("evaluated, built or drew before refusing")
 
-    for name in ("evaluate_stages", "epp_site_resource", "draw_indices"):
+    for name in ("evaluate_stages", "epp_site_resource", "draw_indices", "index_slices"):
         monkeypatch.setattr(protocols, name, forbidden)
     rc, out, err = run(argv, capsys)
     assert (rc, out) == (2, "")
@@ -308,6 +308,32 @@ def test_noisy_trajectory_records_frozen(argv, record, capsys):
      '"samples": 10000, "schema": 2, "seed": 1, "version": "0.2.0", "yield": 1.0}\n'),
 ], ids=["defaults", "noisy-12-pairs", "no-checks"])
 def test_hashing_records_frozen(argv, record, capsys):
+    assert run(argv, capsys) == (0, record, "")
+
+
+# Full Bell-index Monte Carlo records at bench scale: 8M pairs for purify,
+# 8 pools of 2^20 pairs for the repeater, so each pool spans many slices
+# of the sampler; a slicing that moved a draw shows up here.
+@pytest.mark.parametrize("argv,record", [
+    (["purify", "--engine", "mc", "--rounds", "3", "--F", "0.8", "--p-resource", "0.97",
+      "--q-meas", "0.97", "--samples", "1000000", "--seed", "1"],
+     '{"ci_hi": 0.9019416834798116, "ci_lo": 0.8975794513522893, '
+     '"config_hash": "b9bf5069a3040af4", "fidelity": 0.8997816563903269, '
+     '"p_resource": 0.97, "p_success": 0.072821, "params": {"F": 0.8, "engine": "mc", '
+     '"mode": "merged", "rounds": 3, "variant": "DEJMPS"}, "protocol": "purify", '
+     '"q_channel": 1.0, "q_meas": 0.97, "report": {}, "samples": 1000000, "schema": 2, '
+     '"seed": 1, "version": "0.2.0", "yield": 0.009102625}\n'),
+    (["repeater", "--mode", "mc", "--segments", "8", "--rounds", "2", "--q-channel", "0.95",
+      "--p-resource", "0.99", "--q-meas", "0.99", "--samples", "1048576", "--seed", "1"],
+     '{"ci_hi": 0.9836810146388697, "ci_lo": 0.9666406969748811, '
+     '"config_hash": "45d65085e37122c5", "fidelity": 0.9766317485898469, '
+     '"p_resource": 0.99, "p_success": 0.302978515625, "params": {"mode": "mc", '
+     '"rounds": 2, "segments": 8}, "protocol": "repeater", "q_channel": 0.95, '
+     '"q_meas": 0.99, "report": {"levels": 3, "station_resource_qubits": 56, '
+     '"stations": 7}, "samples": 1048576, "schema": 2, "seed": 1, "version": "0.2.0", '
+     '"yield": 0.00014793872833251953}\n'),
+], ids=["purify-mc", "repeater-mc"])
+def test_monte_carlo_bench_records_frozen(argv, record, capsys):
     assert run(argv, capsys) == (0, record, "")
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mbqcomm import protocols
+from mbqcomm import rng as streams
 from mbqcomm.belldiag import perfect_pair, werner
 from mbqcomm.netsim import ChainConfig, elementary_pair, repeater_chain, repeater_stages
 from mbqcomm.noise import NoiseModel
@@ -38,7 +39,6 @@ from mbqcomm.protocols import (
     sample_stages,
     stats_from_counts,
 )
-from mbqcomm.protocols import _CHUNK as PAIR_CHUNK
 from mbqcomm.rng import _CHUNK, draw_indices, make_rng
 from mbqcomm.tableau import StabilizerState
 import oracles
@@ -236,20 +236,21 @@ def test_tree_table_equals_per_round_oracle_on_every_leaf_code(depth, variant):
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5, 6])
 def test_purify_blocks_equals_per_round_oracle(depth, fidelity, variant):
     block = 1 << depth
-    sizes = [0, block - 1, 5 * block + block // 2, PAIR_CHUNK - block, PAIR_CHUNK,
-             PAIR_CHUNK + block, 2 * PAIR_CHUNK + 3 * block + 1]
+    sizes = [0, block - 1, 5 * block + block // 2, _CHUNK - block, _CHUNK,
+             _CHUNK + block, 2 * _CHUNK + 3 * block + 1]
     weights = werner(fidelity).as_array()
     for size in sizes:
         pool = draw_indices(make_rng(size << 3 | depth), weights, size)
-        step = max(PAIR_CHUNK, block)
+        step = max(_CHUNK, block)
         got = _purify_blocks((pool[s:s + step] for s in range(0, size, step)),
                              Purify(depth, variant))
         assert got.dtype == np.uint8
         assert np.array_equal(got, per_round_blocks(pool, depth, variant)), size
 
 
-@pytest.mark.parametrize("size", [0, 1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1,
-                                  2 * PAIR_CHUNK + 5])
+# one slice, broken and whole, and many slices
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 4 * _CHUNK - 1,
+                                  4 * _CHUNK, 4 * _CHUNK + 1, 8 * _CHUNK + 5])
 def test_chunked_xor_equals_one_shot_xor(size):
     weights = evaluate_stages(perfect_pair(), [Depolarize(0.9)])[0].as_array()
     pool = draw_indices(make_rng(2), werner(0.8).as_array(), size)
@@ -303,13 +304,13 @@ def streamed_stage_lists(variant):
 @pytest.mark.parametrize("chunk", ["default", 8])
 @pytest.mark.parametrize("case", sorted(streamed_stage_lists("DEJMPS")))
 def test_streamed_first_purify_equals_whole_pool_oracle(case, chunk, variant, monkeypatch):
-    # chunk 8 makes every block of depth 4 or more wider than a chunk
+    # slices of 8 make every block of depth 4 or more wider than a slice
     if chunk != "default":
-        monkeypatch.setattr(protocols, "_CHUNK", chunk)
+        monkeypatch.setattr(streams, "_CHUNK", chunk)
     stages = streamed_stage_lists(variant)[case]
     segments = 1 << sum(isinstance(stage, Swap) for stage in stages)
     block = 1 << next(stage.depth for stage in stages if isinstance(stage, Purify))
-    step = max(protocols._CHUNK, block)
+    step = max(streams._CHUNK, block)
     least = -(-pairs_per_output(stages) // segments)  # one output slot
     sizes = {step - 1, step, step + 1, block + 1, 2 * step + 3 * block + 1, least,
              3 * least + 1}
@@ -317,7 +318,7 @@ def test_streamed_first_purify_equals_whole_pool_oracle(case, chunk, variant, mo
     seen = []  # what each `_purify_blocks` call returned, before later stages XOR into it
     real = protocols._purify_blocks
     monkeypatch.setattr(protocols, "_purify_blocks",
-                        lambda chunks, stage: seen.append(real(chunks, stage)) or seen[-1].copy())
+                        lambda slices, stage: seen.append(real(slices, stage)) or seen[-1].copy())
     for size in sizes:
         seen.clear()
         ours, ref = make_rng(size), make_rng(size)
@@ -346,7 +347,7 @@ def test_streamed_purification_holds_one_chunk_plus_survivors():
 
     peak(1000)
     small, large = peak(1 << 20), peak(1 << 21)
-    assert small < 4 << 20
+    assert small < 1536 << 10  # 0.8-0.9 MiB; slices of 2^18 pairs would take 2.8 MiB
     assert large - small < 1 << 20
 
 
@@ -360,7 +361,7 @@ NOISE_RUNS = {
 
 
 @pytest.mark.parametrize("case", sorted(NOISE_RUNS))
-@pytest.mark.parametrize("size", [1, 1000, PAIR_CHUNK + 3])
+@pytest.mark.parametrize("size", [1, 1000, _CHUNK + 3, 4 * _CHUNK + 3])
 def test_a_run_of_depolarize_stages_is_one_draw(case, size):
     stages, per_pair = NOISE_RUNS[case]
     ours, ref = make_rng(6), make_rng(6)
@@ -378,7 +379,8 @@ def test_noise_runs_sample_their_exact_state(case):
     assert _z(counts["good"] / counts["kept"], fidelity, counts["kept"]) < 4
 
 
-@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("size", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 4 * _CHUNK - 1,
+                                  4 * _CHUNK, 4 * _CHUNK + 1, 12 * _CHUNK + 7])
 def test_draw_indices_equals_generator_choice(size):
     weights = np.array([0.7, 0.1, 0.15, 0.05])
     ours, ref = make_rng(3), make_rng(3)
@@ -411,10 +413,11 @@ def test_draw_indices_scalar_equals_generator_choice(weights):
 @pytest.mark.parametrize("weights", [(0.5, 0.5, 0.1, 0.0), (1.2, -0.2, 0.0, 0.0),
                                      (float("nan"), 0.0, 0.0, 1.0)])
 def test_draw_indices_rejects_what_choice_rejects(weights):
-    for draw in (lambda rng: draw_indices(rng, weights, 10),
-                 lambda rng: rng.choice(4, size=10, p=weights)):
-        with pytest.raises(ValueError):
-            draw(make_rng(1))
+    for size in (0, 10):  # an empty draw checks its weights too
+        for draw in (lambda rng: draw_indices(rng, weights, size),
+                     lambda rng: rng.choice(4, size=size, p=weights)):
+            with pytest.raises(ValueError):
+                draw(make_rng(1))
 
 
 def test_pairs_per_output_and_consumed():

@@ -2,7 +2,7 @@
 public function or method that no package code refers to, no dataclass
 field that holds a callable (resources and results stay plain data), no
 branch on an object's name, and no weighted `choice` draw outside
-`rng.draw_indices`."""
+`rng.index_slices`."""
 
 import ast
 import json
@@ -156,7 +156,7 @@ def test_no_branch_on_a_name(path):
 
 def weighted_choices(tree: ast.Module) -> list[str]:
     """Calls of a `.choice` method with a `p=` keyword: every categorical
-    draw goes through `rng.draw_indices`, which reproduces them into uint8."""
+    draw goes through `rng.index_slices`, which reproduces them into uint8."""
     return [ast.unparse(node) for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "choice" and any(k.arg == "p" for k in node.keywords)]
