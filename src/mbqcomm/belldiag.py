@@ -16,11 +16,11 @@ frozen from a simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import Frozen
 from .noise import PauliChannel
 from .pauli import PauliString, circuit_map
 
@@ -29,14 +29,13 @@ class BellDiagonalError(ValueError):
     """Raised for invalid Bell-diagonal states or recurrence parameters."""
 
 
-@dataclass(frozen=True)
-class BellDiagonalState:
+class BellDiagonalState(Frozen):
     """Two-qubit state diagonal in the Bell basis: four probabilities."""
 
-    coeffs: tuple[float, float, float, float]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+    def __init__(self, coeffs: tuple[float, float, float, float]):
+        c = np.asarray(coeffs, dtype=float)
         if c.shape != (4,):
             raise BellDiagonalError("need exactly four coefficients")
         if np.any(c < -1e-12) or abs(c.sum() - 1.0) > 1e-9:

@@ -13,7 +13,6 @@ argument set and shared, so callers never mutate `spec.state`
 from __future__ import annotations
 
 import inspect
-from dataclasses import replace
 from functools import lru_cache, wraps
 
 from .belldiag import epp_site_circuit
@@ -67,7 +66,7 @@ def epp_site_resource(rounds: int, role: str, variant: str = "DEJMPS") -> Resour
     spec = premeasure_outputs(
         spec, [(f"out{t}", "Z") for t in targets], name=f"epp{role}{rounds}"
     )
-    return replace(spec, syndrome=tuple(vm.name for vm in spec.virtual_meas))
+    return spec.relabelled(syndrome=tuple(vm.name for vm in spec.virtual_meas))
 
 
 @_built_once
@@ -102,7 +101,7 @@ def code_decode_syndrome(code: CodeSpec) -> ResourceSpec:
         spec, [(f"anc{w}", "Z") for w in range(1, code.n)],
         name=f"{code.name}_decode_syndrome",
     )
-    return replace(spec, syndrome=tuple(f"meas[anc{w}]" for w in range(1, code.n)))
+    return spec.relabelled(syndrome=tuple(f"meas[anc{w}]" for w in range(1, code.n)))
 
 
 @_built_once

@@ -25,6 +25,7 @@ handling) are imported by the code that uses them.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -455,6 +456,9 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
+
+# what the import made lives as long as the process: no collection re-walks it
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

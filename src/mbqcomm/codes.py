@@ -14,12 +14,12 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
+from . import Frozen
 from .noise import PauliChannel
 from .pauli import CliffordMap, PauliString, complete_clifford
 
@@ -28,8 +28,7 @@ class CodeError(ValueError):
     """Raised for malformed codes or syndrome lookups."""
 
 
-@dataclass(frozen=True, eq=False)
-class CodeSpec:
+class CodeSpec(Frozen):
     """One logical qubit in n physical qubits, compared and hashed by
     identity.
 
@@ -38,27 +37,25 @@ class CodeSpec:
     is bit j of s.
     """
 
-    name: str
-    n: int
-    stabilizers: tuple[PauliString, ...]
-    logical_x: PauliString
-    logical_z: PauliString
-    encoder: CliffordMap
-    lookup: np.ndarray
-    correctable_weight: int
+    __slots__ = ("name", "n", "stabilizers", "logical_x", "logical_z", "encoder", "lookup",
+                 "correctable_weight", "__dict__")  # `__dict__` holds `correctable`
 
-    def __post_init__(self):
-        for i, g in enumerate(self.stabilizers):
-            for h in self.stabilizers[i + 1:]:
+    def __init__(self, name: str, n: int, stabilizers: tuple[PauliString, ...],
+                 logical_x: PauliString, logical_z: PauliString, encoder: CliffordMap,
+                 lookup: np.ndarray, correctable_weight: int):
+        for i, g in enumerate(stabilizers):
+            for h in stabilizers[i + 1:]:
                 if not g.commutes(h):
                     raise CodeError("stabilizer generators must commute")
-            if not self.logical_x.commutes(g) or not self.logical_z.commutes(g):
+            if not logical_x.commutes(g) or not logical_z.commutes(g):
                 raise CodeError("logicals must commute with the stabilizer group")
-        if self.logical_x.commutes(self.logical_z):
+        if logical_x.commutes(logical_z):
             raise CodeError("logical X and Z must anticommute")
-        if self.lookup.shape != (1 << len(self.stabilizers), self.n):
+        if lookup.shape != (1 << len(stabilizers), n):
             raise CodeError("the lookup table needs one correction per syndrome")
-        self.lookup.setflags(write=False)
+        lookup.setflags(write=False)
+        self._fill(name, n, stabilizers, logical_x, logical_z, encoder, lookup,
+                   correctable_weight)
 
     @cached_property
     def correctable(self) -> np.ndarray:

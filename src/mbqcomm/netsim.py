@@ -24,10 +24,10 @@ station is one logical Pauli channel on the encoded qubit
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import Frozen
 from .belldiag import BellDiagonalState, apply_pauli_channel, perfect_pair, werner
 from .catalog import code_by_name, code_correct, code_decode_syndrome, code_encode
 from .codes import CodeSpec
@@ -54,34 +54,38 @@ class ChainError(ValueError):
     """Raised for invalid chain configurations."""
 
 
-@dataclass(frozen=True)
-class ChainConfig:
-    """Configuration of a long-range scheme.
+class ChainConfig(Frozen):
+    """Configuration of a long-range scheme, equal to another with the
+    same fields.
 
     q_channel in `noise` is the per-segment, per-qubit transmission (or
     storage) depolarizing parameter; `channel_overrides` replaces it for
     specific segments (0-based).
     """
 
-    segments: int
-    noise: NoiseModel
-    code: str = "ring5"
-    purify_rounds: int = 1
-    samples: int = 1000
-    channel_overrides: dict = field(default_factory=dict)
+    __slots__ = ("segments", "noise", "code", "purify_rounds", "samples", "channel_overrides")
 
-    def __post_init__(self):
-        if self.segments < 1:
+    def __init__(self, segments: int, noise: NoiseModel, code: str = "ring5",
+                 purify_rounds: int = 1, samples: int = 1000,
+                 channel_overrides: dict | None = None):
+        channel_overrides = {} if channel_overrides is None else channel_overrides
+        if segments < 1:
             raise ChainError("need at least one segment")
-        if self.samples < 1:
-            raise ChainError(f"samples must be at least 1, got {self.samples}")
-        if self.purify_rounds < 0:
-            raise ChainError(f"rounds must be at least 0, got {self.purify_rounds}")
-        for seg, q in self.channel_overrides.items():
-            if not 0 <= seg < self.segments:
-                raise ChainError(f"station {seg}: segments are 0..{self.segments - 1}")
+        if samples < 1:
+            raise ChainError(f"samples must be at least 1, got {samples}")
+        if purify_rounds < 0:
+            raise ChainError(f"rounds must be at least 0, got {purify_rounds}")
+        for seg, q in channel_overrides.items():
+            if not 0 <= seg < segments:
+                raise ChainError(f"station {seg}: segments are 0..{segments - 1}")
             if not isinstance(q, (int, float)) or not 0.0 <= q <= 1.0:
                 raise ChainError(f"station {seg}: q_channel must be in [0, 1], got {q}")
+        self._fill(segments, noise, code, purify_rounds, samples, channel_overrides)
+
+    def __eq__(self, other):
+        if other.__class__ is not ChainConfig:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def channel_for(self, segment: int) -> float:
         return self.channel_overrides.get(segment, self.noise.q_channel)

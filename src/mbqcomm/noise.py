@@ -12,10 +12,10 @@ frame letters are indexed alike, and letters multiply by XOR.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
+from . import Frozen
 from .pauli import PauliString
 from .rng import _cut_points
 from .tableau import StabilizerState
@@ -38,9 +38,9 @@ def _depolarizing_weights(p: float) -> tuple[float, float, float, float]:
     return (p + r, r, r, r)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Error parameters of the simulation.
+class NoiseModel(Frozen):
+    """Error parameters of the simulation, equal to another with the same
+    parameters.
 
     p_resource: per-particle depolarizing parameter of resource states.
     q_meas: per-qubit depolarizing parameter of Bell measurements.
@@ -49,14 +49,22 @@ class NoiseModel:
     All parameters are "keep" probabilities: 1.0 means noiseless.
     """
 
-    p_resource: float = 1.0
-    q_meas: float = 1.0
-    q_channel: float = 1.0
+    __slots__ = ("p_resource", "q_meas", "q_channel")
 
-    def __post_init__(self):
-        _check_prob(self.p_resource, "p_resource")
-        _check_prob(self.q_meas, "q_meas")
-        _check_prob(self.q_channel, "q_channel")
+    def __init__(self, p_resource: float = 1.0, q_meas: float = 1.0, q_channel: float = 1.0):
+        _check_prob(p_resource, "p_resource")
+        _check_prob(q_meas, "q_meas")
+        _check_prob(q_channel, "q_channel")
+        self._fill(p_resource, q_meas, q_channel)
+
+    def __eq__(self, other):
+        if other.__class__ is not NoiseModel:
+            return NotImplemented
+        return ((self.p_resource, self.q_meas, self.q_channel)
+                == (other.p_resource, other.q_meas, other.q_channel))
+
+    def __hash__(self) -> int:
+        return hash((self.p_resource, self.q_meas, self.q_channel))
 
     def folded(self) -> "NoiseModel":
         """Fold measurement noise into the resource parameter.
@@ -68,16 +76,15 @@ class NoiseModel:
         return NoiseModel(self.p_resource * self.q_meas ** 2, 1.0, self.q_channel)
 
 
-@dataclass(frozen=True)
-class PauliChannel:
+class PauliChannel(Frozen):
     """Single-qubit Pauli-diagonal channel: `weights[c]` is the
     probability of the letter of code c = 2x + z (I, Z, X, Y), which is
     also the Bell index it gives |phi+> on either half."""
 
-    weights: tuple[float, float, float, float]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights: tuple[float, float, float, float]):
+        w = np.asarray(weights, dtype=float)
         if w.shape != (4,):
             raise NoiseParameterError("need exactly four weights")
         if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-9:

@@ -35,15 +35,18 @@ a qubit given twice, in one line, before they apply it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from . import gf2
+from . import Frozen, gf2
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 _PHASE_STR = {0: "+", 1: "i", 2: "-", 3: "-i"}
+# a PauliString field is stored past `Frozen.__setattr__`, one call per
+# field (the products build many); `_new` makes an empty instance
+_set = object.__setattr__
+_new = object.__new__
 
 
 class PauliError(ValueError):
@@ -58,9 +61,9 @@ def _check_register(n: int, x: int, z: int):
         raise PauliError("x/z bits outside qubit range")
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Phased n-qubit Pauli operator.
+class PauliString(Frozen):
+    """Phased n-qubit Pauli operator, equal to and hashed like another
+    with the same fields.
 
     Attributes
     ----------
@@ -72,14 +75,22 @@ class PauliString:
         Global phase as a power of i, modulo 4.
     """
 
-    n: int
-    x: int = 0
-    z: int = 0
-    phase: int = 0
+    __slots__ = ("n", "x", "z", "phase")
 
-    def __post_init__(self):
-        _check_register(self.n, self.x, self.z)
-        object.__setattr__(self, "phase", self.phase % 4)
+    def __init__(self, n: int, x: int = 0, z: int = 0, phase: int = 0):
+        _check_register(n, x, z)
+        _set(self, "n", n)
+        _set(self, "x", x)
+        _set(self, "z", z)
+        _set(self, "phase", phase % 4)
+
+    def __eq__(self, other):
+        if other.__class__ is not PauliString:
+            return NotImplemented
+        return (self.n, self.x, self.z, self.phase) == (other.n, other.x, other.z, other.phase)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.x, self.z, self.phase))
 
     # -- constructors -------------------------------------------------
 
@@ -217,12 +228,11 @@ class PauliString:
 def _unchecked(n: int, x: int, z: int, phase: int) -> PauliString:
     """PauliString from operands that already satisfy the invariant
     (x, z inside n bits, 0 <= phase < 4); nothing is checked."""
-    p = object.__new__(PauliString)
-    d = p.__dict__
-    d["n"] = n
-    d["x"] = x
-    d["z"] = z
-    d["phase"] = phase
+    p = _new(PauliString)
+    _set(p, "n", n)
+    _set(p, "x", x)
+    _set(p, "z", z)
+    _set(p, "phase", phase)
     return p
 
 
@@ -242,23 +252,31 @@ _SINGLE_GATE_IMAGES = {
 _TWO_QUBIT_GATES = ("CNOT", "CZ", "SWAP")
 
 
-@dataclass(frozen=True)
-class CliffordMap:
-    """Clifford unitary stored by the images of the Pauli generators.
+class CliffordMap(Frozen):
+    """Clifford unitary stored by the images of the Pauli generators,
+    equal to and hashed like another with the same images.
 
     image_x[k] = C X_k C^dagger and image_z[k] = C Z_k C^dagger, with
     phases tracked so conjugation is exact including signs.
     """
 
-    n: int
-    image_x: tuple[PauliString, ...]
-    image_z: tuple[PauliString, ...]
+    __slots__ = ("n", "image_x", "image_z")
 
-    def __post_init__(self):
-        if len(self.image_x) != self.n or len(self.image_z) != self.n:
+    def __init__(self, n: int, image_x: tuple[PauliString, ...],
+                 image_z: tuple[PauliString, ...]):
+        if len(image_x) != n or len(image_z) != n:
             raise PauliError("image table size mismatch")
-        if any(p.n != self.n for p in self.image_x + self.image_z):
+        if any(p.n != n for p in image_x + image_z):
             raise PauliError("images must act on the map's qubits")
+        self._fill(n, image_x, image_z)
+
+    def __eq__(self, other):
+        if other.__class__ is not CliffordMap:
+            return NotImplemented
+        return (self.n, self.image_x, self.image_z) == (other.n, other.image_x, other.image_z)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.image_x, self.image_z))
 
     @classmethod
     def identity(cls, n: int) -> "CliffordMap":
@@ -408,11 +426,8 @@ def complete_clifford(image_x: dict[int, PauliString],
 def _unchecked_map(n: int, images: list[PauliString]) -> CliffordMap:
     """CliffordMap of n X images, then n Z images, that already act on n
     qubits; nothing is checked."""
-    c = object.__new__(CliffordMap)
-    d = c.__dict__
-    d["n"] = n
-    d["image_x"] = tuple(images[:n])
-    d["image_z"] = tuple(images[n:])
+    c = _new(CliffordMap)
+    c._fill(n, tuple(images[:n]), tuple(images[n:]))
     return c
 
 

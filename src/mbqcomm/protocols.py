@@ -63,12 +63,12 @@ checks, and yield = p_success / pairs_per_output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
 
+from . import Frozen
 from . import rng as streams
 from .belldiag import (
     BellDiagonalState,
@@ -102,28 +102,30 @@ def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-@dataclass
 class ProtocolStats:
     """Result summary of one protocol run."""
 
-    fidelity: float | None
-    fidelity_ci: tuple[float, float] | tuple[None, None]
-    p_success: float
-    protocol_yield: float
-    samples: int
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("fidelity", "fidelity_ci", "p_success", "protocol_yield", "samples", "extra")
 
-    def __post_init__(self):
-        for v in (self.fidelity, self.p_success, self.protocol_yield):
+    def __init__(self, fidelity: float | None,
+                 fidelity_ci: tuple[float, float] | tuple[None, None],
+                 p_success: float, protocol_yield: float, samples: int,
+                 extra: dict | None = None):
+        for v in (fidelity, p_success, protocol_yield):
             if v is not None and not -1e-9 <= v <= 1 + 1e-9:
                 raise ProtocolError("estimates must lie in [0, 1]")
+        self.fidelity = fidelity
+        self.fidelity_ci = fidelity_ci
+        self.p_success = p_success
+        self.protocol_yield = protocol_yield
+        self.samples = samples
+        self.extra = {} if extra is None else extra
 
 
 # -- stage lists ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Depolarize:
+class Depolarize(Frozen):
     """E(p) on both halves of every pair.
 
     The two one-sided maps compose to E(p^2) on one half. The sampler
@@ -131,23 +133,28 @@ class Depolarize:
     it one Bell-index draw, or none at the head of a stage list.
     """
 
-    p: float
+    __slots__ = ("p",)
+
+    def __init__(self, p: float):
+        self._fill(p)
 
 
-@dataclass(frozen=True)
-class Purify:
+class Purify(Frozen):
     """One merged block of `depth` recurrence rounds on 2^depth pairs.
 
     The output pair is kept only if every check in the tree passes.
     """
 
-    depth: int
-    variant: str = "DEJMPS"
+    __slots__ = ("depth", "variant")
+
+    def __init__(self, depth: int, variant: str = "DEJMPS"):
+        self._fill(depth, variant)
 
 
-@dataclass(frozen=True)
-class Swap:
+class Swap(Frozen):
     """Entanglement swapping joins the pairs of adjacent segments."""
+
+    __slots__ = ()
 
 
 def noise_stages(noise: NoiseModel) -> tuple[Depolarize, Depolarize]:

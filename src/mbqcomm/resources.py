@@ -28,12 +28,12 @@ outputs, one letter each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from . import Frozen
 from .noise import NoiseModel, apply_sampled_noise
 from .pauli import CliffordMap, PauliString
 from .tableau import InconsistentProjection, StabilizerState
@@ -47,21 +47,21 @@ class ResourceError(ValueError):
     """Raised for malformed resources, wirings or connections."""
 
 
-@dataclass(frozen=True)
-class VirtualMeasurement:
-    """A pre-measured Pauli letter on one wire of the circuit's output
-    wire space."""
+class VirtualMeasurement(Frozen):
+    """A pre-measured Pauli letter `operator` on one wire of the
+    circuit's output wire space."""
 
-    name: str
-    operator: PauliString  # on the wire space
+    __slots__ = ("name", "operator")
+
+    def __init__(self, name: str, operator: PauliString):
+        self._fill(name, operator)
 
     @property
     def wire(self) -> int:
         return (self.operator.x | self.operator.z).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
+class ResourceSpec(Frozen):
     """Stabilizer resource state with labeled inputs/outputs, held as its
     description: `circuit` acts on the wire space, `input_wires[k]` is
     the wire fed by input k, `ancilla_init` the wires fed |0> ('Z') or
@@ -72,22 +72,32 @@ class ResourceSpec:
     outputs (matching `outputs`).
     """
 
-    name: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    circuit: CliffordMap
-    input_wires: tuple[int, ...]
-    output_wires: tuple[int, ...]
-    ancilla_init: tuple[tuple[int, str], ...] = ()
-    virtual_meas: tuple[VirtualMeasurement, ...] = ()
-    syndrome: tuple[str, ...] = ()
+    __slots__ = ("name", "inputs", "outputs", "circuit", "input_wires", "output_wires",
+                 "ancilla_init", "virtual_meas", "syndrome",
+                 "__dict__")  # `__dict__` holds the cached properties
 
-    def __post_init__(self):
-        if set(self.inputs) & set(self.outputs):
+    def __init__(self, name: str, inputs: tuple[str, ...], outputs: tuple[str, ...],
+                 circuit: CliffordMap, input_wires: tuple[int, ...],
+                 output_wires: tuple[int, ...],
+                 ancilla_init: tuple[tuple[int, str], ...] = (),
+                 virtual_meas: tuple[VirtualMeasurement, ...] = (),
+                 syndrome: tuple[str, ...] = ()):
+        if set(inputs) & set(outputs):
             raise ResourceError("inputs and outputs must be disjoint")
-        unknown = set(self.syndrome) - {vm.name for vm in self.virtual_meas}
+        unknown = set(syndrome) - {vm.name for vm in virtual_meas}
         if unknown:
             raise ResourceError(f"no virtual measurement named {sorted(unknown)}")
+        self._fill(name, inputs, outputs, circuit, input_wires, output_wires, ancilla_init,
+                   virtual_meas, syndrome)
+
+    def relabelled(self, name: str | None = None,
+                   syndrome: tuple[str, ...] | None = None) -> "ResourceSpec":
+        """The same resource under another `name`, or reading another
+        `syndrome`; its tableau and tables are built anew when read."""
+        return ResourceSpec(self.name if name is None else name, self.inputs, self.outputs,
+                            self.circuit, self.input_wires, self.output_wires,
+                            self.ancilla_init, self.virtual_meas,
+                            self.syndrome if syndrome is None else syndrome)
 
     @property
     def n(self) -> int:
@@ -329,7 +339,7 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     the merged resource equals teleporting through r1 and then r2. With
     no connections the result is the side-by-side product. Labels,
     virtual measurements and syndrome of each side are carried under the
-    prefix `{r.name}/`.
+    prefix `{r.name}/`, `#1` and `#2` added to equal names.
     """
     for o, i in connections:
         if o not in r1.outputs:
@@ -339,9 +349,7 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     if len({o for o, _ in connections}) != len(connections) or \
        len({i for _, i in connections}) != len(connections):
         raise ResourceError("connection endpoints must be distinct")
-    if r1.name == r2.name:
-        r1 = replace(r1, name=f"{r1.name}#1")
-        r2 = replace(r2, name=f"{r2.name}#2")
+    p1, p2 = (f"{r1.name}#1", f"{r2.name}#2") if r1.name == r2.name else (r1.name, r2.name)
     w1, w2 = r1.n_wires, r2.n_wires
     w = w1 + w2
     circuit = r1.circuit.shifted(w, 0)
@@ -356,26 +364,26 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     input_wires = list(r1.input_wires) + [
         wi + w1 for wi in r2.input_wires if wi + w1 not in connected_in
     ]
-    in_labels = [f"{r1.name}/{l}" for l in r1.inputs] + [
-        f"{r2.name}/{l}" for wi, l in zip(r2.input_wires, r2.inputs)
+    in_labels = [f"{p1}/{l}" for l in r1.inputs] + [
+        f"{p2}/{l}" for wi, l in zip(r2.input_wires, r2.inputs)
         if wi + w1 not in connected_in
     ]
     anc = list(r1.ancilla_init) + [(wi + w1, l) for wi, l in r2.ancilla_init]
-    vms = [VirtualMeasurement(f"{r.name}/{vm.name}", vm.operator.shifted(w, start))
-           for r, start in ((r1, 0), (r2, w1)) for vm in r.virtual_meas]
+    vms = [VirtualMeasurement(f"{prefix}/{vm.name}", vm.operator.shifted(w, start))
+           for r, prefix, start in ((r1, p1, 0), (r2, p2, w1)) for vm in r.virtual_meas]
     # a connected r2 input wire becomes a |0> feed whose content parks on
     # the matching r1 output wire; pre-measure that wire away
     for wo, wi in connected:
         anc.append((wi, "Z"))
         vms.append(VirtualMeasurement(f"link[{wo}]", PauliString.single(w, wo, "Z")))
     out_names = {
-        wo: f"{r1.name}/{l}" for wo, l in zip(r1.output_wires, r1.outputs)
+        wo: f"{p1}/{l}" for wo, l in zip(r1.output_wires, r1.outputs)
         if wo not in connected_out
     }
-    out_names.update({wo + w1: f"{r2.name}/{l}" for wo, l in zip(r2.output_wires, r2.outputs)})
-    syndrome = [f"{r.name}/{n}" for r in (r1, r2) for n in r.syndrome]
+    out_names.update({wo + w1: f"{p2}/{l}" for wo, l in zip(r2.output_wires, r2.outputs)})
+    syndrome = [f"{prefix}/{n}" for r, prefix in ((r1, p1), (r2, p2)) for n in r.syndrome]
     return _build_resource(
-        name or f"merge({r1.name},{r2.name})", circuit, input_wires, anc, vms,
+        name or f"merge({p1},{p2})", circuit, input_wires, anc, vms,
         syndrome, input_labels=in_labels, output_labels=out_names,
     )
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
 
-from . import __version__
+from . import Frozen, __version__
 
 CSV_SCHEMA_VERSION = 2
 
@@ -41,23 +40,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    protocol: str
-    params: dict
-    p_resource: float
-    q_meas: float
-    q_channel: float
-    fidelity: float | None
-    ci_lo: float | None
-    ci_hi: float | None
-    p_success: float
-    protocol_yield: float = field(metadata={"column": "yield"})  # a Python keyword
-    report: dict
-    samples: int
-    seed: int | None
-    config_hash: str
-    version: str = __version__
+class ResultRecord(Frozen):
+    """One run's fixed columns, stored in `CSV_HEADER` order after the
+    schema; `protocol_yield` is written as the column `yield`, a Python
+    keyword."""
+
+    __slots__ = ("protocol", "params", "p_resource", "q_meas", "q_channel", "fidelity",
+                 "ci_lo", "ci_hi", "p_success", "protocol_yield", "report", "samples", "seed",
+                 "config_hash", "version")
+
+    def __init__(self, protocol: str, params: dict, p_resource: float, q_meas: float,
+                 q_channel: float, fidelity: float | None, ci_lo: float | None,
+                 ci_hi: float | None, p_success: float, protocol_yield: float, report: dict,
+                 samples: int, seed: int | None, config_hash: str, version: str = __version__):
+        self._fill(protocol, params, p_resource, q_meas, q_channel, fidelity, ci_lo, ci_hi,
+                   p_success, protocol_yield, report, samples, seed, config_hash, version)
 
     @classmethod
     def from_stats(cls, protocol: str, params: dict, noise, stats, seed: int | None,
@@ -82,7 +79,7 @@ class ResultRecord:
     def columns(self) -> dict:
         """The record under its output names (`CSV_HEADER`), in CSV order."""
         return dict(zip(CSV_HEADER, (CSV_SCHEMA_VERSION,
-                                     *(getattr(self, f.name) for f in fields(self)))))
+                                     *(getattr(self, f) for f in self.__slots__))))
 
     def to_csv_row(self) -> list[str]:
         return [_cell(value) for value in self.columns().values()]
@@ -92,7 +89,7 @@ class ResultRecord:
 
 
 # the schema, then each field under its column name
-CSV_HEADER = ("schema", *(f.metadata.get("column", f.name) for f in fields(ResultRecord)))
+CSV_HEADER = ("schema", *("yield" if f == "protocol_yield" else f for f in ResultRecord.__slots__))
 
 
 def write_csv(path: str, records: list[ResultRecord]):

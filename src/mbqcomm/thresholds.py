@@ -10,7 +10,6 @@ value without a closed form is the bisected zero of an exact margin.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .belldiag import shannon_entropy, werner
@@ -27,28 +26,31 @@ class ThresholdError(ValueError):
     """Raised for infeasible assumption sets or missing crossings."""
 
 
-@dataclass
 class ThresholdReport:
     """Analytic threshold value with its assumptions and formula."""
 
-    name: str
-    analytic: float
-    assumptions: dict
-    formula: str
-    binding: str | None = None
-    notes: tuple[str, ...] = ()
-    details: dict = field(default_factory=dict)
+    __slots__ = ("name", "analytic", "assumptions", "formula", "binding", "notes", "details")
 
-    def __post_init__(self):
-        if not 0.0 <= self.analytic <= 1.0:
+    def __init__(self, name: str, analytic: float, assumptions: dict, formula: str,
+                 binding: str | None = None, notes: tuple[str, ...] = (),
+                 details: dict | None = None):
+        if not 0.0 <= analytic <= 1.0:
             raise ThresholdError("threshold must lie in [0, 1]")
+        self.name = name
+        self.analytic = analytic
+        self.assumptions = assumptions
+        self.formula = formula
+        self.binding = binding
+        self.notes = notes
+        self.details = {} if details is None else details
 
     @property
     def noise_percent(self) -> float:
         return 100.0 * (1.0 - self.analytic)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "noise_percent": self.noise_percent}
+        return {**{f: getattr(self, f) for f in self.__slots__},
+                "noise_percent": self.noise_percent}
 
 
 def universal_epp_threshold(q: float | None = None) -> ThresholdReport:

@@ -24,7 +24,7 @@ significant bit, matching ``kron(q0, q1, ...)`` ordering, on at most
 DENSE_LIMIT qubits.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -745,8 +745,8 @@ def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     `R`, side by side with no connections. Inputs L/in{k} and R/in{k}
     take the two halves of pair k, the kept pair appears on (L/out0,
     R/out0), and its syndrome is site A's bits, then site B's."""
-    site_a = replace(epp_site_resource(rounds, "A", variant), name="L")
-    site_b = replace(epp_site_resource(rounds, "B", variant), name="R")
+    site_a = epp_site_resource(rounds, "A", variant).relabelled(name="L")
+    site_b = epp_site_resource(rounds, "B", variant).relabelled(name="R")
     return merge(site_a, site_b, (), name=f"epp_recurrence{rounds}")
 
 
@@ -774,8 +774,8 @@ def repeater_station(rounds: int) -> ResourceSpec:
     bell/meas[out0] (X X) and bell/meas[out1] (Z Z).
     """
     # Bob's side of the left segment, Alice's side of the right one
-    left = replace(epp_site_resource(rounds, "B"), name="L")
-    right = replace(epp_site_resource(rounds, "A"), name="R")
+    left = epp_site_resource(rounds, "B").relabelled(name="L")
+    right = epp_site_resource(rounds, "A").relabelled(name="R")
     return merge(merge(left, right, (), name="LR"), bell_measurement_resource(),
                  [("L/out0", "in0"), ("R/out0", "in1")], name=f"repeater_station{rounds}")
 

@@ -876,13 +876,17 @@ def test_closed_stdout_exits_0_silently(argv, buffered):
 def test_importing_the_cli_draws_nothing_and_builds_nothing():
     # set-up work belongs inside `main`, where each run pays for it: the
     # import alone loads no random generator and builds no catalog entry;
-    # modules that one subcommand or option alone uses are loaded by it
+    # modules that one subcommand or option alone uses are loaded by it, and
+    # the value types are plain classes, so `dataclasses` is never loaded.
+    # What the import made lives for the whole run, so it is frozen out of
+    # later collections, and the collector stays on
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    check = ("import sys, mbqcomm.cli, mbqcomm.catalog as c; "
+    check = ("import gc, sys, mbqcomm.cli, mbqcomm.catalog as c; "
              "loaded = [m for m in ('numpy.random', 'csv', 'configparser', "
-             "'mbqcomm.thresholds') if m in sys.modules]; "
+             "'mbqcomm.thresholds', 'dataclasses') if m in sys.modules]; "
              "assert not loaded, loaded; "
-             "assert not c._BUILT, c._BUILT")
+             "assert not c._BUILT, c._BUILT; "
+             "assert gc.isenabled() and gc.get_freeze_count() > 0, gc.get_freeze_count()")
     child = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                            text=True, timeout=60)
     assert child.returncode == 0, child.stderr

@@ -1,6 +1,6 @@
 """Static checks on the package source: no unused module-level import, no
-public function or method that no package code refers to, no dataclass
-field that holds a callable (resources and results stay plain data), no
+public function or method that no package code refers to, no class field
+that holds a callable (resources and results stay plain data), no
 branch on an object's name, and no weighted `choice` draw outside
 `rng.index_slices`."""
 
@@ -91,23 +91,34 @@ def test_every_public_function_is_referenced():
 
 
 def callable_fields(tree: ast.Module) -> list[str]:
-    """Fields of dataclasses whose annotation mentions `Callable`."""
+    """Fields of classes whose annotation mentions `Callable`: class-level
+    annotations and annotated `__init__` parameters."""
     found = []
     for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef) or not any(
-                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+        if not isinstance(cls, ast.ClassDef):
             continue
         for stmt in cls.body:
-            if isinstance(stmt, ast.AnnAssign) and "Callable" in name_uses(stmt.annotation):
-                found.append(f"{cls.name}.{ast.unparse(stmt.target)}")
+            if isinstance(stmt, ast.AnnAssign):
+                fields = [(ast.unparse(stmt.target), stmt.annotation)]
+            elif isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                args = stmt.args
+                fields = [(a.arg, a.annotation)
+                          for a in args.posonlyargs + args.args + args.kwonlyargs if a.annotation]
+            else:
+                continue
+            found += [f"{cls.name}.{name}" for name, annotation in fields
+                      if "Callable" in name_uses(annotation)]
     return found
 
 
 def test_detector_finds_a_callable_field():
-    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    f: Callable[[int], int]\n"
-                     "    g: typing.Callable | None = None\n    n: int = 0\n"
-                     "class B:\n    h: Callable\n")
-    assert callable_fields(tree) == ["A.f", "A.g"]
+    tree = ast.parse("class A:\n    __slots__ = ('f', 'g', 'n')\n"
+                     "    def __init__(self, f: Callable[[int], int],\n"
+                     "                 g: typing.Callable | None = None, n: int = 0, *, k=None):\n"
+                     "        pass\n"
+                     "    def apply(self, h: Callable):\n        pass\n"
+                     "class B:\n    h: Callable\n    m: int = 0\n")
+    assert callable_fields(tree) == ["A.f", "A.g", "B.h"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
