@@ -62,11 +62,8 @@ def epp_site_resource(rounds: int, role: str, variant: str = "DEJMPS") -> Resour
     n = 1 << rounds
     gates, targets = epp_site_circuit(rounds, role, variant)
     circuit = circuit_map(n, gates)
-    spec = cj_state(circuit, name=f"epp{role}")
-    spec = premeasure_outputs(
-        spec, [(f"out{t}", "Z") for t in targets], name=f"epp{role}{rounds}"
-    )
-    return spec.relabelled(syndrome=tuple(vm.name for vm in spec.virtual_meas))
+    return premeasure_outputs(cj_state(circuit, name=f"epp{role}"),
+                              [(f"out{t}", "Z") for t in targets], name=f"epp{role}{rounds}")
 
 
 @_built_once
@@ -97,11 +94,8 @@ def code_decode_syndrome(code: CodeSpec) -> ResourceSpec:
         input_labels=[f"b{w}" for w in range(code.n)],
         output_labels=out_names,
     )
-    spec = premeasure_outputs(
-        spec, [(f"anc{w}", "Z") for w in range(1, code.n)],
-        name=f"{code.name}_decode_syndrome",
-    )
-    return spec.relabelled(syndrome=tuple(f"meas[anc{w}]" for w in range(1, code.n)))
+    return premeasure_outputs(spec, [(f"anc{w}", "Z") for w in range(1, code.n)],
+                              name=f"{code.name}_decode_syndrome")
 
 
 @_built_once

@@ -239,10 +239,15 @@ def _encoded_chain_analytic(cfg: ChainConfig) -> ProtocolStats:
         p_l = code.logical_noise(p_tilde, code.correctable_weight)
         improves = improves and (p_l >= p_tilde)
         p_logical *= p_l
+    # the unencoded pair crosses every segment's channel; the shared one
+    # enters as one power, so with no overrides this is q ** segments
+    q_direct = cfg.noise.q_channel ** (cfg.segments - len(cfg.channel_overrides))
+    for seg in cfg.channel_overrides:
+        q_direct *= cfg.channel_for(seg)
     return point_stats((3.0 * p_logical + 1.0) / 4.0, report={
         "p_logical": p_logical, "per_step_noise": effective_step_noise(cfg),
         "improves_over_physical": improves,
-        "direct_fidelity": (3.0 * cfg.noise.q_channel ** cfg.segments + 1.0) / 4.0,
+        "direct_fidelity": (3.0 * q_direct + 1.0) / 4.0,
     })
 
 

@@ -20,17 +20,16 @@ images of such operands satisfy it too, so they are built by
 `_unchecked`, which skips the checks; the result is equal to, and
 hashes like, the same operator built through the public constructor.
 
-A gate is appended to a Clifford map (`CliffordMap.then_gate`,
-`circuit_map`) where it acts, as in Aaronson and Gottesman's tableau
-update (PRA 70, 052328, 2004). X^x Z^z factorises over qubits with no
-sign, so each image's letters on the gate's one or two qubits map alone
-to i^d X^x' Z^z' through a small table, and its other letters and its
-phase carry over unchanged. The table holds the 4 or 16 local letter
-pairs and is built once per gate from `gate_map` on the gate's own
-qubits, so `_SINGLE_GATE_IMAGES` and `gate_map` stay the only
-definitions of the gates. `gate_map`, `then_gate` and `circuit_map`
-reject a gate with a wrong qubit count, a qubit outside the register or
-a qubit given twice, in one line, before they apply it.
+`circuit_map` appends each gate of a circuit where it acts, as in
+Aaronson and Gottesman's tableau update (PRA 70, 052328, 2004). X^x Z^z
+factorises over qubits with no sign, so each image's letters on the
+gate's one or two qubits map alone to i^d X^x' Z^z' through a small
+table, and its other letters and its phase carry over unchanged. The
+table holds the 4 or 16 local letter pairs and is built once per gate
+from `gate_map` on the gate's own qubits, so `_SINGLE_GATE_IMAGES` and
+`gate_map` stay the only definitions of the gates. `gate_map` and
+`circuit_map` reject a gate with a wrong qubit count, a qubit outside
+the register or a qubit given twice, in one line, before they apply it.
 """
 
 from __future__ import annotations
@@ -351,18 +350,6 @@ class CliffordMap(Frozen):
         ix[start:start + self.n] = [p.shifted(n, start) for p in self.image_x]
         iz[start:start + self.n] = [p.shifted(n, start) for p in self.image_z]
         return CliffordMap(n, tuple(ix), tuple(iz))
-
-    # -- circuit-style construction -----------------------------------
-
-    def then_gate(self, gate: str, *qubits: int) -> "CliffordMap":
-        """Return the map with `gate` appended after the current circuit.
-        Only the letters each image has on the gate's qubits are rewritten
-        (see the module docstring)."""
-        name = _gate_name(self.n, gate, qubits)
-        images = list(self.image_x + self.image_z)
-        on = {q: {k for k, p in enumerate(images) if (p.x | p.z) >> q & 1} for q in qubits}
-        _append_gate(images, on, self.n, name, qubits)
-        return _unchecked_map(self.n, images)
 
     def inverse(self) -> "CliffordMap":
         """Inverse Clifford, computed by inverting the image table."""

@@ -465,9 +465,9 @@ def _letters(rng, weights, width: int, samples: int) -> np.ndarray:
     return draw_indices(rng, weights, width * samples).reshape(width, samples)
 
 
-# a site's frame table holds 2^(2 rounds + 2) letters: at 12 rounds both sites
-# are set up in 3-4 s (a 2-CPU host) and a 200-sample run peaks near 400 MiB;
-# each round multiplies the time by about 3.3 and the memory by about 2.6
+# a site's frame table holds 2^(2 rounds + 2) letters: at 12 rounds a 200-sample
+# run takes 2.9-3.3 s (2-CPU host, Python 3.11) and peaks near 250 MiB; each
+# round multiplies the time and the memory by about 2.7
 _STABILIZER_ROUNDS = 12
 
 

@@ -7,14 +7,14 @@ measurements at preparation time; Raussendorf, Browne and Briegel, PRA
 68, 022312, 2003). Its tableau `ResourceSpec.state` is built on first
 read. Bell measurements couple host qubits into the inputs, and each
 outcome is read as the letter code 2x + z of its byproduct Pauli. A
-resource's GF(2) map on such codes (`ResourceSpec.frame_map`) is read
-off the letter columns of the circuit's images of each unit X_k and Z_k
-on the inputs: their letters at the outputs, and at each pre-measured
-wire whether they anticommute with the letter measured there. A
 resource's readout is data: `syndrome` names the virtual outcomes it
-reads, in order. `ResourceSpec.byproduct` is the one reader of the map:
-reading any outcome tuple, or any error frame, is an XOR of one table
-row per input, which holds the output codes and the `syndrome` bits.
+reads, in order. Its GF(2) map on letter codes is one table,
+`ResourceSpec.frame_map`, with one row per input and letter, read off
+the letter columns of the circuit's images of each unit X_k and Z_k on
+the inputs: their letters at the outputs, then, at each wire that
+`syndrome` reads, whether they anticommute with the letter measured
+there. `ResourceSpec.byproduct` is the one reader of the table: reading
+any outcome tuple, or any error frame, is an XOR of one row per input.
 What a protocol does with the readout is its own rule: a code station
 looks its syndrome up, and a purification round keeps the pair iff its
 two sites read the same bits.
@@ -23,7 +23,7 @@ Composite resources come from two operations. `merge` joins two
 resources by internal Bell measurements (none: the side-by-side
 product) and carries each side's labels, virtual measurements and
 syndrome under a `{name}/` prefix. `premeasure_outputs` pre-measures
-outputs, one letter each.
+outputs, one letter each, and appends their outcomes to the syndrome.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import Frozen
 from .noise import NoiseModel, apply_sampled_noise
-from .pauli import CliffordMap, PauliString
+from .pauli import CliffordMap, PauliString, circuit_map
 from .tableau import InconsistentProjection, StabilizerState
 
 _ANCILLA_LETTERS = ("Z", "X")  # |0> and |+>
@@ -89,15 +89,6 @@ class ResourceSpec(Frozen):
             raise ResourceError(f"no virtual measurement named {sorted(unknown)}")
         self._fill(name, inputs, outputs, circuit, input_wires, output_wires, ancilla_init,
                    virtual_meas, syndrome)
-
-    def relabelled(self, name: str | None = None,
-                   syndrome: tuple[str, ...] | None = None) -> "ResourceSpec":
-        """The same resource under another `name`, or reading another
-        `syndrome`; its tableau and tables are built anew when read."""
-        return ResourceSpec(self.name if name is None else name, self.inputs, self.outputs,
-                            self.circuit, self.input_wires, self.output_wires,
-                            self.ancilla_init, self.virtual_meas,
-                            self.syndrome if syndrome is None else syndrome)
 
     @property
     def n(self) -> int:
@@ -153,45 +144,33 @@ class ResourceSpec(Frozen):
     # -- outcomes and frames -------------------------------------------
 
     @cached_property
-    def frame_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """The resource's GF(2) linear map on Pauli frames, as read-only
-        letter tables, built once per resource.
+    def frame_map(self) -> np.ndarray:
+        """The resource's GF(2) linear map on Pauli frames, as one
+        read-only, C-contiguous letter table, built once per resource.
 
         A one-qubit letter is coded 2x + z (I, Z, X, Y = 0, 1, 2, 3: the
         Bell index of a pair carrying it on one half), so codes multiply
-        by XOR. The circuit's images of the unit Z_k and X_k on the inputs
-        are unpacked once into letter columns, one per wire. Returns
-        (out, flips): out[k, c] holds the codes on the outputs (in output
-        order) of letter c riding into input k, and flips[k, c] the
-        virtual-measurement bits it flips (in `virtual_meas` order): the
-        anticommutation of its letter at each pre-measured wire with the
-        letter measured there.
+        by XOR. Row [k, c] holds the codes on the outputs (in output
+        order) of letter c riding into input k, then the `syndrome` bits
+        it flips: the anticommutation of its letter at each read wire
+        with the letter measured there. Both are linear in the letter, so
+        the rows of Z_k and X_k are read off the letter columns of their
+        circuit images at the output and read wires alone, and Y_k's row
+        is their XOR.
         """
-        circuit = self.circuit
+        circuit, n_in, n_out = self.circuit, len(self.inputs), len(self.outputs)
+        at = {vm.name: vm for vm in self.virtual_meas}
+        read = [at[s] for s in self.syndrome]
         images = [p for wire in self.input_wires
                   for p in (circuit.image_z[wire], circuit.image_x[wire])]
-        letters = np.zeros((len(self.inputs), 4, circuit.n), dtype=np.uint8)
-        letters[:, 1:3] = _letter_columns(images, circuit.n).reshape(-1, 2, circuit.n)
-        letters[:, 3] = letters[:, 1] ^ letters[:, 2]
-        wires = [vm.wire for vm in self.virtual_meas]
-        measured = [2 * (vm.operator.x >> w & 1) + (vm.operator.z >> w & 1)
-                    for vm, w in zip(self.virtual_meas, wires)]
-        out = letters[..., list(self.output_wires)]
-        flips = _ANTICOMMUTE[letters[..., wires], measured]
-        out.setflags(write=False)
-        flips.setflags(write=False)
-        return out, flips
-
-    @cached_property
-    def _read_table(self) -> np.ndarray:
-        """`frame_map`'s output codes beside the `syndrome` bits they flip,
-        one row per (input, letter)."""
-        out, flips = self.frame_map
-        at = {vm.name: j for j, vm in enumerate(self.virtual_meas)}
-        read = [at[s] for s in self.syndrome]
-        # row by row, as `byproduct` gathers whole rows: a concatenation
-        # along the last axis can leave it strided
-        table = np.ascontiguousarray(np.concatenate([out, flips[..., read]], axis=-1))
+        columns = _letter_columns(images, circuit.n)[
+            :, list(self.output_wires) + [vm.wire for vm in read]]
+        measured = [2 * (vm.operator.x >> vm.wire & 1) + (vm.operator.z >> vm.wire & 1)
+                    for vm in read]
+        columns[:, n_out:] = _ANTICOMMUTE[columns[:, n_out:], measured]
+        table = np.zeros((n_in, 4, columns.shape[1]), dtype=np.uint8)
+        table[:, 1:3] = columns.reshape(n_in, 2, columns.shape[1])
+        table[:, 3] = table[:, 1] ^ table[:, 2]
         table.setflags(write=False)
         return table
 
@@ -204,13 +183,13 @@ class ResourceSpec(Frozen):
 
         Returns their image on the outputs as letter codes, one per output
         on the first axis, and the `syndrome` bits they flip, one per name
-        on the first axis. Both are the XOR of the `_read_table` rows of
+        on the first axis. Both are the XOR of the `frame_map` rows of
         each input's letter, accumulated one input at a time.
         """
         codes = np.asarray(codes)
         if not 1 <= codes.ndim <= 2 or len(codes) != len(self.inputs):
             raise ResourceError("need one letter code per input, on at most one shot axis")
-        table = self._read_table
+        table = self.frame_map
         read = np.zeros(codes.shape[1:] + table.shape[-1:], dtype=np.uint8)
         for k, letters in enumerate(codes):
             read ^= table[k, letters]
@@ -227,7 +206,10 @@ def _letter_columns(paulis: Sequence[PauliString], n: int) -> np.ndarray:
         packed = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in ints), np.uint8)
         return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little")
 
-    return bits(p.x for p in paulis) << 1 | bits(p.z for p in paulis)
+    codes = bits(p.x for p in paulis)
+    codes <<= 1
+    codes |= bits(p.z for p in paulis)
+    return codes
 
 
 def _build_resource(name: str, circuit: CliffordMap,
@@ -312,19 +294,21 @@ def premeasure_outputs(spec: ResourceSpec,
     """Pre-measure listed output qubits in one Pauli letter each (+1 branch).
 
     measurements: list of (output label, Pauli letter); the virtual
-    outcome of output `label` is named `meas[label]`, and stays
-    reconstructable from the in-coupling Bell outcomes.
+    outcome of output `label` is named `meas[label]`, stays
+    reconstructable from the in-coupling Bell outcomes, and is appended
+    to the syndrome, in measurement order.
     """
     wire_of = dict(zip(spec.outputs, spec.output_wires))
-    vms = list(spec.virtual_meas)
+    new = []
     for label, letter in measurements:
         if label not in wire_of:
             raise ResourceError(f"{label!r} is not an output of {spec.name}")
-        vms.append(VirtualMeasurement(
+        new.append(VirtualMeasurement(
             f"meas[{label}]", PauliString.single(spec.n_wires, wire_of[label], letter)))
     return _build_resource(
         name or f"{spec.name}+premeasured", spec.circuit, spec.input_wires,
-        spec.ancilla_init, vms, spec.syndrome, input_labels=spec.inputs,
+        spec.ancilla_init, spec.virtual_meas + tuple(new),
+        spec.syndrome + tuple(vm.name for vm in new), input_labels=spec.inputs,
         output_labels=dict(zip(spec.output_wires, spec.outputs)),
     )
 
@@ -352,12 +336,10 @@ def merge(r1: ResourceSpec, r2: ResourceSpec,
     p1, p2 = (f"{r1.name}#1", f"{r2.name}#2") if r1.name == r2.name else (r1.name, r2.name)
     w1, w2 = r1.n_wires, r2.n_wires
     w = w1 + w2
-    circuit = r1.circuit.shifted(w, 0)
     connected = [(r1.output_wires[r1.outputs.index(o)], r2.input_wires[r2.inputs.index(i)] + w1)
                  for o, i in connections]
-    for wo, wi in connected:
-        circuit = circuit.then_gate("SWAP", wo, wi)
-    circuit = r2.circuit.shifted(w, w1) @ circuit
+    circuit = (r2.circuit.shifted(w, w1) @ circuit_map(w, [("SWAP", *c) for c in connected])
+               @ r1.circuit.shifted(w, 0))
     connected_out = {wo for wo, _ in connected}
     connected_in = {wi for _, wi in connected}
 

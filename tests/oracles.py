@@ -349,7 +349,8 @@ def validate_tableau(state: StabilizerState):
 
 def then_gate_composed(c: CliffordMap, gate: str, *qubits: int) -> CliffordMap:
     """`c` with `gate` appended by conjugating all its images through the
-    gate's full n-wire map: the oracle of `CliffordMap.then_gate`."""
+    gate's full n-wire map: the oracle of one gate appended by
+    `pauli.circuit_map`."""
     return gate_map(c.n, gate, *qubits) @ c
 
 
@@ -739,14 +740,24 @@ def is_connected(g: GraphSpec) -> bool:
 # -- resources ---------------------------------------------------------------
 
 
+def relabelled(spec: ResourceSpec, name: str | None = None,
+               syndrome: tuple[str, ...] | None = None) -> ResourceSpec:
+    """The same resource under another `name`, or reading another
+    `syndrome`; its tableau and frame table are built anew when read."""
+    return ResourceSpec(spec.name if name is None else name, spec.inputs, spec.outputs,
+                        spec.circuit, spec.input_wires, spec.output_wires,
+                        spec.ancilla_init, spec.virtual_meas,
+                        spec.syndrome if syndrome is None else syndrome)
+
+
 @lru_cache(maxsize=None)
 def epp_recurrence(rounds: int, variant: str = "DEJMPS") -> ResourceSpec:
     """The joint two-site recurrence resource: site A as `L` and site B as
     `R`, side by side with no connections. Inputs L/in{k} and R/in{k}
     take the two halves of pair k, the kept pair appears on (L/out0,
     R/out0), and its syndrome is site A's bits, then site B's."""
-    site_a = epp_site_resource(rounds, "A", variant).relabelled(name="L")
-    site_b = epp_site_resource(rounds, "B", variant).relabelled(name="R")
+    site_a = relabelled(epp_site_resource(rounds, "A", variant), name="L")
+    site_b = relabelled(epp_site_resource(rounds, "B", variant), name="R")
     return merge(site_a, site_b, (), name=f"epp_recurrence{rounds}")
 
 
@@ -759,10 +770,13 @@ def sites_agree(syndrome) -> bool:
 
 def bell_measurement_resource() -> ResourceSpec:
     """Two inputs and no outputs: CNOT and H, then Z on both wires, which
-    reads X X on the inputs as `meas[out0]` and Z Z as `meas[out1]`."""
+    reads X X on the inputs as `meas[out0]` and Z Z as `meas[out1]`. Its
+    syndrome is empty: `repeater_station` reads the swap outcome from
+    `conjugation_reading`'s bits, not from the frame table."""
     circuit = circuit_map(2, [("CNOT", 0, 1), ("H", 0)])
-    return premeasure_outputs(cj_state(circuit, "bell"), [("out0", "Z"), ("out1", "Z")],
+    bell = premeasure_outputs(cj_state(circuit, "bell"), [("out0", "Z"), ("out1", "Z")],
                               name="bell")
+    return relabelled(bell, syndrome=())
 
 
 def repeater_station(rounds: int) -> ResourceSpec:
@@ -774,8 +788,8 @@ def repeater_station(rounds: int) -> ResourceSpec:
     bell/meas[out0] (X X) and bell/meas[out1] (Z Z).
     """
     # Bob's side of the left segment, Alice's side of the right one
-    left = epp_site_resource(rounds, "B").relabelled(name="L")
-    right = epp_site_resource(rounds, "A").relabelled(name="R")
+    left = relabelled(epp_site_resource(rounds, "B"), name="L")
+    right = relabelled(epp_site_resource(rounds, "A"), name="R")
     return merge(merge(left, right, (), name="LR"), bell_measurement_resource(),
                  [("L/out0", "in0"), ("R/out0", "in1")], name=f"repeater_station{rounds}")
 

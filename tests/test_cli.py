@@ -189,6 +189,15 @@ def test_bad_chain_config_exits_2_with_one_line(ini, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_analytic_chain_reports_the_direct_pair_through_every_override(tmp_path, capsys):
+    # the unencoded pair crosses segment 0 at 0.95 and segment 1 at 0.5
+    path = tmp_path / "chain.ini"
+    path.write_text("[chain]\nsegments = 2\nq_channel = 0.95\n[station:1]\nq_channel = 0.5\n")
+    rc, out, _err = run(["chain", "--mode", "analytic", "--config", str(path)], capsys)
+    assert rc == 0
+    assert json.loads(out)["report"]["direct_fidelity"] == (3 * 0.95 * 0.5 + 1) / 4 == 0.60625
+
+
 @pytest.mark.parametrize("code,total", [
     ("ring5", 15), ("repetition3", 3), ("repetition3-phase", 3), ("repetition5", 5),
 ])

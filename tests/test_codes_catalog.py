@@ -42,6 +42,7 @@ from oracles import (
     path_graph,
     plus_state,
     random_clifford,
+    relabelled,
     repeater_station,
     ring_graph,
     same_state,
@@ -183,7 +184,7 @@ def test_merge_carries_the_decoder_syndrome(name):
 
 def test_syndrome_must_name_virtual_measurements():
     with pytest.raises(ResourceError, match=r"meas\[anc9\]"):
-        code_decode_syndrome(ring5_code()).relabelled(syndrome=("meas[anc1]", "meas[anc9]"))
+        relabelled(code_decode_syndrome(ring5_code()), syndrome=("meas[anc1]", "meas[anc9]"))
 
 
 def test_combined_resource_rep3_is_ghz5():

@@ -1,6 +1,6 @@
-"""The frame map and its one reader: the map and `byproduct`, output
-letters and syndrome, against the reading by conjugation through the
-circuit; the purification engine's reading of its two site resources
+"""The frame table and its one reader: the table, held once, and
+`byproduct`, output letters and syndrome, against the reading by
+conjugation through the circuit; the purification engine's reading of its two site resources
 (kept iff the two syndromes agree, the Bell index of the kept pair's
 letters) against that reading and against the tableau, both through the
 sites' side-by-side product, on injected error patterns; no tableau
@@ -9,6 +9,7 @@ the QEC stations' table reading against the conjugation oracle on every
 single and double error, where the batched station maps of the error
 enumeration give the tableau's verdicts without running it."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -38,6 +39,7 @@ from oracles import (
     epp_recurrence,
     forced_teleport,
     logical_flips,
+    relabelled,
     repeater_station,
     single_and_double_errors,
     sites_agree,
@@ -112,21 +114,37 @@ def frame_runs(rounds, patterns):
     *(epp_site_resource(m, role) for m in range(1, 6) for role in "AB"),
 ], ids=lambda spec: spec.name)
 def test_frame_map_is_the_byproduct_of_every_letter(spec):
-    out, flips = spec.frame_map
-    assert spec.frame_map is spec.frame_map  # built once per resource
-    assert not out.flags.writeable and not flips.flags.writeable
-    assert spec._read_table.flags.c_contiguous  # `byproduct` gathers its rows
-    syndrome_at = [[vm.name for vm in spec.virtual_meas].index(s) for s in spec.syndrome]
-    n_syndrome = len(spec.syndrome)
+    table = spec.frame_map
+    assert spec.frame_map is table  # built once per resource
+    assert not table.flags.writeable
+    assert table.flags.c_contiguous  # `byproduct` gathers its rows
+    n_out = len(spec.outputs)
+    assert table.shape == (len(spec.inputs), 4, n_out + len(spec.syndrome))
+    # a copy that reads every pre-measurement, `link` bits included
+    names = tuple(vm.name for vm in spec.virtual_meas)
+    full = relabelled(spec, syndrome=names).frame_map
     for k, code in product(range(len(spec.inputs)), range(4)):
         codes = [code if j == k else 0 for j in range(len(spec.inputs))]
         info = conjugation_reading(spec, codes)
-        assert list(out[k, code]) == info.frame.codes()
-        assert list(flips[k, code]) == [info.bits[vm.name] for vm in spec.virtual_meas]
+        assert list(table[k, code, :n_out]) == list(full[k, code, :n_out]) == info.frame.codes()
+        assert list(full[k, code, n_out:]) == [info.bits[name] for name in names]
         table_out, syndrome = spec.byproduct(np.array(codes, dtype=np.uint8))
         assert list(table_out) == info.frame.codes()
-        assert len(syndrome) == n_syndrome
-        assert list(syndrome) == list(flips[k, code][syndrome_at]) == list(info.syndrome)
+        assert list(syndrome) == list(table[k, code, n_out:]) == list(info.syndrome)
+
+
+def test_a_site_holds_its_frame_table_once():
+    # a fresh copy, so the catalog's memo does not hide the build; what
+    # stays allocated after the read is the table alone
+    spec = relabelled(epp_site_resource(9, "A"), name="fresh")
+    tracemalloc.start()
+    try:
+        table = spec.frame_map
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (512, 4, 512)
+    assert kept <= 1.1 * table.nbytes
 
 
 def test_byproduct_of_many_shots_is_each_shot_by_itself():

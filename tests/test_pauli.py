@@ -346,10 +346,13 @@ def gates_on(draw, n: int):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.data())
 def test_then_gate_equals_composition_with_the_full_gate_map(name, data):
+    # `circuit_map` appends a last gate `name` where it acts; the oracle
+    # conjugates every image through the gate's full n-wire map
     n = data.draw(st.integers(arity(name), 8))
-    c = oracles.circuit_composed(n, data.draw(st.lists(gates_on(n), max_size=12)))
+    gates = data.draw(st.lists(gates_on(n), max_size=12))
     qubits = data.draw(st.permutations(range(n)))[:arity(name)]
-    assert c.then_gate(name, *qubits) == oracles.then_gate_composed(c, name, *qubits)
+    assert circuit_map(n, [*gates, (name, *qubits)]) == oracles.then_gate_composed(
+        oracles.circuit_composed(n, gates), name, *qubits)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -371,10 +374,11 @@ def test_site_circuit_map_equals_composition(rounds, role, variant):
 
 
 def appenders(n: int):
-    """Every way to append a gate to an n-wire map."""
+    """Every way to append a gate to an n-wire map: alone, as a circuit's
+    first gate, and after another gate."""
     return (lambda name, *qs: gate_map(n, name, *qs),
-            lambda name, *qs: CliffordMap.identity(n).then_gate(name, *qs),
-            lambda name, *qs: circuit_map(n, [(name, *qs)]))
+            lambda name, *qs: circuit_map(n, [(name, *qs)]),
+            lambda name, *qs: circuit_map(n, [("H", 0), (name, *qs)]))
 
 
 def rejected(append, name, qubits) -> str:

@@ -240,10 +240,13 @@ def test_a_resource_without_ancilla_feeds_builds_no_tableau(monkeypatch):
     monkeypatch.setattr(StabilizerState, "__init__", forbidden)
     monkeypatch.setattr(StabilizerState, "_from_rows", forbidden)
     a, b = cj_state(random_clifford(3, rng), "a"), cj_state(random_clifford(2, rng), "b")
-    pre = premeasure_outputs(a, [("out0", "X"), ("out2", "Y")])
+    pre = premeasure_outputs(a, [("out2", "Y"), ("out0", "X")])
     product_ = merge(pre, b, ())
     assert product_.n == 3 + 1 + 2 + 2 and len(product_.virtual_meas) == 2
-    assert product_.frame_map[1].shape == (5, 4, 2)
+    # three outputs, then the two pre-measurements, which the syndrome
+    # reads in measurement order
+    assert product_.frame_map.shape == (5, 4, 3 + 2)
+    assert product_.syndrome == ("a+premeasured/meas[out2]", "a+premeasured/meas[out0]")
     # a connection feeds a |0> ancilla and pre-measures its link wire: the
     # one build that reads the tableau, to refuse an impossible projection
     with pytest.raises(AssertionError, match="built a tableau"):

@@ -15,6 +15,7 @@ from mbqcomm.pauli import CliffordMap, PauliError, PauliString, circuit_map
 from mbqcomm.protocols import Depolarize, ProtocolError, ProtocolStats, Purify, Swap
 from mbqcomm.resources import ResourceError, ResourceSpec, VirtualMeasurement
 from mbqcomm.results import CSV_HEADER, ResultRecord
+from oracles import relabelled
 
 
 def _record(**changes) -> ResultRecord:
@@ -105,7 +106,7 @@ REFUSALS = [
     (lambda: ResourceSpec("r", ("a",), ("b",), CliffordMap.identity(2), (0,), (1,),
                           syndrome=("s",)),
      ResourceError, "no virtual measurement named ['s']"),
-    (lambda: epp_site_resource(1, "A").relabelled(syndrome=("meas[out9]",)),
+    (lambda: relabelled(epp_site_resource(1, "A"), syndrome=("meas[out9]",)),
      ResourceError, "no virtual measurement named ['meas[out9]']"),
     (lambda: ProtocolStats(1.2, (None, None), 0.5, 0.5, 1), ProtocolError,
      "estimates must lie in [0, 1]"),
@@ -136,13 +137,14 @@ def test_constructor_refusals_keep_their_text(build, error, text):
 
 def test_relabelled_changes_only_the_named_fields():
     spec = epp_site_resource(1, "A")
-    renamed = spec.relabelled(name="L")
+    renamed = relabelled(spec, name="L")
     assert renamed.name == "L" and renamed.syndrome == spec.syndrome
     assert all(getattr(renamed, f) == getattr(spec, f)
                for f in ResourceSpec.__slots__[1:-1])
-    unread = spec.relabelled(syndrome=())
+    # the frame table holds the output codes, then one column per name read
+    unread = relabelled(spec, syndrome=())
     assert unread.name == spec.name and unread.syndrome == ()
-    assert np.array_equal(unread.frame_map[0], spec.frame_map[0])
+    assert np.array_equal(unread.frame_map, spec.frame_map[..., :len(spec.outputs)])
 
 
 def test_csv_header_is_the_schema_2_columns():
